@@ -10,61 +10,30 @@ subcarrier power allocation, and a reproducible Monte-Carlo runner with a
 CLI front end.
 """
 
-from .channel import (LinkBudget, Scatterer, Scene, SPEED_OF_LIGHT,
-                      comm_large_scale_gain, complex_awgn,
-                      doppler_from_velocity, radar_large_scale_gain)
-from .config import (CONFIG_VERSION, ConfigError, GolayRunConfig,
-                     ScenarioConfig, canonical_json, config_hash,
-                     load_config, parse_config, save_config)
-from .estim import (DecodingError, DetectionResult, EstimatorConfig,
-                    NonIdentifiableError, TargetEstimate, decode_symbols,
-                    golay_cef_waveform, golay_range_estimate, ofdma_decode,
-                    ofdma_range_doppler_angle, ofdma_refine, pmcw_decode,
-                    pmcw_range_doppler, pmcw_refine, residual_refine)
-from .ofdma import (IsiWarning, OfdmaConfig, OfdmaCube, SymbolGrid,
-                    build_symbol_grid, grid_capacity_bits, ofdma_pilot_mask,
-                    ofdma_receive_cube, ofdma_transmit)
-from .perf import (AfSurface, TradeoffSpec, ambiguity_function, ber,
-                   check_rate_identity, crlb_proxy, dmse_eff, jrc_objective,
-                   mmse_from_rate, peak_sidelobe_ratio, rmse, trace_log2)
-from .alloc import (AllocationProblem, AllocationResult,
-                    detection_probability, np_allocate, waterfill)
-from .pmcw import (FrameSchedule, PmcwConfig, PmcwCube, RangeAmbiguityError,
-                   payload_capacity_bits, pmcw_frame_symbols,
-                   pmcw_receive_cube, pmcw_schedule, pmcw_transmit)
-from .runner import RunReport, run_scenario
-from .sigcore import (ArrayGeometry, CodeSequence, GolayPair, dpsk_decode,
-                      dpsk_encode, golay_pair, steering_vector)
+from .alloc import np_allocate, waterfill
+from .channel import Scatterer, Scene
+from .config import ConfigError, config_hash, load_config, save_config
+from .estim import (EstimatorConfig, ofdma_decode, ofdma_range_doppler_angle,
+                    ofdma_refine, pmcw_decode, pmcw_range_doppler)
+from .ofdma import build_symbol_grid, ofdma_receive_cube
+from .perf import ambiguity_function
+from .pmcw import (PmcwConfig, payload_capacity_bits, pmcw_frame_symbols,
+                   pmcw_receive_cube, pmcw_schedule)
+from .runner import run_scenario
+from .sigcore import ArrayGeometry, CodeSequence
 from .tensorio import read_tensor, write_tensor
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SPEED_OF_LIGHT", "ArrayGeometry", "CodeSequence", "GolayPair",
-    "LinkBudget", "Scatterer", "Scene", "PmcwConfig", "PmcwCube",
-    "FrameSchedule", "OfdmaConfig", "OfdmaCube", "SymbolGrid",
-    "EstimatorConfig", "TargetEstimate", "DetectionResult",
-    "AfSurface", "TradeoffSpec", "AllocationProblem", "AllocationResult",
-    "ScenarioConfig", "GolayRunConfig", "RunReport",
-    "RangeAmbiguityError", "IsiWarning", "NonIdentifiableError",
-    "DecodingError", "ConfigError", "CONFIG_VERSION",
-    "golay_pair", "dpsk_encode", "dpsk_decode", "steering_vector",
-    "comm_large_scale_gain", "radar_large_scale_gain",
-    "doppler_from_velocity", "complex_awgn",
+    "ArrayGeometry", "CodeSequence", "Scatterer", "Scene", "PmcwConfig",
+    "EstimatorConfig", "ConfigError",
     "pmcw_schedule", "pmcw_frame_symbols", "payload_capacity_bits",
-    "pmcw_transmit", "pmcw_receive_cube",
-    "ofdma_pilot_mask", "build_symbol_grid", "grid_capacity_bits",
-    "ofdma_transmit", "ofdma_receive_cube",
-    "pmcw_range_doppler", "ofdma_range_doppler_angle",
-    "pmcw_decode", "ofdma_decode", "pmcw_refine", "ofdma_refine",
-    "decode_symbols", "residual_refine",
-    "golay_cef_waveform", "golay_range_estimate",
-    "ambiguity_function", "peak_sidelobe_ratio", "rmse", "ber",
-    "trace_log2", "mmse_from_rate", "dmse_eff", "check_rate_identity",
-    "jrc_objective", "crlb_proxy",
-    "waterfill", "detection_probability", "np_allocate",
-    "load_config", "parse_config", "save_config", "canonical_json",
-    "config_hash", "run_scenario",
+    "pmcw_receive_cube", "pmcw_range_doppler", "pmcw_decode",
+    "build_symbol_grid", "ofdma_receive_cube", "ofdma_range_doppler_angle",
+    "ofdma_decode", "ofdma_refine",
+    "ambiguity_function", "waterfill", "np_allocate",
+    "load_config", "save_config", "config_hash", "run_scenario",
     "read_tensor", "write_tensor",
     "__version__",
 ]

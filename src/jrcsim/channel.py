@@ -1,56 +1,19 @@
 """Propagation models for the bi-static link.
 
-Large-scale free-space gains for the one-way communications path and the
-round-trip radar path, small-scale fading draws (Swerling families and
-Rician), time-frequency channel responses and the scatterer/scene containers
-used by the waveform synthesizers.
+The round-trip radar free-space gain, small-scale fading draws (Swerling
+families and Rician), complex noise and the scatterer/scene containers used
+by the waveform synthesizers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, the value used throughout the link budgets
 
 _FADING_MODELS = ("swerling0", "swerling12", "swerling34", "rician")
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Deterministic one-way link parameters for the communications path."""
-
-    carrier_hz: float
-    range_m: float
-    tx_gain: float = 1.0
-    rx_gain: float = 1.0
-    pathloss_exponent: float = 2.0
-
-    def __post_init__(self):
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier_hz must be positive")
-        if self.range_m <= 0:
-            raise ValueError("range_m must be positive (zero range is singular)")
-        if self.tx_gain <= 0 or self.rx_gain <= 0:
-            raise ValueError("antenna gains must be positive")
-        if self.pathloss_exponent <= 0:
-            raise ValueError("pathloss_exponent must be positive")
-
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_hz
-
-
-def comm_large_scale_gain(budget: LinkBudget) -> float:
-    """Free-space power gain G_TX * G_RX * lambda^2 / ((4 pi)^2 rho^gamma).
-
-    The exponent defaults to 2, the line-of-sight value appropriate for
-    mmWave links.
-    """
-    lam = budget.wavelength
-    return (budget.tx_gain * budget.rx_gain * lam**2
-            / ((4 * np.pi) ** 2 * budget.range_m ** budget.pathloss_exponent))
 
 
 def radar_large_scale_gain(wavelength: float, rcs_m2: float, range_m: float) -> float:
@@ -69,49 +32,6 @@ def doppler_from_velocity(velocity_mps: float, wavelength: float) -> float:
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
     return 2.0 * velocity_mps / wavelength
-
-
-@dataclass(frozen=True)
-class CommTap:
-    """One resolvable multipath component of the communications channel."""
-
-    gain: complex
-    delay_s: float
-    doppler_hz: float = 0.0
-
-    def __post_init__(self):
-        if self.delay_s < 0:
-            raise ValueError("delay_s must be >= 0")
-
-
-def comm_channel_response(budget: LinkBudget, taps, t: float, f: float) -> complex:
-    """Time-variant frequency response of the communications channel.
-
-    h(t, f) = G_c * sum_l alpha_l exp(-j 2 pi tau_l f) exp(+j 2 pi nu_l t);
-    an empty tap list gives 0.
-    """
-    g = comm_large_scale_gain(budget)
-    acc = 0.0 + 0.0j
-    for tap in taps:
-        acc += (tap.gain
-                * np.exp(-2j * np.pi * tap.delay_s * f)
-                * np.exp(2j * np.pi * tap.doppler_hz * t))
-    return g * acc
-
-
-def radar_channel_response(taps, t: float, f: float) -> complex:
-    """Time-variant frequency response of the multi-target radar channel.
-
-    Each tap's ``gain`` already composites large-scale gain and fading; the
-    Doppler phasor carries the negative sign of the radar convention:
-    h(t, f) = sum_q g_q exp(-j 2 pi tau_q f) exp(-j 2 pi nu_q t).
-    """
-    acc = 0.0 + 0.0j
-    for tap in taps:
-        acc += (tap.gain
-                * np.exp(-2j * np.pi * tap.delay_s * f)
-                * np.exp(-2j * np.pi * tap.doppler_hz * t))
-    return acc
 
 
 def draw_small_scale(model: str, mean_power: float, rng: np.random.Generator,
@@ -195,12 +115,6 @@ class Scatterer:
             return float(self.doppler_hz)
         return doppler_from_velocity(self.velocity_mps, wavelength)
 
-    @property
-    def range_m(self) -> float:
-        """Total bi-static path length c * tau."""
-        return SPEED_OF_LIGHT * self.delay_s
-
-
 @dataclass(frozen=True)
 class Scene:
     """Everything the receiver-side synthesizers need about propagation.
@@ -212,14 +126,13 @@ class Scene:
     scatterers: tuple = ()
     noise_variance: float = 0.0
     seed: int = 0
-    n_cpi: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be >= 0")
-        if self.n_cpi < 1:
-            raise ValueError("n_cpi must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def n_scatterers(self) -> int:
@@ -229,30 +142,11 @@ class Scene:
         """Per-scatterer small-scale amplitudes for one CPI (deterministic)."""
         if not 0 <= cpi_index:
             raise ValueError("cpi_index must be >= 0")
-        rng = np.random.default_rng([int(self.seed) & 0xFFFFFFFF, 0x5CA77E, cpi_index])
+        rng = np.random.default_rng([int(self.seed), 0x5CA77E, cpi_index])
         return np.array([
             draw_small_scale(sc.fading, 1.0, rng, rician_k=sc.rician_k)
             for sc in self.scatterers
         ])
-
-
-def bistatic_composite_gain(n_tx: int, leg1_gain: complex, leg2_gain: complex,
-                            fading: complex, carrier_hz: float,
-                            delay_leg1_s: float, delay_leg2_s: float,
-                            doppler_leg1_hz: float = 0.0,
-                            tx_beam_gain: complex = 1.0) -> complex:
-    """Composite reflection gain d_q of a two-leg bounce path.
-
-    d_q = N_t * g1 * g2 * tx_beam_gain * fading * exp(j eta) with the static
-    phase eta = -2 pi (f_c (tau1 + tau2) + nu1 * tau2).  The transmit beam
-    gain is exposed as its own factor so beamforming toward the departure
-    angle can be accounted for explicitly.
-    """
-    if n_tx < 1:
-        raise ValueError("n_tx must be >= 1")
-    eta = -2 * np.pi * (carrier_hz * (delay_leg1_s + delay_leg2_s)
-                        + doppler_leg1_hz * delay_leg2_s)
-    return n_tx * leg1_gain * leg2_gain * tx_beam_gain * fading * np.exp(1j * eta)
 
 
 def scatterer_amplitude(sc: Scatterer, carrier_hz: float, n_tx: int,

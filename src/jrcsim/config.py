@@ -114,6 +114,8 @@ class ScenarioConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.code_seed < 0:
+            raise ValueError("code_seed must be >= 0")
         if self.refine_factor < 1:
             raise ValueError("refine_factor must be >= 1")
         if self.symbol_order not in (2, 4):
@@ -124,9 +126,9 @@ class ScenarioConfig:
                 and self.pmcw is not None:
             length = self.pmcw.code_length
             order = int(length + 1).bit_length() - 1
-            if 2 ** order - 1 != length:
+            if 2 ** order - 1 != length or not 2 <= order <= 16:
                 raise ValueError("code_kind 'mseq' needs a pmcw code_length "
-                                 "of the form 2^m - 1")
+                                 "of the form 2^m - 1 with 2 <= m <= 16")
         if not 0 < self.false_alarm < 1:
             raise ValueError("false_alarm must lie in (0, 1)")
         for w in self.weights:

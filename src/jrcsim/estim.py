@@ -201,6 +201,48 @@ def _angle_from_snapshot(snapshot: np.ndarray, spacing_over_lambda: float,
     return float(np.arcsin(sin_psi)), u_signed
 
 
+def _doppler_axis(nd: int, period: float) -> np.ndarray:
+    """Doppler of each of the nd slow-time FFT bins (fftfreq order)."""
+    return np.array([_wrap_bin(i, nd) / (nd * period) for i in range(nd)])
+
+
+def _peak_targets(power: np.ndarray, beams: np.ndarray, config,
+                  est: EstimatorConfig, *, delay_axis: int, wrap,
+                  phase_sign: float, n_known: int, delay_of,
+                  period: float) -> tuple:
+    """Peak -> angle -> sub-bin offset -> amplitude on one detection map.
+
+    ``beams`` is ``power`` before the sum over receive elements;
+    ``delay_of`` maps a fractional delay bin to seconds, ``period`` is the
+    slow-time sample spacing, ``n_known`` the count of known slots.
+    """
+    doppler_axis = 1 - delay_axis
+    nd = power.shape[doppler_axis]
+    spacing = config.geometry.spacing_over_lambda
+    targets = []
+    for cell in _local_peaks(power, est.max_targets, est.threshold_db, wrap):
+        snapshot = beams[cell]
+        angle, abin = _angle_from_snapshot(snapshot, spacing, est.angle_pad,
+                                           phase_sign=phase_sign,
+                                           interpolate=est.interpolate)
+        kappa_signed = _wrap_bin(cell[doppler_axis], nd)
+        d_off = k_off = 0.0
+        if est.interpolate:
+            d_off = _axis_offset(power, cell, axis=delay_axis,
+                                 wrap=wrap[delay_axis])
+            k_off = _axis_offset(power, cell, axis=doppler_axis, wrap=True)
+        steer = np.exp(phase_sign * 2j * np.pi * spacing * np.sin(angle)
+                       * np.arange(snapshot.size))
+        amplitude = snapshot @ np.conj(steer) / (snapshot.size * n_known)
+        targets.append(TargetEstimate(
+            delay_s=delay_of(cell[delay_axis] + d_off),
+            doppler_hz=(kappa_signed + k_off) / (nd * period),
+            angle_rad=angle, amplitude=complex(amplitude),
+            delay_bin=int(cell[delay_axis]), doppler_bin=kappa_signed,
+            angle_bin=abin, power=float(power[cell])))
+    return tuple(targets)
+
+
 # ---------------------------------------------------------------------------
 # Continuous-wave (code-domain) estimation
 # ---------------------------------------------------------------------------
@@ -212,7 +254,6 @@ def _pmcw_detect(frames: np.ndarray, symbols: np.ndarray, code: CodeSequence,
     m_count = frames.shape[0]
     l_count = config.code_length
     t_b, t_c = config.block_time, config.chip_time
-    spacing = config.geometry.spacing_over_lambda
 
     y = frames * np.conj(symbols)[:, None, None]
     code_spec = np.fft.fft(code.chips())
@@ -222,38 +263,18 @@ def _pmcw_detect(frames: np.ndarray, symbols: np.ndarray, code: CodeSequence,
     dopp = np.fft.ifft(corr, n=nd, axis=0) * nd
     power = np.sum(np.abs(dopp) ** 2, axis=2)
 
-    targets = []
-    for kappa, dbin in _local_peaks(power, est.max_targets, est.threshold_db,
-                                    wrap=(True, True)):
-        snapshot = dopp[kappa, dbin, :]
-        angle, abin = _angle_from_snapshot(snapshot, spacing, est.angle_pad,
-                                           phase_sign=-1.0,
-                                           interpolate=est.interpolate)
-        kappa_signed = _wrap_bin(kappa, nd)
-        d_off = k_off = 0.0
-        if est.interpolate:
-            k_off = _axis_offset(power, (kappa, dbin), axis=0, wrap=True)
-            d_off = _axis_offset(power, (kappa, dbin), axis=1, wrap=True)
-        doppler = (kappa_signed + k_off) / (nd * t_b)
-        steer = np.exp(-2j * np.pi * spacing * np.sin(angle)
-                       * np.arange(snapshot.size))
-        amplitude = snapshot @ np.conj(steer) / (snapshot.size * l_count * m_count)
-        targets.append(TargetEstimate(
-            delay_s=(dbin + d_off) * t_c, doppler_hz=doppler, angle_rad=angle,
-            amplitude=complex(amplitude), delay_bin=int(dbin),
-            doppler_bin=kappa_signed, angle_bin=abin,
-            power=float(power[kappa, dbin])))
-
-    dopplers = np.array([_wrap_bin(i, nd) / (nd * t_b) for i in range(nd)])
+    targets = _peak_targets(power, dopp, config, est, delay_axis=1,
+                            wrap=(True, True), phase_sign=-1.0,
+                            n_known=l_count * m_count,
+                            delay_of=lambda b: b * t_c, period=t_b)
     return DetectionResult(power=power,
                            delays_s=np.arange(l_count) * t_c,
-                           dopplers_hz=dopplers,
-                           targets=tuple(targets))
+                           dopplers_hz=_doppler_axis(nd, t_b),
+                           targets=targets)
 
 
 def pmcw_range_doppler(cube: PmcwCube, code: CodeSequence,
-                       est: EstimatorConfig | None = None,
-                       radar_symbols=None) -> DetectionResult:
+                       est: EstimatorConfig | None = None) -> DetectionResult:
     """Detect targets from the radar-only frames of a CPI.
 
     The radar frames form the leading contiguous block of the schedule;
@@ -267,13 +288,8 @@ def pmcw_range_doppler(cube: PmcwCube, code: CodeSequence,
             "no radar-only frames: delay/Doppler cannot be separated from "
             "unknown data symbols at mu = 0")
     idx = np.flatnonzero(sched.is_radar)
-    if radar_symbols is None:
-        radar_symbols = np.ones(idx.size, dtype=complex)
-    else:
-        radar_symbols = np.asarray(radar_symbols, dtype=complex)
-        if radar_symbols.size != idx.size:
-            raise ValueError("need one known symbol per radar frame")
-    return _pmcw_detect(cube.data[idx], radar_symbols, code, cube.config, est)
+    return _pmcw_detect(cube.data[idx], np.ones(idx.size, dtype=complex),
+                        code, cube.config, est)
 
 
 def pmcw_refine(cube: PmcwCube, code: CodeSequence, symbols,
@@ -286,15 +302,13 @@ def pmcw_refine(cube: PmcwCube, code: CodeSequence, symbols,
 
 
 def _pmcw_basis(config, code: CodeSequence, target: TargetEstimate,
-                m_indices: np.ndarray, intra_block_doppler: bool = True):
+                m_indices: np.ndarray):
     """Noiseless unit-amplitude response of one target on given frames."""
     t_b, t_c = config.block_time, config.chip_time
     l_count = config.code_length
     n_rx = config.geometry.n_rx
     chips = np.roll(code.chips(), target.delay_bin)
-    phase_t = m_indices[:, None] * t_b
-    if intra_block_doppler:
-        phase_t = phase_t + np.arange(l_count)[None, :] * t_c
+    phase_t = m_indices[:, None] * t_b + np.arange(l_count)[None, :] * t_c
     dop = np.exp(-2j * np.pi * target.doppler_hz * phase_t)
     steer = np.exp(-2j * np.pi * config.geometry.spacing_over_lambda
                    * np.sin(target.angle_rad) * np.arange(n_rx))
@@ -302,8 +316,7 @@ def _pmcw_basis(config, code: CodeSequence, target: TargetEstimate,
 
 
 def pmcw_estimate_amplitudes(cube: PmcwCube, code: CodeSequence, targets,
-                             symbols, m_indices,
-                             intra_block_doppler: bool = True) -> np.ndarray:
+                             symbols, m_indices) -> np.ndarray:
     """Least-squares complex amplitudes of the detected targets.
 
     Fits d in y = sum_q d_q * a_m * basis_q over the chosen frames, where
@@ -317,8 +330,7 @@ def pmcw_estimate_amplitudes(cube: PmcwCube, code: CodeSequence, targets,
         raise ValueError("no targets to fit")
     cols = []
     for tgt in targets:
-        basis = _pmcw_basis(cube.config, code, tgt, m_indices,
-                            intra_block_doppler)
+        basis = _pmcw_basis(cube.config, code, tgt, m_indices)
         cols.append((symbols[:, None, None] * basis).ravel())
     a_mat = np.stack(cols, axis=1)
     y = cube.data[m_indices].ravel()
@@ -326,13 +338,12 @@ def pmcw_estimate_amplitudes(cube: PmcwCube, code: CodeSequence, targets,
     return d_hat
 
 
-def pmcw_decode(cube: PmcwCube, code: CodeSequence, targets, order: int = 2,
-                radar_symbols=None, intra_block_doppler: bool = True):
+def pmcw_decode(cube: PmcwCube, code: CodeSequence, targets, order: int = 2):
     """Demodulate the data frames against the reconstructed target response.
 
     Returns (bits, symbol_estimates, full_symbol_vector) where the full
-    vector holds the known radar symbols followed by the re-encoded hard
-    decisions, ready to hand to :func:`pmcw_refine`.
+    vector holds the known radar symbols (all 1) followed by the re-encoded
+    hard decisions, ready to hand to :func:`pmcw_refine`.
     """
     sched = cube.schedule
     if not targets:
@@ -342,23 +353,18 @@ def pmcw_decode(cube: PmcwCube, code: CodeSequence, targets, order: int = 2,
                             "the differential reference")
     radar_idx = np.flatnonzero(sched.is_radar)
     comm_idx = np.flatnonzero(~sched.is_radar)
-    if radar_symbols is None:
-        radar_symbols = np.ones(radar_idx.size, dtype=complex)
-    else:
-        radar_symbols = np.asarray(radar_symbols, dtype=complex)
+    radar_symbols = np.ones(radar_idx.size, dtype=complex)
 
     full = np.ones(sched.n_frames, dtype=complex)
-    full[radar_idx] = radar_symbols
     if comm_idx.size == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex), full
 
     d_hat = pmcw_estimate_amplitudes(cube, code, targets, radar_symbols,
-                                     radar_idx, intra_block_doppler)
+                                     radar_idx)
     response = np.zeros((comm_idx.size, cube.config.code_length,
                          cube.config.geometry.n_rx), dtype=complex)
     for d_q, tgt in zip(d_hat, targets):
-        response += d_q * _pmcw_basis(cube.config, code, tgt, comm_idx,
-                                      intra_block_doppler)
+        response += d_q * _pmcw_basis(cube.config, code, tgt, comm_idx)
     energy = np.sum(np.abs(response) ** 2, axis=(1, 2))
     if np.any(energy == 0):
         raise DecodingError("reconstructed response has zero energy")
@@ -382,7 +388,6 @@ def _ofdma_detect(data: np.ndarray, known_symbols: np.ndarray,
     n_c, n_s = config.n_subcarriers, config.n_symbols
     df = config.subcarrier_spacing_hz
     t_sym = config.symbol_duration
-    spacing = config.geometry.spacing_over_lambda
 
     rows = np.flatnonzero(known_mask)
     x = np.zeros_like(data)
@@ -397,57 +402,32 @@ def _ofdma_detect(data: np.ndarray, known_symbols: np.ndarray,
     v = np.fft.fft(prof, n=nd, axis=1)
     power = np.sum(np.abs(v) ** 2, axis=2)
 
-    targets = []
-    for b, kappa in _local_peaks(power, est.max_targets, est.threshold_db,
-                                 wrap=(False, True)):
-        snapshot = v[b, kappa, :]
-        angle, abin = _angle_from_snapshot(snapshot, spacing, est.angle_pad,
-                                           phase_sign=+1.0,
-                                           interpolate=est.interpolate)
-        kappa_signed = _wrap_bin(kappa, nd)
-        b_off = k_off = 0.0
-        if est.interpolate:
-            b_off = _axis_offset(power, (b, kappa), axis=0, wrap=False)
-            k_off = _axis_offset(power, (b, kappa), axis=1, wrap=True)
-        steer = np.exp(2j * np.pi * spacing * np.sin(angle)
-                       * np.arange(snapshot.size))
-        amplitude = snapshot @ np.conj(steer) / (snapshot.size * rows.size * n_s)
-        targets.append(TargetEstimate(
-            delay_s=(b + b_off) / (nr * df),
-            doppler_hz=(kappa_signed + k_off) / (nd * t_sym),
-            angle_rad=angle, amplitude=complex(amplitude),
-            delay_bin=int(b), doppler_bin=kappa_signed, angle_bin=abin,
-            power=float(power[b, kappa])))
-
-    dopplers = np.array([_wrap_bin(i, nd) / (nd * t_sym) for i in range(nd)])
+    targets = _peak_targets(power, v, config, est, delay_axis=0,
+                            wrap=(False, True), phase_sign=+1.0,
+                            n_known=rows.size * n_s,
+                            delay_of=lambda b: b / (nr * df), period=t_sym)
     return DetectionResult(power=power,
                            delays_s=np.arange(window) / (nr * df),
-                           dopplers_hz=dopplers,
-                           targets=tuple(targets))
+                           dopplers_hz=_doppler_axis(nd, t_sym),
+                           targets=targets)
 
 
 def ofdma_range_doppler_angle(cube: OfdmaCube, grid: SymbolGrid,
-                              est: EstimatorConfig | None = None,
-                              mask=None) -> DetectionResult:
+                              est: EstimatorConfig | None = None
+                              ) -> DetectionResult:
     """Detect targets from the radar-pilot subcarriers of a CPI.
 
     Range search is limited to the pilot comb's unambiguous window
     N_c/spacing bins; with no pilot rows the range/symbol coupling makes
-    the problem non-identifiable.  ``mask`` overrides the grid's own pilot
-    flags when a different set of rows is to be treated as known.
+    the problem non-identifiable.
     """
     est = est or EstimatorConfig()
-    if mask is None:
-        mask = grid.radar_rows
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != grid.radar_rows.shape:
-            raise ValueError("mask must flag each subcarrier row")
-    if not mask.any():
+    if not grid.radar_rows.any():
         raise NonIdentifiableError(
             "no radar-pilot subcarriers: range cannot be separated from "
             "unknown data symbols at mu = 0")
-    return _ofdma_detect(cube.data, grid.symbols, mask, cube.config, est)
+    return _ofdma_detect(cube.data, grid.symbols, grid.radar_rows,
+                         cube.config, est)
 
 
 def ofdma_refine(cube: OfdmaCube, symbols: np.ndarray,
@@ -525,36 +505,6 @@ def ofdma_decode(cube: OfdmaCube, grid: SymbolGrid, targets):
         full[n] = dpsk_encode(row_bits, grid.order).symbols
     bits = np.concatenate(bits_all) if bits_all else np.zeros(0, dtype=np.int64)
     return bits, proj, full
-
-
-# ---------------------------------------------------------------------------
-# Waveform-agnostic entry points
-# ---------------------------------------------------------------------------
-
-
-def decode_symbols(cube, reference, targets, **kwargs):
-    """Dispatch to the decoder matching the cube type.
-
-    ``reference`` is the code sequence for a continuous-wave cube and the
-    symbol grid for a multicarrier cube.  Returns (bits, symbol estimates,
-    full known-symbol array for refinement).
-    """
-    if isinstance(cube, PmcwCube):
-        return pmcw_decode(cube, reference, targets, **kwargs)
-    if isinstance(cube, OfdmaCube):
-        return ofdma_decode(cube, reference, targets, **kwargs)
-    raise TypeError(f"unsupported cube type {type(cube).__name__}")
-
-
-def residual_refine(cube, symbols, est: EstimatorConfig, code=None):
-    """Dispatch to the all-slots re-estimator matching the cube type."""
-    if isinstance(cube, PmcwCube):
-        if code is None:
-            raise ValueError("continuous-wave refinement needs the code")
-        return pmcw_refine(cube, code, symbols, est)
-    if isinstance(cube, OfdmaCube):
-        return ofdma_refine(cube, symbols, est)
-    raise TypeError(f"unsupported cube type {type(cube).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,8 @@ class OfdmaConfig:
             raise ValueError("cp_samples must be >= 0")
         if not 0 <= self.mu_percent <= 100:
             raise ValueError("mu_percent must lie in [0, 100]")
+        if self.pilot_seed < 0:
+            raise ValueError("pilot_seed must be >= 0")
 
     @property
     def symbol_duration(self) -> float:
@@ -67,16 +69,8 @@ class OfdmaConfig:
         return 1.0 / (self.n_subcarriers * self.subcarrier_spacing_hz)
 
     @property
-    def bandwidth_hz(self) -> float:
-        return self.n_subcarriers * self.subcarrier_spacing_hz
-
-    @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
-
-    @property
-    def unambiguous_doppler_hz(self) -> float:
-        return 0.5 / self.symbol_duration
 
 
 def ofdma_pilot_mask(config: OfdmaConfig) -> np.ndarray:
@@ -141,7 +135,7 @@ class SymbolGrid:
 
 def pilot_symbols(config: OfdmaConfig, n_rows: int) -> np.ndarray:
     """Known pseudorandom QPSK pilots, reproducible from the pilot seed."""
-    rng = np.random.default_rng([int(config.pilot_seed) & 0xFFFFFFFF, 0x9170])
+    rng = np.random.default_rng([int(config.pilot_seed), 0x9170])
     phases = rng.integers(0, 4, size=(n_rows, config.n_symbols))
     return np.exp(2j * np.pi * (phases + 0.5) / 4)
 
@@ -214,27 +208,6 @@ class OfdmaCube:
         object.__setattr__(self, "data", d)
         object.__setattr__(self, "radar_rows",
                            np.asarray(self.radar_rows, dtype=bool))
-
-    def slow_time_slice(self, m: int, view: str = "subcarrier") -> np.ndarray:
-        """The N_c x N_r slice of OFDM symbol m.
-
-        ``view="subcarrier"`` returns the cube slice as stored;
-        ``view="time"`` applies the unnormalized IDFT matrix
-        F[l, n] = exp(j 2 pi n l / N_c) to recover the time-domain samples.
-        """
-        sl = self.data[:, m, :]
-        if view == "subcarrier":
-            return sl
-        if view == "time":
-            n_c = self.config.n_subcarriers
-            grid_n = np.arange(n_c)
-            f_mat = np.exp(2j * np.pi * np.outer(grid_n, grid_n) / n_c)
-            return f_mat @ sl
-        raise ValueError("view must be 'subcarrier' or 'time'")
-
-    def subcarrier_slice(self, n: int) -> np.ndarray:
-        """The N_s x N_r slow-time slice of subcarrier n."""
-        return self.data[n, :, :]
 
 
 def ofdma_receive_cube(scene: Scene, config: OfdmaConfig, grid: SymbolGrid,

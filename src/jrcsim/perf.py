@@ -142,15 +142,6 @@ def peak_sidelobe_ratio(cut) -> float:
     return float(20.0 * np.log10(side / peak))
 
 
-def rmse(estimates, truths) -> float:
-    """Root-mean-square error; complex-safe via |e|^2."""
-    e = np.asarray(estimates).ravel()
-    t = np.asarray(truths).ravel()
-    if e.size == 0 or e.size != t.size:
-        raise ValueError("estimates and truths must be equal-length, non-empty")
-    return float(np.sqrt(np.mean(np.abs(e - t) ** 2)))
-
-
 def ber(bits, decoded) -> float:
     """Fraction of mismatched bits."""
     a = np.asarray(bits).ravel()
@@ -213,16 +204,6 @@ def dmse_eff(mmse, delta: float):
     return float(out) if np.isscalar(mmse) or out.ndim == 0 else out
 
 
-def check_rate_identity(mmse, rate: float, n: int | None = None) -> float:
-    """Residual |(1/N) Tr log2 MMSE + r|; zero when the identity holds."""
-    m, vals = _as_mmse_array(mmse)
-    if n is None:
-        n = vals.size if m.ndim else 1
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return float(abs(np.sum(np.log2(vals)) / n + rate))
-
-
 @dataclass(frozen=True)
 class TradeoffSpec:
     """Inputs of the weighted communications/radar scalar objective."""
@@ -234,7 +215,6 @@ class TradeoffSpec:
     crlb: object
     n_targets: int
     weight: float
-    bandwidth_hz: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.delta <= 1:
@@ -245,12 +225,6 @@ class TradeoffSpec:
             raise ValueError("weight must be in [0, 1]")
         if self.n_targets < 0:
             raise ValueError("n_targets must be >= 0")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
-
-    @property
-    def effective_rate(self) -> float:
-        return self.delta * self.rate
 
 
 def jrc_objective(spec: TradeoffSpec) -> float:

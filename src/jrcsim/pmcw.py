@@ -57,17 +57,8 @@ class PmcwConfig:
         return self.code_length * self.chip_time
 
     @property
-    def cpi_duration(self) -> float:
-        return self.n_frames * self.block_time
-
-    @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
-
-    @property
-    def unambiguous_doppler_hz(self) -> float:
-        """Half the slow-time sampling rate, +/- 1/(2 t_b)."""
-        return 1.0 / (2 * self.block_time)
 
 
 @dataclass(frozen=True)
@@ -102,9 +93,6 @@ class FrameSchedule:
     @property
     def identifiable(self) -> bool:
         return self.n_radar > 0
-
-    def labels(self) -> list[str]:
-        return ["X_r" if r else "X_rc" for r in self.is_radar]
 
 
 def pmcw_schedule(config: PmcwConfig) -> FrameSchedule:
@@ -167,31 +155,28 @@ def pmcw_transmit(config: PmcwConfig, code: CodeSequence, symbols,
     return steer[:, None, None] * symbols[None, :, None] * chips[None, None, :]
 
 
-def delay_to_chips(delay_s: float, config: PmcwConfig, mode: str = "error"):
+def delay_to_chips(delay_s: float, config: PmcwConfig) -> int:
     """Map a target delay to an integer chip shift k in [0, L).
 
-    The block-circular model is defined on integer chip lags only; a
-    fractional delay raises by default, or is rounded with the residual
-    reported when ``mode="round"``.
+    The block-circular model is defined on integer chip lags only, so a
+    fractional delay raises.
     """
-    if mode not in ("error", "round"):
-        raise ValueError("mode must be 'error' or 'round'")
     if delay_s < 0:
         raise ValueError("delay must be >= 0")
     k_float = delay_s / config.chip_time
     k = int(np.rint(k_float))
     residual = (k_float - k) * config.chip_time
-    if mode == "error" and abs(residual) > 1e-9 * config.chip_time:
+    if abs(residual) > 1e-9 * config.chip_time:
         raise ValueError(
             f"delay {delay_s} s is not an integer number of chips "
-            f"(residual {residual:.3e} s); pass mode='round' to quantize"
+            f"(residual {residual:.3e} s)"
         )
     if k >= config.code_length:
         raise RangeAmbiguityError(
             f"delay {delay_s} s spans {k} chips, beyond the unambiguous "
             f"window of {config.code_length} chips"
         )
-    return k, residual
+    return k
 
 
 @dataclass(frozen=True)
@@ -205,7 +190,6 @@ class PmcwCube:
     data: np.ndarray
     schedule: FrameSchedule
     config: PmcwConfig
-    delay_residuals: np.ndarray | None = None
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=complex)
@@ -215,22 +199,15 @@ class PmcwCube:
             raise ValueError(f"cube shape {d.shape} != expected {expected}")
         object.__setattr__(self, "data", d)
 
-    def antenna(self, p: int) -> np.ndarray:
-        """The M x L matrix Y_p seen by receive element p."""
-        return self.data[:, :, p]
-
 
 def pmcw_receive_cube(scene: Scene, config: PmcwConfig, code: CodeSequence,
                       symbols, rng: np.random.Generator | None = None, *,
-                      cpi_index: int = 0, intra_block_doppler: bool = True,
-                      delay_mode: str = "error") -> PmcwCube:
+                      cpi_index: int = 0) -> PmcwCube:
     """Synthesize the noisy receive cube for one CPI (matrix-model path).
 
     Every scatterer adds Diag(a) [(b ⊙ P_k s)^T ⊗ e] scaled by its composite
     gain and the receive steering powers; noise is per-sample circular
-    complex Gaussian of the scene's variance.  ``intra_block_doppler``
-    controls the fast-time Doppler phasor b (the model is exact with it on;
-    switching it off freezes Doppler within each frame).
+    complex Gaussian of the scene's variance.
     """
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.size != config.n_frames:
@@ -246,18 +223,14 @@ def pmcw_receive_cube(scene: Scene, config: PmcwConfig, code: CodeSequence,
     t_b, t_c = config.block_time, config.chip_time
     fading = scene.fading_gains(cpi_index)
     data = np.zeros((m_count, l_count, n_rx), dtype=complex)
-    residuals = np.zeros(scene.n_scatterers)
 
     for q, sc in enumerate(scene.scatterers):
-        k_q, residuals[q] = delay_to_chips(sc.delay_s, config, delay_mode)
+        k_q = delay_to_chips(sc.delay_s, config)
         f_q = sc.resolve_doppler(config.wavelength)
         d_q = scatterer_amplitude(sc, config.carrier_hz, config.geometry.n_tx,
                                   fading[q])
         e_q = np.exp(-2j * np.pi * f_q * t_b * np.arange(m_count))
-        if intra_block_doppler:
-            b_q = np.exp(-2j * np.pi * f_q * t_c * np.arange(l_count))
-        else:
-            b_q = np.ones(l_count)
+        b_q = np.exp(-2j * np.pi * f_q * t_c * np.arange(l_count))
         row = b_q * cyclic_shift(chips, k_q)
         block = (symbols * e_q)[:, None] * row[None, :]
         c_q = steering_vector(config.geometry, sc.angle_rad, n_rx, "rx")
@@ -265,5 +238,4 @@ def pmcw_receive_cube(scene: Scene, config: PmcwConfig, code: CodeSequence,
 
     if scene.noise_variance > 0:
         data += complex_awgn(rng, data.shape, scene.noise_variance)
-    return PmcwCube(data=data, schedule=pmcw_schedule(config), config=config,
-                    delay_residuals=residuals)
+    return PmcwCube(data=data, schedule=pmcw_schedule(config), config=config)

@@ -34,10 +34,10 @@ from .estim import (golay_cef_waveform, golay_range_estimate, ofdma_decode,
                     pmcw_range_doppler, pmcw_refine, profile_peaks)
 from .ofdma import build_symbol_grid, grid_capacity_bits, ofdma_pilot_mask, \
     ofdma_receive_cube, ofdma_transmit
-from .perf import ambiguity_function, crlb_proxy, dmse_eff, mmse_from_rate, \
-    peak_sidelobe_ratio, trace_log2
+from .perf import TradeoffSpec, ambiguity_function, crlb_proxy, \
+    jrc_objective, mmse_from_rate, peak_sidelobe_ratio
 from .pmcw import PmcwConfig, payload_capacity_bits, pmcw_frame_symbols, \
-    pmcw_receive_cube, pmcw_schedule
+    pmcw_receive_cube, pmcw_schedule, pmcw_transmit
 from .sigcore import CodeSequence, golay_pair
 from .tensorio import write_table_csv
 
@@ -115,10 +115,7 @@ class RunReport:
 def build_code(config: ScenarioConfig, wavecfg: PmcwConfig) -> CodeSequence:
     """The scenario's fast-time code (shared by every trial)."""
     if config.code_kind == "mseq":
-        order = int(wavecfg.code_length + 1).bit_length() - 1
-        if 2 ** order - 1 != wavecfg.code_length:
-            raise ValueError("code_kind 'mseq' needs code_length = 2^m - 1")
-        return CodeSequence.mseq(order)
+        return CodeSequence.mseq(int(wavecfg.code_length + 1).bit_length() - 1)
     return CodeSequence.random_binary(wavecfg.code_length, config.code_seed)
 
 
@@ -162,38 +159,37 @@ def _true_parameters(config: ScenarioConfig, wavecfg):
     return delays, dopplers, angles
 
 
-def _associate(outcome: TrialOutcome, truths, targets, scales):
-    """Match every truth to its nearest detection and log both sides."""
-    delays, dopplers, angles = truths
+def _nearest(targets, truths, scales):
+    """(delays, dopplers, angles) of each truth's nearest target.
+
+    Distance is the scaled delay/Doppler/angle error; a NaN true Doppler
+    or angle drops that term.
+    """
     d_scale, f_scale, a_scale = scales
-    for q in range(delays.size):
-        best = min(targets, key=lambda t: (
-            abs(t.delay_s - delays[q]) / d_scale
-            + (0.0 if math.isnan(dopplers[q])
-               else abs(t.doppler_hz - dopplers[q]) / f_scale)
-            + (0.0 if math.isnan(angles[q])
-               else abs(t.angle_rad - angles[q]) / a_scale)))
-        outcome.true_delays.append(float(delays[q]))
-        outcome.true_dopplers.append(float(dopplers[q]))
-        outcome.true_angles.append(float(angles[q]))
-        outcome.est_delays.append(float(best.delay_s))
-        outcome.est_dopplers.append(float(best.doppler_hz))
-        outcome.est_angles.append(float(best.angle_rad))
+    best = [min(targets, key=lambda t: (
+        abs(t.delay_s - delay) / d_scale
+        + (0.0 if math.isnan(doppler)
+           else abs(t.doppler_hz - doppler) / f_scale)
+        + (0.0 if math.isnan(angle)
+           else abs(t.angle_rad - angle) / a_scale)))
+        for delay, doppler, angle in zip(*truths)]
+    return ([float(t.delay_s) for t in best],
+            [float(t.doppler_hz) for t in best],
+            [float(t.angle_rad) for t in best])
 
 
-def _log_refined(outcome: TrialOutcome, truths, targets, scales):
-    delays, dopplers, angles = truths
-    d_scale, f_scale, a_scale = scales
-    for q in range(delays.size):
-        best = min(targets, key=lambda t: (
-            abs(t.delay_s - delays[q]) / d_scale
-            + (0.0 if math.isnan(dopplers[q])
-               else abs(t.doppler_hz - dopplers[q]) / f_scale)
-            + (0.0 if math.isnan(angles[q])
-               else abs(t.angle_rad - angles[q]) / a_scale)))
-        outcome.ref_delays.append(float(best.delay_s))
-        outcome.ref_dopplers.append(float(best.doppler_hz))
-        outcome.ref_angles.append(float(best.angle_rad))
+def _record_trial(outcome: TrialOutcome, config, wavecfg, scales, coarse,
+                  refined, payload, bits_hat):
+    """Log every truth with its nearest coarse and refined estimate."""
+    truths = _true_parameters(config, wavecfg)
+    outcome.true_delays, outcome.true_dopplers, outcome.true_angles = (
+        [float(v) for v in axis] for axis in truths)
+    outcome.est_delays, outcome.est_dopplers, outcome.est_angles = _nearest(
+        coarse.targets, truths, scales)
+    outcome.ref_delays, outcome.ref_dopplers, outcome.ref_angles = _nearest(
+        refined.targets, truths, scales)
+    outcome.n_bits = int(payload.size)
+    outcome.bit_errors = int(np.sum(bits_hat != payload))
 
 
 def _pmcw_trial(config, wavecfg, point, trial, outcome, rng):
@@ -214,14 +210,11 @@ def _pmcw_trial(config, wavecfg, point, trial, outcome, rng):
     refined = pmcw_refine(cube, code, full_symbols,
                           config.estimator.refined(config.refine_factor))
 
-    truths = _true_parameters(config, wavecfg)
     scales = (wavecfg.chip_time,
               1.0 / (wavecfg.n_frames * wavecfg.block_time),
               1.0 / max(wavecfg.geometry.n_rx, 1))
-    _associate(outcome, truths, coarse.targets, scales)
-    _log_refined(outcome, truths, refined.targets, scales)
-    outcome.n_bits = int(payload.size)
-    outcome.bit_errors = int(np.sum(bits_hat != payload))
+    _record_trial(outcome, config, wavecfg, scales, coarse, refined, payload,
+                  bits_hat)
 
 
 def _ofdma_trial(config, wavecfg, point, trial, outcome, rng):
@@ -238,14 +231,11 @@ def _ofdma_trial(config, wavecfg, point, trial, outcome, rng):
     refined = ofdma_refine(cube, full_symbols,
                            config.estimator.refined(config.refine_factor))
 
-    truths = _true_parameters(config, wavecfg)
     scales = (wavecfg.sample_time,
               1.0 / (wavecfg.n_symbols * wavecfg.symbol_duration),
               1.0 / max(wavecfg.geometry.n_rx, 1))
-    _associate(outcome, truths, coarse.targets, scales)
-    _log_refined(outcome, truths, refined.targets, scales)
-    outcome.n_bits = int(payload.size)
-    outcome.bit_errors = int(np.sum(bits_hat != payload))
+    _record_trial(outcome, config, wavecfg, scales, coarse, refined, payload,
+                  bits_hat)
 
 
 def _golay_received(config, wavecfg, amplitudes, noise_variance, rng):
@@ -292,7 +282,11 @@ _TRIAL_FNS = {"pmcw": _pmcw_trial, "ofdma": _ofdma_trial,
 
 
 def _run_single_trial(args) -> TrialOutcome:
-    """Worker entry point; must stay module-level for process pools."""
+    """Worker entry point; must stay module-level for process pools.
+
+    Only a ValueError (the domain errors, LinAlgError included) fails the
+    trial; any other exception is a bug and propagates.
+    """
     config, point, trial = args
     outcome = TrialOutcome(point=point.index, trial=trial)
     rng = np.random.default_rng([config.seed, point.index, trial])
@@ -300,20 +294,9 @@ def _run_single_trial(args) -> TrialOutcome:
         wavecfg = _effective_config(config, point)
         _TRIAL_FNS[config.waveform](config, wavecfg, point, trial,
                                     outcome, rng)
-    except Exception as exc:
-        outcome.failed = True
-        outcome.message = f"{type(exc).__name__}: {exc}"
-        outcome.true_delays = []
-        outcome.true_dopplers = []
-        outcome.true_angles = []
-        outcome.est_delays = []
-        outcome.est_dopplers = []
-        outcome.est_angles = []
-        outcome.ref_delays = []
-        outcome.ref_dopplers = []
-        outcome.ref_angles = []
-        outcome.n_bits = 0
-        outcome.bit_errors = 0
+    except ValueError as exc:
+        return TrialOutcome(point=point.index, trial=trial, failed=True,
+                            message=f"{type(exc).__name__}: {exc}")
     return outcome
 
 
@@ -328,12 +311,12 @@ def _point_waveform_samples(config: ScenarioConfig, wavecfg,
     rng = np.random.default_rng([config.seed, point.index, 0])
     if config.waveform == "pmcw":
         sched = pmcw_schedule(wavecfg)
-        code = build_code(config, wavecfg)
         payload = rng.integers(
             0, 2, payload_capacity_bits(sched, config.symbol_order))
         symbols = pmcw_frame_symbols(sched, payload.astype(np.int64),
                                      config.symbol_order)
-        return (symbols[:, None] * code.chips()[None, :]).ravel()
+        return pmcw_transmit(wavecfg, build_code(config, wavecfg),
+                             symbols)[0].ravel()
     if config.waveform == "ofdma":
         payload = rng.integers(
             0, 2, grid_capacity_bits(wavecfg, config.symbol_order))
@@ -472,7 +455,6 @@ def _tradeoff_rows(config: ScenarioConfig, wavecfg, point: SweepPoint,
     n_len = (wavecfg.code_length if config.waveform == "pmcw"
              else wavecfg.n_subcarriers)
     mmse = mmse_from_rate(rate, n_len)
-    comm_term = trace_log2(dmse_eff(mmse, delta)) / n_len
 
     sc = config.scene.scatterers[0]
     doppler = sc.resolve_doppler(wavecfg.wavelength)
@@ -489,11 +471,12 @@ def _tradeoff_rows(config: ScenarioConfig, wavecfg, point: SweepPoint,
     amp0 = abs(amplitudes[0]) if amplitudes.size else 1.0
     model = _crlb_model(config, wavecfg)
     crlb = crlb_proxy(lambda th: amp0 * model(th), theta, sigma2, steps)
-    radar_term = trace_log2(crlb) / max(len(config.scene.scatterers), 1)
 
     rows = []
     for w in config.weights:
-        objective = w * comm_term + (1.0 - w) * radar_term
+        objective = jrc_objective(TradeoffSpec(
+            rate=rate, delta=delta, code_length=n_len, mmse=mmse, crlb=crlb,
+            n_targets=len(config.scene.scatterers), weight=w))
         rows.append([mu_value, _snr_field(point.snr_db), w, delta, rate,
                      objective])
     return rows
@@ -632,9 +615,6 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
     points = [SweepPoint(index=i, mu_percent=mu, snr_db=snr)
               for i, (mu, snr) in enumerate(
                   (m, s) for m in mus for s in config.snr_db)]
-
-    if config.waveform == "pmcw":
-        build_code(config, config.pmcw)
 
     outcomes_by_point = []
     if workers > 1:

@@ -7,7 +7,7 @@ and uniform-linear-array steering vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,26 +58,13 @@ class CodeSequence:
             raise ValueError("chip_duration must be positive")
         object.__setattr__(self, "phases", phases)
 
-    def __len__(self) -> int:
-        return int(self.phases.size)
-
     @property
     def length(self) -> int:
         return int(self.phases.size)
 
-    @property
-    def block_duration(self) -> float:
-        """Duration of one full code block (L chips)."""
-        return self.length * self.chip_duration
-
     def chips(self) -> np.ndarray:
         """Unit-modulus complex chip values."""
         return np.exp(1j * self.phases)
-
-    def is_binary(self) -> bool:
-        near0 = np.isclose(self.phases, 0.0)
-        nearpi = np.isclose(np.abs(self.phases), np.pi)
-        return bool(np.all(near0 | nearpi))
 
     @classmethod
     def from_signs(cls, signs, chip_duration: float = 1.0) -> "CodeSequence":
@@ -143,17 +130,6 @@ class GolayPair:
     @property
     def length(self) -> int:
         return int(self.ga.size)
-
-    def autocorr_sum(self) -> np.ndarray:
-        """Sum of the two aperiodic autocorrelations (exact integers)."""
-        return aperiodic_autocorr(self.ga) + aperiodic_autocorr(self.gb)
-
-    def is_complementary(self) -> bool:
-        """True iff the autocorrelations sum to 2N at lag 0 and 0 elsewhere."""
-        s = self.autocorr_sum()
-        ideal = np.zeros_like(s)
-        ideal[self.length - 1] = 2 * self.length
-        return bool(np.array_equal(s, ideal))
 
 
 def golay_pair(log2_length: int) -> GolayPair:
@@ -227,10 +203,6 @@ class DpskStream:
         object.__setattr__(self, "bits", np.asarray(self.bits, dtype=np.int64))
         object.__setattr__(self, "symbols", np.asarray(self.symbols, dtype=complex))
 
-    @property
-    def bits_per_symbol(self) -> int:
-        return int(np.log2(self.order))
-
 
 def dpsk_encode(bits, order: int = 2) -> DpskStream:
     """Differentially encode a bit vector into unit-modulus symbols.
@@ -301,15 +273,6 @@ def cyclic_shift(seq, k: int) -> np.ndarray:
     if not 0 <= k < x.size:
         raise ValueError(f"shift {k} out of range [0, {x.size})")
     return np.roll(x, k)
-
-
-def shift_matrix(length: int, k: int) -> np.ndarray:
-    """The explicit permutation matrix P_k with P_k @ s == cyclic_shift(s, k)."""
-    if not 0 <= k < length:
-        raise ValueError(f"shift {k} out of range [0, {length})")
-    p = np.zeros((length, length))
-    p[np.arange(length), (np.arange(length) - k) % length] = 1.0
-    return p
 
 
 @dataclass(frozen=True)

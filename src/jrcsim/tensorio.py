@@ -1,4 +1,4 @@
-"""Binary tensor file format and CSV export of receive data cubes.
+"""Binary tensor file format and CSV tables.
 
 Layout of a ``.jrct`` file, all little-endian:
 
@@ -9,8 +9,7 @@ Layout of a ``.jrct`` file, all little-endian:
     rest          complex128 samples in C order, each stored as
                   interleaved real/imag float64
 
-The CSV twin is meant for small cubes: one row per entry with the integer
-indices followed by the real and imaginary parts.
+Tables go to CSV with every float in its shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -60,19 +59,6 @@ def read_tensor(path) -> np.ndarray:
 def format_float(x) -> str:
     """Shortest round-trip decimal form, stable across runs."""
     return repr(float(x))
-
-
-def write_cube_csv(path, array, index_names) -> None:
-    """Write a small complex tensor as indexed CSV rows."""
-    arr = np.asarray(array, dtype=np.complex128)
-    if len(index_names) != arr.ndim:
-        raise ValueError("need one index name per tensor dimension")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(index_names) + ["real", "imag"])
-        for idx in np.ndindex(arr.shape):
-            v = arr[idx]
-            writer.writerow(list(idx) + [format_float(v.real), format_float(v.imag)])
 
 
 def write_table_csv(path, header, rows) -> None:

@@ -215,6 +215,9 @@ def test_mseq_code_length_cross_check():
     data["pmcw"]["code_length"] = 32
     errs = errors_of(data)
     assert any("code_kind 'mseq'" in e and "2^m - 1" in e for e in errs)
+    data["pmcw"]["code_length"] = 1  # 2^1 - 1, but no order-1 generator
+    errs = errors_of(data)
+    assert any("code_kind 'mseq'" in e and "2^m - 1" in e for e in errs)
 
 
 def test_sections_must_be_objects():
@@ -272,6 +275,18 @@ def test_scalar_top_level_fields_validated():
     data["false_alarm"] = 1.0
     errs = errors_of(data)
     assert any("false_alarm" in e for e in errs)
+
+
+def test_negative_seeds_rejected():
+    data = base_pmcw()
+    data["code_seed"] = -1
+    assert "$: code_seed must be >= 0" in errors_of(data)
+    data = base_pmcw()
+    data["scene"] = {"seed": -1}
+    assert "$.scene: seed must be >= 0" in errors_of(data)
+    data = base_ofdma()
+    data["ofdma"]["pilot_seed"] = -1
+    assert "$.ofdma: pilot_seed must be >= 0" in errors_of(data)
 
 
 def test_interpolate_must_be_boolean():

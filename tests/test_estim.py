@@ -10,12 +10,11 @@ import pytest
 
 from jrcsim.channel import Scatterer, Scene
 from jrcsim.estim import (DecodingError, EstimatorConfig, NonIdentifiableError,
-                          decode_symbols, golay_cef_waveform,
-                          golay_range_estimate, ofdma_decode,
-                          ofdma_estimate_amplitudes, ofdma_range_doppler_angle,
-                          ofdma_refine, pmcw_decode, pmcw_estimate_amplitudes,
-                          pmcw_range_doppler, pmcw_refine, profile_peaks,
-                          residual_refine)
+                          golay_cef_waveform, golay_range_estimate,
+                          ofdma_decode, ofdma_estimate_amplitudes,
+                          ofdma_range_doppler_angle, ofdma_refine, pmcw_decode,
+                          pmcw_estimate_amplitudes, pmcw_range_doppler,
+                          pmcw_refine, profile_peaks)
 from jrcsim.ofdma import (OfdmaConfig, build_symbol_grid, grid_capacity_bits,
                           ofdma_receive_cube)
 from jrcsim.pmcw import (PmcwConfig, payload_capacity_bits, pmcw_frame_symbols,
@@ -216,13 +215,6 @@ def test_pmcw_non_identifiable_at_mu_zero():
         pmcw_range_doppler(cube, code)
 
 
-def test_pmcw_radar_symbol_length_check():
-    cube, code, _, _ = pmcw_cube_for(
-        [Scatterer(delay_s=5 * CHIP, amplitude=1.0)], mu=50)
-    with pytest.raises(ValueError):
-        pmcw_range_doppler(cube, code, radar_symbols=np.ones(3))
-
-
 def test_pmcw_detection_uses_only_radar_frames():
     # Random data symbols on the comm frames must not disturb detection.
     rng = np.random.default_rng(5)
@@ -409,19 +401,6 @@ def test_ofdma_non_identifiable_without_pilots():
         ofdma_range_doppler_angle(cube, grid)
 
 
-def test_ofdma_mask_override_and_validation():
-    config = ofdma_config()
-    t_s = config.sample_time
-    cube, grid, _ = ofdma_cube_for(
-        [Scatterer(delay_s=5 * t_s, amplitude=1.0)], config=config)
-    # All rows known: the full window opens up and the bin is unchanged.
-    full_mask = np.ones(32, dtype=bool)
-    t = ofdma_range_doppler_angle(cube, grid, mask=full_mask).targets[0]
-    assert t.delay_bin == 5
-    with pytest.raises(ValueError):
-        ofdma_range_doppler_angle(cube, grid, mask=np.ones(8, dtype=bool))
-
-
 def test_ofdma_constant_phase_invariance():
     from dataclasses import replace
     config = ofdma_config()
@@ -486,7 +465,10 @@ def test_ofdma_refine_with_true_symbols():
         [Scatterer(delay_s=7 * config.sample_time, doppler_hz=f_true,
                    amplitude=1.0)], config=config, bits=bits)
     est = EstimatorConfig()
-    refined = ofdma_refine(cube, grid.symbols, est).targets[0]
+    result = ofdma_refine(cube, grid.symbols, est)
+    # Every row is known, so the delay window spans all 32 subcarrier bins.
+    assert result.power.shape == (32, 8)
+    refined = result.targets[0]
     assert refined.delay_bin == 7
     assert refined.doppler_bin == 3
     with pytest.raises(ValueError):
@@ -504,36 +486,6 @@ def test_ofdma_interpolation_tightens_off_grid_delay():
     interp = ofdma_range_doppler_angle(
         cube, grid, EstimatorConfig(interpolate=True)).targets[0]
     assert abs(interp.delay_s - true_delay) < abs(coarse.delay_s - true_delay)
-
-
-# ---------------------------------------------------------------------------
-# Dispatchers
-# ---------------------------------------------------------------------------
-
-
-def test_decode_symbols_dispatch():
-    rng = np.random.default_rng(16)
-    bits = rng.integers(0, 2, size=4)
-    cube, code, _, _ = pmcw_cube_for(
-        [Scatterer(delay_s=5 * CHIP, amplitude=1.0)], mu=50, bits=bits)
-    targets = pmcw_range_doppler(cube, code).targets
-    decoded, _, _ = decode_symbols(cube, code, targets)
-    assert np.array_equal(decoded, bits)
-    with pytest.raises(TypeError):
-        decode_symbols(object(), code, targets)
-
-
-def test_residual_refine_dispatch():
-    cube, code, symbols, _ = pmcw_cube_for(
-        [Scatterer(delay_s=5 * CHIP, amplitude=1.0)])
-    est = EstimatorConfig()
-    result = residual_refine(cube, symbols, est, code=code)
-    assert result.targets[0].delay_bin == 5
-    with pytest.raises(ValueError):
-        residual_refine(cube, symbols, est)
-    with pytest.raises(TypeError):
-        residual_refine(object(), symbols, est)
-
 
 # ---------------------------------------------------------------------------
 # Complementary-pair channel sounding

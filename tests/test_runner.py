@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from jrcsim import runner
 from jrcsim.config import config_hash, parse_config
 from jrcsim.runner import SweepPoint, _noise_variance, run_scenario
 from jrcsim.tensorio import read_csv_rows
@@ -218,6 +219,17 @@ def test_golay_delay_outside_guard_fails_trial(tmp_path):
     report = run_scenario(config, out_dir=tmp_path)
     assert report.points[0].n_failures == 1
     assert "guard window" in report.points[0].example_failure
+
+
+def test_programming_error_in_trial_propagates(tmp_path, monkeypatch):
+    # Only ValueError (domain errors) counts as a failed trial; a bug such
+    # as a TypeError must stop the run instead of being tallied.
+    def broken_trial(*args):
+        raise TypeError("broken trial")
+
+    monkeypatch.setitem(runner._TRIAL_FNS, "pmcw", broken_trial)
+    with pytest.raises(TypeError, match="broken trial"):
+        run_scenario(pmcw_scenario(trials=1), out_dir=tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jrcsim.tensorio import (format_float, read_csv_rows, read_tensor,
-                             write_cube_csv, write_table_csv, write_tensor)
+                             write_table_csv, write_tensor)
 
 
 def test_tensor_round_trip(tmp_path):
@@ -62,19 +62,6 @@ def test_format_float_round_trips():
               6.02e23, float(np.float32(0.1))):
         assert float(format_float(x)) == x
     assert format_float(np.float64(0.5)) == "0.5"
-
-
-def test_write_cube_csv(tmp_path):
-    arr = np.array([[1.0 + 2.0j, 3.0], [0.0, -1.0j]])
-    path = tmp_path / "cube.csv"
-    write_cube_csv(path, arr, ["m", "l"])
-    header, rows = read_csv_rows(path)
-    assert header == ["m", "l", "real", "imag"]
-    assert len(rows) == 4
-    assert rows[0] == ["0", "0", "1.0", "2.0"]
-    assert rows[3] == ["1", "1", "-0.0", "-1.0"]
-    with pytest.raises(ValueError):
-        write_cube_csv(path, arr, ["m"])
 
 
 def test_write_table_csv_mixed_types(tmp_path):
