@@ -116,12 +116,16 @@ def _cmd_af(args) -> int:
     config = _load_or_complain(args.config)
     if config is None:
         return 2
+    samples, rate = scenario_waveform_samples(config)
+    try:
+        delays, dopplers = default_af_grids(samples.size, rate,
+                                            max_lag=args.max_lag,
+                                            n_doppler=args.n_doppler)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out_dir = _resolve_out_dir(args.out_dir, config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    samples, rate = scenario_waveform_samples(config)
-    delays, dopplers = default_af_grids(samples.size, rate,
-                                        max_lag=args.max_lag,
-                                        n_doppler=args.n_doppler)
     surface = ambiguity_function(samples, delays, dopplers, rate)
     write_af_csv(out_dir / "af_surface.csv", surface)
     write_af_tensor(out_dir / "af_surface.jrct", surface)

@@ -65,13 +65,20 @@ def default_af_grids(n_samples: int, sample_rate_hz: float,
 
     The Doppler comb spans the unambiguous +-sample_rate/(2 n_samples)
     band of a waveform of this length, so mainlobe structure is resolved.
+    ``n_doppler`` must be odd, so that one comb point sits at zero Doppler
+    and the zero-Doppler cut is taken there.
     """
     if max_lag is None:
         max_lag = n_samples - 1
+    if max_lag < 0:
+        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
+    if n_doppler < 1 or n_doppler % 2 == 0:
+        raise ValueError(f"n_doppler must be odd and >= 1, got {n_doppler}")
     delays = np.arange(-max_lag, max_lag + 1) / sample_rate_hz
     span = sample_rate_hz / n_samples
-    dopplers = np.linspace(-span / 2, span / 2, n_doppler)
-    return delays, dopplers
+    if n_doppler == 1:
+        return delays, np.zeros(1)
+    return delays, np.linspace(-span / 2, span / 2, n_doppler)
 
 
 def ambiguity_function(waveform, delays_s, dopplers_hz,
@@ -80,7 +87,17 @@ def ambiguity_function(waveform, delays_s, dopplers_hz,
 
     chi(tau, nu) = sum_n x[n + tau*fs] conj(x[n]) exp(j 2 pi nu n / fs),
     normalized by the waveform energy.  Delay grid entries must sit on
-    integer sample lags (within 1e-6 of one).
+    integer sample lags (within 1e-6 of one); lags with |lag| >= n read 0.
+
+    Each Doppler row is the cross-correlation of x with
+    z = x exp(-j 2 pi nu n / fs), evaluated by overlap-save FFT blocks
+    sized from the lag span L = max |lag| (below n) rather than from n:
+    the FFT length M is a power of two >= max(4L, 64) and each block
+    carries B = min(M - 2L, n) samples of z against a length B + 2L
+    segment of x.  The segment spectra are shared by every row, and each
+    row sums its block products before one inverse FFT, so the cost is
+    O(N_nu * n * (M / B) * log M) and the result agrees with the direct
+    sum to float rounding.
     """
     x = np.asarray(waveform, dtype=complex).ravel()
     n = x.size
@@ -94,19 +111,36 @@ def ambiguity_function(waveform, delays_s, dopplers_hz,
     if np.max(np.abs(lags_f - lags), initial=0.0) > 1e-6:
         raise ValueError("delay grid must align with integer sample lags")
 
-    kernel = np.exp(2j * np.pi * np.outer(np.arange(n) / sample_rate_hz,
-                                          dopplers_hz))
     mags = np.zeros((lags.size, dopplers_hz.size))
-    for i, d in enumerate(lags):
-        if abs(d) >= n:
-            continue
-        if d >= 0:
-            prod = x[d:] * np.conj(x[:n - d])
-            rows = kernel[:n - d]
-        else:
-            prod = x[:n + d] * np.conj(x[-d:])
-            rows = kernel[-d:]
-        mags[i] = np.abs(prod @ rows)
+    inside = np.flatnonzero(np.abs(lags) < n)
+    if inside.size and dopplers_hz.size:
+        span = int(np.max(np.abs(lags[inside])))
+        fft_len = 64
+        while fft_len < 4 * span:
+            fft_len *= 2
+        block = min(fft_len - 2 * span, n)
+        n_blocks = -(-n // block)
+        # x padded so block b's segment x[b*B - L : b*B + B + L] is a view.
+        x_pad = np.zeros(n_blocks * block + 2 * span, dtype=complex)
+        x_pad[span:span + n] = x
+        segments = np.lib.stride_tricks.sliding_window_view(
+            x_pad, block + 2 * span)[::block]
+        seg_spectra = np.conj(np.fft.fft(segments, fft_len, axis=1))
+        x_blocks = x_pad[span:span + n_blocks * block].reshape(n_blocks,
+                                                                block)
+        # exp(-j 2 pi nu (b B + i) / fs) as a block-start by in-block outer
+        # product: n_blocks + B exponentials per row instead of n.
+        step = -2.0 * np.pi / sample_rate_hz
+        starts = step * block * np.arange(n_blocks)
+        offsets = step * np.arange(block)
+        picks = span + lags[inside]
+        for j, nu in enumerate(dopplers_hz):
+            phase = np.multiply.outer(np.exp(1j * nu * starts),
+                                      np.exp(1j * nu * offsets))
+            z_spectra = np.fft.fft(x_blocks * phase, fft_len, axis=1)
+            cross = np.einsum("bm,bm->m", seg_spectra, z_spectra)
+            # ifft(conj(sum_b conj(X_b) Z_b)) = ifft(sum_b X_b conj(Z_b)).
+            mags[inside, j] = np.abs(np.fft.ifft(np.conj(cross))[picks])
     return AfSurface(delays_s=delays_s, dopplers_hz=dopplers_hz,
                      magnitude=mags / energy)
 

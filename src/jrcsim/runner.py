@@ -616,19 +616,17 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
               for i, (mu, snr) in enumerate(
                   (m, s) for m in mus for s in config.snr_db)]
 
-    outcomes_by_point = []
+    tasks = [(config, point, t) for point in points
+             for t in range(config.trials)]
     if workers > 1:
+        # One map over every (point, trial): no barrier between points.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for point in points:
-                tasks = [(config, point, t) for t in range(config.trials)]
-                chunk = max(1, config.trials // (4 * workers))
-                outcomes_by_point.append(
-                    list(pool.map(_run_single_trial, tasks, chunksize=chunk)))
+            chunk = max(1, len(tasks) // (4 * workers))
+            flat = list(pool.map(_run_single_trial, tasks, chunksize=chunk))
     else:
-        for point in points:
-            outcomes_by_point.append(
-                [_run_single_trial((config, point, t))
-                 for t in range(config.trials)])
+        flat = [_run_single_trial(task) for task in tasks]
+    outcomes_by_point = [flat[i * config.trials:(i + 1) * config.trials]
+                         for i in range(len(points))]
 
     results = [_aggregate_point(config, point, outcomes)
                for point, outcomes in zip(points, outcomes_by_point)]

@@ -198,6 +198,32 @@ def test_af_exports_surface_and_cuts(tmp_path, capsys):
     assert len(grid_rows) == 33
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--max-lag", "-1"], "max_lag"),
+    (["--n-doppler", "0"], "n_doppler"),
+    (["--n-doppler", "4"], "n_doppler"),
+])
+def test_af_rejects_bad_grid_before_writing(tmp_path, capsys, flags,
+                                            message):
+    cfg = write_scenario(tmp_path / "s.json")
+    out = tmp_path / "af"
+    assert main(["af", str(cfg), "--out-dir", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_af_single_doppler_row_is_zero_doppler(tmp_path, capsys):
+    cfg = write_scenario(tmp_path / "s.json")
+    out = tmp_path / "af"
+    assert main(["af", str(cfg), "--out-dir", str(out),
+                 "--n-doppler", "1"]) == 0
+    header, _ = read_csv_rows(out / "af_surface.csv")
+    assert header == ["delay_s", "doppler_0.0"]
+    _, rows = read_csv_rows(out / "af_delay_cut.csv")
+    assert max(float(r[1]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_af_invalid_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("[]")

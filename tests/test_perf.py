@@ -7,7 +7,7 @@ triples.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jrcsim.perf import (AfSurface, TradeoffSpec, ambiguity_function, ber,
@@ -136,6 +136,70 @@ def test_af_cuts_pick_grid_point_nearest_zero():
     assert np.array_equal(col, mag[:, 1])
 
 
+def af_per_lag_sum(x, lags, dopplers, fs):
+    """Direct sum, vectorised over Doppler: one n x N_nu kernel per lag."""
+    x = np.asarray(x, dtype=complex)
+    n = x.size
+    kernel = np.exp(2j * np.pi * np.outer(np.arange(n) / fs, dopplers))
+    out = np.zeros((len(lags), len(dopplers)))
+    for i, d in enumerate(lags):
+        if abs(d) >= n:
+            continue
+        if d >= 0:
+            out[i] = np.abs((x[d:] * np.conj(x[:n - d])) @ kernel[:n - d])
+        else:
+            out[i] = np.abs((x[:n + d] * np.conj(x[-d:])) @ kernel[-d:])
+    return out / np.sum(np.abs(x) ** 2)
+
+
+@st.composite
+def af_cases(draw):
+    """Waveform, sorted lags and increasing Dopplers for the oracle check.
+
+    Small lag spans with n above the 64-point FFT's block make the
+    transform sum several overlap-save blocks; lags at or beyond n must
+    read zero.
+    """
+    n = draw(st.integers(1, 150))
+    parts = st.floats(-1, 1, allow_subnormal=False)
+    x = (np.array(draw(st.lists(parts, min_size=n, max_size=n)))
+         + 1j * np.array(draw(st.lists(parts, min_size=n, max_size=n))))
+    span = draw(st.one_of(st.integers(0, min(n - 1, 12)),
+                          st.integers(0, n - 1)))
+    inside = draw(st.lists(st.integers(-span, span), max_size=6))
+    beyond = draw(st.lists(st.integers(n, n + 4).flatmap(
+        lambda v: st.sampled_from([-v, v])), max_size=2))
+    lags = sorted(set(inside + beyond))
+    fs = draw(st.sampled_from([1.0, 2e9]))
+    fractions = sorted(set(draw(st.lists(st.floats(-1, 1), min_size=1,
+                                         max_size=4))))
+    return x, np.array(lags, dtype=int), np.array(fractions) * fs, fs
+
+
+@settings(max_examples=60, deadline=None)
+@given(af_cases())
+def test_af_matches_oracle_on_random_grids(case):
+    x, lags, dopplers, fs = case
+    assume(np.sum(np.abs(x) ** 2) > 1e-3)
+    assume(np.all(np.diff(dopplers) > 0))
+    surface = ambiguity_function(x, lags / fs, dopplers, fs)
+    expected = af_oracle(x, lags, dopplers, fs)
+    assert surface.magnitude.shape == expected.shape
+    assert np.max(np.abs(surface.magnitude - expected), initial=0.0) < 1e-12
+
+
+def test_af_long_waveform_short_lags_matches_direct_sum():
+    # 4096 samples with lags within +-8: the FFT sums 86 blocks of 48.
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    fs = 1e9
+    delays, dopplers = default_af_grids(x.size, fs, max_lag=8, n_doppler=3)
+    surface = ambiguity_function(x, delays, dopplers, fs)
+    lags = np.rint(delays * fs).astype(int)
+    expected = af_per_lag_sum(x, lags, dopplers, fs)
+    assert np.max(np.abs(surface.magnitude - expected)) < 1e-12
+
+
 def test_default_af_grids():
     delays, dopplers = default_af_grids(32, 4e9)
     assert delays.size == 63
@@ -145,6 +209,13 @@ def test_default_af_grids():
     assert dopplers[-1] == pytest.approx(4e9 / 64)
     short, _ = default_af_grids(32, 4e9, max_lag=5)
     assert short.size == 11
+    _, single = default_af_grids(32, 4e9, n_doppler=1)
+    assert single.tolist() == [0.0]
+    with pytest.raises(ValueError, match="max_lag"):
+        default_af_grids(32, 4e9, max_lag=-1)
+    for n_doppler in (0, 2, 64):
+        with pytest.raises(ValueError, match="n_doppler"):
+            default_af_grids(32, 4e9, n_doppler=n_doppler)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ import pytest
 
 from jrcsim import runner
 from jrcsim.config import config_hash, parse_config
+from jrcsim.perf import peak_sidelobe_ratio
 from jrcsim.runner import SweepPoint, _noise_variance, run_scenario
+from jrcsim.sigcore import aperiodic_autocorr
 from jrcsim.tensorio import read_csv_rows
 
 CSV_NAMES = ("rmse_vs_snr.csv", "ber_vs_snr.csv", "estimates.csv")
@@ -114,6 +116,21 @@ def test_worker_count_does_not_change_outputs(tmp_path):
     run_scenario(config, out_dir=tmp_path / "serial", workers=1)
     run_scenario(config, out_dir=tmp_path / "pool", workers=2)
     assert read_bytes(tmp_path / "serial") == read_bytes(tmp_path / "pool")
+
+
+def test_pool_regroups_trials_by_point(tmp_path):
+    # mu = 0 leaves no radar-only frame, so those points fail every trial;
+    # one map over all (point, trial) tasks must hand them back in order.
+    config = pmcw_scenario(sweep={"mu_percent": [0, 100],
+                                  "snr_db": [-10, 10]}, trials=5)
+    run_scenario(config, out_dir=tmp_path / "serial", workers=1)
+    run_scenario(config, out_dir=tmp_path / "pool", workers=2)
+    assert read_bytes(tmp_path / "serial") == read_bytes(tmp_path / "pool")
+    failures = [
+        [p["n_failures"] for p in json.loads(
+            (tmp_path / name / "report.json").read_text())["points"]]
+        for name in ("serial", "pool")]
+    assert failures == [[5, 5, 0, 0], [5, 5, 0, 0]]
 
 
 def test_different_seed_changes_noisy_estimates(tmp_path):
@@ -230,6 +247,23 @@ def test_programming_error_in_trial_propagates(tmp_path, monkeypatch):
     monkeypatch.setitem(runner._TRIAL_FNS, "pmcw", broken_trial)
     with pytest.raises(TypeError, match="broken trial"):
         run_scenario(pmcw_scenario(trials=1), out_dir=tmp_path)
+
+
+@pytest.mark.parametrize("config", [
+    pmcw_scenario(),
+    ofdma_scenario(),
+    parse_config({"version": 1, "waveform": "golay",
+                  "golay": {"log2_length": 6, "guard_samples": 16,
+                            "sample_time_s": 1e-9},
+                  "scene": {"scatterers": [{"delay_s": 2e-9}]}}),
+], ids=["pmcw", "ofdma", "golay"])
+def test_point_psl_is_autocorrelation_psl(config):
+    point = SweepPoint(index=0, mu_percent=None, snr_db=None)
+    wavecfg = config.waveform_config
+    x = runner._point_waveform_samples(config, wavecfg, point)
+    cut = np.abs(aperiodic_autocorr(x)) / np.sum(np.abs(x) ** 2)
+    assert runner._point_psl_db(config, wavecfg, point) == pytest.approx(
+        peak_sidelobe_ratio(cut), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
