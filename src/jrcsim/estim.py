@@ -11,8 +11,15 @@ bin conventions stand in for it.
 Symbol decoding projects each data-bearing slot onto the reconstructed
 multi-target response (amplitudes re-fitted by least squares on the known
 slots) and differentially decodes the projections.  Refinement re-runs
-detection over every slot with the decoded symbols treated as known, on a
-finer zero-padded grid.
+detection over every slot with the decoded symbols treated as known.  It
+forms the unpadded (pad-1) map of all slots, and evaluates the finer
+zero-padded grid only in a window around each local peak of that map
+above the threshold: +-1 unpadded bin plus a one-cell guard ring, so
+(2 * pad + 3) cells per padded axis, computed with small explicit DFT
+matrices (a chirp-z style zoom).  A refinement costs the pad-1 map plus
+O(peaks * window cells * slots), instead of an FFT over, and a peak scan
+of, the whole padded plane; a fine-grid peak outside every window is not
+found.
 
 True super-resolution recovery is out of scope.  The stand-in is the
 zero-padded periodogram with optional three-point parabolic peak
@@ -23,6 +30,7 @@ or the interpolated offsets thereof, nothing sharper.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -39,12 +47,24 @@ class DecodingError(ValueError):
     """Symbol decoding has nothing to demodulate against."""
 
 
+def _integer(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int >= minimum; integral floats are accepted."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value or as_int < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}")
+    return as_int
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Grid and detection knobs shared by the estimators.
 
     Padding factors multiply the FFT lengths of the respective axes;
-    ``threshold_db`` is relative to the strongest map cell.
+    ``threshold_db`` is relative to the strongest map cell.  Pads and
+    ``max_targets`` must be integers; integral floats are stored as ints.
     """
 
     range_pad: int = 1
@@ -55,19 +75,15 @@ class EstimatorConfig:
     interpolate: bool = False
 
     def __post_init__(self):
-        for name in ("range_pad", "doppler_pad", "angle_pad"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
+        for name in ("range_pad", "doppler_pad", "angle_pad", "max_targets"):
+            object.__setattr__(self, name,
+                               _integer(name, getattr(self, name)))
         if self.threshold_db >= 0:
             raise ValueError("threshold_db must be negative (relative to peak)")
-        if self.max_targets < 1:
-            raise ValueError("max_targets must be >= 1")
 
     def refined(self, factor: int = 8) -> "EstimatorConfig":
         """A copy with every padding factor scaled up for refinement."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
+        factor = _integer("factor", factor)
         return replace(self, range_pad=self.range_pad * factor,
                        doppler_pad=self.doppler_pad * factor,
                        angle_pad=self.angle_pad * factor)
@@ -93,13 +109,32 @@ class DetectionResult:
 
     ``power`` is the noncoherently integrated map over (doppler/delay) bins
     for the continuous-wave path and (delay-window/doppler) bins for the
-    multicarrier path; the axis vectors carry physical units.
+    multicarrier path; the axis vectors carry physical units.  A refined
+    result carries the unpadded (pad-1) map its windows were seeded on.
     """
 
     power: np.ndarray
     delays_s: np.ndarray
     dopplers_hz: np.ndarray
     targets: tuple
+
+
+@dataclass(frozen=True)
+class _MapLayout:
+    """Axis conventions of one delay/Doppler map.
+
+    ``delay_of`` maps a fractional delay bin to seconds, ``period`` is the
+    slow-time sample spacing, ``n_known`` the count of known slots.
+    """
+
+    shape: tuple
+    delay_axis: int
+    wrap: tuple
+    phase_sign: float
+    n_known: int
+    delay_of: Callable[[float], float]
+    period: float
+    spacing: float
 
 
 def _wrap_bin(idx: int, n: int) -> int:
@@ -119,60 +154,84 @@ def _parabolic_offset(prev: float, mid: float, nxt: float) -> float:
     return float(np.clip(0.5 * (prev - nxt) / denom, -0.5, 0.5))
 
 
-def _axis_offset(power: np.ndarray, cell, axis: int, wrap: bool) -> float:
-    """Parabolic offset along one axis of a 2-d power map at a peak cell."""
-    n = power.shape[axis]
-    idx = cell[axis]
-    if not wrap and (idx == 0 or idx == n - 1):
-        return 0.0
-    lo = list(cell)
-    hi = list(cell)
-    lo[axis] = (idx - 1) % n
-    hi[axis] = (idx + 1) % n
-    return _parabolic_offset(power[tuple(lo)], power[cell], power[tuple(hi)])
+def _axis_offset(power: np.ndarray, pos, axis: int) -> float:
+    """Parabolic offset along one axis at an inner cell of a guarded block."""
+    lo = list(pos)
+    hi = list(pos)
+    lo[axis] -= 1
+    hi[axis] += 1
+    return _parabolic_offset(power[tuple(lo)], power[pos], power[tuple(hi)])
 
 
-def _local_peaks(power: np.ndarray, max_peaks: int, threshold_db: float, wrap):
-    """Indices of the strongest local maxima above the relative threshold.
+# Windows are stacked guarded blocks: a whole map, or windows of one, each
+# with a one-cell guard ring.  ``bins`` pairs a (windows, rows) and a
+# (windows, cols) array of the true map bin of each block row and column,
+# -1 outside a non-wrapping axis, where the block's power is -inf.
 
-    A cell qualifies when it is >= all existing neighbors (8-connected,
-    wrapping per axis as told).  Ties break toward the lowest bin index.
+
+def _bins(raw: np.ndarray, n: int, wrap: bool) -> np.ndarray:
+    """True bins of raw axis indices: modulo n, or -1 outside [0, n)."""
+    return raw % n if wrap else np.where((raw >= 0) & (raw < n), raw, -1)
+
+
+def _gather(values: np.ndarray, bins) -> np.ndarray:
+    """A map's values at every block cell (the -1 bins read a wrong one)."""
+    return values[bins[0][:, :, None], bins[1][:, None, :]]
+
+
+def _guard(power: np.ndarray, bins) -> np.ndarray:
+    """Block power with -inf wherever a bin is -1."""
+    inside = (bins[0][:, :, None] >= 0) & (bins[1][:, None, :] >= 0)
+    return np.where(inside, power, -np.inf)
+
+
+def _whole_map(power: np.ndarray, wrap) -> tuple:
+    """(bins, power) of a whole map plus its guard ring, a stack of one."""
+    bins = tuple(_bins(np.arange(-1, n + 1)[None, :], n, w)
+                 for n, w in zip(power.shape, wrap))
+    return bins, _guard(_gather(power, bins), bins)
+
+
+def _peak_cells(bins, power: np.ndarray, max_peaks: int,
+                threshold_db: float) -> list:
+    """The strongest local maxima of stacked guarded power blocks.
+
+    A cell inside a guard ring qualifies when it is >= all 8 neighbours
+    and reaches the threshold relative to the strongest cell of any block.
+    A cell that several blocks share counts once; ties break toward the
+    lowest true bin.  Returns (block, row, col) block positions.
     """
     peak = float(power.max(initial=0.0))
     if peak <= 0:
         return []
     threshold = peak * 10.0 ** (threshold_db / 10.0)
-    ok = power >= threshold
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            shifted = np.roll(power, (dr, dc), axis=(0, 1))
-            if not wrap[0] and dr == 1:
-                shifted[0, :] = -np.inf
-            if not wrap[0] and dr == -1:
-                shifted[-1, :] = -np.inf
-            if not wrap[1] and dc == 1:
-                shifted[:, 0] = -np.inf
-            if not wrap[1] and dc == -1:
-                shifted[:, -1] = -np.inf
-            ok &= power >= shifted
-    cells = np.argwhere(ok)
-    if cells.size == 0:
-        return []
-    order = sorted(range(len(cells)),
-                   key=lambda i: (-power[cells[i][0], cells[i][1]],
-                                  cells[i][0], cells[i][1]))
-    return [tuple(cells[i]) for i in order[:max_peaks]]
+    inner = power[:, 1:-1, 1:-1]
+    around = np.maximum(np.maximum(power[:, :-2], power[:, 1:-1]),
+                        power[:, 2:])
+    around = np.maximum(np.maximum(around[:, :, :-2], around[:, :, 1:-1]),
+                        around[:, :, 2:])
+    w, r, c = np.nonzero((inner >= around) & (inner >= threshold))
+    r, c = r + 1, c + 1
+    row, col = bins[0][w, r], bins[1][w, c]
+    cells, seen = [], set()
+    for k in np.lexsort((col, row, -power[w, r, c])):
+        if (row[k], col[k]) in seen:
+            continue
+        seen.add((row[k], col[k]))
+        cells.append((int(w[k]), int(r[k]), int(c[k])))
+        if len(cells) == max_peaks:
+            break
+    return cells
 
 
 def profile_peaks(profile, max_peaks: int = 1, threshold_db: float = -13.0):
     """Largest local maxima of a 1-d magnitude profile (no wrap)."""
     p = np.abs(np.asarray(profile, dtype=float)) if np.iscomplexobj(profile) \
         else np.asarray(profile, dtype=float)
-    peaks = _local_peaks(p[None, :] ** 2 if p.ndim == 1 else p,
-                         max_peaks, threshold_db, wrap=(False, False))
-    return [c for (_, c) in peaks]
+    bins, power = _whole_map(p[None, :] ** 2 if p.ndim == 1 else p,
+                             (False, False))
+    return [int(bins[1][0, c])
+            for _, _, c in _peak_cells(bins, power, max_peaks, threshold_db)]
 
 
 def _angle_from_snapshot(snapshot: np.ndarray, spacing_over_lambda: float,
@@ -206,41 +265,72 @@ def _doppler_axis(nd: int, period: float) -> np.ndarray:
     return np.array([_wrap_bin(i, nd) / (nd * period) for i in range(nd)])
 
 
-def _peak_targets(power: np.ndarray, beams: np.ndarray, config,
-                  est: EstimatorConfig, *, delay_axis: int, wrap,
-                  phase_sign: float, n_known: int, delay_of,
-                  period: float) -> tuple:
-    """Peak -> angle -> sub-bin offset -> amplitude on one detection map.
+def _dft(bins: np.ndarray, n_in: int, n_out: int, sign: float) -> np.ndarray:
+    """Rows ``bins`` (any shape) of the n_out-point DFT matrix over n_in
+    inputs."""
+    roots = np.exp(sign * 2j * np.pi * np.arange(n_out) / n_out)
+    return roots[bins[..., None] * np.arange(n_in) % n_out]
 
-    ``beams`` is ``power`` before the sum over receive elements;
-    ``delay_of`` maps a fractional delay bin to seconds, ``period`` is the
-    slow-time sample spacing, ``n_known`` the count of known slots.
-    """
-    doppler_axis = 1 - delay_axis
-    nd = power.shape[doppler_axis]
-    spacing = config.geometry.spacing_over_lambda
+
+def _window_targets(windows, est: EstimatorConfig, lay: _MapLayout) -> tuple:
+    """Peak -> angle -> sub-bin offset -> amplitude over stacked windows."""
+    bins, power, beams = windows
+    da, ka = lay.delay_axis, 1 - lay.delay_axis
+    nd = lay.shape[ka]
     targets = []
-    for cell in _local_peaks(power, est.max_targets, est.threshold_db, wrap):
-        snapshot = beams[cell]
-        angle, abin = _angle_from_snapshot(snapshot, spacing, est.angle_pad,
-                                           phase_sign=phase_sign,
+    for w, r, c in _peak_cells(bins, power, est.max_targets,
+                               est.threshold_db):
+        cell = (int(bins[0][w, r]), int(bins[1][w, c]))
+        snapshot = beams[w, r, c]
+        angle, abin = _angle_from_snapshot(snapshot, lay.spacing,
+                                           est.angle_pad,
+                                           phase_sign=lay.phase_sign,
                                            interpolate=est.interpolate)
-        kappa_signed = _wrap_bin(cell[doppler_axis], nd)
+        kappa_signed = _wrap_bin(cell[ka], nd)
         d_off = k_off = 0.0
         if est.interpolate:
-            d_off = _axis_offset(power, cell, axis=delay_axis,
-                                 wrap=wrap[delay_axis])
-            k_off = _axis_offset(power, cell, axis=doppler_axis, wrap=True)
-        steer = np.exp(phase_sign * 2j * np.pi * spacing * np.sin(angle)
-                       * np.arange(snapshot.size))
-        amplitude = snapshot @ np.conj(steer) / (snapshot.size * n_known)
+            if lay.wrap[da] or 0 < cell[da] < lay.shape[da] - 1:
+                d_off = _axis_offset(power[w], (r, c), da)
+            k_off = _axis_offset(power[w], (r, c), ka)
+        steer = np.exp(lay.phase_sign * 2j * np.pi * lay.spacing
+                       * np.sin(angle) * np.arange(snapshot.size))
+        amplitude = snapshot @ np.conj(steer) / (snapshot.size * lay.n_known)
         targets.append(TargetEstimate(
-            delay_s=delay_of(cell[delay_axis] + d_off),
-            doppler_hz=(kappa_signed + k_off) / (nd * period),
+            delay_s=lay.delay_of(cell[da] + d_off),
+            doppler_hz=(kappa_signed + k_off) / (nd * lay.period),
             angle_rad=angle, amplitude=complex(amplitude),
-            delay_bin=int(cell[delay_axis]), doppler_bin=kappa_signed,
-            angle_bin=abin, power=float(power[cell])))
+            delay_bin=cell[da], doppler_bin=kappa_signed,
+            angle_bin=abin, power=float(power[w, r, c])))
     return tuple(targets)
+
+
+def _map_targets(beams: np.ndarray, est: EstimatorConfig,
+                 lay: _MapLayout) -> tuple:
+    """(power map, targets) of a whole map of per-element beams."""
+    power = np.sum(np.abs(beams) ** 2, axis=2)
+    bins, guarded = _whole_map(power, lay.wrap)
+    return power, _window_targets((bins, guarded, _gather(beams, bins)),
+                                  est, lay)
+
+
+def _refine_windows(seed_power: np.ndarray, beams_at, pads,
+                    est: EstimatorConfig, lay: _MapLayout) -> tuple:
+    """Fine-grid windows around every local peak of the pad-1 map.
+
+    Seeds are the pad-1 map's local maxima above the threshold.  Seed bin
+    s maps to fine bin s * pad; its window spans +-pad fine bins (+-1 seed
+    bin) plus the guard ring.  ``beams_at(rows, cols)`` evaluates the fine
+    per-element map at stacked true fine bins (a -1 bin may read anything).
+    """
+    bins, guarded = _whole_map(seed_power, lay.wrap)
+    seeds = _peak_cells(bins, guarded, seed_power.size, est.threshold_db)
+    centres = np.array([(bins[0][0, r], bins[1][0, c]) for _, r, c in seeds],
+                       dtype=int).reshape(-1, 2)
+    wbins = tuple(_bins(centres[:, [a]] * p + np.arange(-p - 1, p + 2), n, w)
+                  for a, (p, n, w) in enumerate(zip(pads, lay.shape,
+                                                    lay.wrap)))
+    beams = beams_at(*wbins)
+    return wbins, _guard(np.sum(np.abs(beams) ** 2, axis=-1), wbins), beams
 
 
 # ---------------------------------------------------------------------------
@@ -248,29 +338,30 @@ def _peak_targets(power: np.ndarray, beams: np.ndarray, config,
 # ---------------------------------------------------------------------------
 
 
-def _pmcw_detect(frames: np.ndarray, symbols: np.ndarray, code: CodeSequence,
-                 config, est: EstimatorConfig) -> DetectionResult:
-    """Range/Doppler/angle detection over a contiguous block of frames."""
-    m_count = frames.shape[0]
-    l_count = config.code_length
-    t_b, t_c = config.block_time, config.chip_time
-
+def _pmcw_correlate(frames: np.ndarray, symbols: np.ndarray,
+                    code: CodeSequence) -> np.ndarray:
+    """Fast-time code correlation of each frame with its symbol removed."""
     y = frames * np.conj(symbols)[:, None, None]
     code_spec = np.fft.fft(code.chips())
-    corr = np.fft.ifft(np.fft.fft(y, axis=1) * np.conj(code_spec)[None, :, None],
+    return np.fft.ifft(np.fft.fft(y, axis=1) * np.conj(code_spec)[None, :, None],
                        axis=1)
-    nd = m_count * est.doppler_pad
-    dopp = np.fft.ifft(corr, n=nd, axis=0) * nd
-    power = np.sum(np.abs(dopp) ** 2, axis=2)
 
-    targets = _peak_targets(power, dopp, config, est, delay_axis=1,
-                            wrap=(True, True), phase_sign=-1.0,
-                            n_known=l_count * m_count,
-                            delay_of=lambda b: b * t_c, period=t_b)
-    return DetectionResult(power=power,
-                           delays_s=np.arange(l_count) * t_c,
-                           dopplers_hz=_doppler_axis(nd, t_b),
-                           targets=targets)
+
+def _pmcw_layout(config, m_count: int, doppler_pad: int) -> _MapLayout:
+    """(Doppler, delay) map layout; the delay axis is the unpadded lag."""
+    l_count, t_c = config.code_length, config.chip_time
+    return _MapLayout(shape=(m_count * doppler_pad, l_count), delay_axis=1,
+                      wrap=(True, True), phase_sign=-1.0,
+                      n_known=l_count * m_count, delay_of=lambda b: b * t_c,
+                      period=config.block_time,
+                      spacing=config.geometry.spacing_over_lambda)
+
+
+def _pmcw_result(power, config, targets) -> DetectionResult:
+    return DetectionResult(
+        power=power, delays_s=np.arange(config.code_length) * config.chip_time,
+        dopplers_hz=_doppler_axis(power.shape[0], config.block_time),
+        targets=targets)
 
 
 def pmcw_range_doppler(cube: PmcwCube, code: CodeSequence,
@@ -288,17 +379,48 @@ def pmcw_range_doppler(cube: PmcwCube, code: CodeSequence,
             "no radar-only frames: delay/Doppler cannot be separated from "
             "unknown data symbols at mu = 0")
     idx = np.flatnonzero(sched.is_radar)
-    return _pmcw_detect(cube.data[idx], np.ones(idx.size, dtype=complex),
-                        code, cube.config, est)
+    corr = _pmcw_correlate(cube.data[idx], np.ones(idx.size, dtype=complex),
+                           code)
+    nd = idx.size * est.doppler_pad
+    dopp = np.fft.ifft(corr, n=nd, axis=0) * nd
+    power, targets = _map_targets(
+        dopp, est, _pmcw_layout(cube.config, idx.size, est.doppler_pad))
+    return _pmcw_result(power, cube.config, targets)
+
+
+def _pmcw_windows(cube: PmcwCube, code: CodeSequence, symbols: np.ndarray,
+                  est: EstimatorConfig):
+    """(pad-1 power map, fine-grid windows, layout) of a PMCW refinement."""
+    m_count = cube.config.n_frames
+    corr = _pmcw_correlate(cube.data, symbols, code)
+    seed_power = np.sum(np.abs(np.fft.ifft(corr, axis=0) * m_count) ** 2,
+                        axis=2)
+    lay = _pmcw_layout(cube.config, m_count, est.doppler_pad)
+
+    def beams_at(dopplers, lags):
+        picked = np.moveaxis(corr[:, lags], 0, 1)
+        n, _, n_lags, n_rx = picked.shape
+        zoom = np.matmul(_dft(dopplers, m_count, lay.shape[0], +1.0),
+                         picked.reshape(n, m_count, n_lags * n_rx))
+        return zoom.reshape(n, -1, n_lags, n_rx)
+
+    return seed_power, _refine_windows(seed_power, beams_at,
+                                       (est.doppler_pad, 1), est, lay), lay
 
 
 def pmcw_refine(cube: PmcwCube, code: CodeSequence, symbols,
                 est: EstimatorConfig) -> DetectionResult:
-    """Re-estimate over all frames with every symbol treated as known."""
+    """Re-estimate over all frames with every symbol treated as known.
+
+    The Doppler grid is ``est.doppler_pad`` times finer than the frame
+    count, evaluated only around the pad-1 map's peaks; the lag axis is
+    the unpadded code correlation.
+    """
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.size != cube.config.n_frames:
         raise ValueError("need one symbol per frame")
-    return _pmcw_detect(cube.data, symbols, code, cube.config, est)
+    power, windows, lay = _pmcw_windows(cube, code, symbols, est)
+    return _pmcw_result(power, cube.config, _window_targets(windows, est, lay))
 
 
 def _pmcw_basis(config, code: CodeSequence, target: TargetEstimate,
@@ -381,35 +503,28 @@ def pmcw_decode(cube: PmcwCube, code: CodeSequence, targets, order: int = 2):
 # ---------------------------------------------------------------------------
 
 
-def _ofdma_detect(data: np.ndarray, known_symbols: np.ndarray,
-                  known_mask: np.ndarray, config,
-                  est: EstimatorConfig) -> DetectionResult:
-    """Range/Doppler/angle detection from the rows flagged as known."""
-    n_c, n_s = config.n_subcarriers, config.n_symbols
+def _ofdma_layout(config, n_rows: int, nr: int, shape) -> _MapLayout:
+    """(delay, Doppler) map layout over an nr-point delay FFT."""
     df = config.subcarrier_spacing_hz
-    t_sym = config.symbol_duration
+    return _MapLayout(shape=shape, delay_axis=0, wrap=(False, True),
+                      phase_sign=+1.0, n_known=n_rows * config.n_symbols,
+                      delay_of=lambda b: b / (nr * df),
+                      period=config.symbol_duration,
+                      spacing=config.geometry.spacing_over_lambda)
 
-    rows = np.flatnonzero(known_mask)
-    x = np.zeros_like(data)
-    x[rows] = data[rows] * np.conj(known_symbols[rows])[:, :, None]
 
-    nr = n_c * est.range_pad
+def _ofdma_map(x: np.ndarray, nr: int, window: int, nd: int) -> np.ndarray:
+    """Per-element delay/Doppler map: subcarrier IFFT, then slow-time FFT."""
     prof = np.fft.ifft(x, n=nr, axis=0) * nr
-    comb = pilot_comb_spacing(known_mask)
-    window = max(nr // comb, 1)
-    prof = prof[:window]
-    nd = n_s * est.doppler_pad
-    v = np.fft.fft(prof, n=nd, axis=1)
-    power = np.sum(np.abs(v) ** 2, axis=2)
+    return np.fft.fft(prof[:window], n=nd, axis=1)
 
-    targets = _peak_targets(power, v, config, est, delay_axis=0,
-                            wrap=(False, True), phase_sign=+1.0,
-                            n_known=rows.size * n_s,
-                            delay_of=lambda b: b / (nr * df), period=t_sym)
-    return DetectionResult(power=power,
-                           delays_s=np.arange(window) / (nr * df),
-                           dopplers_hz=_doppler_axis(nd, t_sym),
-                           targets=targets)
+
+def _ofdma_result(power, config, nr: int, targets) -> DetectionResult:
+    return DetectionResult(
+        power=power,
+        delays_s=np.arange(power.shape[0]) / (nr * config.subcarrier_spacing_hz),
+        dopplers_hz=_doppler_axis(power.shape[1], config.symbol_duration),
+        targets=targets)
 
 
 def ofdma_range_doppler_angle(cube: OfdmaCube, grid: SymbolGrid,
@@ -426,18 +541,49 @@ def ofdma_range_doppler_angle(cube: OfdmaCube, grid: SymbolGrid,
         raise NonIdentifiableError(
             "no radar-pilot subcarriers: range cannot be separated from "
             "unknown data symbols at mu = 0")
-    return _ofdma_detect(cube.data, grid.symbols, grid.radar_rows,
-                         cube.config, est)
+    config = cube.config
+    rows = np.flatnonzero(grid.radar_rows)
+    x = np.zeros_like(cube.data)
+    x[rows] = cube.data[rows] * np.conj(grid.symbols[rows])[:, :, None]
+    nr = config.n_subcarriers * est.range_pad
+    window = max(nr // pilot_comb_spacing(grid.radar_rows), 1)
+    v = _ofdma_map(x, nr, window, config.n_symbols * est.doppler_pad)
+    power, targets = _map_targets(
+        v, est, _ofdma_layout(config, rows.size, nr, v.shape[:2]))
+    return _ofdma_result(power, config, nr, targets)
+
+
+def _ofdma_windows(cube: OfdmaCube, symbols: np.ndarray,
+                   est: EstimatorConfig):
+    """(pad-1 power map, fine-grid windows, layout) of an OFDMA refinement."""
+    n_c, n_s = cube.config.n_subcarriers, cube.config.n_symbols
+    x = cube.data * np.conj(symbols)[:, :, None]
+    seed_power = np.sum(np.abs(_ofdma_map(x, n_c, n_c, n_s)) ** 2, axis=2)
+    nr, nd = n_c * est.range_pad, n_s * est.doppler_pad
+    lay = _ofdma_layout(cube.config, n_c, nr, (nr, nd))
+
+    def beams_at(delays, dopplers):
+        prof = np.tensordot(_dft(delays, n_c, nr, +1.0), x, axes=1)
+        return np.matmul(_dft(dopplers, n_s, nd, -1.0)[:, None], prof)
+
+    return seed_power, _refine_windows(
+        seed_power, beams_at, (est.range_pad, est.doppler_pad), est, lay), lay
 
 
 def ofdma_refine(cube: OfdmaCube, symbols: np.ndarray,
                  est: EstimatorConfig) -> DetectionResult:
-    """Re-estimate over the full grid with all symbols treated as known."""
+    """Re-estimate over the full grid with all symbols treated as known.
+
+    The delay and Doppler grids are ``est.range_pad`` and
+    ``est.doppler_pad`` times finer, evaluated only around the pad-1 map's
+    peaks.
+    """
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.shape != (cube.config.n_subcarriers, cube.config.n_symbols):
         raise ValueError("need the full N_c x N_s symbol matrix")
-    mask = np.ones(cube.config.n_subcarriers, dtype=bool)
-    return _ofdma_detect(cube.data, symbols, mask, cube.config, est)
+    power, windows, lay = _ofdma_windows(cube, symbols, est)
+    return _ofdma_result(power, cube.config, cube.config.n_subcarriers,
+                         _window_targets(windows, est, lay))
 
 
 def _ofdma_basis(config, target: TargetEstimate, rows: np.ndarray):

@@ -319,9 +319,8 @@ def write_af_csv(path, surface: AfSurface) -> None:
     """Grid CSV: first column delay_s, remaining columns one per Doppler."""
     header = ["delay_s"] + [f"doppler_{format_float(f)}"
                             for f in surface.dopplers_hz]
-    rows = [[d] + list(row)
-            for d, row in zip(surface.delays_s, surface.magnitude)]
-    write_table_csv(path, header, rows)
+    write_table_csv(path, header,
+                    np.column_stack([surface.delays_s, surface.magnitude]))
 
 
 def write_af_tensor(path, surface: AfSurface) -> None:
@@ -337,4 +336,4 @@ def write_cut_csv(path, axis_values, values, axis_name: str,
     if axis_values.size != values.size:
         raise ValueError("axis and values must be equal length")
     write_table_csv(path, [axis_name, value_name],
-                    list(zip(axis_values, values)))
+                    np.column_stack([axis_values, values]))

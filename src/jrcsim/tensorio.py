@@ -62,16 +62,22 @@ def format_float(x) -> str:
 
 
 def write_table_csv(path, header, rows) -> None:
-    """Write a table of numeric rows; floats use shortest round-trip form."""
+    """Write a table of numeric rows; floats use shortest round-trip form.
+
+    ``rows`` is a 2-d numeric array or rows of str, int and float cells
+    (numpy scalars included).  The csv module writes a Python float as its
+    ``repr``, so numpy values are turned into Python ones first, in bulk
+    for an array.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    else:
+        rows = ([cell.item() if isinstance(cell, np.generic) else cell
+                 for cell in row] for row in rows)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                cell if isinstance(cell, str)
-                else (str(cell) if isinstance(cell, (int, np.integer)) else format_float(cell))
-                for cell in row
-            ])
+        writer.writerows(rows)
 
 
 def read_csv_rows(path):

@@ -5,9 +5,14 @@ On-grid cases must come out bin-exact; the Golay profiles are checked
 against hand-built convolution channels with integer arithmetic.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jrcsim import estim
 from jrcsim.channel import Scatterer, Scene
 from jrcsim.estim import (DecodingError, EstimatorConfig, NonIdentifiableError,
                           golay_cef_waveform, golay_range_estimate,
@@ -88,6 +93,34 @@ def test_estimator_config_refined():
     assert fine.threshold_db == est.threshold_db
     with pytest.raises(ValueError):
         est.refined(0)
+
+
+def test_estimator_config_integral_fields():
+    est = EstimatorConfig(range_pad=2.0, doppler_pad=np.int64(3),
+                          angle_pad=1.0, max_targets=2.0)
+    for name, want in (("range_pad", 2), ("doppler_pad", 3),
+                       ("angle_pad", 1), ("max_targets", 2)):
+        assert getattr(est, name) == want
+        assert type(getattr(est, name)) is int
+    fine = est.refined(8)
+    assert (fine.range_pad, fine.doppler_pad) == (16, 24)
+    assert type(fine.range_pad) is int
+    assert type(est.refined(2.0).range_pad) is int
+
+
+@pytest.mark.parametrize("field", ["range_pad", "doppler_pad", "angle_pad",
+                                   "max_targets"])
+@pytest.mark.parametrize("value", [1.5, 0.0, -1, float("nan"), float("inf"),
+                                   "2", None])
+def test_estimator_config_rejects_non_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        EstimatorConfig(**{field: value})
+
+
+@pytest.mark.parametrize("factor", [1.5, 0, float("nan"), "8"])
+def test_estimator_config_refined_rejects_non_integer_factor(factor):
+    with pytest.raises(ValueError, match="factor"):
+        EstimatorConfig().refined(factor)
 
 
 def test_profile_peaks_orders_and_thresholds():
@@ -486,6 +519,377 @@ def test_ofdma_interpolation_tightens_off_grid_delay():
     interp = ofdma_range_doppler_angle(
         cube, grid, EstimatorConfig(interpolate=True)).targets[0]
     assert abs(interp.delay_s - true_delay) < abs(coarse.delay_s - true_delay)
+
+# ---------------------------------------------------------------------------
+# Windowed refinement against the full padded grid
+# ---------------------------------------------------------------------------
+#
+# The oracle is the refinement as it was before the windowed search: the
+# whole zero-padded map by FFT, an 8-roll local-maximum scan over all of
+# it, and the top cells' bins.  The windowed search must reproduce its
+# cells, and its picks inside the windows.
+
+
+def oracle_pmcw_beams(cube, code, symbols, doppler_pad):
+    """(Doppler, lag, element) map over all frames, Doppler padded."""
+    y = cube.data * np.conj(symbols)[:, None, None]
+    code_spec = np.fft.fft(code.chips())
+    corr = np.fft.ifft(np.fft.fft(y, axis=1)
+                       * np.conj(code_spec)[None, :, None], axis=1)
+    nd = cube.config.n_frames * doppler_pad
+    return np.fft.ifft(corr, n=nd, axis=0) * nd
+
+
+def oracle_ofdma_beams(cube, symbols, range_pad, doppler_pad):
+    """(delay, Doppler, element) map over all subcarriers, both padded."""
+    x = cube.data * np.conj(symbols)[:, :, None]
+    nr = cube.config.n_subcarriers * range_pad
+    prof = np.fft.ifft(x, n=nr, axis=0) * nr
+    return np.fft.fft(prof, n=cube.config.n_symbols * doppler_pad, axis=1)
+
+
+def oracle_local_max(power, wrap):
+    """Cells >= all 8 neighbours, by rolling the whole map."""
+    ok = np.ones(power.shape, dtype=bool)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr == 0 and dc == 0:
+                continue
+            shifted = np.roll(power, (dr, dc), axis=(0, 1))
+            if not wrap[0] and dr == 1:
+                shifted[0, :] = -np.inf
+            if not wrap[0] and dr == -1:
+                shifted[-1, :] = -np.inf
+            if not wrap[1] and dc == 1:
+                shifted[:, 0] = -np.inf
+            if not wrap[1] and dc == -1:
+                shifted[:, -1] = -np.inf
+            ok &= power >= shifted
+    return ok
+
+
+def oracle_peaks(power, max_peaks, threshold_db, wrap, allowed=None,
+                 reference=None):
+    """Strongest local maxima above the threshold, ties to the lowest bin.
+
+    ``allowed`` restricts the candidates (not the neighbour test);
+    ``reference`` is the power the threshold is relative to.
+    """
+    peak = float(power.max()) if reference is None else reference
+    ok = oracle_local_max(power, wrap) & (
+        power >= peak * 10.0 ** (threshold_db / 10.0))
+    if allowed is not None:
+        ok &= allowed
+    cells = sorted(map(tuple, np.argwhere(ok)),
+                   key=lambda c: (-power[c], c[0], c[1]))
+    return cells[:max_peaks]
+
+
+def oracle_window_mask(seeds, pads, shape, wrap, guard):
+    """Cells within +-(pad + guard) fine bins of some seed's fine bin."""
+    mask = np.zeros(shape, dtype=bool)
+    for seed in seeds:
+        axes = []
+        for s, p, n, w in zip(seed, pads, shape, wrap):
+            raw = s * p + np.arange(-p - guard, p + guard + 1)
+            axes.append(raw % n if w else raw[(raw >= 0) & (raw < n)])
+        mask[np.ix_(*axes)] = True
+    return mask
+
+
+def oracle_bins(beams, cells, est, lay):
+    """(delay_bin, doppler_bin, angle_bin) of full-grid peak cells."""
+    ka = 1 - lay.delay_axis
+    out = []
+    for cell in cells:
+        _, abin = estim._angle_from_snapshot(
+            beams[cell], lay.spacing, est.angle_pad, lay.phase_sign,
+            est.interpolate)
+        out.append((int(cell[lay.delay_axis]),
+                    estim._wrap_bin(int(cell[ka]), beams.shape[ka]), abin))
+    return out
+
+
+def oracle_refine_bins(beams, est, lay):
+    """The full-grid refinement's target bins."""
+    power = np.sum(np.abs(beams) ** 2, axis=2)
+    return oracle_bins(beams, oracle_peaks(power, est.max_targets,
+                                           est.threshold_db, lay.wrap),
+                       est, lay)
+
+
+def refine_bins(targets):
+    return [(t.delay_bin, t.doppler_bin, t.angle_bin) for t in targets]
+
+
+def check_against_oracle(beams, windows, lay, est, pads, strict):
+    """Compare one windowed refinement with the full-grid oracle.
+
+    Checks the window geometry and every window cell, then the refined
+    bins against the oracle restricted to the windows and, when
+    ``strict``, against the unrestricted oracle on its first ``strict``
+    targets.
+    """
+    power = np.sum(np.abs(beams) ** 2, axis=2)
+    seed_map = power[::pads[0], ::pads[1]]
+    seeds = oracle_peaks(seed_map, seed_map.size, est.threshold_db,
+                         lay.wrap)
+    stacked_bins, stacked_power, stacked_beams = windows
+    assert len(stacked_power) == len(seeds)
+    scale = power.max()
+    for i, seed in enumerate(seeds):
+        bins = (stacked_bins[0][i], stacked_bins[1][i])
+        for axis in (0, 1):
+            p, n = pads[axis], power.shape[axis]
+            raw = seed[axis] * p + np.arange(-p - 1, p + 2)
+            want = raw % n if lay.wrap[axis] else np.where(
+                (raw >= 0) & (raw < n), raw, -1)
+            assert np.array_equal(bins[axis], want)
+        valid = np.outer(bins[0] >= 0, bins[1] >= 0)
+        assert np.all(stacked_power[i][~valid] == -np.inf)
+        np.testing.assert_allclose(
+            stacked_power[i][valid], power[np.ix_(*bins)][valid],
+            rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            stacked_beams[i][valid], beams[np.ix_(*bins)][valid],
+            rtol=1e-12, atol=1e-12 * np.sqrt(scale))
+
+    targets = estim._window_targets(windows, est, lay)
+    if seeds:
+        in_windows = oracle_window_mask(seeds, pads, power.shape, lay.wrap, 0)
+        guarded = oracle_window_mask(seeds, pads, power.shape, lay.wrap, 1)
+        restricted = oracle_peaks(power, est.max_targets, est.threshold_db,
+                                  lay.wrap, allowed=in_windows,
+                                  reference=float(power[guarded].max()))
+    else:
+        restricted = []
+    assert refine_bins(targets) == oracle_bins(beams, restricted, est, lay)
+    if strict:
+        assert refine_bins(targets)[:strict] == \
+            oracle_refine_bins(beams, est, lay)[:strict]
+    return targets
+
+
+def cyclic_gap(a, b, n=None):
+    d = abs(a - b)
+    return min(d, n - d) if n else d
+
+
+def oracle_scene(rng, n_scatterers, snr_db, *, delay, doppler):
+    """Scatterers of falling strength with random delay/Doppler/angle."""
+    amps = [0.8 ** q * np.exp(2j * np.pi * rng.uniform())
+            for q in range(n_scatterers)]
+    scatterers = [Scatterer(delay_s=delay(rng), doppler_hz=doppler(rng),
+                            angle_rad=rng.uniform(-0.9, 0.9), amplitude=a)
+                  for a in amps]
+    noise = sum(abs(a) ** 2 for a in amps) / 10.0 ** (snr_db / 10.0)
+    return scatterers, noise
+
+
+def strict_count(unpadded, snr_db, shapes_wrap):
+    """How many leading targets must match the unrestricted oracle.
+
+    One for a single scatterer at SNR >= 0 dB.  All of them for scatterers
+    at least 3 unpadded bins apart (on some axis, cyclically where it
+    wraps) and at least 1 bin from a non-wrapping edge.  Near that edge
+    the full grid also finds the scatterer's main lobe wrapped round to
+    the far end of the axis, where no pad-1 local peak seeds a window.
+    """
+    if len(unpadded) == 1:
+        return 1 if snr_db >= 0 else 0
+    if any(n is None and x < 1 for pos in unpadded
+           for x, n in zip(pos, shapes_wrap)):
+        return 0
+    for i, a in enumerate(unpadded):
+        for b in unpadded[i + 1:]:
+            gaps = [cyclic_gap(x, y, n) for x, y, n in zip(a, b, shapes_wrap)]
+            if max(gaps) < 3:
+                return 0
+    return len(unpadded)
+
+
+refine_cases = dict(
+    seed=st.integers(0, 2 ** 32 - 1),
+    range_pad=st.integers(1, 8), doppler_pad=st.integers(1, 8),
+    angle_pad=st.integers(1, 4), interpolate=st.booleans(),
+    max_targets=st.integers(1, 3), n_scatterers=st.integers(1, 3),
+    snr_db=st.floats(-5.0, 30.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**refine_cases)
+def test_pmcw_windowed_refine_matches_full_grid(
+        seed, range_pad, doppler_pad, angle_pad, interpolate, max_targets,
+        n_scatterers, snr_db):
+    rng = np.random.default_rng(seed)
+    t_b = 32 * CHIP
+    scatterers, noise = oracle_scene(
+        rng, n_scatterers, snr_db,
+        delay=lambda r: int(r.integers(0, 32)) * CHIP,
+        doppler=lambda r: r.uniform(-0.5, 0.5) / t_b)
+    bits = rng.integers(0, 2, size=4)
+    cube, code, symbols, _ = pmcw_cube_for(
+        scatterers, mu=50, noise=noise, rng=rng, seed=seed % 1000, bits=bits)
+    est = EstimatorConfig(range_pad=range_pad, doppler_pad=doppler_pad,
+                          angle_pad=angle_pad, interpolate=interpolate,
+                          max_targets=max_targets)
+    power, windows, lay = estim._pmcw_windows(cube, code, symbols, est)
+    beams = oracle_pmcw_beams(cube, code, symbols, doppler_pad)
+    np.testing.assert_allclose(power, np.sum(np.abs(beams[::doppler_pad])
+                                             ** 2, axis=2), rtol=1e-12)
+    unpadded = [(sc.doppler_hz * 8 * t_b, round(sc.delay_s / CHIP))
+                for sc in scatterers]
+    targets = check_against_oracle(
+        beams, windows, lay, est, (doppler_pad, 1),
+        strict_count(unpadded, snr_db, (8, 32)))
+    assert refine_bins(pmcw_refine(cube, code, symbols, est).targets) == \
+        refine_bins(targets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**refine_cases)
+def test_ofdma_windowed_refine_matches_full_grid(
+        seed, range_pad, doppler_pad, angle_pad, interpolate, max_targets,
+        n_scatterers, snr_db):
+    rng = np.random.default_rng(seed)
+    config = ofdma_config()
+    t_s, t_sym = config.sample_time, config.symbol_duration
+    scatterers, noise = oracle_scene(
+        rng, n_scatterers, snr_db,
+        delay=lambda r: r.uniform(0.0, 8.0) * t_s,
+        doppler=lambda r: r.uniform(-0.5, 0.5) / t_sym)
+    bits = rng.integers(0, 2, size=grid_capacity_bits(config))
+    cube, grid, _ = ofdma_cube_for(scatterers, config=config, noise=noise,
+                                   rng=rng, bits=bits)
+    est = EstimatorConfig(range_pad=range_pad, doppler_pad=doppler_pad,
+                          angle_pad=angle_pad, interpolate=interpolate,
+                          max_targets=max_targets)
+    power, windows, lay = estim._ofdma_windows(cube, grid.symbols, est)
+    beams = oracle_ofdma_beams(cube, grid.symbols, range_pad, doppler_pad)
+    np.testing.assert_allclose(
+        power, np.sum(np.abs(beams[::range_pad, ::doppler_pad]) ** 2, axis=2),
+        rtol=1e-12)
+    unpadded = [(sc.delay_s / t_s, sc.doppler_hz * 8 * t_sym)
+                for sc in scatterers]
+    targets = check_against_oracle(
+        beams, windows, lay, est, (range_pad, doppler_pad),
+        strict_count(unpadded, snr_db, (None, 8)))
+    assert refine_bins(ofdma_refine(cube, grid.symbols, est).targets) == \
+        refine_bins(targets)
+
+
+REFINE8 = EstimatorConfig().refined(8)
+
+
+def pmcw_refined_vs_full_grid(scatterers, est=REFINE8):
+    """(refined result, full-grid target bins) of a noiseless PMCW cube
+    refined with its true frame symbols."""
+    cube, code, symbols, _ = pmcw_cube_for(scatterers, mu=50,
+                                           bits=np.array([1, 0, 0, 1]))
+    result = pmcw_refine(cube, code, symbols, est)
+    lay = estim._pmcw_windows(cube, code, symbols, est)[2]
+    beams = oracle_pmcw_beams(cube, code, symbols, est.doppler_pad)
+    return result, oracle_refine_bins(beams, est, lay)
+
+
+def ofdma_refined_vs_full_grid(scatterers, est=REFINE8):
+    """(refined result, full-grid target bins) of a noiseless OFDMA cube
+    refined with its true symbol grid."""
+    config = ofdma_config()
+    bits = np.random.default_rng(3).integers(0, 2, grid_capacity_bits(config))
+    cube, grid, _ = ofdma_cube_for(scatterers, config=config, bits=bits)
+    result = ofdma_refine(cube, grid.symbols, est)
+    lay = estim._ofdma_windows(cube, grid.symbols, est)[2]
+    beams = oracle_ofdma_beams(cube, grid.symbols, est.range_pad,
+                               est.doppler_pad)
+    return result, oracle_refine_bins(beams, est, lay)
+
+
+def test_pmcw_refine_pad8_off_grid_nearest_fine_bin():
+    t_b = 32 * CHIP
+    result, full = pmcw_refined_vs_full_grid(
+        [Scatterer(delay_s=5 * CHIP, doppler_hz=2.3 / (8 * t_b),
+                   amplitude=1.0)])
+    t = result.targets[0]
+    assert (t.delay_bin, t.doppler_bin) == (5, 18)  # 2.3 * 8 = 18.4
+    assert refine_bins(result.targets) == full
+    # The refined result carries the pad-1 map and its axes.
+    assert result.power.shape == (8, 32)
+    assert result.dopplers_hz[1] == pytest.approx(1 / (8 * t_b))
+
+
+def test_ofdma_refine_pad8_off_grid_nearest_fine_bin():
+    config = ofdma_config()
+    result, full = ofdma_refined_vs_full_grid(
+        [Scatterer(delay_s=5.7 * config.sample_time,
+                   doppler_hz=1.3 / (8 * config.symbol_duration),
+                   amplitude=1.0)])
+    t = result.targets[0]
+    assert (t.delay_bin, t.doppler_bin) == (46, 10)  # 45.6 and 10.4
+    assert refine_bins(result.targets) == full
+    assert result.power.shape == (32, 8)
+    assert result.delays_s[1] == pytest.approx(config.sample_time)
+
+
+def test_pmcw_refine_pad8_two_targets():
+    t_b = 32 * CHIP
+    est = replace(REFINE8, max_targets=2)
+    result, full = pmcw_refined_vs_full_grid(
+        [Scatterer(delay_s=4 * CHIP, doppler_hz=1.4 / (8 * t_b),
+                   angle_rad=0.2, amplitude=1.0),
+         Scatterer(delay_s=20 * CHIP, doppler_hz=-2.6 / (8 * t_b),
+                   angle_rad=-0.4, amplitude=0.7)], est)
+    assert [(t.delay_bin, t.doppler_bin) for t in result.targets] == \
+        [(4, 11), (20, -21)]
+    assert refine_bins(result.targets) == full
+
+
+def test_ofdma_refine_pad8_two_targets():
+    config = ofdma_config()
+    t_s, t_sym = config.sample_time, config.symbol_duration
+    est = replace(REFINE8, max_targets=2)
+    result, full = ofdma_refined_vs_full_grid(
+        [Scatterer(delay_s=2.3 * t_s, doppler_hz=1.2 / (8 * t_sym),
+                   angle_rad=0.2, amplitude=1.0),
+         Scatterer(delay_s=6.6 * t_s, doppler_hz=-2.4 / (8 * t_sym),
+                   angle_rad=-0.4, amplitude=0.7)], est)
+    assert [(t.delay_bin, t.doppler_bin) for t in result.targets] == \
+        [(18, 10), (53, -19)]
+    assert refine_bins(result.targets) == full
+
+
+@pytest.mark.parametrize("interpolate", [False, True])
+def test_ofdma_refine_pad8_delay_edge_does_not_wrap(interpolate):
+    config = ofdma_config()
+    est = replace(REFINE8, interpolate=interpolate)
+    result, full = ofdma_refined_vs_full_grid(
+        [Scatterer(delay_s=0.0, doppler_hz=2 / (8 * config.symbol_duration),
+                   amplitude=1.0)], est)
+    t = result.targets[0]
+    assert (t.delay_bin, t.doppler_bin) == (0, 16)
+    assert refine_bins(result.targets) == full
+    # No parabolic offset across the non-wrapping edge.
+    assert t.delay_s == 0.0
+
+
+@pytest.mark.parametrize("waveform", ["pmcw", "ofdma"])
+@pytest.mark.parametrize("coarse_bins, fine_bin", [(-0.1, -1), (-3.95, -32)])
+def test_refine_pad8_doppler_wrap(waveform, coarse_bins, fine_bin):
+    # -0.1 bins: the window round seed bin 0 spans the wrap; -3.95 bins:
+    # the peak sits at the Nyquist bin, which reads as -nd/2.
+    if waveform == "pmcw":
+        t_b = 32 * CHIP
+        result, full = pmcw_refined_vs_full_grid(
+            [Scatterer(delay_s=7 * CHIP, doppler_hz=coarse_bins / (8 * t_b),
+                       amplitude=1.0)])
+    else:
+        t_sym = ofdma_config().symbol_duration
+        result, full = ofdma_refined_vs_full_grid(
+            [Scatterer(delay_s=3 * ofdma_config().sample_time,
+                       doppler_hz=coarse_bins / (8 * t_sym), amplitude=1.0)])
+    assert result.targets[0].doppler_bin == fine_bin
+    assert refine_bins(result.targets) == full
+
 
 # ---------------------------------------------------------------------------
 # Complementary-pair channel sounding

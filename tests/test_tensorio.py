@@ -73,6 +73,20 @@ def test_write_table_csv_mixed_types(tmp_path):
     assert rows == [["alpha", "3", "0.1"], ["beta", "7", "0.25"]]
 
 
+def test_write_table_csv_array_matches_per_cell_repr(tmp_path):
+    rng = np.random.default_rng(4)
+    table = rng.normal(size=(50, 6)) * 10.0 ** rng.integers(-30, 30, (50, 6))
+    table[0, :3] = [np.nan, np.inf, -0.0]
+    path = tmp_path / "array.csv"
+    write_table_csv(path, ["a", "b", "c", "d", "e", "f"], table)
+    expected = "a,b,c,d,e,f\r\n" + "".join(
+        ",".join(format_float(x) for x in row) + "\r\n" for row in table)
+    assert path.read_bytes().decode() == expected
+    rows_path = tmp_path / "rows.csv"
+    write_table_csv(rows_path, ["a", "b", "c", "d", "e", "f"], list(table))
+    assert rows_path.read_bytes() == path.read_bytes()
+
+
 def test_read_csv_rows_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
