@@ -94,10 +94,16 @@ def _cmd_run(args) -> int:
     config = _load_or_complain(args.config)
     if config is None:
         return 2
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.trials is not None:
-        config = replace(config, trials=args.trials)
+    try:
+        if args.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if args.seed is not None:
+            config = replace(config, seed=args.seed)
+        if args.trials is not None:
+            config = replace(config, trials=args.trials)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out_dir = _resolve_out_dir(args.out_dir, config.out_dir)
     report = run_scenario(config, out_dir=out_dir, workers=args.workers)
     print(f"run {report.config_hash} seed={report.seed} "

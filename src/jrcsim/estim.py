@@ -504,9 +504,13 @@ def pmcw_decode(cube: PmcwCube, code: CodeSequence, targets, order: int = 2):
 
 
 def _ofdma_layout(config, n_rows: int, nr: int, shape) -> _MapLayout:
-    """(delay, Doppler) map layout over an nr-point delay FFT."""
+    """(delay, Doppler) map layout over an nr-point delay FFT.
+
+    The delay axis wraps when the map spans the whole nr-point IFFT
+    period, as it does at pilot comb 1 and in refinement.
+    """
     df = config.subcarrier_spacing_hz
-    return _MapLayout(shape=shape, delay_axis=0, wrap=(False, True),
+    return _MapLayout(shape=shape, delay_axis=0, wrap=(shape[0] == nr, True),
                       phase_sign=+1.0, n_known=n_rows * config.n_symbols,
                       delay_of=lambda b: b / (nr * df),
                       period=config.symbol_duration,
@@ -644,13 +648,9 @@ def ofdma_decode(cube: OfdmaCube, grid: SymbolGrid, targets):
         raise DecodingError("reconstructed response has zero energy")
     proj = np.sum(cube.data[comm_rows] * np.conj(response), axis=2) / energy
 
-    bits_all = []
-    for i, n in enumerate(comm_rows):
-        row_bits = dpsk_decode(proj[i], grid.order)
-        bits_all.append(row_bits)
-        full[n] = dpsk_encode(row_bits, grid.order).symbols
-    bits = np.concatenate(bits_all) if bits_all else np.zeros(0, dtype=np.int64)
-    return bits, proj, full
+    bits = dpsk_decode(proj, grid.order)
+    full[comm_rows] = dpsk_encode(bits, grid.order).symbols
+    return bits.reshape(-1), proj, full
 
 
 # ---------------------------------------------------------------------------

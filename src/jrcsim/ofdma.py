@@ -158,15 +158,11 @@ def build_symbol_grid(config: OfdmaConfig, payload_bits, order: int = 4) -> Symb
     mask = ofdma_pilot_mask(config)
     n_c, n_s = config.n_subcarriers, config.n_symbols
     grid = np.ones((n_c, n_s), dtype=complex)
-    grid[mask] = pilot_symbols(config, int(np.count_nonzero(mask)))
+    n_radar = int(np.count_nonzero(mask))
+    grid[mask] = pilot_symbols(config, n_radar)
     k = int(np.log2(order))
-    per_row = (n_s - 1) * k if n_s >= 2 else 0
-    comm_rows = np.flatnonzero(~mask)
-    for i, n in enumerate(comm_rows):
-        if per_row == 0:
-            break
-        row_bits = bits[i * per_row:(i + 1) * per_row]
-        grid[n] = dpsk_encode(row_bits, order).symbols
+    row_bits = bits.reshape(n_c - n_radar, (n_s - 1) * k)
+    grid[~mask] = dpsk_encode(row_bits, order).symbols
     return SymbolGrid(symbols=grid, radar_rows=mask, order=order)
 
 

@@ -608,6 +608,8 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
     ``workers`` > 1 fans trials out to a process pool; aggregates are
     identical for any worker count because trials are seeded by index.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     started = time.time()
     destination = Path(out_dir) if out_dir is not None else Path(config.out_dir)
 

@@ -189,10 +189,12 @@ _GRAY_INV = {
 
 @dataclass(frozen=True)
 class DpskStream:
-    """A differentially encoded symbol stream.
+    """A differentially encoded symbol stream, or a block of them.
 
-    ``symbols[0]`` is the known reference with phase 0; each later symbol
-    advances the phase by a Gray-coded multiple of 2*pi/order.
+    Each stream runs along the last axis: ``symbols[..., 0]`` is the known
+    reference with phase 0, and each later symbol advances the phase by a
+    Gray-coded multiple of 2*pi/order.  ``bits`` and ``symbols`` are 1-d
+    for one stream and 2-d, one stream per row, for a block.
     """
 
     bits: np.ndarray
@@ -205,54 +207,56 @@ class DpskStream:
 
 
 def dpsk_encode(bits, order: int = 2) -> DpskStream:
-    """Differentially encode a bit vector into unit-modulus symbols.
+    """Differentially encode bits into unit-modulus symbols.
 
-    Returns a stream of 1 + len(bits)/log2(order) symbols whose index-0
-    entry is the phase-0 reference.
+    ``bits`` is a 1-d vector or a 2-d block with one stream per row.  Each
+    row of b bits becomes 1 + b/log2(order) symbols whose first entry is
+    the phase-0 reference.
     """
     if order not in _GRAY:
         raise ValueError("order must be 2 or 4")
     bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 1:
-        raise ValueError("bits must be a 1-d vector")
+    if bits.ndim not in (1, 2):
+        raise ValueError("bits must be a 1-d vector or a 2-d block of rows")
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0/1")
     k = int(np.log2(order))
-    if bits.size % k:
+    if bits.shape[-1] % k:
         raise ValueError(f"bit count must be a multiple of {k} for order {order}")
-    groups = bits.reshape(-1, k)
-    values = np.zeros(groups.shape[0], dtype=np.int64)
+    groups = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // k, k))
+    values = np.zeros(groups.shape[:-1], dtype=np.int64)
     for j in range(k):
-        values = (values << 1) | groups[:, j]
+        values = (values << 1) | groups[..., j]
     steps = _GRAY[order][values]
-    cum = np.concatenate([[0], np.cumsum(steps)])
+    cum = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(steps, axis=-1, out=cum[..., 1:])
     symbols = np.exp(2j * np.pi * cum / order)
     return DpskStream(bits=bits, order=order, symbols=symbols)
 
 
 def dpsk_decode(symbols, order: int = 2) -> np.ndarray:
-    """Recover bits from a differential symbol stream (nearest decision).
+    """Recover bits from differential symbol streams (nearest decision).
 
-    ``symbols`` must include the leading reference, so N symbols decode to
-    (N-1)*log2(order) bits.  A constant phase rotation of the whole stream
-    does not change the result.
+    ``symbols`` is a 1-d stream or a 2-d block with one stream per row;
+    each stream must include its leading reference, so N symbols decode to
+    (N-1)*log2(order) bits along the same axis.  A constant phase rotation
+    of a stream does not change its bits.
     """
     if order not in _GRAY:
         raise ValueError("order must be 2 or 4")
     symbols = np.asarray(symbols, dtype=complex)
-    if symbols.ndim != 1 or symbols.size < 1:
-        raise ValueError("symbols must be a non-empty 1-d vector")
-    if symbols.size == 1:
-        return np.zeros(0, dtype=np.int64)
-    diffs = symbols[1:] * np.conj(symbols[:-1])
+    if symbols.ndim not in (1, 2) or symbols.shape[-1] < 1:
+        raise ValueError("symbols must be a 1-d vector or a 2-d block of "
+                         "non-empty rows")
+    diffs = symbols[..., 1:] * np.conj(symbols[..., :-1])
     ang = np.angle(diffs)
     steps = np.rint(ang * order / (2 * np.pi)).astype(np.int64) % order
     values = _GRAY_INV[order][steps]
     k = int(np.log2(order))
-    bits = np.zeros((values.size, k), dtype=np.int64)
+    bits = np.zeros(values.shape + (k,), dtype=np.int64)
     for j in range(k):
-        bits[:, k - 1 - j] = (values >> j) & 1
-    return bits.reshape(-1)
+        bits[..., k - 1 - j] = (values >> j) & 1
+    return bits.reshape(values.shape[:-1] + (values.shape[-1] * k,))
 
 
 # ---------------------------------------------------------------------------

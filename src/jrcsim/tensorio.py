@@ -66,18 +66,19 @@ def write_table_csv(path, header, rows) -> None:
 
     ``rows`` is a 2-d numeric array or rows of str, int and float cells
     (numpy scalars included).  The csv module writes a Python float as its
-    ``repr``, so numpy values are turned into Python ones first, in bulk
-    for an array.
+    ``repr``, so numpy values are turned into Python ones first.  An
+    array's cells are all numbers, which never need quoting, so its rows
+    are joined directly, one line at a time.
     """
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    else:
-        rows = ([cell.item() if isinstance(cell, np.generic) else cell
-                 for cell in row] for row in rows)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, np.ndarray):
+            fh.writelines(",".join(map(repr, row)) + "\r\n"
+                          for row in rows.tolist())
+        else:
+            writer.writerows([cell.item() if isinstance(cell, np.generic)
+                              else cell for cell in row] for row in rows)
 
 
 def read_csv_rows(path):

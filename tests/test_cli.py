@@ -130,6 +130,23 @@ def test_run_invalid_config_exits_2(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed must be >= 0"),
+    (["--trials", "0"], "trials must be >= 1"),
+    (["--workers", "0"], "workers must be >= 1"),
+    (["--workers", "-1"], "workers must be >= 1"),
+], ids=["seed-negative", "trials-zero", "workers-zero", "workers-negative"])
+def test_run_rejects_bad_overrides_before_writing(tmp_path, capsys, flags,
+                                                  message):
+    cfg = write_scenario(tmp_path / "s.json")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_run_workers_flag_matches_serial(tmp_path):
     cfg = write_scenario(tmp_path / "s.json",
                          sweep={"snr_db": [5]}, trials=4)

@@ -670,9 +670,9 @@ def check_against_oracle(beams, windows, lay, est, pads, strict):
     return targets
 
 
-def cyclic_gap(a, b, n=None):
+def cyclic_gap(a, b, n):
     d = abs(a - b)
-    return min(d, n - d) if n else d
+    return min(d, n - d)
 
 
 def oracle_scene(rng, n_scatterers, snr_db, *, delay, doppler):
@@ -686,23 +686,18 @@ def oracle_scene(rng, n_scatterers, snr_db, *, delay, doppler):
     return scatterers, noise
 
 
-def strict_count(unpadded, snr_db, shapes_wrap):
+def strict_count(unpadded, snr_db, shape):
     """How many leading targets must match the unrestricted oracle.
 
     One for a single scatterer at SNR >= 0 dB.  All of them for scatterers
-    at least 3 unpadded bins apart (on some axis, cyclically where it
-    wraps) and at least 1 bin from a non-wrapping edge.  Near that edge
-    the full grid also finds the scatterer's main lobe wrapped round to
-    the far end of the axis, where no pad-1 local peak seeds a window.
+    at least 3 unpadded bins apart on some axis, cyclically: both axes of
+    a refinement map wrap.
     """
     if len(unpadded) == 1:
         return 1 if snr_db >= 0 else 0
-    if any(n is None and x < 1 for pos in unpadded
-           for x, n in zip(pos, shapes_wrap)):
-        return 0
     for i, a in enumerate(unpadded):
         for b in unpadded[i + 1:]:
-            gaps = [cyclic_gap(x, y, n) for x, y, n in zip(a, b, shapes_wrap)]
+            gaps = [cyclic_gap(x, y, n) for x, y, n in zip(a, b, shape)]
             if max(gaps) < 3:
                 return 0
     return len(unpadded)
@@ -773,7 +768,7 @@ def test_ofdma_windowed_refine_matches_full_grid(
                 for sc in scatterers]
     targets = check_against_oracle(
         beams, windows, lay, est, (range_pad, doppler_pad),
-        strict_count(unpadded, snr_db, (None, 8)))
+        strict_count(unpadded, snr_db, (32, 8)))
     assert refine_bins(ofdma_refine(cube, grid.symbols, est).targets) == \
         refine_bins(targets)
 
@@ -859,7 +854,7 @@ def test_ofdma_refine_pad8_two_targets():
 
 
 @pytest.mark.parametrize("interpolate", [False, True])
-def test_ofdma_refine_pad8_delay_edge_does_not_wrap(interpolate):
+def test_ofdma_refine_pad8_delay_edge_wraps(interpolate):
     config = ofdma_config()
     est = replace(REFINE8, interpolate=interpolate)
     result, full = ofdma_refined_vs_full_grid(
@@ -868,8 +863,26 @@ def test_ofdma_refine_pad8_delay_edge_does_not_wrap(interpolate):
     t = result.targets[0]
     assert (t.delay_bin, t.doppler_bin) == (0, 16)
     assert refine_bins(result.targets) == full
-    # No parabolic offset across the non-wrapping edge.
+    # The lobe is symmetric across the wrapped edge: no parabolic offset.
     assert t.delay_s == 0.0
+
+
+@pytest.mark.parametrize("delay_samples, delay_bin", [(0.0, 0), (0.3, 2)])
+def test_ofdma_no_phantom_target_at_far_delay_edge(delay_samples, delay_bin):
+    # At pilot comb 1 the coarse map spans the whole delay IFFT period, so
+    # a lobe straddling zero delay wraps to the last bin.  It must not
+    # read as a second target there, coarse or refined.
+    config = ofdma_config(mu_percent=100)
+    cube, grid, _ = ofdma_cube_for(
+        [Scatterer(delay_s=delay_samples * config.sample_time,
+                   amplitude=1.0)], config=config)
+    est = EstimatorConfig(range_pad=8, max_targets=2)
+    coarse = ofdma_range_doppler_angle(cube, grid, est)
+    refined = ofdma_refine(cube, grid.symbols, est)
+    assert coarse.power.shape == (256, 8)
+    for result in (coarse, refined):
+        assert [(t.delay_bin, t.doppler_bin) for t in result.targets] == \
+            [(delay_bin, 0)]
 
 
 @pytest.mark.parametrize("waveform", ["pmcw", "ofdma"])

@@ -118,6 +118,14 @@ def test_worker_count_does_not_change_outputs(tmp_path):
     assert read_bytes(tmp_path / "serial") == read_bytes(tmp_path / "pool")
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_scenario_rejects_workers_below_one(tmp_path, workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_scenario(pmcw_scenario(), out_dir=tmp_path / "out",
+                     workers=workers)
+    assert not (tmp_path / "out").exists()
+
+
 def test_pool_regroups_trials_by_point(tmp_path):
     # mu = 0 leaves no radar-only frame, so those points fail every trial;
     # one map over all (point, trial) tasks must hand them back in order.

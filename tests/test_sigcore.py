@@ -271,6 +271,50 @@ def test_dpsk_round_trip_property(bits, order, theta):
     assert np.array_equal(decoded, bits)
 
 
+@settings(deadline=None)
+@given(st.sampled_from([2, 4]), st.integers(0, 8), st.integers(1, 20),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
+def test_dpsk_row_block_matches_per_row_calls(order, n_rows, n_symbols,
+                                              seed, noise):
+    # The oracle is the 1-d call on each row: same bits, bitwise-equal
+    # symbols, and the same decisions on noisy, rotated rows.
+    rng = np.random.default_rng(seed)
+    k = int(np.log2(order))
+    bits = rng.integers(0, 2, size=(n_rows, (n_symbols - 1) * k))
+    stream = dpsk_encode(bits, order)
+    assert stream.bits.shape == bits.shape
+    assert stream.symbols.shape == (n_rows, n_symbols)
+    for row_bits, row_symbols in zip(bits, stream.symbols):
+        one = dpsk_encode(row_bits, order)
+        assert one.symbols.tobytes() == row_symbols.tobytes()
+    shape = stream.symbols.shape
+    received = (stream.symbols
+                * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(n_rows, 1)))
+                + noise * (rng.normal(size=shape)
+                           + 1j * rng.normal(size=shape)))
+    decoded = dpsk_decode(received, order)
+    assert decoded.dtype == np.int64
+    assert decoded.shape == bits.shape
+    for row, row_bits in zip(received, decoded):
+        assert np.array_equal(dpsk_decode(row, order), row_bits)
+
+
+def test_dpsk_row_block_validation():
+    with pytest.raises(ValueError):
+        dpsk_encode(np.zeros((2, 2, 2), dtype=int), order=2)
+    with pytest.raises(ValueError):
+        dpsk_decode(np.ones((2, 2, 2)), order=2)
+    with pytest.raises(ValueError):
+        dpsk_decode(np.ones((3, 0)), order=2)
+    with pytest.raises(ValueError):
+        dpsk_encode([[0, 1], [2, 0]], order=2)
+    with pytest.raises(ValueError):
+        dpsk_encode(np.zeros((2, 3), dtype=int), order=4)
+    # Rows of no bits are reference-only streams, as for a 1-d input.
+    stream = dpsk_encode(np.zeros((3, 0), dtype=int), order=4)
+    assert np.array_equal(stream.symbols, np.ones((3, 1)))
+
+
 # ---------------------------------------------------------------------------
 # Cyclic shifts
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Binary tensor container and CSV helpers."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,29 @@ def test_write_table_csv_array_matches_per_cell_repr(tmp_path):
     rows_path = tmp_path / "rows.csv"
     write_table_csv(rows_path, ["a", "b", "c", "d", "e", "f"], list(table))
     assert rows_path.read_bytes() == path.read_bytes()
+
+
+def csv_writer_bytes(path, header, table) -> bytes:
+    """What the csv module writes for the header and the array's rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(table.tolist())
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("table", [
+    np.arange(-6, 6).reshape(4, 3),
+    np.zeros((0, 3)),
+    np.zeros((4, 0)),
+    np.array([[5e-324, 1e16, 1e-5, -0.0], [-5e-324, -1e16, 1e-4, 0.0]]),
+], ids=["int", "no-rows", "no-columns", "edge-floats"])
+def test_write_table_csv_array_matches_csv_writer(tmp_path, table):
+    header = [f"c{j}" for j in range(table.shape[1])]
+    path = tmp_path / "array.csv"
+    write_table_csv(path, header, table)
+    assert path.read_bytes() == csv_writer_bytes(tmp_path / "csv.csv",
+                                                 header, table)
 
 
 def test_read_csv_rows_empty_file(tmp_path):
