@@ -17,10 +17,11 @@ documented substitute that keeps the optimization separable and exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .tensorio import read_csv_rows, write_table_csv
 
@@ -126,7 +127,8 @@ def detection_probability(snr: float, false_alarm: float) -> float:
         raise ValueError("snr must be >= 0")
     if not 0 < false_alarm < 1:
         raise ValueError("false_alarm must lie in (0, 1)")
-    return float(norm.sf(norm.isf(false_alarm) - np.sqrt(2.0 * snr)))
+    x = -NormalDist().inv_cdf(false_alarm) - math.sqrt(2.0 * snr)
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def np_allocate(problem: AllocationProblem) -> AllocationResult:

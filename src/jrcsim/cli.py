@@ -83,6 +83,10 @@ def _load_or_complain(path):
     except FileNotFoundError:
         print(f"error: no such config file: {path}", file=sys.stderr)
         return None
+    except OSError as exc:
+        print(f"error: cannot read config file {path}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return None
     except ConfigError as exc:
         print(f"error: invalid config {path}:", file=sys.stderr)
         for item in exc.errors:

@@ -7,35 +7,9 @@ power) so that load -> save is exact, with no unit conversion drift.  The
 canonical form is ``json.dumps(..., sort_keys=True, indent=2)`` plus a
 trailing newline; the config hash is the SHA-256 of those bytes.
 
-Schema (version 1), with defaults in parentheses:
-
-    {
-      "version": 1,
-      "waveform": "pmcw" | "ofdma" | "golay",
-      "pmcw":  {"code_length", "n_frames", "chip_time_s", "carrier_hz",
-                "mu_percent" (50), "geometry" ({...})},
-      "ofdma": {"n_subcarriers", "n_symbols", "subcarrier_spacing_hz",
-                "carrier_hz", "cp_samples" (0), "mu_percent" (50),
-                "pilot_seed" (0), "geometry" ({...})},
-      "golay": {"log2_length", "guard_samples", "sample_time_s"},
-      "geometry": {"n_tx" (1), "n_rx" (1), "spacing_over_lambda" (0.5)},
-      "scene": {"scatterers": [{"delay_s", "doppler_hz" | "velocity_mps",
-                                "angle_rad" (0), "departure_rad" (0),
-                                "rcs_m2" (1), "amplitude" ([re, im]),
-                                "fading" ("swerling0"), "rician_k" (10)}],
-                "noise_variance" (0), "seed" (0)},
-      "estimator": {"range_pad" (1), "doppler_pad" (1), "angle_pad" (1),
-                    "threshold_db" (-13), "max_targets" (1),
-                    "interpolate" (false)},
-      "sweep": {"snr_db" ([null]), "mu_percent" ([]), "weights" ([])},
-      "symbol_order" (2 pmcw / 4 ofdma), "code_kind" ("mseq"),
-      "code_seed" (0), "refine_factor" (8), "false_alarm" (0.01),
-      "trials" (1), "seed" (0), "out_dir" ("results")
-    }
-
-A ``null`` SNR point means "no sweep here": the scene's own
-``noise_variance`` is used verbatim (0 gives a noiseless run).  An empty
-``mu_percent`` sweep keeps the waveform section's own multiplex value.
+The schema (version 1) is one table of rows per section (``_TOP`` down):
+a generic reader parses and checks every field from them, and a generic
+writer builds the canonical form.  README.md documents it for users.
 """
 
 from __future__ import annotations
@@ -44,6 +18,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .channel import Scatterer, Scene
 from .estim import EstimatorConfig
@@ -122,8 +97,7 @@ class ScenarioConfig:
             raise ValueError("symbol_order must be 2 or 4")
         if self.code_kind not in _CODE_KINDS:
             raise ValueError(f"code_kind must be one of {_CODE_KINDS}")
-        if self.waveform == "pmcw" and self.code_kind == "mseq" \
-                and self.pmcw is not None:
+        if self.waveform == "pmcw" and self.code_kind == "mseq":
             length = self.pmcw.code_length
             order = int(length + 1).bit_length() - 1
             if 2 ** order - 1 != length or not 2 <= order <= 16:
@@ -131,128 +105,214 @@ class ScenarioConfig:
                                  "of the form 2^m - 1 with 2 <= m <= 16")
         if not 0 < self.false_alarm < 1:
             raise ValueError("false_alarm must lie in (0, 1)")
-        for w in self.weights:
-            if not 0 <= w <= 1:
-                raise ValueError("sweep weights must lie in [0, 1]")
-        for m in self.mu_sweep:
-            if not 0 <= m <= 100:
-                raise ValueError("sweep mu_percent values must lie in "
-                                 "[0, 100]")
-        for s in self.snr_db:
-            if s is not None and not math.isfinite(s):
-                raise ValueError("snr_db entries must be finite or null")
+        if not all(0 <= w <= 1 for w in self.weights):
+            raise ValueError("sweep weights must lie in [0, 1]")
+        if not all(0 <= m <= 100 for m in self.mu_sweep):
+            raise ValueError("sweep mu_percent values must lie in [0, 100]")
+        if not all(s is None or math.isfinite(s) for s in self.snr_db):
+            raise ValueError("snr_db entries must be finite or null")
 
     @property
     def waveform_config(self):
         return getattr(self, self.waveform)
 
 
-# ---------------------------------------------------------------------------
-# Parsing
-# ---------------------------------------------------------------------------
+class _Section(NamedTuple):
+    """A JSON object of the schema, read into ``build(**attributes)``.
+
+    A row is (JSON key, attribute, kind, default or _REQUIRED), and row
+    order is error order.  A kind is int, float, bool or str; float | None,
+    or complex | None for a number or [real, imag] pair, where null gives
+    None; list[float], or list[float | None] where [] means [null]; a
+    _Section, whose default is None if optional or {} to build it from its
+    own defaults; or [_Section] for a list of objects.
+    """
+
+    build: Callable
+    rows: tuple
 
 
-def _want(obj, key, kinds, errors, path, default=None, required=False):
-    """Fetch obj[key] checking its JSON type; log problems into errors."""
-    if key not in obj:
-        if required:
-            errors.append(f"{path}.{key}: required field missing")
-        return default
-    val = obj[key]
-    if kinds is bool and not isinstance(val, bool):
-        errors.append(f"{path}.{key}: expected a boolean")
-        return default
-    if kinds is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            errors.append(f"{path}.{key}: expected a number")
-            return default
-        return float(val)
-    if kinds is int:
-        if isinstance(val, bool) or not isinstance(val, int):
-            errors.append(f"{path}.{key}: expected an integer")
-            return default
-    if isinstance(kinds, type) and not isinstance(val, kinds):
-        errors.append(f"{path}.{key}: expected {kinds.__name__}")
-        return default
-    return val
+_REQUIRED = object()
+_BAD = object()  # a value that did not fit its kind; the reason is logged
+_NUMBER_LISTS = (list[float], list[float | None])
+_EXPECTED = {int: "an integer", bool: "a boolean", str: "str"}
+
+_GEOMETRY = _Section(ArrayGeometry, (
+    ("n_tx", "n_tx", int, 1),
+    ("n_rx", "n_rx", int, 1),
+    ("spacing_over_lambda", "spacing_over_lambda", float, 0.5),
+))
+_ARRAY = ("geometry", "geometry", _GEOMETRY, {})
+_CARRIER = ("carrier_hz", "carrier_hz", float, _REQUIRED)
+_MU = ("mu_percent", "mu_percent", float, 50.0)
+_PMCW = _Section(PmcwConfig, (
+    _ARRAY,
+    ("code_length", "code_length", int, _REQUIRED),
+    ("n_frames", "n_frames", int, _REQUIRED),
+    ("chip_time_s", "chip_time", float, _REQUIRED),
+    _CARRIER,
+    _MU,
+))
+_OFDMA = _Section(OfdmaConfig, (
+    _ARRAY,
+    ("n_subcarriers", "n_subcarriers", int, _REQUIRED),
+    ("n_symbols", "n_symbols", int, _REQUIRED),
+    ("subcarrier_spacing_hz", "subcarrier_spacing_hz", float, _REQUIRED),
+    _CARRIER,
+    ("cp_samples", "cp_samples", int, 0),
+    _MU,
+    ("pilot_seed", "pilot_seed", int, 0),
+))
+_GOLAY = _Section(GolayRunConfig, (
+    ("log2_length", "log2_length", int, _REQUIRED),
+    ("guard_samples", "guard_samples", int, _REQUIRED),
+    ("sample_time_s", "sample_time_s", float, _REQUIRED),
+))
+_SCATTERER = _Section(Scatterer, (
+    ("amplitude", "amplitude", complex | None, None),
+    ("delay_s", "delay_s", float, _REQUIRED),
+    ("angle_rad", "angle_rad", float, 0.0),
+    ("departure_rad", "departure_rad", float, 0.0),
+    ("rcs_m2", "rcs_m2", float, 1.0),
+    ("fading", "fading", str, "swerling0"),
+    ("rician_k", "rician_k", float, 10.0),
+    ("doppler_hz", "doppler_hz", float | None, None),  # None: from velocity
+    ("velocity_mps", "velocity_mps", float, 0.0),
+))
+_SCENE = _Section(Scene, (
+    ("scatterers", "scatterers", [_SCATTERER], ()),
+    ("noise_variance", "noise_variance", float, 0.0),
+    ("seed", "seed", int, 0),
+))
+_ESTIMATOR = _Section(EstimatorConfig, (
+    ("range_pad", "range_pad", int, 1),
+    ("doppler_pad", "doppler_pad", int, 1),
+    ("angle_pad", "angle_pad", int, 1),
+    ("threshold_db", "threshold_db", float, -13.0),
+    ("max_targets", "max_targets", int, 1),
+    ("interpolate", "interpolate", bool, False),
+))
+_SWEEP = _Section(dict, (  # attributes of ScenarioConfig itself
+    ("snr_db", "snr_db", list[float | None], (None,)),
+    ("mu_percent", "mu_sweep", list[float], ()),
+    ("weights", "weights", list[float], ()),
+))
+_VERSION = ("version", "version", int, _REQUIRED)
+_WAVEFORM = ("waveform", "waveform", str, _REQUIRED)
+_BODY = (
+    ("pmcw", "pmcw", _PMCW, None),
+    ("ofdma", "ofdma", _OFDMA, None),
+    ("golay", "golay", _GOLAY, None),
+    ("scene", "scene", _SCENE, {}),
+    ("estimator", "estimator", _ESTIMATOR, {}),
+    ("sweep", "sweep", _SWEEP, {}),
+    ("symbol_order", "symbol_order", int, None),
+    ("code_kind", "code_kind", str, "mseq"),
+    ("code_seed", "code_seed", int, 0),
+    ("refine_factor", "refine_factor", int, 8),
+    ("false_alarm", "false_alarm", float, 0.01),
+    ("trials", "trials", int, 1),
+    ("seed", "seed", int, 0),
+    ("out_dir", "out_dir", str, "results"),
+)
+_TOP = (_VERSION, _WAVEFORM, *_BODY)
 
 
-def _check_unknown(obj, known, errors, path):
-    for key in obj:
-        if key not in known:
-            errors.append(f"{path}.{key}: unknown field")
-
-
-def _parse_geometry(obj, errors, path):
-    obj = obj if isinstance(obj, dict) else {}
-    _check_unknown(obj, {"n_tx", "n_rx", "spacing_over_lambda"}, errors, path)
+def _number(val):
+    """A JSON number as a float (±inf beyond the float range), else None."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
     try:
-        return ArrayGeometry(
-            n_tx=_want(obj, "n_tx", int, errors, path, 1),
-            n_rx=_want(obj, "n_rx", int, errors, path, 1),
-            spacing_over_lambda=_want(obj, "spacing_over_lambda", float,
-                                      errors, path, 0.5))
+        return float(val)
+    except OverflowError:
+        return math.inf if val > 0 else -math.inf
+
+
+def _value(val, kind, errors, path):
+    """``val`` typed by ``kind``, or _BAD with the reason logged."""
+    if val is None and kind in (float | None, complex | None):
+        return None
+    if isinstance(kind, _Section):
+        return _object(val, kind, errors, path)
+    if isinstance(kind, list) or kind in _NUMBER_LISTS:
+        if not isinstance(val, list):
+            errors.append(f"{path}: expected a list")
+            return _BAD
+        if isinstance(kind, list):  # entries that fail are left out
+            items = [_object(item, kind[0], errors, f"{path}[{i}]", _BAD)
+                     for i, item in enumerate(val)]
+            return tuple(item for item in items if item is not _BAD)
+        nullable = kind == list[float | None]
+        for i, item in enumerate(val):
+            if _number(item) is None and not (item is None and nullable):
+                errors.append(f"{path}[{i}]: expected a number"
+                              + " or null" * nullable)
+        return tuple(map(_number, val)) or (None,) * nullable
+    if kind in (float, float | None, complex | None):
+        cplx = kind == complex | None
+        pair = val if cplx and isinstance(val, list) and len(val) == 2 \
+            else (val, 0)
+        parts = [_number(v) for v in pair]
+        if None in parts:
+            errors.append(f"{path}: expected a number"
+                          + " or [real, imag] pair" * cplx)
+        elif not all(map(math.isfinite, parts)):
+            errors.append(f"{path}: expected a finite number")
+        else:
+            return complex(*parts) if cplx else parts[0]
+        return _BAD
+    if isinstance(val, kind) and not (kind is int and isinstance(val, bool)):
+        return val
+    errors.append(f"{path}: expected {_EXPECTED[kind]}")
+    return _BAD
+
+
+def _field(obj, row, errors, path, fill=None):
+    """``row``'s value in ``obj``; if it fails, its default (or ``fill``)."""
+    key, _, kind, default = row
+    value = _BAD
+    if key in obj:
+        value = _value(obj[key], kind, errors, f"{path}.{key}")
+    elif default is _REQUIRED:
+        errors.append(f"{path}.{key}: required field missing")
+    if value is _BAD:
+        value = fill if default is _REQUIRED else default
+        if value == {}:  # a section built from its own defaults
+            value = _object({}, kind, errors, f"{path}.{key}")
+    return value
+
+
+def _reject_unknown(obj, rows, errors, path):
+    known = {row[0] for row in rows}
+    errors.extend(f"{path}.{key}: unknown field" for key in obj
+                  if key not in known)
+
+
+def _object(val, section, errors, path, fill=0):
+    """``section`` built from a JSON object, or _BAD with the reason logged.
+
+    ``fill`` replaces a failed required field: 0 still lets the constructor
+    report its range errors, _BAD drops the object (a list entry)."""
+    if not isinstance(val, dict):
+        errors.append(f"{path}: expected an object")
+        return _BAD
+    _reject_unknown(val, section.rows, errors, path)
+    kwargs = {row[1]: _field(val, row, errors, path, fill)
+              for row in section.rows}
+    if _BAD in kwargs.values():
+        return _BAD
+    try:
+        return section.build(**kwargs)
     except ValueError as exc:
         errors.append(f"{path}: {exc}")
-        return ArrayGeometry()
+        return _BAD
 
 
-def _parse_scatterer(obj, errors, path):
-    if not isinstance(obj, dict):
-        errors.append(f"{path}: expected an object")
-        return None
-    _check_unknown(obj, {"delay_s", "doppler_hz", "velocity_mps", "angle_rad",
-                         "departure_rad", "rcs_m2", "fading", "rician_k",
-                         "amplitude"}, errors, path)
-    amp = obj.get("amplitude")
-    if amp is not None:
-        if isinstance(amp, (int, float)) and not isinstance(amp, bool):
-            amp = complex(float(amp), 0.0)
-        elif (isinstance(amp, list) and len(amp) == 2
-              and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                      for v in amp)):
-            amp = complex(float(amp[0]), float(amp[1]))
-        else:
-            errors.append(f"{path}.amplitude: expected a number or "
-                          "[real, imag] pair")
-            amp = None
-    kwargs = dict(
-        delay_s=_want(obj, "delay_s", float, errors, path, required=True),
-        angle_rad=_want(obj, "angle_rad", float, errors, path, 0.0),
-        departure_rad=_want(obj, "departure_rad", float, errors, path, 0.0),
-        rcs_m2=_want(obj, "rcs_m2", float, errors, path, 1.0),
-        fading=_want(obj, "fading", str, errors, path, "swerling0"),
-        rician_k=_want(obj, "rician_k", float, errors, path, 10.0),
-        amplitude=amp)
-    # null means "derive from velocity", mirroring the canonical form.
-    if obj.get("doppler_hz") is not None:
-        kwargs["doppler_hz"] = _want(obj, "doppler_hz", float, errors, path)
-    kwargs["velocity_mps"] = _want(obj, "velocity_mps", float, errors,
-                                   path, 0.0)
-    if kwargs["delay_s"] is None:
-        return None
-    try:
-        return Scatterer(**kwargs)
-    except (ValueError, TypeError) as exc:
-        errors.append(f"{path}: {exc}")
-        return None
-
-
-def _parse_float_list(obj, key, errors, path, allow_null=False):
-    raw = obj.get(key, [])
-    if not isinstance(raw, list):
-        errors.append(f"{path}.{key}: expected a list")
-        return ()
-    out = []
-    for i, v in enumerate(raw):
-        if v is None and allow_null:
-            out.append(None)
-        elif isinstance(v, (int, float)) and not isinstance(v, bool):
-            out.append(float(v))
-        else:
-            errors.append(f"{path}.{key}[{i}]: expected a number"
-                          + (" or null" if allow_null else ""))
-    return tuple(out)
+def _scenario(waveform, sweep, symbol_order, **kwargs):
+    if symbol_order is None:  # the waveform's own default
+        symbol_order = 4 if waveform == "ofdma" else 2
+    return ScenarioConfig(waveform=waveform, symbol_order=symbol_order,
+                          **sweep, **kwargs)
 
 
 def parse_config(data: dict) -> ScenarioConfig:
@@ -265,175 +325,17 @@ def parse_config(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected a JSON object"])
 
-    version = _want(data, "version", int, errors, "$", required=True)
-    if version is not None and version != CONFIG_VERSION:
+    version = _field(data, _VERSION, errors, "$")
+    if version not in (None, CONFIG_VERSION):
         errors.append(f"$.version: expected {CONFIG_VERSION}, got {version}")
-    waveform = _want(data, "waveform", str, errors, "$", required=True)
-    if waveform is not None and waveform not in _WAVEFORMS:
+    waveform = _field(data, _WAVEFORM, errors, "$")
+    if waveform not in (None, *_WAVEFORMS):
         errors.append(f"$.waveform: must be one of {_WAVEFORMS}")
-
-    pmcw = ofdma = golay = None
-    if isinstance(data.get("pmcw"), dict):
-        sec = data["pmcw"]
-        _check_unknown(sec, {"code_length", "n_frames", "chip_time_s",
-                             "carrier_hz", "mu_percent", "geometry"},
-                       errors, "$.pmcw")
-        geom = _parse_geometry(sec.get("geometry", {}), errors,
-                               "$.pmcw.geometry")
-        try:
-            pmcw = PmcwConfig(
-                code_length=_want(sec, "code_length", int, errors, "$.pmcw",
-                                  required=True) or 0,
-                n_frames=_want(sec, "n_frames", int, errors, "$.pmcw",
-                               required=True) or 0,
-                chip_time=_want(sec, "chip_time_s", float, errors, "$.pmcw",
-                                required=True) or 0.0,
-                carrier_hz=_want(sec, "carrier_hz", float, errors, "$.pmcw",
-                                 required=True) or 0.0,
-                mu_percent=_want(sec, "mu_percent", float, errors, "$.pmcw",
-                                 50.0),
-                geometry=geom)
-        except ValueError as exc:
-            errors.append(f"$.pmcw: {exc}")
-    elif "pmcw" in data:
-        errors.append("$.pmcw: expected an object")
-
-    if isinstance(data.get("ofdma"), dict):
-        sec = data["ofdma"]
-        _check_unknown(sec, {"n_subcarriers", "n_symbols",
-                             "subcarrier_spacing_hz", "carrier_hz",
-                             "cp_samples", "mu_percent", "pilot_seed",
-                             "geometry"}, errors, "$.ofdma")
-        geom = _parse_geometry(sec.get("geometry", {}), errors,
-                               "$.ofdma.geometry")
-        try:
-            ofdma = OfdmaConfig(
-                n_subcarriers=_want(sec, "n_subcarriers", int, errors,
-                                    "$.ofdma", required=True) or 0,
-                n_symbols=_want(sec, "n_symbols", int, errors, "$.ofdma",
-                                required=True) or 0,
-                subcarrier_spacing_hz=_want(sec, "subcarrier_spacing_hz",
-                                            float, errors, "$.ofdma",
-                                            required=True) or 0.0,
-                carrier_hz=_want(sec, "carrier_hz", float, errors, "$.ofdma",
-                                 required=True) or 0.0,
-                cp_samples=_want(sec, "cp_samples", int, errors, "$.ofdma", 0),
-                mu_percent=_want(sec, "mu_percent", float, errors, "$.ofdma",
-                                 50.0),
-                pilot_seed=_want(sec, "pilot_seed", int, errors, "$.ofdma", 0),
-                geometry=geom)
-        except ValueError as exc:
-            errors.append(f"$.ofdma: {exc}")
-    elif "ofdma" in data:
-        errors.append("$.ofdma: expected an object")
-
-    if isinstance(data.get("golay"), dict):
-        sec = data["golay"]
-        _check_unknown(sec, {"log2_length", "guard_samples", "sample_time_s"},
-                       errors, "$.golay")
-        try:
-            golay = GolayRunConfig(
-                log2_length=_want(sec, "log2_length", int, errors, "$.golay",
-                                  required=True) or 0,
-                guard_samples=_want(sec, "guard_samples", int, errors,
-                                    "$.golay", required=True) or 0,
-                sample_time_s=_want(sec, "sample_time_s", float, errors,
-                                    "$.golay", required=True) or 0.0)
-        except ValueError as exc:
-            errors.append(f"$.golay: {exc}")
-    elif "golay" in data:
-        errors.append("$.golay: expected an object")
-
-    scene_obj = data.get("scene", {})
-    scatterers = []
-    noise_variance = 0.0
-    scene_seed = 0
-    if isinstance(scene_obj, dict):
-        _check_unknown(scene_obj, {"scatterers", "noise_variance", "seed"},
-                       errors, "$.scene")
-        raw = scene_obj.get("scatterers", [])
-        if isinstance(raw, list):
-            for i, sc in enumerate(raw):
-                parsed = _parse_scatterer(sc, errors,
-                                          f"$.scene.scatterers[{i}]")
-                if parsed is not None:
-                    scatterers.append(parsed)
-        else:
-            errors.append("$.scene.scatterers: expected a list")
-        noise_variance = _want(scene_obj, "noise_variance", float, errors,
-                               "$.scene", 0.0)
-        scene_seed = _want(scene_obj, "seed", int, errors, "$.scene", 0)
-    elif "scene" in data:
-        errors.append("$.scene: expected an object")
-    try:
-        scene = Scene(scatterers=tuple(scatterers),
-                      noise_variance=noise_variance, seed=scene_seed)
-    except ValueError as exc:
-        errors.append(f"$.scene: {exc}")
-        scene = Scene()
-
-    est_obj = data.get("estimator", {})
-    estimator = EstimatorConfig()
-    if isinstance(est_obj, dict):
-        _check_unknown(est_obj, {"range_pad", "doppler_pad", "angle_pad",
-                                 "threshold_db", "max_targets",
-                                 "interpolate"}, errors, "$.estimator")
-        try:
-            estimator = EstimatorConfig(
-                range_pad=_want(est_obj, "range_pad", int, errors,
-                                "$.estimator", 1),
-                doppler_pad=_want(est_obj, "doppler_pad", int, errors,
-                                  "$.estimator", 1),
-                angle_pad=_want(est_obj, "angle_pad", int, errors,
-                                "$.estimator", 1),
-                threshold_db=_want(est_obj, "threshold_db", float, errors,
-                                   "$.estimator", -13.0),
-                max_targets=_want(est_obj, "max_targets", int, errors,
-                                  "$.estimator", 1),
-                interpolate=_want(est_obj, "interpolate", bool, errors,
-                                  "$.estimator", False))
-        except ValueError as exc:
-            errors.append(f"$.estimator: {exc}")
-    elif "estimator" in data:
-        errors.append("$.estimator: expected an object")
-
-    sweep = data.get("sweep", {})
-    if not isinstance(sweep, dict):
-        errors.append("$.sweep: expected an object")
-        sweep = {}
-    _check_unknown(sweep, {"snr_db", "mu_percent", "weights"}, errors,
-                   "$.sweep")
-    snr_db = _parse_float_list(sweep, "snr_db", errors, "$.sweep",
-                               allow_null=True) or (None,)
-    mu_sweep = _parse_float_list(sweep, "mu_percent", errors, "$.sweep")
-    weights = _parse_float_list(sweep, "weights", errors, "$.sweep")
-
-    default_order = 4 if waveform == "ofdma" else 2
-    kwargs = dict(
-        waveform=waveform or "pmcw",
-        pmcw=pmcw, ofdma=ofdma, golay=golay,
-        scene=scene, estimator=estimator,
-        snr_db=snr_db, mu_sweep=mu_sweep, weights=weights,
-        symbol_order=_want(data, "symbol_order", int, errors, "$",
-                           default_order),
-        code_kind=_want(data, "code_kind", str, errors, "$", "mseq"),
-        code_seed=_want(data, "code_seed", int, errors, "$", 0),
-        refine_factor=_want(data, "refine_factor", int, errors, "$", 8),
-        false_alarm=_want(data, "false_alarm", float, errors, "$", 0.01),
-        trials=_want(data, "trials", int, errors, "$", 1),
-        seed=_want(data, "seed", int, errors, "$", 0),
-        out_dir=_want(data, "out_dir", str, errors, "$", "results"))
-
-    known = {"version", "waveform", "pmcw", "ofdma", "golay", "scene",
-             "estimator", "sweep", "symbol_order", "code_kind", "code_seed",
-             "refine_factor", "false_alarm", "trials", "seed", "out_dir"}
-    for key in data:
-        if key not in known:
-            errors.append(f"$.{key}: unknown field")
-
+    kwargs = {row[1]: _field(data, row, errors, "$") for row in _BODY}
+    _reject_unknown(data, _TOP, errors, "$")
     if not errors:
         try:
-            return ScenarioConfig(**kwargs)
+            return _scenario(waveform=waveform, **kwargs)
         except ValueError as exc:
             errors.append(f"$: {exc}")
     raise ConfigError(errors)
@@ -441,9 +343,12 @@ def parse_config(data: dict) -> ScenarioConfig:
 
 def load_config(path) -> ScenarioConfig:
     """Parse and validate a scenario file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"{path}: not valid UTF-8: {exc.reason}"]) \
+                from None
         except json.JSONDecodeError as exc:
             raise ConfigError([f"{path}: line {exc.lineno} column "
                                f"{exc.colno}: {exc.msg}"]) from None
@@ -455,85 +360,27 @@ def load_config(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _geometry_dict(geom: ArrayGeometry) -> dict:
-    return {"n_tx": geom.n_tx, "n_rx": geom.n_rx,
-            "spacing_over_lambda": geom.spacing_over_lambda}
+def _dump(attrs: dict, rows) -> dict:
+    """The canonical JSON object for one section, from its attributes."""
+    out = {}
+    for key, attr, kind, _ in rows:
+        value = attrs[attr]
+        if isinstance(kind, list):
+            value = [_dump(vars(item), kind[0].rows) for item in value]
+        elif isinstance(kind, _Section):
+            if value is None:  # an absent optional section
+                continue
+            value = _dump(vars(value), kind.rows)
+        elif kind == complex | None and value is not None:
+            value = [value.real, value.imag]
+        out[key] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def canonical_dict(config: ScenarioConfig) -> dict:
     """Every field explicit, defaults included, internal units verbatim."""
-    out = {
-        "version": CONFIG_VERSION,
-        "waveform": config.waveform,
-        "scene": {
-            "scatterers": [
-                {
-                    "delay_s": sc.delay_s,
-                    "doppler_hz": sc.doppler_hz,
-                    "velocity_mps": sc.velocity_mps,
-                    "angle_rad": sc.angle_rad,
-                    "departure_rad": sc.departure_rad,
-                    "rcs_m2": sc.rcs_m2,
-                    "amplitude": (None if sc.amplitude is None
-                                  else [sc.amplitude.real,
-                                        sc.amplitude.imag]),
-                    "fading": sc.fading,
-                    "rician_k": sc.rician_k,
-                }
-                for sc in config.scene.scatterers
-            ],
-            "noise_variance": config.scene.noise_variance,
-            "seed": config.scene.seed,
-        },
-        "estimator": {
-            "range_pad": config.estimator.range_pad,
-            "doppler_pad": config.estimator.doppler_pad,
-            "angle_pad": config.estimator.angle_pad,
-            "threshold_db": config.estimator.threshold_db,
-            "max_targets": config.estimator.max_targets,
-            "interpolate": config.estimator.interpolate,
-        },
-        "sweep": {
-            "snr_db": list(config.snr_db),
-            "mu_percent": list(config.mu_sweep),
-            "weights": list(config.weights),
-        },
-        "symbol_order": config.symbol_order,
-        "code_kind": config.code_kind,
-        "code_seed": config.code_seed,
-        "refine_factor": config.refine_factor,
-        "false_alarm": config.false_alarm,
-        "trials": config.trials,
-        "seed": config.seed,
-        "out_dir": config.out_dir,
-    }
-    if config.pmcw is not None:
-        out["pmcw"] = {
-            "code_length": config.pmcw.code_length,
-            "n_frames": config.pmcw.n_frames,
-            "chip_time_s": config.pmcw.chip_time,
-            "carrier_hz": config.pmcw.carrier_hz,
-            "mu_percent": config.pmcw.mu_percent,
-            "geometry": _geometry_dict(config.pmcw.geometry),
-        }
-    if config.ofdma is not None:
-        out["ofdma"] = {
-            "n_subcarriers": config.ofdma.n_subcarriers,
-            "n_symbols": config.ofdma.n_symbols,
-            "subcarrier_spacing_hz": config.ofdma.subcarrier_spacing_hz,
-            "carrier_hz": config.ofdma.carrier_hz,
-            "cp_samples": config.ofdma.cp_samples,
-            "mu_percent": config.ofdma.mu_percent,
-            "pilot_seed": config.ofdma.pilot_seed,
-            "geometry": _geometry_dict(config.ofdma.geometry),
-        }
-    if config.golay is not None:
-        out["golay"] = {
-            "log2_length": config.golay.log2_length,
-            "guard_samples": config.golay.guard_samples,
-            "sample_time_s": config.golay.sample_time_s,
-        }
-    return out
+    attrs = dict(vars(config), version=CONFIG_VERSION, sweep=config)
+    return _dump(attrs, _TOP)
 
 
 def canonical_json(config: ScenarioConfig) -> str:

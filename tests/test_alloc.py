@@ -4,11 +4,17 @@ KKT and budget checks recompute the optimality conditions from the returned
 powers rather than trusting the solver's own residual field.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import norm
 
 from jrcsim.alloc import (AllocationProblem, AllocationResult,
                           detection_probability, np_allocate,
@@ -121,6 +127,25 @@ def test_detection_probability_monotone_in_false_alarm():
     values = [detection_probability(snr, a)
               for a in (0.001, 0.01, 0.05, 0.2, 0.5)]
     assert np.all(np.diff(values) > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-12, np.log10(0.98)), st.floats(-3, 4))
+def test_detection_probability_matches_scipy_oracle(log_alpha, log_snr):
+    alpha, snr = 10.0 ** log_alpha, 10.0 ** log_snr
+    expected = float(norm.sf(norm.isf(alpha) - np.sqrt(2.0 * snr)))
+    assert detection_probability(snr, alpha) == pytest.approx(
+        expected, rel=1e-12, abs=0.0)
+
+
+def test_import_does_not_load_scipy():
+    code = ("import sys, jrcsim, jrcsim.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.stdout.strip() == "[]"
 
 
 def test_detection_probability_validation():

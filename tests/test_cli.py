@@ -84,6 +84,28 @@ def test_validate_json_syntax_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "af"])
+def test_unreadable_config_is_an_error_not_a_traceback(tmp_path, capsys,
+                                                       command):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"version": 1, "waveform": "pm\xe7w"}')
+    assert main([command, str(undecodable)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: invalid config {undecodable}:" in err
+    assert "not valid UTF-8" in err
+    assert main([command, str(tmp_path)]) == 2
+    assert f"error: cannot read config file {tmp_path}" in \
+        capsys.readouterr().err
+
+
+def test_validate_rejects_nan_literal(tmp_path, capsys):
+    cfg = write_scenario(tmp_path / "nan.json")
+    cfg.write_text(cfg.read_text().replace("1e-09", "NaN"))
+    assert main(["validate", str(cfg)]) == 2
+    assert "$.pmcw.chip_time_s: expected a finite number" in \
+        capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------

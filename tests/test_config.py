@@ -1,12 +1,18 @@
 """Scenario file parsing, validation, and canonical serialization."""
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jrcsim import config as config_module
 from jrcsim.config import (ConfigError, GolayRunConfig, ScenarioConfig,
-                           canonical_json, config_hash, load_config,
-                           parse_config, save_config)
+                           canonical_dict, canonical_json, config_hash,
+                           load_config, parse_config, save_config)
+
+PINNED = Path(__file__).with_name("pinned_scenarios.json")
 
 
 def base_pmcw():
@@ -222,13 +228,24 @@ def test_mseq_code_length_cross_check():
 
 def test_sections_must_be_objects():
     data = base_pmcw()
+    data["pmcw"]["geometry"] = 5
     data["scene"] = [1]
     data["estimator"] = 3
     data["sweep"] = "all"
     errs = errors_of(data)
+    assert "$.pmcw.geometry: expected an object" in errs
     assert "$.scene: expected an object" in errs
     assert "$.estimator: expected an object" in errs
     assert "$.sweep: expected an object" in errs
+
+
+@pytest.mark.parametrize("geometry", [5, None, "x", [1]])
+@pytest.mark.parametrize("base", [base_pmcw, base_ofdma])
+def test_geometry_must_be_an_object(base, geometry):
+    data = base()
+    section = data["waveform"]
+    data[section]["geometry"] = geometry
+    assert errors_of(data) == (f"$.{section}.geometry: expected an object",)
 
 
 def test_wrong_section_type_for_waveform():
@@ -289,6 +306,42 @@ def test_negative_seeds_rejected():
     assert "$.ofdma: pilot_seed must be >= 0" in errors_of(data)
 
 
+@pytest.mark.parametrize("base, path, value", [
+    (base_pmcw, ("pmcw", "chip_time_s"), float("nan")),
+    (base_pmcw, ("pmcw", "carrier_hz"), 10 ** 400),
+    (base_ofdma, ("ofdma", "carrier_hz"), float("inf")),
+    (base_ofdma, ("ofdma", "mu_percent"), float("-inf")),
+    (base_golay, ("golay", "sample_time_s"), float("nan")),
+    (base_pmcw, ("pmcw", "geometry", "spacing_over_lambda"), float("inf")),
+    (base_pmcw, ("scene", "noise_variance"), float("nan")),
+    (base_pmcw, ("scene", "scatterers", 0, "delay_s"), float("nan")),
+    (base_pmcw, ("scene", "scatterers", 0, "doppler_hz"), float("inf")),
+    (base_pmcw, ("scene", "scatterers", 0, "amplitude"), float("nan")),
+    (base_pmcw, ("scene", "scatterers", 0, "amplitude"), [1, 10 ** 400]),
+    (base_pmcw, ("estimator", "threshold_db"), float("nan")),
+    (base_pmcw, ("false_alarm",), float("nan")),
+])
+def test_non_finite_numbers_rejected(base, path, value):
+    data = base()
+    data["scene"] = {"scatterers": [{"delay_s": 1e-9}]}
+    target = data
+    for key in path[:-1]:
+        target = target[key] if isinstance(key, int) \
+            else target.setdefault(key, {})
+    target[path[-1]] = value
+    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                    for k in path)
+    assert f"${where}: expected a finite number" in errors_of(data)
+
+
+def test_sweep_entries_beyond_float_range_rejected():
+    data = base_pmcw()
+    data["sweep"] = {"snr_db": [None, 10 ** 400]}
+    assert errors_of(data) == ("$: snr_db entries must be finite or null",)
+    data["sweep"] = {"snr_db": [float("nan")]}
+    assert errors_of(data) == ("$: snr_db entries must be finite or null",)
+
+
 def test_interpolate_must_be_boolean():
     data = base_pmcw()
     data["estimator"] = {"interpolate": "yes"}
@@ -347,6 +400,15 @@ def test_save_load_round_trip(tmp_path):
     assert config_hash(loaded) == config_hash(cfg)
 
 
+def test_load_config_reports_undecodable_bytes(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(base_pmcw()).encode()
+                     .replace(b"pmcw", b"pm\xe7w", 1))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert info.value.errors[0].startswith(f"{path}: not valid UTF-8")
+
+
 def test_load_config_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"version": 1,\n  "waveform" }\n')
@@ -360,3 +422,111 @@ def test_scenario_config_direct_construction_guard():
     cfg = parse_config(base_pmcw())
     with pytest.raises(ValueError):
         ScenarioConfig(**{**cfg.__dict__, "waveform": "ofdma"})
+
+
+# ---------------------------------------------------------------------------
+# The schema tables
+# ---------------------------------------------------------------------------
+
+
+def test_config_hash_pinned():
+    """Every scenario the tests, fig4_trends.py and perfbench/workloads.json
+    use keeps the config_hash it had before the table-driven parser."""
+    pinned = json.loads(PINNED.read_text())
+    moved = [(entry["source"], entry["config_hash"],
+              config_hash(parse_config(entry["scenario"])))
+             for entry in pinned]
+    assert [m for m in moved if m[1] != m[2]] == []
+    assert len(pinned) >= 40
+
+
+def _full_scenario():
+    data = base_pmcw()
+    data["ofdma"] = base_ofdma()["ofdma"]
+    data["golay"] = base_golay()["golay"]
+    data["scene"] = {"scatterers": [{"delay_s": 1e-9, "amplitude": 1.0}]}
+    return data
+
+
+def test_every_table_key_is_written():
+    def walk(rows, written, path):
+        assert set(written) == {row[0] for row in rows}, path
+        for key, _, kind, _ in rows:
+            if isinstance(kind, list):
+                for i, item in enumerate(written[key]):
+                    walk(kind[0].rows, item, f"{path}.{key}[{i}]")
+            elif isinstance(kind, config_module._Section):
+                walk(kind.rows, written[key], f"{path}.{key}")
+
+    walk(config_module._TOP, canonical_dict(parse_config(_full_scenario())),
+         "$")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_scatterer = st.fixed_dictionaries(
+    {"delay_s": st.floats(0, 1e-6)},
+    optional={"doppler_hz": st.none() | _finite,
+              "velocity_mps": _finite,
+              "angle_rad": st.floats(-1.5, 1.5),
+              "departure_rad": st.floats(-1.5, 1.5),
+              "rcs_m2": st.floats(0, 1e3),
+              "amplitude": st.none() | _finite
+              | st.tuples(_finite, _finite).map(list),
+              "fading": st.sampled_from(["swerling0", "swerling12",
+                                         "swerling34", "rician"]),
+              "rician_k": st.floats(0, 100) | st.integers(0, 100)})
+_geometry = st.fixed_dictionaries({}, optional={
+    "n_tx": st.integers(1, 8), "n_rx": st.integers(1, 8),
+    "spacing_over_lambda": st.floats(0.1, 2)})
+_valid_scenario = st.fixed_dictionaries({
+    "version": st.just(1),
+    "waveform": st.just("ofdma"),
+    "ofdma": st.fixed_dictionaries(
+        {"n_subcarriers": st.integers(1, 64), "n_symbols": st.integers(1, 16),
+         "subcarrier_spacing_hz": st.floats(1e3, 1e9),
+         "carrier_hz": st.floats(1e9, 1e11) | st.integers(10 ** 9, 10 ** 11)},
+        optional={"cp_samples": st.integers(0, 16),
+                  "mu_percent": st.floats(0, 100) | st.integers(0, 100),
+                  "pilot_seed": st.integers(0, 2 ** 40),
+                  "geometry": _geometry}),
+}, optional={
+    "pmcw": st.fixed_dictionaries(
+        {"code_length": st.integers(1, 64), "n_frames": st.integers(1, 16),
+         "chip_time_s": st.floats(1e-12, 1e-6),
+         "carrier_hz": st.floats(1e9, 1e11)},
+        optional={"mu_percent": st.floats(0, 100), "geometry": _geometry}),
+    "golay": st.fixed_dictionaries(
+        {"log2_length": st.integers(1, 16),
+         "guard_samples": st.integers(1, 512),
+         "sample_time_s": st.floats(1e-12, 1e-6)}),
+    "scene": st.fixed_dictionaries({}, optional={
+        "scatterers": st.lists(_scatterer, max_size=3),
+        "noise_variance": st.floats(0, 10),
+        "seed": st.integers(0, 2 ** 40)}),
+    "estimator": st.fixed_dictionaries({}, optional={
+        "range_pad": st.integers(1, 8), "doppler_pad": st.integers(1, 8),
+        "angle_pad": st.integers(1, 8), "threshold_db": st.floats(-60, -1),
+        "max_targets": st.integers(1, 4), "interpolate": st.booleans()}),
+    "sweep": st.fixed_dictionaries({}, optional={
+        "snr_db": st.lists(st.none() | st.floats(-30, 40), max_size=4),
+        "mu_percent": st.lists(st.floats(0, 100), max_size=3),
+        "weights": st.lists(st.floats(0, 1), max_size=3)}),
+    "symbol_order": st.sampled_from([2, 4]),
+    "code_kind": st.just("random"),
+    "code_seed": st.integers(0, 2 ** 40),
+    "refine_factor": st.integers(1, 16),
+    "false_alarm": st.floats(1e-9, 0.5),
+    "trials": st.integers(1, 1000),
+    "seed": st.integers(0, 2 ** 40),
+    "out_dir": st.text(max_size=8),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_valid_scenario)
+def test_parse_of_canonical_is_idempotent(data):
+    config = parse_config(data)
+    text = canonical_json(config)
+    again = parse_config(json.loads(text))
+    assert again == config
+    assert canonical_json(again) == text
