@@ -13,8 +13,10 @@ multi-target response (amplitudes re-fitted by least squares on the known
 slots) and differentially decodes the projections.  Refinement re-runs
 detection over every slot with the decoded symbols treated as known.  It
 forms the unpadded (pad-1) map of all slots, and evaluates the finer
-zero-padded grid only in a window around each local peak of that map
-above the threshold: +-1 unpadded bin plus a one-cell guard ring, so
+zero-padded grid only in a window around each seed cell of that map above
+the threshold (a local peak, or on a padded axis a rising flank, beside
+which a fine peak between two unpadded bins may lie): +-1 unpadded bin
+plus a one-cell guard ring, so
 (2 * pad + 3) cells per padded axis, computed with small explicit DFT
 matrices (a chirp-z style zoom).  A refinement costs the pad-1 map plus
 O(peaks * window cells * slots), instead of an FFT over, and a peak scan
@@ -313,19 +315,49 @@ def _map_targets(beams: np.ndarray, est: EstimatorConfig,
                                   est, lay)
 
 
+def _seed_cells(seed_power: np.ndarray, pads, wrap,
+                threshold_db: float) -> np.ndarray:
+    """(row, col) of every pad-1 cell a fine-grid peak may lie next to.
+
+    A cell qualifies when it reaches the threshold (relative to the map's
+    strongest cell) and, on each axis, is >= its neighbours on both sides
+    of an unpadded axis but on one side only of a padded one, diagonals
+    on the compared sides included.  A fine peak halfway between two
+    pad-1 bins shows there as a rising flank toward a stronger neighbour
+    (another target's sidelobe, say) rather than a local maximum, and the
+    higher of its two bins still qualifies.  With every pad 1 the seeds
+    are the map's local maxima.  Cells come in row-major order.
+    """
+    peak = float(seed_power.max(initial=0.0))
+    if peak <= 0:
+        return np.zeros((0, 2), dtype=int)
+    _, guarded = _whole_map(seed_power, wrap)
+    g, (n0, n1) = guarded[0], seed_power.shape
+    inner = g[1:-1, 1:-1]
+    sides = [[(-1, 0, 1)] if p == 1 else [(-1, 0), (0, 1)] for p in pads]
+    ok = np.zeros(inner.shape, dtype=bool)
+    for rows in sides[0]:
+        for cols in sides[1]:
+            good = inner >= peak * 10.0 ** (threshold_db / 10.0)
+            for dr in rows:
+                for dc in cols:
+                    if dr or dc:
+                        good &= inner >= g[1 + dr:n0 + 1 + dr,
+                                           1 + dc:n1 + 1 + dc]
+            ok |= good
+    return np.argwhere(ok)
+
+
 def _refine_windows(seed_power: np.ndarray, beams_at, pads,
                     est: EstimatorConfig, lay: _MapLayout) -> tuple:
-    """Fine-grid windows around every local peak of the pad-1 map.
+    """Fine-grid windows around every seed cell of the pad-1 map.
 
-    Seeds are the pad-1 map's local maxima above the threshold.  Seed bin
-    s maps to fine bin s * pad; its window spans +-pad fine bins (+-1 seed
-    bin) plus the guard ring.  ``beams_at(rows, cols)`` evaluates the fine
-    per-element map at stacked true fine bins (a -1 bin may read anything).
+    Seeds are ``_seed_cells``.  Seed bin s maps to fine bin s * pad; its
+    window spans +-pad fine bins (+-1 seed bin) plus the guard ring.
+    ``beams_at(rows, cols)`` evaluates the fine per-element map at stacked
+    true fine bins (a -1 bin may read anything).
     """
-    bins, guarded = _whole_map(seed_power, lay.wrap)
-    seeds = _peak_cells(bins, guarded, seed_power.size, est.threshold_db)
-    centres = np.array([(bins[0][0, r], bins[1][0, c]) for _, r, c in seeds],
-                       dtype=int).reshape(-1, 2)
+    centres = _seed_cells(seed_power, pads, lay.wrap, est.threshold_db)
     wbins = tuple(_bins(centres[:, [a]] * p + np.arange(-p - 1, p + 2), n, w)
                   for a, (p, n, w) in enumerate(zip(pads, lay.shape,
                                                     lay.wrap)))

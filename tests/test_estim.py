@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jrcsim import estim
@@ -548,11 +548,15 @@ def oracle_ofdma_beams(cube, symbols, range_pad, doppler_pad):
     return np.fft.fft(prof, n=cube.config.n_symbols * doppler_pad, axis=1)
 
 
-def oracle_local_max(power, wrap):
-    """Cells >= all 8 neighbours, by rolling the whole map."""
+def oracle_local_max(power, wrap, rows=(-1, 0, 1), cols=(-1, 0, 1)):
+    """Cells >= all 8 neighbours, by rolling the whole map.
+
+    ``rows`` and ``cols`` restrict the roll offsets (neighbour sides)
+    compared.
+    """
     ok = np.ones(power.shape, dtype=bool)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
+    for dr in rows:
+        for dc in cols:
             if dr == 0 and dc == 0:
                 continue
             shifted = np.roll(power, (dr, dc), axis=(0, 1))
@@ -583,6 +587,18 @@ def oracle_peaks(power, max_peaks, threshold_db, wrap, allowed=None,
     cells = sorted(map(tuple, np.argwhere(ok)),
                    key=lambda c: (-power[c], c[0], c[1]))
     return cells[:max_peaks]
+
+
+def oracle_seeds(power, pads, threshold_db, wrap):
+    """Cells above the threshold that are >= their neighbours on both
+    sides of each unpadded axis, and on one side of each padded axis."""
+    sides = [[(-1, 0, 1)] if p == 1 else [(-1, 0), (0, 1)] for p in pads]
+    ok = np.zeros(power.shape, dtype=bool)
+    for rows in sides[0]:
+        for cols in sides[1]:
+            ok |= oracle_local_max(power, wrap, rows, cols)
+    ok &= power >= power.max() * 10.0 ** (threshold_db / 10.0)
+    return [tuple(c) for c in np.argwhere(ok)]
 
 
 def oracle_window_mask(seeds, pads, shape, wrap, guard):
@@ -632,8 +648,7 @@ def check_against_oracle(beams, windows, lay, est, pads, strict):
     """
     power = np.sum(np.abs(beams) ** 2, axis=2)
     seed_map = power[::pads[0], ::pads[1]]
-    seeds = oracle_peaks(seed_map, seed_map.size, est.threshold_db,
-                         lay.wrap)
+    seeds = oracle_seeds(seed_map, pads, est.threshold_db, lay.wrap)
     stacked_bins, stacked_power, stacked_beams = windows
     assert len(stacked_power) == len(seeds)
     scale = power.max()
@@ -713,6 +728,11 @@ refine_cases = dict(
 
 @settings(max_examples=80, deadline=None)
 @given(**refine_cases)
+# The strong target sits near the Doppler Nyquist bin, and its range
+# sidelobes lift that row above the weak target, which falls halfway
+# between two pad-1 Doppler bins: its fine peak is only next to a flank.
+@example(seed=219, range_pad=1, doppler_pad=2, angle_pad=1,
+         interpolate=False, max_targets=1, n_scatterers=2, snr_db=0.0)
 def test_pmcw_windowed_refine_matches_full_grid(
         seed, range_pad, doppler_pad, angle_pad, interpolate, max_targets,
         n_scatterers, snr_db):
