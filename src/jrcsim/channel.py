@@ -169,3 +169,18 @@ def scatterer_amplitude(sc: Scatterer, carrier_hz: float, n_tx: int,
     g = radar_large_scale_gain(lam, sc.rcs_m2, rho)
     eta = -2 * np.pi * carrier_hz * sc.delay_s
     return n_tx * np.sqrt(g) * fading * np.exp(1j * eta)
+
+
+def _cpi_fading(scene: Scene, cpi_indices) -> np.ndarray:
+    """(CPIs, scatterers) fading gains of the CPIs ``cpi_indices``."""
+    return np.array([scene.fading_gains(i) for i in cpi_indices],
+                    dtype=complex).reshape(len(cpi_indices),
+                                           len(scene.scatterers))
+
+
+def _add_cpi_noise(data: np.ndarray, variance: float, rngs) -> None:
+    """Add noise of ``variance`` to each CPI ``data[k]``, drawn from
+    ``rngs[k]``; nothing is drawn when the variance is 0."""
+    if variance > 0:
+        for cpi, rng in zip(data, rngs):
+            cpi += complex_awgn(rng, cpi.shape, variance)

@@ -8,6 +8,11 @@ largest local maxima, then read the angle off a beamspace FFT across the
 array.  Super-resolution is out of scope; zero padding plus the documented
 bin conventions stand in for it.
 
+The estimators run on stacks of CPIs with a leading axis (the trials of
+a sweep point); the public single-CPI functions are stacks of one.  Peak
+picking stays per CPI: each map's threshold is relative to its own
+strongest cell.
+
 Symbol decoding projects each data-bearing slot onto the reconstructed
 multi-target response (amplitudes re-fitted by least squares on the known
 slots) and differentially decodes the projections.  Refinement re-runs
@@ -165,10 +170,12 @@ def _axis_offset(power: np.ndarray, pos, axis: int) -> float:
     return _parabolic_offset(power[tuple(lo)], power[pos], power[tuple(hi)])
 
 
-# Windows are stacked guarded blocks: a whole map, or windows of one, each
-# with a one-cell guard ring.  ``bins`` pairs a (windows, rows) and a
-# (windows, cols) array of the true map bin of each block row and column,
-# -1 outside a non-wrapping axis, where the block's power is -inf.
+# Windows are stacked guarded blocks: whole maps, or windows of them, each
+# with a one-cell guard ring.  The maps come as a stack too, one per CPI
+# (trial), and block w belongs to map ``owner[w]``.  ``bins`` pairs a
+# (blocks, rows) and a (blocks, cols) array of the true map bin of each
+# block row and column, -1 outside a non-wrapping axis, where the block's
+# power is -inf.
 
 
 def _bins(raw: np.ndarray, n: int, wrap: bool) -> np.ndarray:
@@ -176,9 +183,10 @@ def _bins(raw: np.ndarray, n: int, wrap: bool) -> np.ndarray:
     return raw % n if wrap else np.where((raw >= 0) & (raw < n), raw, -1)
 
 
-def _gather(values: np.ndarray, bins) -> np.ndarray:
-    """A map's values at every block cell (the -1 bins read a wrong one)."""
-    return values[bins[0][:, :, None], bins[1][:, None, :]]
+def _gather(values: np.ndarray, bins, owner: np.ndarray) -> np.ndarray:
+    """Stacked maps' values at every block cell (-1 bins read a wrong one)."""
+    return values[owner[:, None, None], bins[0][:, :, None],
+                  bins[1][:, None, :]]
 
 
 def _guard(power: np.ndarray, bins) -> np.ndarray:
@@ -188,41 +196,51 @@ def _guard(power: np.ndarray, bins) -> np.ndarray:
 
 
 def _whole_map(power: np.ndarray, wrap) -> tuple:
-    """(bins, power) of a whole map plus its guard ring, a stack of one."""
-    bins = tuple(_bins(np.arange(-1, n + 1)[None, :], n, w)
-                 for n, w in zip(power.shape, wrap))
-    return bins, _guard(_gather(power, bins), bins)
+    """(bins, power, owner) of a stack of whole maps plus guard rings."""
+    bins = tuple(np.repeat(_bins(np.arange(-1, n + 1), n, w)[None],
+                           len(power), axis=0)
+                 for n, w in zip(power.shape[1:], wrap))
+    owner = np.arange(len(power))
+    return bins, _guard(_gather(power, bins, owner), bins), owner
 
 
-def _peak_cells(bins, power: np.ndarray, max_peaks: int,
-                threshold_db: float) -> list:
-    """The strongest local maxima of stacked guarded power blocks.
+def _threshold(peak: np.ndarray, threshold_db: float) -> np.ndarray:
+    """Per-map power thresholds; NaN (nothing qualifies) where the map's
+    strongest cell is not positive."""
+    return np.where(peak > 0, peak * 10.0 ** (threshold_db / 10.0), np.nan)
+
+
+def _peak_cells(bins, power: np.ndarray, owner: np.ndarray, n_maps: int,
+                max_peaks: int, threshold_db: float) -> list:
+    """The strongest local maxima of stacked guarded power blocks, per map.
 
     A cell inside a guard ring qualifies when it is >= all 8 neighbours
-    and reaches the threshold relative to the strongest cell of any block.
-    A cell that several blocks share counts once; ties break toward the
-    lowest true bin.  Returns (block, row, col) block positions.
+    and reaches the threshold relative to the strongest cell of any block
+    of its map.  A cell that several blocks of a map share counts once;
+    ties break toward the lowest true bin.  Returns, for each of the
+    ``n_maps`` maps, a list of (block, row, col) block positions.
     """
-    peak = float(power.max(initial=0.0))
-    if peak <= 0:
-        return []
-    threshold = peak * 10.0 ** (threshold_db / 10.0)
+    peak = np.zeros(n_maps)
+    np.maximum.at(peak, owner, power.max(axis=(1, 2), initial=0.0))
     inner = power[:, 1:-1, 1:-1]
     around = np.maximum(np.maximum(power[:, :-2], power[:, 1:-1]),
                         power[:, 2:])
     around = np.maximum(np.maximum(around[:, :, :-2], around[:, :, 1:-1]),
                         around[:, :, 2:])
-    w, r, c = np.nonzero((inner >= around) & (inner >= threshold))
+    w, r, c = np.nonzero((inner >= around) & (
+        inner >= _threshold(peak, threshold_db)[owner, None, None]))
     r, c = r + 1, c + 1
-    row, col = bins[0][w, r], bins[1][w, c]
-    cells, seen = [], set()
-    for k in np.lexsort((col, row, -power[w, r, c])):
-        if (row[k], col[k]) in seen:
+    row, col, own = bins[0][w, r], bins[1][w, c], owner[w]
+    order = np.lexsort((col, row, -power[w, r, c], own)).tolist()
+    w, r, c, row, col, own = (a.tolist() for a in (w, r, c, row, col, own))
+    cells = [[] for _ in range(n_maps)]
+    seen = set()
+    for k in order:
+        picked = cells[own[k]]
+        if len(picked) == max_peaks or (own[k], row[k], col[k]) in seen:
             continue
-        seen.add((row[k], col[k]))
-        cells.append((int(w[k]), int(r[k]), int(c[k])))
-        if len(cells) == max_peaks:
-            break
+        seen.add((own[k], row[k], col[k]))
+        picked.append((w[k], r[k], c[k]))
     return cells
 
 
@@ -230,10 +248,10 @@ def profile_peaks(profile, max_peaks: int = 1, threshold_db: float = -13.0):
     """Largest local maxima of a 1-d magnitude profile (no wrap)."""
     p = np.abs(np.asarray(profile, dtype=float)) if np.iscomplexobj(profile) \
         else np.asarray(profile, dtype=float)
-    bins, power = _whole_map(p[None, :] ** 2 if p.ndim == 1 else p,
-                             (False, False))
-    return [int(bins[1][0, c])
-            for _, _, c in _peak_cells(bins, power, max_peaks, threshold_db)]
+    bins, power, owner = _whole_map(
+        (p[None, :] ** 2 if p.ndim == 1 else p)[None], (False, False))
+    return [int(bins[1][0, c]) for _, _, c in
+            _peak_cells(bins, power, owner, 1, max_peaks, threshold_db)[0]]
 
 
 def _angle_from_snapshot(snapshot: np.ndarray, spacing_over_lambda: float,
@@ -267,82 +285,92 @@ def _doppler_axis(nd: int, period: float) -> np.ndarray:
     return np.array([_wrap_bin(i, nd) / (nd * period) for i in range(nd)])
 
 
-def _dft(bins: np.ndarray, n_in: int, n_out: int, sign: float) -> np.ndarray:
-    """Rows ``bins`` (any shape) of the n_out-point DFT matrix over n_in
-    inputs."""
+def _dft(n_in: int, n_out: int, sign: float) -> np.ndarray:
+    """The (n_out, n_in) n_out-point DFT matrix over n_in inputs; a stack
+    of refinement windows takes its rows by fine bin."""
     roots = np.exp(sign * 2j * np.pi * np.arange(n_out) / n_out)
-    return roots[bins[..., None] * np.arange(n_in) % n_out]
+    return roots[np.arange(n_out)[:, None] * np.arange(n_in) % n_out]
 
 
-def _window_targets(windows, est: EstimatorConfig, lay: _MapLayout) -> tuple:
-    """Peak -> angle -> sub-bin offset -> amplitude over stacked windows."""
-    bins, power, beams = windows
+def _cell_target(windows, block_cell, est: EstimatorConfig,
+                 lay: _MapLayout) -> TargetEstimate:
+    """Peak -> angle -> sub-bin offset -> amplitude at one block cell."""
+    bins, power, beams, _ = windows
+    w, r, c = block_cell
     da, ka = lay.delay_axis, 1 - lay.delay_axis
     nd = lay.shape[ka]
-    targets = []
-    for w, r, c in _peak_cells(bins, power, est.max_targets,
-                               est.threshold_db):
-        cell = (int(bins[0][w, r]), int(bins[1][w, c]))
-        snapshot = beams[w, r, c]
-        angle, abin = _angle_from_snapshot(snapshot, lay.spacing,
-                                           est.angle_pad,
-                                           phase_sign=lay.phase_sign,
-                                           interpolate=est.interpolate)
-        kappa_signed = _wrap_bin(cell[ka], nd)
-        d_off = k_off = 0.0
-        if est.interpolate:
-            if lay.wrap[da] or 0 < cell[da] < lay.shape[da] - 1:
-                d_off = _axis_offset(power[w], (r, c), da)
-            k_off = _axis_offset(power[w], (r, c), ka)
-        steer = np.exp(lay.phase_sign * 2j * np.pi * lay.spacing
-                       * np.sin(angle) * np.arange(snapshot.size))
-        amplitude = snapshot @ np.conj(steer) / (snapshot.size * lay.n_known)
-        targets.append(TargetEstimate(
-            delay_s=lay.delay_of(cell[da] + d_off),
-            doppler_hz=(kappa_signed + k_off) / (nd * lay.period),
-            angle_rad=angle, amplitude=complex(amplitude),
-            delay_bin=cell[da], doppler_bin=kappa_signed,
-            angle_bin=abin, power=float(power[w, r, c])))
-    return tuple(targets)
+    cell = (int(bins[0][w, r]), int(bins[1][w, c]))
+    snapshot = beams[w, r, c]
+    angle, abin = _angle_from_snapshot(snapshot, lay.spacing,
+                                       est.angle_pad,
+                                       phase_sign=lay.phase_sign,
+                                       interpolate=est.interpolate)
+    kappa_signed = _wrap_bin(cell[ka], nd)
+    d_off = k_off = 0.0
+    if est.interpolate:
+        if lay.wrap[da] or 0 < cell[da] < lay.shape[da] - 1:
+            d_off = _axis_offset(power[w], (r, c), da)
+        k_off = _axis_offset(power[w], (r, c), ka)
+    steer = np.exp(lay.phase_sign * 2j * np.pi * lay.spacing
+                   * np.sin(angle) * np.arange(snapshot.size))
+    amplitude = snapshot @ np.conj(steer) / (snapshot.size * lay.n_known)
+    return TargetEstimate(
+        delay_s=lay.delay_of(cell[da] + d_off),
+        doppler_hz=(kappa_signed + k_off) / (nd * lay.period),
+        angle_rad=angle, amplitude=complex(amplitude),
+        delay_bin=cell[da], doppler_bin=kappa_signed,
+        angle_bin=abin, power=float(power[w, r, c]))
+
+
+def _window_targets(windows, n_maps: int, est: EstimatorConfig,
+                    lay: _MapLayout) -> list:
+    """Per map, the targets at the strongest peaks of its blocks;
+    ``windows`` is (bins, power, beams, owner)."""
+    bins, power, _, owner = windows
+    return [tuple(_cell_target(windows, cell, est, lay) for cell in cells)
+            for cells in _peak_cells(bins, power, owner, n_maps,
+                                     est.max_targets, est.threshold_db)]
 
 
 def _map_targets(beams: np.ndarray, est: EstimatorConfig,
                  lay: _MapLayout) -> tuple:
-    """(power map, targets) of a whole map of per-element beams."""
-    power = np.sum(np.abs(beams) ** 2, axis=2)
-    bins, guarded = _whole_map(power, lay.wrap)
-    return power, _window_targets((bins, guarded, _gather(beams, bins)),
-                                  est, lay)
+    """(power maps, targets per map) of a stack of whole maps of
+    per-element beams."""
+    power = np.sum(np.abs(beams) ** 2, axis=3)
+    bins, guarded, owner = _whole_map(power, lay.wrap)
+    return power, _window_targets(
+        (bins, guarded, _gather(beams, bins, owner), owner), len(power),
+        est, lay)
 
 
 def _seed_cells(seed_power: np.ndarray, pads, wrap,
                 threshold_db: float) -> np.ndarray:
-    """(row, col) of every pad-1 cell a fine-grid peak may lie next to.
+    """(map, row, col) of every pad-1 cell a fine-grid peak may lie next to.
 
-    A cell qualifies when it reaches the threshold (relative to the map's
-    strongest cell) and, on each axis, is >= its neighbours on both sides
-    of an unpadded axis but on one side only of a padded one, diagonals
-    on the compared sides included.  A fine peak halfway between two
-    pad-1 bins shows there as a rising flank toward a stronger neighbour
-    (another target's sidelobe, say) rather than a local maximum, and the
-    higher of its two bins still qualifies.  With every pad 1 the seeds
-    are the map's local maxima.  Cells come in row-major order.
+    ``seed_power`` is a stack of maps.  A cell qualifies when it reaches
+    the threshold (relative to its map's strongest cell) and, on each
+    axis, is >= its neighbours on both sides of an unpadded axis but on
+    one side only of a padded one, diagonals on the compared sides
+    included.  A fine peak halfway between two pad-1 bins shows there as
+    a rising flank toward a stronger neighbour (another target's
+    sidelobe, say) rather than a local maximum, and the higher of its two
+    bins still qualifies.  With every pad 1 the seeds are the map's local
+    maxima.  Cells come map by map, each in row-major order.
     """
-    peak = float(seed_power.max(initial=0.0))
-    if peak <= 0:
-        return np.zeros((0, 2), dtype=int)
-    _, guarded = _whole_map(seed_power, wrap)
-    g, (n0, n1) = guarded[0], seed_power.shape
-    inner = g[1:-1, 1:-1]
+    peak = seed_power.max(axis=(1, 2), initial=0.0)
+    _, g, _ = _whole_map(seed_power, wrap)
+    n0, n1 = seed_power.shape[1:]
+    inner = g[:, 1:-1, 1:-1]
+    above = inner >= _threshold(peak, threshold_db)[:, None, None]
     sides = [[(-1, 0, 1)] if p == 1 else [(-1, 0), (0, 1)] for p in pads]
     ok = np.zeros(inner.shape, dtype=bool)
     for rows in sides[0]:
         for cols in sides[1]:
-            good = inner >= peak * 10.0 ** (threshold_db / 10.0)
+            good = above.copy()
             for dr in rows:
                 for dc in cols:
                     if dr or dc:
-                        good &= inner >= g[1 + dr:n0 + 1 + dr,
+                        good &= inner >= g[:, 1 + dr:n0 + 1 + dr,
                                            1 + dc:n1 + 1 + dc]
             ok |= good
     return np.argwhere(ok)
@@ -350,19 +378,24 @@ def _seed_cells(seed_power: np.ndarray, pads, wrap,
 
 def _refine_windows(seed_power: np.ndarray, beams_at, pads,
                     est: EstimatorConfig, lay: _MapLayout) -> tuple:
-    """Fine-grid windows around every seed cell of the pad-1 map.
+    """Fine-grid windows around every seed cell of a stack of pad-1 maps.
 
     Seeds are ``_seed_cells``.  Seed bin s maps to fine bin s * pad; its
     window spans +-pad fine bins (+-1 seed bin) plus the guard ring.
-    ``beams_at(rows, cols)`` evaluates the fine per-element map at stacked
-    true fine bins (a -1 bin may read anything).
+    ``beams_at(owner, rows, cols)`` evaluates the fine per-element map of
+    map ``owner[w]`` at window w's true fine bins (a -1 bin may read
+    anything).  Returns (bins, power, beams, owner).
     """
-    centres = _seed_cells(seed_power, pads, lay.wrap, est.threshold_db)
-    wbins = tuple(_bins(centres[:, [a]] * p + np.arange(-p - 1, p + 2), n, w)
+    seeds = _seed_cells(seed_power, pads, lay.wrap, est.threshold_db)
+    owner = seeds[:, 0]
+    wbins = tuple(_bins(seeds[:, [a + 1]] * p + np.arange(-p - 1, p + 2),
+                        n, w)
                   for a, (p, n, w) in enumerate(zip(pads, lay.shape,
                                                     lay.wrap)))
-    beams = beams_at(*wbins)
-    return wbins, _guard(np.sum(np.abs(beams) ** 2, axis=-1), wbins), beams
+    beams = beams_at(owner, *wbins)
+    power = np.abs(beams)
+    power **= 2
+    return wbins, _guard(power.sum(axis=-1), wbins), beams, owner
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +404,16 @@ def _refine_windows(seed_power: np.ndarray, beams_at, pads,
 
 
 def _pmcw_correlate(frames: np.ndarray, symbols: np.ndarray,
-                    code: CodeSequence) -> np.ndarray:
-    """Fast-time code correlation of each frame with its symbol removed."""
-    y = frames * np.conj(symbols)[:, None, None]
-    code_spec = np.fft.fft(code.chips())
-    return np.fft.ifft(np.fft.fft(y, axis=1) * np.conj(code_spec)[None, :, None],
-                       axis=1)
+                    code_spec: np.ndarray) -> np.ndarray:
+    """Fast-time code correlation of each frame with its symbol removed.
+
+    ``frames`` is a (CPIs, frames, L, N_r) stack, ``symbols`` the
+    (CPIs, frames) symbols on them and ``code_spec`` the code's DFT.
+    """
+    y = frames * np.conj(symbols)[:, :, None, None]
+    np.fft.fft(y, axis=2, out=y)
+    y *= np.conj(code_spec)[:, None]
+    return np.fft.ifft(y, axis=2, out=y)
 
 
 def _pmcw_layout(config, m_count: int, doppler_pad: int) -> _MapLayout:
@@ -396,6 +433,24 @@ def _pmcw_result(power, config, targets) -> DetectionResult:
         targets=targets)
 
 
+def _pmcw_detect(data: np.ndarray, code_spec: np.ndarray, config,
+                 schedule, est: EstimatorConfig) -> tuple:
+    """(power maps, targets per CPI) of a (CPIs, M, L, N_r) data stack,
+    from its radar-only frames."""
+    if not schedule.identifiable:
+        raise NonIdentifiableError(
+            "no radar-only frames: delay/Doppler cannot be separated from "
+            "unknown data symbols at mu = 0")
+    idx = np.flatnonzero(schedule.is_radar)
+    nd = idx.size * est.doppler_pad
+    dopp = np.fft.ifft(_pmcw_correlate(
+        data[:, idx], np.ones((len(data), idx.size), dtype=complex),
+        code_spec), n=nd, axis=1)
+    dopp *= nd
+    return _map_targets(dopp, est,
+                        _pmcw_layout(config, idx.size, est.doppler_pad))
+
+
 def pmcw_range_doppler(cube: PmcwCube, code: CodeSequence,
                        est: EstimatorConfig | None = None) -> DetectionResult:
     """Detect targets from the radar-only frames of a CPI.
@@ -404,40 +459,40 @@ def pmcw_range_doppler(cube: PmcwCube, code: CodeSequence,
     with none present the delay/Doppler map is not identifiable from
     unknown data symbols and this raises.
     """
-    est = est or EstimatorConfig()
-    sched = cube.schedule
-    if not sched.identifiable:
-        raise NonIdentifiableError(
-            "no radar-only frames: delay/Doppler cannot be separated from "
-            "unknown data symbols at mu = 0")
-    idx = np.flatnonzero(sched.is_radar)
-    corr = _pmcw_correlate(cube.data[idx], np.ones(idx.size, dtype=complex),
-                           code)
-    nd = idx.size * est.doppler_pad
-    dopp = np.fft.ifft(corr, n=nd, axis=0) * nd
-    power, targets = _map_targets(
-        dopp, est, _pmcw_layout(cube.config, idx.size, est.doppler_pad))
-    return _pmcw_result(power, cube.config, targets)
+    power, targets = _pmcw_detect(cube.data[None], np.fft.fft(code.chips()),
+                                  cube.config, cube.schedule,
+                                  est or EstimatorConfig())
+    return _pmcw_result(power[0], cube.config, targets[0])
 
 
-def _pmcw_windows(cube: PmcwCube, code: CodeSequence, symbols: np.ndarray,
-                  est: EstimatorConfig):
-    """(pad-1 power map, fine-grid windows, layout) of a PMCW refinement."""
-    m_count = cube.config.n_frames
-    corr = _pmcw_correlate(cube.data, symbols, code)
-    seed_power = np.sum(np.abs(np.fft.ifft(corr, axis=0) * m_count) ** 2,
-                        axis=2)
-    lay = _pmcw_layout(cube.config, m_count, est.doppler_pad)
+def _pmcw_windows(data: np.ndarray, code_spec: np.ndarray, config,
+                  symbols: np.ndarray, est: EstimatorConfig):
+    """(pad-1 power maps, fine-grid windows, layout) of the PMCW
+    refinements of a (CPIs, M, L, N_r) data stack with (CPIs, M) symbols."""
+    m_count = config.n_frames
+    corr = _pmcw_correlate(data, symbols, code_spec)
+    seed_power = np.abs(np.fft.ifft(corr, axis=1) * m_count)
+    seed_power **= 2
+    seed_power = seed_power.sum(axis=3)
+    lay = _pmcw_layout(config, m_count, est.doppler_pad)
 
-    def beams_at(dopplers, lags):
-        picked = np.moveaxis(corr[:, lags], 0, 1)
+    def beams_at(owner, dopplers, lags):
+        picked = corr[owner[:, None, None], np.arange(m_count)[:, None],
+                      lags[:, None, :]]
         n, _, n_lags, n_rx = picked.shape
-        zoom = np.matmul(_dft(dopplers, m_count, lay.shape[0], +1.0),
+        zoom = np.matmul(_dft(m_count, lay.shape[0], +1.0)[dopplers],
                          picked.reshape(n, m_count, n_lags * n_rx))
-        return zoom.reshape(n, -1, n_lags, n_rx)
+        return zoom.reshape(n, dopplers.shape[1], n_lags, n_rx)
 
     return seed_power, _refine_windows(seed_power, beams_at,
                                        (est.doppler_pad, 1), est, lay), lay
+
+
+def _pmcw_refined(data: np.ndarray, code_spec: np.ndarray, config,
+                  symbols: np.ndarray, est: EstimatorConfig) -> tuple:
+    """(pad-1 power maps, targets per CPI) of a stack's refinements."""
+    power, windows, lay = _pmcw_windows(data, code_spec, config, symbols, est)
+    return power, _window_targets(windows, len(data), est, lay)
 
 
 def pmcw_refine(cube: PmcwCube, code: CodeSequence, symbols,
@@ -451,22 +506,37 @@ def pmcw_refine(cube: PmcwCube, code: CodeSequence, symbols,
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.size != cube.config.n_frames:
         raise ValueError("need one symbol per frame")
-    power, windows, lay = _pmcw_windows(cube, code, symbols, est)
-    return _pmcw_result(power, cube.config, _window_targets(windows, est, lay))
+    power, targets = _pmcw_refined(cube.data[None], np.fft.fft(code.chips()),
+                                   cube.config, symbols.reshape(1, -1), est)
+    return _pmcw_result(power[0], cube.config, targets[0])
 
 
-def _pmcw_basis(config, code: CodeSequence, target: TargetEstimate,
+def _pmcw_basis(config, chips: np.ndarray, target: TargetEstimate,
                 m_indices: np.ndarray):
     """Noiseless unit-amplitude response of one target on given frames."""
     t_b, t_c = config.block_time, config.chip_time
     l_count = config.code_length
     n_rx = config.geometry.n_rx
-    chips = np.roll(code.chips(), target.delay_bin)
+    chips = np.roll(chips, target.delay_bin)
     phase_t = m_indices[:, None] * t_b + np.arange(l_count)[None, :] * t_c
     dop = np.exp(-2j * np.pi * target.doppler_hz * phase_t)
     steer = np.exp(-2j * np.pi * config.geometry.spacing_over_lambda
                    * np.sin(target.angle_rad) * np.arange(n_rx))
     return (dop * chips[None, :])[:, :, None] * steer[None, None, :]
+
+
+def _pmcw_fit(data: np.ndarray, chips: np.ndarray, config, targets,
+              symbols: np.ndarray, m_indices: np.ndarray) -> np.ndarray:
+    """Least-squares amplitudes of ``targets`` in one CPI's (M, L, N_r)
+    data, over the frames ``m_indices`` carrying ``symbols``."""
+    cols = []
+    for tgt in targets:
+        basis = _pmcw_basis(config, chips, tgt, m_indices)
+        cols.append((symbols[:, None, None] * basis).ravel())
+    a_mat = np.stack(cols, axis=1)
+    y = data[m_indices].ravel()
+    d_hat, *_ = np.linalg.lstsq(a_mat, y, rcond=None)
+    return d_hat
 
 
 def pmcw_estimate_amplitudes(cube: PmcwCube, code: CodeSequence, targets,
@@ -482,14 +552,51 @@ def pmcw_estimate_amplitudes(cube: PmcwCube, code: CodeSequence, targets,
         raise ValueError("need one symbol per selected frame")
     if not targets:
         raise ValueError("no targets to fit")
-    cols = []
-    for tgt in targets:
-        basis = _pmcw_basis(cube.config, code, tgt, m_indices)
-        cols.append((symbols[:, None, None] * basis).ravel())
-    a_mat = np.stack(cols, axis=1)
-    y = cube.data[m_indices].ravel()
-    d_hat, *_ = np.linalg.lstsq(a_mat, y, rcond=None)
-    return d_hat
+    return _pmcw_fit(cube.data, code.chips(), cube.config, targets, symbols,
+                     m_indices)
+
+
+def _pmcw_demodulate(data: np.ndarray, chips: np.ndarray, config, schedule,
+                     targets, order: int) -> tuple:
+    """(bits, symbol estimates, full symbol vectors) of a (CPIs, M, L, N_r)
+    data stack, each row demodulated against its own ``targets`` entry.
+
+    The amplitude fit is one least-squares solve per CPI; projection and
+    DPSK decoding run on the whole stack.
+    """
+    if not all(targets):
+        raise DecodingError("no detected targets to demodulate against")
+    if schedule.n_radar == 0:
+        raise DecodingError("no radar-only frames to anchor amplitudes and "
+                            "the differential reference")
+    radar_idx = np.flatnonzero(schedule.is_radar)
+    comm_idx = np.flatnonzero(~schedule.is_radar)
+    radar_symbols = np.ones(radar_idx.size, dtype=complex)
+    n_cpi = len(data)
+
+    full = np.ones((n_cpi, schedule.n_frames), dtype=complex)
+    if comm_idx.size == 0:
+        return (np.zeros((n_cpi, 0), dtype=np.int64),
+                np.zeros((n_cpi, 0), dtype=complex), full)
+
+    response = np.zeros((n_cpi, comm_idx.size, config.code_length,
+                         config.geometry.n_rx), dtype=complex)
+    for k, found in enumerate(targets):
+        d_hat = _pmcw_fit(data[k], chips, config, found, radar_symbols,
+                          radar_idx)
+        for d_q, tgt in zip(d_hat, found):
+            response[k] += d_q * _pmcw_basis(config, chips, tgt, comm_idx)
+    energy = np.sum(np.abs(response) ** 2, axis=(2, 3))
+    if np.any(energy == 0):
+        raise DecodingError("reconstructed response has zero energy")
+    proj = np.sum(data[:, comm_idx] * np.conj(response), axis=(2, 3)) / energy
+
+    chain = np.concatenate([np.full((n_cpi, 1), radar_symbols[-1]), proj],
+                           axis=1)
+    bits = dpsk_decode(chain, order)
+    full[:, comm_idx] = (radar_symbols[-1]
+                         * dpsk_encode(bits, order).symbols[:, 1:])
+    return bits, proj, full
 
 
 def pmcw_decode(cube: PmcwCube, code: CodeSequence, targets, order: int = 2):
@@ -499,35 +606,10 @@ def pmcw_decode(cube: PmcwCube, code: CodeSequence, targets, order: int = 2):
     vector holds the known radar symbols (all 1) followed by the re-encoded
     hard decisions, ready to hand to :func:`pmcw_refine`.
     """
-    sched = cube.schedule
-    if not targets:
-        raise DecodingError("no detected targets to demodulate against")
-    if sched.n_radar == 0:
-        raise DecodingError("no radar-only frames to anchor amplitudes and "
-                            "the differential reference")
-    radar_idx = np.flatnonzero(sched.is_radar)
-    comm_idx = np.flatnonzero(~sched.is_radar)
-    radar_symbols = np.ones(radar_idx.size, dtype=complex)
-
-    full = np.ones(sched.n_frames, dtype=complex)
-    if comm_idx.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex), full
-
-    d_hat = pmcw_estimate_amplitudes(cube, code, targets, radar_symbols,
-                                     radar_idx)
-    response = np.zeros((comm_idx.size, cube.config.code_length,
-                         cube.config.geometry.n_rx), dtype=complex)
-    for d_q, tgt in zip(d_hat, targets):
-        response += d_q * _pmcw_basis(cube.config, code, tgt, comm_idx)
-    energy = np.sum(np.abs(response) ** 2, axis=(1, 2))
-    if np.any(energy == 0):
-        raise DecodingError("reconstructed response has zero energy")
-    proj = np.sum(cube.data[comm_idx] * np.conj(response), axis=(1, 2)) / energy
-
-    chain = np.concatenate([[radar_symbols[-1]], proj])
-    bits = dpsk_decode(chain, order)
-    full[comm_idx] = radar_symbols[-1] * dpsk_encode(bits, order).symbols[1:]
-    return bits, proj, full
+    bits, proj, full = _pmcw_demodulate(cube.data[None], code.chips(),
+                                        cube.config, cube.schedule,
+                                        [targets], order)
+    return bits[0], proj[0], full[0]
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +632,10 @@ def _ofdma_layout(config, n_rows: int, nr: int, shape) -> _MapLayout:
 
 
 def _ofdma_map(x: np.ndarray, nr: int, window: int, nd: int) -> np.ndarray:
-    """Per-element delay/Doppler map: subcarrier IFFT, then slow-time FFT."""
-    prof = np.fft.ifft(x, n=nr, axis=0) * nr
-    return np.fft.fft(prof[:window], n=nd, axis=1)
+    """Per-element delay/Doppler maps of a (CPIs, N_c, N_s, N_r) stack:
+    subcarrier IFFT, then slow-time FFT."""
+    prof = np.fft.ifft(x, n=nr, axis=1) * nr
+    return np.fft.fft(prof[:, :window], n=nd, axis=2)
 
 
 def _ofdma_result(power, config, nr: int, targets) -> DetectionResult:
@@ -561,6 +644,24 @@ def _ofdma_result(power, config, nr: int, targets) -> DetectionResult:
         delays_s=np.arange(power.shape[0]) / (nr * config.subcarrier_spacing_hz),
         dopplers_hz=_doppler_axis(power.shape[1], config.symbol_duration),
         targets=targets)
+
+
+def _ofdma_detect(data: np.ndarray, symbols: np.ndarray, radar_rows, config,
+                  est: EstimatorConfig) -> tuple:
+    """(power maps, targets per CPI) of a (CPIs, N_c, N_s, N_r) data stack
+    with (CPIs, N_c, N_s) symbol grids, from the pilot rows."""
+    if not radar_rows.any():
+        raise NonIdentifiableError(
+            "no radar-pilot subcarriers: range cannot be separated from "
+            "unknown data symbols at mu = 0")
+    rows = np.flatnonzero(radar_rows)
+    x = np.zeros_like(data)
+    x[:, rows] = data[:, rows] * np.conj(symbols[:, rows])[..., None]
+    nr = config.n_subcarriers * est.range_pad
+    window = max(nr // pilot_comb_spacing(radar_rows), 1)
+    v = _ofdma_map(x, nr, window, config.n_symbols * est.doppler_pad)
+    return _map_targets(v, est,
+                        _ofdma_layout(config, rows.size, nr, v.shape[1:3]))
 
 
 def ofdma_range_doppler_angle(cube: OfdmaCube, grid: SymbolGrid,
@@ -573,37 +674,45 @@ def ofdma_range_doppler_angle(cube: OfdmaCube, grid: SymbolGrid,
     the problem non-identifiable.
     """
     est = est or EstimatorConfig()
-    if not grid.radar_rows.any():
-        raise NonIdentifiableError(
-            "no radar-pilot subcarriers: range cannot be separated from "
-            "unknown data symbols at mu = 0")
-    config = cube.config
-    rows = np.flatnonzero(grid.radar_rows)
-    x = np.zeros_like(cube.data)
-    x[rows] = cube.data[rows] * np.conj(grid.symbols[rows])[:, :, None]
-    nr = config.n_subcarriers * est.range_pad
-    window = max(nr // pilot_comb_spacing(grid.radar_rows), 1)
-    v = _ofdma_map(x, nr, window, config.n_symbols * est.doppler_pad)
-    power, targets = _map_targets(
-        v, est, _ofdma_layout(config, rows.size, nr, v.shape[:2]))
-    return _ofdma_result(power, config, nr, targets)
+    power, targets = _ofdma_detect(cube.data[None], grid.symbols[None],
+                                   grid.radar_rows, cube.config, est)
+    return _ofdma_result(power[0], cube.config,
+                         cube.config.n_subcarriers * est.range_pad,
+                         targets[0])
 
 
-def _ofdma_windows(cube: OfdmaCube, symbols: np.ndarray,
+def _ofdma_windows(data: np.ndarray, symbols: np.ndarray, config,
                    est: EstimatorConfig):
-    """(pad-1 power map, fine-grid windows, layout) of an OFDMA refinement."""
-    n_c, n_s = cube.config.n_subcarriers, cube.config.n_symbols
-    x = cube.data * np.conj(symbols)[:, :, None]
-    seed_power = np.sum(np.abs(_ofdma_map(x, n_c, n_c, n_s)) ** 2, axis=2)
+    """(pad-1 power maps, fine-grid windows, layout) of the OFDMA
+    refinements of a (CPIs, N_c, N_s, N_r) stack with its symbol grids."""
+    n_c, n_s = config.n_subcarriers, config.n_symbols
+    x = data * np.conj(symbols)[..., None]
+    seed_power = np.sum(np.abs(_ofdma_map(x, n_c, n_c, n_s)) ** 2, axis=3)
     nr, nd = n_c * est.range_pad, n_s * est.doppler_pad
-    lay = _ofdma_layout(cube.config, n_c, nr, (nr, nd))
+    lay = _ofdma_layout(config, n_c, nr, (nr, nd))
 
-    def beams_at(delays, dopplers):
-        prof = np.tensordot(_dft(delays, n_c, nr, +1.0), x, axes=1)
-        return np.matmul(_dft(dopplers, n_s, nd, -1.0)[:, None], prof)
+    def beams_at(owner, delays, dopplers):
+        # CPI by CPI (owner is sorted), so that only one CPI's delay zoom
+        # is held at a time: one product over all its windows.
+        delay_dft, doppler_dft = _dft(n_c, nr, +1.0), _dft(n_s, nd, -1.0)
+        ends = np.searchsorted(owner, np.arange(len(x) + 1))
+        beams = np.empty((owner.size, delays.shape[1], dopplers.shape[1],
+                          x.shape[3]), dtype=complex)
+        for cpi, lo, hi in zip(x, ends[:-1], ends[1:]):
+            prof = np.tensordot(delay_dft[delays[lo:hi]], cpi, axes=1)
+            np.matmul(doppler_dft[dopplers[lo:hi]][:, None], prof,
+                      out=beams[lo:hi])
+        return beams
 
     return seed_power, _refine_windows(
         seed_power, beams_at, (est.range_pad, est.doppler_pad), est, lay), lay
+
+
+def _ofdma_refined(data: np.ndarray, symbols: np.ndarray, config,
+                   est: EstimatorConfig) -> tuple:
+    """(pad-1 power maps, targets per CPI) of a stack's refinements."""
+    power, windows, lay = _ofdma_windows(data, symbols, config, est)
+    return power, _window_targets(windows, len(data), est, lay)
 
 
 def ofdma_refine(cube: OfdmaCube, symbols: np.ndarray,
@@ -617,9 +726,10 @@ def ofdma_refine(cube: OfdmaCube, symbols: np.ndarray,
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.shape != (cube.config.n_subcarriers, cube.config.n_symbols):
         raise ValueError("need the full N_c x N_s symbol matrix")
-    power, windows, lay = _ofdma_windows(cube, symbols, est)
-    return _ofdma_result(power, cube.config, cube.config.n_subcarriers,
-                         _window_targets(windows, est, lay))
+    power, targets = _ofdma_refined(cube.data[None], symbols[None],
+                                    cube.config, est)
+    return _ofdma_result(power[0], cube.config, cube.config.n_subcarriers,
+                         targets[0])
 
 
 def _ofdma_basis(config, target: TargetEstimate, rows: np.ndarray):
@@ -635,6 +745,20 @@ def _ofdma_basis(config, target: TargetEstimate, rows: np.ndarray):
     return (phase_n[:, None] * phase_m[None, :])[:, :, None] * steer[None, None, :]
 
 
+def _ofdma_fit(data: np.ndarray, symbols: np.ndarray, config, targets,
+               rows: np.ndarray) -> np.ndarray:
+    """Least-squares amplitudes of ``targets`` in one CPI's data, over the
+    subcarrier ``rows`` of its (N_c, N_s) symbol grid."""
+    cols = []
+    for tgt in targets:
+        basis = _ofdma_basis(config, tgt, rows)
+        cols.append((symbols[rows][:, :, None] * basis).ravel())
+    a_mat = np.stack(cols, axis=1)
+    y = data[rows].ravel()
+    d_hat, *_ = np.linalg.lstsq(a_mat, y, rcond=None)
+    return d_hat
+
+
 def ofdma_estimate_amplitudes(cube: OfdmaCube, grid: SymbolGrid, targets,
                               rows=None) -> np.ndarray:
     """Least-squares target amplitudes from rows with known symbols."""
@@ -642,15 +766,45 @@ def ofdma_estimate_amplitudes(cube: OfdmaCube, grid: SymbolGrid, targets,
         raise ValueError("no targets to fit")
     if rows is None:
         rows = np.flatnonzero(grid.radar_rows)
-    rows = np.asarray(rows, dtype=int)
-    cols = []
-    for tgt in targets:
-        basis = _ofdma_basis(cube.config, tgt, rows)
-        cols.append((grid.symbols[rows][:, :, None] * basis).ravel())
-    a_mat = np.stack(cols, axis=1)
-    y = cube.data[rows].ravel()
-    d_hat, *_ = np.linalg.lstsq(a_mat, y, rcond=None)
-    return d_hat
+    return _ofdma_fit(cube.data, grid.symbols, cube.config, targets,
+                      np.asarray(rows, dtype=int))
+
+
+def _ofdma_demodulate(data: np.ndarray, symbols: np.ndarray, radar_rows,
+                      config, targets, order: int) -> tuple:
+    """(bits, symbol estimates, full symbol grids) of a (CPIs, N_c, N_s,
+    N_r) data stack, each row demodulated against its own ``targets``.
+
+    The amplitude fit is one least-squares solve per CPI; projection and
+    DPSK decoding run on the whole stack.
+    """
+    if not all(targets):
+        raise DecodingError("no detected targets to demodulate against")
+    if not radar_rows.any():
+        raise DecodingError("no pilot rows to anchor the target amplitudes")
+    comm_rows = np.flatnonzero(~radar_rows)
+    n_cpi, n_s = len(data), config.n_symbols
+    full = symbols.copy()
+    if comm_rows.size == 0:
+        return (np.zeros((n_cpi, 0), dtype=np.int64),
+                np.zeros((n_cpi, 0, n_s), dtype=complex), full)
+
+    pilot_rows = np.flatnonzero(radar_rows)
+    response = np.zeros((n_cpi, comm_rows.size, n_s, config.geometry.n_rx),
+                        dtype=complex)
+    for k, found in enumerate(targets):
+        d_hat = _ofdma_fit(data[k], symbols[k], config, found, pilot_rows)
+        for d_q, tgt in zip(d_hat, found):
+            response[k] += d_q * _ofdma_basis(config, tgt, comm_rows)
+    energy = np.sum(np.abs(response) ** 2, axis=3)
+    if np.any(energy == 0):
+        raise DecodingError("reconstructed response has zero energy")
+    proj = np.sum(data[:, comm_rows] * np.conj(response), axis=3) / energy
+
+    bits = dpsk_decode(proj.reshape(-1, n_s), order)
+    full[:, comm_rows] = dpsk_encode(bits, order).symbols.reshape(
+        n_cpi, comm_rows.size, n_s)
+    return bits.reshape(n_cpi, -1), proj, full
 
 
 def ofdma_decode(cube: OfdmaCube, grid: SymbolGrid, targets):
@@ -660,29 +814,10 @@ def ofdma_decode(cube: OfdmaCube, grid: SymbolGrid, targets):
     pilot rows as transmitted plus the re-encoded hard decisions, ready for
     :func:`ofdma_refine`.
     """
-    if not targets:
-        raise DecodingError("no detected targets to demodulate against")
-    if grid.n_radar == 0:
-        raise DecodingError("no pilot rows to anchor the target amplitudes")
-    comm_rows = np.flatnonzero(~grid.radar_rows)
-    full = grid.symbols.copy()
-    if comm_rows.size == 0:
-        return (np.zeros(0, dtype=np.int64),
-                np.zeros((0, grid.n_symbols), dtype=complex), full)
-
-    d_hat = ofdma_estimate_amplitudes(cube, grid, targets)
-    response = np.zeros((comm_rows.size, grid.n_symbols,
-                         cube.config.geometry.n_rx), dtype=complex)
-    for d_q, tgt in zip(d_hat, targets):
-        response += d_q * _ofdma_basis(cube.config, tgt, comm_rows)
-    energy = np.sum(np.abs(response) ** 2, axis=2)
-    if np.any(energy == 0):
-        raise DecodingError("reconstructed response has zero energy")
-    proj = np.sum(cube.data[comm_rows] * np.conj(response), axis=2) / energy
-
-    bits = dpsk_decode(proj, grid.order)
-    full[comm_rows] = dpsk_encode(bits, grid.order).symbols
-    return bits.reshape(-1), proj, full
+    bits, proj, full = _ofdma_demodulate(cube.data[None], grid.symbols[None],
+                                         grid.radar_rows, cube.config,
+                                         [targets], grid.order)
+    return bits[0], proj[0], full[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, Scene, complex_awgn, scatterer_amplitude
+from .channel import (SPEED_OF_LIGHT, Scene, _add_cpi_noise, _cpi_fading,
+                      scatterer_amplitude)
 from .sigcore import ArrayGeometry, dpsk_encode, steering_vector
 
 
@@ -149,21 +150,30 @@ def grid_capacity_bits(config: OfdmaConfig, order: int = 4) -> int:
     return n_comm * (config.n_symbols - 1) * k
 
 
+def _symbol_grids(config: OfdmaConfig, bits: np.ndarray,
+                  order: int) -> np.ndarray:
+    """(CPIs, N_c, N_s) modulation grids, one row of payload bits each."""
+    mask = ofdma_pilot_mask(config)
+    n_c, n_s = config.n_subcarriers, config.n_symbols
+    n_radar = int(np.count_nonzero(mask))
+    grids = np.ones((len(bits), n_c, n_s), dtype=complex)
+    grids[:, mask] = pilot_symbols(config, n_radar)
+    k = int(np.log2(order))
+    row_bits = bits.reshape(len(bits) * (n_c - n_radar), (n_s - 1) * k)
+    grids[:, ~mask] = dpsk_encode(row_bits, order).symbols.reshape(
+        len(bits), n_c - n_radar, n_s)
+    return grids
+
+
 def build_symbol_grid(config: OfdmaConfig, payload_bits, order: int = 4) -> SymbolGrid:
     """Fill the modulation grid: pilot rows known, data rows DPSK along slow time."""
     bits = np.asarray(payload_bits, dtype=np.int64)
     expected = grid_capacity_bits(config, order)
     if bits.size != expected:
         raise ValueError(f"expected {expected} payload bits, got {bits.size}")
-    mask = ofdma_pilot_mask(config)
-    n_c, n_s = config.n_subcarriers, config.n_symbols
-    grid = np.ones((n_c, n_s), dtype=complex)
-    n_radar = int(np.count_nonzero(mask))
-    grid[mask] = pilot_symbols(config, n_radar)
-    k = int(np.log2(order))
-    row_bits = bits.reshape(n_c - n_radar, (n_s - 1) * k)
-    grid[~mask] = dpsk_encode(row_bits, order).symbols
-    return SymbolGrid(symbols=grid, radar_rows=mask, order=order)
+    return SymbolGrid(symbols=_symbol_grids(config, bits.reshape(1, -1),
+                                            order)[0],
+                      radar_rows=ofdma_pilot_mask(config), order=order)
 
 
 def ofdma_transmit(config: OfdmaConfig, grid: SymbolGrid,
@@ -215,13 +225,26 @@ def ofdma_receive_cube(scene: Scene, config: OfdmaConfig, grid: SymbolGrid,
     if scene.noise_variance > 0 and rng is None:
         raise ValueError("a Generator is required when noise_variance > 0")
 
+    data = _ofdma_synthesize(scene, config, grid.symbols[None], [cpi_index],
+                             [rng])
+    return OfdmaCube(data=data[0], radar_rows=grid.radar_rows, config=config)
+
+
+def _ofdma_synthesize(scene: Scene, config: OfdmaConfig, symbols: np.ndarray,
+                      cpi_indices, rngs) -> np.ndarray:
+    """Subcarrier-domain receive data of a stack of CPIs, shape
+    (CPIs, N_c, N_s, N_r).
+
+    CPI k carries the symbol grid ``symbols[k]`` and the fading of CPI
+    ``cpi_indices[k]``; its noise is drawn from ``rngs[k]``.
+    """
     n_c, n_s = config.n_subcarriers, config.n_symbols
     n_rx = config.geometry.n_rx
     df = config.subcarrier_spacing_hz
     t_sym = config.symbol_duration
     cp_duration = config.cp_samples * config.sample_time
-    fading = scene.fading_gains(cpi_index)
-    data = np.zeros((n_c, n_s, n_rx), dtype=complex)
+    fading = _cpi_fading(scene, cpi_indices)
+    data = np.zeros((len(symbols), n_c, n_s, n_rx), dtype=complex)
 
     for q, sc in enumerate(scene.scatterers):
         if sc.delay_s > cp_duration:
@@ -230,21 +253,21 @@ def ofdma_receive_cube(scene: Scene, config: OfdmaConfig, grid: SymbolGrid,
                 f"prefix ({cp_duration:.3e} s); inter-symbol interference is "
                 "not modeled",
                 IsiWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         f_q = sc.resolve_doppler(config.wavelength)
-        d_q = scatterer_amplitude(sc, config.carrier_hz, config.geometry.n_tx,
-                                  fading[q])
+        d_q = np.array([scatterer_amplitude(sc, config.carrier_hz,
+                                            config.geometry.n_tx, f)
+                        for f in fading[:, q]])
         phase_n = np.exp(-2j * np.pi * np.arange(n_c) * df * sc.delay_s)
         phase_m = np.exp(2j * np.pi * np.arange(n_s) * t_sym * f_q)
         # The OFDMA receive model carries the positive steering exponent
         # exp(+j k d sin(psi) p), opposite to the PMCW receive phasor.
         steer = steering_vector(config.geometry, sc.angle_rad, n_rx, "tx")
-        data += (d_q * grid.symbols[:, :, None]
+        data += (d_q[:, None, None, None] * symbols[..., None]
                  * phase_n[:, None, None]
                  * phase_m[None, :, None]
                  * steer[None, None, :])
 
-    if scene.noise_variance > 0:
-        data += complex_awgn(rng, data.shape, scene.noise_variance)
-    return OfdmaCube(data=data, radar_rows=grid.radar_rows, config=config)
+    _add_cpi_noise(data, scene.noise_variance, rngs)
+    return data

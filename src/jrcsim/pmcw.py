@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, Scene, complex_awgn, scatterer_amplitude
+from .channel import (SPEED_OF_LIGHT, Scene, _add_cpi_noise, _cpi_fading,
+                      scatterer_amplitude)
 from .sigcore import (ArrayGeometry, CodeSequence, cyclic_shift, dpsk_encode,
                       steering_vector)
 
@@ -116,6 +117,20 @@ def payload_capacity_bits(schedule: FrameSchedule, order: int = 2) -> int:
     return n_data * k
 
 
+def _frame_symbols(schedule: FrameSchedule, bits: np.ndarray,
+                   order: int) -> np.ndarray:
+    """Slow-time symbols of a stack of CPIs, one row of payload bits each."""
+    a = np.ones((len(bits), schedule.n_frames), dtype=complex)
+    if schedule.n_comm == 0:
+        return a
+    stream = dpsk_encode(bits, order)
+    if schedule.n_radar:
+        a[:, schedule.n_radar:] = stream.symbols[:, 1:]
+    else:
+        a[:] = stream.symbols
+    return a
+
+
 def pmcw_frame_symbols(schedule: FrameSchedule, payload_bits, order: int = 2) -> np.ndarray:
     """Slow-time symbol vector a for one CPI.
 
@@ -127,15 +142,7 @@ def pmcw_frame_symbols(schedule: FrameSchedule, payload_bits, order: int = 2) ->
     expected = payload_capacity_bits(schedule, order)
     if bits.size != expected:
         raise ValueError(f"expected {expected} payload bits, got {bits.size}")
-    a = np.ones(schedule.n_frames, dtype=complex)
-    if schedule.n_comm == 0:
-        return a
-    stream = dpsk_encode(bits, order)
-    if schedule.n_radar:
-        a[schedule.n_radar:] = stream.symbols[1:]
-    else:
-        a[:] = stream.symbols
-    return a
+    return _frame_symbols(schedule, bits.reshape(1, -1), order)[0]
 
 
 def pmcw_transmit(config: PmcwConfig, code: CodeSequence, symbols,
@@ -217,25 +224,37 @@ def pmcw_receive_cube(scene: Scene, config: PmcwConfig, code: CodeSequence,
     if scene.noise_variance > 0 and rng is None:
         raise ValueError("a Generator is required when noise_variance > 0")
 
+    data = _pmcw_synthesize(scene, config, code.chips(),
+                            symbols.reshape(1, -1), [cpi_index], [rng])
+    return PmcwCube(data=data[0], schedule=pmcw_schedule(config),
+                    config=config)
+
+
+def _pmcw_synthesize(scene: Scene, config: PmcwConfig, chips: np.ndarray,
+                     symbols: np.ndarray, cpi_indices, rngs) -> np.ndarray:
+    """Receive data of a stack of CPIs, shape (CPIs, M, L, N_r).
+
+    CPI k carries the slow-time symbols ``symbols[k]`` and the fading of
+    CPI ``cpi_indices[k]``; its noise is drawn from ``rngs[k]``.
+    """
     m_count, l_count = config.n_frames, config.code_length
     n_rx = config.geometry.n_rx
-    chips = code.chips()
     t_b, t_c = config.block_time, config.chip_time
-    fading = scene.fading_gains(cpi_index)
-    data = np.zeros((m_count, l_count, n_rx), dtype=complex)
+    fading = _cpi_fading(scene, cpi_indices)
+    data = np.zeros((len(symbols), m_count, l_count, n_rx), dtype=complex)
 
     for q, sc in enumerate(scene.scatterers):
         k_q = delay_to_chips(sc.delay_s, config)
         f_q = sc.resolve_doppler(config.wavelength)
-        d_q = scatterer_amplitude(sc, config.carrier_hz, config.geometry.n_tx,
-                                  fading[q])
+        d_q = np.array([scatterer_amplitude(sc, config.carrier_hz,
+                                            config.geometry.n_tx, f)
+                        for f in fading[:, q]])
         e_q = np.exp(-2j * np.pi * f_q * t_b * np.arange(m_count))
         b_q = np.exp(-2j * np.pi * f_q * t_c * np.arange(l_count))
         row = b_q * cyclic_shift(chips, k_q)
-        block = (symbols * e_q)[:, None] * row[None, :]
+        block = (symbols * e_q)[:, :, None] * row
         c_q = steering_vector(config.geometry, sc.angle_rad, n_rx, "rx")
-        data += d_q * block[:, :, None] * c_q[None, None, :]
+        data += d_q[:, None, None, None] * block[..., None] * c_q
 
-    if scene.noise_variance > 0:
-        data += complex_awgn(rng, data.shape, scene.noise_variance)
-    return PmcwCube(data=data, schedule=pmcw_schedule(config), config=config)
+    _add_cpi_noise(data, scene.noise_variance, rngs)
+    return data

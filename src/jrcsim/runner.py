@@ -2,11 +2,20 @@
 
 Each trial is fully self-contained and seeded counter-style from
 (master seed, point index, trial index), so results do not depend on how
-trials are spread over workers.  Within a trial the generator is consumed
-in a fixed order: payload bits first, then the noise draw inside the
-receive synthesizer.  Aggregation is single-threaded over the original
-trial order, and every float is written via its shortest round-trip form,
-which makes reruns byte-identical.
+trials are spread over workers or batches.  Inline, the trials of a sweep
+point run as one stacked batch, or several when their receive cubes hold
+more than ``_BATCH_CELLS`` cells: the trial-invariant plan (code, schedule
+or pilots, amplitudes, noise variance, DFT tables) is built once per
+batch, and synthesis, the coarse map, decoding and refinement carry a
+leading trial axis.  Within the batch each trial's generator is consumed
+in the fixed per-trial order: its payload bits are drawn first, then its
+noise inside the receive synthesizer.  Peak picking, the amplitude
+least-squares fit and the matching to the truth stay per trial.  A batch
+in which some trial raises a ValueError is rerun one trial at a time, so
+only that trial fails.  The process pool runs every trial as a batch of
+one.  Aggregation is single-threaded over the original trial order, and
+every float is written via its shortest round-trip form, which makes
+reruns byte-identical.
 
 Per-sample SNR convention: the sweep's SNR point fixes the noise variance
 as sigma^2 = sum_q |d_q|^2 / snr_linear, where d_q are the scatterers'
@@ -29,16 +38,23 @@ import numpy as np
 from .alloc import detection_probability
 from .channel import complex_awgn, scatterer_amplitude
 from .config import ScenarioConfig, config_hash
-from .estim import (golay_cef_waveform, golay_range_estimate, ofdma_decode,
-                    ofdma_range_doppler_angle, ofdma_refine, pmcw_decode,
-                    pmcw_range_doppler, pmcw_refine, profile_peaks)
-from .ofdma import build_symbol_grid, grid_capacity_bits, ofdma_pilot_mask, \
-    ofdma_receive_cube, ofdma_transmit
-from .perf import TradeoffSpec, ambiguity_function, crlb_proxy, \
-    jrc_objective, mmse_from_rate, peak_sidelobe_ratio
-from .pmcw import PmcwConfig, payload_capacity_bits, pmcw_frame_symbols, \
-    pmcw_receive_cube, pmcw_schedule, pmcw_transmit
-from .sigcore import CodeSequence, golay_pair
+from .estim import (_ofdma_demodulate, _ofdma_detect, _ofdma_refined,
+                    _pmcw_demodulate, _pmcw_detect, _pmcw_refined,
+                    golay_cef_waveform, golay_range_estimate, profile_peaks)
+from .ofdma import _ofdma_synthesize, _symbol_grids, build_symbol_grid, \
+    grid_capacity_bits, ofdma_pilot_mask, ofdma_transmit
+from .perf import TradeoffSpec, crlb_proxy, jrc_objective, mmse_from_rate, \
+    peak_sidelobe_ratio
+from .pmcw import PmcwConfig, _frame_symbols, _pmcw_synthesize, \
+    payload_capacity_bits, pmcw_frame_symbols, pmcw_schedule, pmcw_transmit
+from .sigcore import CodeSequence, aperiodic_autocorr, golay_pair
+# perfbench/tracing.py wraps these stage functions in this namespace, so
+# they stay bound here although the batch path calls the private helpers.
+from .estim import ofdma_decode, ofdma_range_doppler_angle, ofdma_refine, \
+    pmcw_decode, pmcw_range_doppler, pmcw_refine  # noqa: F401
+from .ofdma import ofdma_receive_cube  # noqa: F401
+from .perf import ambiguity_function  # noqa: F401
+from .pmcw import pmcw_receive_cube  # noqa: F401
 from .tensorio import write_table_csv
 
 
@@ -178,64 +194,90 @@ def _nearest(targets, truths, scales):
             [float(t.angle_rad) for t in best])
 
 
-def _record_trial(outcome: TrialOutcome, config, wavecfg, scales, coarse,
-                  refined, payload, bits_hat):
-    """Log every truth with its nearest coarse and refined estimate."""
-    truths = _true_parameters(config, wavecfg)
-    outcome.true_delays, outcome.true_dopplers, outcome.true_angles = (
-        [float(v) for v in axis] for axis in truths)
-    outcome.est_delays, outcome.est_dopplers, outcome.est_angles = _nearest(
-        coarse.targets, truths, scales)
-    outcome.ref_delays, outcome.ref_dopplers, outcome.ref_angles = _nearest(
-        refined.targets, truths, scales)
-    outcome.n_bits = int(payload.size)
-    outcome.bit_errors = int(np.sum(bits_hat != payload))
+def _trial_payloads(config: ScenarioConfig, point: SweepPoint, trials,
+                    capacity: int):
+    """(generators, payload rows) of the trials; each generator has drawn
+    its trial's payload bits and draws its noise next."""
+    rngs = [np.random.default_rng([config.seed, point.index, trial])
+            for trial in trials]
+    payload = np.array([rng.integers(0, 2, capacity) for rng in rngs],
+                       dtype=np.int64).reshape(len(rngs), capacity)
+    return rngs, payload
 
 
-def _pmcw_trial(config, wavecfg, point, trial, outcome, rng):
-    sched = pmcw_schedule(wavecfg)
-    code = build_code(config, wavecfg)
-    capacity = payload_capacity_bits(sched, config.symbol_order)
-    payload = rng.integers(0, 2, capacity).astype(np.int64)
-    symbols = pmcw_frame_symbols(sched, payload, config.symbol_order)
-
+def _point_scene(config: ScenarioConfig, wavecfg, point: SweepPoint):
     amps = _nominal_amplitudes(config, wavecfg)
-    scene = replace(config.scene,
-                    noise_variance=_noise_variance(config, point, amps))
-    cube = pmcw_receive_cube(scene, wavecfg, code, symbols, rng=rng,
-                             cpi_index=trial)
-    coarse = pmcw_range_doppler(cube, code, config.estimator)
-    bits_hat, _, full_symbols = pmcw_decode(cube, code, coarse.targets,
-                                            config.symbol_order)
-    refined = pmcw_refine(cube, code, full_symbols,
-                          config.estimator.refined(config.refine_factor))
+    return replace(config.scene,
+                   noise_variance=_noise_variance(config, point, amps))
+
+
+def _record_trials(config, wavecfg, point, trials, scales, coarse, refined,
+                   payload, bits_hat) -> list:
+    """One outcome per trial: every truth with its nearest coarse and
+    refined estimate, and the bit errors of its payload."""
+    truths = _true_parameters(config, wavecfg)
+    true_lists = [[float(v) for v in axis] for axis in truths]
+    errors = np.count_nonzero(bits_hat != payload, axis=1).tolist()
+    outcomes = []
+    for trial, found, kept, n_errors in zip(trials, coarse, refined, errors):
+        outcome = TrialOutcome(point=point.index, trial=trial,
+                               n_bits=payload.shape[1], bit_errors=n_errors)
+        outcome.true_delays, outcome.true_dopplers, outcome.true_angles = (
+            list(axis) for axis in true_lists)
+        outcome.est_delays, outcome.est_dopplers, outcome.est_angles = \
+            _nearest(found, truths, scales)
+        outcome.ref_delays, outcome.ref_dopplers, outcome.ref_angles = \
+            _nearest(kept, truths, scales)
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _pmcw_trials(config, point, trials) -> list:
+    wavecfg = _effective_config(config, point)
+    order = config.symbol_order
+    sched = pmcw_schedule(wavecfg)
+    chips = build_code(config, wavecfg).chips()
+    code_spec = np.fft.fft(chips)
+    rngs, payload = _trial_payloads(config, point, trials,
+                                    payload_capacity_bits(sched, order))
+    symbols = _frame_symbols(sched, payload, order)
+    data = _pmcw_synthesize(_point_scene(config, wavecfg, point), wavecfg,
+                            chips, symbols, trials, rngs)
+    _, coarse = _pmcw_detect(data, code_spec, wavecfg, sched,
+                             config.estimator)
+    bits_hat, _, full_symbols = _pmcw_demodulate(data, chips, wavecfg, sched,
+                                                 coarse, order)
+    _, refined = _pmcw_refined(data, code_spec, wavecfg, full_symbols,
+                               config.estimator.refined(config.refine_factor))
 
     scales = (wavecfg.chip_time,
               1.0 / (wavecfg.n_frames * wavecfg.block_time),
               1.0 / max(wavecfg.geometry.n_rx, 1))
-    _record_trial(outcome, config, wavecfg, scales, coarse, refined, payload,
-                  bits_hat)
+    return _record_trials(config, wavecfg, point, trials, scales, coarse,
+                          refined, payload, bits_hat)
 
 
-def _ofdma_trial(config, wavecfg, point, trial, outcome, rng):
-    capacity = grid_capacity_bits(wavecfg, config.symbol_order)
-    payload = rng.integers(0, 2, capacity).astype(np.int64)
-    grid = build_symbol_grid(wavecfg, payload, config.symbol_order)
-
-    amps = _nominal_amplitudes(config, wavecfg)
-    scene = replace(config.scene,
-                    noise_variance=_noise_variance(config, point, amps))
-    cube = ofdma_receive_cube(scene, wavecfg, grid, rng=rng, cpi_index=trial)
-    coarse = ofdma_range_doppler_angle(cube, grid, config.estimator)
-    bits_hat, _, full_symbols = ofdma_decode(cube, grid, coarse.targets)
-    refined = ofdma_refine(cube, full_symbols,
-                           config.estimator.refined(config.refine_factor))
+def _ofdma_trials(config, point, trials) -> list:
+    wavecfg = _effective_config(config, point)
+    order = config.symbol_order
+    rngs, payload = _trial_payloads(config, point, trials,
+                                    grid_capacity_bits(wavecfg, order))
+    grids = _symbol_grids(wavecfg, payload, order)
+    radar_rows = ofdma_pilot_mask(wavecfg)
+    data = _ofdma_synthesize(_point_scene(config, wavecfg, point), wavecfg,
+                             grids, trials, rngs)
+    _, coarse = _ofdma_detect(data, grids, radar_rows, wavecfg,
+                              config.estimator)
+    bits_hat, _, full_symbols = _ofdma_demodulate(data, grids, radar_rows,
+                                                  wavecfg, coarse, order)
+    _, refined = _ofdma_refined(data, full_symbols, wavecfg,
+                                config.estimator.refined(config.refine_factor))
 
     scales = (wavecfg.sample_time,
               1.0 / (wavecfg.n_symbols * wavecfg.symbol_duration),
               1.0 / max(wavecfg.geometry.n_rx, 1))
-    _record_trial(outcome, config, wavecfg, scales, coarse, refined, payload,
-                  bits_hat)
+    return _record_trials(config, wavecfg, point, trials, scales, coarse,
+                          refined, payload, bits_hat)
 
 
 def _golay_received(config, wavecfg, amplitudes, noise_variance, rng):
@@ -252,52 +294,92 @@ def _golay_received(config, wavecfg, amplitudes, noise_variance, rng):
     return pair, rx
 
 
-def _golay_trial(config, wavecfg, point, trial, outcome, rng):
+def _golay_trials(config, point, trials) -> list:
+    """Golay sounding has no CPI stack; its trials run one after another."""
+    wavecfg = _effective_config(config, point)
     amps = _nominal_amplitudes(config, wavecfg)
     sigma2 = _noise_variance(config, point, amps)
-    pair, rx = _golay_received(config, wavecfg, amps, sigma2, rng)
-    profile = golay_range_estimate(rx, pair, wavecfg.guard_samples)
-    bins = profile_peaks(np.abs(profile), config.estimator.max_targets,
-                         config.estimator.threshold_db)
-    if not bins:
-        raise ValueError("no delay profile peak above threshold")
-
     delays = np.array([sc.delay_s for sc in config.scene.scatterers])
-    for q in range(delays.size):
-        best = min(bins, key=lambda b: abs(b * wavecfg.sample_time_s
-                                           - delays[q]))
-        outcome.true_delays.append(float(delays[q]))
-        outcome.true_dopplers.append(math.nan)
-        outcome.true_angles.append(math.nan)
-        outcome.est_delays.append(best * wavecfg.sample_time_s)
-        outcome.est_dopplers.append(math.nan)
-        outcome.est_angles.append(math.nan)
-    outcome.ref_delays = list(outcome.est_delays)
-    outcome.ref_dopplers = list(outcome.est_dopplers)
-    outcome.ref_angles = list(outcome.est_angles)
+    outcomes = []
+    for trial in trials:
+        rng = np.random.default_rng([config.seed, point.index, trial])
+        pair, rx = _golay_received(config, wavecfg, amps, sigma2, rng)
+        profile = golay_range_estimate(rx, pair, wavecfg.guard_samples)
+        bins = profile_peaks(np.abs(profile), config.estimator.max_targets,
+                             config.estimator.threshold_db)
+        if not bins:
+            raise ValueError("no delay profile peak above threshold")
+
+        outcome = TrialOutcome(point=point.index, trial=trial)
+        for q in range(delays.size):
+            best = min(bins, key=lambda b: abs(b * wavecfg.sample_time_s
+                                               - delays[q]))
+            outcome.true_delays.append(float(delays[q]))
+            outcome.true_dopplers.append(math.nan)
+            outcome.true_angles.append(math.nan)
+            outcome.est_delays.append(best * wavecfg.sample_time_s)
+            outcome.est_dopplers.append(math.nan)
+            outcome.est_angles.append(math.nan)
+        outcome.ref_delays = list(outcome.est_delays)
+        outcome.ref_dopplers = list(outcome.est_dopplers)
+        outcome.ref_angles = list(outcome.est_angles)
+        outcomes.append(outcome)
+    return outcomes
 
 
-_TRIAL_FNS = {"pmcw": _pmcw_trial, "ofdma": _ofdma_trial,
-              "golay": _golay_trial}
+_POINT_FNS = {"pmcw": _pmcw_trials, "ofdma": _ofdma_trials,
+              "golay": _golay_trials}
+
+# Receive-cube cells one batch may stack (256 kB of samples).  A batch's
+# refinement windows take several times its cubes' memory, so more trials
+# run as several batches and peak memory does not grow with the count.
+_BATCH_CELLS = 1 << 14
+
+
+def _batch_size(config: ScenarioConfig) -> int:
+    wavecfg = config.waveform_config
+    if config.waveform == "pmcw":
+        cells = wavecfg.n_frames * wavecfg.code_length
+    elif config.waveform == "ofdma":
+        cells = wavecfg.n_subcarriers * wavecfg.n_symbols
+    else:
+        return 1  # Golay trials run one by one inside a batch anyway
+    return max(1, _BATCH_CELLS // (cells * wavecfg.geometry.n_rx))
+
+
+def _run_batch(config: ScenarioConfig, point: SweepPoint, trials) -> list:
+    """Outcomes of one stacked batch of trials at one sweep point.
+
+    Only a ValueError (the domain errors, LinAlgError included) fails a
+    trial; any other exception is a bug and propagates.  A batch that
+    raises one is rerun as batches of one, so that only the trials that
+    raise it fail, each with its own message.
+    """
+    try:
+        return _POINT_FNS[config.waveform](config, point, trials)
+    except ValueError as exc:
+        if len(trials) > 1:
+            return [outcome for trial in trials
+                    for outcome in _run_batch(config, point, [trial])]
+        return [TrialOutcome(point=point.index, trial=trials[0], failed=True,
+                             message=f"{type(exc).__name__}: {exc}")]
+
+
+def _run_point_trials(config: ScenarioConfig, point: SweepPoint,
+                      trials) -> list:
+    """Outcomes of ``trials`` at one sweep point, in stacked batches."""
+    trials = list(trials)
+    step = _batch_size(config)
+    return [outcome for start in range(0, len(trials), step)
+            for outcome in _run_batch(config, point,
+                                      trials[start:start + step])]
 
 
 def _run_single_trial(args) -> TrialOutcome:
-    """Worker entry point; must stay module-level for process pools.
-
-    Only a ValueError (the domain errors, LinAlgError included) fails the
-    trial; any other exception is a bug and propagates.
-    """
+    """Pool worker entry point: one (config, point, trial) task, run as a
+    batch of one; must stay module-level for process pools."""
     config, point, trial = args
-    outcome = TrialOutcome(point=point.index, trial=trial)
-    rng = np.random.default_rng([config.seed, point.index, trial])
-    try:
-        wavecfg = _effective_config(config, point)
-        _TRIAL_FNS[config.waveform](config, wavecfg, point, trial,
-                                    outcome, rng)
-    except ValueError as exc:
-        return TrialOutcome(point=point.index, trial=trial, failed=True,
-                            message=f"{type(exc).__name__}: {exc}")
-    return outcome
+    return _run_batch(config, point, [trial])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +411,11 @@ def _point_waveform_samples(config: ScenarioConfig, wavecfg,
 
 def _point_psl_db(config: ScenarioConfig, wavecfg,
                   point: SweepPoint) -> float:
+    """PSL of the point's waveform autocorrelation (the AF's zero-Doppler
+    cut up to its energy scale, which the ratio drops)."""
     samples = _point_waveform_samples(config, wavecfg, point)
-    lags = np.arange(-(samples.size - 1), samples.size, dtype=float)
     try:
-        surface = ambiguity_function(samples, lags, np.zeros(1))
-        return peak_sidelobe_ratio(surface.magnitude[:, 0])
+        return peak_sidelobe_ratio(np.abs(aperiodic_autocorr(samples)))
     except ValueError:
         return math.nan
 
@@ -605,12 +687,13 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
                  workers: int = 1) -> RunReport:
     """Execute the sweep, write the output tables, return the report.
 
-    ``workers`` > 1 fans trials out to a process pool; aggregates are
+    Inline, each point's trials run as stacked batches; ``workers`` > 1
+    fans them out to a process pool as batches of one.  Outputs are
     identical for any worker count because trials are seeded by index.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    started = time.time()
+    started = time.perf_counter()
     destination = Path(out_dir) if out_dir is not None else Path(config.out_dir)
 
     mus = config.mu_sweep if config.mu_sweep else (None,)
@@ -618,15 +701,17 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
               for i, (mu, snr) in enumerate(
                   (m, s) for m in mus for s in config.snr_db)]
 
-    tasks = [(config, point, t) for point in points
-             for t in range(config.trials)]
     if workers > 1:
         # One map over every (point, trial): no barrier between points.
+        tasks = [(config, point, t) for point in points
+                 for t in range(config.trials)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (4 * workers))
             flat = list(pool.map(_run_single_trial, tasks, chunksize=chunk))
     else:
-        flat = [_run_single_trial(task) for task in tasks]
+        flat = [outcome for point in points
+                for outcome in _run_point_trials(config, point,
+                                                 range(config.trials))]
     outcomes_by_point = [flat[i * config.trials:(i + 1) * config.trials]
                          for i in range(len(points))]
 
@@ -650,7 +735,7 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
         points=results,
         tradeoff=tradeoff_rows,
         outputs=outputs,
-        wall_clock_s=time.time() - started)
+        wall_clock_s=time.perf_counter() - started)
 
     report_path = Path(destination) / "report.json"
     payload = {

@@ -548,6 +548,23 @@ def oracle_ofdma_beams(cube, symbols, range_pad, doppler_pad):
     return np.fft.fft(prof, n=cube.config.n_symbols * doppler_pad, axis=1)
 
 
+def pmcw_windows(cube, code, symbols, est):
+    """(pad-1 power, windows, layout) of one cube's PMCW refinement, run
+    as a stack of one."""
+    power, windows, lay = estim._pmcw_windows(
+        cube.data[None], np.fft.fft(code.chips()), cube.config,
+        np.asarray(symbols)[None], est)
+    return power[0], windows, lay
+
+
+def ofdma_windows(cube, symbols, est):
+    """(pad-1 power, windows, layout) of one cube's OFDMA refinement, run
+    as a stack of one."""
+    power, windows, lay = estim._ofdma_windows(
+        cube.data[None], np.asarray(symbols)[None], cube.config, est)
+    return power[0], windows, lay
+
+
 def oracle_local_max(power, wrap, rows=(-1, 0, 1), cols=(-1, 0, 1)):
     """Cells >= all 8 neighbours, by rolling the whole map.
 
@@ -649,8 +666,9 @@ def check_against_oracle(beams, windows, lay, est, pads, strict):
     power = np.sum(np.abs(beams) ** 2, axis=2)
     seed_map = power[::pads[0], ::pads[1]]
     seeds = oracle_seeds(seed_map, pads, est.threshold_db, lay.wrap)
-    stacked_bins, stacked_power, stacked_beams = windows
+    stacked_bins, stacked_power, stacked_beams, owner = windows
     assert len(stacked_power) == len(seeds)
+    assert np.all(owner == 0)
     scale = power.max()
     for i, seed in enumerate(seeds):
         bins = (stacked_bins[0][i], stacked_bins[1][i])
@@ -669,7 +687,7 @@ def check_against_oracle(beams, windows, lay, est, pads, strict):
             stacked_beams[i][valid], beams[np.ix_(*bins)][valid],
             rtol=1e-12, atol=1e-12 * np.sqrt(scale))
 
-    targets = estim._window_targets(windows, est, lay)
+    targets = estim._window_targets(windows, 1, est, lay)[0]
     if seeds:
         in_windows = oracle_window_mask(seeds, pads, power.shape, lay.wrap, 0)
         guarded = oracle_window_mask(seeds, pads, power.shape, lay.wrap, 1)
@@ -748,7 +766,7 @@ def test_pmcw_windowed_refine_matches_full_grid(
     est = EstimatorConfig(range_pad=range_pad, doppler_pad=doppler_pad,
                           angle_pad=angle_pad, interpolate=interpolate,
                           max_targets=max_targets)
-    power, windows, lay = estim._pmcw_windows(cube, code, symbols, est)
+    power, windows, lay = pmcw_windows(cube, code, symbols, est)
     beams = oracle_pmcw_beams(cube, code, symbols, doppler_pad)
     np.testing.assert_allclose(power, np.sum(np.abs(beams[::doppler_pad])
                                              ** 2, axis=2), rtol=1e-12)
@@ -779,7 +797,7 @@ def test_ofdma_windowed_refine_matches_full_grid(
     est = EstimatorConfig(range_pad=range_pad, doppler_pad=doppler_pad,
                           angle_pad=angle_pad, interpolate=interpolate,
                           max_targets=max_targets)
-    power, windows, lay = estim._ofdma_windows(cube, grid.symbols, est)
+    power, windows, lay = ofdma_windows(cube, grid.symbols, est)
     beams = oracle_ofdma_beams(cube, grid.symbols, range_pad, doppler_pad)
     np.testing.assert_allclose(
         power, np.sum(np.abs(beams[::range_pad, ::doppler_pad]) ** 2, axis=2),
@@ -802,7 +820,7 @@ def pmcw_refined_vs_full_grid(scatterers, est=REFINE8):
     cube, code, symbols, _ = pmcw_cube_for(scatterers, mu=50,
                                            bits=np.array([1, 0, 0, 1]))
     result = pmcw_refine(cube, code, symbols, est)
-    lay = estim._pmcw_windows(cube, code, symbols, est)[2]
+    lay = pmcw_windows(cube, code, symbols, est)[2]
     beams = oracle_pmcw_beams(cube, code, symbols, est.doppler_pad)
     return result, oracle_refine_bins(beams, est, lay)
 
@@ -814,7 +832,7 @@ def ofdma_refined_vs_full_grid(scatterers, est=REFINE8):
     bits = np.random.default_rng(3).integers(0, 2, grid_capacity_bits(config))
     cube, grid, _ = ofdma_cube_for(scatterers, config=config, bits=bits)
     result = ofdma_refine(cube, grid.symbols, est)
-    lay = estim._ofdma_windows(cube, grid.symbols, est)[2]
+    lay = ofdma_windows(cube, grid.symbols, est)[2]
     beams = oracle_ofdma_beams(cube, grid.symbols, est.range_pad,
                                est.doppler_pad)
     return result, oracle_refine_bins(beams, est, lay)

@@ -1,15 +1,27 @@
 """Sweep orchestration: determinism, worker independence, output tables."""
 
 import json
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jrcsim import runner
+from jrcsim.channel import Scene
 from jrcsim.config import config_hash, parse_config
-from jrcsim.perf import peak_sidelobe_ratio
-from jrcsim.runner import SweepPoint, _noise_variance, run_scenario
-from jrcsim.sigcore import aperiodic_autocorr
+from jrcsim.estim import (ofdma_decode, ofdma_range_doppler_angle,
+                          ofdma_refine, pmcw_decode, pmcw_range_doppler,
+                          pmcw_refine)
+from jrcsim.ofdma import build_symbol_grid, grid_capacity_bits, \
+    ofdma_receive_cube
+from jrcsim.perf import ambiguity_function, peak_sidelobe_ratio
+from jrcsim.pmcw import payload_capacity_bits, pmcw_frame_symbols, \
+    pmcw_receive_cube, pmcw_schedule
+from jrcsim.runner import (SweepPoint, TrialOutcome, _noise_variance,
+                           run_scenario)
 from jrcsim.tensorio import read_csv_rows
 
 CSV_NAMES = ("rmse_vs_snr.csv", "ber_vs_snr.csv", "estimates.csv")
@@ -111,8 +123,21 @@ def test_same_seed_reruns_are_byte_identical(tmp_path):
     assert read_bytes(tmp_path / "a") == read_bytes(tmp_path / "b")
 
 
-def test_worker_count_does_not_change_outputs(tmp_path):
-    config = ofdma_scenario(sweep={"snr_db": [5, 15]}, trials=4)
+@pytest.mark.parametrize("config", [
+    pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=4),
+    ofdma_scenario(sweep={"snr_db": [5, 15]}, trials=4),
+    pmcw_scenario(
+        scene={"scatterers": [
+            {"delay_s": 5e-9, "doppler_hz": 2e6, "angle_rad": 0.2,
+             "amplitude": [1.0, 0.0]},
+            {"delay_s": 17e-9, "doppler_hz": -9e6, "angle_rad": -0.4,
+             "amplitude": [0.0, 0.6]}]},
+        estimator={"max_targets": 2, "interpolate": True},
+        sweep={"snr_db": [0, 10]}, trials=4),
+], ids=["pmcw", "ofdma", "pmcw-two-targets-interpolated"])
+def test_worker_count_does_not_change_outputs(tmp_path, config):
+    # Inline, each point's trials run as one stacked batch; the pool runs
+    # every trial as a batch of one.
     run_scenario(config, out_dir=tmp_path / "serial", workers=1)
     run_scenario(config, out_dir=tmp_path / "pool", workers=2)
     assert read_bytes(tmp_path / "serial") == read_bytes(tmp_path / "pool")
@@ -249,10 +274,10 @@ def test_golay_delay_outside_guard_fails_trial(tmp_path):
 def test_programming_error_in_trial_propagates(tmp_path, monkeypatch):
     # Only ValueError (domain errors) counts as a failed trial; a bug such
     # as a TypeError must stop the run instead of being tallied.
-    def broken_trial(*args):
+    def broken_trials(*args):
         raise TypeError("broken trial")
 
-    monkeypatch.setitem(runner._TRIAL_FNS, "pmcw", broken_trial)
+    monkeypatch.setitem(runner._POINT_FNS, "pmcw", broken_trials)
     with pytest.raises(TypeError, match="broken trial"):
         run_scenario(pmcw_scenario(trials=1), out_dir=tmp_path)
 
@@ -269,9 +294,171 @@ def test_point_psl_is_autocorrelation_psl(config):
     point = SweepPoint(index=0, mu_percent=None, snr_db=None)
     wavecfg = config.waveform_config
     x = runner._point_waveform_samples(config, wavecfg, point)
-    cut = np.abs(aperiodic_autocorr(x)) / np.sum(np.abs(x) ** 2)
+    lags = np.arange(-(x.size - 1), x.size, dtype=float)
+    cut = ambiguity_function(x, lags, np.zeros(1)).magnitude[:, 0]
     assert runner._point_psl_db(config, wavecfg, point) == pytest.approx(
         peak_sidelobe_ratio(cut), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Stacked trial batches against the per-trial pipeline
+# ---------------------------------------------------------------------------
+
+
+def reference_trial(config, point, trial):
+    """One trial through the public single-CPI stages, in the order the
+    runner called them before trials were stacked into batches."""
+    rng = np.random.default_rng([config.seed, point.index, trial])
+    try:
+        wavecfg = runner._effective_config(config, point)
+        order = config.symbol_order
+        refined_est = config.estimator.refined(config.refine_factor)
+        if config.waveform == "pmcw":
+            sched = pmcw_schedule(wavecfg)
+            code = runner.build_code(config, wavecfg)
+            payload = rng.integers(
+                0, 2, payload_capacity_bits(sched, order)).astype(np.int64)
+            symbols = pmcw_frame_symbols(sched, payload, order)
+            amps = runner._nominal_amplitudes(config, wavecfg)
+            scene = replace(config.scene, noise_variance=_noise_variance(
+                config, point, amps))
+            cube = pmcw_receive_cube(scene, wavecfg, code, symbols, rng=rng,
+                                     cpi_index=trial)
+            coarse = pmcw_range_doppler(cube, code, config.estimator)
+            bits_hat, _, full = pmcw_decode(cube, code, coarse.targets, order)
+            refined = pmcw_refine(cube, code, full, refined_est)
+            scales = (wavecfg.chip_time,
+                      1.0 / (wavecfg.n_frames * wavecfg.block_time),
+                      1.0 / max(wavecfg.geometry.n_rx, 1))
+        else:
+            payload = rng.integers(
+                0, 2, grid_capacity_bits(wavecfg, order)).astype(np.int64)
+            grid = build_symbol_grid(wavecfg, payload, order)
+            amps = runner._nominal_amplitudes(config, wavecfg)
+            scene = replace(config.scene, noise_variance=_noise_variance(
+                config, point, amps))
+            cube = ofdma_receive_cube(scene, wavecfg, grid, rng=rng,
+                                      cpi_index=trial)
+            coarse = ofdma_range_doppler_angle(cube, grid, config.estimator)
+            bits_hat, _, full = ofdma_decode(cube, grid, coarse.targets)
+            refined = ofdma_refine(cube, full, refined_est)
+            scales = (wavecfg.sample_time,
+                      1.0 / (wavecfg.n_symbols * wavecfg.symbol_duration),
+                      1.0 / max(wavecfg.geometry.n_rx, 1))
+        outcome = TrialOutcome(point=point.index, trial=trial)
+        truths = runner._true_parameters(config, wavecfg)
+        outcome.true_delays, outcome.true_dopplers, outcome.true_angles = (
+            [float(v) for v in axis] for axis in truths)
+        outcome.est_delays, outcome.est_dopplers, outcome.est_angles = \
+            runner._nearest(coarse.targets, truths, scales)
+        outcome.ref_delays, outcome.ref_dopplers, outcome.ref_angles = \
+            runner._nearest(refined.targets, truths, scales)
+        outcome.n_bits = int(payload.size)
+        outcome.bit_errors = int(np.sum(bits_hat != payload))
+    except ValueError as exc:
+        return TrialOutcome(point=point.index, trial=trial, failed=True,
+                            message=f"{type(exc).__name__}: {exc}")
+    return outcome
+
+
+def exact(outcome):
+    """Every field of an outcome, floats by their exact repr."""
+    return repr(vars(outcome))
+
+
+@settings(max_examples=60, deadline=None)
+@given(waveform=st.sampled_from(["pmcw", "ofdma"]),
+       seed=st.integers(0, 2 ** 32 - 1), n_scatterers=st.integers(1, 3),
+       max_targets=st.integers(1, 3), interpolate=st.booleans(),
+       range_pad=st.integers(1, 2), doppler_pad=st.integers(1, 2),
+       angle_pad=st.integers(1, 2), mu=st.sampled_from([0, 50, 100]),
+       snr_db=st.floats(-5.0, 20.0),
+       fading=st.sampled_from(["swerling0", "swerling12"]))
+def test_batch_matches_per_trial_pipeline(
+        waveform, seed, n_scatterers, max_targets, interpolate, range_pad,
+        doppler_pad, angle_pad, mu, snr_db, fading):
+    # Rayleigh fading (swerling12) spreads the trials' peak levels, so a
+    # threshold taken across trials instead of per trial would show.
+    rng = np.random.default_rng(seed)
+    scatterers = []
+    for q in range(n_scatterers):
+        phase = rng.uniform(0.0, 2 * np.pi)
+        if waveform == "pmcw":  # 31 chips of 1 ns, 8 frames
+            delay = int(rng.integers(0, 31)) * 1e-9
+            doppler = rng.uniform(-0.5, 0.5) / 31e-9
+        else:  # 16 subcarriers 62.5 MHz apart, 8-sample cyclic prefix
+            delay = rng.uniform(0.0, 8.0) * 1e-9
+            doppler = rng.uniform(-0.5, 0.5) * 62.5e6
+        scatterers.append({
+            "delay_s": delay, "doppler_hz": doppler,
+            "angle_rad": rng.uniform(-0.9, 0.9), "fading": fading,
+            "amplitude": [0.8 ** q * np.cos(phase), 0.8 ** q * np.sin(phase)]})
+    make = pmcw_scenario if waveform == "pmcw" else ofdma_scenario
+    config = make(
+        scene={"scatterers": scatterers,
+               "seed": int(rng.integers(0, 2 ** 31))},
+        estimator={"max_targets": max_targets, "interpolate": interpolate,
+                   "range_pad": range_pad, "doppler_pad": doppler_pad,
+                   "angle_pad": angle_pad},
+        sweep={"mu_percent": [mu], "snr_db": [snr_db]},
+        trials=5, seed=int(rng.integers(0, 2 ** 31)))
+    point = SweepPoint(index=1, mu_percent=float(mu), snr_db=snr_db)
+    batch_fn = runner._POINT_FNS[waveform]
+    with mock.patch.dict(runner._POINT_FNS,
+                         {waveform: mock.Mock(wraps=batch_fn)}) as fns:
+        batch = runner._run_point_trials(config, point, range(config.trials))
+        batches_run = fns[waveform].call_count
+    assert [exact(o) for o in batch] == [
+        exact(reference_trial(config, point, t))
+        for t in range(config.trials)]
+    # The batch falls back to one trial at a time only when a trial fails
+    # on its own; a fallback that repairs a batch error would hide it.
+    assert (batches_run > 1) == any(o.failed for o in batch)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("make", [pmcw_scenario, ofdma_scenario],
+                         ids=["pmcw", "ofdma"])
+def test_value_error_fails_only_its_trial(tmp_path, monkeypatch, make,
+                                          workers):
+    # A ValueError inside a stacked batch reruns the batch one trial at a
+    # time: only trial 2 fails, with the message it raised, and the other
+    # trials' rows are those of an undisturbed run.
+    config = make(sweep={"snr_db": [5, 15]}, trials=4)
+    run_scenario(config, out_dir=tmp_path / "clean")
+    fading_gains = Scene.fading_gains
+
+    def flaky(scene, cpi_index=0):
+        if cpi_index == 2:
+            raise ValueError("fading draw failed")
+        return fading_gains(scene, cpi_index)
+
+    monkeypatch.setattr(Scene, "fading_gains", flaky)
+    report = run_scenario(config, out_dir=tmp_path / "flaky", workers=workers)
+    for result in report.points:
+        assert result.n_failures == 1
+        assert result.example_failure == "ValueError: fading draw failed"
+    _, clean = read_csv_rows(tmp_path / "clean" / "estimates.csv")
+    _, flaky_rows = read_csv_rows(tmp_path / "flaky" / "estimates.csv")
+    assert flaky_rows == [row for row in clean if row[2] != "2"]
+
+
+def test_large_trial_counts_run_in_several_batches(monkeypatch):
+    config = pmcw_scenario(sweep={"snr_db": [10]}, trials=5)
+    point = SweepPoint(index=0, mu_percent=None, snr_db=10.0)
+    whole = runner._run_point_trials(config, point, range(5))
+    sizes = []
+    pmcw_trials = runner._POINT_FNS["pmcw"]
+
+    def counted(config, point, trials):
+        sizes.append(len(trials))
+        return pmcw_trials(config, point, trials)
+
+    monkeypatch.setitem(runner._POINT_FNS, "pmcw", counted)
+    monkeypatch.setattr(runner, "_BATCH_CELLS", 2 * 8 * 31 * 2)
+    split = runner._run_point_trials(config, point, range(5))
+    assert sizes == [2, 2, 1]
+    assert [exact(o) for o in split] == [exact(o) for o in whole]
 
 
 # ---------------------------------------------------------------------------
