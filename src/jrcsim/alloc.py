@@ -46,12 +46,15 @@ class AllocationProblem:
             raise ValueError("need at least one subcarrier")
         if not (g.shape == h.shape == n.shape == t.shape):
             raise ValueError("per-subcarrier arrays must share a shape")
+        if not all(np.all(np.isfinite(a)) for a in (g, h, n, t)):
+            raise ValueError("gains, noise powers and rate floors must be "
+                             "finite")
         if np.any(g <= 0) or np.any(h <= 0) or np.any(n <= 0):
             raise ValueError("gains and noise powers must be positive")
         if np.any(t < 0):
             raise ValueError("rate floors must be >= 0")
-        if self.total_power <= 0:
-            raise ValueError("total_power must be positive")
+        if not 0 < self.total_power < math.inf:
+            raise ValueError("total_power must be positive and finite")
         if not 0 < self.false_alarm < 1:
             raise ValueError("false_alarm must lie in (0, 1)")
         object.__setattr__(self, "radar_gains", g)
@@ -99,8 +102,8 @@ def waterfill(levels, total_power: float) -> AllocationResult:
         raise ValueError("need at least one level")
     if np.any(levels <= 0) or not np.all(np.isfinite(levels)):
         raise ValueError("levels must be positive and finite")
-    if total_power <= 0:
-        raise ValueError("total_power must be positive")
+    if not 0 < total_power < math.inf:
+        raise ValueError("total_power must be positive and finite")
 
     order = np.argsort(levels, kind="stable")
     sorted_levels = levels[order]

@@ -160,6 +160,9 @@ def _cmd_alloc(args) -> int:
     try:
         problem, _ = read_allocation_csv(args.problem, args.total_power,
                                          args.false_alarm)
+        result = (waterfill(problem.noise_powers / problem.radar_gains,
+                            problem.total_power)
+                  if args.method == "waterfill" else np_allocate(problem))
     except FileNotFoundError:
         print(f"error: no such problem file: {args.problem}",
               file=sys.stderr)
@@ -168,12 +171,9 @@ def _cmd_alloc(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.method == "waterfill":
-        result = waterfill(problem.noise_powers / problem.radar_gains,
-                           problem.total_power)
         print(f"water level: {format_float(result.water_level)} "
               f"(kkt residual {format_float(result.kkt_residual)})")
     else:
-        result = np_allocate(problem)
         print(f"p_detect: {format_float(result.p_detect)} "
               f"feasible: {result.feasible}"
               + ("" if result.feasible

@@ -109,6 +109,9 @@ class ScenarioConfig:
             raise ValueError("sweep weights must lie in [0, 1]")
         if not all(0 <= m <= 100 for m in self.mu_sweep):
             raise ValueError("sweep mu_percent values must lie in [0, 100]")
+        if self.waveform == "golay" and (self.mu_sweep or self.weights):
+            raise ValueError("golay has no radar/comm multiplex: sweep "
+                             "mu_percent and weights must be empty")
         if not all(s is None or math.isfinite(s) for s in self.snr_db):
             raise ValueError("snr_db entries must be finite or null")
 

@@ -37,6 +37,7 @@ or the interpolated offsets thereof, nothing sharper.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -398,6 +399,49 @@ def _refine_windows(seed_power: np.ndarray, beams_at, pads,
     return wbins, _guard(power.sum(axis=-1), wbins), beams, owner
 
 
+def _refined(refinement, est: EstimatorConfig) -> tuple:
+    """(pad-1 power maps, targets per CPI) of a stack's refinements, from
+    its (pad-1 power maps, fine-grid windows, layout)."""
+    power, windows, lay = refinement
+    return power, _window_targets(windows, len(power), est, lay)
+
+
+def _fit(data: np.ndarray, basis, targets, slots: np.ndarray,
+         symbols: np.ndarray) -> np.ndarray:
+    """Least-squares amplitudes of ``targets`` in one CPI's data over the
+    known ``slots``.
+
+    Fits d in y = sum_q d_q * symbols * basis(target_q, slots), where
+    ``basis`` gives a target's unit-amplitude response on the slots and
+    ``symbols`` (broadcast against it) are the symbols they carry.
+    """
+    a_mat = np.stack([(symbols * basis(tgt, slots)).ravel()
+                      for tgt in targets], axis=1)
+    d_hat, *_ = np.linalg.lstsq(a_mat, data[slots].ravel(), rcond=None)
+    return d_hat
+
+
+def _project(data: np.ndarray, basis, targets, known: np.ndarray,
+             known_symbols: np.ndarray, slots: np.ndarray, axes) -> np.ndarray:
+    """Symbol estimates on the data ``slots`` of a stack of CPIs.
+
+    Per CPI, the amplitudes of its ``targets`` entry are fitted on the
+    ``known`` slots, which carry that CPI's ``known_symbols``, and the
+    response they give is rebuilt on the data slots.  Each data sample is
+    projected onto it, summed over ``axes``.
+    """
+    received = data[:, slots]
+    response = np.zeros_like(received)
+    for k, found in enumerate(targets):
+        d_hat = _fit(data[k], basis, found, known, known_symbols[k])
+        for d_q, tgt in zip(d_hat, found):
+            response[k] += d_q * basis(tgt, slots)
+    energy = np.sum(np.abs(response) ** 2, axis=axes)
+    if np.any(energy == 0):
+        raise DecodingError("reconstructed response has zero energy")
+    return np.sum(received * np.conj(response), axis=axes) / energy
+
+
 # ---------------------------------------------------------------------------
 # Continuous-wave (code-domain) estimation
 # ---------------------------------------------------------------------------
@@ -488,13 +532,6 @@ def _pmcw_windows(data: np.ndarray, code_spec: np.ndarray, config,
                                        (est.doppler_pad, 1), est, lay), lay
 
 
-def _pmcw_refined(data: np.ndarray, code_spec: np.ndarray, config,
-                  symbols: np.ndarray, est: EstimatorConfig) -> tuple:
-    """(pad-1 power maps, targets per CPI) of a stack's refinements."""
-    power, windows, lay = _pmcw_windows(data, code_spec, config, symbols, est)
-    return power, _window_targets(windows, len(data), est, lay)
-
-
 def pmcw_refine(cube: PmcwCube, code: CodeSequence, symbols,
                 est: EstimatorConfig) -> DetectionResult:
     """Re-estimate over all frames with every symbol treated as known.
@@ -506,8 +543,9 @@ def pmcw_refine(cube: PmcwCube, code: CodeSequence, symbols,
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.size != cube.config.n_frames:
         raise ValueError("need one symbol per frame")
-    power, targets = _pmcw_refined(cube.data[None], np.fft.fft(code.chips()),
-                                   cube.config, symbols.reshape(1, -1), est)
+    power, targets = _refined(_pmcw_windows(
+        cube.data[None], np.fft.fft(code.chips()), cube.config,
+        symbols.reshape(1, -1), est), est)
     return _pmcw_result(power[0], cube.config, targets[0])
 
 
@@ -525,37 +563,6 @@ def _pmcw_basis(config, chips: np.ndarray, target: TargetEstimate,
     return (dop * chips[None, :])[:, :, None] * steer[None, None, :]
 
 
-def _pmcw_fit(data: np.ndarray, chips: np.ndarray, config, targets,
-              symbols: np.ndarray, m_indices: np.ndarray) -> np.ndarray:
-    """Least-squares amplitudes of ``targets`` in one CPI's (M, L, N_r)
-    data, over the frames ``m_indices`` carrying ``symbols``."""
-    cols = []
-    for tgt in targets:
-        basis = _pmcw_basis(config, chips, tgt, m_indices)
-        cols.append((symbols[:, None, None] * basis).ravel())
-    a_mat = np.stack(cols, axis=1)
-    y = data[m_indices].ravel()
-    d_hat, *_ = np.linalg.lstsq(a_mat, y, rcond=None)
-    return d_hat
-
-
-def pmcw_estimate_amplitudes(cube: PmcwCube, code: CodeSequence, targets,
-                             symbols, m_indices) -> np.ndarray:
-    """Least-squares complex amplitudes of the detected targets.
-
-    Fits d in y = sum_q d_q * a_m * basis_q over the chosen frames, where
-    the symbols on those frames are known (or decoded) values.
-    """
-    m_indices = np.asarray(m_indices, dtype=int)
-    symbols = np.asarray(symbols, dtype=complex)
-    if symbols.size != m_indices.size:
-        raise ValueError("need one symbol per selected frame")
-    if not targets:
-        raise ValueError("no targets to fit")
-    return _pmcw_fit(cube.data, code.chips(), cube.config, targets, symbols,
-                     m_indices)
-
-
 def _pmcw_demodulate(data: np.ndarray, chips: np.ndarray, config, schedule,
                      targets, order: int) -> tuple:
     """(bits, symbol estimates, full symbol vectors) of a (CPIs, M, L, N_r)
@@ -571,7 +578,6 @@ def _pmcw_demodulate(data: np.ndarray, chips: np.ndarray, config, schedule,
                             "the differential reference")
     radar_idx = np.flatnonzero(schedule.is_radar)
     comm_idx = np.flatnonzero(~schedule.is_radar)
-    radar_symbols = np.ones(radar_idx.size, dtype=complex)
     n_cpi = len(data)
 
     full = np.ones((n_cpi, schedule.n_frames), dtype=complex)
@@ -579,23 +585,13 @@ def _pmcw_demodulate(data: np.ndarray, chips: np.ndarray, config, schedule,
         return (np.zeros((n_cpi, 0), dtype=np.int64),
                 np.zeros((n_cpi, 0), dtype=complex), full)
 
-    response = np.zeros((n_cpi, comm_idx.size, config.code_length,
-                         config.geometry.n_rx), dtype=complex)
-    for k, found in enumerate(targets):
-        d_hat = _pmcw_fit(data[k], chips, config, found, radar_symbols,
-                          radar_idx)
-        for d_q, tgt in zip(d_hat, found):
-            response[k] += d_q * _pmcw_basis(config, chips, tgt, comm_idx)
-    energy = np.sum(np.abs(response) ** 2, axis=(2, 3))
-    if np.any(energy == 0):
-        raise DecodingError("reconstructed response has zero energy")
-    proj = np.sum(data[:, comm_idx] * np.conj(response), axis=(2, 3)) / energy
-
-    chain = np.concatenate([np.full((n_cpi, 1), radar_symbols[-1]), proj],
-                           axis=1)
-    bits = dpsk_decode(chain, order)
-    full[:, comm_idx] = (radar_symbols[-1]
-                         * dpsk_encode(bits, order).symbols[:, 1:])
+    # Radar frames carry the symbol 1; the last one is the DPSK reference.
+    proj = _project(data, partial(_pmcw_basis, config, chips), targets,
+                    radar_idx, np.ones((n_cpi, radar_idx.size, 1, 1),
+                                       dtype=complex), comm_idx, (2, 3))
+    bits = dpsk_decode(np.concatenate(
+        [np.ones((n_cpi, 1), dtype=complex), proj], axis=1), order)
+    full[:, comm_idx] = dpsk_encode(bits, order)[:, 1:]
     return bits, proj, full
 
 
@@ -708,13 +704,6 @@ def _ofdma_windows(data: np.ndarray, symbols: np.ndarray, config,
         seed_power, beams_at, (est.range_pad, est.doppler_pad), est, lay), lay
 
 
-def _ofdma_refined(data: np.ndarray, symbols: np.ndarray, config,
-                   est: EstimatorConfig) -> tuple:
-    """(pad-1 power maps, targets per CPI) of a stack's refinements."""
-    power, windows, lay = _ofdma_windows(data, symbols, config, est)
-    return power, _window_targets(windows, len(data), est, lay)
-
-
 def ofdma_refine(cube: OfdmaCube, symbols: np.ndarray,
                  est: EstimatorConfig) -> DetectionResult:
     """Re-estimate over the full grid with all symbols treated as known.
@@ -726,8 +715,8 @@ def ofdma_refine(cube: OfdmaCube, symbols: np.ndarray,
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.shape != (cube.config.n_subcarriers, cube.config.n_symbols):
         raise ValueError("need the full N_c x N_s symbol matrix")
-    power, targets = _ofdma_refined(cube.data[None], symbols[None],
-                                    cube.config, est)
+    power, targets = _refined(_ofdma_windows(cube.data[None], symbols[None],
+                                             cube.config, est), est)
     return _ofdma_result(power[0], cube.config, cube.config.n_subcarriers,
                          targets[0])
 
@@ -745,29 +734,15 @@ def _ofdma_basis(config, target: TargetEstimate, rows: np.ndarray):
     return (phase_n[:, None] * phase_m[None, :])[:, :, None] * steer[None, None, :]
 
 
-def _ofdma_fit(data: np.ndarray, symbols: np.ndarray, config, targets,
-               rows: np.ndarray) -> np.ndarray:
-    """Least-squares amplitudes of ``targets`` in one CPI's data, over the
-    subcarrier ``rows`` of its (N_c, N_s) symbol grid."""
-    cols = []
-    for tgt in targets:
-        basis = _ofdma_basis(config, tgt, rows)
-        cols.append((symbols[rows][:, :, None] * basis).ravel())
-    a_mat = np.stack(cols, axis=1)
-    y = data[rows].ravel()
-    d_hat, *_ = np.linalg.lstsq(a_mat, y, rcond=None)
-    return d_hat
-
-
 def ofdma_estimate_amplitudes(cube: OfdmaCube, grid: SymbolGrid, targets,
                               rows=None) -> np.ndarray:
     """Least-squares target amplitudes from rows with known symbols."""
     if not targets:
         raise ValueError("no targets to fit")
-    if rows is None:
-        rows = np.flatnonzero(grid.radar_rows)
-    return _ofdma_fit(cube.data, grid.symbols, cube.config, targets,
-                      np.asarray(rows, dtype=int))
+    rows = np.flatnonzero(grid.radar_rows) if rows is None \
+        else np.asarray(rows, dtype=int)
+    return _fit(cube.data, partial(_ofdma_basis, cube.config), targets, rows,
+                grid.symbols[rows][:, :, None])
 
 
 def _ofdma_demodulate(data: np.ndarray, symbols: np.ndarray, radar_rows,
@@ -790,19 +765,10 @@ def _ofdma_demodulate(data: np.ndarray, symbols: np.ndarray, radar_rows,
                 np.zeros((n_cpi, 0, n_s), dtype=complex), full)
 
     pilot_rows = np.flatnonzero(radar_rows)
-    response = np.zeros((n_cpi, comm_rows.size, n_s, config.geometry.n_rx),
-                        dtype=complex)
-    for k, found in enumerate(targets):
-        d_hat = _ofdma_fit(data[k], symbols[k], config, found, pilot_rows)
-        for d_q, tgt in zip(d_hat, found):
-            response[k] += d_q * _ofdma_basis(config, tgt, comm_rows)
-    energy = np.sum(np.abs(response) ** 2, axis=3)
-    if np.any(energy == 0):
-        raise DecodingError("reconstructed response has zero energy")
-    proj = np.sum(data[:, comm_rows] * np.conj(response), axis=3) / energy
-
+    proj = _project(data, partial(_ofdma_basis, config), targets, pilot_rows,
+                    symbols[:, pilot_rows, :, None], comm_rows, 3)
     bits = dpsk_decode(proj.reshape(-1, n_s), order)
-    full[:, comm_rows] = dpsk_encode(bits, order).symbols.reshape(
+    full[:, comm_rows] = dpsk_encode(bits, order).reshape(
         n_cpi, comm_rows.size, n_s)
     return bits.reshape(n_cpi, -1), proj, full
 

@@ -160,7 +160,7 @@ def _symbol_grids(config: OfdmaConfig, bits: np.ndarray,
     grids[:, mask] = pilot_symbols(config, n_radar)
     k = int(np.log2(order))
     row_bits = bits.reshape(len(bits) * (n_c - n_radar), (n_s - 1) * k)
-    grids[:, ~mask] = dpsk_encode(row_bits, order).symbols.reshape(
+    grids[:, ~mask] = dpsk_encode(row_bits, order).reshape(
         len(bits), n_c - n_radar, n_s)
     return grids
 

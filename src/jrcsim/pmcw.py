@@ -123,11 +123,11 @@ def _frame_symbols(schedule: FrameSchedule, bits: np.ndarray,
     a = np.ones((len(bits), schedule.n_frames), dtype=complex)
     if schedule.n_comm == 0:
         return a
-    stream = dpsk_encode(bits, order)
+    chain = dpsk_encode(bits, order)
     if schedule.n_radar:
-        a[:, schedule.n_radar:] = stream.symbols[:, 1:]
+        a[:, schedule.n_radar:] = chain[:, 1:]
     else:
-        a[:] = stream.symbols
+        a[:] = chain
     return a
 
 

@@ -38,8 +38,8 @@ import numpy as np
 from .alloc import detection_probability
 from .channel import complex_awgn, scatterer_amplitude
 from .config import ScenarioConfig, config_hash
-from .estim import (_ofdma_demodulate, _ofdma_detect, _ofdma_refined,
-                    _pmcw_demodulate, _pmcw_detect, _pmcw_refined,
+from .estim import (_ofdma_demodulate, _ofdma_detect, _ofdma_windows,
+                    _pmcw_demodulate, _pmcw_detect, _pmcw_windows, _refined,
                     golay_cef_waveform, golay_range_estimate, profile_peaks)
 from .ofdma import _ofdma_synthesize, _symbol_grids, build_symbol_grid, \
     grid_capacity_bits, ofdma_pilot_mask, ofdma_transmit
@@ -137,7 +137,7 @@ def build_code(config: ScenarioConfig, wavecfg: PmcwConfig) -> CodeSequence:
 
 def _effective_config(config: ScenarioConfig, point: SweepPoint):
     wavecfg = config.waveform_config
-    if point.mu_percent is not None and config.waveform in ("pmcw", "ofdma"):
+    if point.mu_percent is not None:  # golay configs sweep no mu
         wavecfg = replace(wavecfg, mu_percent=point.mu_percent)
     return wavecfg
 
@@ -247,8 +247,9 @@ def _pmcw_trials(config, point, trials) -> list:
                              config.estimator)
     bits_hat, _, full_symbols = _pmcw_demodulate(data, chips, wavecfg, sched,
                                                  coarse, order)
-    _, refined = _pmcw_refined(data, code_spec, wavecfg, full_symbols,
-                               config.estimator.refined(config.refine_factor))
+    fine = config.estimator.refined(config.refine_factor)
+    _, refined = _refined(_pmcw_windows(data, code_spec, wavecfg,
+                                        full_symbols, fine), fine)
 
     scales = (wavecfg.chip_time,
               1.0 / (wavecfg.n_frames * wavecfg.block_time),
@@ -270,8 +271,9 @@ def _ofdma_trials(config, point, trials) -> list:
                               config.estimator)
     bits_hat, _, full_symbols = _ofdma_demodulate(data, grids, radar_rows,
                                                   wavecfg, coarse, order)
-    _, refined = _ofdma_refined(data, full_symbols, wavecfg,
-                                config.estimator.refined(config.refine_factor))
+    fine = config.estimator.refined(config.refine_factor)
+    _, refined = _refined(_ofdma_windows(data, full_symbols, wavecfg, fine),
+                          fine)
 
     scales = (wavecfg.sample_time,
               1.0 / (wavecfg.n_symbols * wavecfg.symbol_duration),
@@ -435,16 +437,19 @@ def _point_p_detect(config: ScenarioConfig, wavecfg, point: SweepPoint,
     """Detection probability of the closed-form detector model.
 
     Uses the coherent integration gain over the radar-only resources on
-    top of the per-sample SNR; noiseless points saturate to 1.
+    top of the per-sample SNR; noiseless points saturate to 1.  Without a
+    scatterer, or without signal power to fix a swept SNR by, it is NaN.
     """
-    if amplitudes.size == 0:
+    signal_power = float(np.sum(np.abs(amplitudes) ** 2))
+    if amplitudes.size == 0 or (signal_power == 0
+                                and point.snr_db is not None):
         return math.nan
     sigma2 = _noise_variance(config, point, amplitudes)
     if sigma2 == 0:
         return 1.0
-    snr = float(np.sum(np.abs(amplitudes) ** 2)) / sigma2
-    return detection_probability(snr * _integration_gain(config, wavecfg),
-                                 config.false_alarm)
+    return detection_probability(
+        signal_power / sigma2 * _integration_gain(config, wavecfg),
+        config.false_alarm)
 
 
 def scenario_waveform_samples(config: ScenarioConfig):
@@ -471,12 +476,12 @@ def scenario_waveform_samples(config: ScenarioConfig):
 
 
 def _comm_fraction(config: ScenarioConfig, wavecfg) -> float:
+    """Share of the resources carrying data (golay configs have no
+    weights, so never get here)."""
     if config.waveform == "pmcw":
         sched = pmcw_schedule(wavecfg)
         return (sched.n_frames - sched.n_radar) / sched.n_frames
-    if config.waveform == "ofdma":
-        return float(np.mean(~ofdma_pilot_mask(wavecfg)))
-    return 0.0
+    return float(np.mean(~ofdma_pilot_mask(wavecfg)))
 
 
 def _crlb_model(config: ScenarioConfig, wavecfg):
@@ -525,10 +530,11 @@ def _crlb_model(config: ScenarioConfig, wavecfg):
 def _tradeoff_rows(config: ScenarioConfig, wavecfg, point: SweepPoint,
                    mu_value: float, amplitudes: np.ndarray) -> list:
     """One (objective) row per sweep weight, where the terms are defined."""
-    if not config.weights or config.waveform == "golay":
+    if not config.weights:
         return []
     delta = _comm_fraction(config, wavecfg)
-    if delta == 0 or not config.scene.scatterers:
+    # The CRLB term is taken at the first scatterer and needs its signal.
+    if delta == 0 or not np.any(amplitudes[:1]):
         return []
     sigma2 = _noise_variance(config, point, amplitudes)
     if sigma2 == 0:
@@ -550,7 +556,7 @@ def _tradeoff_rows(config: ScenarioConfig, wavecfg, point: SweepPoint,
                           1.0 / (64 * wavecfg.n_symbols
                                  * wavecfg.symbol_duration),
                           1e-3])
-    amp0 = abs(amplitudes[0]) if amplitudes.size else 1.0
+    amp0 = abs(amplitudes[0])
     model = _crlb_model(config, wavecfg)
     crlb = crlb_proxy(lambda th: amp0 * model(th), theta, sigma2, steps)
 

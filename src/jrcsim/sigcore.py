@@ -187,31 +187,13 @@ _GRAY_INV = {
 }
 
 
-@dataclass(frozen=True)
-class DpskStream:
-    """A differentially encoded symbol stream, or a block of them.
-
-    Each stream runs along the last axis: ``symbols[..., 0]`` is the known
-    reference with phase 0, and each later symbol advances the phase by a
-    Gray-coded multiple of 2*pi/order.  ``bits`` and ``symbols`` are 1-d
-    for one stream and 2-d, one stream per row, for a block.
-    """
-
-    bits: np.ndarray
-    order: int
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=np.int64))
-        object.__setattr__(self, "symbols", np.asarray(self.symbols, dtype=complex))
-
-
-def dpsk_encode(bits, order: int = 2) -> DpskStream:
-    """Differentially encode bits into unit-modulus symbols.
+def dpsk_encode(bits, order: int = 2) -> np.ndarray:
+    """Differentially encode bits into unit-modulus complex symbols.
 
     ``bits`` is a 1-d vector or a 2-d block with one stream per row.  Each
-    row of b bits becomes 1 + b/log2(order) symbols whose first entry is
-    the phase-0 reference.
+    row of b bits becomes 1 + b/log2(order) symbols along the last axis:
+    the first is the phase-0 reference, and each later one advances the
+    phase by a Gray-coded multiple of 2*pi/order.
     """
     if order not in _GRAY:
         raise ValueError("order must be 2 or 4")
@@ -230,8 +212,7 @@ def dpsk_encode(bits, order: int = 2) -> DpskStream:
     steps = _GRAY[order][values]
     cum = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,), dtype=np.int64)
     np.cumsum(steps, axis=-1, out=cum[..., 1:])
-    symbols = np.exp(2j * np.pi * cum / order)
-    return DpskStream(bits=bits, order=order, symbols=symbols)
+    return np.exp(2j * np.pi * cum / order)
 
 
 def dpsk_decode(symbols, order: int = 2) -> np.ndarray:

@@ -71,6 +71,9 @@ def test_waterfill_validation():
         waterfill([np.inf], 1.0)
     with pytest.raises(ValueError):
         waterfill([1.0], 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            waterfill([1.0], bad)
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,6 +186,15 @@ def test_problem_validation():
         make_problem([1.0], [1.0], [1.0], [0.0], 0.0)
     with pytest.raises(ValueError):
         make_problem([1.0], [1.0], [1.0], [0.0], 1.0, alpha=1.5)
+    # Non-finite cells and budgets would give NaN powers or overflow.
+    for bad in (np.nan, np.inf):
+        for k in range(4):
+            cells = [[1.0], [1.0], [1.0], [0.0]]
+            cells[k] = [bad]
+            with pytest.raises(ValueError, match="finite"):
+                make_problem(*cells, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            make_problem([1.0], [1.0], [1.0], [0.0], bad)
 
 
 # ---------------------------------------------------------------------------

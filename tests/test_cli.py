@@ -314,6 +314,22 @@ def test_alloc_missing_and_malformed_files(tmp_path, capsys):
     bad.write_text("a,b\n1,2\n")
     assert main(["alloc", str(bad), "--total-power", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+    # Non-finite inputs are errors, not NaN powers or a traceback.
+    good = write_problem(tmp_path / "problem.csv")
+    text = good.read_text()
+    nan_cell = tmp_path / "nan.csv"
+    nan_cell.write_text(text.replace("\n1,0.5,", "\n1,nan,", 1))
+    inf_cell = tmp_path / "inf.csv"
+    inf_cell.write_text(text.replace("\n1,0.5,", "\n1,inf,", 1))
+    out = tmp_path / "out"
+    for argv in ([str(nan_cell), "--total-power", "20"],
+                 [str(good), "--total-power", "nan"],
+                 [str(good), "--total-power", "inf"],
+                 [str(inf_cell), "--total-power", "20",
+                  "--method", "waterfill"]):
+        assert main(["alloc", *argv, "--out-dir", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_alloc_infeasible_reports_deficit(tmp_path, capsys):

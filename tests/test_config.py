@@ -356,6 +356,20 @@ def test_golay_section_validated():
     assert any(e.startswith("$.golay:") and "log2_length" in e for e in errs)
 
 
+@pytest.mark.parametrize("sweep", [{"mu_percent": [25, 50]},
+                                   {"weights": [0.5]},
+                                   {"mu_percent": [50], "weights": [0.5]}])
+def test_golay_rejects_multiplex_sweeps(sweep):
+    # Golay sounding has no radar/comm multiplex to sweep or weigh.
+    data = base_golay()
+    data["sweep"] = sweep
+    assert errors_of(data) == (
+        "$: golay has no radar/comm multiplex: sweep mu_percent and "
+        "weights must be empty",)
+    data["sweep"] = {"mu_percent": [], "weights": [], "snr_db": [0, 10]}
+    assert parse_config(data).snr_db == (0.0, 10.0)
+
+
 def test_top_level_must_be_object():
     errs = errors_of([1, 2])
     assert errs == ("top level: expected a JSON object",)

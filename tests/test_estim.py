@@ -6,6 +6,7 @@ against hand-built convolution channels with integer arithmetic.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,8 +19,7 @@ from jrcsim.estim import (DecodingError, EstimatorConfig, NonIdentifiableError,
                           golay_cef_waveform, golay_range_estimate,
                           ofdma_decode, ofdma_estimate_amplitudes,
                           ofdma_range_doppler_angle, ofdma_refine, pmcw_decode,
-                          pmcw_estimate_amplitudes, pmcw_range_doppler,
-                          pmcw_refine, profile_peaks)
+                          pmcw_range_doppler, pmcw_refine, profile_peaks)
 from jrcsim.ofdma import (OfdmaConfig, build_symbol_grid, grid_capacity_bits,
                           ofdma_receive_cube)
 from jrcsim.pmcw import (PmcwConfig, payload_capacity_bits, pmcw_frame_symbols,
@@ -268,8 +268,11 @@ def test_pmcw_amplitude_recovery_least_squares():
         [Scatterer(delay_s=5 * CHIP, doppler_hz=f_true,
                    angle_rad=np.arcsin(0.5), amplitude=d_true)])
     targets = pmcw_range_doppler(cube, code).targets
-    d_hat = pmcw_estimate_amplitudes(cube, code, targets, symbols,
-                                     np.arange(8))
+    # The fit the decoder runs on the radar frames, here over every frame.
+    d_hat = estim._fit(cube.data,
+                       partial(estim._pmcw_basis, config, code.chips()),
+                       targets, np.arange(8),
+                       np.asarray(symbols)[:, None, None])
     assert d_hat[0] == pytest.approx(d_true, abs=1e-10)
 
 

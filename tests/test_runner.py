@@ -214,18 +214,43 @@ def test_null_snr_uses_scene_noise_verbatim():
     assert _noise_variance(config, swept, amps) == pytest.approx(0.4)
 
 
-def test_snr_sweep_with_empty_scene_reports_failures(tmp_path):
-    config = pmcw_scenario(scene={"scatterers": []},
-                           sweep={"snr_db": [10]}, trials=2)
+@pytest.mark.parametrize("scatterers", [
+    [],
+    [{"delay_s": 5e-9, "amplitude": [0.0, 0.0]}],
+    [{"delay_s": 5e-9, "rcs_m2": 0.0}],
+], ids=["empty", "zero_amplitude", "zero_rcs"])
+def test_snr_sweep_with_empty_scene_reports_failures(tmp_path, scatterers):
+    # A swept SNR needs signal power: with none, every trial fails, p_D is
+    # undefined and no trade-off row is written, but the run completes.
+    config = pmcw_scenario(scene={"scatterers": scatterers},
+                           sweep={"snr_db": [0, 10],
+                                  "weights": [0.25, 0.75]}, trials=2)
     report = run_scenario(config, out_dir=tmp_path)
-    point = report.points[0]
-    assert point.n_failures == 2
-    assert "nonzero scatterer" in point.example_failure
-    assert np.isnan(point.p_detect)
+    for point in report.points:
+        assert point.n_failures == 2
+        assert "nonzero scatterer" in point.example_failure
+        assert np.isnan(point.p_detect)
+    assert report.tradeoff == []
     _, rows = read_csv_rows(tmp_path / "rmse_vs_snr.csv")
-    assert rows[0][3] == "2"  # n_failures column
+    assert [row[3] for row in rows] == ["2", "2"]  # n_failures column
     _, est_rows = read_csv_rows(tmp_path / "estimates.csv")
     assert est_rows == []
+    assert not (tmp_path / "tradeoff.csv").exists()
+    saved = json.loads((tmp_path / "report.json").read_text())
+    assert [p["p_detect"] for p in saved["points"]] == [None, None]
+
+
+def test_tradeoff_skips_a_silent_first_scatterer(tmp_path):
+    # The CRLB term is taken at the first scatterer; with no signal there
+    # its Fisher information is singular, so the point has no trade-off.
+    config = pmcw_scenario(
+        scene={"scatterers": [{"delay_s": 5e-9, "amplitude": [0.0, 0.0]},
+                              {"delay_s": 9e-9, "amplitude": [1.0, 0.0]}],
+               "noise_variance": 0.1},
+        sweep={"weights": [0.5]}, trials=1)
+    report = run_scenario(config, out_dir=tmp_path)
+    assert report.tradeoff == []
+    assert not (tmp_path / "tradeoff.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jrcsim.sigcore import (ArrayGeometry, CodeSequence, DpskStream,
+from jrcsim.sigcore import (ArrayGeometry, CodeSequence,
                             aperiodic_autocorr, cyclic_shift, dpsk_decode,
                             dpsk_encode, golay_pair, steering_vector)
 
@@ -196,22 +196,21 @@ def test_autocorr_rejects_empty():
 
 
 def test_dpsk_all_zero_bits_constant_stream():
-    stream = dpsk_encode(np.zeros(8, dtype=int), order=2)
-    assert np.allclose(stream.symbols, 1.0)
-    assert np.array_equal(dpsk_decode(stream.symbols, order=2), np.zeros(8))
+    symbols = dpsk_encode(np.zeros(8, dtype=int), order=2)
+    assert np.allclose(symbols, 1.0)
+    assert np.array_equal(dpsk_decode(symbols, order=2), np.zeros(8))
 
 
 def test_dpsk_reference_symbol_and_length():
-    stream = dpsk_encode([1, 0, 1, 1], order=4)
-    assert stream.symbols[0] == 1.0 + 0.0j
-    assert stream.symbols.size == 3
+    symbols = dpsk_encode([1, 0, 1, 1], order=4)
+    assert symbols[0] == 1.0 + 0.0j
+    assert symbols.size == 3
 
 
 def test_dpsk_constant_phase_invariance():
     rng = np.random.default_rng(11)
     bits = rng.integers(0, 2, size=100)
-    stream = dpsk_encode(bits, order=4)
-    rotated = stream.symbols * np.exp(1j * 1.234)
+    rotated = dpsk_encode(bits, order=4) * np.exp(1j * 1.234)
     assert np.array_equal(dpsk_decode(rotated, order=4), bits)
 
 
@@ -219,7 +218,7 @@ def test_dpsk_large_round_trip():
     rng = np.random.default_rng(12)
     bits = rng.integers(0, 2, size=10_000)
     for order in (2, 4):
-        decoded = dpsk_decode(dpsk_encode(bits, order).symbols, order)
+        decoded = dpsk_decode(dpsk_encode(bits, order), order)
         assert np.array_equal(decoded, bits)
 
 
@@ -229,7 +228,7 @@ def test_dpsk_gray_mapping_single_bit_flips():
     patterns = {}
     for b0 in (0, 1):
         for b1 in (0, 1):
-            sym = dpsk_encode([b0, b1], order=4).symbols
+            sym = dpsk_encode([b0, b1], order=4)
             step = int(round(np.angle(sym[1] * np.conj(sym[0]))
                              * 4 / (2 * np.pi))) % 4
             patterns[step] = (b0, b1)
@@ -241,8 +240,8 @@ def test_dpsk_gray_mapping_single_bit_flips():
 
 def test_dpsk_symbols_unit_modulus():
     rng = np.random.default_rng(13)
-    stream = dpsk_encode(rng.integers(0, 2, size=64), order=4)
-    assert np.allclose(np.abs(stream.symbols), 1.0, atol=1e-12)
+    symbols = dpsk_encode(rng.integers(0, 2, size=64), order=4)
+    assert np.allclose(np.abs(symbols), 1.0, atol=1e-12)
 
 
 def test_dpsk_input_validation():
@@ -266,8 +265,8 @@ def test_dpsk_decode_single_reference_yields_no_bits():
        st.floats(-np.pi, np.pi, allow_nan=False))
 def test_dpsk_round_trip_property(bits, order, theta):
     bits = np.asarray(bits if bits else [0, 1], dtype=np.int64)
-    stream = dpsk_encode(bits, order)
-    decoded = dpsk_decode(stream.symbols * np.exp(1j * theta), order)
+    decoded = dpsk_decode(dpsk_encode(bits, order) * np.exp(1j * theta),
+                          order)
     assert np.array_equal(decoded, bits)
 
 
@@ -276,19 +275,18 @@ def test_dpsk_round_trip_property(bits, order, theta):
        st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
 def test_dpsk_row_block_matches_per_row_calls(order, n_rows, n_symbols,
                                               seed, noise):
-    # The oracle is the 1-d call on each row: same bits, bitwise-equal
-    # symbols, and the same decisions on noisy, rotated rows.
+    # The oracle is the 1-d call on each row: bitwise-equal symbols, and
+    # the same decisions on noisy, rotated rows.
     rng = np.random.default_rng(seed)
     k = int(np.log2(order))
     bits = rng.integers(0, 2, size=(n_rows, (n_symbols - 1) * k))
-    stream = dpsk_encode(bits, order)
-    assert stream.bits.shape == bits.shape
-    assert stream.symbols.shape == (n_rows, n_symbols)
-    for row_bits, row_symbols in zip(bits, stream.symbols):
+    symbols = dpsk_encode(bits, order)
+    assert symbols.shape == (n_rows, n_symbols)
+    for row_bits, row_symbols in zip(bits, symbols):
         one = dpsk_encode(row_bits, order)
-        assert one.symbols.tobytes() == row_symbols.tobytes()
-    shape = stream.symbols.shape
-    received = (stream.symbols
+        assert one.tobytes() == row_symbols.tobytes()
+    shape = symbols.shape
+    received = (symbols
                 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(n_rows, 1)))
                 + noise * (rng.normal(size=shape)
                            + 1j * rng.normal(size=shape)))
@@ -311,8 +309,8 @@ def test_dpsk_row_block_validation():
     with pytest.raises(ValueError):
         dpsk_encode(np.zeros((2, 3), dtype=int), order=4)
     # Rows of no bits are reference-only streams, as for a 1-d input.
-    stream = dpsk_encode(np.zeros((3, 0), dtype=int), order=4)
-    assert np.array_equal(stream.symbols, np.ones((3, 1)))
+    symbols = dpsk_encode(np.zeros((3, 0), dtype=int), order=4)
+    assert np.array_equal(symbols, np.ones((3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +421,8 @@ def test_steering_rejects_bad_inputs():
         steering_vector(geom, 0.0, 4, convention="fwd")
 
 
-def test_dpsk_stream_dataclass_coercion():
-    stream = DpskStream(bits=[0, 1], order=2, symbols=[1, 1j, -1])
-    assert stream.bits.dtype == np.int64
-    assert stream.symbols.dtype == complex
+def test_dpsk_encode_returns_complex_array():
+    symbols = dpsk_encode([0, 1], order=2)
+    assert isinstance(symbols, np.ndarray)
+    assert symbols.dtype == complex
+    assert np.allclose(symbols, [1, 1, -1], atol=1e-12)
