@@ -139,10 +139,14 @@ class Scene:
         return len(self.scatterers)
 
     def fading_gains(self, cpi_index: int = 0) -> np.ndarray:
-        """Per-scatterer small-scale amplitudes for one CPI (deterministic)."""
+        """Per-scatterer small-scale amplitudes for one CPI (deterministic);
+        its generator is seeded only if some scatterer draws from it."""
         if not 0 <= cpi_index:
             raise ValueError("cpi_index must be >= 0")
-        rng = np.random.default_rng([int(self.seed), 0x5CA77E, cpi_index])
+        drawn = [sc for sc in self.scatterers if sc.fading != "swerling0"
+                 and not (sc.fading == "rician" and np.isinf(sc.rician_k))]
+        rng = (np.random.default_rng([int(self.seed), 0x5CA77E, cpi_index])
+               if drawn else None)
         return np.array([
             draw_small_scale(sc.fading, 1.0, rng, rician_k=sc.rician_k)
             for sc in self.scatterers
@@ -171,11 +175,14 @@ def scatterer_amplitude(sc: Scatterer, carrier_hz: float, n_tx: int,
     return n_tx * np.sqrt(g) * fading * np.exp(1j * eta)
 
 
-def _cpi_fading(scene: Scene, cpi_indices) -> np.ndarray:
-    """(CPIs, scatterers) fading gains of the CPIs ``cpi_indices``."""
-    return np.array([scene.fading_gains(i) for i in cpi_indices],
-                    dtype=complex).reshape(len(cpi_indices),
-                                           len(scene.scatterers))
+def _cpi_amplitudes(scene: Scene, carrier_hz: float, n_tx: int,
+                    cpi_indices) -> np.ndarray:
+    """(CPIs, scatterers) composite amplitudes with the fading of the CPIs
+    ``cpi_indices``."""
+    return np.array([[scatterer_amplitude(sc, carrier_hz, n_tx, fading)
+                      for sc, fading in zip(scene.scatterers,
+                                            scene.fading_gains(i))]
+                     for i in cpi_indices], dtype=complex)
 
 
 def _add_cpi_noise(data: np.ndarray, variance: float, rngs) -> None:

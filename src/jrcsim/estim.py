@@ -15,15 +15,18 @@ strongest cell.
 
 Symbol decoding projects each data-bearing slot onto the reconstructed
 multi-target response (amplitudes re-fitted by least squares on the known
-slots) and differentially decodes the projections.  Refinement re-runs
-detection over every slot with the decoded symbols treated as known.  It
-forms the unpadded (pad-1) map of all slots, and evaluates the finer
-zero-padded grid only in a window around each seed cell of that map above
-the threshold (a local peak, or on a padded axis a rising flank, beside
-which a fine peak between two unpadded bins may lie): +-1 unpadded bin
-plus a one-cell guard ring, so
-(2 * pad + 3) cells per padded axis, computed with small explicit DFT
-matrices (a chirp-z style zoom).  A refinement costs the pad-1 map plus
+slots) and differentially decodes the projections.  A target's response
+is the waveform's own receive model, ``pmcw._pmcw_response`` or
+``ofdma._ofdma_response``, evaluated at its estimates.
+
+Refinement re-runs detection over every slot with the decoded symbols
+treated as known.  It forms the unpadded (pad-1) map of all slots, and
+evaluates the finer zero-padded grid only in a window around each seed
+cell of that map above the threshold (a local peak, or on a padded axis
+a rising flank, beside which a fine peak between two unpadded bins may
+lie): +-1 unpadded bin plus a one-cell guard ring, so (2 * pad + 3)
+cells per padded axis, computed with small explicit DFT matrices (a
+chirp-z style zoom).  A refinement costs the pad-1 map plus
 O(peaks * window cells * slots), instead of an FFT over, and a peak scan
 of, the whole padded plane; a fine-grid peak outside every window is not
 found.
@@ -42,8 +45,9 @@ from typing import Callable
 
 import numpy as np
 
-from .ofdma import OfdmaCube, SymbolGrid, pilot_comb_spacing
-from .pmcw import PmcwCube
+from .ofdma import OfdmaCube, SymbolGrid, _ofdma_response, \
+    pilot_comb_spacing
+from .pmcw import PmcwCube, _pmcw_response
 from .sigcore import CodeSequence, GolayPair, dpsk_decode, dpsk_encode
 
 
@@ -552,15 +556,8 @@ def pmcw_refine(cube: PmcwCube, code: CodeSequence, symbols,
 def _pmcw_basis(config, chips: np.ndarray, target: TargetEstimate,
                 m_indices: np.ndarray):
     """Noiseless unit-amplitude response of one target on given frames."""
-    t_b, t_c = config.block_time, config.chip_time
-    l_count = config.code_length
-    n_rx = config.geometry.n_rx
-    chips = np.roll(chips, target.delay_bin)
-    phase_t = m_indices[:, None] * t_b + np.arange(l_count)[None, :] * t_c
-    dop = np.exp(-2j * np.pi * target.doppler_hz * phase_t)
-    steer = np.exp(-2j * np.pi * config.geometry.spacing_over_lambda
-                   * np.sin(target.angle_rad) * np.arange(n_rx))
-    return (dop * chips[None, :])[:, :, None] * steer[None, None, :]
+    return _pmcw_response(config, np.roll(chips, target.delay_bin),
+                          target.doppler_hz, target.angle_rad, m_indices)
 
 
 def _pmcw_demodulate(data: np.ndarray, chips: np.ndarray, config, schedule,
@@ -723,15 +720,8 @@ def ofdma_refine(cube: OfdmaCube, symbols: np.ndarray,
 
 def _ofdma_basis(config, target: TargetEstimate, rows: np.ndarray):
     """Noiseless unit-amplitude, unit-symbol response on given subcarriers."""
-    n_s = config.n_symbols
-    n_rx = config.geometry.n_rx
-    df = config.subcarrier_spacing_hz
-    phase_n = np.exp(-2j * np.pi * rows * df * target.delay_s)
-    phase_m = np.exp(2j * np.pi * np.arange(n_s) * config.symbol_duration
-                     * target.doppler_hz)
-    steer = np.exp(2j * np.pi * config.geometry.spacing_over_lambda
-                   * np.sin(target.angle_rad) * np.arange(n_rx))
-    return (phase_n[:, None] * phase_m[None, :])[:, :, None] * steer[None, None, :]
+    return _ofdma_response(config, target.delay_s, target.doppler_hz,
+                           target.angle_rad, rows)
 
 
 def ofdma_estimate_amplitudes(cube: OfdmaCube, grid: SymbolGrid, targets,

@@ -11,7 +11,9 @@ domain: entry (n, m, p) of a scatterer's contribution is
 sampled at t_s = 1/(N_c df) so the IFFT length equals the fast-time sample
 count.  The cyclic prefix is stripped before cube formation; target delays
 beyond the CP only draw a warning because the sampled-sum model stays
-well defined.
+well defined.  The unit response (all but d_q * a_{n,m}) is written once,
+in :func:`_ofdma_response`; the synthesizer, the decoder's amplitude fit
+and the runner's CRLB proxy all evaluate it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (SPEED_OF_LIGHT, Scene, _add_cpi_noise, _cpi_fading,
-                      scatterer_amplitude)
+from .channel import SPEED_OF_LIGHT, Scene, _add_cpi_noise, _cpi_amplitudes
 from .sigcore import ArrayGeometry, dpsk_encode, steering_vector
 
 
@@ -230,6 +231,22 @@ def ofdma_receive_cube(scene: Scene, config: OfdmaConfig, grid: SymbolGrid,
     return OfdmaCube(data=data[0], radar_rows=grid.radar_rows, config=config)
 
 
+def _ofdma_response(config: OfdmaConfig, delay_s: float, doppler_hz: float,
+                    angle_rad: float, rows: np.ndarray) -> np.ndarray:
+    """Unit response of one scatterer on the subcarrier ``rows``, shape
+    (rows, N_s, N_r).  Its steering exponent is positive, opposite to the
+    PMCW receive phasor; unlike ``steering_vector`` it takes any angle, as
+    the CRLB proxy's angle step may cross +-pi/2."""
+    phase_n = np.exp(-2j * np.pi * rows * config.subcarrier_spacing_hz
+                     * delay_s)
+    phase_m = np.exp(2j * np.pi * np.arange(config.n_symbols)
+                     * config.symbol_duration * doppler_hz)
+    steer = np.exp(2j * np.pi * config.geometry.spacing_over_lambda
+                   * np.sin(angle_rad) * np.arange(config.geometry.n_rx))
+    return (phase_n[:, None] * phase_m[None, :])[:, :, None] \
+        * steer[None, None, :]
+
+
 def _ofdma_synthesize(scene: Scene, config: OfdmaConfig, symbols: np.ndarray,
                       cpi_indices, rngs) -> np.ndarray:
     """Subcarrier-domain receive data of a stack of CPIs, shape
@@ -238,36 +255,21 @@ def _ofdma_synthesize(scene: Scene, config: OfdmaConfig, symbols: np.ndarray,
     CPI k carries the symbol grid ``symbols[k]`` and the fading of CPI
     ``cpi_indices[k]``; its noise is drawn from ``rngs[k]``.
     """
-    n_c, n_s = config.n_subcarriers, config.n_symbols
-    n_rx = config.geometry.n_rx
-    df = config.subcarrier_spacing_hz
-    t_sym = config.symbol_duration
+    rows = np.arange(config.n_subcarriers)
     cp_duration = config.cp_samples * config.sample_time
-    fading = _cpi_fading(scene, cpi_indices)
-    data = np.zeros((len(symbols), n_c, n_s, n_rx), dtype=complex)
-
-    for q, sc in enumerate(scene.scatterers):
+    amps = _cpi_amplitudes(scene, config.carrier_hz, config.geometry.n_tx,
+                           cpi_indices)
+    data = np.zeros(symbols.shape + (config.geometry.n_rx,), dtype=complex)
+    for q, (sc, d_q) in enumerate(zip(scene.scatterers, amps.T)):
         if sc.delay_s > cp_duration:
             warnings.warn(
                 f"scatterer {q} delay {sc.delay_s:.3e} s exceeds the cyclic "
                 f"prefix ({cp_duration:.3e} s); inter-symbol interference is "
-                "not modeled",
-                IsiWarning,
-                stacklevel=3,
-            )
-        f_q = sc.resolve_doppler(config.wavelength)
-        d_q = np.array([scatterer_amplitude(sc, config.carrier_hz,
-                                            config.geometry.n_tx, f)
-                        for f in fading[:, q]])
-        phase_n = np.exp(-2j * np.pi * np.arange(n_c) * df * sc.delay_s)
-        phase_m = np.exp(2j * np.pi * np.arange(n_s) * t_sym * f_q)
-        # The OFDMA receive model carries the positive steering exponent
-        # exp(+j k d sin(psi) p), opposite to the PMCW receive phasor.
-        steer = steering_vector(config.geometry, sc.angle_rad, n_rx, "tx")
-        data += (d_q[:, None, None, None] * symbols[..., None]
-                 * phase_n[:, None, None]
-                 * phase_m[None, :, None]
-                 * steer[None, None, :])
+                "not modeled", IsiWarning, stacklevel=3)
+        response = _ofdma_response(config, sc.delay_s,
+                                   sc.resolve_doppler(config.wavelength),
+                                   sc.angle_rad, rows)
+        data += (d_q[:, None, None] * symbols)[..., None] * response
 
     _add_cpi_noise(data, scene.noise_variance, rngs)
     return data

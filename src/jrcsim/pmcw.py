@@ -10,7 +10,9 @@ scatterer contributes
 
 with e_q, b_q the slow/fast-time Doppler phasors (negative-exponent
 baseband convention), P_k the cyclic delay by k chips and c_q the receive
-steering phasor.
+steering phasor.  The unit response (all but d_q * Diag(a)) is written once,
+in :func:`_pmcw_response`; the synthesizer, the decoder's amplitude fit
+and the runner's CRLB proxy all evaluate it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (SPEED_OF_LIGHT, Scene, _add_cpi_noise, _cpi_fading,
-                      scatterer_amplitude)
+from .channel import SPEED_OF_LIGHT, Scene, _add_cpi_noise, _cpi_amplitudes
 from .sigcore import (ArrayGeometry, CodeSequence, cyclic_shift, dpsk_encode,
                       steering_vector)
 
@@ -230,6 +231,22 @@ def pmcw_receive_cube(scene: Scene, config: PmcwConfig, code: CodeSequence,
                     config=config)
 
 
+def _pmcw_response(config: PmcwConfig, code_row: np.ndarray,
+                   doppler_hz: float, angle_rad: float,
+                   frames: np.ndarray) -> np.ndarray:
+    """Unit response [(b ⊙ P_k s)^T ⊗ e] c of one scatterer on the integer
+    ``frames``, shape (frames, L, N_r); ``code_row`` is the delayed code
+    P_k s.  Unlike ``steering_vector`` it takes any angle, as the CRLB
+    proxy's angle step may cross +-pi/2."""
+    slow = np.exp(-2j * np.pi * doppler_hz * frames * config.block_time)
+    fast = np.exp(-2j * np.pi * doppler_hz * np.arange(config.code_length)
+                  * config.chip_time)
+    steer = np.exp(-2j * np.pi * config.geometry.spacing_over_lambda
+                   * np.sin(angle_rad) * np.arange(config.geometry.n_rx))
+    block = slow[:, None] * (fast * code_row)[None, :]
+    return block[:, :, None] * steer[None, None, :]
+
+
 def _pmcw_synthesize(scene: Scene, config: PmcwConfig, chips: np.ndarray,
                      symbols: np.ndarray, cpi_indices, rngs) -> np.ndarray:
     """Receive data of a stack of CPIs, shape (CPIs, M, L, N_r).
@@ -237,24 +254,16 @@ def _pmcw_synthesize(scene: Scene, config: PmcwConfig, chips: np.ndarray,
     CPI k carries the slow-time symbols ``symbols[k]`` and the fading of
     CPI ``cpi_indices[k]``; its noise is drawn from ``rngs[k]``.
     """
-    m_count, l_count = config.n_frames, config.code_length
-    n_rx = config.geometry.n_rx
-    t_b, t_c = config.block_time, config.chip_time
-    fading = _cpi_fading(scene, cpi_indices)
-    data = np.zeros((len(symbols), m_count, l_count, n_rx), dtype=complex)
-
-    for q, sc in enumerate(scene.scatterers):
-        k_q = delay_to_chips(sc.delay_s, config)
-        f_q = sc.resolve_doppler(config.wavelength)
-        d_q = np.array([scatterer_amplitude(sc, config.carrier_hz,
-                                            config.geometry.n_tx, f)
-                        for f in fading[:, q]])
-        e_q = np.exp(-2j * np.pi * f_q * t_b * np.arange(m_count))
-        b_q = np.exp(-2j * np.pi * f_q * t_c * np.arange(l_count))
-        row = b_q * cyclic_shift(chips, k_q)
-        block = (symbols * e_q)[:, :, None] * row
-        c_q = steering_vector(config.geometry, sc.angle_rad, n_rx, "rx")
-        data += d_q[:, None, None, None] * block[..., None] * c_q
+    frames = np.arange(config.n_frames)
+    amps = _cpi_amplitudes(scene, config.carrier_hz, config.geometry.n_tx,
+                           cpi_indices)
+    data = np.zeros((len(symbols), config.n_frames, config.code_length,
+                     config.geometry.n_rx), dtype=complex)
+    for sc, d_q in zip(scene.scatterers, amps.T):
+        response = _pmcw_response(
+            config, cyclic_shift(chips, delay_to_chips(sc.delay_s, config)),
+            sc.resolve_doppler(config.wavelength), sc.angle_rad, frames)
+        data += (d_q[:, None] * symbols)[:, :, None, None] * response
 
     _add_cpi_noise(data, scene.noise_variance, rngs)
     return data

@@ -41,12 +41,13 @@ from .config import ScenarioConfig, config_hash
 from .estim import (_ofdma_demodulate, _ofdma_detect, _ofdma_windows,
                     _pmcw_demodulate, _pmcw_detect, _pmcw_windows, _refined,
                     golay_cef_waveform, golay_range_estimate, profile_peaks)
-from .ofdma import _ofdma_synthesize, _symbol_grids, build_symbol_grid, \
-    grid_capacity_bits, ofdma_pilot_mask, ofdma_transmit
+from .ofdma import _ofdma_response, _ofdma_synthesize, _symbol_grids, \
+    build_symbol_grid, grid_capacity_bits, ofdma_pilot_mask, ofdma_transmit
 from .perf import TradeoffSpec, crlb_proxy, jrc_objective, mmse_from_rate, \
     peak_sidelobe_ratio
-from .pmcw import PmcwConfig, _frame_symbols, _pmcw_synthesize, \
-    payload_capacity_bits, pmcw_frame_symbols, pmcw_schedule, pmcw_transmit
+from .pmcw import PmcwConfig, _frame_symbols, _pmcw_response, \
+    _pmcw_synthesize, payload_capacity_bits, pmcw_frame_symbols, \
+    pmcw_schedule, pmcw_transmit
 from .sigcore import CodeSequence, aperiodic_autocorr, golay_pair
 # perfbench/tracing.py wraps these stage functions in this namespace, so
 # they stay bound here although the batch path calls the private helpers.
@@ -211,10 +212,22 @@ def _point_scene(config: ScenarioConfig, wavecfg, point: SweepPoint):
                    noise_variance=_noise_variance(config, point, amps))
 
 
-def _record_trials(config, wavecfg, point, trials, scales, coarse, refined,
-                   payload, bits_hat) -> list:
+def _matching_scales(wavecfg) -> tuple:
+    """(delay, Doppler, angle) resolution of a PMCW or OFDMA CPI, which
+    scales the truth-matching distance and, over 64, the CRLB steps."""
+    if isinstance(wavecfg, PmcwConfig):
+        delay, cpi = wavecfg.chip_time, wavecfg.n_frames * wavecfg.block_time
+    else:
+        delay = wavecfg.sample_time
+        cpi = wavecfg.n_symbols * wavecfg.symbol_duration
+    return delay, 1.0 / cpi, 1.0 / wavecfg.geometry.n_rx
+
+
+def _record_trials(config, wavecfg, point, trials, coarse, refined, payload,
+                   bits_hat) -> list:
     """One outcome per trial: every truth with its nearest coarse and
     refined estimate, and the bit errors of its payload."""
+    scales = _matching_scales(wavecfg)
     truths = _true_parameters(config, wavecfg)
     true_lists = [[float(v) for v in axis] for axis in truths]
     errors = np.count_nonzero(bits_hat != payload, axis=1).tolist()
@@ -251,11 +264,8 @@ def _pmcw_trials(config, point, trials) -> list:
     _, refined = _refined(_pmcw_windows(data, code_spec, wavecfg,
                                         full_symbols, fine), fine)
 
-    scales = (wavecfg.chip_time,
-              1.0 / (wavecfg.n_frames * wavecfg.block_time),
-              1.0 / max(wavecfg.geometry.n_rx, 1))
-    return _record_trials(config, wavecfg, point, trials, scales, coarse,
-                          refined, payload, bits_hat)
+    return _record_trials(config, wavecfg, point, trials, coarse, refined,
+                          payload, bits_hat)
 
 
 def _ofdma_trials(config, point, trials) -> list:
@@ -275,11 +285,8 @@ def _ofdma_trials(config, point, trials) -> list:
     _, refined = _refined(_ofdma_windows(data, full_symbols, wavecfg, fine),
                           fine)
 
-    scales = (wavecfg.sample_time,
-              1.0 / (wavecfg.n_symbols * wavecfg.symbol_duration),
-              1.0 / max(wavecfg.geometry.n_rx, 1))
-    return _record_trials(config, wavecfg, point, trials, scales, coarse,
-                          refined, payload, bits_hat)
+    return _record_trials(config, wavecfg, point, trials, coarse, refined,
+                          payload, bits_hat)
 
 
 def _golay_received(config, wavecfg, amplitudes, noise_variance, rng):
@@ -437,8 +444,9 @@ def _point_p_detect(config: ScenarioConfig, wavecfg, point: SweepPoint,
     """Detection probability of the closed-form detector model.
 
     Uses the coherent integration gain over the radar-only resources on
-    top of the per-sample SNR; noiseless points saturate to 1.  Without a
-    scatterer, or without signal power to fix a swept SNR by, it is NaN.
+    top of the per-sample SNR; noiseless points with signal saturate to 1.
+    Without a scatterer, without signal power to fix a swept SNR by, or
+    with neither signal nor noise, it is NaN.
     """
     signal_power = float(np.sum(np.abs(amplitudes) ** 2))
     if amplitudes.size == 0 or (signal_power == 0
@@ -446,7 +454,7 @@ def _point_p_detect(config: ScenarioConfig, wavecfg, point: SweepPoint,
         return math.nan
     sigma2 = _noise_variance(config, point, amplitudes)
     if sigma2 == 0:
-        return 1.0
+        return 1.0 if signal_power else math.nan
     return detection_probability(
         signal_power / sigma2 * _integration_gain(config, wavecfg),
         config.false_alarm)
@@ -485,44 +493,26 @@ def _comm_fraction(config: ScenarioConfig, wavecfg) -> float:
 
 
 def _crlb_model(config: ScenarioConfig, wavecfg):
-    """Continuous-parameter noiseless response for the Fisher proxy."""
-    if config.waveform == "pmcw":
-        code = build_code(config, wavecfg)
-        spectrum = np.fft.fft(code.chips())
-        freqs = np.fft.fftfreq(wavecfg.code_length,
-                               d=1.0 / wavecfg.code_length)
-        l_idx = np.arange(wavecfg.code_length)
-        m_idx = np.arange(wavecfg.n_frames)
-        p_idx = np.arange(wavecfg.geometry.n_rx)
+    """Continuous-parameter noiseless unit response for the Fisher proxy.
 
-        def model(theta):
-            tau, doppler, angle = theta
-            frac = tau / wavecfg.chip_time
-            shifted = np.fft.ifft(
-                spectrum * np.exp(-2j * np.pi * freqs * frac
-                                  / wavecfg.code_length))
-            slow = np.exp(-2j * np.pi * doppler * m_idx * wavecfg.block_time)
-            fast = np.exp(-2j * np.pi * doppler * l_idx * wavecfg.chip_time)
-            steer = np.exp(-2j * np.pi * wavecfg.geometry.spacing_over_lambda
-                           * np.sin(angle) * p_idx)
-            block = slow[:, None] * (fast * shifted)[None, :]
-            return block[:, :, None] * steer[None, None, :]
-
-        return model
-    n_idx = np.arange(wavecfg.n_subcarriers)
-    m_idx = np.arange(wavecfg.n_symbols)
-    p_idx = np.arange(wavecfg.geometry.n_rx)
+    It is the waveform's receive model (``pmcw._pmcw_response``,
+    ``ofdma._ofdma_response``) on every slot; PMCW takes a fractional
+    delay as an FFT shift of the code.
+    """
+    if config.waveform == "ofdma":
+        rows = np.arange(wavecfg.n_subcarriers)
+        return lambda theta: _ofdma_response(wavecfg, *theta, rows)
+    l_count = wavecfg.code_length
+    spectrum = np.fft.fft(build_code(config, wavecfg).chips())
+    freqs = np.fft.fftfreq(l_count, d=1.0 / l_count)
+    frames = np.arange(wavecfg.n_frames)
 
     def model(theta):
         tau, doppler, angle = theta
-        phase_n = np.exp(-2j * np.pi * n_idx
-                         * wavecfg.subcarrier_spacing_hz * tau)
-        phase_m = np.exp(2j * np.pi * m_idx * wavecfg.symbol_duration
-                         * doppler)
-        steer = np.exp(2j * np.pi * wavecfg.geometry.spacing_over_lambda
-                       * np.sin(angle) * p_idx)
-        return (phase_n[:, None] * phase_m[None, :])[:, :, None] \
-            * steer[None, None, :]
+        frac = tau / wavecfg.chip_time
+        shifted = np.fft.ifft(
+            spectrum * np.exp(-2j * np.pi * freqs * frac / l_count))
+        return _pmcw_response(wavecfg, shifted, doppler, angle, frames)
 
     return model
 
@@ -547,15 +537,8 @@ def _tradeoff_rows(config: ScenarioConfig, wavecfg, point: SweepPoint,
     sc = config.scene.scatterers[0]
     doppler = sc.resolve_doppler(wavecfg.wavelength)
     theta = np.array([sc.delay_s, doppler, sc.angle_rad])
-    if config.waveform == "pmcw":
-        steps = np.array([wavecfg.chip_time / 64,
-                          1.0 / (64 * wavecfg.n_frames * wavecfg.block_time),
-                          1e-3])
-    else:
-        steps = np.array([wavecfg.sample_time / 64,
-                          1.0 / (64 * wavecfg.n_symbols
-                                 * wavecfg.symbol_duration),
-                          1e-3])
+    d_scale, f_scale, _ = _matching_scales(wavecfg)
+    steps = np.array([d_scale / 64, f_scale / 64, 1e-3])
     amp0 = abs(amplitudes[0])
     model = _crlb_model(config, wavecfg)
     crlb = crlb_proxy(lambda th: amp0 * model(th), theta, sigma2, steps)

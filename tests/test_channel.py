@@ -166,6 +166,25 @@ def test_scene_seed_changes_draws():
     assert not np.array_equal(a, wide)
 
 
+def test_fixed_gain_scene_seeds_no_generator(monkeypatch):
+    # swerling0 and rician with K = inf draw nothing, so no generator is
+    # seeded for their CPIs.
+    scene = Scene(scatterers=(Scatterer(delay_s=1e-9),
+                              Scatterer(delay_s=2e-9, fading="rician",
+                                        rician_k=np.inf)), seed=3)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    assert np.array_equal(scene.fading_gains(cpi_index=4), [1.0, 1.0])
+    with pytest.raises(ValueError, match="cpi_index"):
+        scene.fading_gains(cpi_index=-1)
+    drawing = Scene(scatterers=(Scatterer(delay_s=1e-9, fading="rician"),))
+    with pytest.raises(AssertionError, match="default_rng"):
+        drawing.fading_gains()
+
+
 def test_scene_validation():
     with pytest.raises(ValueError):
         Scene(noise_variance=-1.0)

@@ -240,6 +240,26 @@ def test_snr_sweep_with_empty_scene_reports_failures(tmp_path, scatterers):
     assert [p["p_detect"] for p in saved["points"]] == [None, None]
 
 
+def test_p_detect_undefined_without_signal_or_noise(tmp_path):
+    # Neither signal nor noise: nothing fixes an SNR, and every trial
+    # fails, so p_D is undefined rather than saturated to 1.
+    silent = {"scatterers": [{"delay_s": 5e-9, "amplitude": [0.0, 0.0]}],
+              "noise_variance": 0.0}
+    report = run_scenario(pmcw_scenario(scene=silent, trials=2),
+                          out_dir=tmp_path)
+    point = report.points[0]
+    assert point.n_failures == 2
+    assert "no detected targets" in point.example_failure
+    saved = json.loads((tmp_path / "report.json").read_text())
+    assert saved["points"][0]["p_detect"] is None
+    # With noise but no signal the detector fires at its false-alarm rate.
+    noisy = pmcw_scenario(scene=dict(silent, noise_variance=0.1))
+    null_point = SweepPoint(index=0, mu_percent=None, snr_db=None)
+    assert runner._point_p_detect(
+        noisy, noisy.waveform_config, null_point,
+        np.zeros(1, dtype=complex)) == pytest.approx(noisy.false_alarm)
+
+
 def test_tradeoff_skips_a_silent_first_scatterer(tmp_path):
     # The CRLB term is taken at the first scatterer; with no signal there
     # its Fisher information is singular, so the point has no trade-off.
