@@ -77,6 +77,17 @@ def _resolve_out_dir(flag_value, config_value) -> Path:
     return Path(config_value)
 
 
+def _make_out_dir(out_dir: Path) -> bool:
+    """Create ``out_dir``, or print why it cannot be and return False."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {out_dir}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _load_or_complain(path):
     try:
         return load_config(path)
@@ -109,6 +120,8 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = _resolve_out_dir(args.out_dir, config.out_dir)
+    if not _make_out_dir(out_dir):
+        return 2
     report = run_scenario(config, out_dir=out_dir, workers=args.workers)
     print(f"run {report.config_hash} seed={report.seed} "
           f"waveform={report.waveform}")
@@ -135,7 +148,8 @@ def _cmd_af(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = _resolve_out_dir(args.out_dir, config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not _make_out_dir(out_dir):
+        return 2
     surface = ambiguity_function(samples, delays, dopplers, rate)
     write_af_csv(out_dir / "af_surface.csv", surface)
     write_af_tensor(out_dir / "af_surface.jrct", surface)
@@ -178,7 +192,8 @@ def _cmd_alloc(args) -> int:
               f"feasible: {result.feasible}"
               + ("" if result.feasible
                  else f" (deficit {format_float(result.deficit)})"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not _make_out_dir(out_dir):
+        return 2
     write_allocation_csv(out_dir / "allocation.csv", problem, result)
     print(f"wrote allocation.csv in {out_dir}")
     return 0

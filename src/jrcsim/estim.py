@@ -250,11 +250,11 @@ def _peak_cells(bins, power: np.ndarray, owner: np.ndarray, n_maps: int,
 
 
 def profile_peaks(profile, max_peaks: int = 1, threshold_db: float = -13.0):
-    """Largest local maxima of a 1-d magnitude profile (no wrap)."""
-    p = np.abs(np.asarray(profile, dtype=float)) if np.iscomplexobj(profile) \
-        else np.asarray(profile, dtype=float)
-    bins, power, owner = _whole_map(
-        (p[None, :] ** 2 if p.ndim == 1 else p)[None], (False, False))
+    """Largest local maxima of a 1-d profile's magnitude (no wrap)."""
+    p = np.asarray(np.abs(profile), dtype=float)
+    if p.ndim != 1:
+        raise ValueError(f"profile must be 1-d, got {p.ndim}-d")
+    bins, power, owner = _whole_map(p[None, None, :] ** 2, (False, False))
     return [int(bins[1][0, c]) for _, _, c in
             _peak_cells(bins, power, owner, 1, max_peaks, threshold_db)[0]]
 

@@ -13,9 +13,13 @@ noise inside the receive synthesizer.  Peak picking, the amplitude
 least-squares fit and the matching to the truth stay per trial.  A batch
 in which some trial raises a ValueError is rerun one trial at a time, so
 only that trial fails.  The process pool runs every trial as a batch of
-one.  Aggregation is single-threaded over the original trial order, and
-every float is written via its shortest round-trip form, which makes
-reruns byte-identical.
+one.  Every waveform's trial is recorded by ``_outcome``: it matches each
+true (delay, Doppler, angle) to its nearest coarse and refined estimate,
+and those matches are the trial's ``estimates.csv`` rows.  Golay sounds
+delay alone; its NaN Doppler and angle drop out of the match.
+Aggregation is single-threaded over the original trial order, and every
+float is written via its shortest round-trip form, which makes reruns
+byte-identical.
 
 Per-sample SNR convention: the sweep's SNR point fixes the noise variance
 as sigma^2 = sum_q |d_q|^2 / snr_linear, where d_q are the scatterers'
@@ -70,21 +74,15 @@ class SweepPoint:
 
 @dataclass
 class TrialOutcome:
-    """Raw per-trial bookkeeping, one row per true scatterer when it ran."""
+    """One trial's record: per true scatterer, a row of nine floats (true,
+    coarse and refined delay, then Doppler, then angle) as in
+    ``estimates.csv``; a failed trial has no rows, only its ``message``."""
 
     point: int
     trial: int
     failed: bool = False
     message: str = ""
-    true_delays: list = field(default_factory=list)
-    true_dopplers: list = field(default_factory=list)
-    true_angles: list = field(default_factory=list)
-    est_delays: list = field(default_factory=list)
-    est_dopplers: list = field(default_factory=list)
-    est_angles: list = field(default_factory=list)
-    ref_delays: list = field(default_factory=list)
-    ref_dopplers: list = field(default_factory=list)
-    ref_angles: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
     n_bits: int = 0
     bit_errors: int = 0
 
@@ -164,35 +162,33 @@ def _noise_variance(config: ScenarioConfig, point: SweepPoint,
     return signal_power / 10.0 ** (point.snr_db / 10.0)
 
 
-def _true_parameters(config: ScenarioConfig, wavecfg):
-    delays = np.array([sc.delay_s for sc in config.scene.scatterers])
+def _true_parameters(config: ScenarioConfig, wavecfg) -> list:
+    """(delay, Doppler, angle) of each scatterer; Golay sounding has no
+    Doppler or angle, so those are NaN."""
     if config.waveform == "golay":
-        dopplers = np.full(delays.size, math.nan)
-        angles = np.full(delays.size, math.nan)
-    else:
-        dopplers = np.array([sc.resolve_doppler(wavecfg.wavelength)
-                             for sc in config.scene.scatterers])
-        angles = np.array([sc.angle_rad for sc in config.scene.scatterers])
-    return delays, dopplers, angles
+        return [(float(sc.delay_s), math.nan, math.nan)
+                for sc in config.scene.scatterers]
+    return [(float(sc.delay_s), float(sc.resolve_doppler(wavecfg.wavelength)),
+             float(sc.angle_rad)) for sc in config.scene.scatterers]
 
 
-def _nearest(targets, truths, scales):
-    """(delays, dopplers, angles) of each truth's nearest target.
+def _outcome(point: SweepPoint, trial: int, truths, coarse, refined,
+             scales, **counts) -> TrialOutcome:
+    """The trial's record: each truth with its nearest coarse and refined
+    estimate, all (delay, Doppler, angle) tuples.
 
-    Distance is the scaled delay/Doppler/angle error; a NaN true Doppler
-    or angle drops that term.
+    Distance is the sum of the per-axis errors over ``scales``; a NaN
+    true Doppler or angle drops that term.
     """
-    d_scale, f_scale, a_scale = scales
-    best = [min(targets, key=lambda t: (
-        abs(t.delay_s - delay) / d_scale
-        + (0.0 if math.isnan(doppler)
-           else abs(t.doppler_hz - doppler) / f_scale)
-        + (0.0 if math.isnan(angle)
-           else abs(t.angle_rad - angle) / a_scale)))
-        for delay, doppler, angle in zip(*truths)]
-    return ([float(t.delay_s) for t in best],
-            [float(t.doppler_hz) for t in best],
-            [float(t.angle_rad) for t in best])
+    def nearest(estimates, truth):
+        return min(estimates, key=lambda est: sum(
+            0.0 if math.isnan(t) else abs(e - t) / s
+            for e, t, s in zip(est, truth, scales)))
+
+    rows = [[v for axis in zip(truth, nearest(coarse, truth),
+                               nearest(refined, truth)) for v in axis]
+            for truth in truths]
+    return TrialOutcome(point=point.index, trial=trial, rows=rows, **counts)
 
 
 def _trial_payloads(config: ScenarioConfig, point: SweepPoint, trials,
@@ -223,26 +219,24 @@ def _matching_scales(wavecfg) -> tuple:
     return delay, 1.0 / cpi, 1.0 / wavecfg.geometry.n_rx
 
 
+def _parameters(targets) -> list:
+    """(delay, Doppler, angle) of each estimated target, as floats."""
+    return [(float(t.delay_s), float(t.doppler_hz), float(t.angle_rad))
+            for t in targets]
+
+
 def _record_trials(config, wavecfg, point, trials, coarse, refined, payload,
                    bits_hat) -> list:
     """One outcome per trial: every truth with its nearest coarse and
     refined estimate, and the bit errors of its payload."""
     scales = _matching_scales(wavecfg)
     truths = _true_parameters(config, wavecfg)
-    true_lists = [[float(v) for v in axis] for axis in truths]
     errors = np.count_nonzero(bits_hat != payload, axis=1).tolist()
-    outcomes = []
-    for trial, found, kept, n_errors in zip(trials, coarse, refined, errors):
-        outcome = TrialOutcome(point=point.index, trial=trial,
-                               n_bits=payload.shape[1], bit_errors=n_errors)
-        outcome.true_delays, outcome.true_dopplers, outcome.true_angles = (
-            list(axis) for axis in true_lists)
-        outcome.est_delays, outcome.est_dopplers, outcome.est_angles = \
-            _nearest(found, truths, scales)
-        outcome.ref_delays, outcome.ref_dopplers, outcome.ref_angles = \
-            _nearest(kept, truths, scales)
-        outcomes.append(outcome)
-    return outcomes
+    return [_outcome(point, trial, truths, _parameters(found),
+                     _parameters(kept), scales, n_bits=payload.shape[1],
+                     bit_errors=n_errors)
+            for trial, found, kept, n_errors in zip(trials, coarse, refined,
+                                                     errors)]
 
 
 def _pmcw_trials(config, point, trials) -> list:
@@ -304,35 +298,25 @@ def _golay_received(config, wavecfg, amplitudes, noise_variance, rng):
 
 
 def _golay_trials(config, point, trials) -> list:
-    """Golay sounding has no CPI stack; its trials run one after another."""
+    """Golay sounding has no CPI stack; its trials run one after another.
+    They estimate delay alone, matched unscaled, and refine nothing."""
     wavecfg = _effective_config(config, point)
     amps = _nominal_amplitudes(config, wavecfg)
     sigma2 = _noise_variance(config, point, amps)
-    delays = np.array([sc.delay_s for sc in config.scene.scatterers])
+    truths = _true_parameters(config, wavecfg)
+    rngs, _ = _trial_payloads(config, point, trials, capacity=0)
     outcomes = []
-    for trial in trials:
-        rng = np.random.default_rng([config.seed, point.index, trial])
+    for trial, rng in zip(trials, rngs):
         pair, rx = _golay_received(config, wavecfg, amps, sigma2, rng)
         profile = golay_range_estimate(rx, pair, wavecfg.guard_samples)
-        bins = profile_peaks(np.abs(profile), config.estimator.max_targets,
+        bins = profile_peaks(profile, config.estimator.max_targets,
                              config.estimator.threshold_db)
         if not bins:
             raise ValueError("no delay profile peak above threshold")
-
-        outcome = TrialOutcome(point=point.index, trial=trial)
-        for q in range(delays.size):
-            best = min(bins, key=lambda b: abs(b * wavecfg.sample_time_s
-                                               - delays[q]))
-            outcome.true_delays.append(float(delays[q]))
-            outcome.true_dopplers.append(math.nan)
-            outcome.true_angles.append(math.nan)
-            outcome.est_delays.append(best * wavecfg.sample_time_s)
-            outcome.est_dopplers.append(math.nan)
-            outcome.est_angles.append(math.nan)
-        outcome.ref_delays = list(outcome.est_delays)
-        outcome.ref_dopplers = list(outcome.est_dopplers)
-        outcome.ref_angles = list(outcome.est_angles)
-        outcomes.append(outcome)
+        found = [(b * wavecfg.sample_time_s, math.nan, math.nan)
+                 for b in bins]
+        outcomes.append(_outcome(point, trial, truths, found, found,
+                                 (1.0, 1.0, 1.0)))
     return outcomes
 
 
@@ -399,20 +383,18 @@ def _run_single_trial(args) -> TrialOutcome:
 def _point_waveform_samples(config: ScenarioConfig, wavecfg,
                             point: SweepPoint) -> np.ndarray:
     """Trial-0 transmit samples of this sweep point (payload included)."""
-    rng = np.random.default_rng([config.seed, point.index, 0])
+    order = config.symbol_order
     if config.waveform == "pmcw":
         sched = pmcw_schedule(wavecfg)
-        payload = rng.integers(
-            0, 2, payload_capacity_bits(sched, config.symbol_order))
-        symbols = pmcw_frame_symbols(sched, payload.astype(np.int64),
-                                     config.symbol_order)
+        _, payload = _trial_payloads(config, point, [0],
+                                     payload_capacity_bits(sched, order))
+        symbols = pmcw_frame_symbols(sched, payload[0], order)
         return pmcw_transmit(wavecfg, build_code(config, wavecfg),
                              symbols)[0].ravel()
     if config.waveform == "ofdma":
-        payload = rng.integers(
-            0, 2, grid_capacity_bits(wavecfg, config.symbol_order))
-        grid = build_symbol_grid(wavecfg, payload.astype(np.int64),
-                                 config.symbol_order)
+        _, payload = _trial_payloads(config, point, [0],
+                                     grid_capacity_bits(wavecfg, order))
+        grid = build_symbol_grid(wavecfg, payload[0], order)
         return ofdma_transmit(wavecfg, grid)[0].ravel()
     pair = golay_pair(wavecfg.log2_length)
     return golay_cef_waveform(pair, wavecfg.guard_samples).astype(complex)
@@ -558,17 +540,6 @@ def _tradeoff_rows(config: ScenarioConfig, wavecfg, point: SweepPoint,
 # ---------------------------------------------------------------------------
 
 
-def _safe_rmse(est: list, true: list) -> float:
-    if not est:
-        return math.nan
-    e = np.asarray(est)
-    t = np.asarray(true)
-    keep = ~(np.isnan(e) | np.isnan(t))
-    if not keep.any():
-        return math.nan
-    return float(np.sqrt(np.mean((e[keep] - t[keep]) ** 2)))
-
-
 def _snr_field(snr_db) -> float:
     return math.nan if snr_db is None else float(snr_db)
 
@@ -581,9 +552,15 @@ def _aggregate_point(config: ScenarioConfig, point: SweepPoint,
 
     ok = [o for o in outcomes if not o.failed]
     failures = [o for o in outcomes if o.failed]
+    table = np.array([row for o in ok for row in o.rows],
+                     dtype=float).reshape(-1, 9)
 
-    def gather(name):
-        return [v for o in ok for v in getattr(o, name)]
+    def rmse(column):
+        """RMSE of an estimate column against its axis' true column,
+        over the rows where both are defined."""
+        err = table[:, column] - table[:, column - column % 3]
+        err = err[~np.isnan(err)]
+        return float(np.sqrt(np.mean(err ** 2))) if err.size else math.nan
 
     n_bits = sum(o.n_bits for o in ok)
     n_errors = sum(o.bit_errors for o in ok)
@@ -593,17 +570,12 @@ def _aggregate_point(config: ScenarioConfig, point: SweepPoint,
         n_trials=len(outcomes),
         n_failures=len(failures),
         example_failure=failures[0].message if failures else "",
-        rmse_delay_s=_safe_rmse(gather("est_delays"), gather("true_delays")),
-        rmse_doppler_hz=_safe_rmse(gather("est_dopplers"),
-                                   gather("true_dopplers")),
-        rmse_angle_rad=_safe_rmse(gather("est_angles"),
-                                  gather("true_angles")),
-        refined_rmse_delay_s=_safe_rmse(gather("ref_delays"),
-                                        gather("true_delays")),
-        refined_rmse_doppler_hz=_safe_rmse(gather("ref_dopplers"),
-                                           gather("true_dopplers")),
-        refined_rmse_angle_rad=_safe_rmse(gather("ref_angles"),
-                                          gather("true_angles")),
+        rmse_delay_s=rmse(1),
+        rmse_doppler_hz=rmse(4),
+        rmse_angle_rad=rmse(7),
+        refined_rmse_delay_s=rmse(2),
+        refined_rmse_doppler_hz=rmse(5),
+        refined_rmse_angle_rad=rmse(8),
         n_bits=n_bits,
         n_bit_errors=n_errors,
         ber=(n_errors / n_bits) if n_bits else math.nan,
@@ -614,7 +586,6 @@ def _aggregate_point(config: ScenarioConfig, point: SweepPoint,
 
 def _write_outputs(out_dir: Path, config: ScenarioConfig, results: list,
                    outcomes_by_point: list, tradeoff_rows: list) -> list:
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
 
     rmse_path = out_dir / "rmse_vs_snr.csv"
@@ -643,13 +614,9 @@ def _write_outputs(out_dir: Path, config: ScenarioConfig, results: list,
             if o.failed:
                 continue
             trial_ber = (o.bit_errors / o.n_bits) if o.n_bits else math.nan
-            for q in range(len(o.true_delays)):
-                rows.append([
-                    result.mu_percent, _snr_field(result.snr_db), o.trial, q,
-                    o.true_delays[q], o.est_delays[q], o.ref_delays[q],
-                    o.true_dopplers[q], o.est_dopplers[q], o.ref_dopplers[q],
-                    o.true_angles[q], o.est_angles[q], o.ref_angles[q],
-                    trial_ber])
+            rows.extend([result.mu_percent, _snr_field(result.snr_db),
+                         o.trial, q, *row, trial_ber]
+                        for q, row in enumerate(o.rows))
     write_table_csv(est_path, [
         "mu_percent", "snr_db", "trial", "scatterer",
         "true_delay_s", "est_delay_s", "refined_delay_s",
@@ -684,6 +651,7 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
         raise ValueError("workers must be >= 1")
     started = time.perf_counter()
     destination = Path(out_dir) if out_dir is not None else Path(config.out_dir)
+    destination.mkdir(parents=True, exist_ok=True)
 
     mus = config.mu_sweep if config.mu_sweep else (None,)
     points = [SweepPoint(index=i, mu_percent=mu, snr_db=snr)

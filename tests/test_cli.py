@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from jrcsim import runner
 from jrcsim.alloc import AllocationProblem, write_allocation_csv
 from jrcsim.cli import main
 from jrcsim.tensorio import read_csv_rows, read_tensor
@@ -339,3 +340,33 @@ def test_alloc_infeasible_reports_deficit(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "feasible: False" in stdout
     assert "deficit 2.0" in stdout
+
+
+# ---------------------------------------------------------------------------
+# Output directory that cannot be created
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["run", "af", "alloc"])
+def test_uncreatable_out_dir_is_an_error(tmp_path, capsys, monkeypatch,
+                                         command):
+    # A regular file in the path: mkdir fails with "Not a directory".
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out"
+    if command == "alloc":
+        argv = [str(write_problem(tmp_path / "problem.csv")),
+                "--total-power", "10"]
+    else:
+        argv = [str(write_scenario(tmp_path / "s.json"))]
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the output directory "
+                             "was created")
+
+    monkeypatch.setattr(runner, "_POINT_FNS",
+                        dict.fromkeys(runner._POINT_FNS, no_trials))
+    assert main([command, *argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot create output directory {out}: "
+                   "Not a directory\n")

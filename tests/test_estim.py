@@ -145,6 +145,18 @@ def test_profile_peaks_plateau_counts_once_per_cell():
     assert profile_peaks(profile, max_peaks=4) == [1, 2]
 
 
+def test_profile_peaks_uses_complex_magnitude():
+    # 1.9j has magnitude 1.9, within -13 dB of the peak at 2.
+    assert profile_peaks(np.array([0, 2, 0, 1.9j, 0]), 2) == [1, 3]
+
+
+@pytest.mark.parametrize("profile", [np.ones((3, 4)), np.float64(2.0)],
+                         ids=["2-d", "0-d"])
+def test_profile_peaks_rejects_non_1d(profile):
+    with pytest.raises(ValueError, match="1-d"):
+        profile_peaks(profile)
+
+
 # ---------------------------------------------------------------------------
 # Continuous-wave (code-domain) estimation
 # ---------------------------------------------------------------------------

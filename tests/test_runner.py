@@ -390,20 +390,15 @@ def reference_trial(config, point, trial):
             scales = (wavecfg.sample_time,
                       1.0 / (wavecfg.n_symbols * wavecfg.symbol_duration),
                       1.0 / max(wavecfg.geometry.n_rx, 1))
-        outcome = TrialOutcome(point=point.index, trial=trial)
-        truths = runner._true_parameters(config, wavecfg)
-        outcome.true_delays, outcome.true_dopplers, outcome.true_angles = (
-            [float(v) for v in axis] for axis in truths)
-        outcome.est_delays, outcome.est_dopplers, outcome.est_angles = \
-            runner._nearest(coarse.targets, truths, scales)
-        outcome.ref_delays, outcome.ref_dopplers, outcome.ref_angles = \
-            runner._nearest(refined.targets, truths, scales)
-        outcome.n_bits = int(payload.size)
-        outcome.bit_errors = int(np.sum(bits_hat != payload))
+        return runner._outcome(
+            point, trial, runner._true_parameters(config, wavecfg),
+            runner._parameters(coarse.targets),
+            runner._parameters(refined.targets), scales,
+            n_bits=int(payload.size),
+            bit_errors=int(np.sum(bits_hat != payload)))
     except ValueError as exc:
         return TrialOutcome(point=point.index, trial=trial, failed=True,
                             message=f"{type(exc).__name__}: {exc}")
-    return outcome
 
 
 def exact(outcome):
@@ -554,3 +549,17 @@ def test_out_dir_defaults_to_config_value(tmp_path, monkeypatch):
     config = pmcw_scenario(out_dir="results_here", trials=1)
     run_scenario(config)
     assert (tmp_path / "results_here" / "rmse_vs_snr.csv").exists()
+
+
+def test_out_dir_is_created_before_any_trial(tmp_path, monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the output directory "
+                             "was created")
+
+    monkeypatch.setattr(runner, "_POINT_FNS",
+                        dict.fromkeys(runner._POINT_FNS, no_trials))
+    with pytest.raises(NotADirectoryError):
+        run_scenario(pmcw_scenario(), out_dir=blocker / "out")
