@@ -175,19 +175,28 @@ def scatterer_amplitude(sc: Scatterer, carrier_hz: float, n_tx: int,
     return n_tx * np.sqrt(g) * fading * np.exp(1j * eta)
 
 
-def _cpi_amplitudes(scene: Scene, carrier_hz: float, n_tx: int,
-                    cpi_indices) -> np.ndarray:
-    """(CPIs, scatterers) composite amplitudes with the fading of the CPIs
-    ``cpi_indices``."""
-    return np.array([[scatterer_amplitude(sc, carrier_hz, n_tx, fading)
+def _synthesize(scene: Scene, carrier_hz: float, n_tx: int, shape,
+                symbols: np.ndarray, response, cpi_indices,
+                rngs) -> np.ndarray:
+    """Receive data of a stack of CPIs, of ``shape`` (CPIs, ...).
+
+    Each scatterer adds, in CPI k, its composite amplitude with the fading
+    of CPI ``cpi_indices[k]``, times the symbols ``symbols[k]``, times its
+    unit response ``response(delay_s, doppler_hz, angle_rad)`` (the
+    symbols broadcast against it).  Then noise of the scene's variance is
+    drawn for CPI k from ``rngs[k]``; none is drawn when it is 0.
+    """
+    wavelength = SPEED_OF_LIGHT / carrier_hz
+    amps = np.array([[scatterer_amplitude(sc, carrier_hz, n_tx, fading)
                       for sc, fading in zip(scene.scatterers,
                                             scene.fading_gains(i))]
                      for i in cpi_indices], dtype=complex)
-
-
-def _add_cpi_noise(data: np.ndarray, variance: float, rngs) -> None:
-    """Add noise of ``variance`` to each CPI ``data[k]``, drawn from
-    ``rngs[k]``; nothing is drawn when the variance is 0."""
-    if variance > 0:
+    data = np.zeros(shape, dtype=complex)
+    for sc, d_q in zip(scene.scatterers, amps.T):
+        data += (d_q.reshape((-1,) + (1,) * (symbols.ndim - 1)) * symbols) \
+            * response(sc.delay_s, sc.resolve_doppler(wavelength),
+                       sc.angle_rad)
+    if scene.noise_variance > 0:
         for cpi, rng in zip(data, rngs):
-            cpi += complex_awgn(rng, cpi.shape, variance)
+            cpi += complex_awgn(rng, cpi.shape, scene.noise_variance)
+    return data

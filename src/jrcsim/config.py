@@ -103,6 +103,19 @@ class ScenarioConfig:
             if 2 ** order - 1 != length or not 2 <= order <= 16:
                 raise ValueError("code_kind 'mseq' needs a pmcw code_length "
                                  "of the form 2^m - 1 with 2 <= m <= 16")
+        if self.waveform != "ofdma":  # delays the model cannot hold
+            wave = self.waveform_config
+            step, limit, unit, window = (
+                (wave.chip_time, wave.code_length, "chip", "code")
+                if self.waveform == "pmcw" else
+                (wave.sample_time_s, wave.guard_samples, "sample",
+                 "guard window"))
+            for q, sc in enumerate(self.scene.scatterers):
+                nearest = round(sc.delay_s / step)
+                if nearest >= limit:
+                    raise ValueError(
+                        f"scatterer {q} delay {sc.delay_s} s falls on {unit} "
+                        f"{nearest}, outside the {limit}-{unit} {window}")
         if not 0 < self.false_alarm < 1:
             raise ValueError("false_alarm must lie in (0, 1)")
         if not all(0 <= w <= 1 for w in self.weights):

@@ -410,40 +410,44 @@ def _refined(refinement, est: EstimatorConfig) -> tuple:
     return power, _window_targets(windows, len(power), est, lay)
 
 
-def _fit(data: np.ndarray, basis, targets, slots: np.ndarray,
+def _fit(data: np.ndarray, bases, slots: np.ndarray,
          symbols: np.ndarray) -> np.ndarray:
-    """Least-squares amplitudes of ``targets`` in one CPI's data over the
-    known ``slots``.
+    """Least-squares amplitudes in one CPI's data over the known ``slots``.
 
-    Fits d in y = sum_q d_q * symbols * basis(target_q, slots), where
-    ``basis`` gives a target's unit-amplitude response on the slots and
-    ``symbols`` (broadcast against it) are the symbols they carry.
+    Fits d in y = sum_q d_q * symbols * bases[q], where ``bases[q]`` is
+    target q's unit response on the slots and ``symbols`` (broadcast
+    against it) are the symbols they carry.
     """
-    a_mat = np.stack([(symbols * basis(tgt, slots)).ravel()
-                      for tgt in targets], axis=1)
+    a_mat = np.stack([(symbols * basis).ravel() for basis in bases], axis=1)
     d_hat, *_ = np.linalg.lstsq(a_mat, data[slots].ravel(), rcond=None)
     return d_hat
 
 
-def _project(data: np.ndarray, basis, targets, known: np.ndarray,
+def _project(data: np.ndarray, response, targets, known: np.ndarray,
              known_symbols: np.ndarray, slots: np.ndarray, axes) -> np.ndarray:
     """Symbol estimates on the data ``slots`` of a stack of CPIs.
 
-    Per CPI, the amplitudes of its ``targets`` entry are fitted on the
-    ``known`` slots, which carry that CPI's ``known_symbols``, and the
-    response they give is rebuilt on the data slots.  Each data sample is
-    projected onto it, summed over ``axes``.
+    Per CPI, each target of its ``targets`` entry has its unit response
+    ``response(delay_s, doppler_hz, angle_rad, slots)`` evaluated at its
+    estimates, once over the ``known`` and the data slots.  The amplitudes
+    are fitted on the known slots, which carry that CPI's
+    ``known_symbols``, and the response they give is rebuilt on the data
+    slots.  Each data sample is projected onto it, summed over ``axes``.
     """
     received = data[:, slots]
-    response = np.zeros_like(received)
+    rebuilt = np.zeros_like(received)
+    both, n_known = np.concatenate([known, slots]), known.size
     for k, found in enumerate(targets):
-        d_hat = _fit(data[k], basis, found, known, known_symbols[k])
-        for d_q, tgt in zip(d_hat, found):
-            response[k] += d_q * basis(tgt, slots)
-    energy = np.sum(np.abs(response) ** 2, axis=axes)
+        bases = [response(t.delay_s, t.doppler_hz, t.angle_rad, both)
+                 for t in found]
+        d_hat = _fit(data[k], [basis[:n_known] for basis in bases], known,
+                     known_symbols[k])
+        for d_q, basis in zip(d_hat, bases):
+            rebuilt[k] += d_q * basis[n_known:]
+    energy = np.sum(np.abs(rebuilt) ** 2, axis=axes)
     if np.any(energy == 0):
         raise DecodingError("reconstructed response has zero energy")
-    return np.sum(received * np.conj(response), axis=axes) / energy
+    return np.sum(received * np.conj(rebuilt), axis=axes) / energy
 
 
 # ---------------------------------------------------------------------------
@@ -553,17 +557,11 @@ def pmcw_refine(cube: PmcwCube, code: CodeSequence, symbols,
     return _pmcw_result(power[0], cube.config, targets[0])
 
 
-def _pmcw_basis(config, chips: np.ndarray, target: TargetEstimate,
-                m_indices: np.ndarray):
-    """Noiseless unit-amplitude response of one target on given frames."""
-    return _pmcw_response(config, np.roll(chips, target.delay_bin),
-                          target.doppler_hz, target.angle_rad, m_indices)
-
-
-def _pmcw_demodulate(data: np.ndarray, chips: np.ndarray, config, schedule,
-                     targets, order: int) -> tuple:
+def _pmcw_demodulate(data: np.ndarray, code_spec: np.ndarray, config,
+                     schedule, targets, order: int) -> tuple:
     """(bits, symbol estimates, full symbol vectors) of a (CPIs, M, L, N_r)
-    data stack, each row demodulated against its own ``targets`` entry.
+    data stack, each row demodulated against its own ``targets`` entry;
+    ``code_spec`` is the code's DFT.
 
     The amplitude fit is one least-squares solve per CPI; projection and
     DPSK decoding run on the whole stack.
@@ -583,7 +581,7 @@ def _pmcw_demodulate(data: np.ndarray, chips: np.ndarray, config, schedule,
                 np.zeros((n_cpi, 0), dtype=complex), full)
 
     # Radar frames carry the symbol 1; the last one is the DPSK reference.
-    proj = _project(data, partial(_pmcw_basis, config, chips), targets,
+    proj = _project(data, partial(_pmcw_response, config, code_spec), targets,
                     radar_idx, np.ones((n_cpi, radar_idx.size, 1, 1),
                                        dtype=complex), comm_idx, (2, 3))
     bits = dpsk_decode(np.concatenate(
@@ -599,7 +597,8 @@ def pmcw_decode(cube: PmcwCube, code: CodeSequence, targets, order: int = 2):
     vector holds the known radar symbols (all 1) followed by the re-encoded
     hard decisions, ready to hand to :func:`pmcw_refine`.
     """
-    bits, proj, full = _pmcw_demodulate(cube.data[None], code.chips(),
+    bits, proj, full = _pmcw_demodulate(cube.data[None],
+                                        np.fft.fft(code.chips()),
                                         cube.config, cube.schedule,
                                         [targets], order)
     return bits[0], proj[0], full[0]
@@ -718,12 +717,6 @@ def ofdma_refine(cube: OfdmaCube, symbols: np.ndarray,
                          targets[0])
 
 
-def _ofdma_basis(config, target: TargetEstimate, rows: np.ndarray):
-    """Noiseless unit-amplitude, unit-symbol response on given subcarriers."""
-    return _ofdma_response(config, target.delay_s, target.doppler_hz,
-                           target.angle_rad, rows)
-
-
 def ofdma_estimate_amplitudes(cube: OfdmaCube, grid: SymbolGrid, targets,
                               rows=None) -> np.ndarray:
     """Least-squares target amplitudes from rows with known symbols."""
@@ -731,8 +724,10 @@ def ofdma_estimate_amplitudes(cube: OfdmaCube, grid: SymbolGrid, targets,
         raise ValueError("no targets to fit")
     rows = np.flatnonzero(grid.radar_rows) if rows is None \
         else np.asarray(rows, dtype=int)
-    return _fit(cube.data, partial(_ofdma_basis, cube.config), targets, rows,
-                grid.symbols[rows][:, :, None])
+    return _fit(cube.data, [_ofdma_response(cube.config, t.delay_s,
+                                            t.doppler_hz, t.angle_rad, rows)
+                            for t in targets],
+                rows, grid.symbols[rows][:, :, None])
 
 
 def _ofdma_demodulate(data: np.ndarray, symbols: np.ndarray, radar_rows,
@@ -755,8 +750,8 @@ def _ofdma_demodulate(data: np.ndarray, symbols: np.ndarray, radar_rows,
                 np.zeros((n_cpi, 0, n_s), dtype=complex), full)
 
     pilot_rows = np.flatnonzero(radar_rows)
-    proj = _project(data, partial(_ofdma_basis, config), targets, pilot_rows,
-                    symbols[:, pilot_rows, :, None], comm_rows, 3)
+    proj = _project(data, partial(_ofdma_response, config), targets,
+                    pilot_rows, symbols[:, pilot_rows, :, None], comm_rows, 3)
     bits = dpsk_decode(proj.reshape(-1, n_s), order)
     full[:, comm_rows] = dpsk_encode(bits, order).reshape(
         n_cpi, comm_rows.size, n_s)

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, Scene, _add_cpi_noise, _cpi_amplitudes
+from .channel import SPEED_OF_LIGHT, Scene, _synthesize
 from .sigcore import ArrayGeometry, dpsk_encode, steering_vector
 
 
@@ -250,26 +251,17 @@ def _ofdma_response(config: OfdmaConfig, delay_s: float, doppler_hz: float,
 def _ofdma_synthesize(scene: Scene, config: OfdmaConfig, symbols: np.ndarray,
                       cpi_indices, rngs) -> np.ndarray:
     """Subcarrier-domain receive data of a stack of CPIs, shape
-    (CPIs, N_c, N_s, N_r).
-
-    CPI k carries the symbol grid ``symbols[k]`` and the fading of CPI
-    ``cpi_indices[k]``; its noise is drawn from ``rngs[k]``.
-    """
-    rows = np.arange(config.n_subcarriers)
+    (CPIs, N_c, N_s, N_r), for the symbol grids ``symbols``; see
+    ``channel._synthesize``.  A delay beyond the cyclic prefix warns."""
     cp_duration = config.cp_samples * config.sample_time
-    amps = _cpi_amplitudes(scene, config.carrier_hz, config.geometry.n_tx,
-                           cpi_indices)
-    data = np.zeros(symbols.shape + (config.geometry.n_rx,), dtype=complex)
-    for q, (sc, d_q) in enumerate(zip(scene.scatterers, amps.T)):
+    for q, sc in enumerate(scene.scatterers):
         if sc.delay_s > cp_duration:
             warnings.warn(
                 f"scatterer {q} delay {sc.delay_s:.3e} s exceeds the cyclic "
                 f"prefix ({cp_duration:.3e} s); inter-symbol interference is "
                 "not modeled", IsiWarning, stacklevel=3)
-        response = _ofdma_response(config, sc.delay_s,
-                                   sc.resolve_doppler(config.wavelength),
-                                   sc.angle_rad, rows)
-        data += (d_q[:, None, None] * symbols)[..., None] * response
-
-    _add_cpi_noise(data, scene.noise_variance, rngs)
-    return data
+    return _synthesize(
+        scene, config.carrier_hz, config.geometry.n_tx,
+        symbols.shape + (config.geometry.n_rx,), symbols[..., None],
+        partial(_ofdma_response, config,
+                rows=np.arange(config.n_subcarriers)), cpi_indices, rngs)

@@ -9,25 +9,23 @@ scatterer contributes
     d_q * Diag(a) [ (b_q ⊙ P_{k_q} s)^T ⊗ e_q ] * c_q^(p-1)
 
 with e_q, b_q the slow/fast-time Doppler phasors (negative-exponent
-baseband convention), P_k the cyclic delay by k chips and c_q the receive
-steering phasor.  The unit response (all but d_q * Diag(a)) is written once,
-in :func:`_pmcw_response`; the synthesizer, the decoder's amplitude fit
-and the runner's CRLB proxy all evaluate it.
+baseband convention), P_k the cyclic delay of the code by k = tau_q / t_c
+chips, applied as the spectral phase ramp exp(-2 pi j f k / L) on the
+code's DFT (k need not be an integer), and c_q the receive steering
+phasor.  The unit response (all but d_q * Diag(a)) is written once, in
+:func:`_pmcw_response`; the synthesizer, the decoder's amplitude fit and
+the runner's CRLB proxy all evaluate it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, Scene, _add_cpi_noise, _cpi_amplitudes
-from .sigcore import (ArrayGeometry, CodeSequence, cyclic_shift, dpsk_encode,
-                      steering_vector)
-
-
-class RangeAmbiguityError(ValueError):
-    """A target delay falls outside the unambiguous single-block window."""
+from .channel import SPEED_OF_LIGHT, Scene, _synthesize
+from .sigcore import ArrayGeometry, CodeSequence, dpsk_encode, steering_vector
 
 
 @dataclass(frozen=True)
@@ -163,30 +161,6 @@ def pmcw_transmit(config: PmcwConfig, code: CodeSequence, symbols,
     return steer[:, None, None] * symbols[None, :, None] * chips[None, None, :]
 
 
-def delay_to_chips(delay_s: float, config: PmcwConfig) -> int:
-    """Map a target delay to an integer chip shift k in [0, L).
-
-    The block-circular model is defined on integer chip lags only, so a
-    fractional delay raises.
-    """
-    if delay_s < 0:
-        raise ValueError("delay must be >= 0")
-    k_float = delay_s / config.chip_time
-    k = int(np.rint(k_float))
-    residual = (k_float - k) * config.chip_time
-    if abs(residual) > 1e-9 * config.chip_time:
-        raise ValueError(
-            f"delay {delay_s} s is not an integer number of chips "
-            f"(residual {residual:.3e} s)"
-        )
-    if k >= config.code_length:
-        raise RangeAmbiguityError(
-            f"delay {delay_s} s spans {k} chips, beyond the unambiguous "
-            f"window of {config.code_length} chips"
-        )
-    return k
-
-
 @dataclass(frozen=True)
 class PmcwCube:
     """Receive data cube: per-antenna slow/fast-time matrices.
@@ -214,8 +188,10 @@ def pmcw_receive_cube(scene: Scene, config: PmcwConfig, code: CodeSequence,
     """Synthesize the noisy receive cube for one CPI (matrix-model path).
 
     Every scatterer adds Diag(a) [(b ⊙ P_k s)^T ⊗ e] scaled by its composite
-    gain and the receive steering powers; noise is per-sample circular
-    complex Gaussian of the scene's variance.
+    gain and the receive steering powers, P_k the spectral phase ramp of
+    its delay; a delay beyond the code is taken modulo the code, as the
+    cyclic model has it.  Noise is per-sample circular complex Gaussian of
+    the scene's variance.
     """
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.size != config.n_frames:
@@ -225,21 +201,26 @@ def pmcw_receive_cube(scene: Scene, config: PmcwConfig, code: CodeSequence,
     if scene.noise_variance > 0 and rng is None:
         raise ValueError("a Generator is required when noise_variance > 0")
 
-    data = _pmcw_synthesize(scene, config, code.chips(),
+    data = _pmcw_synthesize(scene, config, np.fft.fft(code.chips()),
                             symbols.reshape(1, -1), [cpi_index], [rng])
     return PmcwCube(data=data[0], schedule=pmcw_schedule(config),
                     config=config)
 
 
-def _pmcw_response(config: PmcwConfig, code_row: np.ndarray,
-                   doppler_hz: float, angle_rad: float,
+def _pmcw_response(config: PmcwConfig, code_spec: np.ndarray,
+                   delay_s: float, doppler_hz: float, angle_rad: float,
                    frames: np.ndarray) -> np.ndarray:
     """Unit response [(b ⊙ P_k s)^T ⊗ e] c of one scatterer on the integer
-    ``frames``, shape (frames, L, N_r); ``code_row`` is the delayed code
-    P_k s.  Unlike ``steering_vector`` it takes any angle, as the CRLB
-    proxy's angle step may cross +-pi/2."""
+    ``frames``, shape (frames, L, N_r), from the code's DFT ``code_spec``.
+    P_k delays the code cyclically by k = delay_s / t_c chips, any real k,
+    as a phase ramp on its spectrum.  Unlike ``steering_vector`` it takes
+    any angle, as the CRLB proxy's angle step may cross +-pi/2."""
+    l_count = config.code_length
+    freqs = np.fft.fftfreq(l_count, d=1.0 / l_count)
+    code_row = np.fft.ifft(code_spec * np.exp(
+        -2j * np.pi * freqs * (delay_s / config.chip_time) / l_count))
     slow = np.exp(-2j * np.pi * doppler_hz * frames * config.block_time)
-    fast = np.exp(-2j * np.pi * doppler_hz * np.arange(config.code_length)
+    fast = np.exp(-2j * np.pi * doppler_hz * np.arange(l_count)
                   * config.chip_time)
     steer = np.exp(-2j * np.pi * config.geometry.spacing_over_lambda
                    * np.sin(angle_rad) * np.arange(config.geometry.n_rx))
@@ -247,23 +228,13 @@ def _pmcw_response(config: PmcwConfig, code_row: np.ndarray,
     return block[:, :, None] * steer[None, None, :]
 
 
-def _pmcw_synthesize(scene: Scene, config: PmcwConfig, chips: np.ndarray,
+def _pmcw_synthesize(scene: Scene, config: PmcwConfig, code_spec: np.ndarray,
                      symbols: np.ndarray, cpi_indices, rngs) -> np.ndarray:
-    """Receive data of a stack of CPIs, shape (CPIs, M, L, N_r).
-
-    CPI k carries the slow-time symbols ``symbols[k]`` and the fading of
-    CPI ``cpi_indices[k]``; its noise is drawn from ``rngs[k]``.
-    """
-    frames = np.arange(config.n_frames)
-    amps = _cpi_amplitudes(scene, config.carrier_hz, config.geometry.n_tx,
-                           cpi_indices)
-    data = np.zeros((len(symbols), config.n_frames, config.code_length,
-                     config.geometry.n_rx), dtype=complex)
-    for sc, d_q in zip(scene.scatterers, amps.T):
-        response = _pmcw_response(
-            config, cyclic_shift(chips, delay_to_chips(sc.delay_s, config)),
-            sc.resolve_doppler(config.wavelength), sc.angle_rad, frames)
-        data += (d_q[:, None] * symbols)[:, :, None, None] * response
-
-    _add_cpi_noise(data, scene.noise_variance, rngs)
-    return data
+    """Receive data of a stack of CPIs, shape (CPIs, M, L, N_r), for the
+    code of DFT ``code_spec``; see ``channel._synthesize``."""
+    return _synthesize(
+        scene, config.carrier_hz, config.geometry.n_tx,
+        symbols.shape + (config.code_length, config.geometry.n_rx),
+        symbols[:, :, None, None],
+        partial(_pmcw_response, config, code_spec,
+                frames=np.arange(config.n_frames)), cpi_indices, rngs)

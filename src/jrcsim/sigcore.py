@@ -1,8 +1,8 @@
 """Complex-baseband building blocks shared by both waveform families.
 
 Phase-coded chip sequences, complementary (Golay) pair construction,
-differential PSK symbol streams, aperiodic autocorrelation, cyclic shifts
-and uniform-linear-array steering vectors.
+differential PSK symbol streams, aperiodic autocorrelation and
+uniform-linear-array steering vectors.
 """
 
 from __future__ import annotations
@@ -241,23 +241,8 @@ def dpsk_decode(symbols, order: int = 2) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cyclic shifts and array steering
+# Array steering
 # ---------------------------------------------------------------------------
-
-
-def cyclic_shift(seq, k: int) -> np.ndarray:
-    """Delay a block by k chips with wrap-around.
-
-    Equivalent to applying the block permutation matrix P_k (identity for
-    k = 0): out[l] = seq[(l - k) mod L].
-    """
-    x = np.asarray(seq)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("cyclic_shift needs a non-empty 1-d sequence")
-    k = int(k)
-    if not 0 <= k < x.size:
-        raise ValueError(f"shift {k} out of range [0, {x.size})")
-    return np.roll(x, k)
 
 
 @dataclass(frozen=True)

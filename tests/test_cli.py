@@ -73,6 +73,14 @@ def test_validate_reports_each_error_on_its_own_line(tmp_path, capsys):
     assert "  $.bogus: unknown field" in lines
 
 
+def test_validate_rejects_delay_beyond_the_code(tmp_path, capsys):
+    cfg = write_scenario(tmp_path / "far.json", scene={"scatterers": [
+        {"delay_s": 31e-9, "amplitude": [1.0, 0.0]}]})
+    assert main(["validate", str(cfg)]) == 2
+    assert "  $: scatterer 0 delay 3.1e-08 s falls on chip 31, outside the " \
+        "31-chip code" in capsys.readouterr().err.splitlines()
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
     assert "no such config file" in capsys.readouterr().err

@@ -356,6 +356,28 @@ def test_golay_section_validated():
     assert any(e.startswith("$.golay:") and "log2_length" in e for e in errs)
 
 
+@pytest.mark.parametrize("base, near, beyond, message", [
+    (base_pmcw, 30.4e-9, 30.6e-9,
+     "$: scatterer 1 delay 3.06e-08 s falls on chip 31, outside the "
+     "31-chip code"),
+    (base_golay, 31.8e-9, 32.2e-9,
+     "$: scatterer 1 delay 3.22e-08 s falls on sample 129, outside the "
+     "128-sample guard window"),
+], ids=["pmcw", "golay"])
+def test_delay_beyond_the_waveform_window_rejected(base, near, beyond,
+                                                   message):
+    # The nearest chip (sample) must lie inside the code (guard window);
+    # a fractional delay that rounds into it parses.
+    data = base()
+    data["scene"] = {"scatterers": [{"delay_s": 0.0}, {"delay_s": beyond}]}
+    assert errors_of(data) == (message,)
+    data["scene"]["scatterers"][1]["delay_s"] = near
+    assert parse_config(data).scene.scatterers[1].delay_s == near
+    data["waveform"], data["ofdma"] = "ofdma", base_ofdma()["ofdma"]
+    data["scene"]["scatterers"][1]["delay_s"] = beyond
+    parse_config(data)  # OFDMA takes any delay
+
+
 @pytest.mark.parametrize("sweep", [{"mu_percent": [25, 50]},
                                    {"weights": [0.5]},
                                    {"mu_percent": [50], "weights": [0.5]}])

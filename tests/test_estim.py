@@ -6,7 +6,6 @@ against hand-built convolution channels with integer arithmetic.
 """
 
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -22,8 +21,8 @@ from jrcsim.estim import (DecodingError, EstimatorConfig, NonIdentifiableError,
                           pmcw_range_doppler, pmcw_refine, profile_peaks)
 from jrcsim.ofdma import (OfdmaConfig, build_symbol_grid, grid_capacity_bits,
                           ofdma_receive_cube)
-from jrcsim.pmcw import (PmcwConfig, payload_capacity_bits, pmcw_frame_symbols,
-                         pmcw_receive_cube, pmcw_schedule)
+from jrcsim.pmcw import (PmcwConfig, _pmcw_response, payload_capacity_bits,
+                         pmcw_frame_symbols, pmcw_receive_cube, pmcw_schedule)
 from jrcsim.sigcore import ArrayGeometry, CodeSequence, golay_pair
 
 CHIP = 1e-9
@@ -281,10 +280,12 @@ def test_pmcw_amplitude_recovery_least_squares():
                    angle_rad=np.arcsin(0.5), amplitude=d_true)])
     targets = pmcw_range_doppler(cube, code).targets
     # The fit the decoder runs on the radar frames, here over every frame.
+    frames = np.arange(8)
     d_hat = estim._fit(cube.data,
-                       partial(estim._pmcw_basis, config, code.chips()),
-                       targets, np.arange(8),
-                       np.asarray(symbols)[:, None, None])
+                       [_pmcw_response(config, np.fft.fft(code.chips()),
+                                       t.delay_s, t.doppler_hz, t.angle_rad,
+                                       frames) for t in targets],
+                       frames, np.asarray(symbols)[:, None, None])
     assert d_hat[0] == pytest.approx(d_true, abs=1e-10)
 
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from jrcsim.channel import Scatterer, Scene
-from jrcsim.pmcw import (FrameSchedule, PmcwConfig, PmcwCube,
-                         RangeAmbiguityError, delay_to_chips,
+from jrcsim.config import ConfigError, parse_config
+from jrcsim.pmcw import (FrameSchedule, PmcwConfig, PmcwCube, _pmcw_response,
                          payload_capacity_bits, pmcw_frame_symbols,
                          pmcw_receive_cube, pmcw_schedule, pmcw_transmit)
 from jrcsim.sigcore import ArrayGeometry, CodeSequence, dpsk_decode
@@ -185,31 +185,49 @@ def test_transmit_length_checks():
 
 
 # ---------------------------------------------------------------------------
-# Delay quantization
+# Code delay
 # ---------------------------------------------------------------------------
 
 
-def test_delay_to_chips_integer():
-    config = small_config()
-    assert delay_to_chips(5e-9, config) == 5
-
-
-def test_delay_to_chips_fractional_rejected():
-    config = small_config()
-    with pytest.raises(ValueError, match="not an integer number of chips"):
-        delay_to_chips(5.4e-9, config)
+def test_fractional_delay_matches_dft_sum_oracle():
+    # P_k s[l] = (1/L) sum_f S[f] exp(2 pi j f (l - k) / L) over the signed
+    # DFT frequencies f, evaluated sample by sample.
+    config = small_config(n_frames=2)
+    chips = CodeSequence.random_binary(16, seed=7).chips()
+    spec = np.fft.fft(chips)
+    freqs = [f if f < 8 else f - 16 for f in range(16)]
+    for k in (0.0, 2.5, 7.25, 15.9):
+        oracle = [sum(spec[f] * np.exp(2j * np.pi * freqs[f] * (ell - k) / 16)
+                      for f in range(16)) / 16 for ell in range(16)]
+        response = _pmcw_response(config, spec, k * config.chip_time, 0.0,
+                                  0.0, np.arange(2))
+        for m in range(2):
+            for p in range(2):
+                np.testing.assert_allclose(response[m, :, p], oracle,
+                                           rtol=0, atol=1e-12)
 
 
 def test_delay_beyond_block_is_ambiguous():
+    # A direct call models the delay cyclically, so 16 + 3 chips is 3
+    # chips; a scenario file with that delay is rejected when parsed.
     config = small_config()
-    with pytest.raises(RangeAmbiguityError):
-        delay_to_chips(16e-9, config)
+    code = CodeSequence.random_binary(16, seed=1)
+    cubes = [pmcw_receive_cube(
+        Scene(scatterers=(Scatterer(delay_s=k * 1e-9, amplitude=1.0),)),
+        config, code, np.ones(4)).data for k in (3, 19)]
+    np.testing.assert_allclose(cubes[1], cubes[0], rtol=0, atol=1e-12)
+    with pytest.raises(ConfigError, match="falls on chip 16, outside the "
+                                          "16-chip code"):
+        parse_config({"version": 1, "waveform": "pmcw",
+                      "pmcw": {"code_length": 16, "n_frames": 4,
+                               "chip_time_s": 1e-9, "carrier_hz": 60e9},
+                      "code_kind": "random",
+                      "scene": {"scatterers": [{"delay_s": 15.6e-9}]}})
 
 
 def test_delay_validation():
-    config = small_config()
     with pytest.raises(ValueError):
-        delay_to_chips(-1e-9, config)
+        Scatterer(delay_s=-1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,27 @@
 """Each waveform's receive model is written once, as one response function.
 
-The oracles below write the model out on its own: the CRLB proxy as two
-closures with their own phasors, and the decoder's PMCW basis with one
-joint fast/slow-time phase.  The CRLB model must equal its oracle bit for
-bit, which pins ``tradeoff.csv``; the basis and the synthesized cubes may
-differ from theirs in the last bits only.
+The oracles below write the model out on its own: the CRLB proxy's
+response as two closures with their own phasors, and the PMCW response
+at an integer chip delay as an ``np.roll`` of the chips with one joint
+fast/slow-time phase.  The responses must equal the CRLB oracle bit for
+bit, which pins ``tradeoff.csv``; against the integer-delay oracle, and
+the synthesized cubes against the responses, they may differ in the last
+bits only.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
 
-from jrcsim import estim, runner
+from jrcsim import runner
 from jrcsim.channel import Scatterer, Scene
 from jrcsim.config import parse_config
 from jrcsim.estim import TargetEstimate
-from jrcsim.ofdma import build_symbol_grid, grid_capacity_bits, \
-    ofdma_receive_cube
-from jrcsim.pmcw import payload_capacity_bits, pmcw_frame_symbols, \
-    pmcw_receive_cube, pmcw_schedule
+from jrcsim.ofdma import _ofdma_response, build_symbol_grid, \
+    grid_capacity_bits, ofdma_receive_cube
+from jrcsim.pmcw import _pmcw_response, payload_capacity_bits, \
+    pmcw_frame_symbols, pmcw_receive_cube, pmcw_schedule
 
 
 def scenario(waveform, n_rx, spacing):
@@ -79,7 +83,8 @@ def crlb_model_oracle(config, wavecfg):
 
 
 def joint_phase_pmcw_basis(config, chips, target, m_indices):
-    """The decoder's PMCW basis with one joint fast/slow-time phase."""
+    """The PMCW response at the target's integer delay bin: the chips
+    rolled by the bin, with one joint fast/slow-time phase."""
     t_b, t_c = config.block_time, config.chip_time
     chips = np.roll(chips, target.delay_bin)
     phase_t = (m_indices[:, None] * t_b
@@ -89,6 +94,21 @@ def joint_phase_pmcw_basis(config, chips, target, m_indices):
                    * np.sin(target.angle_rad)
                    * np.arange(config.geometry.n_rx))
     return (dop * chips[None, :])[:, :, None] * steer[None, None, :]
+
+
+def unit_response(config, wavecfg):
+    """The waveform's response as the runner binds it for the CRLB proxy,
+    with every slot: ``response(delay, Doppler, angle, slots)``."""
+    if config.waveform == "pmcw":
+        spec = np.fft.fft(runner.build_code(config, wavecfg).chips())
+        return (partial(_pmcw_response, wavecfg, spec),
+                np.arange(wavecfg.n_frames))
+    return partial(_ofdma_response, wavecfg), np.arange(wavecfg.n_subcarriers)
+
+
+def at(response, target, slots):
+    return response(target.delay_s, target.doppler_hz, target.angle_rad,
+                    slots)
 
 
 def target_at(delay_s, doppler_hz, angle_rad, delay_bin=0):
@@ -111,12 +131,12 @@ def random_theta(rng, wavecfg):
 def test_crlb_model_is_bitwise_its_oracle(waveform, n_rx, spacing):
     config = scenario(waveform, n_rx, spacing)
     wavecfg = config.waveform_config
-    model = runner._crlb_model(config, wavecfg)
+    response, slots = unit_response(config, wavecfg)
     oracle = crlb_model_oracle(config, wavecfg)
     rng = np.random.default_rng([n_rx, 17])
     for _ in range(40):
         theta = random_theta(rng, wavecfg)
-        assert np.array_equal(model(theta), oracle(theta))
+        assert np.array_equal(response(*theta, slots), oracle(theta))
 
 
 @pytest.mark.parametrize("waveform", ["pmcw", "ofdma"])
@@ -139,14 +159,15 @@ def test_pmcw_basis_matches_joint_phase_oracle(n_rx, spacing):
     config = scenario("pmcw", n_rx, spacing)
     wavecfg = config.waveform_config
     chips = runner.build_code(config, wavecfg).chips()
+    response, _ = unit_response(config, wavecfg)
     rng = np.random.default_rng([n_rx, 29])
     frames = np.sort(rng.choice(wavecfg.n_frames, 5, replace=False))
     for _ in range(40):
-        target = target_at(0.0, rng.uniform(-40e6, 40e6),
-                           rng.uniform(-np.pi / 2, np.pi / 2),
-                           delay_bin=int(rng.integers(31)))
+        k = int(rng.integers(31))
+        target = target_at(k * wavecfg.chip_time, rng.uniform(-40e6, 40e6),
+                           rng.uniform(-np.pi / 2, np.pi / 2), delay_bin=k)
         np.testing.assert_allclose(
-            estim._pmcw_basis(wavecfg, chips, target, frames),
+            at(response, target, frames),
             joint_phase_pmcw_basis(wavecfg, chips, target, frames),
             rtol=0, atol=1e-13)
 
@@ -157,6 +178,7 @@ def test_pmcw_cube_is_amplitude_symbols_basis(seed):
     config = scenario("pmcw", 3, 0.5)
     wavecfg = config.waveform_config
     code = runner.build_code(config, wavecfg)
+    response, frames = unit_response(config, wavecfg)
     sched = pmcw_schedule(wavecfg)
     symbols = pmcw_frame_symbols(
         sched, rng.integers(0, 2, payload_capacity_bits(sched)))
@@ -164,16 +186,17 @@ def test_pmcw_cube_is_amplitude_symbols_basis(seed):
     doppler = rng.uniform(-40e6, 40e6)
     angle = rng.uniform(-1.2, 1.2)
     d = complex(rng.standard_normal(), rng.standard_normal())
-    scene = Scene(scatterers=(Scatterer(delay_s=k * wavecfg.chip_time,
-                                        doppler_hz=doppler, angle_rad=angle,
-                                        amplitude=d),))
-    cube = pmcw_receive_cube(scene, wavecfg, code, symbols)
-    basis = estim._pmcw_basis(wavecfg, code.chips(),
-                              target_at(0.0, doppler, angle, delay_bin=k),
-                              np.arange(wavecfg.n_frames))
-    np.testing.assert_allclose(cube.data,
-                               d * symbols[:, None, None] * basis,
-                               rtol=0, atol=1e-12)
+    # Integer and fractional chip delays alike.
+    for delay in (k + np.array([0.0, 0.37, rng.uniform()])) \
+            * wavecfg.chip_time:
+        scene = Scene(scatterers=(Scatterer(delay_s=delay, doppler_hz=doppler,
+                                            angle_rad=angle, amplitude=d),))
+        cube = pmcw_receive_cube(scene, wavecfg, code, symbols)
+        basis = at(response, target_at(delay, doppler, angle, delay_bin=k),
+                   frames)
+        np.testing.assert_allclose(cube.data,
+                                   d * symbols[:, None, None] * basis,
+                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -189,8 +212,8 @@ def test_ofdma_cube_is_amplitude_symbols_basis(seed):
     scene = Scene(scatterers=(Scatterer(delay_s=delay, doppler_hz=doppler,
                                         angle_rad=angle, amplitude=d),))
     cube = ofdma_receive_cube(scene, wavecfg, grid)
-    basis = estim._ofdma_basis(wavecfg, target_at(delay, doppler, angle),
-                               np.arange(wavecfg.n_subcarriers))
+    response, rows = unit_response(scenario("ofdma", 3, 0.5), wavecfg)
+    basis = at(response, target_at(delay, doppler, angle), rows)
     np.testing.assert_allclose(cube.data,
                                d * grid.symbols[:, :, None] * basis,
                                rtol=0, atol=1e-12)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from jrcsim import runner
 from jrcsim.channel import Scene
-from jrcsim.config import config_hash, parse_config
+from jrcsim.config import ConfigError, config_hash, parse_config
 from jrcsim.estim import (ofdma_decode, ofdma_range_doppler_angle,
                           ofdma_refine, pmcw_decode, pmcw_range_doppler,
                           pmcw_refine)
@@ -301,19 +301,34 @@ def test_golay_scenario_noiseless(tmp_path):
     assert report.points[0].n_failures == 0
 
 
-def test_golay_delay_outside_guard_fails_trial(tmp_path):
-    config = parse_config({
-        "version": 1,
-        "waveform": "golay",
-        "golay": {"log2_length": 4, "guard_samples": 8,
-                  "sample_time_s": 1e-9},
-        "scene": {"scatterers": [{"delay_s": 20e-9,
-                                  "amplitude": [1.0, 0.0]}]},
-        "trials": 1,
-    })
-    report = run_scenario(config, out_dir=tmp_path)
-    assert report.points[0].n_failures == 1
-    assert "guard window" in report.points[0].example_failure
+def test_golay_delay_outside_guard_fails_trial():
+    # Rejected when the scenario is parsed, before any trial runs.
+    with pytest.raises(ConfigError, match="falls on sample 20, outside the "
+                                          "8-sample guard window"):
+        parse_config({
+            "version": 1,
+            "waveform": "golay",
+            "golay": {"log2_length": 4, "guard_samples": 8,
+                      "sample_time_s": 1e-9},
+            "scene": {"scatterers": [{"delay_s": 20e-9,
+                                      "amplitude": [1.0, 0.0]}]},
+            "trials": 1,
+        })
+
+
+def test_pmcw_fractional_chip_delay_runs(tmp_path):
+    # A delay of 9.4 chips is synthesized as such; the unpadded coarse map
+    # puts it on its nearest chip.
+    run_scenario(pmcw_scenario(scene={"scatterers": [
+        {"delay_s": 9.4e-9, "amplitude": [1.0, 0.0]}]}), out_dir=tmp_path)
+    header, rows = read_csv_rows(tmp_path / "estimates.csv")
+    assert len(rows) == 3
+    for row in rows:
+        row = dict(zip(header, row))
+        assert float(row["true_delay_s"]) == 9.4e-9
+        assert float(row["est_delay_s"]) == pytest.approx(9e-9, rel=1e-12)
+    _, point = read_csv_rows(tmp_path / "rmse_vs_snr.csv")
+    assert point[0][3] == "0"  # n_failures
 
 
 def test_programming_error_in_trial_propagates(tmp_path, monkeypatch):
@@ -424,7 +439,7 @@ def test_batch_matches_per_trial_pipeline(
     for q in range(n_scatterers):
         phase = rng.uniform(0.0, 2 * np.pi)
         if waveform == "pmcw":  # 31 chips of 1 ns, 8 frames
-            delay = int(rng.integers(0, 31)) * 1e-9
+            delay = rng.uniform(0.0, 30.5) * 1e-9
             doppler = rng.uniform(-0.5, 0.5) / 31e-9
         else:  # 16 subcarriers 62.5 MHz apart, 8-sample cyclic prefix
             delay = rng.uniform(0.0, 8.0) * 1e-9
