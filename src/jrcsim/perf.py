@@ -26,6 +26,13 @@ import numpy as np
 from .tensorio import format_float, write_table_csv, write_tensor
 
 
+def _check_grids(delays_s, dopplers_hz) -> None:
+    if delays_s.size > 1 and not np.all(np.diff(delays_s) > 0):
+        raise ValueError("delay grid must be strictly increasing")
+    if dopplers_hz.size > 1 and not np.all(np.diff(dopplers_hz) > 0):
+        raise ValueError("Doppler grid must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class AfSurface:
     """Sampled |chi(tau, nu)| magnitude, normalized to 1 at the origin."""
@@ -40,10 +47,7 @@ class AfSurface:
         m = np.asarray(self.magnitude, dtype=float)
         if m.shape != (d.size, f.size):
             raise ValueError("magnitude must be (n_delays, n_dopplers)")
-        if d.size > 1 and not np.all(np.diff(d) > 0):
-            raise ValueError("delay grid must be strictly increasing")
-        if f.size > 1 and not np.all(np.diff(f) > 0):
-            raise ValueError("Doppler grid must be strictly increasing")
+        _check_grids(d, f)
         object.__setattr__(self, "delays_s", d)
         object.__setattr__(self, "dopplers_hz", f)
         object.__setattr__(self, "magnitude", m)
@@ -66,7 +70,10 @@ def default_af_grids(n_samples: int, sample_rate_hz: float,
     The Doppler comb spans the unambiguous +-sample_rate/(2 n_samples)
     band of a waveform of this length, so mainlobe structure is resolved.
     ``n_doppler`` must be odd, so that one comb point sits at zero Doppler
-    and the zero-Doppler cut is taken there.
+    and the zero-Doppler cut is taken there.  The comb is exactly
+    antisymmetric, with endpoints exactly +-span/2, so every nonzero point
+    has its negation on the grid and :func:`ambiguity_function` computes
+    each such pair from one row.
     """
     if max_lag is None:
         max_lag = n_samples - 1
@@ -78,7 +85,8 @@ def default_af_grids(n_samples: int, sample_rate_hz: float,
     span = sample_rate_hz / n_samples
     if n_doppler == 1:
         return delays, np.zeros(1)
-    return delays, np.linspace(-span / 2, span / 2, n_doppler)
+    half = n_doppler // 2
+    return delays, span / 2 * (np.arange(-half, half + 1) / half)
 
 
 def ambiguity_function(waveform, delays_s, dopplers_hz,
@@ -95,9 +103,14 @@ def ambiguity_function(waveform, delays_s, dopplers_hz,
     the FFT length M is a power of two >= max(4L, 64) and each block
     carries B = min(M - 2L, n) samples of z against a length B + 2L
     segment of x.  The segment spectra are shared by every row, and each
-    row sums its block products before one inverse FFT, so the cost is
-    O(N_nu * n * (M / B) * log M) and the result agrees with the direct
-    sum to float rounding.
+    row sums its block products before one inverse FFT.  That inverse FFT
+    holds every lag in [-L, L], and the AF is centrosymmetric,
+    |chi(-tau, -nu)| = |chi(tau, nu)|, so a -nu column whose +nu is also
+    on the grid is the +nu row read at mirrored lags.  The cost is
+    O(N_|nu| * n * (M / B) * log M), N_|nu| the number of distinct |nu| on
+    the Doppler grid, and the result agrees with the direct sum to float
+    rounding.  Both grids must be strictly increasing, which is checked
+    before any FFT.
     """
     x = np.asarray(waveform, dtype=complex).ravel()
     n = x.size
@@ -110,6 +123,7 @@ def ambiguity_function(waveform, delays_s, dopplers_hz,
     lags = np.rint(lags_f).astype(int)
     if np.max(np.abs(lags_f - lags), initial=0.0) > 1e-6:
         raise ValueError("delay grid must align with integer sample lags")
+    _check_grids(delays_s, dopplers_hz)
 
     mags = np.zeros((lags.size, dopplers_hz.size))
     inside = np.flatnonzero(np.abs(lags) < n)
@@ -134,13 +148,23 @@ def ambiguity_function(waveform, delays_s, dopplers_hz,
         starts = step * block * np.arange(n_blocks)
         offsets = step * np.arange(block)
         picks = span + lags[inside]
-        for j, nu in enumerate(dopplers_hz):
+        # mirror[j] is the index of -nu_j wherever paired[j] holds.
+        mirror = np.minimum(np.searchsorted(dopplers_hz, -dopplers_hz),
+                            dopplers_hz.size - 1)
+        paired = (dopplers_hz > 0) & (dopplers_hz[mirror] == -dopplers_hz)
+        filled = np.zeros(dopplers_hz.size, dtype=bool)
+        filled[mirror[paired]] = True
+        for j in np.flatnonzero(~filled):
+            nu = dopplers_hz[j]
             phase = np.multiply.outer(np.exp(1j * nu * starts),
                                       np.exp(1j * nu * offsets))
             z_spectra = np.fft.fft(x_blocks * phase, fft_len, axis=1)
             cross = np.einsum("bm,bm->m", seg_spectra, z_spectra)
             # ifft(conj(sum_b conj(X_b) Z_b)) = ifft(sum_b X_b conj(Z_b)).
-            mags[inside, j] = np.abs(np.fft.ifft(np.conj(cross))[picks])
+            row = np.fft.ifft(np.conj(cross))
+            mags[inside, j] = np.abs(row[picks])
+            if paired[j]:
+                mags[inside, mirror[j]] = np.abs(row[2 * span - picks])
     return AfSurface(delays_s=delays_s, dopplers_hz=dopplers_hz,
                      magnitude=mags / energy)
 

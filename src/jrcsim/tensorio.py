@@ -27,13 +27,12 @@ def write_tensor(path, array) -> None:
     arr = np.asarray(array, dtype=np.complex128)
     if arr.ndim < 1:
         raise ValueError("tensor must have at least one dimension")
-    arr = np.ascontiguousarray(arr)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.array(FORMAT_VERSION, dtype="<u4").tobytes())
         fh.write(np.array(arr.ndim, dtype="<u4").tobytes())
         fh.write(np.asarray(arr.shape, dtype="<u8").tobytes())
-        fh.write(arr.astype("<c16").tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype="<c16"))
 
 
 def read_tensor(path) -> np.ndarray:
@@ -64,21 +63,52 @@ def format_float(x) -> str:
 def write_table_csv(path, header, rows) -> None:
     """Write a table of numeric rows; floats use shortest round-trip form.
 
-    ``rows`` is a 2-d numeric array or rows of str, int and float cells
-    (numpy scalars included).  The csv module writes a Python float as its
-    ``repr``, so numpy values are turned into Python ones first.  An
-    array's cells are all numbers, which never need quoting, so its rows
-    are joined directly, one line at a time.
+    ``rows`` is a 2-d array of real numbers (bool, int or float) or rows of
+    str, int and float cells (numpy scalars included).  The csv module
+    writes a Python float as its ``repr``, so numpy values are turned into
+    Python ones first.  An array's cells are all numbers, which never need
+    quoting, so its rows are joined directly (see :func:`_array_lines`).
     """
+    lines = _array_lines(rows) if isinstance(rows, np.ndarray) else None
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if isinstance(rows, np.ndarray):
-            fh.writelines(",".join(map(repr, row)) + "\r\n"
-                          for row in rows.tolist())
-        else:
+        if lines is None:
             writer.writerows([cell.item() if isinstance(cell, np.generic)
                               else cell for cell in row] for row in rows)
+        else:
+            fh.flush()
+            fh.buffer.writelines(lines)
+
+
+# Longest repr of a float, int64, uint64 or bool: -2.2250738585072014e-308.
+_CELL_BYTES = 24
+_FORMAT_CHUNK = 4096
+_ROW_CHUNK = 256
+
+
+def _array_lines(table):
+    """CSV lines (bytes) of a 2-d real array, each cell its Python repr.
+
+    Each distinct value, told apart by its bit pattern so that -0.0, NaN
+    and ints stay exact, is formatted once, a chunk at a time, into a
+    fixed-width byte table.  The returned generator joins the rows from
+    that table a block at a time, so no Python string per cell is kept
+    alive.
+    """
+    if table.ndim != 2 or table.dtype.kind not in "biuf":
+        raise TypeError("array rows must be a 2-d array of real numbers")
+    distinct, index = np.unique(table.view(f"u{table.itemsize}").ravel(),
+                                return_inverse=True)
+    values = distinct.view(table.dtype)
+    text = np.empty(values.size, dtype=f"S{_CELL_BYTES}")
+    for start in range(0, values.size, _FORMAT_CHUNK):
+        text[start:start + _FORMAT_CHUNK] = list(map(
+            repr, values[start:start + _FORMAT_CHUNK].tolist()))
+    index = index.reshape(table.shape)
+    return (b"\r\n".join(map(b",".join,
+                             text[index[start:start + _ROW_CHUNK]].tolist()))
+            + b"\r\n" for start in range(0, index.shape[0], _ROW_CHUNK))
 
 
 def read_csv_rows(path):

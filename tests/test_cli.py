@@ -246,6 +246,26 @@ def test_af_exports_surface_and_cuts(tmp_path, capsys):
     assert len(grid_rows) == 33
 
 
+def test_af_csv_reads_back_as_the_centrosymmetric_tensor(tmp_path, capsys):
+    cfg = write_scenario(tmp_path / "s.json")
+    out = tmp_path / "af"
+    assert main(["af", str(cfg), "--out-dir", str(out),
+                 "--max-lag", "40", "--n-doppler", "9"]) == 0
+    surface = read_tensor(out / "af_surface.jrct")
+    header, rows = read_csv_rows(out / "af_surface.csv")
+    table = np.array(rows, dtype=float)
+    dopplers = np.array([float(h.removeprefix("doppler_"))
+                         for h in header[1:]])
+    assert np.array_equal(table[:, 0], -table[::-1, 0])
+    assert np.array_equal(dopplers, -dopplers[::-1])
+    assert np.array_equal(table[:, 1:], surface.real)
+    assert not surface.imag.any()
+    off = dopplers != 0
+    assert off.sum() == 8
+    assert np.array_equal(surface.real[:, off],
+                          surface.real[::-1, ::-1][:, off])
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--max-lag", "-1"], "max_lag"),
     (["--n-doppler", "0"], "n_doppler"),

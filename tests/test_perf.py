@@ -82,11 +82,17 @@ def test_af_rectangular_pulse_triangle():
 
 
 def test_af_symmetry_under_joint_negation():
+    # Each -nu column is the +nu row's inverse FFT read at mirrored lags,
+    # so off zero Doppler the symmetry is exact; the zero-Doppler column
+    # is its own mirror, computed once, and symmetric to rounding.
     rng = np.random.default_rng(6)
     x = rng.normal(size=20) + 1j * rng.normal(size=20)
     delays, dopplers = default_af_grids(20, 1.0, n_doppler=11)
     mag = ambiguity_function(x, delays, dopplers, 1.0).magnitude
-    assert np.allclose(mag, mag[::-1, ::-1], atol=1e-10)
+    mirrored = mag[::-1, ::-1]
+    off = dopplers != 0
+    assert np.array_equal(mag[:, off], mirrored[:, off])
+    assert np.allclose(mag[:, ~off], mirrored[:, ~off], atol=1e-10)
 
 
 def test_af_single_tone_doppler_null():
@@ -114,6 +120,26 @@ def test_af_rejects_empty_or_silent_waveform():
         ambiguity_function([], [0.0], [0.0])
     with pytest.raises(ValueError):
         ambiguity_function(np.zeros(8), [0.0], [0.0])
+
+
+@pytest.mark.parametrize("delays, dopplers, message", [
+    ([1.0, 0.0], [0.0], "delay grid"),
+    ([0.0, 0.0], [0.0], "delay grid"),
+    ([0.0], [0.5, -0.5], "Doppler grid"),
+    ([0.0], [-0.5, 0.5, 0.5], "Doppler grid"),
+    ([0.0], [0.0, np.nan], "Doppler grid"),
+], ids=["delay-decreasing", "delay-repeated", "doppler-decreasing",
+        "doppler-repeated", "doppler-nan"])
+def test_af_rejects_bad_grid_before_any_fft(monkeypatch, delays, dopplers,
+                                            message):
+    def no_fft(*args, **kwargs):
+        raise AssertionError("FFT work started before the grid check")
+
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    monkeypatch.setattr(np.fft, "ifft", no_fft)
+    with pytest.raises(ValueError, match=f"{message} must be strictly "
+                                         "increasing"):
+        ambiguity_function(np.ones(8), delays, dopplers, 1.0)
 
 
 def test_af_surface_validation():
@@ -188,6 +214,33 @@ def test_af_matches_oracle_on_random_grids(case):
     assert np.max(np.abs(surface.magnitude - expected), initial=0.0) < 1e-12
 
 
+@st.composite
+def mirrored_af_cases(draw):
+    """An af_cases draw whose Doppler grid mixes +-nu pairs, unpaired
+    values of either sign and, sometimes, nu = 0."""
+    x, lags, _, fs = draw(af_cases())
+    magnitudes = draw(st.lists(st.floats(1e-3, 1), min_size=1, max_size=4,
+                               unique=True))
+    signs = draw(st.lists(st.sampled_from([(1,), (-1,), (1, -1)]),
+                          min_size=len(magnitudes),
+                          max_size=len(magnitudes)))
+    grid = {s * m for m, pair in zip(magnitudes, signs) for s in pair}
+    if draw(st.booleans()):
+        grid.add(0.0)
+    return x, lags, np.array(sorted(grid)) * fs, fs
+
+
+@settings(max_examples=60, deadline=None)
+@given(mirrored_af_cases())
+def test_af_mirrored_doppler_rows_match_oracle(case):
+    x, lags, dopplers, fs = case
+    assume(np.sum(np.abs(x) ** 2) > 1e-3)
+    assume(np.all(np.diff(dopplers) > 0))
+    surface = ambiguity_function(x, lags / fs, dopplers, fs)
+    expected = af_oracle(x, lags, dopplers, fs)
+    assert np.max(np.abs(surface.magnitude - expected), initial=0.0) < 1e-12
+
+
 def test_af_long_waveform_short_lags_matches_direct_sum():
     # 4096 samples with lags within +-8: the FFT sums 86 blocks of 48.
     rng = np.random.default_rng(8)
@@ -216,6 +269,30 @@ def test_default_af_grids():
     for n_doppler in (0, 2, 64):
         with pytest.raises(ValueError, match="n_doppler"):
             default_af_grids(32, 4e9, n_doppler=n_doppler)
+
+
+@pytest.mark.parametrize("n, rate, n_doppler", [
+    (4096, 15999999999.999998, 65),  # 256 x 62.5 MHz as floats give it
+    (20, 1.0, 11),
+    (18, 2e9, 9),
+    (32, 4e9, 65),
+    (7, 1.0, 101),
+    (248, 1 / 1e-9, 3),
+    (65536, 3e11, 257),
+])
+def test_default_af_doppler_comb_is_exactly_antisymmetric(n, rate,
+                                                          n_doppler):
+    _, dopplers = default_af_grids(n, rate, n_doppler=n_doppler)
+    span = rate / n
+    assert dopplers.size == n_doppler
+    assert np.array_equal(dopplers, -dopplers[::-1])
+    assert dopplers[0] == -span / 2 and dopplers[-1] == span / 2
+    assert dopplers[n_doppler // 2] == 0.0
+    assert np.all(np.diff(dopplers) > 0)
+    # np.linspace rounds -span/2 + i*step to a few ulps of span/2, so the
+    # two combs agree to that.
+    old = np.linspace(-span / 2, span / 2, n_doppler)
+    assert np.max(np.abs(dopplers - old)) <= 4 * np.spacing(span / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jrcsim.tensorio import (format_float, read_csv_rows, read_tensor,
                              write_table_csv, write_tensor)
@@ -18,6 +20,15 @@ def test_tensor_round_trip(tmp_path):
     assert back.shape == (3, 4, 2)
     assert back.dtype == np.complex128
     assert np.array_equal(back, arr)
+
+
+def test_tensor_non_contiguous_input_is_written_in_c_order(tmp_path):
+    arr = np.arange(12.0).reshape(3, 4) * (1 - 2j)
+    write_tensor(tmp_path / "view.jrct", arr.T[::2])
+    write_tensor(tmp_path / "copy.jrct", arr.T[::2].copy())
+    assert (tmp_path / "view.jrct").read_bytes() \
+        == (tmp_path / "copy.jrct").read_bytes()
+    assert np.array_equal(read_tensor(tmp_path / "view.jrct"), arr.T[::2])
 
 
 def test_tensor_one_dimensional(tmp_path):
@@ -110,6 +121,50 @@ def test_write_table_csv_array_matches_csv_writer(tmp_path, table):
     write_table_csv(path, header, table)
     assert path.read_bytes() == csv_writer_bytes(tmp_path / "csv.csv",
                                                  header, table)
+
+
+FLOAT_POOL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+              2.2250738585072014e-308 / 3, 1e16, -1e16, 1e-5, 1e-4, 0.1,
+              -2.2250738585072014e-308, 1.7976931348623157e308, 1.0, 2.0 / 3]
+INT_POOL = [0, 1, -1, 7, 10 ** 16, np.iinfo(np.int64).min,
+            np.iinfo(np.int64).max]
+
+
+@st.composite
+def duplicate_heavy_tables(draw):
+    """A small table whose cells repeat a few values from an edge-case pool,
+    float or int; zero rows and zero columns included."""
+    pool = FLOAT_POOL if draw(st.booleans()) else INT_POOL
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    n_rows = draw(st.integers(0, 12))
+    n_cols = draw(st.integers(0, 5))
+    cells = draw(st.lists(st.sampled_from(values), min_size=n_rows * n_cols,
+                          max_size=n_rows * n_cols))
+    dtype = float if pool is FLOAT_POOL else np.int64
+    return np.array(cells, dtype=dtype).reshape(n_rows, n_cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(duplicate_heavy_tables())
+def test_write_table_csv_formats_repeated_values_exactly(tmp_path_factory,
+                                                         table):
+    tmp_path = tmp_path_factory.mktemp("dedup")
+    header = [f"c{j}" for j in range(table.shape[1])]
+    path = tmp_path / "array.csv"
+    write_table_csv(path, header, table)
+    written = path.read_bytes()
+    assert written == csv_writer_bytes(tmp_path / "csv.csv", header, table)
+    if table.dtype.kind == "f":
+        expected = ",".join(header) + "\r\n" + "".join(
+            ",".join(format_float(x) for x in row) + "\r\n" for row in table)
+        assert written.decode() == expected
+
+
+def test_write_table_csv_rejects_complex_array(tmp_path):
+    path = tmp_path / "complex.csv"
+    with pytest.raises(TypeError, match="real numbers"):
+        write_table_csv(path, ["a"], np.ones((2, 1), dtype=complex))
+    assert not path.exists()
 
 
 def test_read_csv_rows_empty_file(tmp_path):
