@@ -21,7 +21,7 @@ from jrcsim.ofdma import (OfdmaConfig, build_symbol_grid, grid_capacity_bits,
                           ofdma_transmit)
 from jrcsim.perf import ambiguity_function, peak_sidelobe_ratio, write_cut_csv
 from jrcsim.pmcw import (PmcwConfig, payload_capacity_bits,
-                         pmcw_frame_symbols, pmcw_schedule)
+                         pmcw_frame_symbols, pmcw_schedule, pmcw_transmit)
 from jrcsim.sigcore import ArrayGeometry, CodeSequence
 from jrcsim.tensorio import format_float, write_table_csv
 
@@ -62,7 +62,7 @@ def main(argv=None) -> int:
         rng = np.random.default_rng([args.seed, draw])
         symbols = pmcw_frame_symbols(sched, rng.integers(0, 2, n_bits_p),
                                      order=2)
-        wave_p = (symbols[:, None] * code.chips()[None, :]).ravel()
+        wave_p = pmcw_transmit(pcfg, code, symbols)[0].ravel()
         delays, cut_p = ambiguity_function(
             wave_p, lags, zero, sample_rate_hz=1 / chip).zero_doppler_cut()
 

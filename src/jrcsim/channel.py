@@ -1,8 +1,12 @@
 """Propagation models for the bi-static link.
 
 The round-trip radar free-space gain, small-scale fading draws (Swerling
-families and Rician), complex noise and the scatterer/scene containers used
-by the waveform synthesizers.
+families and Rician), complex noise, the scatterer/scene containers used
+by the waveform synthesizers, and :class:`ReceiveCube`, the one receive
+data cube of both cube waveforms.  A cube's layout is its config's
+``cube_shape``: slots on the first axis (PMCW frames, OFDMA subcarriers),
+whose radar/comm split is a boolean mask over that axis, then the
+samples of each slot, then the receive elements.
 """
 
 from __future__ import annotations
@@ -175,26 +179,43 @@ def scatterer_amplitude(sc: Scatterer, carrier_hz: float, n_tx: int,
     return n_tx * np.sqrt(g) * fading * np.exp(1j * eta)
 
 
-def _synthesize(scene: Scene, carrier_hz: float, n_tx: int, shape,
-                symbols: np.ndarray, response, cpi_indices,
-                rngs) -> np.ndarray:
-    """Receive data of a stack of CPIs, of ``shape`` (CPIs, ...).
+@dataclass(frozen=True)
+class ReceiveCube:
+    """One CPI's receive data, ``data`` of shape ``config.cube_shape``."""
+
+    data: np.ndarray
+    config: object
+
+    def __post_init__(self):
+        d = np.asarray(self.data, dtype=complex)
+        expected = self.config.cube_shape
+        if d.shape != expected:
+            raise ValueError(f"cube shape {d.shape} != expected {expected}")
+        object.__setattr__(self, "data", d)
+
+
+def _synthesize(scene: Scene, config, symbols: np.ndarray, response,
+                cpi_indices, rngs) -> np.ndarray:
+    """Receive data of a stack of CPIs, shape (CPIs,) + ``config.cube_shape``.
 
     Each scatterer adds, in CPI k, its composite amplitude with the fading
     of CPI ``cpi_indices[k]``, times the symbols ``symbols[k]``, times its
     unit response ``response(delay_s, doppler_hz, angle_rad)`` (the
     symbols broadcast against it).  Then noise of the scene's variance is
-    drawn for CPI k from ``rngs[k]``; none is drawn when it is 0.
+    drawn for CPI k from ``rngs[k]``; none is drawn when it is 0, and a
+    Generator is required for every CPI when it is not.
     """
-    wavelength = SPEED_OF_LIGHT / carrier_hz
-    amps = np.array([[scatterer_amplitude(sc, carrier_hz, n_tx, fading)
+    if scene.noise_variance > 0 and any(rng is None for rng in rngs):
+        raise ValueError("a Generator is required when noise_variance > 0")
+    amps = np.array([[scatterer_amplitude(sc, config.carrier_hz,
+                                          config.geometry.n_tx, fading)
                       for sc, fading in zip(scene.scatterers,
                                             scene.fading_gains(i))]
                      for i in cpi_indices], dtype=complex)
-    data = np.zeros(shape, dtype=complex)
+    data = np.zeros((len(symbols),) + config.cube_shape, dtype=complex)
     for sc, d_q in zip(scene.scatterers, amps.T):
         data += (d_q.reshape((-1,) + (1,) * (symbols.ndim - 1)) * symbols) \
-            * response(sc.delay_s, sc.resolve_doppler(wavelength),
+            * response(sc.delay_s, sc.resolve_doppler(config.wavelength),
                        sc.angle_rad)
     if scene.noise_variance > 0:
         for cpi, rng in zip(data, rngs):

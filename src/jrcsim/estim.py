@@ -45,9 +45,9 @@ from typing import Callable
 
 import numpy as np
 
-from .ofdma import OfdmaCube, SymbolGrid, _ofdma_response, \
-    pilot_comb_spacing
-from .pmcw import PmcwCube, _pmcw_response
+from .channel import ReceiveCube
+from .ofdma import SymbolGrid, _ofdma_response, pilot_comb_spacing
+from .pmcw import _pmcw_response, pmcw_schedule
 from .sigcore import CodeSequence, GolayPair, dpsk_decode, dpsk_encode
 
 
@@ -75,8 +75,10 @@ class EstimatorConfig:
     """Grid and detection knobs shared by the estimators.
 
     Padding factors multiply the FFT lengths of the respective axes;
-    ``threshold_db`` is relative to the strongest map cell.  Pads and
-    ``max_targets`` must be integers; integral floats are stored as ints.
+    ``range_pad`` pads only the OFDMA delay axis, as PMCW's delay axis is
+    the unpadded code lag, coarse and refined alike.  ``threshold_db`` is
+    relative to the strongest map cell.  Pads and ``max_targets`` must be
+    integers; integral floats are stored as ints.
     """
 
     range_pad: int = 1
@@ -486,14 +488,14 @@ def _pmcw_result(power, config, targets) -> DetectionResult:
 
 
 def _pmcw_detect(data: np.ndarray, code_spec: np.ndarray, config,
-                 schedule, est: EstimatorConfig) -> tuple:
+                 radar_frames, est: EstimatorConfig) -> tuple:
     """(power maps, targets per CPI) of a (CPIs, M, L, N_r) data stack,
-    from its radar-only frames."""
-    if not schedule.identifiable:
+    from the radar-only frames of the mask ``radar_frames``."""
+    if not radar_frames.any():
         raise NonIdentifiableError(
             "no radar-only frames: delay/Doppler cannot be separated from "
             "unknown data symbols at mu = 0")
-    idx = np.flatnonzero(schedule.is_radar)
+    idx = np.flatnonzero(radar_frames)
     nd = idx.size * est.doppler_pad
     dopp = np.fft.ifft(_pmcw_correlate(
         data[:, idx], np.ones((len(data), idx.size), dtype=complex),
@@ -503,7 +505,7 @@ def _pmcw_detect(data: np.ndarray, code_spec: np.ndarray, config,
                         _pmcw_layout(config, idx.size, est.doppler_pad))
 
 
-def pmcw_range_doppler(cube: PmcwCube, code: CodeSequence,
+def pmcw_range_doppler(cube: ReceiveCube, code: CodeSequence,
                        est: EstimatorConfig | None = None) -> DetectionResult:
     """Detect targets from the radar-only frames of a CPI.
 
@@ -512,7 +514,7 @@ def pmcw_range_doppler(cube: PmcwCube, code: CodeSequence,
     unknown data symbols and this raises.
     """
     power, targets = _pmcw_detect(cube.data[None], np.fft.fft(code.chips()),
-                                  cube.config, cube.schedule,
+                                  cube.config, pmcw_schedule(cube.config),
                                   est or EstimatorConfig())
     return _pmcw_result(power[0], cube.config, targets[0])
 
@@ -540,7 +542,7 @@ def _pmcw_windows(data: np.ndarray, code_spec: np.ndarray, config,
                                        (est.doppler_pad, 1), est, lay), lay
 
 
-def pmcw_refine(cube: PmcwCube, code: CodeSequence, symbols,
+def pmcw_refine(cube: ReceiveCube, code: CodeSequence, symbols,
                 est: EstimatorConfig) -> DetectionResult:
     """Re-estimate over all frames with every symbol treated as known.
 
@@ -558,24 +560,24 @@ def pmcw_refine(cube: PmcwCube, code: CodeSequence, symbols,
 
 
 def _pmcw_demodulate(data: np.ndarray, code_spec: np.ndarray, config,
-                     schedule, targets, order: int) -> tuple:
+                     radar_frames, targets, order: int) -> tuple:
     """(bits, symbol estimates, full symbol vectors) of a (CPIs, M, L, N_r)
     data stack, each row demodulated against its own ``targets`` entry;
-    ``code_spec`` is the code's DFT.
+    ``code_spec`` is the code's DFT, ``radar_frames`` the radar-frame mask.
 
     The amplitude fit is one least-squares solve per CPI; projection and
     DPSK decoding run on the whole stack.
     """
     if not all(targets):
         raise DecodingError("no detected targets to demodulate against")
-    if schedule.n_radar == 0:
+    if not radar_frames.any():
         raise DecodingError("no radar-only frames to anchor amplitudes and "
                             "the differential reference")
-    radar_idx = np.flatnonzero(schedule.is_radar)
-    comm_idx = np.flatnonzero(~schedule.is_radar)
+    radar_idx = np.flatnonzero(radar_frames)
+    comm_idx = np.flatnonzero(~radar_frames)
     n_cpi = len(data)
 
-    full = np.ones((n_cpi, schedule.n_frames), dtype=complex)
+    full = np.ones((n_cpi, radar_frames.size), dtype=complex)
     if comm_idx.size == 0:
         return (np.zeros((n_cpi, 0), dtype=np.int64),
                 np.zeros((n_cpi, 0), dtype=complex), full)
@@ -590,7 +592,8 @@ def _pmcw_demodulate(data: np.ndarray, code_spec: np.ndarray, config,
     return bits, proj, full
 
 
-def pmcw_decode(cube: PmcwCube, code: CodeSequence, targets, order: int = 2):
+def pmcw_decode(cube: ReceiveCube, code: CodeSequence, targets,
+                order: int = 2):
     """Demodulate the data frames against the reconstructed target response.
 
     Returns (bits, symbol_estimates, full_symbol_vector) where the full
@@ -599,7 +602,8 @@ def pmcw_decode(cube: PmcwCube, code: CodeSequence, targets, order: int = 2):
     """
     bits, proj, full = _pmcw_demodulate(cube.data[None],
                                         np.fft.fft(code.chips()),
-                                        cube.config, cube.schedule,
+                                        cube.config,
+                                        pmcw_schedule(cube.config),
                                         [targets], order)
     return bits[0], proj[0], full[0]
 
@@ -656,7 +660,7 @@ def _ofdma_detect(data: np.ndarray, symbols: np.ndarray, radar_rows, config,
                         _ofdma_layout(config, rows.size, nr, v.shape[1:3]))
 
 
-def ofdma_range_doppler_angle(cube: OfdmaCube, grid: SymbolGrid,
+def ofdma_range_doppler_angle(cube: ReceiveCube, grid: SymbolGrid,
                               est: EstimatorConfig | None = None
                               ) -> DetectionResult:
     """Detect targets from the radar-pilot subcarriers of a CPI.
@@ -700,7 +704,7 @@ def _ofdma_windows(data: np.ndarray, symbols: np.ndarray, config,
         seed_power, beams_at, (est.range_pad, est.doppler_pad), est, lay), lay
 
 
-def ofdma_refine(cube: OfdmaCube, symbols: np.ndarray,
+def ofdma_refine(cube: ReceiveCube, symbols: np.ndarray,
                  est: EstimatorConfig) -> DetectionResult:
     """Re-estimate over the full grid with all symbols treated as known.
 
@@ -717,7 +721,7 @@ def ofdma_refine(cube: OfdmaCube, symbols: np.ndarray,
                          targets[0])
 
 
-def ofdma_estimate_amplitudes(cube: OfdmaCube, grid: SymbolGrid, targets,
+def ofdma_estimate_amplitudes(cube: ReceiveCube, grid: SymbolGrid, targets,
                               rows=None) -> np.ndarray:
     """Least-squares target amplitudes from rows with known symbols."""
     if not targets:
@@ -758,7 +762,7 @@ def _ofdma_demodulate(data: np.ndarray, symbols: np.ndarray, radar_rows,
     return bits.reshape(n_cpi, -1), proj, full
 
 
-def ofdma_decode(cube: OfdmaCube, grid: SymbolGrid, targets):
+def ofdma_decode(cube: ReceiveCube, grid: SymbolGrid, targets):
     """Demodulate the data subcarriers against the reconstructed response.
 
     Returns (bits, symbol_estimates, full_symbol_matrix); the matrix holds

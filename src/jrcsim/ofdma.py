@@ -2,8 +2,11 @@
 
 A fraction of the N_c subcarriers is reserved as radar pilots (known
 symbols on every OFDM symbol); the rest carry DPSK data differentially
-encoded along slow time.  The receive data cube lives in the subcarrier
-domain: entry (n, m, p) of a scatterer's contribution is
+encoded along slow time.  :func:`ofdma_pilot_mask` gives the split as a
+boolean mask over the subcarriers.  The receive data cube, a
+``channel.ReceiveCube`` of the config's ``cube_shape`` (N_c, N_s, N_r),
+lives in the subcarrier domain: entry (n, m, p) of a scatterer's
+contribution is
 
     d_q * a_{n,m} * exp(-j 2 pi n df tau_q) * exp(+j 2 pi m T f_D)
         * exp(+j 2 pi (d/lambda) sin(psi) p)
@@ -24,8 +27,9 @@ from functools import partial
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, Scene, _synthesize
-from .sigcore import ArrayGeometry, dpsk_encode, steering_vector
+from .channel import SPEED_OF_LIGHT, ReceiveCube, Scene, _synthesize
+from .sigcore import ArrayGeometry, _radar_count, dpsk_encode, \
+    steering_vector
 
 
 class IsiWarning(UserWarning):
@@ -75,6 +79,12 @@ class OfdmaConfig:
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
 
+    @property
+    def cube_shape(self) -> tuple:
+        """Receive cube layout: (N_c subcarriers, N_s symbols, N_r
+        elements)."""
+        return (self.n_subcarriers, self.n_symbols, self.geometry.n_rx)
+
 
 def ofdma_pilot_mask(config: OfdmaConfig) -> np.ndarray:
     """Boolean mask of radar-pilot subcarriers, evenly interleaved.
@@ -84,8 +94,7 @@ def ofdma_pilot_mask(config: OfdmaConfig) -> np.ndarray:
     shortened unambiguous window.
     """
     n = config.n_subcarriers
-    n_radar = int(np.floor(config.mu_percent * n / 100.0 + 0.5))
-    n_radar = min(n_radar, n)
+    n_radar = _radar_count(config.mu_percent, n)
     mask = np.zeros(n, dtype=bool)
     if n_radar:
         idx = (np.arange(n_radar) * n) // n_radar
@@ -146,7 +155,7 @@ def pilot_symbols(config: OfdmaConfig, n_rows: int) -> np.ndarray:
 def grid_capacity_bits(config: OfdmaConfig, order: int = 4) -> int:
     """Payload bits per CPI: each data row spends its first symbol as reference."""
     k = int(np.log2(order))
-    n_comm = config.n_subcarriers - int(np.count_nonzero(ofdma_pilot_mask(config)))
+    n_comm = int(np.count_nonzero(~ofdma_pilot_mask(config)))
     if config.n_symbols < 2:
         return 0
     return n_comm * (config.n_symbols - 1) * k
@@ -199,37 +208,16 @@ def ofdma_transmit(config: OfdmaConfig, grid: SymbolGrid,
     return steer[:, None, None] * core[None, :, :]
 
 
-@dataclass(frozen=True)
-class OfdmaCube:
-    """Subcarrier-domain receive cube, shape (N_c, N_s, N_r)."""
-
-    data: np.ndarray
-    radar_rows: np.ndarray
-    config: OfdmaConfig
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=complex)
-        expected = (self.config.n_subcarriers, self.config.n_symbols,
-                    self.config.geometry.n_rx)
-        if d.shape != expected:
-            raise ValueError(f"cube shape {d.shape} != expected {expected}")
-        object.__setattr__(self, "data", d)
-        object.__setattr__(self, "radar_rows",
-                           np.asarray(self.radar_rows, dtype=bool))
-
-
 def ofdma_receive_cube(scene: Scene, config: OfdmaConfig, grid: SymbolGrid,
                        rng: np.random.Generator | None = None, *,
-                       cpi_index: int = 0) -> OfdmaCube:
+                       cpi_index: int = 0) -> ReceiveCube:
     """Synthesize the noisy subcarrier-domain receive cube for one CPI."""
     if grid.n_subcarriers != config.n_subcarriers or grid.n_symbols != config.n_symbols:
         raise ValueError("grid dimensions do not match the configuration")
-    if scene.noise_variance > 0 and rng is None:
-        raise ValueError("a Generator is required when noise_variance > 0")
 
     data = _ofdma_synthesize(scene, config, grid.symbols[None], [cpi_index],
                              [rng])
-    return OfdmaCube(data=data[0], radar_rows=grid.radar_rows, config=config)
+    return ReceiveCube(data=data[0], config=config)
 
 
 def _ofdma_response(config: OfdmaConfig, delay_s: float, doppler_hz: float,
@@ -261,7 +249,6 @@ def _ofdma_synthesize(scene: Scene, config: OfdmaConfig, symbols: np.ndarray,
                 f"prefix ({cp_duration:.3e} s); inter-symbol interference is "
                 "not modeled", IsiWarning, stacklevel=3)
     return _synthesize(
-        scene, config.carrier_hz, config.geometry.n_tx,
-        symbols.shape + (config.geometry.n_rx,), symbols[..., None],
+        scene, config, symbols[..., None],
         partial(_ofdma_response, config,
                 rows=np.arange(config.n_subcarriers)), cpi_indices, rngs)

@@ -2,9 +2,11 @@
 
 A CPI holds M frames of the same L-chip phase code; each frame is scaled by
 one slow-time DPSK symbol a_m.  A leading block of frames is reserved for
-radar-only operation (known symbols), the remainder carries data.  The
-receive data cube stacks the per-antenna M x L frame matrices; each
-scatterer contributes
+radar-only operation (known symbols), the remainder carries data;
+:func:`pmcw_schedule` gives the split as a boolean mask over the frames.
+The receive data cube, a ``channel.ReceiveCube`` of the config's
+``cube_shape`` (M, L, N_r), stacks the per-antenna M x L frame matrices;
+each scatterer contributes
 
     d_q * Diag(a) [ (b_q ⊙ P_{k_q} s)^T ⊗ e_q ] * c_q^(p-1)
 
@@ -24,8 +26,9 @@ from functools import partial
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, Scene, _synthesize
-from .sigcore import ArrayGeometry, CodeSequence, dpsk_encode, steering_vector
+from .channel import SPEED_OF_LIGHT, ReceiveCube, Scene, _synthesize
+from .sigcore import ArrayGeometry, CodeSequence, _radar_count, dpsk_encode, \
+    steering_vector
 
 
 @dataclass(frozen=True)
@@ -60,83 +63,55 @@ class PmcwConfig:
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
 
+    @property
+    def cube_shape(self) -> tuple:
+        """Receive cube layout: (M frames, L chips, N_r elements)."""
+        return (self.n_frames, self.code_length, self.geometry.n_rx)
 
-@dataclass(frozen=True)
-class FrameSchedule:
-    """Radar/communication split of the M frames in one CPI.
 
-    The radar-only frames come first so their slow-time block is contiguous.
-    ``identifiable`` is False when no frame is radar-only, in which case
-    delay/Doppler cannot be separated from the unknown data symbols.
+def pmcw_schedule(config: PmcwConfig) -> np.ndarray:
+    """Radar-frame mask of the time-division multiplex.
+
+    The first round(mu*M/100) frames are radar-only, so their slow-time
+    block is contiguous.  With none (an all-False mask) delay/Doppler
+    cannot be separated from the unknown data symbols.
     """
-
-    is_radar: np.ndarray
-
-    def __post_init__(self):
-        mask = np.asarray(self.is_radar, dtype=bool)
-        if mask.ndim != 1 or mask.size < 1:
-            raise ValueError("schedule needs at least one frame")
-        object.__setattr__(self, "is_radar", mask)
-
-    @property
-    def n_frames(self) -> int:
-        return int(self.is_radar.size)
-
-    @property
-    def n_radar(self) -> int:
-        return int(np.count_nonzero(self.is_radar))
-
-    @property
-    def n_comm(self) -> int:
-        return self.n_frames - self.n_radar
-
-    @property
-    def identifiable(self) -> bool:
-        return self.n_radar > 0
+    mask = np.zeros(config.n_frames, dtype=bool)
+    mask[:_radar_count(config.mu_percent, config.n_frames)] = True
+    return mask
 
 
-def pmcw_schedule(config: PmcwConfig) -> FrameSchedule:
-    """Time-division multiplex: the first round(mu*M/100) frames are radar-only."""
-    m = config.n_frames
-    n_radar = int(np.floor(config.mu_percent * m / 100.0 + 0.5))
-    n_radar = min(n_radar, m)
-    mask = np.zeros(m, dtype=bool)
-    mask[:n_radar] = True
-    return FrameSchedule(mask)
-
-
-def payload_capacity_bits(schedule: FrameSchedule, order: int = 2) -> int:
-    """Number of payload bits one CPI can carry.
+def payload_capacity_bits(schedule: np.ndarray, order: int = 2) -> int:
+    """Number of payload bits one CPI of radar-frame mask ``schedule``
+    can carry.
 
     Data rides on the differential transitions of the comm frames; with no
     radar frame the first comm frame is burned as the phase reference.
     """
-    k = int(np.log2(order))
-    n_data = schedule.n_comm if schedule.n_radar else max(schedule.n_comm - 1, 0)
-    return n_data * k
+    schedule = np.asarray(schedule, dtype=bool)
+    n_comm = int(np.count_nonzero(~schedule))
+    n_data = n_comm if schedule.any() else max(n_comm - 1, 0)
+    return n_data * int(np.log2(order))
 
 
-def _frame_symbols(schedule: FrameSchedule, bits: np.ndarray,
+def _frame_symbols(schedule: np.ndarray, bits: np.ndarray,
                    order: int) -> np.ndarray:
     """Slow-time symbols of a stack of CPIs, one row of payload bits each."""
-    a = np.ones((len(bits), schedule.n_frames), dtype=complex)
-    if schedule.n_comm == 0:
-        return a
+    a = np.ones((len(bits), schedule.size), dtype=complex)
     chain = dpsk_encode(bits, order)
-    if schedule.n_radar:
-        a[:, schedule.n_radar:] = chain[:, 1:]
-    else:
-        a[:] = chain
+    a[:, ~schedule] = chain[:, 1:] if schedule.any() else chain
     return a
 
 
-def pmcw_frame_symbols(schedule: FrameSchedule, payload_bits, order: int = 2) -> np.ndarray:
+def pmcw_frame_symbols(schedule: np.ndarray, payload_bits,
+                       order: int = 2) -> np.ndarray:
     """Slow-time symbol vector a for one CPI.
 
     Radar-only frames carry the known symbol 1; the communication frames
     carry a DPSK chain whose reference is the last radar frame (or, when
     there is none, the first comm frame).
     """
+    schedule = np.asarray(schedule, dtype=bool)
     bits = np.asarray(payload_bits, dtype=np.int64)
     expected = payload_capacity_bits(schedule, order)
     if bits.size != expected:
@@ -161,31 +136,11 @@ def pmcw_transmit(config: PmcwConfig, code: CodeSequence, symbols,
     return steer[:, None, None] * symbols[None, :, None] * chips[None, None, :]
 
 
-@dataclass(frozen=True)
-class PmcwCube:
-    """Receive data cube: per-antenna slow/fast-time matrices.
-
-    ``data[m, l, p]`` is frame m, chip l, receive element p; the schedule
-    says which frames are radar-only.
-    """
-
-    data: np.ndarray
-    schedule: FrameSchedule
-    config: PmcwConfig
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=complex)
-        expected = (self.config.n_frames, self.config.code_length,
-                    self.config.geometry.n_rx)
-        if d.shape != expected:
-            raise ValueError(f"cube shape {d.shape} != expected {expected}")
-        object.__setattr__(self, "data", d)
-
-
 def pmcw_receive_cube(scene: Scene, config: PmcwConfig, code: CodeSequence,
                       symbols, rng: np.random.Generator | None = None, *,
-                      cpi_index: int = 0) -> PmcwCube:
-    """Synthesize the noisy receive cube for one CPI (matrix-model path).
+                      cpi_index: int = 0) -> ReceiveCube:
+    """Synthesize the noisy receive cube for one CPI (matrix-model path);
+    ``data[m, l, p]`` is frame m, chip l, receive element p.
 
     Every scatterer adds Diag(a) [(b ⊙ P_k s)^T ⊗ e] scaled by its composite
     gain and the receive steering powers, P_k the spectral phase ramp of
@@ -198,13 +153,10 @@ def pmcw_receive_cube(scene: Scene, config: PmcwConfig, code: CodeSequence,
         raise ValueError("need one slow-time symbol per frame")
     if code.length != config.code_length:
         raise ValueError("code length does not match the configuration")
-    if scene.noise_variance > 0 and rng is None:
-        raise ValueError("a Generator is required when noise_variance > 0")
 
     data = _pmcw_synthesize(scene, config, np.fft.fft(code.chips()),
                             symbols.reshape(1, -1), [cpi_index], [rng])
-    return PmcwCube(data=data[0], schedule=pmcw_schedule(config),
-                    config=config)
+    return ReceiveCube(data=data[0], config=config)
 
 
 def _pmcw_response(config: PmcwConfig, code_spec: np.ndarray,
@@ -233,8 +185,6 @@ def _pmcw_synthesize(scene: Scene, config: PmcwConfig, code_spec: np.ndarray,
     """Receive data of a stack of CPIs, shape (CPIs, M, L, N_r), for the
     code of DFT ``code_spec``; see ``channel._synthesize``."""
     return _synthesize(
-        scene, config.carrier_hz, config.geometry.n_tx,
-        symbols.shape + (config.code_length, config.geometry.n_rx),
-        symbols[:, :, None, None],
+        scene, config, symbols[:, :, None, None],
         partial(_pmcw_response, config, code_spec,
                 frames=np.arange(config.n_frames)), cpi_indices, rngs)

@@ -4,8 +4,8 @@ Each trial is fully self-contained and seeded counter-style from
 (master seed, point index, trial index), so results do not depend on how
 trials are spread over workers or batches.  Inline, the trials of a sweep
 point run as one stacked batch, or several when their receive cubes hold
-more than ``_BATCH_CELLS`` cells: the trial-invariant plan (code, schedule
-or pilots, amplitudes, noise variance, DFT tables) is built once per
+more than ``_BATCH_CELLS`` cells: the trial-invariant plan (code, radar-slot
+mask, amplitudes, noise variance, DFT tables) is built once per
 batch, and synthesis, the coarse map, decoding and refinement carry a
 leading trial axis.  Within the batch each trial's generator is consumed
 in the fixed per-trial order: its payload bits are drawn first, then its
@@ -321,6 +321,9 @@ def _golay_trials(config, point, trials) -> list:
 _POINT_FNS = {"pmcw": _pmcw_trials, "ofdma": _ofdma_trials,
               "golay": _golay_trials}
 
+# The radar/comm split of each cube waveform: a mask over the cube's slots.
+_RADAR_MASKS = {"pmcw": pmcw_schedule, "ofdma": ofdma_pilot_mask}
+
 # Receive-cube cells one batch may stack (256 kB of samples).  A batch's
 # refinement windows take several times its cubes' memory, so more trials
 # run as several batches and peak memory does not grow with the count.
@@ -328,14 +331,9 @@ _BATCH_CELLS = 1 << 14
 
 
 def _batch_size(config: ScenarioConfig) -> int:
-    wavecfg = config.waveform_config
-    if config.waveform == "pmcw":
-        cells = wavecfg.n_frames * wavecfg.code_length
-    elif config.waveform == "ofdma":
-        cells = wavecfg.n_subcarriers * wavecfg.n_symbols
-    else:
+    if config.waveform == "golay":
         return 1  # Golay trials run one by one inside a batch anyway
-    return max(1, _BATCH_CELLS // (cells * wavecfg.geometry.n_rx))
+    return max(1, _BATCH_CELLS // math.prod(config.waveform_config.cube_shape))
 
 
 def _run_batch(config: ScenarioConfig, point: SweepPoint, trials) -> list:
@@ -410,13 +408,13 @@ def _point_psl_db(config: ScenarioConfig, wavecfg,
 
 
 def _integration_gain(config: ScenarioConfig, wavecfg) -> float:
-    if config.waveform == "pmcw":
-        sched = pmcw_schedule(wavecfg)
-        return wavecfg.code_length * max(sched.n_radar, 1)
-    if config.waveform == "ofdma":
-        radar_rows = int(np.count_nonzero(ofdma_pilot_mask(wavecfg)))
-        return max(radar_rows, 1) * wavecfg.n_symbols
-    return 2.0 * 2 ** wavecfg.log2_length
+    """Samples coherently integrated over the radar-only resources: the
+    radar slots (at least one) times the cube's samples per slot, or both
+    Golay pair members."""
+    if config.waveform == "golay":
+        return 2.0 * 2 ** wavecfg.log2_length
+    n_radar = int(np.count_nonzero(_RADAR_MASKS[config.waveform](wavecfg)))
+    return max(n_radar, 1) * wavecfg.cube_shape[1]
 
 
 def _point_p_detect(config: ScenarioConfig, wavecfg, point: SweepPoint,
@@ -464,12 +462,9 @@ def scenario_waveform_samples(config: ScenarioConfig):
 
 
 def _comm_fraction(config: ScenarioConfig, wavecfg) -> float:
-    """Share of the resources carrying data (golay configs have no
+    """Share of the cube's slots carrying data (golay configs have no
     weights, so never get here)."""
-    if config.waveform == "pmcw":
-        sched = pmcw_schedule(wavecfg)
-        return (sched.n_frames - sched.n_radar) / sched.n_frames
-    return float(np.mean(~ofdma_pilot_mask(wavecfg)))
+    return float(np.mean(~_RADAR_MASKS[config.waveform](wavecfg)))
 
 
 def _tradeoff_rows(config: ScenarioConfig, wavecfg, point: SweepPoint,
@@ -498,11 +493,10 @@ def _tradeoff_rows(config: ScenarioConfig, wavecfg, point: SweepPoint,
     if config.waveform == "pmcw":
         response = partial(_pmcw_response, wavecfg,
                            np.fft.fft(build_code(config, wavecfg).chips()))
-        slots = np.arange(wavecfg.n_frames)
     else:
         response = partial(_ofdma_response, wavecfg)
-        slots = np.arange(wavecfg.n_subcarriers)
     # The Fisher proxy differentiates the receive model on every slot.
+    slots = np.arange(wavecfg.cube_shape[0])
     crlb = crlb_proxy(lambda th: amp0 * response(*th, slots), theta, sigma2,
                       steps)
 

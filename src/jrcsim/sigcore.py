@@ -173,6 +173,11 @@ def aperiodic_autocorr(seq) -> np.ndarray:
     return full
 
 
+def _radar_count(mu_percent: float, n: int) -> int:
+    """Radar share of n slots: round(mu*n/100), half-way points up."""
+    return min(int(np.floor(mu_percent * n / 100.0 + 0.5)), n)
+
+
 # ---------------------------------------------------------------------------
 # Differential PSK
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ at the sample rate, then DFT back to subcarriers).
 import numpy as np
 import pytest
 
-from jrcsim.channel import Scatterer, Scene
-from jrcsim.ofdma import (IsiWarning, OfdmaConfig, OfdmaCube, SymbolGrid,
+from jrcsim.channel import ReceiveCube, Scatterer, Scene
+from jrcsim.ofdma import (IsiWarning, OfdmaConfig, SymbolGrid,
                           build_symbol_grid, grid_capacity_bits,
                           ofdma_pilot_mask, ofdma_receive_cube,
                           ofdma_transmit, pilot_comb_spacing, pilot_symbols)
@@ -342,6 +342,8 @@ def test_no_isi_warning_within_cp():
 
 def test_cube_shape_validation():
     config = small_config()
-    with pytest.raises(ValueError):
-        OfdmaCube(data=np.zeros((16, 4, 3)),
-                  radar_rows=np.zeros(16, dtype=bool), config=config)
+    assert config.cube_shape == (16, 4, 2)
+    assert ReceiveCube(data=np.zeros((16, 4, 2)), config=config).data.dtype \
+        == complex
+    with pytest.raises(ValueError, match="cube shape"):
+        ReceiveCube(data=np.zeros((16, 4, 3)), config=config)

@@ -8,11 +8,11 @@ block-circular delay convention written out longhand.
 import numpy as np
 import pytest
 
-from jrcsim.channel import Scatterer, Scene
+from jrcsim.channel import ReceiveCube, Scatterer, Scene
 from jrcsim.config import ConfigError, parse_config
-from jrcsim.pmcw import (FrameSchedule, PmcwConfig, PmcwCube, _pmcw_response,
-                         payload_capacity_bits, pmcw_frame_symbols,
-                         pmcw_receive_cube, pmcw_schedule, pmcw_transmit)
+from jrcsim.pmcw import (PmcwConfig, _pmcw_response, payload_capacity_bits,
+                         pmcw_frame_symbols, pmcw_receive_cube, pmcw_schedule,
+                         pmcw_transmit)
 from jrcsim.sigcore import ArrayGeometry, CodeSequence, dpsk_decode
 
 
@@ -68,27 +68,27 @@ def test_config_validation():
 
 
 def test_schedule_all_radar():
-    sched = pmcw_schedule(small_config(n_frames=10, mu_percent=100))
-    assert sched.is_radar.tolist() == [True] * 10
-    assert sched.identifiable
+    mask = pmcw_schedule(small_config(n_frames=10, mu_percent=100))
+    assert mask.tolist() == [True] * 10
+    assert mask.any()
 
 
 def test_schedule_half_split():
-    sched = pmcw_schedule(small_config(n_frames=10, mu_percent=50))
-    assert sched.is_radar.tolist() == [True] * 5 + [False] * 5
-    assert sched.n_radar == 5 and sched.n_comm == 5
+    mask = pmcw_schedule(small_config(n_frames=10, mu_percent=50))
+    assert mask.tolist() == [True] * 5 + [False] * 5
+    assert mask.sum() == 5 and (~mask).sum() == 5
 
 
 def test_schedule_no_radar_flags_non_identifiable():
-    sched = pmcw_schedule(small_config(n_frames=10, mu_percent=0))
-    assert sched.is_radar.tolist() == [False] * 10
-    assert not sched.identifiable
+    mask = pmcw_schedule(small_config(n_frames=10, mu_percent=0))
+    assert mask.tolist() == [False] * 10
+    assert not mask.any()
 
 
 def test_schedule_rounding():
     # round(mu*M/100) with round-half-up: 25% of 10 frames -> 3 radar frames.
-    sched = pmcw_schedule(small_config(n_frames=10, mu_percent=25))
-    assert sched.n_radar == 3
+    mask = pmcw_schedule(small_config(n_frames=10, mu_percent=25))
+    assert mask.sum() == 3
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +102,8 @@ def test_payload_capacity():
     assert payload_capacity_bits(sched, order=4) == 10
     no_radar = pmcw_schedule(small_config(n_frames=10, mu_percent=0))
     assert payload_capacity_bits(no_radar, order=2) == 9
+    # A 0/1 frame list is read as the mask it spells, not bitwise-inverted.
+    assert payload_capacity_bits([1, 1, 0, 0], order=2) == 2
 
 
 def test_frame_symbols_radar_frames_known():
@@ -111,6 +113,7 @@ def test_frame_symbols_radar_frames_known():
     a = pmcw_frame_symbols(sched, bits, order=2)
     assert np.allclose(a[:4], 1.0)
     assert np.allclose(np.abs(a), 1.0, atol=1e-12)
+    assert np.array_equal(pmcw_frame_symbols(sched.astype(int), bits), a)
 
 
 def test_frame_symbols_round_trip_through_dpsk():
@@ -339,13 +342,8 @@ def test_cube_fading_applied_per_cpi():
 
 def test_cube_shape_validation():
     config = small_config()
-    sched = pmcw_schedule(config)
-    with pytest.raises(ValueError):
-        PmcwCube(data=np.zeros((4, 16, 3)), schedule=sched, config=config)
-
-
-def test_frame_schedule_validation():
-    with pytest.raises(ValueError):
-        FrameSchedule(np.zeros((2, 2), dtype=bool))
-    with pytest.raises(ValueError):
-        FrameSchedule(np.zeros(0, dtype=bool))
+    assert config.cube_shape == (4, 16, 2)
+    assert ReceiveCube(data=np.zeros((4, 16, 2)), config=config).data.dtype \
+        == complex
+    with pytest.raises(ValueError, match="cube shape"):
+        ReceiveCube(data=np.zeros((4, 16, 3)), config=config)

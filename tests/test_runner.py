@@ -545,6 +545,27 @@ def test_tradeoff_skipped_without_weights_or_comm(tmp_path):
     assert not (tmp_path / "all_radar" / "tradeoff.csv").exists()
 
 
+@pytest.mark.parametrize("make,mu,gain,comm", [
+    # PMCW: radar frames (at least 1) times the 31 chips of each frame
+    (pmcw_scenario, 0, 31, 1.0), (pmcw_scenario, 50, 124, 0.5),
+    (pmcw_scenario, 75, 186, 0.25), (pmcw_scenario, 100, 248, 0.0),
+    # OFDMA: pilot rows (at least 1) times the 4 symbols of each row
+    (ofdma_scenario, 0, 4, 1.0), (ofdma_scenario, 30, 20, 0.6875),
+    (ofdma_scenario, 50, 32, 0.5), (ofdma_scenario, 100, 64, 0.0)])
+def test_integration_gain_and_comm_fraction_count_radar_slots(make, mu, gain,
+                                                              comm):
+    config = make()
+    wavecfg = replace(config.waveform_config, mu_percent=mu)
+    assert runner._integration_gain(config, wavecfg) == gain
+    assert runner._comm_fraction(config, wavecfg) == comm
+
+
+def test_batch_size_counts_receive_cube_cells():
+    # 16384 cells over 8 x 31 x 2 (PMCW) and 16 x 4 x 2 (OFDMA) per cube
+    assert runner._batch_size(pmcw_scenario()) == 33
+    assert runner._batch_size(ofdma_scenario()) == 128
+
+
 def test_report_json_contents(tmp_path):
     config = pmcw_scenario()
     report = run_scenario(config, out_dir=tmp_path)

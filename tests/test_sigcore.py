@@ -1,15 +1,19 @@
-"""Baseband primitive tests: codes, Golay pairs, DPSK, shifts, steering.
+"""Baseband primitive tests: codes, Golay pairs, DPSK, the radar-slot
+split, shifts, steering.
 
 Oracles are deliberately independent of the implementation: double-loop
 correlations, explicit permutation matrices and the classical windowed
 definitions of maximal-length sequences.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from jrcsim.pmcw import PmcwConfig, _pmcw_response
+from jrcsim.ofdma import OfdmaConfig, ofdma_pilot_mask
+from jrcsim.pmcw import PmcwConfig, _pmcw_response, pmcw_schedule
 from jrcsim.sigcore import (ArrayGeometry, CodeSequence,
                             aperiodic_autocorr, dpsk_decode, dpsk_encode,
                             golay_pair, steering_vector)
@@ -312,6 +316,34 @@ def test_dpsk_row_block_validation():
     # Rows of no bits are reference-only streams, as for a 1-d input.
     symbols = dpsk_encode(np.zeros((3, 0), dtype=int), order=4)
     assert np.array_equal(symbols, np.ones((3, 1)))
+
+
+# ---------------------------------------------------------------------------
+# Radar/comm slot split
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 64), k=st.integers(0, 63), halfway=st.booleans(),
+       mu_free=st.floats(0.0, 100.0))
+@example(n=10, k=2, halfway=True, mu_free=0.0)  # 25 % of 10 = 2.5 -> 3
+@example(n=4, k=0, halfway=True, mu_free=0.0)   # 12.5 % of 4 = 0.5 -> 1
+@example(n=64, k=63, halfway=True, mu_free=0.0)
+def test_radar_masks_round_the_radar_share_half_up(n, k, halfway, mu_free):
+    # mu = 50 (2k + 1) / n puts mu*n/100 on the half-way point k + 1/2,
+    # exactly so whenever n is a power of two or divides 50 (2k + 1).
+    mu = 50.0 * (2 * (k % n) + 1) / n if halfway else mu_free
+    expected = min(math.floor(mu * n / 100.0 + 0.5), n)
+    frames = pmcw_schedule(PmcwConfig(code_length=7, n_frames=n,
+                                      chip_time=1e-9, carrier_hz=60e9,
+                                      mu_percent=mu))
+    pilots = ofdma_pilot_mask(OfdmaConfig(n_subcarriers=n, n_symbols=2,
+                                          subcarrier_spacing_hz=1e6,
+                                          carrier_hz=60e9, mu_percent=mu))
+    for mask in (frames, pilots):
+        assert mask.dtype == bool and mask.shape == (n,)
+        assert mask.sum() == expected
+    assert frames.tolist() == [True] * expected + [False] * (n - expected)
 
 
 # ---------------------------------------------------------------------------
