@@ -13,11 +13,16 @@ a sweep point); the public single-CPI functions are stacks of one.  Peak
 picking stays per CPI: each map's threshold is relative to its own
 strongest cell.
 
-Symbol decoding projects each data-bearing slot onto the reconstructed
-multi-target response (amplitudes re-fitted by least squares on the known
-slots) and differentially decodes the projections.  A target's response
-is the waveform's own receive model, ``pmcw._pmcw_response`` or
-``ofdma._ofdma_response``, evaluated at its estimates.
+Symbol decoding is one demodulator for both waveforms, ``_demodulate``:
+it projects each data-bearing slot onto the reconstructed multi-target
+response (amplitudes re-fitted by least squares on the known slots) and
+differentially decodes the projections.  A target's response is the
+waveform's own bound receive model, ``pmcw._pmcw_response`` or
+``ofdma._ofdma_response``, evaluated at its estimates.  The DPSK layout
+is the only per-waveform step: PMCW runs one chain across the comm
+frames, referenced to the last radar frame's symbol 1
+(``_pmcw_dpsk``); OFDMA runs one chain per comm row along its symbols
+(``_ofdma_dpsk``).
 
 Refinement re-runs detection over every slot with the decoded symbols
 treated as known.  It forms the unpadded (pad-1) map of all slots, and
@@ -77,8 +82,9 @@ class EstimatorConfig:
     Padding factors multiply the FFT lengths of the respective axes;
     ``range_pad`` pads only the OFDMA delay axis, as PMCW's delay axis is
     the unpadded code lag, coarse and refined alike.  ``threshold_db`` is
-    relative to the strongest map cell.  Pads and ``max_targets`` must be
-    integers; integral floats are stored as ints.
+    relative to the strongest map cell and must be negative (-inf keeps
+    every local maximum; NaN is rejected).  Pads and ``max_targets`` must
+    be integers; integral floats are stored as ints.
     """
 
     range_pad: int = 1
@@ -92,7 +98,7 @@ class EstimatorConfig:
         for name in ("range_pad", "doppler_pad", "angle_pad", "max_targets"):
             object.__setattr__(self, name,
                                _integer(name, getattr(self, name)))
-        if self.threshold_db >= 0:
+        if not self.threshold_db < 0:
             raise ValueError("threshold_db must be negative (relative to peak)")
 
     def refined(self, factor: int = 8) -> "EstimatorConfig":
@@ -425,31 +431,49 @@ def _fit(data: np.ndarray, bases, slots: np.ndarray,
     return d_hat
 
 
-def _project(data: np.ndarray, response, targets, known: np.ndarray,
-             known_symbols: np.ndarray, slots: np.ndarray, axes) -> np.ndarray:
-    """Symbol estimates on the data ``slots`` of a stack of CPIs.
+def _demodulate(data: np.ndarray, symbols: np.ndarray, radar, response,
+                targets, order: int, dpsk) -> tuple:
+    """(bits, symbol estimates, full symbols) of a stack of CPIs, each
+    demodulated against its own ``targets`` entry.
 
-    Per CPI, each target of its ``targets`` entry has its unit response
-    ``response(delay_s, doppler_hz, angle_rad, slots)`` evaluated at its
-    estimates, once over the ``known`` and the data slots.  The amplitudes
-    are fitted on the known slots, which carry that CPI's
-    ``known_symbols``, and the response they give is rebuilt on the data
-    slots.  Each data sample is projected onto it, summed over ``axes``.
+    ``symbols`` covers the leading cube axes of ``data``, (CPIs, slots)
+    or (CPIs, slots, samples); only its ``radar`` slots are read.  Per
+    CPI, each target's unit response ``response(delay_s, doppler_hz,
+    angle_rad, slots)`` is evaluated at its estimates, once over the
+    radar and the data slots.  The amplitudes are fitted by least squares
+    on the radar slots and the response they give is rebuilt on the data
+    slots; each data sample is projected onto it, summed over the
+    remaining axes.  ``dpsk(projections, order)`` decodes the stack's
+    projections into (bits, re-encoded data-slot symbols), which replace
+    the data slots of the full symbols.
     """
-    received = data[:, slots]
+    if not all(targets):
+        raise DecodingError("no detected targets to demodulate against")
+    if not radar.any():
+        raise DecodingError("no radar slots to anchor the target amplitudes")
+    known, comm = np.flatnonzero(radar), np.flatnonzero(~radar)
+    full = symbols.copy()
+    if comm.size == 0:
+        return np.zeros((len(data), 0), dtype=np.int64), full[:, comm], full
+
+    axes = tuple(range(symbols.ndim, data.ndim))
+    known_symbols = np.expand_dims(symbols[:, known], axes)
+    received = data[:, comm]
     rebuilt = np.zeros_like(received)
-    both, n_known = np.concatenate([known, slots]), known.size
+    both = np.concatenate([known, comm])
     for k, found in enumerate(targets):
         bases = [response(t.delay_s, t.doppler_hz, t.angle_rad, both)
                  for t in found]
-        d_hat = _fit(data[k], [basis[:n_known] for basis in bases], known,
+        d_hat = _fit(data[k], [basis[:known.size] for basis in bases], known,
                      known_symbols[k])
         for d_q, basis in zip(d_hat, bases):
-            rebuilt[k] += d_q * basis[n_known:]
+            rebuilt[k] += d_q * basis[known.size:]
     energy = np.sum(np.abs(rebuilt) ** 2, axis=axes)
     if np.any(energy == 0):
         raise DecodingError("reconstructed response has zero energy")
-    return np.sum(received * np.conj(rebuilt), axis=axes) / energy
+    proj = np.sum(received * np.conj(rebuilt), axis=axes) / energy
+    bits, full[:, comm] = dpsk(proj, order)
+    return bits, proj, full
 
 
 # ---------------------------------------------------------------------------
@@ -559,37 +583,12 @@ def pmcw_refine(cube: ReceiveCube, code: CodeSequence, symbols,
     return _pmcw_result(power[0], cube.config, targets[0])
 
 
-def _pmcw_demodulate(data: np.ndarray, code_spec: np.ndarray, config,
-                     radar_frames, targets, order: int) -> tuple:
-    """(bits, symbol estimates, full symbol vectors) of a (CPIs, M, L, N_r)
-    data stack, each row demodulated against its own ``targets`` entry;
-    ``code_spec`` is the code's DFT, ``radar_frames`` the radar-frame mask.
-
-    The amplitude fit is one least-squares solve per CPI; projection and
-    DPSK decoding run on the whole stack.
-    """
-    if not all(targets):
-        raise DecodingError("no detected targets to demodulate against")
-    if not radar_frames.any():
-        raise DecodingError("no radar-only frames to anchor amplitudes and "
-                            "the differential reference")
-    radar_idx = np.flatnonzero(radar_frames)
-    comm_idx = np.flatnonzero(~radar_frames)
-    n_cpi = len(data)
-
-    full = np.ones((n_cpi, radar_frames.size), dtype=complex)
-    if comm_idx.size == 0:
-        return (np.zeros((n_cpi, 0), dtype=np.int64),
-                np.zeros((n_cpi, 0), dtype=complex), full)
-
-    # Radar frames carry the symbol 1; the last one is the DPSK reference.
-    proj = _project(data, partial(_pmcw_response, config, code_spec), targets,
-                    radar_idx, np.ones((n_cpi, radar_idx.size, 1, 1),
-                                       dtype=complex), comm_idx, (2, 3))
+def _pmcw_dpsk(proj: np.ndarray, order: int) -> tuple:
+    """One DPSK chain across the comm frames of each CPI, referenced to
+    the last radar frame's symbol 1."""
     bits = dpsk_decode(np.concatenate(
-        [np.ones((n_cpi, 1), dtype=complex), proj], axis=1), order)
-    full[:, comm_idx] = dpsk_encode(bits, order)[:, 1:]
-    return bits, proj, full
+        [np.ones((len(proj), 1), dtype=complex), proj], axis=1), order)
+    return bits, dpsk_encode(bits, order)[:, 1:]
 
 
 def pmcw_decode(cube: ReceiveCube, code: CodeSequence, targets,
@@ -600,11 +599,12 @@ def pmcw_decode(cube: ReceiveCube, code: CodeSequence, targets,
     vector holds the known radar symbols (all 1) followed by the re-encoded
     hard decisions, ready to hand to :func:`pmcw_refine`.
     """
-    bits, proj, full = _pmcw_demodulate(cube.data[None],
-                                        np.fft.fft(code.chips()),
-                                        cube.config,
-                                        pmcw_schedule(cube.config),
-                                        [targets], order)
+    config = cube.config
+    bits, proj, full = _demodulate(
+        cube.data[None], np.ones((1, config.n_frames), dtype=complex),
+        pmcw_schedule(config),
+        partial(_pmcw_response, config, np.fft.fft(code.chips())), [targets],
+        order, _pmcw_dpsk)
     return bits[0], proj[0], full[0]
 
 
@@ -734,32 +734,11 @@ def ofdma_estimate_amplitudes(cube: ReceiveCube, grid: SymbolGrid, targets,
                 rows, grid.symbols[rows][:, :, None])
 
 
-def _ofdma_demodulate(data: np.ndarray, symbols: np.ndarray, radar_rows,
-                      config, targets, order: int) -> tuple:
-    """(bits, symbol estimates, full symbol grids) of a (CPIs, N_c, N_s,
-    N_r) data stack, each row demodulated against its own ``targets``.
-
-    The amplitude fit is one least-squares solve per CPI; projection and
-    DPSK decoding run on the whole stack.
-    """
-    if not all(targets):
-        raise DecodingError("no detected targets to demodulate against")
-    if not radar_rows.any():
-        raise DecodingError("no pilot rows to anchor the target amplitudes")
-    comm_rows = np.flatnonzero(~radar_rows)
-    n_cpi, n_s = len(data), config.n_symbols
-    full = symbols.copy()
-    if comm_rows.size == 0:
-        return (np.zeros((n_cpi, 0), dtype=np.int64),
-                np.zeros((n_cpi, 0, n_s), dtype=complex), full)
-
-    pilot_rows = np.flatnonzero(radar_rows)
-    proj = _project(data, partial(_ofdma_response, config), targets,
-                    pilot_rows, symbols[:, pilot_rows, :, None], comm_rows, 3)
-    bits = dpsk_decode(proj.reshape(-1, n_s), order)
-    full[:, comm_rows] = dpsk_encode(bits, order).reshape(
-        n_cpi, comm_rows.size, n_s)
-    return bits.reshape(n_cpi, -1), proj, full
+def _ofdma_dpsk(proj: np.ndarray, order: int) -> tuple:
+    """One DPSK chain per comm row of each CPI, along its symbols."""
+    bits = dpsk_decode(proj.reshape(-1, proj.shape[2]), order)
+    return (bits.reshape(len(proj), -1),
+            dpsk_encode(bits, order).reshape(proj.shape))
 
 
 def ofdma_decode(cube: ReceiveCube, grid: SymbolGrid, targets):
@@ -769,9 +748,10 @@ def ofdma_decode(cube: ReceiveCube, grid: SymbolGrid, targets):
     pilot rows as transmitted plus the re-encoded hard decisions, ready for
     :func:`ofdma_refine`.
     """
-    bits, proj, full = _ofdma_demodulate(cube.data[None], grid.symbols[None],
-                                         grid.radar_rows, cube.config,
-                                         [targets], grid.order)
+    bits, proj, full = _demodulate(
+        cube.data[None], grid.symbols[None], grid.radar_rows,
+        partial(_ofdma_response, cube.config), [targets], grid.order,
+        _ofdma_dpsk)
     return bits[0], proj[0], full[0]
 
 

@@ -15,8 +15,9 @@ sampled at t_s = 1/(N_c df) so the IFFT length equals the fast-time sample
 count.  The cyclic prefix is stripped before cube formation; target delays
 beyond the CP only draw a warning because the sampled-sum model stays
 well defined.  The unit response (all but d_q * a_{n,m}) is written once,
-in :func:`_ofdma_response`; the synthesizer, the decoder's amplitude fit
-and the runner's CRLB proxy all evaluate it.
+in :func:`_ofdma_response`; bound to a config, it is what
+``channel._synthesize`` evaluates on every subcarrier, and what the
+decoder's amplitude fit and the runner's CRLB proxy evaluate.
 """
 
 from __future__ import annotations
@@ -248,7 +249,5 @@ def _ofdma_synthesize(scene: Scene, config: OfdmaConfig, symbols: np.ndarray,
                 f"scatterer {q} delay {sc.delay_s:.3e} s exceeds the cyclic "
                 f"prefix ({cp_duration:.3e} s); inter-symbol interference is "
                 "not modeled", IsiWarning, stacklevel=3)
-    return _synthesize(
-        scene, config, symbols[..., None],
-        partial(_ofdma_response, config,
-                rows=np.arange(config.n_subcarriers)), cpi_indices, rngs)
+    return _synthesize(scene, config, symbols,
+                       partial(_ofdma_response, config), cpi_indices, rngs)

@@ -15,8 +15,9 @@ baseband convention), P_k the cyclic delay of the code by k = tau_q / t_c
 chips, applied as the spectral phase ramp exp(-2 pi j f k / L) on the
 code's DFT (k need not be an integer), and c_q the receive steering
 phasor.  The unit response (all but d_q * Diag(a)) is written once, in
-:func:`_pmcw_response`; the synthesizer, the decoder's amplitude fit and
-the runner's CRLB proxy all evaluate it.
+:func:`_pmcw_response`; bound to a config and code spectrum, it is what
+``channel._synthesize`` evaluates on every frame, and what the decoder's
+amplitude fit and the runner's CRLB proxy evaluate.
 """
 
 from __future__ import annotations
@@ -154,8 +155,9 @@ def pmcw_receive_cube(scene: Scene, config: PmcwConfig, code: CodeSequence,
     if code.length != config.code_length:
         raise ValueError("code length does not match the configuration")
 
-    data = _pmcw_synthesize(scene, config, np.fft.fft(code.chips()),
-                            symbols.reshape(1, -1), [cpi_index], [rng])
+    data = _synthesize(scene, config, symbols.reshape(1, -1),
+                       partial(_pmcw_response, config,
+                               np.fft.fft(code.chips())), [cpi_index], [rng])
     return ReceiveCube(data=data[0], config=config)
 
 
@@ -178,13 +180,3 @@ def _pmcw_response(config: PmcwConfig, code_spec: np.ndarray,
                    * np.sin(angle_rad) * np.arange(config.geometry.n_rx))
     block = slow[:, None] * (fast * code_row)[None, :]
     return block[:, :, None] * steer[None, None, :]
-
-
-def _pmcw_synthesize(scene: Scene, config: PmcwConfig, code_spec: np.ndarray,
-                     symbols: np.ndarray, cpi_indices, rngs) -> np.ndarray:
-    """Receive data of a stack of CPIs, shape (CPIs, M, L, N_r), for the
-    code of DFT ``code_spec``; see ``channel._synthesize``."""
-    return _synthesize(
-        scene, config, symbols[:, :, None, None],
-        partial(_pmcw_response, config, code_spec,
-                frames=np.arange(config.n_frames)), cpi_indices, rngs)

@@ -41,18 +41,17 @@ from pathlib import Path
 import numpy as np
 
 from .alloc import detection_probability
-from .channel import complex_awgn, scatterer_amplitude
+from .channel import _synthesize, complex_awgn, scatterer_amplitude
 from .config import ScenarioConfig, config_hash
-from .estim import (_ofdma_demodulate, _ofdma_detect, _ofdma_windows,
-                    _pmcw_demodulate, _pmcw_detect, _pmcw_windows, _refined,
+from .estim import (_demodulate, _ofdma_detect, _ofdma_dpsk, _ofdma_windows,
+                    _pmcw_detect, _pmcw_dpsk, _pmcw_windows, _refined,
                     golay_cef_waveform, golay_range_estimate, profile_peaks)
 from .ofdma import _ofdma_response, _ofdma_synthesize, _symbol_grids, \
     build_symbol_grid, grid_capacity_bits, ofdma_pilot_mask, ofdma_transmit
 from .perf import TradeoffSpec, crlb_proxy, jrc_objective, mmse_from_rate, \
     peak_sidelobe_ratio
 from .pmcw import PmcwConfig, _frame_symbols, _pmcw_response, \
-    _pmcw_synthesize, payload_capacity_bits, pmcw_frame_symbols, \
-    pmcw_schedule, pmcw_transmit
+    payload_capacity_bits, pmcw_frame_symbols, pmcw_schedule, pmcw_transmit
 from .sigcore import CodeSequence, aperiodic_autocorr, golay_pair
 # perfbench/tracing.py wraps these stage functions in this namespace, so
 # they stay bound here although the batch path calls the private helpers.
@@ -248,12 +247,13 @@ def _pmcw_trials(config, point, trials) -> list:
     rngs, payload = _trial_payloads(config, point, trials,
                                     payload_capacity_bits(sched, order))
     symbols = _frame_symbols(sched, payload, order)
-    data = _pmcw_synthesize(_point_scene(config, wavecfg, point), wavecfg,
-                            code_spec, symbols, trials, rngs)
+    response = partial(_pmcw_response, wavecfg, code_spec)
+    data = _synthesize(_point_scene(config, wavecfg, point), wavecfg,
+                       symbols, response, trials, rngs)
     _, coarse = _pmcw_detect(data, code_spec, wavecfg, sched,
                              config.estimator)
-    bits_hat, _, full_symbols = _pmcw_demodulate(data, code_spec, wavecfg,
-                                                 sched, coarse, order)
+    bits_hat, _, full_symbols = _demodulate(data, symbols, sched, response,
+                                            coarse, order, _pmcw_dpsk)
     fine = config.estimator.refined(config.refine_factor)
     _, refined = _refined(_pmcw_windows(data, code_spec, wavecfg,
                                         full_symbols, fine), fine)
@@ -273,8 +273,9 @@ def _ofdma_trials(config, point, trials) -> list:
                              grids, trials, rngs)
     _, coarse = _ofdma_detect(data, grids, radar_rows, wavecfg,
                               config.estimator)
-    bits_hat, _, full_symbols = _ofdma_demodulate(data, grids, radar_rows,
-                                                  wavecfg, coarse, order)
+    bits_hat, _, full_symbols = _demodulate(
+        data, grids, radar_rows, partial(_ofdma_response, wavecfg), coarse,
+        order, _ofdma_dpsk)
     fine = config.estimator.refined(config.refine_factor)
     _, refined = _refined(_ofdma_windows(data, full_symbols, wavecfg, fine),
                           fine)
@@ -297,7 +298,9 @@ def _golay_received(config, wavecfg, amplitudes, noise_variance, rng):
 
 def _golay_trials(config, point, trials) -> list:
     """Golay sounding has no CPI stack; its trials run one after another.
-    They estimate delay alone, matched unscaled, and refine nothing."""
+    Each trial fades its scatterers as a cube waveform's CPI of the same
+    index does.  They estimate delay alone, matched unscaled, and refine
+    nothing."""
     wavecfg = _effective_config(config, point)
     amps = _nominal_amplitudes(config, wavecfg)
     sigma2 = _noise_variance(config, point, amps)
@@ -305,7 +308,9 @@ def _golay_trials(config, point, trials) -> list:
     rngs, _ = _trial_payloads(config, point, trials, capacity=0)
     outcomes = []
     for trial, rng in zip(trials, rngs):
-        pair, rx = _golay_received(config, wavecfg, amps, sigma2, rng)
+        pair, rx = _golay_received(
+            config, wavecfg, amps * config.scene.fading_gains(trial), sigma2,
+            rng)
         profile = golay_range_estimate(rx, pair, wavecfg.guard_samples)
         bins = profile_peaks(profile, config.estimator.max_targets,
                              config.estimator.threshold_db)
@@ -409,12 +414,12 @@ def _point_psl_db(config: ScenarioConfig, wavecfg,
 
 def _integration_gain(config: ScenarioConfig, wavecfg) -> float:
     """Samples coherently integrated over the radar-only resources: the
-    radar slots (at least one) times the cube's samples per slot, or both
-    Golay pair members."""
+    radar slots times the cube's samples per slot, or both Golay pair
+    members."""
     if config.waveform == "golay":
         return 2.0 * 2 ** wavecfg.log2_length
     n_radar = int(np.count_nonzero(_RADAR_MASKS[config.waveform](wavecfg)))
-    return max(n_radar, 1) * wavecfg.cube_shape[1]
+    return n_radar * wavecfg.cube_shape[1]
 
 
 def _point_p_detect(config: ScenarioConfig, wavecfg, point: SweepPoint,
@@ -423,19 +428,20 @@ def _point_p_detect(config: ScenarioConfig, wavecfg, point: SweepPoint,
 
     Uses the coherent integration gain over the radar-only resources on
     top of the per-sample SNR; noiseless points with signal saturate to 1.
-    Without a scatterer, without signal power to fix a swept SNR by, or
-    with neither signal nor noise, it is NaN.
+    Without a scatterer, without radar-only resources (mu = 0), without
+    signal power to fix a swept SNR by, or with neither signal nor noise,
+    it is NaN.
     """
     signal_power = float(np.sum(np.abs(amplitudes) ** 2))
-    if amplitudes.size == 0 or (signal_power == 0
-                                and point.snr_db is not None):
+    gain = _integration_gain(config, wavecfg)
+    if amplitudes.size == 0 or gain == 0 or (signal_power == 0
+                                             and point.snr_db is not None):
         return math.nan
     sigma2 = _noise_variance(config, point, amplitudes)
     if sigma2 == 0:
         return 1.0 if signal_power else math.nan
-    return detection_probability(
-        signal_power / sigma2 * _integration_gain(config, wavecfg),
-        config.false_alarm)
+    return detection_probability(signal_power / sigma2 * gain,
+                                 config.false_alarm)
 
 
 def scenario_waveform_samples(config: ScenarioConfig):

@@ -6,6 +6,7 @@ against hand-built convolution channels with integer arithmetic.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,11 +20,14 @@ from jrcsim.estim import (DecodingError, EstimatorConfig, NonIdentifiableError,
                           ofdma_decode, ofdma_estimate_amplitudes,
                           ofdma_range_doppler_angle, ofdma_refine, pmcw_decode,
                           pmcw_range_doppler, pmcw_refine, profile_peaks)
-from jrcsim.ofdma import (OfdmaConfig, build_symbol_grid, grid_capacity_bits,
-                          ofdma_receive_cube)
-from jrcsim.pmcw import (PmcwConfig, _pmcw_response, payload_capacity_bits,
-                         pmcw_frame_symbols, pmcw_receive_cube, pmcw_schedule)
-from jrcsim.sigcore import ArrayGeometry, CodeSequence, golay_pair
+from jrcsim.ofdma import (OfdmaConfig, _ofdma_response, _symbol_grids,
+                          build_symbol_grid, grid_capacity_bits,
+                          ofdma_pilot_mask, ofdma_receive_cube)
+from jrcsim.pmcw import (PmcwConfig, _frame_symbols, _pmcw_response,
+                         payload_capacity_bits, pmcw_frame_symbols,
+                         pmcw_receive_cube, pmcw_schedule)
+from jrcsim.sigcore import (ArrayGeometry, CodeSequence, dpsk_decode,
+                            dpsk_encode, golay_pair)
 
 CHIP = 1e-9
 
@@ -81,6 +85,9 @@ def test_estimator_config_validation():
         EstimatorConfig(range_pad=0)
     with pytest.raises(ValueError):
         EstimatorConfig(threshold_db=0.0)
+    with pytest.raises(ValueError):
+        EstimatorConfig(threshold_db=float("nan"))
+    assert EstimatorConfig(threshold_db=-np.inf).threshold_db == -np.inf
     with pytest.raises(ValueError):
         EstimatorConfig(max_targets=0)
 
@@ -505,6 +512,18 @@ def test_ofdma_decode_error_paths():
         ofdma_decode(cube0, grid0, fake)
 
 
+def test_ofdma_decode_all_pilots_returns_empty_bits():
+    config = ofdma_config(mu_percent=100)
+    cube, grid, _ = ofdma_cube_for(
+        [Scatterer(delay_s=4 * config.sample_time, amplitude=1.0)],
+        config=config)
+    targets = ofdma_range_doppler_angle(cube, grid).targets
+    bits, proj, full = ofdma_decode(cube, grid, targets)
+    assert bits.size == 0
+    assert proj.shape == (0, config.n_symbols)
+    assert np.array_equal(full, grid.symbols)
+
+
 def test_ofdma_refine_with_true_symbols():
     config = ofdma_config()
     rng = np.random.default_rng(15)
@@ -535,6 +554,164 @@ def test_ofdma_interpolation_tightens_off_grid_delay():
     interp = ofdma_range_doppler_angle(
         cube, grid, EstimatorConfig(interpolate=True)).targets[0]
     assert abs(interp.delay_s - true_delay) < abs(coarse.delay_s - true_delay)
+
+# ---------------------------------------------------------------------------
+# The shared demodulator against the per-waveform decoders it replaced
+# ---------------------------------------------------------------------------
+#
+# The oracles are the two demodulators as they were written before both
+# waveforms shared one: each with its own guards, empty-payload return
+# and DPSK chain, around one projection helper.
+
+
+def oracle_project(data, response, targets, known, known_symbols, slots,
+                   axes):
+    """Symbol estimates on the data ``slots`` of a stack of CPIs."""
+    received = data[:, slots]
+    rebuilt = np.zeros_like(received)
+    both, n_known = np.concatenate([known, slots]), known.size
+    for k, found in enumerate(targets):
+        bases = [response(t.delay_s, t.doppler_hz, t.angle_rad, both)
+                 for t in found]
+        d_hat = estim._fit(data[k], [basis[:n_known] for basis in bases],
+                           known, known_symbols[k])
+        for d_q, basis in zip(d_hat, bases):
+            rebuilt[k] += d_q * basis[n_known:]
+    energy = np.sum(np.abs(rebuilt) ** 2, axis=axes)
+    if np.any(energy == 0):
+        raise DecodingError("reconstructed response has zero energy")
+    return np.sum(received * np.conj(rebuilt), axis=axes) / energy
+
+
+def oracle_pmcw_demodulate(data, code_spec, config, radar_frames, targets,
+                           order):
+    """(bits, symbol estimates, full symbol vectors) of a PMCW stack."""
+    if not all(targets):
+        raise DecodingError("no detected targets to demodulate against")
+    if not radar_frames.any():
+        raise DecodingError("no radar-only frames")
+    radar_idx = np.flatnonzero(radar_frames)
+    comm_idx = np.flatnonzero(~radar_frames)
+    n_cpi = len(data)
+    full = np.ones((n_cpi, radar_frames.size), dtype=complex)
+    if comm_idx.size == 0:
+        return (np.zeros((n_cpi, 0), dtype=np.int64),
+                np.zeros((n_cpi, 0), dtype=complex), full)
+    proj = oracle_project(data, partial(_pmcw_response, config, code_spec),
+                          targets, radar_idx,
+                          np.ones((n_cpi, radar_idx.size, 1, 1),
+                                  dtype=complex), comm_idx, (2, 3))
+    bits = dpsk_decode(np.concatenate(
+        [np.ones((n_cpi, 1), dtype=complex), proj], axis=1), order)
+    full[:, comm_idx] = dpsk_encode(bits, order)[:, 1:]
+    return bits, proj, full
+
+
+def oracle_ofdma_demodulate(data, symbols, radar_rows, config, targets,
+                            order):
+    """(bits, symbol estimates, full symbol grids) of an OFDMA stack."""
+    if not all(targets):
+        raise DecodingError("no detected targets to demodulate against")
+    if not radar_rows.any():
+        raise DecodingError("no pilot rows")
+    comm_rows = np.flatnonzero(~radar_rows)
+    n_cpi, n_s = len(data), config.n_symbols
+    full = symbols.copy()
+    if comm_rows.size == 0:
+        return (np.zeros((n_cpi, 0), dtype=np.int64),
+                np.zeros((n_cpi, 0, n_s), dtype=complex), full)
+    pilot_rows = np.flatnonzero(radar_rows)
+    proj = oracle_project(data, partial(_ofdma_response, config), targets,
+                          pilot_rows, symbols[:, pilot_rows, :, None],
+                          comm_rows, 3)
+    bits = dpsk_decode(proj.reshape(-1, n_s), order)
+    full[:, comm_rows] = dpsk_encode(bits, order).reshape(
+        n_cpi, comm_rows.size, n_s)
+    return bits.reshape(n_cpi, -1), proj, full
+
+
+def demodulate_stack(waveform, rng, mu, order, counts, snr_db, fault):
+    """(shared decoder call, oracle call, symbols) on a random stack, one
+    CPI per entry of ``counts``, each with that many targets."""
+    geometry = ArrayGeometry(n_tx=1, n_rx=2)
+    n_cpi = len(counts)
+    if waveform == "pmcw":
+        config = pmcw_config(code_length=7, mu_percent=mu, geometry=geometry)
+        code_spec = np.fft.fft(CodeSequence.random_binary(7, seed=1).chips())
+        radar = pmcw_schedule(config)
+        bits = rng.integers(0, 2, (n_cpi, payload_capacity_bits(radar,
+                                                                 order)))
+        symbols = _frame_symbols(radar, bits, order)
+        response = partial(_pmcw_response, config, code_spec)
+        delay, period = config.chip_time, config.block_time
+    else:
+        config = ofdma_config(n_subcarriers=8, n_symbols=4, mu_percent=mu,
+                              geometry=geometry)
+        radar = ofdma_pilot_mask(config)
+        bits = rng.integers(0, 2, (n_cpi, grid_capacity_bits(config, order)))
+        symbols = _symbol_grids(config, bits, order)
+        response = partial(_ofdma_response, config)
+        delay, period = config.sample_time, config.symbol_duration
+    slots = np.arange(config.cube_shape[0])
+    lead = symbols.reshape(symbols.shape + (1,) * (4 - symbols.ndim))
+    shape = (n_cpi,) + config.cube_shape
+    data = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
+    targets = []
+    for k, count in enumerate(counts):
+        found = []
+        for _ in range(count):
+            t = estim.TargetEstimate(
+                delay_s=rng.uniform(0, 4) * delay,
+                doppler_hz=rng.uniform(-0.5, 0.5) / period,
+                angle_rad=rng.uniform(-0.9, 0.9), amplitude=0j,
+                delay_bin=0, doppler_bin=0, angle_bin=0, power=0.0)
+            data[k] += np.exp(2j * np.pi * rng.uniform()) * lead[k] \
+                * response(t.delay_s, t.doppler_hz, t.angle_rad, slots)
+            found.append(t)
+        targets.append(tuple(found))
+    if fault == "no_targets":
+        targets[-1] = ()
+    elif fault == "silent":
+        data[:] = 0
+    dpsk = estim._pmcw_dpsk if waveform == "pmcw" else estim._ofdma_dpsk
+    shared = partial(estim._demodulate, data, symbols, radar, response,
+                     targets, order, dpsk)
+    if waveform == "pmcw":
+        oracle = partial(oracle_pmcw_demodulate, data, code_spec, config,
+                         radar, targets, order)
+    else:
+        oracle = partial(oracle_ofdma_demodulate, data, symbols, radar,
+                         config, targets, order)
+    return shared, oracle, symbols
+
+
+def exact_outcome(decode):
+    """Every output array by dtype, shape and exact element reprs, or the
+    error type raised."""
+    try:
+        return repr([(a.dtype.str, a.shape, a.tolist()) for a in decode()])
+    except DecodingError as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=120, deadline=None)
+@given(waveform=st.sampled_from(["pmcw", "ofdma"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       mu=st.sampled_from([0, 25, 50, 75, 100]),
+       order=st.sampled_from([2, 4]),
+       counts=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       snr_db=st.floats(-5.0, 30.0),
+       fault=st.sampled_from([None, None, None, "no_targets", "silent"]))
+def test_demodulate_matches_per_waveform_oracles(waveform, seed, mu, order,
+                                                 counts, snr_db, fault):
+    shared, oracle, symbols = demodulate_stack(
+        waveform, np.random.default_rng(seed), mu, order, counts, snr_db,
+        fault)
+    before = symbols.copy()
+    assert exact_outcome(shared) == exact_outcome(oracle)
+    assert np.array_equal(symbols, before)  # decisions go to a copy
+
 
 # ---------------------------------------------------------------------------
 # Windowed refinement against the full padded grid

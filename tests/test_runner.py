@@ -301,6 +301,47 @@ def test_golay_scenario_noiseless(tmp_path):
     assert report.points[0].n_failures == 0
 
 
+def golay_fading_scenario(fading):
+    return parse_config({
+        "version": 1,
+        "waveform": "golay",
+        "golay": {"log2_length": 4, "guard_samples": 16,
+                  "sample_time_s": 1e-9},
+        "scene": {"scatterers": [
+            {"delay_s": 5e-9, "amplitude": [1.0, 0.0], "fading": fading},
+            {"delay_s": 12e-9, "amplitude": [0.0, 0.7], "fading": fading}]},
+        "sweep": {"snr_db": [-10]},
+        "estimator": {"max_targets": 2},
+        "trials": 4,
+        "seed": 3,
+    })
+
+
+def test_golay_trials_honour_fading(tmp_path, monkeypatch):
+    # Each trial scales the scatterers' nominal amplitudes by the scene's
+    # fading gains of its index, as the cube waveforms do per CPI.
+    seen = []
+    received = runner._golay_received
+
+    def spy(config, wavecfg, amplitudes, noise_variance, rng):
+        seen.append(amplitudes)
+        return received(config, wavecfg, amplitudes, noise_variance, rng)
+
+    monkeypatch.setattr(runner, "_golay_received", spy)
+    faded = golay_fading_scenario("swerling12")
+    run_scenario(faded, out_dir=tmp_path / "swerling12")
+    nominal = np.array([1.0, 0.7j])
+    assert len(seen) == 4
+    for trial, amplitudes in enumerate(seen):
+        assert np.array_equal(amplitudes,
+                              nominal * faded.scene.fading_gains(trial))
+    run_scenario(golay_fading_scenario("swerling0"),
+                 out_dir=tmp_path / "swerling0")
+    assert np.array_equal(seen[4], nominal)
+    assert (tmp_path / "swerling12" / "estimates.csv").read_bytes() != \
+        (tmp_path / "swerling0" / "estimates.csv").read_bytes()
+
+
 def test_golay_delay_outside_guard_fails_trial():
     # Rejected when the scenario is parsed, before any trial runs.
     with pytest.raises(ConfigError, match="falls on sample 20, outside the "
@@ -546,11 +587,11 @@ def test_tradeoff_skipped_without_weights_or_comm(tmp_path):
 
 
 @pytest.mark.parametrize("make,mu,gain,comm", [
-    # PMCW: radar frames (at least 1) times the 31 chips of each frame
-    (pmcw_scenario, 0, 31, 1.0), (pmcw_scenario, 50, 124, 0.5),
+    # PMCW: radar frames times the 31 chips of each frame
+    (pmcw_scenario, 0, 0, 1.0), (pmcw_scenario, 50, 124, 0.5),
     (pmcw_scenario, 75, 186, 0.25), (pmcw_scenario, 100, 248, 0.0),
-    # OFDMA: pilot rows (at least 1) times the 4 symbols of each row
-    (ofdma_scenario, 0, 4, 1.0), (ofdma_scenario, 30, 20, 0.6875),
+    # OFDMA: pilot rows times the 4 symbols of each row
+    (ofdma_scenario, 0, 0, 1.0), (ofdma_scenario, 30, 20, 0.6875),
     (ofdma_scenario, 50, 32, 0.5), (ofdma_scenario, 100, 64, 0.0)])
 def test_integration_gain_and_comm_fraction_count_radar_slots(make, mu, gain,
                                                               comm):
@@ -558,6 +599,24 @@ def test_integration_gain_and_comm_fraction_count_radar_slots(make, mu, gain,
     wavecfg = replace(config.waveform_config, mu_percent=mu)
     assert runner._integration_gain(config, wavecfg) == gain
     assert runner._comm_fraction(config, wavecfg) == comm
+
+
+@pytest.mark.parametrize("make", [pmcw_scenario, ofdma_scenario],
+                         ids=["pmcw", "ofdma"])
+def test_p_detect_undefined_without_radar_slots(tmp_path, make):
+    # At mu = 0 no radar slot is left: every trial fails as
+    # non-identifiable and the detector model has nothing to integrate.
+    report = run_scenario(make(sweep={"mu_percent": [0, 50],
+                                      "snr_db": [-10]}, trials=2),
+                          out_dir=tmp_path)
+    at_zero, at_half = report.points
+    assert at_zero.n_failures == 2
+    assert at_zero.example_failure.startswith("NonIdentifiableError")
+    assert np.isnan(at_zero.p_detect)
+    assert 0 < at_half.p_detect < 1
+    saved = json.loads((tmp_path / "report.json").read_text())
+    assert saved["points"][0]["p_detect"] is None
+    assert saved["points"][1]["p_detect"] == at_half.p_detect
 
 
 def test_batch_size_counts_receive_cube_cells():
