@@ -1,12 +1,17 @@
 """Receive-side parameter estimation, symbol decoding and refinement.
 
-Both waveforms follow the same recipe on their data cubes: decorrelate the
-known modulation, take FFT periodograms over the coupled axes (fast-time
-code correlation + slow-time Doppler FFT for the continuous-wave cube,
-subcarrier IFFT + slow-time FFT for the multicarrier cube), pick the
+Both waveforms follow the same recipe on their data cubes: remove the
+known modulation, take a 2-D DFT to a delay/Doppler map, pick the
 largest local maxima, then read the angle off a beamspace FFT across the
-array.  Super-resolution is out of scope; zero padding plus the documented
-bin conventions stand in for it.
+array.  One map pipeline, ``_detect`` then ``_windows``, serves both,
+and a waveform supplies only a demodulation ``demod(data, symbols)``
+and a layout ``layout(known, est)``: the PMCW code correlation, whose
+lag axis is already in the map domain (DFT sign 0), and a slow-time
+IDFT (sign +1); or the OFDMA symbol de-rotation, a subcarrier IDFT
+(+1) and a symbol DFT (-1).  Detection maps slots 0 to the last known
+(radar) slot, the comm slots among them zeroed: for PMCW's leading
+radar block these are the radar frames alone, for an OFDMA pilot comb
+the zero-filled pilot grid.
 
 The estimators run on stacks of CPIs with a leading axis (the trials of
 a sweep point); the public single-CPI functions are stacks of one.  Peak
@@ -25,16 +30,17 @@ frames, referenced to the last radar frame's symbol 1
 (``_ofdma_dpsk``).
 
 Refinement re-runs detection over every slot with the decoded symbols
-treated as known.  It forms the unpadded (pad-1) map of all slots, and
-evaluates the finer zero-padded grid only in a window around each seed
-cell of that map above the threshold (a local peak, or on a padded axis
-a rising flank, beside which a fine peak between two unpadded bins may
-lie): +-1 unpadded bin plus a one-cell guard ring, so (2 * pad + 3)
-cells per padded axis, computed with small explicit DFT matrices (a
-chirp-z style zoom).  A refinement costs the pad-1 map plus
-O(peaks * window cells * slots), instead of an FFT over, and a peak scan
-of, the whole padded plane; a fine-grid peak outside every window is not
-found.
+treated as known.  It forms the unpadded (pad-1) map of all slots, the
+layout at unit pads, and evaluates the finer zero-padded grid only in a
+window around each seed cell of that map above the threshold (a local
+peak, or on a padded axis a rising flank, beside which a fine peak
+between two unpadded bins may lie): +-1 unpadded bin plus a one-cell
+guard ring, so (2 * pad + 3) cells per padded axis.  A signed axis is
+zoomed with small explicit DFT matrices (a chirp-z style zoom); a
+sign-0 axis is read at the window's bins.  A refinement costs the pad-1
+map plus O(peaks * window cells * slots), instead of an FFT over, and a
+peak scan of, the whole padded plane; a fine-grid peak outside every
+window is not found.
 
 True super-resolution recovery is out of scope.  The stand-in is the
 zero-padded periodogram with optional three-point parabolic peak
@@ -127,10 +133,10 @@ class TargetEstimate:
 class DetectionResult:
     """Detection map plus the per-target parameter estimates.
 
-    ``power`` is the noncoherently integrated map over (doppler/delay) bins
-    for the continuous-wave path and (delay-window/doppler) bins for the
-    multicarrier path; the axis vectors carry physical units.  A refined
-    result carries the unpadded (pad-1) map its windows were seeded on.
+    ``power`` is the waveform layout's map summed noncoherently over the
+    array: (Doppler, lag) bins for PMCW, (delay window, Doppler) bins for
+    OFDMA; the axis vectors carry physical units.  A refined result
+    carries the unpadded (pad-1) map its windows were seeded on.
     """
 
     power: np.ndarray
@@ -143,11 +149,17 @@ class DetectionResult:
 class _MapLayout:
     """Axis conventions of one delay/Doppler map.
 
-    ``delay_of`` maps a fractional delay bin to seconds, ``period`` is the
-    slow-time sample spacing, ``n_known`` the count of known slots.
+    Map axis a is axis a + 1 of a demodulated (CPIs, slots, samples, N_r)
+    stack.  ``signs[a]`` is its DFT sign (+1 an inverse DFT times its
+    length, -1 a forward DFT, 0 an axis already in the map domain),
+    ``lengths[a]`` the padded DFT length, and ``shape`` the part kept.
+    ``delay_of`` maps a fractional delay bin to seconds, ``period`` is
+    the slow-time sample spacing, ``n_known`` the count of known samples.
     """
 
     shape: tuple
+    signs: tuple
+    lengths: tuple
     delay_axis: int
     wrap: tuple
     phase_sign: float
@@ -293,11 +305,6 @@ def _angle_from_snapshot(snapshot: np.ndarray, spacing_over_lambda: float,
     return float(np.arcsin(sin_psi)), u_signed
 
 
-def _doppler_axis(nd: int, period: float) -> np.ndarray:
-    """Doppler of each of the nd slow-time FFT bins (fftfreq order)."""
-    return np.array([_wrap_bin(i, nd) / (nd * period) for i in range(nd)])
-
-
 def _dft(n_in: int, n_out: int, sign: float) -> np.ndarray:
     """The (n_out, n_in) n_out-point DFT matrix over n_in inputs; a stack
     of refinement windows takes its rows by fine bin."""
@@ -345,17 +352,6 @@ def _window_targets(windows, n_maps: int, est: EstimatorConfig,
                                      est.max_targets, est.threshold_db)]
 
 
-def _map_targets(beams: np.ndarray, est: EstimatorConfig,
-                 lay: _MapLayout) -> tuple:
-    """(power maps, targets per map) of a stack of whole maps of
-    per-element beams."""
-    power = np.sum(np.abs(beams) ** 2, axis=3)
-    bins, guarded, owner = _whole_map(power, lay.wrap)
-    return power, _window_targets(
-        (bins, guarded, _gather(beams, bins, owner), owner), len(power),
-        est, lay)
-
-
 def _seed_cells(seed_power: np.ndarray, pads, wrap,
                 threshold_db: float) -> np.ndarray:
     """(map, row, col) of every pad-1 cell a fine-grid peak may lie next to.
@@ -389,26 +385,117 @@ def _seed_cells(seed_power: np.ndarray, pads, wrap,
     return np.argwhere(ok)
 
 
-def _refine_windows(seed_power: np.ndarray, beams_at, pads,
-                    est: EstimatorConfig, lay: _MapLayout) -> tuple:
-    """Fine-grid windows around every seed cell of a stack of pad-1 maps.
+def _map(x: np.ndarray, lay: _MapLayout) -> np.ndarray:
+    """Per-element maps of a demodulated (CPIs, slots, samples, N_r) stack:
+    each signed axis transformed at its length, then cut to the shape."""
+    for axis, (sign, n, keep) in enumerate(zip(lay.signs, lay.lengths,
+                                               lay.shape), start=1):
+        if sign > 0:
+            x = np.fft.ifft(x, n=n, axis=axis)
+            x *= n
+        elif sign < 0:
+            x = np.fft.fft(x, n=n, axis=axis)
+        x = x[:, :keep] if axis == 1 else x[:, :, :keep]
+    return x
 
-    Seeds are ``_seed_cells``.  Seed bin s maps to fine bin s * pad; its
-    window spans +-pad fine bins (+-1 seed bin) plus the guard ring.
-    ``beams_at(owner, rows, cols)`` evaluates the fine per-element map of
-    map ``owner[w]`` at window w's true fine bins (a -1 bin may read
-    anything).  Returns (bins, power, beams, owner).
-    """
-    seeds = _seed_cells(seed_power, pads, lay.wrap, est.threshold_db)
-    owner = seeds[:, 0]
-    wbins = tuple(_bins(seeds[:, [a + 1]] * p + np.arange(-p - 1, p + 2),
-                        n, w)
-                  for a, (p, n, w) in enumerate(zip(pads, lay.shape,
-                                                    lay.wrap)))
-    beams = beams_at(owner, *wbins)
+
+def _power(beams: np.ndarray) -> np.ndarray:
+    """Power summed noncoherently over the array elements (the last axis)."""
     power = np.abs(beams)
     power **= 2
-    return wbins, _guard(power.sum(axis=-1), wbins), beams, owner
+    return power.sum(axis=-1)
+
+
+def _result(stack, lay: _MapLayout) -> DetectionResult:
+    """The result of a stack of one CPI's (power maps, targets), with the
+    physical axes of ``lay`` (Doppler bins in fftfreq order)."""
+    (power,), (targets,) = stack
+    da, nd = lay.delay_axis, power.shape[1 - lay.delay_axis]
+    return DetectionResult(
+        power=power, delays_s=lay.delay_of(np.arange(power.shape[da])),
+        dopplers_hz=np.array([_wrap_bin(i, nd) / (nd * lay.period)
+                              for i in range(nd)]), targets=targets)
+
+
+def _detect(data: np.ndarray, symbols: np.ndarray, known, demod, layout,
+            est: EstimatorConfig) -> tuple:
+    """(power maps, targets per CPI) of a stack of CPIs from its ``known``
+    slots, demodulated by ``demod`` and mapped at their slot indices: the
+    unknown slots before the last known one are zeros, like the padding."""
+    if not known.any():
+        raise NonIdentifiableError(
+            "no radar slots: delay and Doppler cannot be separated from "
+            "unknown data symbols at mu = 0")
+    rows, lay = np.flatnonzero(known), layout(known, est)
+    x = demod(data[:, rows], symbols[:, rows])
+    if rows.size < lay.lengths[0]:
+        padded = np.zeros((len(x), lay.lengths[0]) + x.shape[2:],
+                          dtype=complex)
+        padded[:, rows] = x
+        x = padded
+    beams = _map(x, lay)
+    power = _power(beams)
+    bins, guarded, owner = _whole_map(power, lay.wrap)
+    return power, _window_targets(
+        (bins, guarded, _gather(beams, bins, owner), owner), len(power),
+        est, lay)
+
+
+def _zoom(x: np.ndarray, owner: np.ndarray, bins,
+          lay: _MapLayout) -> np.ndarray:
+    """Fine per-element map of demodulated CPI ``owner[w]`` at window w's
+    true bins (a -1 bin may read anything).
+
+    Signed axes are zoomed with ``_dft`` rows.  A sign-0 second axis is
+    gathered at the window bins, which leaves one block per window and
+    one product over them all; otherwise the zoom runs CPI by CPI
+    (``owner`` is sorted), holding one CPI's first-axis zoom at a time.
+    """
+    dfts = [_dft(n_in, n, sign) if sign else None for n_in, n, sign
+            in zip(x.shape[1:3], lay.lengths, lay.signs)]
+    if dfts[1] is None:
+        picked = x[owner[:, None, None], np.arange(x.shape[1])[:, None],
+                   bins[1][:, None, :]]
+        n, m_count, n_lags, n_rx = picked.shape
+        zoom = np.matmul(dfts[0][bins[0]],
+                         picked.reshape(n, m_count, n_lags * n_rx))
+        return zoom.reshape(n, bins[0].shape[1], n_lags, n_rx)
+    ends = np.searchsorted(owner, np.arange(len(x) + 1))
+    beams = np.empty((owner.size, bins[0].shape[1], bins[1].shape[1],
+                      x.shape[3]), dtype=complex)
+    for cpi, lo, hi in zip(x, ends[:-1], ends[1:]):
+        prof = np.tensordot(dfts[0][bins[0][lo:hi]], cpi, axes=1)
+        np.matmul(dfts[1][bins[1][lo:hi]][:, None], prof, out=beams[lo:hi])
+    return beams
+
+
+# A layout reads only the pads of an EstimatorConfig; the default has all 1.
+_UNIT_PADS = EstimatorConfig()
+
+
+def _windows(data: np.ndarray, symbols: np.ndarray, demod, layout,
+             est: EstimatorConfig) -> tuple:
+    """(pad-1 power maps, fine-grid windows, layout) of the refinements of
+    a stack of CPIs, every slot known.
+
+    The seed maps are ``layout`` at unit pads; a fine axis's pad is its
+    length over theirs.  Seeds are ``_seed_cells``: seed bin s maps to
+    fine bin s * pad, and its window, +-pad fine bins (+-1 seed bin) plus
+    the guard ring, is evaluated by ``_zoom``.  The windows are (bins,
+    power, beams, owner).
+    """
+    known = np.ones(data.shape[1], dtype=bool)
+    x = demod(data, symbols)
+    unit, lay = layout(known, _UNIT_PADS), layout(known, est)
+    seed_power = _power(_map(x, unit))
+    pads = [f // u for f, u in zip(lay.shape, unit.shape)]
+    seeds = _seed_cells(seed_power, pads, lay.wrap, est.threshold_db)
+    owner = seeds[:, 0]
+    bins = tuple(_bins(seeds[:, [a + 1]] * p + np.arange(-p - 1, p + 2), n, w)
+                 for a, (p, n, w) in enumerate(zip(pads, lay.shape,
+                                                   lay.wrap)))
+    beams = _zoom(x, owner, bins, lay)
+    return seed_power, (bins, _guard(_power(beams), bins), beams, owner), lay
 
 
 def _refined(refinement, est: EstimatorConfig) -> tuple:
@@ -494,39 +581,18 @@ def _pmcw_correlate(frames: np.ndarray, symbols: np.ndarray,
     return np.fft.ifft(y, axis=2, out=y)
 
 
-def _pmcw_layout(config, m_count: int, doppler_pad: int) -> _MapLayout:
-    """(Doppler, delay) map layout; the delay axis is the unpadded lag."""
+def _pmcw_layout(config, known, est: EstimatorConfig) -> _MapLayout:
+    """(Doppler, lag) map layout over the ``known`` frames, a leading block:
+    an inverse slow-time DFT padded ``doppler_pad`` times, and the code
+    correlation's unpadded lag axis."""
+    m_count = int(np.count_nonzero(known))
     l_count, t_c = config.code_length, config.chip_time
-    return _MapLayout(shape=(m_count * doppler_pad, l_count), delay_axis=1,
+    shape = (m_count * est.doppler_pad, l_count)
+    return _MapLayout(shape=shape, signs=(1, 0), lengths=shape, delay_axis=1,
                       wrap=(True, True), phase_sign=-1.0,
                       n_known=l_count * m_count, delay_of=lambda b: b * t_c,
                       period=config.block_time,
                       spacing=config.geometry.spacing_over_lambda)
-
-
-def _pmcw_result(power, config, targets) -> DetectionResult:
-    return DetectionResult(
-        power=power, delays_s=np.arange(config.code_length) * config.chip_time,
-        dopplers_hz=_doppler_axis(power.shape[0], config.block_time),
-        targets=targets)
-
-
-def _pmcw_detect(data: np.ndarray, code_spec: np.ndarray, config,
-                 radar_frames, est: EstimatorConfig) -> tuple:
-    """(power maps, targets per CPI) of a (CPIs, M, L, N_r) data stack,
-    from the radar-only frames of the mask ``radar_frames``."""
-    if not radar_frames.any():
-        raise NonIdentifiableError(
-            "no radar-only frames: delay/Doppler cannot be separated from "
-            "unknown data symbols at mu = 0")
-    idx = np.flatnonzero(radar_frames)
-    nd = idx.size * est.doppler_pad
-    dopp = np.fft.ifft(_pmcw_correlate(
-        data[:, idx], np.ones((len(data), idx.size), dtype=complex),
-        code_spec), n=nd, axis=1)
-    dopp *= nd
-    return _map_targets(dopp, est,
-                        _pmcw_layout(config, idx.size, est.doppler_pad))
 
 
 def pmcw_range_doppler(cube: ReceiveCube, code: CodeSequence,
@@ -537,33 +603,12 @@ def pmcw_range_doppler(cube: ReceiveCube, code: CodeSequence,
     with none present the delay/Doppler map is not identifiable from
     unknown data symbols and this raises.
     """
-    power, targets = _pmcw_detect(cube.data[None], np.fft.fft(code.chips()),
-                                  cube.config, pmcw_schedule(cube.config),
-                                  est or EstimatorConfig())
-    return _pmcw_result(power[0], cube.config, targets[0])
-
-
-def _pmcw_windows(data: np.ndarray, code_spec: np.ndarray, config,
-                  symbols: np.ndarray, est: EstimatorConfig):
-    """(pad-1 power maps, fine-grid windows, layout) of the PMCW
-    refinements of a (CPIs, M, L, N_r) data stack with (CPIs, M) symbols."""
-    m_count = config.n_frames
-    corr = _pmcw_correlate(data, symbols, code_spec)
-    seed_power = np.abs(np.fft.ifft(corr, axis=1) * m_count)
-    seed_power **= 2
-    seed_power = seed_power.sum(axis=3)
-    lay = _pmcw_layout(config, m_count, est.doppler_pad)
-
-    def beams_at(owner, dopplers, lags):
-        picked = corr[owner[:, None, None], np.arange(m_count)[:, None],
-                      lags[:, None, :]]
-        n, _, n_lags, n_rx = picked.shape
-        zoom = np.matmul(_dft(m_count, lay.shape[0], +1.0)[dopplers],
-                         picked.reshape(n, m_count, n_lags * n_rx))
-        return zoom.reshape(n, dopplers.shape[1], n_lags, n_rx)
-
-    return seed_power, _refine_windows(seed_power, beams_at,
-                                       (est.doppler_pad, 1), est, lay), lay
+    est, radar = est or EstimatorConfig(), pmcw_schedule(cube.config)
+    layout = partial(_pmcw_layout, cube.config)
+    return _result(_detect(
+        cube.data[None], np.ones((1, radar.size), dtype=complex), radar,
+        partial(_pmcw_correlate, code_spec=np.fft.fft(code.chips())), layout,
+        est), layout(radar, est))
 
 
 def pmcw_refine(cube: ReceiveCube, code: CodeSequence, symbols,
@@ -577,10 +622,11 @@ def pmcw_refine(cube: ReceiveCube, code: CodeSequence, symbols,
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.size != cube.config.n_frames:
         raise ValueError("need one symbol per frame")
-    power, targets = _refined(_pmcw_windows(
-        cube.data[None], np.fft.fft(code.chips()), cube.config,
-        symbols.reshape(1, -1), est), est)
-    return _pmcw_result(power[0], cube.config, targets[0])
+    layout = partial(_pmcw_layout, cube.config)
+    return _result(_refined(_windows(
+        cube.data[None], symbols.reshape(1, -1),
+        partial(_pmcw_correlate, code_spec=np.fft.fft(code.chips())), layout,
+        est), est), layout(np.ones(symbols.size, dtype=bool), _UNIT_PADS))
 
 
 def _pmcw_dpsk(proj: np.ndarray, order: int) -> tuple:
@@ -613,51 +659,27 @@ def pmcw_decode(cube: ReceiveCube, code: CodeSequence, targets,
 # ---------------------------------------------------------------------------
 
 
-def _ofdma_layout(config, n_rows: int, nr: int, shape) -> _MapLayout:
-    """(delay, Doppler) map layout over an nr-point delay FFT.
+def _ofdma_derotate(data: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """A (CPIs, rows, N_s, N_r) stack with its unit-modulus symbols
+    divided out."""
+    return data * np.conj(symbols)[..., None]
 
-    The delay axis wraps when the map spans the whole nr-point IFFT
-    period, as it does at pilot comb 1 and in refinement.
-    """
+
+def _ofdma_layout(config, known, est: EstimatorConfig) -> _MapLayout:
+    """(delay, Doppler) map layout over the ``known`` rows: a subcarrier
+    IDFT padded ``range_pad`` times, cut to the pilot comb's unambiguous
+    window (the whole wrapping period at comb 1 and in refinement), then
+    a symbol DFT padded ``doppler_pad`` times."""
     df = config.subcarrier_spacing_hz
-    return _MapLayout(shape=shape, delay_axis=0, wrap=(shape[0] == nr, True),
-                      phase_sign=+1.0, n_known=n_rows * config.n_symbols,
+    nr = config.n_subcarriers * est.range_pad
+    nd = config.n_symbols * est.doppler_pad
+    window = max(nr // pilot_comb_spacing(known), 1)
+    return _MapLayout(shape=(window, nd), signs=(1, -1), lengths=(nr, nd),
+                      delay_axis=0, wrap=(window == nr, True), phase_sign=+1.0,
+                      n_known=int(np.count_nonzero(known)) * config.n_symbols,
                       delay_of=lambda b: b / (nr * df),
                       period=config.symbol_duration,
                       spacing=config.geometry.spacing_over_lambda)
-
-
-def _ofdma_map(x: np.ndarray, nr: int, window: int, nd: int) -> np.ndarray:
-    """Per-element delay/Doppler maps of a (CPIs, N_c, N_s, N_r) stack:
-    subcarrier IFFT, then slow-time FFT."""
-    prof = np.fft.ifft(x, n=nr, axis=1) * nr
-    return np.fft.fft(prof[:, :window], n=nd, axis=2)
-
-
-def _ofdma_result(power, config, nr: int, targets) -> DetectionResult:
-    return DetectionResult(
-        power=power,
-        delays_s=np.arange(power.shape[0]) / (nr * config.subcarrier_spacing_hz),
-        dopplers_hz=_doppler_axis(power.shape[1], config.symbol_duration),
-        targets=targets)
-
-
-def _ofdma_detect(data: np.ndarray, symbols: np.ndarray, radar_rows, config,
-                  est: EstimatorConfig) -> tuple:
-    """(power maps, targets per CPI) of a (CPIs, N_c, N_s, N_r) data stack
-    with (CPIs, N_c, N_s) symbol grids, from the pilot rows."""
-    if not radar_rows.any():
-        raise NonIdentifiableError(
-            "no radar-pilot subcarriers: range cannot be separated from "
-            "unknown data symbols at mu = 0")
-    rows = np.flatnonzero(radar_rows)
-    x = np.zeros_like(data)
-    x[:, rows] = data[:, rows] * np.conj(symbols[:, rows])[..., None]
-    nr = config.n_subcarriers * est.range_pad
-    window = max(nr // pilot_comb_spacing(radar_rows), 1)
-    v = _ofdma_map(x, nr, window, config.n_symbols * est.doppler_pad)
-    return _map_targets(v, est,
-                        _ofdma_layout(config, rows.size, nr, v.shape[1:3]))
 
 
 def ofdma_range_doppler_angle(cube: ReceiveCube, grid: SymbolGrid,
@@ -670,38 +692,10 @@ def ofdma_range_doppler_angle(cube: ReceiveCube, grid: SymbolGrid,
     the problem non-identifiable.
     """
     est = est or EstimatorConfig()
-    power, targets = _ofdma_detect(cube.data[None], grid.symbols[None],
-                                   grid.radar_rows, cube.config, est)
-    return _ofdma_result(power[0], cube.config,
-                         cube.config.n_subcarriers * est.range_pad,
-                         targets[0])
-
-
-def _ofdma_windows(data: np.ndarray, symbols: np.ndarray, config,
-                   est: EstimatorConfig):
-    """(pad-1 power maps, fine-grid windows, layout) of the OFDMA
-    refinements of a (CPIs, N_c, N_s, N_r) stack with its symbol grids."""
-    n_c, n_s = config.n_subcarriers, config.n_symbols
-    x = data * np.conj(symbols)[..., None]
-    seed_power = np.sum(np.abs(_ofdma_map(x, n_c, n_c, n_s)) ** 2, axis=3)
-    nr, nd = n_c * est.range_pad, n_s * est.doppler_pad
-    lay = _ofdma_layout(config, n_c, nr, (nr, nd))
-
-    def beams_at(owner, delays, dopplers):
-        # CPI by CPI (owner is sorted), so that only one CPI's delay zoom
-        # is held at a time: one product over all its windows.
-        delay_dft, doppler_dft = _dft(n_c, nr, +1.0), _dft(n_s, nd, -1.0)
-        ends = np.searchsorted(owner, np.arange(len(x) + 1))
-        beams = np.empty((owner.size, delays.shape[1], dopplers.shape[1],
-                          x.shape[3]), dtype=complex)
-        for cpi, lo, hi in zip(x, ends[:-1], ends[1:]):
-            prof = np.tensordot(delay_dft[delays[lo:hi]], cpi, axes=1)
-            np.matmul(doppler_dft[dopplers[lo:hi]][:, None], prof,
-                      out=beams[lo:hi])
-        return beams
-
-    return seed_power, _refine_windows(
-        seed_power, beams_at, (est.range_pad, est.doppler_pad), est, lay), lay
+    layout = partial(_ofdma_layout, cube.config)
+    return _result(_detect(cube.data[None], grid.symbols[None],
+                           grid.radar_rows, _ofdma_derotate, layout, est),
+                   layout(grid.radar_rows, est))
 
 
 def ofdma_refine(cube: ReceiveCube, symbols: np.ndarray,
@@ -715,10 +709,10 @@ def ofdma_refine(cube: ReceiveCube, symbols: np.ndarray,
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.shape != (cube.config.n_subcarriers, cube.config.n_symbols):
         raise ValueError("need the full N_c x N_s symbol matrix")
-    power, targets = _refined(_ofdma_windows(cube.data[None], symbols[None],
-                                             cube.config, est), est)
-    return _ofdma_result(power[0], cube.config, cube.config.n_subcarriers,
-                         targets[0])
+    layout = partial(_ofdma_layout, cube.config)
+    return _result(_refined(_windows(cube.data[None], symbols[None],
+                                     _ofdma_derotate, layout, est), est),
+                   layout(np.ones(len(symbols), dtype=bool), _UNIT_PADS))
 
 
 def ofdma_estimate_amplitudes(cube: ReceiveCube, grid: SymbolGrid, targets,

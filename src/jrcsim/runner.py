@@ -43,9 +43,10 @@ import numpy as np
 from .alloc import detection_probability
 from .channel import _synthesize, complex_awgn, scatterer_amplitude
 from .config import ScenarioConfig, config_hash
-from .estim import (_demodulate, _ofdma_detect, _ofdma_dpsk, _ofdma_windows,
-                    _pmcw_detect, _pmcw_dpsk, _pmcw_windows, _refined,
-                    golay_cef_waveform, golay_range_estimate, profile_peaks)
+from .estim import (_demodulate, _detect, _ofdma_derotate, _ofdma_dpsk,
+                    _ofdma_layout, _pmcw_correlate, _pmcw_dpsk, _pmcw_layout,
+                    _refined, _windows, golay_cef_waveform,
+                    golay_range_estimate, profile_peaks)
 from .ofdma import _ofdma_response, _ofdma_synthesize, _symbol_grids, \
     build_symbol_grid, grid_capacity_bits, ofdma_pilot_mask, ofdma_transmit
 from .perf import TradeoffSpec, crlb_proxy, jrc_objective, mmse_from_rate, \
@@ -250,13 +251,14 @@ def _pmcw_trials(config, point, trials) -> list:
     response = partial(_pmcw_response, wavecfg, code_spec)
     data = _synthesize(_point_scene(config, wavecfg, point), wavecfg,
                        symbols, response, trials, rngs)
-    _, coarse = _pmcw_detect(data, code_spec, wavecfg, sched,
-                             config.estimator)
+    demod = partial(_pmcw_correlate, code_spec=code_spec)
+    layout = partial(_pmcw_layout, wavecfg)
+    _, coarse = _detect(data, symbols, sched, demod, layout, config.estimator)
     bits_hat, _, full_symbols = _demodulate(data, symbols, sched, response,
                                             coarse, order, _pmcw_dpsk)
     fine = config.estimator.refined(config.refine_factor)
-    _, refined = _refined(_pmcw_windows(data, code_spec, wavecfg,
-                                        full_symbols, fine), fine)
+    _, refined = _refined(_windows(data, full_symbols, demod, layout, fine),
+                          fine)
 
     return _record_trials(config, wavecfg, point, trials, coarse, refined,
                           payload, bits_hat)
@@ -271,14 +273,15 @@ def _ofdma_trials(config, point, trials) -> list:
     radar_rows = ofdma_pilot_mask(wavecfg)
     data = _ofdma_synthesize(_point_scene(config, wavecfg, point), wavecfg,
                              grids, trials, rngs)
-    _, coarse = _ofdma_detect(data, grids, radar_rows, wavecfg,
-                              config.estimator)
+    layout = partial(_ofdma_layout, wavecfg)
+    _, coarse = _detect(data, grids, radar_rows, _ofdma_derotate, layout,
+                        config.estimator)
     bits_hat, _, full_symbols = _demodulate(
         data, grids, radar_rows, partial(_ofdma_response, wavecfg), coarse,
         order, _ofdma_dpsk)
     fine = config.estimator.refined(config.refine_factor)
-    _, refined = _refined(_ofdma_windows(data, full_symbols, wavecfg, fine),
-                          fine)
+    _, refined = _refined(_windows(data, full_symbols, _ofdma_derotate,
+                                   layout, fine), fine)
 
     return _record_trials(config, wavecfg, point, trials, coarse, refined,
                           payload, bits_hat)
@@ -479,8 +482,9 @@ def _tradeoff_rows(config: ScenarioConfig, wavecfg, point: SweepPoint,
     if not config.weights:
         return []
     delta = _comm_fraction(config, wavecfg)
-    # The CRLB term is taken at the first scatterer and needs its signal.
-    if delta == 0 or not np.any(amplitudes[:1]):
+    # Without payload (delta 0) or radar slot (delta 1) a term is undefined;
+    # the CRLB term is taken at the first scatterer and needs its signal.
+    if not 0 < delta < 1 or not np.any(amplitudes[:1]):
         return []
     sigma2 = _noise_variance(config, point, amplitudes)
     if sigma2 == 0:

@@ -5,7 +5,7 @@ On-grid cases must come out bin-exact; the Golay profiles are checked
 against hand-built convolution channels with integer arithmetic.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -22,7 +22,8 @@ from jrcsim.estim import (DecodingError, EstimatorConfig, NonIdentifiableError,
                           pmcw_range_doppler, pmcw_refine, profile_peaks)
 from jrcsim.ofdma import (OfdmaConfig, _ofdma_response, _symbol_grids,
                           build_symbol_grid, grid_capacity_bits,
-                          ofdma_pilot_mask, ofdma_receive_cube)
+                          ofdma_pilot_mask, ofdma_receive_cube,
+                          pilot_comb_spacing)
 from jrcsim.pmcw import (PmcwConfig, _frame_symbols, _pmcw_response,
                          payload_capacity_bits, pmcw_frame_symbols,
                          pmcw_receive_cube, pmcw_schedule)
@@ -246,7 +247,7 @@ def test_pmcw_threshold_suppresses_weak_target():
 
 
 def test_pmcw_constant_phase_invariance():
-    from dataclasses import replace
+    from dataclasses import dataclass, replace
     config = pmcw_config()
     f_true = 3 / (8 * config.block_time)
     cube, code, _, _ = pmcw_cube_for(
@@ -458,7 +459,7 @@ def test_ofdma_non_identifiable_without_pilots():
 
 
 def test_ofdma_constant_phase_invariance():
-    from dataclasses import replace
+    from dataclasses import dataclass, replace
     config = ofdma_config()
     f_true = 2 / (8 * config.symbol_duration)
     cube, grid, _ = ofdma_cube_for(
@@ -630,11 +631,13 @@ def oracle_ofdma_demodulate(data, symbols, radar_rows, config, targets,
     return bits.reshape(n_cpi, -1), proj, full
 
 
-def demodulate_stack(waveform, rng, mu, order, counts, snr_db, fault):
-    """(shared decoder call, oracle call, symbols) on a random stack, one
-    CPI per entry of ``counts``, each with that many targets."""
+def random_stack(waveform, rng, mu, order, counts, snr_db, fault):
+    """A random stack of small cubes, one CPI per entry of ``counts``,
+    each with that many targets: (config, code spectrum or None, radar
+    mask, symbols, bound unit response, data, targets per CPI)."""
     geometry = ArrayGeometry(n_tx=1, n_rx=2)
     n_cpi = len(counts)
+    code_spec = None
     if waveform == "pmcw":
         config = pmcw_config(code_length=7, mu_percent=mu, geometry=geometry)
         code_spec = np.fft.fft(CodeSequence.random_binary(7, seed=1).chips())
@@ -674,6 +677,13 @@ def demodulate_stack(waveform, rng, mu, order, counts, snr_db, fault):
         targets[-1] = ()
     elif fault == "silent":
         data[:] = 0
+    return config, code_spec, radar, symbols, response, data, targets
+
+
+def demodulate_stack(waveform, rng, mu, order, counts, snr_db, fault):
+    """(shared decoder call, oracle call, symbols) on a random stack."""
+    config, code_spec, radar, symbols, response, data, targets = \
+        random_stack(waveform, rng, mu, order, counts, snr_db, fault)
     dpsk = estim._pmcw_dpsk if waveform == "pmcw" else estim._ofdma_dpsk
     shared = partial(estim._demodulate, data, symbols, radar, response,
                      targets, order, dpsk)
@@ -714,6 +724,203 @@ def test_demodulate_matches_per_waveform_oracles(waveform, seed, mu, order,
 
 
 # ---------------------------------------------------------------------------
+# The shared map pipeline against the per-waveform maps it replaced
+# ---------------------------------------------------------------------------
+#
+# The oracles are detection and the refinement windows as they were
+# written before both waveforms shared one pipeline: each waveform with
+# its own map, layout and window zoom, around the shared peak picking.
+
+
+@dataclass(frozen=True)
+class OracleLayout:
+    shape: tuple
+    delay_axis: int
+    wrap: tuple
+    phase_sign: float
+    n_known: int
+    delay_of: object
+    period: float
+    spacing: float
+
+
+def oracle_map_targets(beams, est, lay):
+    """(power maps, targets per map) of a stack of whole maps."""
+    power = np.sum(np.abs(beams) ** 2, axis=3)
+    bins, guarded, owner = estim._whole_map(power, lay.wrap)
+    return power, estim._window_targets(
+        (bins, guarded, estim._gather(beams, bins, owner), owner),
+        len(power), est, lay)
+
+
+def oracle_refine_windows(seed_power, beams_at, pads, est, lay):
+    """Fine-grid windows around every seed cell of a stack of maps."""
+    seeds = estim._seed_cells(seed_power, pads, lay.wrap, est.threshold_db)
+    owner = seeds[:, 0]
+    wbins = tuple(estim._bins(seeds[:, [a + 1]] * p
+                              + np.arange(-p - 1, p + 2), n, w)
+                  for a, (p, n, w) in enumerate(zip(pads, lay.shape,
+                                                    lay.wrap)))
+    beams = beams_at(owner, *wbins)
+    power = np.abs(beams)
+    power **= 2
+    return wbins, estim._guard(power.sum(axis=-1), wbins), beams, owner
+
+
+def oracle_pmcw_layout(config, m_count, doppler_pad):
+    l_count, t_c = config.code_length, config.chip_time
+    return OracleLayout(shape=(m_count * doppler_pad, l_count), delay_axis=1,
+                        wrap=(True, True), phase_sign=-1.0,
+                        n_known=l_count * m_count, delay_of=lambda b: b * t_c,
+                        period=config.block_time,
+                        spacing=config.geometry.spacing_over_lambda)
+
+
+def oracle_pmcw_detect(data, code_spec, config, radar_frames, est):
+    if not radar_frames.any():
+        raise NonIdentifiableError("no radar-only frames")
+    idx = np.flatnonzero(radar_frames)
+    nd = idx.size * est.doppler_pad
+    dopp = np.fft.ifft(estim._pmcw_correlate(
+        data[:, idx], np.ones((len(data), idx.size), dtype=complex),
+        code_spec), n=nd, axis=1)
+    dopp *= nd
+    return oracle_map_targets(dopp, est, oracle_pmcw_layout(
+        config, idx.size, est.doppler_pad))
+
+
+def oracle_pmcw_windows(data, code_spec, config, symbols, est):
+    m_count = config.n_frames
+    corr = estim._pmcw_correlate(data, symbols, code_spec)
+    seed_power = np.abs(np.fft.ifft(corr, axis=1) * m_count)
+    seed_power **= 2
+    seed_power = seed_power.sum(axis=3)
+    lay = oracle_pmcw_layout(config, m_count, est.doppler_pad)
+
+    def beams_at(owner, dopplers, lags):
+        picked = corr[owner[:, None, None], np.arange(m_count)[:, None],
+                      lags[:, None, :]]
+        n, _, n_lags, n_rx = picked.shape
+        zoom = np.matmul(estim._dft(m_count, lay.shape[0], +1.0)[dopplers],
+                         picked.reshape(n, m_count, n_lags * n_rx))
+        return zoom.reshape(n, dopplers.shape[1], n_lags, n_rx)
+
+    return seed_power, oracle_refine_windows(
+        seed_power, beams_at, (est.doppler_pad, 1), est, lay), lay
+
+
+def oracle_ofdma_layout(config, n_rows, nr, shape):
+    df = config.subcarrier_spacing_hz
+    return OracleLayout(shape=shape, delay_axis=0, wrap=(shape[0] == nr, True),
+                        phase_sign=+1.0, n_known=n_rows * config.n_symbols,
+                        delay_of=lambda b: b / (nr * df),
+                        period=config.symbol_duration,
+                        spacing=config.geometry.spacing_over_lambda)
+
+
+def oracle_ofdma_map(x, nr, window, nd):
+    prof = np.fft.ifft(x, n=nr, axis=1) * nr
+    return np.fft.fft(prof[:, :window], n=nd, axis=2)
+
+
+def oracle_ofdma_detect(data, symbols, radar_rows, config, est):
+    if not radar_rows.any():
+        raise NonIdentifiableError("no radar-pilot subcarriers")
+    rows = np.flatnonzero(radar_rows)
+    x = np.zeros_like(data)
+    x[:, rows] = data[:, rows] * np.conj(symbols[:, rows])[..., None]
+    nr = config.n_subcarriers * est.range_pad
+    window = max(nr // pilot_comb_spacing(radar_rows), 1)
+    v = oracle_ofdma_map(x, nr, window, config.n_symbols * est.doppler_pad)
+    return oracle_map_targets(v, est, oracle_ofdma_layout(
+        config, rows.size, nr, v.shape[1:3]))
+
+
+def oracle_ofdma_windows(data, symbols, config, est):
+    n_c, n_s = config.n_subcarriers, config.n_symbols
+    x = data * np.conj(symbols)[..., None]
+    seed_power = np.sum(np.abs(oracle_ofdma_map(x, n_c, n_c, n_s)) ** 2,
+                        axis=3)
+    nr, nd = n_c * est.range_pad, n_s * est.doppler_pad
+    lay = oracle_ofdma_layout(config, n_c, nr, (nr, nd))
+
+    def beams_at(owner, delays, dopplers):
+        delay_dft = estim._dft(n_c, nr, +1.0)
+        doppler_dft = estim._dft(n_s, nd, -1.0)
+        ends = np.searchsorted(owner, np.arange(len(x) + 1))
+        beams = np.empty((owner.size, delays.shape[1], dopplers.shape[1],
+                          x.shape[3]), dtype=complex)
+        for cpi, lo, hi in zip(x, ends[:-1], ends[1:]):
+            prof = np.tensordot(delay_dft[delays[lo:hi]], cpi, axes=1)
+            np.matmul(doppler_dft[dopplers[lo:hi]][:, None], prof,
+                      out=beams[lo:hi])
+        return beams
+
+    return seed_power, oracle_refine_windows(
+        seed_power, beams_at, (est.range_pad, est.doppler_pad), est, lay), lay
+
+
+def exact_map(run, est):
+    """A map stage's output by dtype, shape and exact element reprs, or the
+    error type raised.  A refinement's (seed power, windows, layout)
+    adds its window targets and its layout's conventions."""
+    try:
+        out = run()
+    except NonIdentifiableError as exc:
+        return type(exc).__name__
+    if len(out) == 2:
+        arrays, tail = [out[0]], out[1]
+    else:
+        seed_power, windows, lay = out
+        arrays = [seed_power, *windows[0], *windows[1:]]
+        tail = (estim._window_targets(windows, len(seed_power), est, lay),
+                lay.shape, lay.delay_axis, lay.wrap, lay.phase_sign,
+                lay.n_known, lay.period, lay.spacing,
+                [lay.delay_of(b) for b in (0, 1, 2.5)])
+    return repr([(a.dtype.str, a.shape, a.tolist()) for a in arrays]
+                + [tail])
+
+
+@settings(max_examples=120, deadline=None)
+@given(waveform=st.sampled_from(["pmcw", "ofdma"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       mu=st.sampled_from([0, 25, 50, 75, 100]),
+       counts=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       snr_db=st.floats(-5.0, 30.0),
+       range_pad=st.integers(1, 3), doppler_pad=st.integers(1, 3),
+       angle_pad=st.integers(1, 3), interpolate=st.booleans(),
+       max_targets=st.integers(1, 3),
+       fault=st.sampled_from([None, None, None, "silent"]))
+def test_map_pipeline_matches_per_waveform_oracles(
+        waveform, seed, mu, counts, snr_db, range_pad, doppler_pad,
+        angle_pad, interpolate, max_targets, fault):
+    order = 2 if waveform == "pmcw" else 4
+    config, code_spec, radar, symbols, _, data, _ = random_stack(
+        waveform, np.random.default_rng(seed), mu, order, counts, snr_db,
+        fault)
+    est = EstimatorConfig(range_pad=range_pad, doppler_pad=doppler_pad,
+                          angle_pad=angle_pad, interpolate=interpolate,
+                          max_targets=max_targets)
+    if waveform == "pmcw":
+        demod = partial(estim._pmcw_correlate, code_spec=code_spec)
+        layout = partial(estim._pmcw_layout, config)
+        detect = partial(oracle_pmcw_detect, data, code_spec, config, radar)
+        windows = partial(oracle_pmcw_windows, data, code_spec, config,
+                          symbols)
+    else:
+        demod, layout = estim._ofdma_derotate, partial(estim._ofdma_layout,
+                                                       config)
+        detect = partial(oracle_ofdma_detect, data, symbols, radar, config)
+        windows = partial(oracle_ofdma_windows, data, symbols, config)
+    assert exact_map(partial(estim._detect, data, symbols, radar, demod,
+                             layout, est), est) == \
+        exact_map(partial(detect, est), est)
+    assert exact_map(partial(estim._windows, data, symbols, demod, layout,
+                             est), est) == \
+        exact_map(partial(windows, est), est)
+
+
+# ---------------------------------------------------------------------------
 # Windowed refinement against the full padded grid
 # ---------------------------------------------------------------------------
 #
@@ -744,17 +951,19 @@ def oracle_ofdma_beams(cube, symbols, range_pad, doppler_pad):
 def pmcw_windows(cube, code, symbols, est):
     """(pad-1 power, windows, layout) of one cube's PMCW refinement, run
     as a stack of one."""
-    power, windows, lay = estim._pmcw_windows(
-        cube.data[None], np.fft.fft(code.chips()), cube.config,
-        np.asarray(symbols)[None], est)
+    power, windows, lay = estim._windows(
+        cube.data[None], np.asarray(symbols)[None],
+        partial(estim._pmcw_correlate, code_spec=np.fft.fft(code.chips())),
+        partial(estim._pmcw_layout, cube.config), est)
     return power[0], windows, lay
 
 
 def ofdma_windows(cube, symbols, est):
     """(pad-1 power, windows, layout) of one cube's OFDMA refinement, run
     as a stack of one."""
-    power, windows, lay = estim._ofdma_windows(
-        cube.data[None], np.asarray(symbols)[None], cube.config, est)
+    power, windows, lay = estim._windows(
+        cube.data[None], np.asarray(symbols)[None], estim._ofdma_derotate,
+        partial(estim._ofdma_layout, cube.config), est)
     return power[0], windows, lay
 
 

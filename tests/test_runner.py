@@ -611,12 +611,34 @@ def test_p_detect_undefined_without_radar_slots(tmp_path, make):
                           out_dir=tmp_path)
     at_zero, at_half = report.points
     assert at_zero.n_failures == 2
-    assert at_zero.example_failure.startswith("NonIdentifiableError")
+    assert at_zero.example_failure == (
+        "NonIdentifiableError: no radar slots: delay and Doppler cannot be "
+        "separated from unknown data symbols at mu = 0")
     assert np.isnan(at_zero.p_detect)
     assert 0 < at_half.p_detect < 1
     saved = json.loads((tmp_path / "report.json").read_text())
     assert saved["points"][0]["p_detect"] is None
     assert saved["points"][1]["p_detect"] == at_half.p_detect
+
+
+@pytest.mark.parametrize("make, rows_at_half", [
+    (pmcw_scenario, "50.0,-10.0,0.0,0.5,1.0,-42.89974095515734\r\n"
+                    "50.0,-10.0,1.0,0.5,1.0,-0.4999999999999999\r\n"),
+    (ofdma_scenario, "50.0,-10.0,0.0,0.5,2.0,-33.35772519311988\r\n"
+                     "50.0,-10.0,1.0,0.5,2.0,-1.0\r\n")],
+    ids=["pmcw", "ofdma"])
+def test_no_tradeoff_rows_without_radar_slots(tmp_path, make, rows_at_half):
+    # At mu = 0 every trial fails and p_detect is NaN.  The CRLB proxy
+    # would still read the receive model on every slot, giving mu = 0 the
+    # sensing term of mu = 50 and the best objective at weight 1, so the
+    # point writes no trade-off row.  The mu = 50 rows stay as they were.
+    config = make(sweep={"mu_percent": [0, 50], "snr_db": [-10],
+                         "weights": [0, 1]}, trials=2)
+    report = run_scenario(config, out_dir=tmp_path)
+    assert [row[0] for row in report.tradeoff] == [50.0, 50.0]
+    assert (tmp_path / "tradeoff.csv").read_bytes() == (
+        "mu_percent,snr_db,weight,comm_fraction,rate_bits,objective\r\n"
+        + rows_at_half).encode()
 
 
 def test_batch_size_counts_receive_cube_cells():
