@@ -78,8 +78,12 @@ def complex_awgn(rng: np.random.Generator, shape, variance: float) -> np.ndarray
         raise ValueError("variance must be >= 0")
     if variance == 0:
         return np.zeros(shape, dtype=complex)
-    scale = np.sqrt(variance / 2)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    noise = np.empty(shape, dtype=complex)
+    draws = rng.standard_normal((2,) + noise.shape)
+    draws *= np.sqrt(variance / 2)
+    noise.real = draws[0]
+    noise.imag = draws[1]
+    return noise
 
 
 @dataclass(frozen=True)

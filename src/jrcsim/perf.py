@@ -139,7 +139,8 @@ def ambiguity_function(waveform, delays_s, dopplers_hz,
         x_pad[span:span + n] = x
         segments = np.lib.stride_tricks.sliding_window_view(
             x_pad, block + 2 * span)[::block]
-        seg_spectra = np.conj(np.fft.fft(segments, fft_len, axis=1))
+        seg_spectra = np.fft.fft(segments, fft_len, axis=1)
+        np.conj(seg_spectra, out=seg_spectra)
         x_blocks = x_pad[span:span + n_blocks * block].reshape(n_blocks,
                                                                 block)
         # exp(-j 2 pi nu (b B + i) / fs) as a block-start by in-block outer
@@ -165,8 +166,9 @@ def ambiguity_function(waveform, delays_s, dopplers_hz,
             mags[inside, j] = np.abs(row[picks])
             if paired[j]:
                 mags[inside, mirror[j]] = np.abs(row[2 * span - picks])
+    mags /= energy
     return AfSurface(delays_s=delays_s, dopplers_hz=dopplers_hz,
-                     magnitude=mags / energy)
+                     magnitude=mags)
 
 
 def peak_sidelobe_ratio(cut) -> float:
@@ -348,8 +350,8 @@ def write_af_csv(path, surface: AfSurface) -> None:
 
 
 def write_af_tensor(path, surface: AfSurface) -> None:
-    """Magnitude grid in the binary tensor container."""
-    write_tensor(path, surface.magnitude.astype(complex))
+    """Magnitude grid in the binary tensor container (zero imaginary parts)."""
+    write_tensor(path, surface.magnitude)
 
 
 def write_cut_csv(path, axis_values, values, axis_name: str,

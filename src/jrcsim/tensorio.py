@@ -9,34 +9,54 @@ Layout of a ``.jrct`` file, all little-endian:
     rest          complex128 samples in C order, each stored as
                   interleaved real/imag float64
 
+A real (bool, int or float) array is stored with zero imaginary parts and
+reads back as complex128.
+
 Tables go to CSV with every float in its shortest round-trip form.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import os
 
 import numpy as np
 
 MAGIC = b"JRCT"
 FORMAT_VERSION = 1
+# Cells converted to complex128 per write in write_tensor (1 MiB).
+_TENSOR_BLOCK = 1 << 16
 
 
 def write_tensor(path, array) -> None:
-    """Write a complex tensor to the documented binary layout."""
-    arr = np.asarray(array, dtype=np.complex128)
+    """Write a numeric tensor to the documented binary layout.
+
+    Real (bool, int or float) input is stored as complex128 with zero
+    imaginary parts, converted a fixed-size block at a time, so no complex
+    copy of the whole array is made.
+    """
+    arr = np.asarray(array)
+    if arr.dtype.kind not in "biufc":
+        raise TypeError(f"tensor must hold numbers, not {arr.dtype}")
     if arr.ndim < 1:
         raise ValueError("tensor must have at least one dimension")
+    flat = arr.reshape(-1)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.array(FORMAT_VERSION, dtype="<u4").tobytes())
         fh.write(np.array(arr.ndim, dtype="<u4").tobytes())
         fh.write(np.asarray(arr.shape, dtype="<u8").tobytes())
-        fh.write(np.ascontiguousarray(arr, dtype="<c16"))
+        for start in range(0, flat.size, _TENSOR_BLOCK):
+            fh.write(flat[start:start + _TENSOR_BLOCK].astype("<c16"))
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a tensor previously written by :func:`write_tensor`."""
+    """Read a tensor previously written by :func:`write_tensor`.
+
+    The header's element count is checked against the file size before
+    the one complex128 array is allocated and read into.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -48,11 +68,12 @@ def read_tensor(path) -> np.ndarray:
         if not 1 <= ndim <= 32:
             raise ValueError(f"implausible dimension count {ndim}")
         shape = tuple(int(d) for d in np.frombuffer(fh.read(8 * ndim), dtype="<u8"))
-        count = int(np.prod(shape))
-        data = np.frombuffer(fh.read(16 * count), dtype="<c16")
-        if data.size != count:
+        if len(shape) != ndim or (16 * math.prod(shape)
+                                  > os.fstat(fh.fileno()).st_size - fh.tell()):
             raise ValueError("tensor file truncated")
-        return data.reshape(shape).astype(np.complex128)
+        data = np.empty(shape, dtype="<c16")
+        fh.readinto(data)
+        return data.astype(np.complex128, copy=False)
 
 
 def format_float(x) -> str:
@@ -98,17 +119,42 @@ def _array_lines(table):
     """
     if table.ndim != 2 or table.dtype.kind not in "biuf":
         raise TypeError("array rows must be a 2-d array of real numbers")
-    distinct, index = np.unique(table.view(f"u{table.itemsize}").ravel(),
-                                return_inverse=True)
-    values = distinct.view(table.dtype)
+    values, index = _distinct(table)
     text = np.empty(values.size, dtype=f"S{_CELL_BYTES}")
     for start in range(0, values.size, _FORMAT_CHUNK):
         text[start:start + _FORMAT_CHUNK] = list(map(
             repr, values[start:start + _FORMAT_CHUNK].tolist()))
-    index = index.reshape(table.shape)
     return (b"\r\n".join(map(b",".join,
                              text[index[start:start + _ROW_CHUNK]].tolist()))
             + b"\r\n" for start in range(0, index.shape[0], _ROW_CHUNK))
+
+
+def _distinct(table):
+    """(distinct values, index) of a real array, told apart by bit pattern.
+
+    ``values[index]`` rebuilds ``table``, as ``np.unique`` of the bit
+    patterns with ``return_inverse`` would, in one rank pass with fewer
+    temporaries: argsort the keys, mark where each run of equal sorted
+    keys starts, and scatter the running count of run starts back through
+    the sort order.  Each temporary is freed once used, so at most about
+    17 bytes per cell are alive besides the keys of a non-contiguous
+    table; the index is int32 below 2**31 cells.
+    """
+    keys = table.view(f"u{table.itemsize}").ravel()
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.empty(keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    values = keys[starts].view(table.dtype)
+    del keys
+    index_dtype = np.int32 if starts.size < 2 ** 31 else np.intp
+    ranks = np.cumsum(starts, dtype=index_dtype)
+    del starts
+    ranks -= 1
+    index = np.empty(ranks.size, dtype=index_dtype)
+    index[order] = ranks
+    return values, index.reshape(table.shape)
 
 
 def read_csv_rows(path):

@@ -5,6 +5,8 @@ distortion identity is exercised as a property over random rate/duty/size
 triples.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -536,6 +538,33 @@ def test_write_af_tensor_round_trip(tmp_path):
     write_af_tensor(path, surface)
     back = read_tensor(path)
     assert np.array_equal(back, surface.magnitude.astype(complex))
+
+
+# Traced peaks, as multiples of the surface's bytes, of the 8191 x 65
+# export below (266,208 distinct values), recorded with Python 3.11 and
+# numpy 2.4 on x86-64: write_af_csv 3.69, write_af_tensor 0.25.  Ranking
+# the cells with np.unique(..., return_inverse=True) and writing through
+# a whole-surface complex128 copy read 6.74 and 2.00, above each bound.
+@pytest.mark.parametrize("write, name, bound", [
+    (write_af_csv, "af.csv", 4.5),
+    (write_af_tensor, "af.jrct", 0.5),
+], ids=["csv", "tensor"])
+def test_af_export_memory_peak_is_bounded(tmp_path, write, name, bound):
+    n, n_doppler = 8191, 65
+    draws = np.random.default_rng(16).random((n, n_doppler))
+    magnitude = (draws + draws[::-1, ::-1]) / 2
+    magnitude[n // 2, n_doppler // 2] = 1.0
+    surface = AfSurface(delays_s=np.arange(-(n // 2), n // 2 + 1) * 1e-9,
+                        dopplers_hz=np.linspace(-1e6, 1e6, n_doppler),
+                        magnitude=magnitude)
+    assert np.array_equal(magnitude, magnitude[::-1, ::-1])
+    tracemalloc.start()
+    try:
+        write(tmp_path / name, surface)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * magnitude.nbytes
 
 
 def test_write_cut_csv(tmp_path):

@@ -1,14 +1,17 @@
 """Binary tensor container and CSV helpers."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jrcsim.tensorio import (format_float, read_csv_rows, read_tensor,
-                             write_table_csv, write_tensor)
+from jrcsim import tensorio
+from jrcsim.tensorio import (MAGIC, _array_lines, _distinct, format_float,
+                             read_csv_rows, read_tensor, write_table_csv,
+                             write_tensor)
 
 
 def test_tensor_round_trip(tmp_path):
@@ -35,6 +38,49 @@ def test_tensor_one_dimensional(tmp_path):
     path = tmp_path / "vec.jrct"
     write_tensor(path, np.array([1.0, 2.0 + 3.0j]))
     assert np.array_equal(read_tensor(path), [1.0, 2.0 + 3.0j])
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.normal(size=(5, 7)),
+    lambda rng: rng.integers(-9, 9, size=(4, 6)),
+    lambda rng: rng.integers(0, 2 ** 64, size=(3, 5), dtype=np.uint64),
+    lambda rng: rng.random((6, 4)) < 0.5,
+    lambda rng: rng.normal(size=(9, 8))[::2, 1::3],
+    lambda rng: rng.normal(size=(3, tensorio._TENSOR_BLOCK // 2 + 1)),
+], ids=["float", "int", "uint64", "bool", "view", "blocks"])
+def test_tensor_real_input_writes_its_complex_cast(tmp_path, make):
+    arr = make(np.random.default_rng(5))
+    write_tensor(tmp_path / "real.jrct", arr)
+    write_tensor(tmp_path / "cast.jrct", arr.astype(np.complex128))
+    assert (tmp_path / "real.jrct").read_bytes() \
+        == (tmp_path / "cast.jrct").read_bytes()
+    assert np.array_equal(read_tensor(tmp_path / "real.jrct"), arr)
+
+
+@pytest.mark.parametrize("array", [np.array([["a", "b"]]),
+                                   np.array([1.0, "x"], dtype=object)],
+                         ids=["str", "object"])
+def test_tensor_rejects_non_numeric_before_creating_the_file(tmp_path,
+                                                             array):
+    path = tmp_path / "bad.jrct"
+    with pytest.raises(TypeError, match="numbers"):
+        write_tensor(path, array)
+    assert not path.exists()
+
+
+def test_tensor_huge_header_is_truncated_without_allocating(tmp_path):
+    path = tmp_path / "huge.jrct"
+    path.write_bytes(MAGIC + np.array([1, 1], dtype="<u4").tobytes()
+                     + np.array([2 ** 40], dtype="<u8").tobytes()
+                     + bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="tensor file truncated"):
+            read_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_tensor_rejects_scalar(tmp_path):
@@ -158,6 +204,60 @@ def test_write_table_csv_formats_repeated_values_exactly(tmp_path_factory,
         expected = ",".join(header) + "\r\n" + "".join(
             ",".join(format_float(x) for x in row) + "\r\n" for row in table)
         assert written.decode() == expected
+
+
+def unique_array_lines(table) -> bytes:
+    """The np.unique form of _array_lines: the reference for its rank pass."""
+    distinct, index = np.unique(table.view(f"u{table.itemsize}").ravel(),
+                                return_inverse=True)
+    text = [repr(v).encode() for v in distinct.view(table.dtype).tolist()]
+    return b"".join(b",".join(text[i] for i in row) + b"\r\n"
+                    for row in index.reshape(table.shape).tolist())
+
+
+NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF8000000000001,
+                         0xFFF8000000000000, 0x7FF0000000000002],
+                        dtype=np.uint64).view(np.float64)
+
+
+def random_table(rng, kind, shape):
+    """A table of the given dtype kind whose cells repeat edge values."""
+    n = int(np.prod(shape))
+    if kind == "f":
+        pool = np.concatenate([NAN_PAYLOADS, [0.0, -0.0, np.inf, -np.inf,
+                                              5e-324, 1e16, 0.1],
+                               rng.normal(size=8) * 1e5])
+        cells = np.where(rng.random(n) < 0.5, rng.choice(pool, n),
+                         rng.normal(size=n))
+    elif kind == "i":
+        pool = np.array([0, -1, 1, np.iinfo(np.int64).min,
+                         np.iinfo(np.int64).max], dtype=np.int64)
+        cells = np.where(rng.random(n) < 0.5, rng.choice(pool, n),
+                         rng.integers(-50, 50, n))
+    elif kind == "u":
+        pool = np.array([0, 1, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+        cells = np.where(rng.random(n) < 0.5, rng.choice(pool, n),
+                         rng.integers(0, 50, n, dtype=np.uint64))
+    else:
+        cells = rng.random(n) < 0.5
+    return cells.reshape(shape)
+
+
+@pytest.mark.parametrize("kind", ["f", "i", "u", "b"])
+@pytest.mark.parametrize("shape", [(1, 40), (40, 1), (17, 9), (1, 1)])
+def test_array_lines_matches_unique_oracle(kind, shape):
+    rng = np.random.default_rng([ord(kind), *shape])
+    for table in (random_table(rng, kind, shape),
+                  random_table(rng, kind, (2 * shape[0] + 1,
+                                           3 * shape[1]))[1::2, ::3]):
+        assert table.shape == shape
+        assert b"".join(_array_lines(table)) == unique_array_lines(table)
+        values, index = _distinct(table)
+        distinct, inverse = np.unique(
+            table.view(f"u{table.itemsize}").ravel(), return_inverse=True)
+        assert values.tobytes() == distinct.tobytes()
+        assert np.array_equal(index.ravel(), inverse)
+        assert index.dtype == np.int32
 
 
 def test_write_table_csv_rejects_complex_array(tmp_path):
