@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .channel import Scatterer, Scene
 from .estim import EstimatorConfig
-from .ofdma import OfdmaConfig
+from .ofdma import OfdmaConfig, _warn_isi
 from .pmcw import PmcwConfig
 from .sigcore import ArrayGeometry
 
@@ -103,7 +103,9 @@ class ScenarioConfig:
             if 2 ** order - 1 != length or not 2 <= order <= 16:
                 raise ValueError("code_kind 'mseq' needs a pmcw code_length "
                                  "of the form 2^m - 1 with 2 <= m <= 16")
-        if self.waveform != "ofdma":  # delays the model cannot hold
+        if self.waveform == "ofdma":  # beyond the prefix, delays only warn
+            _warn_isi(self.ofdma, self.scene.scatterers, stacklevel=4)
+        else:  # delays the model cannot hold
             wave = self.waveform_config
             step, limit, unit, window = (
                 (wave.chip_time, wave.code_length, "chip", "code")

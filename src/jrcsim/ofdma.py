@@ -13,9 +13,10 @@ contribution is
 
 sampled at t_s = 1/(N_c df) so the IFFT length equals the fast-time sample
 count.  The cyclic prefix is stripped before cube formation; target delays
-beyond the CP only draw a warning because the sampled-sum model stays
-well defined.  The unit response (all but d_q * a_{n,m}) is written once,
-in :func:`_ofdma_response`; bound to a config, it is what
+beyond the CP only draw a warning (:func:`_warn_isi`, which a scenario
+config calls too) because the sampled-sum model stays well defined.  The
+unit response (all but d_q * a_{n,m}) is written once, in
+:func:`_ofdma_response`; bound to a config, it is what
 ``channel._synthesize`` evaluates on every subcarrier, and what the
 decoder's amplitude fit and the runner's CRLB proxy evaluate.
 """
@@ -216,9 +217,23 @@ def ofdma_receive_cube(scene: Scene, config: OfdmaConfig, grid: SymbolGrid,
     if grid.n_subcarriers != config.n_subcarriers or grid.n_symbols != config.n_symbols:
         raise ValueError("grid dimensions do not match the configuration")
 
-    data = _ofdma_synthesize(scene, config, grid.symbols[None], [cpi_index],
-                             [rng])
+    _warn_isi(config, scene.scatterers)
+    data = _synthesize(scene, config, grid.symbols[None],
+                       partial(_ofdma_response, config), [cpi_index], [rng])
     return ReceiveCube(data=data[0], config=config)
+
+
+def _warn_isi(config: OfdmaConfig, scatterers, stacklevel: int = 3) -> None:
+    """Warn IsiWarning for each scatterer delayed beyond the cyclic
+    prefix, whose inter-symbol interference the cube model leaves out;
+    ``stacklevel`` is ``warnings.warn``'s, counted from this helper."""
+    cp_duration = config.cp_samples * config.sample_time
+    for q, sc in enumerate(scatterers):
+        if sc.delay_s > cp_duration:
+            warnings.warn(
+                f"scatterer {q} delay {sc.delay_s:.3e} s exceeds the cyclic "
+                f"prefix ({cp_duration:.3e} s); inter-symbol interference is "
+                "not modeled", IsiWarning, stacklevel=stacklevel)
 
 
 def _ofdma_response(config: OfdmaConfig, delay_s: float, doppler_hz: float,
@@ -235,19 +250,3 @@ def _ofdma_response(config: OfdmaConfig, delay_s: float, doppler_hz: float,
                    * np.sin(angle_rad) * np.arange(config.geometry.n_rx))
     return (phase_n[:, None] * phase_m[None, :])[:, :, None] \
         * steer[None, None, :]
-
-
-def _ofdma_synthesize(scene: Scene, config: OfdmaConfig, symbols: np.ndarray,
-                      cpi_indices, rngs) -> np.ndarray:
-    """Subcarrier-domain receive data of a stack of CPIs, shape
-    (CPIs, N_c, N_s, N_r), for the symbol grids ``symbols``; see
-    ``channel._synthesize``.  A delay beyond the cyclic prefix warns."""
-    cp_duration = config.cp_samples * config.sample_time
-    for q, sc in enumerate(scene.scatterers):
-        if sc.delay_s > cp_duration:
-            warnings.warn(
-                f"scatterer {q} delay {sc.delay_s:.3e} s exceeds the cyclic "
-                f"prefix ({cp_duration:.3e} s); inter-symbol interference is "
-                "not modeled", IsiWarning, stacklevel=3)
-    return _synthesize(scene, config, symbols,
-                       partial(_ofdma_response, config), cpi_indices, rngs)

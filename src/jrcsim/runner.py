@@ -13,7 +13,18 @@ noise inside the receive synthesizer.  Peak picking, the amplitude
 least-squares fit and the matching to the truth stay per trial.  A batch
 in which some trial raises a ValueError is rerun one trial at a time, so
 only that trial fails.  The process pool runs every trial as a batch of
-one.  Every waveform's trial is recorded by ``_outcome``: it matches each
+one.
+
+The two cube waveforms differ only in how they multiplex radar and data,
+and ``_CUBES`` binds each to a ``_Cube`` for one (config, sweep point):
+its radar-slot mask, payload bits per CPI, symbol-stack and transmit
+builders, bound unit response, the estimator's demodulation, map layout
+and DPSK plug-ins, its matching scales and the trade-off's N.  One trial
+body, ``_cube_trials``, runs both from it, a binding per batch; the PSL,
+p_D and trade-off code share one binding per point.  Nothing else here
+tells PMCW from OFDMA.
+
+Every waveform's trial is recorded by ``_outcome``: it matches each
 true (delay, Doppler, angle) to its nearest coarse and refined estimate,
 and those matches are the trial's ``estimates.csv`` rows.  Golay sounds
 delay alone; its NaN Doppler and angle drop out of the match.
@@ -37,6 +48,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +59,7 @@ from .estim import (_demodulate, _detect, _ofdma_derotate, _ofdma_dpsk,
                     _ofdma_layout, _pmcw_correlate, _pmcw_dpsk, _pmcw_layout,
                     _refined, _windows, golay_cef_waveform,
                     golay_range_estimate, profile_peaks)
-from .ofdma import _ofdma_response, _ofdma_synthesize, _symbol_grids, \
+from .ofdma import OfdmaConfig, _ofdma_response, _symbol_grids, \
     build_symbol_grid, grid_capacity_bits, ofdma_pilot_mask, ofdma_transmit
 from .perf import TradeoffSpec, crlb_proxy, jrc_objective, mmse_from_rate, \
     peak_sidelobe_ratio
@@ -209,82 +221,102 @@ def _point_scene(config: ScenarioConfig, wavecfg, point: SweepPoint):
                    noise_variance=_noise_variance(config, point, amps))
 
 
-def _matching_scales(wavecfg) -> tuple:
-    """(delay, Doppler, angle) resolution of a PMCW or OFDMA CPI, which
-    scales the truth-matching distance and, over 64, the CRLB steps."""
-    if isinstance(wavecfg, PmcwConfig):
-        delay, cpi = wavecfg.chip_time, wavecfg.n_frames * wavecfg.block_time
-    else:
-        delay = wavecfg.sample_time
-        cpi = wavecfg.n_symbols * wavecfg.symbol_duration
-    return delay, 1.0 / cpi, 1.0 / wavecfg.geometry.n_rx
-
-
 def _parameters(targets) -> list:
     """(delay, Doppler, angle) of each estimated target, as floats."""
     return [(float(t.delay_s), float(t.doppler_hz), float(t.angle_rad))
             for t in targets]
 
 
-def _record_trials(config, wavecfg, point, trials, coarse, refined, payload,
-                   bits_hat) -> list:
-    """One outcome per trial: every truth with its nearest coarse and
-    refined estimate, and the bit errors of its payload."""
-    scales = _matching_scales(wavecfg)
+@dataclass(frozen=True)
+class _Cube:
+    """A cube waveform bound to one config and sweep point: every fact of
+    the waveform that the trials, PSL, p_D and trade-off read.
+
+    ``scales`` is the (delay, Doppler, angle) resolution of one CPI, which
+    scales the truth-matching distance and, over 64, the CRLB steps.
+    """
+
+    radar: np.ndarray  # radar-slot mask over the cube's first axis
+    capacity: int  # payload bits per CPI
+    symbols: Callable  # (CPIs, capacity) bits -> their slot symbols
+    transmit: Callable  # one CPI's bits -> its per-antenna samples
+    response: Callable  # unit response (delay, Doppler, angle, slots)
+    demod: Callable  # estim._detect / _windows demodulation
+    layout: Callable  # estim map layout (known, est)
+    dpsk: Callable  # estim._demodulate DPSK layout
+    scales: tuple
+    n_len: int  # the trade-off's N: code length or subcarrier count
+
+
+def _pmcw_cube(config: ScenarioConfig, wavecfg: PmcwConfig) -> _Cube:
+    order, sched = config.symbol_order, pmcw_schedule(wavecfg)
+    code = build_code(config, wavecfg)
+    code_spec = np.fft.fft(code.chips())
+    return _Cube(
+        radar=sched, capacity=payload_capacity_bits(sched, order),
+        symbols=partial(_frame_symbols, sched, order=order),
+        transmit=lambda bits: pmcw_transmit(
+            wavecfg, code, pmcw_frame_symbols(sched, bits, order)),
+        response=partial(_pmcw_response, wavecfg, code_spec),
+        demod=partial(_pmcw_correlate, code_spec=code_spec),
+        layout=partial(_pmcw_layout, wavecfg), dpsk=_pmcw_dpsk,
+        scales=(wavecfg.chip_time,
+                1.0 / (wavecfg.n_frames * wavecfg.block_time),
+                1.0 / wavecfg.geometry.n_rx),
+        n_len=wavecfg.code_length)
+
+
+def _ofdma_cube(config: ScenarioConfig, wavecfg: OfdmaConfig) -> _Cube:
+    order = config.symbol_order
+    return _Cube(
+        radar=ofdma_pilot_mask(wavecfg),
+        capacity=grid_capacity_bits(wavecfg, order),
+        symbols=partial(_symbol_grids, wavecfg, order=order),
+        transmit=lambda bits: ofdma_transmit(
+            wavecfg, build_symbol_grid(wavecfg, bits, order)),
+        response=partial(_ofdma_response, wavecfg), demod=_ofdma_derotate,
+        layout=partial(_ofdma_layout, wavecfg), dpsk=_ofdma_dpsk,
+        scales=(wavecfg.sample_time,
+                1.0 / (wavecfg.n_symbols * wavecfg.symbol_duration),
+                1.0 / wavecfg.geometry.n_rx),
+        n_len=wavecfg.n_subcarriers)
+
+
+# Each cube waveform's binding; every per-waveform fact is read from it.
+_CUBES = {"pmcw": _pmcw_cube, "ofdma": _ofdma_cube}
+
+
+def _point_cube(config: ScenarioConfig, wavecfg) -> _Cube | None:
+    """The point's cube-waveform binding; None for Golay sounding."""
+    bind = _CUBES.get(config.waveform)
+    return bind(config, wavecfg) if bind else None
+
+
+def _cube_trials(config, point, trials) -> list:
+    """One outcome per trial of a cube waveform: every truth with its
+    nearest coarse and refined estimate, and its payload's bit errors."""
+    wavecfg = _effective_config(config, point)
+    cube = _CUBES[config.waveform](config, wavecfg)
+    rngs, payload = _trial_payloads(config, point, trials, cube.capacity)
+    symbols = cube.symbols(payload)
+    data = _synthesize(_point_scene(config, wavecfg, point), wavecfg,
+                       symbols, cube.response, trials, rngs)
+    _, coarse = _detect(data, symbols, cube.radar, cube.demod, cube.layout,
+                        config.estimator)
+    bits_hat, _, full_symbols = _demodulate(
+        data, symbols, cube.radar, cube.response, coarse,
+        config.symbol_order, cube.dpsk)
+    fine = config.estimator.refined(config.refine_factor)
+    _, refined = _refined(_windows(data, full_symbols, cube.demod,
+                                   cube.layout, fine), fine)
+
     truths = _true_parameters(config, wavecfg)
     errors = np.count_nonzero(bits_hat != payload, axis=1).tolist()
     return [_outcome(point, trial, truths, _parameters(found),
-                     _parameters(kept), scales, n_bits=payload.shape[1],
+                     _parameters(kept), cube.scales, n_bits=payload.shape[1],
                      bit_errors=n_errors)
             for trial, found, kept, n_errors in zip(trials, coarse, refined,
                                                      errors)]
-
-
-def _pmcw_trials(config, point, trials) -> list:
-    wavecfg = _effective_config(config, point)
-    order = config.symbol_order
-    sched = pmcw_schedule(wavecfg)
-    code_spec = np.fft.fft(build_code(config, wavecfg).chips())
-    rngs, payload = _trial_payloads(config, point, trials,
-                                    payload_capacity_bits(sched, order))
-    symbols = _frame_symbols(sched, payload, order)
-    response = partial(_pmcw_response, wavecfg, code_spec)
-    data = _synthesize(_point_scene(config, wavecfg, point), wavecfg,
-                       symbols, response, trials, rngs)
-    demod = partial(_pmcw_correlate, code_spec=code_spec)
-    layout = partial(_pmcw_layout, wavecfg)
-    _, coarse = _detect(data, symbols, sched, demod, layout, config.estimator)
-    bits_hat, _, full_symbols = _demodulate(data, symbols, sched, response,
-                                            coarse, order, _pmcw_dpsk)
-    fine = config.estimator.refined(config.refine_factor)
-    _, refined = _refined(_windows(data, full_symbols, demod, layout, fine),
-                          fine)
-
-    return _record_trials(config, wavecfg, point, trials, coarse, refined,
-                          payload, bits_hat)
-
-
-def _ofdma_trials(config, point, trials) -> list:
-    wavecfg = _effective_config(config, point)
-    order = config.symbol_order
-    rngs, payload = _trial_payloads(config, point, trials,
-                                    grid_capacity_bits(wavecfg, order))
-    grids = _symbol_grids(wavecfg, payload, order)
-    radar_rows = ofdma_pilot_mask(wavecfg)
-    data = _ofdma_synthesize(_point_scene(config, wavecfg, point), wavecfg,
-                             grids, trials, rngs)
-    layout = partial(_ofdma_layout, wavecfg)
-    _, coarse = _detect(data, grids, radar_rows, _ofdma_derotate, layout,
-                        config.estimator)
-    bits_hat, _, full_symbols = _demodulate(
-        data, grids, radar_rows, partial(_ofdma_response, wavecfg), coarse,
-        order, _ofdma_dpsk)
-    fine = config.estimator.refined(config.refine_factor)
-    _, refined = _refined(_windows(data, full_symbols, _ofdma_derotate,
-                                   layout, fine), fine)
-
-    return _record_trials(config, wavecfg, point, trials, coarse, refined,
-                          payload, bits_hat)
 
 
 def _golay_received(config, wavecfg, amplitudes, noise_variance, rng):
@@ -326,11 +358,7 @@ def _golay_trials(config, point, trials) -> list:
     return outcomes
 
 
-_POINT_FNS = {"pmcw": _pmcw_trials, "ofdma": _ofdma_trials,
-              "golay": _golay_trials}
-
-# The radar/comm split of each cube waveform: a mask over the cube's slots.
-_RADAR_MASKS = {"pmcw": pmcw_schedule, "ofdma": ofdma_pilot_mask}
+_POINT_FNS = {**dict.fromkeys(_CUBES, _cube_trials), "golay": _golay_trials}
 
 # Receive-cube cells one batch may stack (256 kB of samples).  A batch's
 # refinement windows take several times its cubes' memory, so more trials
@@ -385,48 +413,38 @@ def _run_single_trial(args) -> TrialOutcome:
 
 
 def _point_waveform_samples(config: ScenarioConfig, wavecfg,
-                            point: SweepPoint) -> np.ndarray:
-    """Trial-0 transmit samples of this sweep point (payload included)."""
-    order = config.symbol_order
-    if config.waveform == "pmcw":
-        sched = pmcw_schedule(wavecfg)
-        _, payload = _trial_payloads(config, point, [0],
-                                     payload_capacity_bits(sched, order))
-        symbols = pmcw_frame_symbols(sched, payload[0], order)
-        return pmcw_transmit(wavecfg, build_code(config, wavecfg),
-                             symbols)[0].ravel()
-    if config.waveform == "ofdma":
-        _, payload = _trial_payloads(config, point, [0],
-                                     grid_capacity_bits(wavecfg, order))
-        grid = build_symbol_grid(wavecfg, payload[0], order)
-        return ofdma_transmit(wavecfg, grid)[0].ravel()
-    pair = golay_pair(wavecfg.log2_length)
-    return golay_cef_waveform(pair, wavecfg.guard_samples).astype(complex)
+                            point: SweepPoint, cube) -> np.ndarray:
+    """Trial-0 transmit samples of this sweep point (payload included),
+    from its ``_point_cube`` binding."""
+    if cube is None:
+        pair = golay_pair(wavecfg.log2_length)
+        return golay_cef_waveform(pair, wavecfg.guard_samples).astype(complex)
+    _, payload = _trial_payloads(config, point, [0], cube.capacity)
+    return cube.transmit(payload[0])[0].ravel()
 
 
-def _point_psl_db(config: ScenarioConfig, wavecfg,
-                  point: SweepPoint) -> float:
+def _point_psl_db(config: ScenarioConfig, wavecfg, point: SweepPoint,
+                  cube) -> float:
     """PSL of the point's waveform autocorrelation (the AF's zero-Doppler
     cut up to its energy scale, which the ratio drops)."""
-    samples = _point_waveform_samples(config, wavecfg, point)
+    samples = _point_waveform_samples(config, wavecfg, point, cube)
     try:
         return peak_sidelobe_ratio(np.abs(aperiodic_autocorr(samples)))
     except ValueError:
         return math.nan
 
 
-def _integration_gain(config: ScenarioConfig, wavecfg) -> float:
+def _integration_gain(wavecfg, cube) -> float:
     """Samples coherently integrated over the radar-only resources: the
-    radar slots times the cube's samples per slot, or both Golay pair
-    members."""
-    if config.waveform == "golay":
+    radar slots of the ``_point_cube`` binding times the cube's samples
+    per slot, or both Golay pair members."""
+    if cube is None:
         return 2.0 * 2 ** wavecfg.log2_length
-    n_radar = int(np.count_nonzero(_RADAR_MASKS[config.waveform](wavecfg)))
-    return n_radar * wavecfg.cube_shape[1]
+    return int(np.count_nonzero(cube.radar)) * wavecfg.cube_shape[1]
 
 
 def _point_p_detect(config: ScenarioConfig, wavecfg, point: SweepPoint,
-                    amplitudes: np.ndarray) -> float:
+                    amplitudes: np.ndarray, cube) -> float:
     """Detection probability of the closed-form detector model.
 
     Uses the coherent integration gain over the radar-only resources on
@@ -436,7 +454,7 @@ def _point_p_detect(config: ScenarioConfig, wavecfg, point: SweepPoint,
     it is NaN.
     """
     signal_power = float(np.sum(np.abs(amplitudes) ** 2))
-    gain = _integration_gain(config, wavecfg)
+    gain = _integration_gain(wavecfg, cube)
     if amplitudes.size == 0 or gain == 0 or (signal_power == 0
                                              and point.snr_db is not None):
         return math.nan
@@ -455,14 +473,10 @@ def scenario_waveform_samples(config: ScenarioConfig):
     """
     point = SweepPoint(index=0, mu_percent=None, snr_db=None)
     wavecfg = config.waveform_config
-    samples = _point_waveform_samples(config, wavecfg, point)
-    if config.waveform == "pmcw":
-        rate = 1.0 / wavecfg.chip_time
-    elif config.waveform == "ofdma":
-        rate = 1.0 / wavecfg.sample_time
-    else:
-        rate = 1.0 / wavecfg.sample_time_s
-    return samples, rate
+    cube = _point_cube(config, wavecfg)
+    samples = _point_waveform_samples(config, wavecfg, point, cube)
+    return samples, 1.0 / (wavecfg.sample_time_s if cube is None
+                           else cube.scales[0])
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +484,14 @@ def scenario_waveform_samples(config: ScenarioConfig):
 # ---------------------------------------------------------------------------
 
 
-def _comm_fraction(config: ScenarioConfig, wavecfg) -> float:
-    """Share of the cube's slots carrying data (golay configs have no
-    weights, so never get here)."""
-    return float(np.mean(~_RADAR_MASKS[config.waveform](wavecfg)))
-
-
 def _tradeoff_rows(config: ScenarioConfig, wavecfg, point: SweepPoint,
-                   mu_value: float, amplitudes: np.ndarray) -> list:
-    """One (objective) row per sweep weight, where the terms are defined."""
+                   mu_value: float, amplitudes: np.ndarray, cube) -> list:
+    """One (objective) row per sweep weight, where the terms are defined,
+    from the point's ``_point_cube`` binding (golay configs have no
+    weights, so never get past the first test)."""
     if not config.weights:
         return []
-    delta = _comm_fraction(config, wavecfg)
+    delta = float(np.mean(~cube.radar))  # share of slots carrying data
     # Without payload (delta 0) or radar slot (delta 1) a term is undefined;
     # the CRLB term is taken at the first scatterer and needs its signal.
     if not 0 < delta < 1 or not np.any(amplitudes[:1]):
@@ -490,31 +500,24 @@ def _tradeoff_rows(config: ScenarioConfig, wavecfg, point: SweepPoint,
     if sigma2 == 0:
         return []
     rate = math.log2(config.symbol_order)
-    n_len = (wavecfg.code_length if config.waveform == "pmcw"
-             else wavecfg.n_subcarriers)
-    mmse = mmse_from_rate(rate, n_len)
+    mmse = mmse_from_rate(rate, cube.n_len)
 
     sc = config.scene.scatterers[0]
     doppler = sc.resolve_doppler(wavecfg.wavelength)
     theta = np.array([sc.delay_s, doppler, sc.angle_rad])
-    d_scale, f_scale, _ = _matching_scales(wavecfg)
+    d_scale, f_scale, _ = cube.scales
     steps = np.array([d_scale / 64, f_scale / 64, 1e-3])
     amp0 = abs(amplitudes[0])
-    if config.waveform == "pmcw":
-        response = partial(_pmcw_response, wavecfg,
-                           np.fft.fft(build_code(config, wavecfg).chips()))
-    else:
-        response = partial(_ofdma_response, wavecfg)
     # The Fisher proxy differentiates the receive model on every slot.
     slots = np.arange(wavecfg.cube_shape[0])
-    crlb = crlb_proxy(lambda th: amp0 * response(*th, slots), theta, sigma2,
-                      steps)
+    crlb = crlb_proxy(lambda th: amp0 * cube.response(*th, slots), theta,
+                      sigma2, steps)
 
     rows = []
     for w in config.weights:
         objective = jrc_objective(TradeoffSpec(
-            rate=rate, delta=delta, code_length=n_len, mmse=mmse, crlb=crlb,
-            n_targets=len(config.scene.scatterers), weight=w))
+            rate=rate, delta=delta, code_length=cube.n_len, mmse=mmse,
+            crlb=crlb, n_targets=len(config.scene.scatterers), weight=w))
         rows.append([mu_value, _snr_field(point.snr_db), w, delta, rate,
                      objective])
     return rows
@@ -530,7 +533,7 @@ def _snr_field(snr_db) -> float:
 
 
 def _aggregate_point(config: ScenarioConfig, point: SweepPoint,
-                     outcomes: list) -> PointResult:
+                     outcomes: list, cube) -> PointResult:
     wavecfg = _effective_config(config, point)
     mu_value = getattr(wavecfg, "mu_percent", 0.0)
     amps = _nominal_amplitudes(config, wavecfg)
@@ -564,33 +567,31 @@ def _aggregate_point(config: ScenarioConfig, point: SweepPoint,
         n_bits=n_bits,
         n_bit_errors=n_errors,
         ber=(n_errors / n_bits) if n_bits else math.nan,
-        psl_db=_point_psl_db(config, wavecfg, point),
-        p_detect=_point_p_detect(config, wavecfg, point, amps),
+        psl_db=_point_psl_db(config, wavecfg, point, cube),
+        p_detect=_point_p_detect(config, wavecfg, point, amps, cube),
     )
+
+
+# The point tables' columns, each a PointResult field of the same name.
+_POINT_TABLES = {
+    "rmse_vs_snr.csv": (
+        "mu_percent", "snr_db", "n_trials", "n_failures",
+        "rmse_delay_s", "rmse_doppler_hz", "rmse_angle_rad",
+        "refined_rmse_delay_s", "refined_rmse_doppler_hz",
+        "refined_rmse_angle_rad"),
+    "ber_vs_snr.csv": (
+        "mu_percent", "snr_db", "n_trials", "n_bits", "n_bit_errors", "ber"),
+}
 
 
 def _write_outputs(out_dir: Path, config: ScenarioConfig, results: list,
                    outcomes_by_point: list, tradeoff_rows: list) -> list:
     outputs = []
-
-    rmse_path = out_dir / "rmse_vs_snr.csv"
-    write_table_csv(rmse_path, [
-        "mu_percent", "snr_db", "n_trials", "n_failures",
-        "rmse_delay_s", "rmse_doppler_hz", "rmse_angle_rad",
-        "refined_rmse_delay_s", "refined_rmse_doppler_hz",
-        "refined_rmse_angle_rad"],
-        [[r.mu_percent, _snr_field(r.snr_db), r.n_trials, r.n_failures,
-          r.rmse_delay_s, r.rmse_doppler_hz, r.rmse_angle_rad,
-          r.refined_rmse_delay_s, r.refined_rmse_doppler_hz,
-          r.refined_rmse_angle_rad] for r in results])
-    outputs.append(rmse_path.name)
-
-    ber_path = out_dir / "ber_vs_snr.csv"
-    write_table_csv(ber_path, [
-        "mu_percent", "snr_db", "n_trials", "n_bits", "n_bit_errors", "ber"],
-        [[r.mu_percent, _snr_field(r.snr_db), r.n_trials, r.n_bits,
-          r.n_bit_errors, r.ber] for r in results])
-    outputs.append(ber_path.name)
+    for name, columns in _POINT_TABLES.items():
+        write_table_csv(out_dir / name, columns, [
+            [_snr_field(r.snr_db) if c == "snr_db" else getattr(r, c)
+             for c in columns] for r in results])
+        outputs.append(name)
 
     est_path = out_dir / "estimates.csv"
     rows = []
@@ -657,15 +658,14 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
     outcomes_by_point = [flat[i * config.trials:(i + 1) * config.trials]
                          for i in range(len(points))]
 
-    results = [_aggregate_point(config, point, outcomes)
-               for point, outcomes in zip(points, outcomes_by_point)]
-
-    tradeoff_rows = []
-    for point, result in zip(points, results):
+    results, tradeoff_rows = [], []
+    for point, outcomes in zip(points, outcomes_by_point):
         wavecfg = _effective_config(config, point)
-        amps = _nominal_amplitudes(config, wavecfg)
-        tradeoff_rows.extend(
-            _tradeoff_rows(config, wavecfg, point, result.mu_percent, amps))
+        cube = _point_cube(config, wavecfg)  # one binding for both
+        results.append(_aggregate_point(config, point, outcomes, cube))
+        tradeoff_rows.extend(_tradeoff_rows(
+            config, wavecfg, point, results[-1].mu_percent,
+            _nominal_amplitudes(config, wavecfg), cube))
 
     outputs = _write_outputs(destination, config, results,
                              outcomes_by_point, tradeoff_rows)
@@ -680,18 +680,11 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
         wall_clock_s=time.perf_counter() - started)
 
     report_path = Path(destination) / "report.json"
-    payload = {
-        "config_hash": report.config_hash,
-        "seed": report.seed,
-        "waveform": report.waveform,
-        "wall_clock_s": report.wall_clock_s,
-        "outputs": report.outputs,
-        "points": [
-            {k: _json_safe(v) for k, v in vars(r).items()}
-            for r in report.points],
-        "tradeoff": [[_json_safe(v) for v in row]
-                     for row in report.tradeoff],
-    }
+    payload = dict(
+        vars(report),
+        points=[{k: _json_safe(v) for k, v in vars(r).items()}
+                for r in report.points],
+        tradeoff=[[_json_safe(v) for v in row] for row in report.tradeoff])
     with open(report_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -54,22 +54,26 @@ def write_tensor(path, array) -> None:
 def read_tensor(path) -> np.ndarray:
     """Read a tensor previously written by :func:`write_tensor`.
 
-    The header's element count is checked against the file size before
-    the one complex128 array is allocated and read into.
+    Each fixed header read is checked to be whole, and the header's
+    element count against the file size, before the one complex128 array
+    is allocated and read into.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"not a tensor file (bad magic {magic!r})")
-        version = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
+        head = fh.read(12)  # magic, version, ndim
+        if head[:4] != MAGIC:
+            raise ValueError(f"not a tensor file (bad magic {head[:4]!r})")
+        if len(head) < 12:
+            raise ValueError("tensor file truncated")
+        version, ndim = map(int, np.frombuffer(head, dtype="<u4", offset=4))
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported tensor format version {version}")
-        ndim = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
         if not 1 <= ndim <= 32:
             raise ValueError(f"implausible dimension count {ndim}")
-        shape = tuple(int(d) for d in np.frombuffer(fh.read(8 * ndim), dtype="<u8"))
-        if len(shape) != ndim or (16 * math.prod(shape)
-                                  > os.fstat(fh.fileno()).st_size - fh.tell()):
+        sizes = fh.read(8 * ndim)
+        if len(sizes) < 8 * ndim:
+            raise ValueError("tensor file truncated")
+        shape = tuple(map(int, np.frombuffer(sizes, dtype="<u8")))
+        if 16 * math.prod(shape) > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ValueError("tensor file truncated")
         data = np.empty(shape, dtype="<c16")
         fh.readinto(data)

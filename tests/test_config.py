@@ -11,6 +11,7 @@ from jrcsim import config as config_module
 from jrcsim.config import (ConfigError, GolayRunConfig, ScenarioConfig,
                            canonical_dict, canonical_json, config_hash,
                            load_config, parse_config, save_config)
+from jrcsim.ofdma import IsiWarning
 
 PINNED = Path(__file__).with_name("pinned_scenarios.json")
 
@@ -375,7 +376,8 @@ def test_delay_beyond_the_waveform_window_rejected(base, near, beyond,
     assert parse_config(data).scene.scatterers[1].delay_s == near
     data["waveform"], data["ofdma"] = "ofdma", base_ofdma()["ofdma"]
     data["scene"]["scatterers"][1]["delay_s"] = beyond
-    parse_config(data)  # OFDMA takes any delay
+    with pytest.warns(IsiWarning):  # OFDMA takes any delay, and warns
+        parse_config(data)  # beyond its cyclic prefix
 
 
 @pytest.mark.parametrize("sweep", [{"mu_percent": [25, 50]},

@@ -9,8 +9,6 @@ the synthesized cubes against the responses, they may differ in the last
 bits only.
 """
 
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -18,10 +16,10 @@ from jrcsim import runner
 from jrcsim.channel import Scatterer, Scene
 from jrcsim.config import parse_config
 from jrcsim.estim import TargetEstimate
-from jrcsim.ofdma import _ofdma_response, build_symbol_grid, \
-    grid_capacity_bits, ofdma_receive_cube
-from jrcsim.pmcw import _pmcw_response, payload_capacity_bits, \
-    pmcw_frame_symbols, pmcw_receive_cube, pmcw_schedule
+from jrcsim.ofdma import build_symbol_grid, grid_capacity_bits, \
+    ofdma_receive_cube
+from jrcsim.pmcw import payload_capacity_bits, pmcw_frame_symbols, \
+    pmcw_receive_cube, pmcw_schedule
 
 
 def scenario(waveform, n_rx, spacing):
@@ -97,13 +95,11 @@ def joint_phase_pmcw_basis(config, chips, target, m_indices):
 
 
 def unit_response(config, wavecfg):
-    """The waveform's response as the runner binds it for the CRLB proxy,
-    with every slot: ``response(delay, Doppler, angle, slots)``."""
-    if config.waveform == "pmcw":
-        spec = np.fft.fft(runner.build_code(config, wavecfg).chips())
-        return (partial(_pmcw_response, wavecfg, spec),
-                np.arange(wavecfg.n_frames))
-    return partial(_ofdma_response, wavecfg), np.arange(wavecfg.n_subcarriers)
+    """The waveform's response as the runner binds it for the trials and
+    the CRLB proxy, with every slot: ``response(delay, Doppler, angle,
+    slots)``."""
+    cube = runner._CUBES[config.waveform](config, wavecfg)
+    return cube.response, np.arange(wavecfg.cube_shape[0])
 
 
 def at(response, target, slots):
@@ -118,8 +114,9 @@ def target_at(delay_s, doppler_hz, angle_rad, delay_bin=0):
                           power=0.0)
 
 
-def random_theta(rng, wavecfg):
-    d_scale, f_scale, _ = runner._matching_scales(wavecfg)
+def random_theta(rng, config, wavecfg):
+    d_scale, f_scale, _ = runner._CUBES[config.waveform](config,
+                                                          wavecfg).scales
     # Angles may cross +-pi/2 by the proxy's 1e-3 rad step.
     return np.array([rng.uniform(0, 20) * d_scale,
                      rng.uniform(-0.5, 0.5) * f_scale * 8,
@@ -135,7 +132,7 @@ def test_crlb_model_is_bitwise_its_oracle(waveform, n_rx, spacing):
     oracle = crlb_model_oracle(config, wavecfg)
     rng = np.random.default_rng([n_rx, 17])
     for _ in range(40):
-        theta = random_theta(rng, wavecfg)
+        theta = random_theta(rng, config, wavecfg)
         assert np.array_equal(response(*theta, slots), oracle(theta))
 
 
@@ -143,8 +140,9 @@ def test_crlb_model_is_bitwise_its_oracle(waveform, n_rx, spacing):
 def test_crlb_steps_equal_the_per_waveform_table(waveform):
     # Matching scale / 64 is the step the proxy took from its own table;
     # 64 is a power of two, so the floats are the same.
-    wavecfg = scenario(waveform, 4, 0.5).waveform_config
-    d_scale, f_scale, _ = runner._matching_scales(wavecfg)
+    config = scenario(waveform, 4, 0.5)
+    wavecfg = config.waveform_config
+    d_scale, f_scale, _ = runner._CUBES[waveform](config, wavecfg).scales
     if waveform == "pmcw":
         table = (wavecfg.chip_time / 64,
                  1.0 / (64 * wavecfg.n_frames * wavecfg.block_time))

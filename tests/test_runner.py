@@ -1,6 +1,7 @@
 """Sweep orchestration: determinism, worker independence, output tables."""
 
 import json
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -15,7 +16,7 @@ from jrcsim.config import ConfigError, config_hash, parse_config
 from jrcsim.estim import (ofdma_decode, ofdma_range_doppler_angle,
                           ofdma_refine, pmcw_decode, pmcw_range_doppler,
                           pmcw_refine)
-from jrcsim.ofdma import build_symbol_grid, grid_capacity_bits, \
+from jrcsim.ofdma import IsiWarning, build_symbol_grid, grid_capacity_bits, \
     ofdma_receive_cube
 from jrcsim.perf import ambiguity_function, peak_sidelobe_ratio
 from jrcsim.pmcw import payload_capacity_bits, pmcw_frame_symbols, \
@@ -255,9 +256,11 @@ def test_p_detect_undefined_without_signal_or_noise(tmp_path):
     # With noise but no signal the detector fires at its false-alarm rate.
     noisy = pmcw_scenario(scene=dict(silent, noise_variance=0.1))
     null_point = SweepPoint(index=0, mu_percent=None, snr_db=None)
+    wavecfg = noisy.waveform_config
     assert runner._point_p_detect(
-        noisy, noisy.waveform_config, null_point,
-        np.zeros(1, dtype=complex)) == pytest.approx(noisy.false_alarm)
+        noisy, wavecfg, null_point, np.zeros(1, dtype=complex),
+        runner._point_cube(noisy, wavecfg)) == pytest.approx(
+            noisy.false_alarm)
 
 
 def test_tradeoff_skips_a_silent_first_scatterer(tmp_path):
@@ -394,11 +397,12 @@ def test_programming_error_in_trial_propagates(tmp_path, monkeypatch):
 def test_point_psl_is_autocorrelation_psl(config):
     point = SweepPoint(index=0, mu_percent=None, snr_db=None)
     wavecfg = config.waveform_config
-    x = runner._point_waveform_samples(config, wavecfg, point)
+    cube = runner._point_cube(config, wavecfg)
+    x = runner._point_waveform_samples(config, wavecfg, point, cube)
     lags = np.arange(-(x.size - 1), x.size, dtype=float)
     cut = ambiguity_function(x, lags, np.zeros(1)).magnitude[:, 0]
-    assert runner._point_psl_db(config, wavecfg, point) == pytest.approx(
-        peak_sidelobe_ratio(cut), abs=1e-9)
+    psl = runner._point_psl_db(config, wavecfg, point, cube)
+    assert psl == pytest.approx(peak_sidelobe_ratio(cut), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +601,30 @@ def test_integration_gain_and_comm_fraction_count_radar_slots(make, mu, gain,
                                                               comm):
     config = make()
     wavecfg = replace(config.waveform_config, mu_percent=mu)
-    assert runner._integration_gain(config, wavecfg) == gain
-    assert runner._comm_fraction(config, wavecfg) == comm
+    cube = runner._CUBES[config.waveform](config, wavecfg)
+    assert runner._integration_gain(wavecfg, cube) == gain
+    assert float(np.mean(~cube.radar)) == comm
+
+
+@pytest.mark.parametrize("mu", [0, 50, 100])
+@pytest.mark.parametrize("make, capacity, n_leading", [
+    (pmcw_scenario, lambda wave, order: payload_capacity_bits(
+        pmcw_schedule(wave), order), 1),
+    (ofdma_scenario, grid_capacity_bits, 2)], ids=["pmcw", "ofdma"])
+def test_cube_binding_matches_the_waveform_modules(make, capacity, n_leading,
+                                                   mu):
+    # The binding's mask spans the cube's slots, its capacity is the
+    # waveform module's, and its symbol stack covers the cube's leading
+    # axes (PMCW frames; OFDMA subcarriers and symbols).
+    config = make()
+    wavecfg = replace(config.waveform_config, mu_percent=mu)
+    cube = runner._CUBES[config.waveform](config, wavecfg)
+    assert cube.radar.dtype == bool
+    assert cube.radar.size == wavecfg.cube_shape[0]
+    assert cube.capacity == capacity(wavecfg, config.symbol_order)
+    payload = np.random.default_rng(mu).integers(0, 2, (3, cube.capacity))
+    assert cube.symbols(payload).shape == (
+        (3,) + wavecfg.cube_shape[:n_leading])
 
 
 @pytest.mark.parametrize("make", [pmcw_scenario, ofdma_scenario],
@@ -639,6 +665,18 @@ def test_no_tradeoff_rows_without_radar_slots(tmp_path, make, rows_at_half):
     assert (tmp_path / "tradeoff.csv").read_bytes() == (
         "mu_percent,snr_db,weight,comm_fraction,rate_bits,objective\r\n"
         + rows_at_half).encode()
+
+
+def test_isi_warning_on_the_run_path(tmp_path):
+    # Samples are 1 ns and the cyclic prefix 8 of them: a scatterer at
+    # 12 ns reaches past it, one at 3 ns does not.
+    beyond = {"scatterers": [{"delay_s": 12e-9, "amplitude": [1.0, 0.0]}]}
+    with pytest.warns(IsiWarning, match="scatterer 0 delay 1.200e-08 s"):
+        run_scenario(ofdma_scenario(scene=beyond, trials=1),
+                     out_dir=tmp_path / "beyond")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IsiWarning)
+        run_scenario(ofdma_scenario(trials=1), out_dir=tmp_path / "within")
 
 
 def test_batch_size_counts_receive_cube_cells():

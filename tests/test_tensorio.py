@@ -116,6 +116,20 @@ def test_tensor_truncated(tmp_path):
         read_tensor(cut)
 
 
+@pytest.mark.parametrize("blob", [
+    MAGIC,  # nothing after the magic
+    MAGIC + b"\x01\x00",  # cut inside the version
+    MAGIC + np.array(1, dtype="<u4").tobytes(),  # cut after the version
+    MAGIC + np.array([1, 2], dtype="<u4").tobytes()
+    + np.array(4, dtype="<u8").tobytes() + b"\x02\x00",  # inside the sizes
+], ids=["magic", "in-version", "version", "in-sizes"])
+def test_tensor_short_header_is_truncated(tmp_path, blob):
+    path = tmp_path / "short.jrct"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match="tensor file truncated"):
+        read_tensor(path)
+
+
 def test_format_float_round_trips():
     for x in (0.0, 1.0, -2.5, 1e-300, 3.141592653589793, 2.0 / 3.0,
               6.02e23, float(np.float32(0.1))):
