@@ -200,6 +200,11 @@ def read_allocation_csv(path, total_power: float,
         raise ValueError(f"expected header {_ALLOC_HEADER}, got {header}")
     if not rows:
         raise ValueError("allocation CSV has no subcarrier rows")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(_ALLOC_HEADER):
+            raise ValueError(f"allocation CSV row {i} ({','.join(row)}) has "
+                             f"{len(row)} cells, expected "
+                             f"{len(_ALLOC_HEADER)}")
     data = np.array([[float(v) for v in row] for row in rows])
     order = np.argsort(data[:, 0], kind="stable")
     data = data[order]

@@ -30,7 +30,11 @@ def radar_large_scale_gain(wavelength: float, rcs_m2: float, range_m: float) -> 
         raise ValueError("radar cross-section must be >= 0")
     if range_m <= 0:
         raise ValueError("range_m must be positive (zero range is singular)")
-    return wavelength**2 * rcs_m2 / (64 * np.pi**3 * range_m**4)
+    spread = 64 * np.pi**3 * range_m**4
+    gain = wavelength**2 * rcs_m2 / spread if spread else np.inf
+    if not np.isfinite(gain):
+        raise ValueError(f"range_m {range_m!r} is too small for a finite gain")
+    return gain
 
 
 def doppler_from_velocity(velocity_mps: float, wavelength: float) -> float:

@@ -88,6 +88,12 @@ def _make_out_dir(out_dir: Path) -> bool:
     return True
 
 
+def _complain_invalid(path, exc: ConfigError) -> None:
+    print(f"error: invalid config {path}:", file=sys.stderr)
+    for item in exc.errors:
+        print(f"  {item}", file=sys.stderr)
+
+
 def _load_or_complain(path):
     try:
         return load_config(path)
@@ -99,9 +105,7 @@ def _load_or_complain(path):
               f"{exc.strerror or exc}", file=sys.stderr)
         return None
     except ConfigError as exc:
-        print(f"error: invalid config {path}:", file=sys.stderr)
-        for item in exc.errors:
-            print(f"  {item}", file=sys.stderr)
+        _complain_invalid(path, exc)
         return None
 
 
@@ -120,9 +124,16 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = _resolve_out_dir(args.out_dir, config.out_dir)
+    created = not out_dir.exists()
     if not _make_out_dir(out_dir):
         return 2
-    report = run_scenario(config, out_dir=out_dir, workers=args.workers)
+    try:
+        report = run_scenario(config, out_dir=out_dir, workers=args.workers)
+    except ConfigError as exc:  # a point that cannot be bound
+        if created and not any(out_dir.iterdir()):
+            out_dir.rmdir()
+        _complain_invalid(args.config, exc)
+        return 2
     print(f"run {report.config_hash} seed={report.seed} "
           f"waveform={report.waveform}")
     for r in report.points:
@@ -180,6 +191,10 @@ def _cmd_alloc(args) -> int:
     except FileNotFoundError:
         print(f"error: no such problem file: {args.problem}",
               file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot read problem file {args.problem}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,8 +60,8 @@ class OfdmaConfig:
             raise ValueError("subcarrier_spacing_hz must be positive")
         if self.carrier_hz <= 0:
             raise ValueError("carrier_hz must be positive")
-        if self.cp_samples < 0:
-            raise ValueError("cp_samples must be >= 0")
+        if not 0 <= self.cp_samples <= self.n_subcarriers:
+            raise ValueError("cp_samples must lie in [0, n_subcarriers]")
         if not 0 <= self.mu_percent <= 100:
             raise ValueError("mu_percent must lie in [0, 100]")
         if self.pilot_seed < 0:
@@ -202,8 +202,6 @@ def ofdma_transmit(config: OfdmaConfig, grid: SymbolGrid,
     n_c = config.n_subcarriers
     core = n_c * np.fft.ifft(grid.symbols, axis=0).T  # (N_s, N_c)
     if config.cp_samples:
-        if config.cp_samples > n_c:
-            raise ValueError("cp_samples cannot exceed the symbol length")
         core = np.concatenate([core[:, n_c - config.cp_samples:], core], axis=1)
     steer = steering_vector(config.geometry, beam_angle_rad,
                             config.geometry.n_tx, "tx")

@@ -311,7 +311,10 @@ def crlb_proxy(model_fn, theta, noise_variance: float,
     (2/sigma^2) Re{J^H J} with J the Jacobian, here built from central
     differences.  This is a stand-in labeled as such, not a derived bound;
     parameter ordering is whatever ``theta`` uses (delay, Doppler, angle
-    in this package's callers).
+    in this package's callers).  A parameter whose Jacobian column is zero
+    (the model does not depend on it) has no Fisher information: it is
+    left out of the inversion, and its row and column of the returned
+    matrix are an infinite variance and zero covariances.
     """
     theta = np.asarray(theta, dtype=float)
     if noise_variance <= 0:
@@ -332,8 +335,14 @@ def crlb_proxy(model_fn, theta, noise_variance: float,
                 - np.asarray(model_fn(lo), dtype=complex))
         cols.append(diff.ravel() / (2.0 * steps[i]))
     jac = np.stack(cols, axis=1)
-    fim = 2.0 / noise_variance * np.real(jac.conj().T @ jac)
-    return np.linalg.inv(fim)
+    known = np.any(jac, axis=0)
+    if not np.any(known):
+        raise ValueError("the model depends on no parameter")
+    jac = jac[:, known]
+    bound = np.diag(np.where(known, 0.0, np.inf))
+    bound[np.ix_(known, known)] = np.linalg.inv(
+        2.0 / noise_variance * np.real(jac.conj().T @ jac))
+    return bound
 
 
 # ---------------------------------------------------------------------------

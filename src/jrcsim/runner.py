@@ -15,14 +15,19 @@ in which some trial raises a ValueError is rerun one trial at a time, so
 only that trial fails.  The process pool runs every trial as a batch of
 one.
 
-The two cube waveforms differ only in how they multiplex radar and data,
-and ``_CUBES`` binds each to a ``_Cube`` for one (config, sweep point):
-its radar-slot mask, payload bits per CPI, symbol-stack and transmit
-builders, bound unit response, the estimator's demodulation, map layout
-and DPSK plug-ins, its matching scales and the trade-off's N.  One trial
-body, ``_cube_trials``, runs both from it, a binding per batch; the PSL,
-p_D and trade-off code share one binding per point.  Nothing else here
-tells PMCW from OFDMA.
+Each sweep point is bound once by ``_bind`` into a ``_Point``: the
+waveform config with the point's mu applied, the scatterers' nominal
+amplitudes and true (delay, Doppler, angle), the noise variance, and the
+cube binding.  The two cube waveforms differ only in how they multiplex
+radar and data, and ``_CUBES`` binds each to a ``_Cube``: its radar-slot
+mask, payload bits per CPI, symbol-stack and transmit builders, bound
+unit response, the estimator's demodulation, map layout and DPSK
+plug-ins, its matching scales and the trade-off's N (Golay has none).
+One trial body, ``_cube_trials``, runs both cube waveforms; each trial
+batch binds its point.  ``run_scenario`` binds every point before the
+first trial, so a scatterer whose amplitude cannot be derived is a
+ConfigError before any work, and the PSL, p_D and trade-off of a point
+read that binding.  Nothing else here tells PMCW from OFDMA.
 
 Every waveform's trial is recorded by ``_outcome``: it matches each
 true (delay, Doppler, angle) to its nearest coarse and refined estimate,
@@ -54,7 +59,7 @@ import numpy as np
 
 from .alloc import detection_probability
 from .channel import _synthesize, complex_awgn, scatterer_amplitude
-from .config import ScenarioConfig, config_hash
+from .config import ConfigError, ScenarioConfig, config_hash
 from .estim import (_demodulate, _detect, _ofdma_derotate, _ofdma_dpsk,
                     _ofdma_layout, _pmcw_correlate, _pmcw_dpsk, _pmcw_layout,
                     _refined, _windows, golay_cef_waveform,
@@ -147,44 +152,6 @@ def build_code(config: ScenarioConfig, wavecfg: PmcwConfig) -> CodeSequence:
     return CodeSequence.random_binary(wavecfg.code_length, config.code_seed)
 
 
-def _effective_config(config: ScenarioConfig, point: SweepPoint):
-    wavecfg = config.waveform_config
-    if point.mu_percent is not None:  # golay configs sweep no mu
-        wavecfg = replace(wavecfg, mu_percent=point.mu_percent)
-    return wavecfg
-
-
-def _nominal_amplitudes(config: ScenarioConfig, wavecfg) -> np.ndarray:
-    """Per-scatterer composite amplitudes with unit fading."""
-    if config.waveform == "golay":
-        return np.array([sc.amplitude if sc.amplitude is not None else 1.0
-                         for sc in config.scene.scatterers], dtype=complex)
-    geom = wavecfg.geometry
-    return np.array([
-        scatterer_amplitude(sc, wavecfg.carrier_hz, geom.n_tx, fading=1.0)
-        for sc in config.scene.scatterers], dtype=complex)
-
-
-def _noise_variance(config: ScenarioConfig, point: SweepPoint,
-                    amplitudes: np.ndarray) -> float:
-    if point.snr_db is None:
-        return config.scene.noise_variance
-    signal_power = float(np.sum(np.abs(amplitudes) ** 2))
-    if signal_power == 0:
-        raise ValueError("SNR sweep needs at least one nonzero scatterer")
-    return signal_power / 10.0 ** (point.snr_db / 10.0)
-
-
-def _true_parameters(config: ScenarioConfig, wavecfg) -> list:
-    """(delay, Doppler, angle) of each scatterer; Golay sounding has no
-    Doppler or angle, so those are NaN."""
-    if config.waveform == "golay":
-        return [(float(sc.delay_s), math.nan, math.nan)
-                for sc in config.scene.scatterers]
-    return [(float(sc.delay_s), float(sc.resolve_doppler(wavecfg.wavelength)),
-             float(sc.angle_rad)) for sc in config.scene.scatterers]
-
-
 def _outcome(point: SweepPoint, trial: int, truths, coarse, refined,
              scales, **counts) -> TrialOutcome:
     """The trial's record: each truth with its nearest coarse and refined
@@ -213,12 +180,6 @@ def _trial_payloads(config: ScenarioConfig, point: SweepPoint, trials,
     payload = np.array([rng.integers(0, 2, capacity) for rng in rngs],
                        dtype=np.int64).reshape(len(rngs), capacity)
     return rngs, payload
-
-
-def _point_scene(config: ScenarioConfig, wavecfg, point: SweepPoint):
-    amps = _nominal_amplitudes(config, wavecfg)
-    return replace(config.scene,
-                   noise_variance=_noise_variance(config, point, amps))
 
 
 def _parameters(targets) -> list:
@@ -286,21 +247,75 @@ def _ofdma_cube(config: ScenarioConfig, wavecfg: OfdmaConfig) -> _Cube:
 _CUBES = {"pmcw": _pmcw_cube, "ofdma": _ofdma_cube}
 
 
-def _point_cube(config: ScenarioConfig, wavecfg) -> _Cube | None:
-    """The point's cube-waveform binding; None for Golay sounding."""
+@dataclass(frozen=True)
+class _Point:
+    """A sweep point bound to its config by ``_bind``: every fact of the
+    point that its trials, PSL, p_D and trade-off read."""
+
+    wave: object  # the waveform config, the point's mu applied
+    amplitudes: np.ndarray  # nominal composite amplitudes (unit fading)
+    signal_power: float  # sum of their squared magnitudes
+    sigma2: float  # the per-sample noise variance; NaN if nothing fixes it
+    truths: list  # (delay, Doppler, angle) of each scatterer
+    cube: _Cube | None  # the cube-waveform binding; None for Golay
+
+    @property
+    def mu_percent(self) -> float:
+        return float(getattr(self.wave, "mu_percent", 0.0))
+
+    @property
+    def noise_variance(self) -> float:
+        """``sigma2``, for the trials: a swept SNR without signal power
+        fails them."""
+        if math.isnan(self.sigma2):
+            raise ValueError("SNR sweep needs at least one nonzero scatterer")
+        return self.sigma2
+
+
+def _bind(config: ScenarioConfig, point: SweepPoint) -> _Point:
+    """The point's binding.  An explicit scatterer amplitude is used as-is;
+    otherwise a cube waveform derives it from the link budget, and Golay
+    takes 1.  A scatterer whose amplitude cannot be derived is a
+    ConfigError naming it.  Golay sounds delay alone, so its true Doppler
+    and angle are NaN."""
+    wave = config.waveform_config
+    if point.mu_percent is not None:  # golay configs sweep no mu
+        wave = replace(wave, mu_percent=point.mu_percent)
     bind = _CUBES.get(config.waveform)
-    return bind(config, wavecfg) if bind else None
+    cube = bind(config, wave) if bind else None
+    amps, truths = [], []
+    for q, sc in enumerate(config.scene.scatterers):
+        if cube is None:
+            amps.append(1.0 if sc.amplitude is None else sc.amplitude)
+            truths.append((float(sc.delay_s), math.nan, math.nan))
+            continue
+        try:
+            amps.append(scatterer_amplitude(sc, wave.carrier_hz,
+                                            wave.geometry.n_tx))
+        except ValueError as exc:
+            raise ConfigError([f"$.scene.scatterers[{q}]: {exc}"]) from None
+        truths.append((float(sc.delay_s),
+                       float(sc.resolve_doppler(wave.wavelength)),
+                       float(sc.angle_rad)))
+    amps = np.array(amps, dtype=complex)
+    power = float(np.sum(np.abs(amps) ** 2))
+    if point.snr_db is None:
+        sigma2 = config.scene.noise_variance
+    else:  # see the module docstring: undefined without signal power
+        sigma2 = power / 10.0 ** (point.snr_db / 10.0) if power else math.nan
+    return _Point(wave, amps, power, sigma2, truths, cube)
 
 
 def _cube_trials(config, point, trials) -> list:
     """One outcome per trial of a cube waveform: every truth with its
     nearest coarse and refined estimate, and its payload's bit errors."""
-    wavecfg = _effective_config(config, point)
-    cube = _CUBES[config.waveform](config, wavecfg)
+    bound = _bind(config, point)
+    cube = bound.cube
     rngs, payload = _trial_payloads(config, point, trials, cube.capacity)
     symbols = cube.symbols(payload)
-    data = _synthesize(_point_scene(config, wavecfg, point), wavecfg,
-                       symbols, cube.response, trials, rngs)
+    data = _synthesize(
+        replace(config.scene, noise_variance=bound.noise_variance),
+        bound.wave, symbols, cube.response, trials, rngs)
     _, coarse = _detect(data, symbols, cube.radar, cube.demod, cube.layout,
                         config.estimator)
     bits_hat, _, full_symbols = _demodulate(
@@ -310,50 +325,41 @@ def _cube_trials(config, point, trials) -> list:
     _, refined = _refined(_windows(data, full_symbols, cube.demod,
                                    cube.layout, fine), fine)
 
-    truths = _true_parameters(config, wavecfg)
     errors = np.count_nonzero(bits_hat != payload, axis=1).tolist()
-    return [_outcome(point, trial, truths, _parameters(found),
+    return [_outcome(point, trial, bound.truths, _parameters(found),
                      _parameters(kept), cube.scales, n_bits=payload.shape[1],
                      bit_errors=n_errors)
             for trial, found, kept, n_errors in zip(trials, coarse, refined,
                                                      errors)]
 
 
-def _golay_received(config, wavecfg, amplitudes, noise_variance, rng):
-    pair = golay_pair(wavecfg.log2_length)
-    cef = golay_cef_waveform(pair, wavecfg.guard_samples)
-    rx = np.zeros(cef.size, dtype=complex)
-    for sc, amp in zip(config.scene.scatterers, amplitudes):
-        shift = int(round(sc.delay_s / wavecfg.sample_time_s))
-        rx[shift:] += amp * cef[:cef.size - shift]
-    if noise_variance > 0:
-        rx += complex_awgn(rng, rx.shape, noise_variance)
-    return pair, rx
-
-
 def _golay_trials(config, point, trials) -> list:
-    """Golay sounding has no CPI stack; its trials run one after another.
-    Each trial fades its scatterers as a cube waveform's CPI of the same
-    index does.  They estimate delay alone, matched unscaled, and refine
-    nothing."""
-    wavecfg = _effective_config(config, point)
-    amps = _nominal_amplitudes(config, wavecfg)
-    sigma2 = _noise_variance(config, point, amps)
-    truths = _true_parameters(config, wavecfg)
+    """Golay sounding has no CPI stack; a batch's trials (one, see
+    ``_batch_size``) share one pair and CEF waveform.  Each trial fades
+    its scatterers as a cube waveform's CPI of the same index does.  They
+    estimate delay alone, matched unscaled, and refine nothing."""
+    bound = _bind(config, point)
+    wave, sigma2 = bound.wave, bound.noise_variance
+    pair = golay_pair(wave.log2_length)
+    cef = golay_cef_waveform(pair, wave.guard_samples)
+    shifts = [int(round(sc.delay_s / wave.sample_time_s))
+              for sc in config.scene.scatterers]
     rngs, _ = _trial_payloads(config, point, trials, capacity=0)
     outcomes = []
     for trial, rng in zip(trials, rngs):
-        pair, rx = _golay_received(
-            config, wavecfg, amps * config.scene.fading_gains(trial), sigma2,
-            rng)
-        profile = golay_range_estimate(rx, pair, wavecfg.guard_samples)
+        rx = np.zeros(cef.size, dtype=complex)
+        for shift, amp in zip(shifts, bound.amplitudes
+                              * config.scene.fading_gains(trial)):
+            rx[shift:] += amp * cef[:cef.size - shift]
+        if sigma2 > 0:
+            rx += complex_awgn(rng, rx.shape, sigma2)
+        profile = golay_range_estimate(rx, pair, wave.guard_samples)
         bins = profile_peaks(profile, config.estimator.max_targets,
                              config.estimator.threshold_db)
         if not bins:
             raise ValueError("no delay profile peak above threshold")
-        found = [(b * wavecfg.sample_time_s, math.nan, math.nan)
-                 for b in bins]
-        outcomes.append(_outcome(point, trial, truths, found, found,
+        found = [(b * wave.sample_time_s, math.nan, math.nan) for b in bins]
+        outcomes.append(_outcome(point, trial, bound.truths, found, found,
                                  (1.0, 1.0, 1.0)))
     return outcomes
 
@@ -367,8 +373,8 @@ _BATCH_CELLS = 1 << 14
 
 
 def _batch_size(config: ScenarioConfig) -> int:
-    if config.waveform == "golay":
-        return 1  # Golay trials run one by one inside a batch anyway
+    if config.waveform not in _CUBES:
+        return 1  # Golay stacks nothing; a failing batch would rerun all
     return max(1, _BATCH_CELLS // math.prod(config.waveform_config.cube_shape))
 
 
@@ -412,39 +418,37 @@ def _run_single_trial(args) -> TrialOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _point_waveform_samples(config: ScenarioConfig, wavecfg,
-                            point: SweepPoint, cube) -> np.ndarray:
-    """Trial-0 transmit samples of this sweep point (payload included),
-    from its ``_point_cube`` binding."""
+def _point_waveform_samples(config: ScenarioConfig, wave, cube: _Cube | None,
+                            point: SweepPoint) -> np.ndarray:
+    """Trial-0 transmit samples of this sweep point (payload included)."""
     if cube is None:
-        pair = golay_pair(wavecfg.log2_length)
-        return golay_cef_waveform(pair, wavecfg.guard_samples).astype(complex)
+        pair = golay_pair(wave.log2_length)
+        return golay_cef_waveform(pair, wave.guard_samples).astype(complex)
     _, payload = _trial_payloads(config, point, [0], cube.capacity)
     return cube.transmit(payload[0])[0].ravel()
 
 
-def _point_psl_db(config: ScenarioConfig, wavecfg, point: SweepPoint,
-                  cube) -> float:
+def _point_psl_db(config: ScenarioConfig, bound: _Point,
+                  point: SweepPoint) -> float:
     """PSL of the point's waveform autocorrelation (the AF's zero-Doppler
     cut up to its energy scale, which the ratio drops)."""
-    samples = _point_waveform_samples(config, wavecfg, point, cube)
+    samples = _point_waveform_samples(config, bound.wave, bound.cube, point)
     try:
         return peak_sidelobe_ratio(np.abs(aperiodic_autocorr(samples)))
     except ValueError:
         return math.nan
 
 
-def _integration_gain(wavecfg, cube) -> float:
+def _integration_gain(bound: _Point) -> float:
     """Samples coherently integrated over the radar-only resources: the
-    radar slots of the ``_point_cube`` binding times the cube's samples
-    per slot, or both Golay pair members."""
-    if cube is None:
-        return 2.0 * 2 ** wavecfg.log2_length
-    return int(np.count_nonzero(cube.radar)) * wavecfg.cube_shape[1]
+    cube binding's radar slots times the cube's samples per slot, or both
+    Golay pair members."""
+    if bound.cube is None:
+        return 2.0 * 2 ** bound.wave.log2_length
+    return int(np.count_nonzero(bound.cube.radar)) * bound.wave.cube_shape[1]
 
 
-def _point_p_detect(config: ScenarioConfig, wavecfg, point: SweepPoint,
-                    amplitudes: np.ndarray, cube) -> float:
+def _point_p_detect(config: ScenarioConfig, bound: _Point) -> float:
     """Detection probability of the closed-form detector model.
 
     Uses the coherent integration gain over the radar-only resources on
@@ -453,15 +457,12 @@ def _point_p_detect(config: ScenarioConfig, wavecfg, point: SweepPoint,
     signal power to fix a swept SNR by, or with neither signal nor noise,
     it is NaN.
     """
-    signal_power = float(np.sum(np.abs(amplitudes) ** 2))
-    gain = _integration_gain(wavecfg, cube)
-    if amplitudes.size == 0 or gain == 0 or (signal_power == 0
-                                             and point.snr_db is not None):
+    gain = _integration_gain(bound)
+    if bound.amplitudes.size == 0 or gain == 0 or math.isnan(bound.sigma2):
         return math.nan
-    sigma2 = _noise_variance(config, point, amplitudes)
-    if sigma2 == 0:
-        return 1.0 if signal_power else math.nan
-    return detection_probability(signal_power / sigma2 * gain,
+    if bound.sigma2 == 0:
+        return 1.0 if bound.signal_power else math.nan
+    return detection_probability(bound.signal_power / bound.sigma2 * gain,
                                  config.false_alarm)
 
 
@@ -469,13 +470,14 @@ def scenario_waveform_samples(config: ScenarioConfig):
     """(samples, sample_rate_hz) of the scenario's trial-0 waveform.
 
     This is what the ambiguity-surface export runs on; the payload is the
-    seed-derived trial-0 draw so reruns produce identical files.
+    seed-derived trial-0 draw so reruns produce identical files.  Only the
+    waveform side of the point is built: no scatterer amplitude is derived.
     """
-    point = SweepPoint(index=0, mu_percent=None, snr_db=None)
-    wavecfg = config.waveform_config
-    cube = _point_cube(config, wavecfg)
-    samples = _point_waveform_samples(config, wavecfg, point, cube)
-    return samples, 1.0 / (wavecfg.sample_time_s if cube is None
+    wave, bind = config.waveform_config, _CUBES.get(config.waveform)
+    cube = bind(config, wave) if bind else None
+    samples = _point_waveform_samples(
+        config, wave, cube, SweepPoint(index=0, mu_percent=None, snr_db=None))
+    return samples, 1.0 / (wave.sample_time_s if cube is None
                            else cube.scales[0])
 
 
@@ -484,42 +486,44 @@ def scenario_waveform_samples(config: ScenarioConfig):
 # ---------------------------------------------------------------------------
 
 
-def _tradeoff_rows(config: ScenarioConfig, wavecfg, point: SweepPoint,
-                   mu_value: float, amplitudes: np.ndarray, cube) -> list:
-    """One (objective) row per sweep weight, where the terms are defined,
-    from the point's ``_point_cube`` binding (golay configs have no
-    weights, so never get past the first test)."""
+def _tradeoff_rows(config: ScenarioConfig, bound: _Point,
+                   point: SweepPoint) -> list:
+    """One (objective) row per sweep weight, where the terms are defined
+    (golay configs have no weights, so never get past the first test)."""
     if not config.weights:
         return []
+    cube = bound.cube
     delta = float(np.mean(~cube.radar))  # share of slots carrying data
     # Without payload (delta 0) or radar slot (delta 1) a term is undefined;
-    # the CRLB term is taken at the first scatterer and needs its signal.
-    if not 0 < delta < 1 or not np.any(amplitudes[:1]):
-        return []
-    sigma2 = _noise_variance(config, point, amplitudes)
-    if sigma2 == 0:
+    # the CRLB term is taken at the first scatterer and needs its signal,
+    # and noise.
+    if not 0 < delta < 1 or not np.any(bound.amplitudes[:1]) \
+            or bound.sigma2 == 0:
         return []
     rate = math.log2(config.symbol_order)
     mmse = mmse_from_rate(rate, cube.n_len)
 
-    sc = config.scene.scatterers[0]
-    doppler = sc.resolve_doppler(wavecfg.wavelength)
-    theta = np.array([sc.delay_s, doppler, sc.angle_rad])
+    theta = np.array(bound.truths[0])
     d_scale, f_scale, _ = cube.scales
     steps = np.array([d_scale / 64, f_scale / 64, 1e-3])
-    amp0 = abs(amplitudes[0])
-    # The Fisher proxy differentiates the receive model on every slot.
-    slots = np.arange(wavecfg.cube_shape[0])
+    amp0 = abs(bound.amplitudes[0])
+    # The Fisher proxy differentiates the receive model on every slot.  A
+    # parameter the cube cannot resolve (the angle on one element, the
+    # Doppler on one OFDMA symbol) has an unbounded variance; the sensing
+    # term sums over the others.
+    slots = np.arange(bound.wave.cube_shape[0])
     crlb = crlb_proxy(lambda th: amp0 * cube.response(*th, slots), theta,
-                      sigma2, steps)
+                      bound.sigma2, steps)
+    resolved = np.isfinite(np.diag(crlb))
+    crlb = crlb[np.ix_(resolved, resolved)]
 
     rows = []
     for w in config.weights:
         objective = jrc_objective(TradeoffSpec(
             rate=rate, delta=delta, code_length=cube.n_len, mmse=mmse,
             crlb=crlb, n_targets=len(config.scene.scatterers), weight=w))
-        rows.append([mu_value, _snr_field(point.snr_db), w, delta, rate,
-                     objective])
+        rows.append([bound.mu_percent, _snr_field(point.snr_db), w, delta,
+                     rate, objective])
     return rows
 
 
@@ -533,11 +537,7 @@ def _snr_field(snr_db) -> float:
 
 
 def _aggregate_point(config: ScenarioConfig, point: SweepPoint,
-                     outcomes: list, cube) -> PointResult:
-    wavecfg = _effective_config(config, point)
-    mu_value = getattr(wavecfg, "mu_percent", 0.0)
-    amps = _nominal_amplitudes(config, wavecfg)
-
+                     outcomes: list, bound: _Point) -> PointResult:
     ok = [o for o in outcomes if not o.failed]
     failures = [o for o in outcomes if o.failed]
     table = np.array([row for o in ok for row in o.rows],
@@ -553,7 +553,7 @@ def _aggregate_point(config: ScenarioConfig, point: SweepPoint,
     n_bits = sum(o.n_bits for o in ok)
     n_errors = sum(o.bit_errors for o in ok)
     return PointResult(
-        mu_percent=float(mu_value),
+        mu_percent=bound.mu_percent,
         snr_db=point.snr_db,
         n_trials=len(outcomes),
         n_failures=len(failures),
@@ -567,8 +567,8 @@ def _aggregate_point(config: ScenarioConfig, point: SweepPoint,
         n_bits=n_bits,
         n_bit_errors=n_errors,
         ber=(n_errors / n_bits) if n_bits else math.nan,
-        psl_db=_point_psl_db(config, wavecfg, point, cube),
-        p_detect=_point_p_detect(config, wavecfg, point, amps, cube),
+        psl_db=_point_psl_db(config, bound, point),
+        p_detect=_point_p_detect(config, bound),
     )
 
 
@@ -636,13 +636,13 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
     if workers < 1:
         raise ValueError("workers must be >= 1")
     started = time.perf_counter()
-    destination = Path(out_dir) if out_dir is not None else Path(config.out_dir)
-    destination.mkdir(parents=True, exist_ok=True)
-
     mus = config.mu_sweep if config.mu_sweep else (None,)
     points = [SweepPoint(index=i, mu_percent=mu, snr_db=snr)
               for i, (mu, snr) in enumerate(
                   (m, s) for m in mus for s in config.snr_db)]
+    bounds = [_bind(config, point) for point in points]
+    destination = Path(out_dir) if out_dir is not None else Path(config.out_dir)
+    destination.mkdir(parents=True, exist_ok=True)
 
     if workers > 1:
         # One map over every (point, trial): no barrier between points.
@@ -659,13 +659,9 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
                          for i in range(len(points))]
 
     results, tradeoff_rows = [], []
-    for point, outcomes in zip(points, outcomes_by_point):
-        wavecfg = _effective_config(config, point)
-        cube = _point_cube(config, wavecfg)  # one binding for both
-        results.append(_aggregate_point(config, point, outcomes, cube))
-        tradeoff_rows.extend(_tradeoff_rows(
-            config, wavecfg, point, results[-1].mu_percent,
-            _nominal_amplitudes(config, wavecfg), cube))
+    for point, bound, outcomes in zip(points, bounds, outcomes_by_point):
+        results.append(_aggregate_point(config, point, outcomes, bound))
+        tradeoff_rows.extend(_tradeoff_rows(config, bound, point))
 
     outputs = _write_outputs(destination, config, results,
                              outcomes_by_point, tradeoff_rows)

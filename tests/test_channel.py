@@ -38,6 +38,10 @@ def test_gain_singularities_rejected():
         radar_large_scale_gain(5e-3, 1.0, 0.0)
     with pytest.raises(ValueError):
         radar_large_scale_gain(5e-3, -1.0, 1.0)
+    # rho^4 underflows to 0 at 1e-300 m; at 1e-80 m the gain overflows.
+    for range_m in (1e-300, 1e-80):
+        with pytest.raises(ValueError, match="too small for a finite gain"):
+            radar_large_scale_gain(5e-3, 1.0, range_m)
 
 
 def test_doppler_from_velocity():

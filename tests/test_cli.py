@@ -161,6 +161,27 @@ def test_run_invalid_config_exits_2(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+def test_run_underivable_amplitude_exits_2_before_any_table(tmp_path,
+                                                             capsys):
+    # Without an amplitude, a scatterer at zero delay has no link budget.
+    # The file is valid, and jrcsim af needs no amplitude, but jrcsim run
+    # binds every sweep point before its first trial and stops there.
+    cfg = write_scenario(tmp_path / "s.json",
+                         scene={"scatterers": [{"delay_s": 0.0}]})
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["af", str(cfg), "--out-dir", str(tmp_path / "af")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: invalid config {cfg}:\n"
+        "  $.scene.scatterers[0]: cannot derive amplitude for zero delay; "
+        "give one explicitly\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--seed", "-1"], "seed must be >= 0"),
     (["--trials", "0"], "trials must be >= 1"),
@@ -358,6 +379,25 @@ def test_alloc_missing_and_malformed_files(tmp_path, capsys):
                   "--method", "waterfill"]):
         assert main(["alloc", *argv, "--out-dir", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_alloc_directory_as_problem_file_exits_2(tmp_path, capsys):
+    assert main(["alloc", str(tmp_path), "--total-power", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: cannot read problem file {tmp_path}: ")
+    assert captured.out == ""
+
+
+def test_alloc_row_with_five_cells_exits_2(tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("k,g_k,h_k,n_k,t_k,P_k\n0,1,1,1,0\n")
+    out = tmp_path / "out"
+    assert main(["alloc", str(short), "--total-power", "1",
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: allocation CSV row 1 (0,1,1,1,0) has 5 cells, expected 6\n")
     assert not out.exists()
 
 

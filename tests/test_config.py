@@ -380,6 +380,17 @@ def test_delay_beyond_the_waveform_window_rejected(base, near, beyond,
         parse_config(data)  # beyond its cyclic prefix
 
 
+def test_cp_longer_than_the_symbol_rejected():
+    # Rejected when parsed, so neither jrcsim af nor jrcsim run reaches a
+    # transmit with a prefix longer than the symbol.
+    data = base_ofdma()
+    data["ofdma"].update(n_subcarriers=8, cp_samples=12)
+    assert errors_of(data) == (
+        "$.ofdma: cp_samples must lie in [0, n_subcarriers]",)
+    data["ofdma"]["cp_samples"] = 8
+    assert parse_config(data).ofdma.cp_samples == 8
+
+
 @pytest.mark.parametrize("sweep", [{"mu_percent": [25, 50]},
                                    {"weights": [0.5]},
                                    {"mu_percent": [50], "weights": [0.5]}])
@@ -526,7 +537,8 @@ _valid_scenario = st.fixed_dictionaries({
         optional={"cp_samples": st.integers(0, 16),
                   "mu_percent": st.floats(0, 100) | st.integers(0, 100),
                   "pilot_seed": st.integers(0, 2 ** 40),
-                  "geometry": _geometry}),
+                  "geometry": _geometry}).filter(  # prefix within a symbol
+        lambda ofdma: ofdma.get("cp_samples", 0) <= ofdma["n_subcarriers"]),
 }, optional={
     "pmcw": st.fixed_dictionaries(
         {"code_length": st.integers(1, 64), "n_frames": st.integers(1, 16),

@@ -223,15 +223,6 @@ def test_transmit_explicit_sum_single_symbol():
         assert tx[0, 0, ell] == pytest.approx(expected, abs=1e-12)
 
 
-def test_transmit_cp_too_long():
-    config = small_config(cp_samples=17)
-    grid = build_symbol_grid(small_config(),
-                             np.zeros(grid_capacity_bits(small_config()),
-                                      dtype=int))
-    with pytest.raises(ValueError):
-        ofdma_transmit(config, grid)
-
-
 def test_transmit_steering():
     config = small_config(geometry=ArrayGeometry(n_tx=3, n_rx=1))
     bits = np.zeros(grid_capacity_bits(config), dtype=int)

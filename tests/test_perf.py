@@ -498,6 +498,25 @@ def test_crlb_proxy_joint_amplitude_frequency():
     assert abs(bound[0, 1]) < 1e-6 * np.sqrt(bound[0, 0] * bound[1, 1])
 
 
+def test_crlb_proxy_skips_a_parameter_the_model_ignores():
+    # The model does not read theta[1]: its column is zero and would make
+    # the Fisher matrix singular.  Its variance is unbounded, and the bound
+    # on the other two is that of the call without it.
+    t = np.arange(16)
+
+    def model(theta):
+        return theta[0] * np.exp(2j * np.pi * theta[2] * t)
+
+    bound = crlb_proxy(model, [0.8, 3.0, 0.07], 0.25,
+                       steps=[1e-6, 1e-3, 1e-8])
+    without = crlb_proxy(lambda th: model([th[0], 0.0, th[1]]), [0.8, 0.07],
+                         0.25, steps=[1e-6, 1e-8])
+    assert bound.shape == (3, 3)
+    assert np.array_equal(bound[np.ix_([0, 2], [0, 2])], without)
+    assert bound[1, 1] == np.inf
+    assert not np.any(bound[1, [0, 2]]) and not np.any(bound[[0, 2], 1])
+
+
 def test_crlb_proxy_validation():
     def model(theta):
         return np.exp(2j * np.pi * theta[0] * np.arange(8))
@@ -508,6 +527,8 @@ def test_crlb_proxy_validation():
         crlb_proxy(model, [0.1], 1.0, steps=[1e-6, 1e-6])
     with pytest.raises(ValueError):
         crlb_proxy(model, [0.1], 1.0, steps=[-1e-6])
+    with pytest.raises(ValueError, match="depends on no parameter"):
+        crlb_proxy(lambda theta: np.ones(8, dtype=complex), [0.1], 1.0)
 
 
 # ---------------------------------------------------------------------------

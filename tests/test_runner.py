@@ -1,8 +1,10 @@
 """Sweep orchestration: determinism, worker independence, output tables."""
 
 import json
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,16 +15,16 @@ from hypothesis import strategies as st
 from jrcsim import runner
 from jrcsim.channel import Scene
 from jrcsim.config import ConfigError, config_hash, parse_config
-from jrcsim.estim import (ofdma_decode, ofdma_range_doppler_angle,
-                          ofdma_refine, pmcw_decode, pmcw_range_doppler,
-                          pmcw_refine)
+from jrcsim.estim import (golay_cef_waveform, ofdma_decode,
+                          ofdma_range_doppler_angle, ofdma_refine,
+                          pmcw_decode, pmcw_range_doppler, pmcw_refine)
 from jrcsim.ofdma import IsiWarning, build_symbol_grid, grid_capacity_bits, \
     ofdma_receive_cube
 from jrcsim.perf import ambiguity_function, peak_sidelobe_ratio
 from jrcsim.pmcw import payload_capacity_bits, pmcw_frame_symbols, \
     pmcw_receive_cube, pmcw_schedule
-from jrcsim.runner import (SweepPoint, TrialOutcome, _noise_variance,
-                           run_scenario)
+from jrcsim.runner import SweepPoint, TrialOutcome, run_scenario
+from jrcsim.sigcore import ArrayGeometry, golay_pair
 from jrcsim.tensorio import read_csv_rows
 
 CSV_NAMES = ("rmse_vs_snr.csv", "ber_vs_snr.csv", "estimates.csv")
@@ -209,10 +211,9 @@ def test_null_snr_uses_scene_noise_verbatim():
         "scatterers": [{"delay_s": 5e-9, "amplitude": [2.0, 0.0]}],
         "noise_variance": 0.5})
     null_point = SweepPoint(index=0, mu_percent=None, snr_db=None)
-    amps = np.array([2.0 + 0.0j])
-    assert _noise_variance(config, null_point, amps) == 0.5
+    assert runner._bind(config, null_point).noise_variance == 0.5
     swept = SweepPoint(index=0, mu_percent=None, snr_db=10.0)
-    assert _noise_variance(config, swept, amps) == pytest.approx(0.4)
+    assert runner._bind(config, swept).noise_variance == pytest.approx(0.4)
 
 
 @pytest.mark.parametrize("scatterers", [
@@ -256,10 +257,8 @@ def test_p_detect_undefined_without_signal_or_noise(tmp_path):
     # With noise but no signal the detector fires at its false-alarm rate.
     noisy = pmcw_scenario(scene=dict(silent, noise_variance=0.1))
     null_point = SweepPoint(index=0, mu_percent=None, snr_db=None)
-    wavecfg = noisy.waveform_config
     assert runner._point_p_detect(
-        noisy, wavecfg, null_point, np.zeros(1, dtype=complex),
-        runner._point_cube(noisy, wavecfg)) == pytest.approx(
+        noisy, runner._bind(noisy, null_point)) == pytest.approx(
             noisy.false_alarm)
 
 
@@ -304,7 +303,7 @@ def test_golay_scenario_noiseless(tmp_path):
     assert report.points[0].n_failures == 0
 
 
-def golay_fading_scenario(fading):
+def golay_fading_scenario(fading, snr_db=-10):
     return parse_config({
         "version": 1,
         "waveform": "golay",
@@ -313,7 +312,7 @@ def golay_fading_scenario(fading):
         "scene": {"scatterers": [
             {"delay_s": 5e-9, "amplitude": [1.0, 0.0], "fading": fading},
             {"delay_s": 12e-9, "amplitude": [0.0, 0.7], "fading": fading}]},
-        "sweep": {"snr_db": [-10]},
+        "sweep": {"snr_db": [snr_db]},
         "estimator": {"max_targets": 2},
         "trials": 4,
         "seed": 3,
@@ -322,25 +321,31 @@ def golay_fading_scenario(fading):
 
 def test_golay_trials_honour_fading(tmp_path, monkeypatch):
     # Each trial scales the scatterers' nominal amplitudes by the scene's
-    # fading gains of its index, as the cube waveforms do per CPI.
+    # fading gains of its index, as the cube waveforms do per CPI: without
+    # noise, trial k receives the CEF waveform delayed by 5 and 12 samples
+    # with those amplitudes.
     seen = []
-    received = runner._golay_received
+    estimate = runner.golay_range_estimate
 
-    def spy(config, wavecfg, amplitudes, noise_variance, rng):
-        seen.append(amplitudes)
-        return received(config, wavecfg, amplitudes, noise_variance, rng)
+    def spy(rx, pair, guard_samples):
+        seen.append(rx.copy())
+        return estimate(rx, pair, guard_samples)
 
-    monkeypatch.setattr(runner, "_golay_received", spy)
-    faded = golay_fading_scenario("swerling12")
-    run_scenario(faded, out_dir=tmp_path / "swerling12")
-    nominal = np.array([1.0, 0.7j])
+    monkeypatch.setattr(runner, "golay_range_estimate", spy)
+    faded = golay_fading_scenario("swerling12", snr_db=None)
+    run_scenario(faded, out_dir=tmp_path / "noiseless")
+    cef = golay_cef_waveform(golay_pair(4), 16)
     assert len(seen) == 4
-    for trial, amplitudes in enumerate(seen):
-        assert np.array_equal(amplitudes,
-                              nominal * faded.scene.fading_gains(trial))
+    for trial, rx in enumerate(seen):
+        gains = np.array([1.0, 0.7j]) * faded.scene.fading_gains(trial)
+        expected = np.zeros(cef.size, dtype=complex)
+        expected[5:] += gains[0] * cef[:-5]
+        expected[12:] += gains[1] * cef[:-12]
+        assert np.array_equal(rx, expected)
+    run_scenario(golay_fading_scenario("swerling12"),
+                 out_dir=tmp_path / "swerling12")
     run_scenario(golay_fading_scenario("swerling0"),
                  out_dir=tmp_path / "swerling0")
-    assert np.array_equal(seen[4], nominal)
     assert (tmp_path / "swerling12" / "estimates.csv").read_bytes() != \
         (tmp_path / "swerling0" / "estimates.csv").read_bytes()
 
@@ -396,12 +401,11 @@ def test_programming_error_in_trial_propagates(tmp_path, monkeypatch):
 ], ids=["pmcw", "ofdma", "golay"])
 def test_point_psl_is_autocorrelation_psl(config):
     point = SweepPoint(index=0, mu_percent=None, snr_db=None)
-    wavecfg = config.waveform_config
-    cube = runner._point_cube(config, wavecfg)
-    x = runner._point_waveform_samples(config, wavecfg, point, cube)
+    bound = runner._bind(config, point)
+    x = runner._point_waveform_samples(config, bound.wave, bound.cube, point)
     lags = np.arange(-(x.size - 1), x.size, dtype=float)
     cut = ambiguity_function(x, lags, np.zeros(1)).magnitude[:, 0]
-    psl = runner._point_psl_db(config, wavecfg, point, cube)
+    psl = runner._point_psl_db(config, bound, point)
     assert psl == pytest.approx(peak_sidelobe_ratio(cut), abs=1e-9)
 
 
@@ -415,7 +419,9 @@ def reference_trial(config, point, trial):
     runner called them before trials were stacked into batches."""
     rng = np.random.default_rng([config.seed, point.index, trial])
     try:
-        wavecfg = runner._effective_config(config, point)
+        bound = runner._bind(config, point)
+        wavecfg = bound.wave
+        scene = replace(config.scene, noise_variance=bound.noise_variance)
         order = config.symbol_order
         refined_est = config.estimator.refined(config.refine_factor)
         if config.waveform == "pmcw":
@@ -424,9 +430,6 @@ def reference_trial(config, point, trial):
             payload = rng.integers(
                 0, 2, payload_capacity_bits(sched, order)).astype(np.int64)
             symbols = pmcw_frame_symbols(sched, payload, order)
-            amps = runner._nominal_amplitudes(config, wavecfg)
-            scene = replace(config.scene, noise_variance=_noise_variance(
-                config, point, amps))
             cube = pmcw_receive_cube(scene, wavecfg, code, symbols, rng=rng,
                                      cpi_index=trial)
             coarse = pmcw_range_doppler(cube, code, config.estimator)
@@ -439,9 +442,6 @@ def reference_trial(config, point, trial):
             payload = rng.integers(
                 0, 2, grid_capacity_bits(wavecfg, order)).astype(np.int64)
             grid = build_symbol_grid(wavecfg, payload, order)
-            amps = runner._nominal_amplitudes(config, wavecfg)
-            scene = replace(config.scene, noise_variance=_noise_variance(
-                config, point, amps))
             cube = ofdma_receive_cube(scene, wavecfg, grid, rng=rng,
                                       cpi_index=trial)
             coarse = ofdma_range_doppler_angle(cube, grid, config.estimator)
@@ -451,7 +451,7 @@ def reference_trial(config, point, trial):
                       1.0 / (wavecfg.n_symbols * wavecfg.symbol_duration),
                       1.0 / max(wavecfg.geometry.n_rx, 1))
         return runner._outcome(
-            point, trial, runner._true_parameters(config, wavecfg),
+            point, trial, bound.truths,
             runner._parameters(coarse.targets),
             runner._parameters(refined.targets), scales,
             n_bits=int(payload.size),
@@ -581,6 +581,24 @@ def test_tradeoff_rows_affine_in_weight(tmp_path):
     assert all(r[4] == "1.0" for r in rows)  # BPSK payload
 
 
+@pytest.mark.parametrize("make, shape", [
+    (pmcw_scenario, {"geometry": ArrayGeometry(n_rx=1)}),
+    (ofdma_scenario, {"geometry": ArrayGeometry(n_rx=1)}),
+    (ofdma_scenario, {"n_symbols": 1})],
+    ids=["pmcw_one_element", "ofdma_one_element", "ofdma_one_symbol"])
+def test_tradeoff_rows_without_angle_or_doppler_information(tmp_path, make,
+                                                            shape):
+    # One receive element cannot resolve the angle, nor one OFDM symbol the
+    # Doppler: the sensing term bounds the parameters that are resolvable.
+    config = make(sweep={"snr_db": [10], "weights": [0.0, 1.0]}, trials=1)
+    config = replace(config, **{config.waveform: replace(
+        config.waveform_config, **shape)})
+    report = run_scenario(config, out_dir=tmp_path)
+    assert [row[2] for row in report.tradeoff] == [0.0, 1.0]
+    assert all(np.isfinite(row[5]) for row in report.tradeoff)
+    assert (tmp_path / "tradeoff.csv").exists()
+
+
 def test_tradeoff_skipped_without_weights_or_comm(tmp_path):
     run_scenario(pmcw_scenario(sweep={"snr_db": [10]}), out_dir=tmp_path)
     assert not (tmp_path / "tradeoff.csv").exists()
@@ -599,11 +617,10 @@ def test_tradeoff_skipped_without_weights_or_comm(tmp_path):
     (ofdma_scenario, 50, 32, 0.5), (ofdma_scenario, 100, 64, 0.0)])
 def test_integration_gain_and_comm_fraction_count_radar_slots(make, mu, gain,
                                                               comm):
-    config = make()
-    wavecfg = replace(config.waveform_config, mu_percent=mu)
-    cube = runner._CUBES[config.waveform](config, wavecfg)
-    assert runner._integration_gain(wavecfg, cube) == gain
-    assert float(np.mean(~cube.radar)) == comm
+    bound = runner._bind(make(), SweepPoint(index=0, mu_percent=mu,
+                                            snr_db=None))
+    assert runner._integration_gain(bound) == gain
+    assert float(np.mean(~bound.cube.radar)) == comm
 
 
 @pytest.mark.parametrize("mu", [0, 50, 100])
@@ -667,6 +684,69 @@ def test_no_tradeoff_rows_without_radar_slots(tmp_path, make, rows_at_half):
         + rows_at_half).encode()
 
 
+@st.composite
+def tiny_scenarios(draw):
+    """A tiny scenario file of any waveform, near the edges the parser
+    and the runner each check: prefixes around the symbol length, zero
+    delays, absent or zero amplitudes, one element or OFDM symbol, mu 0."""
+    waveform = draw(st.sampled_from(["pmcw", "ofdma", "golay"]))
+    geometry = {"n_rx": draw(st.sampled_from([1, 2]))}
+    if waveform == "pmcw":  # 7 chips of 1 ns
+        section = {"code_length": 7, "n_frames": draw(st.sampled_from([2, 4])),
+                   "chip_time_s": 1e-9, "carrier_hz": 60e9,
+                   "geometry": geometry}
+        window = 6e-9
+    elif waveform == "ofdma":  # 8 samples of 1 ns
+        section = {"n_subcarriers": 8,
+                   "n_symbols": draw(st.sampled_from([1, 2, 4])),
+                   "subcarrier_spacing_hz": 125e6, "carrier_hz": 60e9,
+                   "cp_samples": draw(st.integers(6, 10)),
+                   "geometry": geometry}
+        window = 8e-9
+    else:  # 8 guard samples of 1 ns
+        section = {"log2_length": 3, "guard_samples": 8,
+                   "sample_time_s": 1e-9}
+        window = 7e-9
+    scatterers = []
+    for _ in range(draw(st.integers(0, 2))):
+        scatterer = {"delay_s": draw(st.just(0.0) | st.floats(0.0, window))}
+        amplitude = draw(st.sampled_from([None, [0.0, 0.0], [0.6, -0.8]]))
+        if amplitude is not None:
+            scatterer["amplitude"] = amplitude
+        scatterers.append(scatterer)
+    sweep = {"snr_db": [draw(st.sampled_from([None, 10.0]))]}
+    if waveform != "golay":
+        section["mu_percent"] = draw(st.sampled_from([0, 50]))
+        sweep["mu_percent"] = draw(st.sampled_from([[], [0], [0, 100]]))
+        sweep["weights"] = draw(st.sampled_from([[], [0.0, 0.5]]))
+    return {"version": 1, "waveform": waveform, waveform: section,
+            "scene": {"scatterers": scatterers, "noise_variance": 0.1},
+            "sweep": sweep, "trials": 1,
+            "seed": draw(st.integers(0, 2 ** 16))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_scenarios())
+def test_a_scenario_that_parses_also_runs(data):
+    # A file is rejected when parsed, or its run completes (trials may
+    # fail with a ValueError), or the run stops with a ConfigError before
+    # it writes a table.  Its waveform can always be exported.
+    try:
+        config = parse_config(data)
+    except ConfigError:
+        return
+    samples, rate = runner.scenario_waveform_samples(config)
+    assert samples.size > 0 and rate > 0
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            report = run_scenario(config, out_dir=out)
+        except ConfigError:
+            assert not list(Path(out).iterdir())
+            return
+        assert all(p.n_trials == 1 for p in report.points)
+        assert (Path(out) / "report.json").exists()
+
+
 def test_isi_warning_on_the_run_path(tmp_path):
     # Samples are 1 ns and the cyclic prefix 8 of them: a scatterer at
     # 12 ns reaches past it, one at 3 ns does not.
@@ -680,9 +760,11 @@ def test_isi_warning_on_the_run_path(tmp_path):
 
 
 def test_batch_size_counts_receive_cube_cells():
-    # 16384 cells over 8 x 31 x 2 (PMCW) and 16 x 4 x 2 (OFDMA) per cube
+    # 16384 cells over 8 x 31 x 2 (PMCW) and 16 x 4 x 2 (OFDMA) per cube;
+    # Golay stacks no cube and runs its trials one per batch.
     assert runner._batch_size(pmcw_scenario()) == 33
     assert runner._batch_size(ofdma_scenario()) == 128
+    assert runner._batch_size(golay_fading_scenario("swerling0")) == 1
 
 
 def test_report_json_contents(tmp_path):
