@@ -23,7 +23,7 @@ amplitude fit and the runner's CRLB proxy evaluate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -161,6 +161,15 @@ def pmcw_receive_cube(scene: Scene, config: PmcwConfig, code: CodeSequence,
     return ReceiveCube(data=data[0], config=config)
 
 
+@cache
+def _dft_bins(length: int) -> np.ndarray:
+    """The signed DFT bin indices ``fftfreq(length, d=1/length)``, built
+    once per length; read-only, as every caller shares it."""
+    bins = np.fft.fftfreq(length, d=1.0 / length)
+    bins.flags.writeable = False
+    return bins
+
+
 def _pmcw_response(config: PmcwConfig, code_spec: np.ndarray,
                    delay_s: float, doppler_hz: float, angle_rad: float,
                    frames: np.ndarray) -> np.ndarray:
@@ -170,9 +179,9 @@ def _pmcw_response(config: PmcwConfig, code_spec: np.ndarray,
     as a phase ramp on its spectrum.  Unlike ``steering_vector`` it takes
     any angle, as the CRLB proxy's angle step may cross +-pi/2."""
     l_count = config.code_length
-    freqs = np.fft.fftfreq(l_count, d=1.0 / l_count)
     code_row = np.fft.ifft(code_spec * np.exp(
-        -2j * np.pi * freqs * (delay_s / config.chip_time) / l_count))
+        -2j * np.pi * _dft_bins(l_count) * (delay_s / config.chip_time)
+        / l_count))
     slow = np.exp(-2j * np.pi * doppler_hz * frames * config.block_time)
     fast = np.exp(-2j * np.pi * doppler_hz * np.arange(l_count)
                   * config.chip_time)

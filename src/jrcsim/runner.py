@@ -12,8 +12,10 @@ in the fixed per-trial order: its payload bits are drawn first, then its
 noise inside the receive synthesizer.  Peak picking, the amplitude
 least-squares fit and the matching to the truth stay per trial.  A batch
 in which some trial raises a ValueError is rerun one trial at a time, so
-only that trial fails.  The process pool runs every trial as a batch of
-one.
+only that trial fails.  The process pool runs the same stacked batches:
+a point's trials split into pool batches of ``_pool_batch`` trials, which
+divides the trial count, and a worker runs each batch once, on its first
+task, and answers the batch's other tasks from what it kept.
 
 Each sweep point is bound once by ``_bind`` into a ``_Point``: the
 waveform config with the point's mu applied, the scatterers' nominal
@@ -406,11 +408,39 @@ def _run_point_trials(config: ScenarioConfig, point: SweepPoint,
                                       trials[start:start + step])]
 
 
+def _pool_batch(config: ScenarioConfig) -> int:
+    """Trials per pool batch: the largest divisor of ``config.trials`` that
+    is at most ``_batch_size``, so a point's trials split into whole
+    batches and a chunk of whole batches never cuts one."""
+    step = min(_batch_size(config), config.trials)
+    return max(d for d in range(1, step + 1) if config.trials % d == 0)
+
+
+# A pool worker's current batch: (config, point, {trial: outcome}).  The
+# config is held, so its identity cannot be reused while the slot is.
+_SLOT = (None, None, {})
+
+
 def _run_single_trial(args) -> TrialOutcome:
-    """Pool worker entry point: one (config, point, trial) task, run as a
-    batch of one; must stay module-level for process pools."""
+    """Pool worker entry point: one (config, point, trial) task; must stay
+    module-level for process pools.
+
+    The first task of a pool batch runs the whole batch through
+    ``_run_batch``; the batch's other tasks take their outcome from the
+    worker's slot.  A miss recomputes, so the task order only costs time.
+    One outcome per task, not a batch's list, because perfbench's
+    ``TracedPool`` reads ``.failed`` and ``.message`` from each result.
+    """
+    global _SLOT
     config, point, trial = args
-    return _run_batch(config, point, [trial])[0]
+    held, at, outcomes = _SLOT
+    if held is not config or at != point or trial not in outcomes:
+        size = _pool_batch(config)
+        start = trial - trial % size
+        outcomes = {o.trial: o for o in _run_batch(
+            config, point, range(start, start + size))}
+        _SLOT = (config, point, outcomes)
+    return outcomes.pop(trial)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +660,8 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
     """Execute the sweep, write the output tables, return the report.
 
     Inline, each point's trials run as stacked batches; ``workers`` > 1
-    fans them out to a process pool as batches of one.  Outputs are
+    fans them out to a process pool, one task per trial, in chunks of
+    whole pool batches that a worker runs stacked too.  Outputs are
     identical for any worker count because trials are seeded by index.
     """
     if workers < 1:
@@ -648,8 +679,10 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
         # One map over every (point, trial): no barrier between points.
         tasks = [(config, point, t) for point in points
                  for t in range(config.trials)]
+        # A chunk holds whole pool batches, which share its one config.
+        size = _pool_batch(config)
+        chunk = size * max(1, len(tasks) // (4 * workers * size))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
             flat = list(pool.map(_run_single_trial, tasks, chunksize=chunk))
     else:
         flat = [outcome for point in points

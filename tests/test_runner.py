@@ -1,6 +1,7 @@
 """Sweep orchestration: determinism, worker independence, output tables."""
 
 import json
+import pickle
 import tempfile
 import warnings
 from dataclasses import replace
@@ -28,6 +29,7 @@ from jrcsim.sigcore import ArrayGeometry, golay_pair
 from jrcsim.tensorio import read_csv_rows
 
 CSV_NAMES = ("rmse_vs_snr.csv", "ber_vs_snr.csv", "estimates.csv")
+PMCW_CUBE_CELLS = 8 * 31 * 2  # pmcw_scenario's receive cube
 
 
 def pmcw_scenario(**overrides):
@@ -126,24 +128,58 @@ def test_same_seed_reruns_are_byte_identical(tmp_path):
     assert read_bytes(tmp_path / "a") == read_bytes(tmp_path / "b")
 
 
-@pytest.mark.parametrize("config", [
-    pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=4),
-    ofdma_scenario(sweep={"snr_db": [5, 15]}, trials=4),
-    pmcw_scenario(
+@pytest.mark.parametrize("config, cells", [
+    (pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=4), None),
+    (ofdma_scenario(sweep={"snr_db": [5, 15]}, trials=4), None),
+    (pmcw_scenario(
         scene={"scatterers": [
             {"delay_s": 5e-9, "doppler_hz": 2e6, "angle_rad": 0.2,
              "amplitude": [1.0, 0.0]},
             {"delay_s": 17e-9, "doppler_hz": -9e6, "angle_rad": -0.4,
              "amplitude": [0.0, 0.6]}]},
         estimator={"max_targets": 2, "interpolate": True},
-        sweep={"snr_db": [0, 10]}, trials=4),
-], ids=["pmcw", "ofdma", "pmcw-two-targets-interpolated"])
-def test_worker_count_does_not_change_outputs(tmp_path, config):
-    # Inline, each point's trials run as one stacked batch; the pool runs
-    # every trial as a batch of one.
+        sweep={"snr_db": [0, 10]}, trials=4), None),
+    # Four cubes per batch: 9 trials run inline as batches of 4, 4 and 1,
+    # and in the pool as three batches of 3.
+    (pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=9), 4 * PMCW_CUBE_CELLS),
+], ids=["pmcw", "ofdma", "pmcw-two-targets-interpolated",
+        "pmcw-several-pool-batches"])
+def test_worker_count_does_not_change_outputs(tmp_path, monkeypatch, config,
+                                              cells):
+    # Inline, a point's trials run as stacked batches of ``_batch_size``;
+    # the pool runs them as batches of ``_pool_batch``, which divides the
+    # trial count.  Forked workers inherit a patched ``_BATCH_CELLS``.
+    if cells is not None:
+        monkeypatch.setattr(runner, "_BATCH_CELLS", cells)
+        assert runner._batch_size(config) == 4
+        assert runner._pool_batch(config) == 3
     run_scenario(config, out_dir=tmp_path / "serial", workers=1)
-    run_scenario(config, out_dir=tmp_path / "pool", workers=2)
-    assert read_bytes(tmp_path / "serial") == read_bytes(tmp_path / "pool")
+    for workers in (2, 3):
+        run_scenario(config, out_dir=tmp_path / f"pool{workers}",
+                     workers=workers)
+        assert read_bytes(tmp_path / "serial") == read_bytes(
+            tmp_path / f"pool{workers}")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_one_point_sweep_reaches_every_worker(tmp_path, monkeypatch,
+                                              workers):
+    # A single point's trials still split into several chunks, each of
+    # whole pool batches.
+    chunks = []
+
+    class Recording(runner.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1, **kwargs):
+            chunks.append((len(iterables[0]), chunksize))
+            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Recording)
+    config = pmcw_scenario(sweep={"snr_db": [10]}, trials=100)
+    run_scenario(config, out_dir=tmp_path, workers=workers)
+    [(n_tasks, chunk)] = chunks
+    assert n_tasks == 100
+    assert -(-n_tasks // chunk) >= workers
+    assert chunk % runner._pool_batch(config) == 0
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -555,10 +591,72 @@ def test_large_trial_counts_run_in_several_batches(monkeypatch):
         return pmcw_trials(config, point, trials)
 
     monkeypatch.setitem(runner._POINT_FNS, "pmcw", counted)
-    monkeypatch.setattr(runner, "_BATCH_CELLS", 2 * 8 * 31 * 2)
+    monkeypatch.setattr(runner, "_BATCH_CELLS", 2 * PMCW_CUBE_CELLS)
     split = runner._run_point_trials(config, point, range(5))
     assert sizes == [2, 2, 1]
     assert [exact(o) for o in split] == [exact(o) for o in whole]
+
+
+def pool_tasks(config, points):
+    """The pool's (config, point, trial) tasks of ``points``, in map order."""
+    return [(config, point, t) for point in points
+            for t in range(config.trials)]
+
+
+def round_trip(tasks):
+    """``tasks`` as a worker receives one chunk: unpickled together, so
+    they share one config object."""
+    return pickle.loads(pickle.dumps(tasks))
+
+
+def test_pool_worker_runs_each_pool_batch_once(monkeypatch):
+    monkeypatch.setattr(runner, "_BATCH_CELLS", 4 * PMCW_CUBE_CELLS)
+    config = pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=9)
+    points = [SweepPoint(index=i, mu_percent=None, snr_db=snr)
+              for i, snr in enumerate((5.0, 15.0))]
+    tasks = pool_tasks(config, points)
+    size = runner._pool_batch(config)
+    assert size == 3
+    pmcw_trials = runner._POINT_FNS["pmcw"]
+    with mock.patch.dict(runner._POINT_FNS,
+                         {"pmcw": mock.Mock(wraps=pmcw_trials)}) as fns:
+        pooled = [runner._run_single_trial(task)
+                  for start in range(0, len(tasks), 2 * size)
+                  for task in round_trip(tasks[start:start + 2 * size])]
+        assert fns["pmcw"].call_count == len(tasks) // size
+    assert [exact(o) for o in pooled] == [
+        exact(o) for point in points
+        for o in runner._run_point_trials(config, point, range(9))]
+
+
+def test_pool_worker_slot_survives_any_task_order(monkeypatch):
+    # Out of order, or interleaved with another config's task, a task
+    # misses the slot and recomputes its batch: slower, never wrong.
+    monkeypatch.setattr(runner, "_BATCH_CELLS", 4 * PMCW_CUBE_CELLS)
+    config = pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=9)
+    other = ofdma_scenario(sweep={"snr_db": [5]}, trials=9)
+    points = [SweepPoint(index=i, mu_percent=None, snr_db=snr)
+              for i, snr in enumerate((5.0, 15.0))]
+    tasks = pool_tasks(config, points) + [(other, points[0], 4)]
+    order = np.random.default_rng(3).permutation(len(tasks))
+    shuffled = round_trip([tasks[i] for i in order])
+    pooled = {(task[0].waveform, task[1].index, task[2]):
+              runner._run_single_trial(task) for task in shuffled}
+    expected = {("pmcw", point.index, o.trial): o for point in points
+                for o in runner._run_point_trials(config, point, range(9))}
+    expected["ofdma", 0, 4] = runner._run_point_trials(
+        other, points[0], [4])[0]
+    assert {k: exact(o) for k, o in pooled.items()} == {
+        k: exact(o) for k, o in expected.items()}
+
+
+@pytest.mark.parametrize("trials, step, size", [
+    (3, 8, 3), (8, 8, 8), (20, 8, 5), (13, 8, 1), (1, 1, 1)])
+def test_pool_batch_divides_the_trial_count(monkeypatch, trials, step, size):
+    monkeypatch.setattr(runner, "_BATCH_CELLS", step * PMCW_CUBE_CELLS)
+    config = pmcw_scenario(trials=trials)
+    assert runner._batch_size(config) == step
+    assert runner._pool_batch(config) == size
 
 
 # ---------------------------------------------------------------------------
