@@ -16,21 +16,25 @@ the zero-filled pilot grid.
 The estimators run on stacks of CPIs with a leading axis (the trials of
 a sweep point); the public single-CPI functions are stacks of one.  Peak
 picking stays per CPI: each map's threshold is relative to its own
-strongest cell.
+strongest cell.  The targets at the picked cells of a whole stack are
+then read in one array pass (``_window_targets``).
 
 Symbol decoding is one demodulator for both waveforms, ``_demodulate``:
 it projects each data-bearing slot onto the reconstructed multi-target
 response (amplitudes re-fitted by least squares on the known slots) and
 differentially decodes the projections.  A target's response is the
 waveform's own bound receive model, ``pmcw._pmcw_response`` or
-``ofdma._ofdma_response``, evaluated at its estimates.  The DPSK layout
-is the only per-waveform step: PMCW runs one chain across the comm
-frames, referenced to the last radar frame's symbol 1
-(``_pmcw_dpsk``); OFDMA runs one chain per comm row along its symbols
-(``_ofdma_dpsk``).
+``ofdma._ofdma_response``, evaluated at its estimates, for all targets
+of a stack in one call.  The DPSK layout is the only per-waveform step:
+PMCW runs one chain across the comm frames, referenced to the last radar
+frame's symbol 1 (``_pmcw_dpsk``); OFDMA runs one chain per comm row
+along its symbols (``_ofdma_dpsk``).
 
 Refinement re-runs detection over every slot with the decoded symbols
-treated as known.  It forms the unpadded (pad-1) map of all slots, the
+treated as known.  It reuses detection's demodulation of the radar
+slots, which ``_detect`` returns, and demodulates only the comm slots,
+with the decoded symbols (``_demodulated``), so each slot of a stack is
+demodulated once.  It forms the unpadded (pad-1) map of all slots, the
 layout at unit pads, and evaluates the finer zero-padded grid only in a
 window around each seed cell of that map above the threshold (a local
 peak, or on a padded axis a rising flank, beside which a fine peak
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import starmap
 from typing import Callable
 
 import numpy as np
@@ -169,30 +174,21 @@ class _MapLayout:
     spacing: float
 
 
-def _wrap_bin(idx: int, n: int) -> int:
-    """Map an FFT bin index to its signed alias (fftfreq convention)."""
-    return idx - n if idx >= (n + 1) // 2 else idx
+def _wrap_bin(idx: np.ndarray, n: int) -> np.ndarray:
+    """Signed aliases of FFT bin indices (fftfreq convention)."""
+    return idx - n * (idx >= (n + 1) // 2)
 
 
-def _parabolic_offset(prev: float, mid: float, nxt: float) -> float:
-    """Sub-bin offset of a parabola fit through three power samples.
+def _parabolic_offsets(prev, mid, nxt) -> np.ndarray:
+    """Sub-bin offsets of parabola fits through three power samples each.
 
-    Falls back to 0 when the fit degenerates (flat or non-concave), and is
-    clamped to half a bin either side.
+    An offset is 0 where its fit degenerates (flat or non-concave), and
+    is clamped to half a bin either side.
     """
     denom = prev - 2.0 * mid + nxt
-    if denom >= 0 or not np.isfinite(denom):
-        return 0.0
-    return float(np.clip(0.5 * (prev - nxt) / denom, -0.5, 0.5))
-
-
-def _axis_offset(power: np.ndarray, pos, axis: int) -> float:
-    """Parabolic offset along one axis at an inner cell of a guarded block."""
-    lo = list(pos)
-    hi = list(pos)
-    lo[axis] -= 1
-    hi[axis] += 1
-    return _parabolic_offset(power[tuple(lo)], power[pos], power[tuple(hi)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = np.clip(0.5 * (prev - nxt) / denom, -0.5, 0.5)
+    return np.where((denom < 0) & np.isfinite(denom), offset, 0.0)
 
 
 # Windows are stacked guarded blocks: whole maps, or windows of them, each
@@ -279,32 +275,6 @@ def profile_peaks(profile, max_peaks: int = 1, threshold_db: float = -13.0):
             _peak_cells(bins, power, owner, 1, max_peaks, threshold_db)[0]]
 
 
-def _angle_from_snapshot(snapshot: np.ndarray, spacing_over_lambda: float,
-                         angle_pad: int, phase_sign: float,
-                         interpolate: bool = False):
-    """Beamspace FFT over the array snapshot; returns (angle_rad, bin).
-
-    ``phase_sign`` is the sign of the snapshot's steering exponent so the
-    matched FFT kernel can be chosen (+1 multicarrier, -1 continuous wave).
-    """
-    n_rx = snapshot.size
-    na = n_rx * angle_pad
-    if phase_sign < 0:
-        spectrum = np.fft.ifft(snapshot, n=na) * na
-    else:
-        spectrum = np.fft.fft(snapshot, n=na)
-    mags = np.abs(spectrum) ** 2
-    u = int(np.argmax(mags))
-    u_signed = _wrap_bin(u, na)
-    offset = 0.0
-    if interpolate and na >= 3:
-        offset = _parabolic_offset(mags[(u - 1) % na], mags[u],
-                                   mags[(u + 1) % na])
-    sin_psi = (u_signed + offset) / (na * spacing_over_lambda)
-    sin_psi = float(np.clip(sin_psi, -1.0, 1.0))
-    return float(np.arcsin(sin_psi)), u_signed
-
-
 def _dft(n_in: int, n_out: int, sign: float) -> np.ndarray:
     """The (n_out, n_in) n_out-point DFT matrix over n_in inputs; a stack
     of refinement windows takes its rows by fine bin."""
@@ -312,44 +282,67 @@ def _dft(n_in: int, n_out: int, sign: float) -> np.ndarray:
     return roots[np.arange(n_out)[:, None] * np.arange(n_in) % n_out]
 
 
-def _cell_target(windows, block_cell, est: EstimatorConfig,
-                 lay: _MapLayout) -> TargetEstimate:
-    """Peak -> angle -> sub-bin offset -> amplitude at one block cell."""
-    bins, power, beams, _ = windows
-    w, r, c = block_cell
-    da, ka = lay.delay_axis, 1 - lay.delay_axis
-    nd = lay.shape[ka]
-    cell = (int(bins[0][w, r]), int(bins[1][w, c]))
-    snapshot = beams[w, r, c]
-    angle, abin = _angle_from_snapshot(snapshot, lay.spacing,
-                                       est.angle_pad,
-                                       phase_sign=lay.phase_sign,
-                                       interpolate=est.interpolate)
-    kappa_signed = _wrap_bin(cell[ka], nd)
-    d_off = k_off = 0.0
-    if est.interpolate:
-        if lay.wrap[da] or 0 < cell[da] < lay.shape[da] - 1:
-            d_off = _axis_offset(power[w], (r, c), da)
-        k_off = _axis_offset(power[w], (r, c), ka)
-    steer = np.exp(lay.phase_sign * 2j * np.pi * lay.spacing
-                   * np.sin(angle) * np.arange(snapshot.size))
-    amplitude = snapshot @ np.conj(steer) / (snapshot.size * lay.n_known)
-    return TargetEstimate(
-        delay_s=lay.delay_of(cell[da] + d_off),
-        doppler_hz=(kappa_signed + k_off) / (nd * lay.period),
-        angle_rad=angle, amplitude=complex(amplitude),
-        delay_bin=cell[da], doppler_bin=kappa_signed,
-        angle_bin=abin, power=float(power[w, r, c]))
-
-
 def _window_targets(windows, n_maps: int, est: EstimatorConfig,
                     lay: _MapLayout) -> list:
     """Per map, the targets at the strongest peaks of its blocks;
-    ``windows`` is (bins, power, beams, owner)."""
-    bins, power, _, owner = windows
-    return [tuple(_cell_target(windows, cell, est, lay) for cell in cells)
-            for cells in _peak_cells(bins, power, owner, n_maps,
-                                     est.max_targets, est.threshold_db)]
+    ``windows`` is (bins, power, beams, owner).
+
+    Every picked cell of the stack is read in one pass.  Its snapshot
+    across the array goes through one beamspace FFT, ``angle_pad`` times
+    zero-padded, whose kernel matches the sign of the layout's steering
+    exponent (+1 multicarrier, -1 continuous wave); the strongest beam
+    gives the angle.  With ``interpolate`` a parabolic offset refines the
+    beam and both map bins; at the edge of a non-wrapping axis the guard
+    ring's -inf leaves the bin as it is.  The amplitude is the snapshot
+    matched to the steering at the angle, per array element and known
+    sample.  The targets hold Python scalars.
+    """
+    bins, power, beams, owner = windows
+    cells = _peak_cells(bins, power, owner, n_maps, est.max_targets,
+                        est.threshold_db)
+    w, r, c = np.array([cell for picked in cells for cell in picked],
+                       dtype=np.intp).reshape(-1, 3).T
+    if w.size == 0:
+        return [() for _ in cells]
+    snapshots = beams[w, r, c]
+    n_rx = snapshots.shape[1]
+    na = n_rx * est.angle_pad
+    if lay.phase_sign < 0:
+        spectrum = np.fft.ifft(snapshots, n=na, axis=1) * na
+    else:
+        spectrum = np.fft.fft(snapshots, n=na, axis=1)
+    mags = np.abs(spectrum) ** 2
+    beam = mags.argmax(axis=1)
+    beam_off = row_off = col_off = 0.0
+    if est.interpolate:
+        if na >= 3:
+            k = np.arange(w.size)
+            beam_off = _parabolic_offsets(mags[k, (beam - 1) % na],
+                                          mags[k, beam],
+                                          mags[k, (beam + 1) % na])
+        row_off = _parabolic_offsets(power[w, r - 1, c], power[w, r, c],
+                                     power[w, r + 1, c])
+        col_off = _parabolic_offsets(power[w, r, c - 1], power[w, r, c],
+                                     power[w, r, c + 1])
+    beam = _wrap_bin(beam, na)
+    angle = np.arcsin(np.clip((beam + beam_off) / (na * lay.spacing),
+                              -1.0, 1.0))
+    steer = np.exp(lay.phase_sign * 2j * np.pi * lay.spacing
+                   * np.sin(angle)[:, None] * np.arange(n_rx))
+    amplitude = np.matmul(snapshots[:, None, :],
+                          np.conj(steer)[:, :, None])[:, 0, 0] \
+        / (n_rx * lay.n_known)
+    axes = ((bins[0][w, r], row_off), (bins[1][w, c], col_off))
+    da, ka = lay.delay_axis, 1 - lay.delay_axis
+    (delay, delay_off), (doppler, doppler_off) = axes[da], axes[ka]
+    nd = lay.shape[ka]
+    doppler = _wrap_bin(doppler, nd)
+    targets = starmap(TargetEstimate, zip(
+        lay.delay_of(delay + delay_off).tolist(),
+        ((doppler + doppler_off) / (nd * lay.period)).tolist(),
+        angle.tolist(), amplitude.tolist(), delay.tolist(),
+        doppler.tolist(), beam.tolist(), power[w, r, c].tolist()))
+    return [tuple(next(targets) for _ in picked) for picked in cells]
 
 
 def _seed_cells(seed_power: np.ndarray, pads, wrap,
@@ -413,32 +406,47 @@ def _result(stack, lay: _MapLayout) -> DetectionResult:
     da, nd = lay.delay_axis, power.shape[1 - lay.delay_axis]
     return DetectionResult(
         power=power, delays_s=lay.delay_of(np.arange(power.shape[da])),
-        dopplers_hz=np.array([_wrap_bin(i, nd) / (nd * lay.period)
-                              for i in range(nd)]), targets=targets)
+        dopplers_hz=_wrap_bin(np.arange(nd), nd) / (nd * lay.period),
+        targets=targets)
 
 
 def _detect(data: np.ndarray, symbols: np.ndarray, known, demod, layout,
             est: EstimatorConfig) -> tuple:
-    """(power maps, targets per CPI) of a stack of CPIs from its ``known``
-    slots, demodulated by ``demod`` and mapped at their slot indices: the
-    unknown slots before the last known one are zeros, like the padding."""
+    """(power maps, targets per CPI, demodulated known slots) of a stack
+    of CPIs from its ``known`` slots, demodulated by ``demod`` and mapped
+    at their slot indices: the unknown slots before the last known one
+    are zeros, like the padding."""
     if not known.any():
         raise NonIdentifiableError(
             "no radar slots: delay and Doppler cannot be separated from "
             "unknown data symbols at mu = 0")
     rows, lay = np.flatnonzero(known), layout(known, est)
     x = demod(data[:, rows], symbols[:, rows])
+    padded = x
     if rows.size < lay.lengths[0]:
         padded = np.zeros((len(x), lay.lengths[0]) + x.shape[2:],
                           dtype=complex)
         padded[:, rows] = x
-        x = padded
-    beams = _map(x, lay)
+    beams = _map(padded, lay)
     power = _power(beams)
     bins, guarded, owner = _whole_map(power, lay.wrap)
     return power, _window_targets(
         (bins, guarded, _gather(beams, bins, owner), owner), len(power),
-        est, lay)
+        est, lay), x
+
+
+def _demodulated(data: np.ndarray, symbols: np.ndarray, known,
+                 known_x: np.ndarray, demod) -> np.ndarray:
+    """A stack of CPIs demodulated on every slot: on the ``known`` slots
+    ``known_x``, as ``_detect`` demodulated them, and on the others
+    ``demod`` of the data with its ``symbols``."""
+    if known.all():
+        return known_x
+    comm = ~known
+    x = np.empty(data.shape, dtype=complex)
+    x[:, known] = known_x
+    x[:, comm] = demod(data[:, comm], symbols[:, comm])
+    return x
 
 
 def _zoom(x: np.ndarray, owner: np.ndarray, bins,
@@ -473,10 +481,9 @@ def _zoom(x: np.ndarray, owner: np.ndarray, bins,
 _UNIT_PADS = EstimatorConfig()
 
 
-def _windows(data: np.ndarray, symbols: np.ndarray, demod, layout,
-             est: EstimatorConfig) -> tuple:
+def _windows(x: np.ndarray, layout, est: EstimatorConfig) -> tuple:
     """(pad-1 power maps, fine-grid windows, layout) of the refinements of
-    a stack of CPIs, every slot known.
+    a stack of CPIs demodulated on every slot, all of them known.
 
     The seed maps are ``layout`` at unit pads; a fine axis's pad is its
     length over theirs.  Seeds are ``_seed_cells``: seed bin s maps to
@@ -484,8 +491,7 @@ def _windows(data: np.ndarray, symbols: np.ndarray, demod, layout,
     the guard ring, is evaluated by ``_zoom``.  The windows are (bins,
     power, beams, owner).
     """
-    known = np.ones(data.shape[1], dtype=bool)
-    x = demod(data, symbols)
+    known = np.ones(x.shape[1], dtype=bool)
     unit, lay = layout(known, _UNIT_PADS), layout(known, est)
     seed_power = _power(_map(x, unit))
     pads = [f // u for f, u in zip(lay.shape, unit.shape)]
@@ -524,13 +530,14 @@ def _demodulate(data: np.ndarray, symbols: np.ndarray, radar, response,
     demodulated against its own ``targets`` entry.
 
     ``symbols`` covers the leading cube axes of ``data``, (CPIs, slots)
-    or (CPIs, slots, samples); only its ``radar`` slots are read.  Per
-    CPI, each target's unit response ``response(delay_s, doppler_hz,
-    angle_rad, slots)`` is evaluated at its estimates, once over the
-    radar and the data slots.  The amplitudes are fitted by least squares
-    on the radar slots and the response they give is rebuilt on the data
-    slots; each data sample is projected onto it, summed over the
-    remaining axes.  ``dpsk(projections, order)`` decodes the stack's
+    or (CPIs, slots, samples); only its ``radar`` slots are read.  The
+    unit response ``response(delay_s, doppler_hz, angle_rad, slots)`` of
+    every target of the stack is evaluated at its estimates in one call,
+    the parameters stacked along a leading axis, over the radar and the
+    data slots.  Per CPI, its targets' amplitudes are fitted by least
+    squares on the radar slots and the response they give is rebuilt on
+    the data slots; each data sample is projected onto it, summed over
+    the remaining axes.  ``dpsk(projections, order)`` decodes the stack's
     projections into (bits, re-encoded data-slot symbols), which replace
     the data slots of the full symbols.
     """
@@ -547,14 +554,16 @@ def _demodulate(data: np.ndarray, symbols: np.ndarray, radar, response,
     known_symbols = np.expand_dims(symbols[:, known], axes)
     received = data[:, comm]
     rebuilt = np.zeros_like(received)
-    both = np.concatenate([known, comm])
-    for k, found in enumerate(targets):
-        bases = [response(t.delay_s, t.doppler_hz, t.angle_rad, both)
-                 for t in found]
-        d_hat = _fit(data[k], [basis[:known.size] for basis in bases], known,
-                     known_symbols[k])
-        for d_q, basis in zip(d_hat, bases):
-            rebuilt[k] += d_q * basis[known.size:]
+    bases = response(*np.array([(t.delay_s, t.doppler_hz, t.angle_rad)
+                                for cpi in targets for t in cpi]).T,
+                     np.concatenate([known, comm]))
+    start = 0
+    for k, cpi in enumerate(targets):
+        own = bases[start:start + len(cpi)]
+        start += len(cpi)
+        d_hat = _fit(data[k], own[:, :known.size], known, known_symbols[k])
+        for d_q, basis in zip(d_hat, own[:, known.size:]):
+            rebuilt[k] += d_q * basis
     energy = np.sum(np.abs(rebuilt) ** 2, axis=axes)
     if np.any(energy == 0):
         raise DecodingError("reconstructed response has zero energy")
@@ -608,7 +617,7 @@ def pmcw_range_doppler(cube: ReceiveCube, code: CodeSequence,
     return _result(_detect(
         cube.data[None], np.ones((1, radar.size), dtype=complex), radar,
         partial(_pmcw_correlate, code_spec=np.fft.fft(code.chips())), layout,
-        est), layout(radar, est))
+        est)[:2], layout(radar, est))
 
 
 def pmcw_refine(cube: ReceiveCube, code: CodeSequence, symbols,
@@ -623,10 +632,10 @@ def pmcw_refine(cube: ReceiveCube, code: CodeSequence, symbols,
     if symbols.size != cube.config.n_frames:
         raise ValueError("need one symbol per frame")
     layout = partial(_pmcw_layout, cube.config)
-    return _result(_refined(_windows(
-        cube.data[None], symbols.reshape(1, -1),
-        partial(_pmcw_correlate, code_spec=np.fft.fft(code.chips())), layout,
-        est), est), layout(np.ones(symbols.size, dtype=bool), _UNIT_PADS))
+    x = _pmcw_correlate(cube.data[None], symbols.reshape(1, -1),
+                        np.fft.fft(code.chips()))
+    return _result(_refined(_windows(x, layout, est), est),
+                   layout(np.ones(symbols.size, dtype=bool), _UNIT_PADS))
 
 
 def _pmcw_dpsk(proj: np.ndarray, order: int) -> tuple:
@@ -694,7 +703,7 @@ def ofdma_range_doppler_angle(cube: ReceiveCube, grid: SymbolGrid,
     est = est or EstimatorConfig()
     layout = partial(_ofdma_layout, cube.config)
     return _result(_detect(cube.data[None], grid.symbols[None],
-                           grid.radar_rows, _ofdma_derotate, layout, est),
+                           grid.radar_rows, _ofdma_derotate, layout, est)[:2],
                    layout(grid.radar_rows, est))
 
 
@@ -710,8 +719,8 @@ def ofdma_refine(cube: ReceiveCube, symbols: np.ndarray,
     if symbols.shape != (cube.config.n_subcarriers, cube.config.n_symbols):
         raise ValueError("need the full N_c x N_s symbol matrix")
     layout = partial(_ofdma_layout, cube.config)
-    return _result(_refined(_windows(cube.data[None], symbols[None],
-                                     _ofdma_derotate, layout, est), est),
+    x = _ofdma_derotate(cube.data[None], symbols[None])
+    return _result(_refined(_windows(x, layout, est), est),
                    layout(np.ones(len(symbols), dtype=bool), _UNIT_PADS))
 
 

@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .channel import SPEED_OF_LIGHT, ReceiveCube, Scene, _synthesize
-from .sigcore import ArrayGeometry, _radar_count, dpsk_encode, \
+from .sigcore import ArrayGeometry, _column, _radar_count, dpsk_encode, \
     steering_vector
 
 
@@ -234,17 +234,21 @@ def _warn_isi(config: OfdmaConfig, scatterers, stacklevel: int = 3) -> None:
                 "not modeled", IsiWarning, stacklevel=stacklevel)
 
 
-def _ofdma_response(config: OfdmaConfig, delay_s: float, doppler_hz: float,
-                    angle_rad: float, rows: np.ndarray) -> np.ndarray:
+def _ofdma_response(config: OfdmaConfig, delay_s, doppler_hz, angle_rad,
+                    rows: np.ndarray) -> np.ndarray:
     """Unit response of one scatterer on the subcarrier ``rows``, shape
     (rows, N_s, N_r).  Its steering exponent is positive, opposite to the
     PMCW receive phasor; unlike ``steering_vector`` it takes any angle, as
-    the CRLB proxy's angle step may cross +-pi/2."""
+    the CRLB proxy's angle step may cross +-pi/2.  Equal shaped parameter
+    arrays give one response per entry, along their leading axes, each
+    equal to the scalar call's."""
+    delay_s, doppler_hz, angle_rad = (_column(v) for v in (
+        delay_s, doppler_hz, angle_rad))
     phase_n = np.exp(-2j * np.pi * rows * config.subcarrier_spacing_hz
                      * delay_s)
     phase_m = np.exp(2j * np.pi * np.arange(config.n_symbols)
                      * config.symbol_duration * doppler_hz)
     steer = np.exp(2j * np.pi * config.geometry.spacing_over_lambda
                    * np.sin(angle_rad) * np.arange(config.geometry.n_rx))
-    return (phase_n[:, None] * phase_m[None, :])[:, :, None] \
-        * steer[None, None, :]
+    return (phase_n[..., :, None] * phase_m[..., None, :])[..., None] \
+        * steer[..., None, None, :]

@@ -28,8 +28,8 @@ from functools import cache, partial
 import numpy as np
 
 from .channel import SPEED_OF_LIGHT, ReceiveCube, Scene, _synthesize
-from .sigcore import ArrayGeometry, CodeSequence, _radar_count, dpsk_encode, \
-    steering_vector
+from .sigcore import ArrayGeometry, CodeSequence, _column, _radar_count, \
+    dpsk_encode, steering_vector
 
 
 @dataclass(frozen=True)
@@ -171,14 +171,18 @@ def _dft_bins(length: int) -> np.ndarray:
 
 
 def _pmcw_response(config: PmcwConfig, code_spec: np.ndarray,
-                   delay_s: float, doppler_hz: float, angle_rad: float,
+                   delay_s, doppler_hz, angle_rad,
                    frames: np.ndarray) -> np.ndarray:
     """Unit response [(b ⊙ P_k s)^T ⊗ e] c of one scatterer on the integer
     ``frames``, shape (frames, L, N_r), from the code's DFT ``code_spec``.
     P_k delays the code cyclically by k = delay_s / t_c chips, any real k,
     as a phase ramp on its spectrum.  Unlike ``steering_vector`` it takes
-    any angle, as the CRLB proxy's angle step may cross +-pi/2."""
+    any angle, as the CRLB proxy's angle step may cross +-pi/2.  Equal
+    shaped parameter arrays give one response per entry, along their
+    leading axes, each equal to the scalar call's."""
     l_count = config.code_length
+    delay_s, doppler_hz, angle_rad = (_column(v) for v in (
+        delay_s, doppler_hz, angle_rad))
     code_row = np.fft.ifft(code_spec * np.exp(
         -2j * np.pi * _dft_bins(l_count) * (delay_s / config.chip_time)
         / l_count))
@@ -187,5 +191,5 @@ def _pmcw_response(config: PmcwConfig, code_spec: np.ndarray,
                   * config.chip_time)
     steer = np.exp(-2j * np.pi * config.geometry.spacing_over_lambda
                    * np.sin(angle_rad) * np.arange(config.geometry.n_rx))
-    block = slow[:, None] * (fast * code_row)[None, :]
-    return block[:, :, None] * steer[None, None, :]
+    block = slow[..., :, None] * (fast * code_row)[..., None, :]
+    return block[..., None] * steer[..., None, None, :]

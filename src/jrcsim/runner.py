@@ -9,15 +9,19 @@ mask, amplitudes, noise variance, DFT tables) is built once per
 batch, and synthesis, the coarse map, decoding and refinement carry a
 leading trial axis.  Within the batch each trial's generator is consumed
 in the fixed per-trial order: its payload bits are drawn first, then its
-noise inside the receive synthesizer.  Peak picking, the amplitude
-least-squares fit and the matching to the truth stay per trial.  A batch
-in which some trial raises a ValueError is rerun one trial at a time, so
-only that trial fails.  The process pool runs the same stacked batches:
-a point's trials split into pool batches of ``_pool_batch`` trials, which
-divides the trial count, and a worker runs each batch once, on its first
-task, and answers the batch's other tasks from what it kept.
+noise inside the receive synthesizer.  Target extraction at the picked
+map cells and the decoder's target responses are array passes over the
+whole batch, and refinement reuses the radar slots as detection
+demodulated them, demodulating only the comm slots.  What stays per
+trial is the choice of each map's peaks, the amplitude least-squares fit
+and the matching to the truth.  A batch in which some trial raises a
+ValueError is rerun one trial at a time, so only that trial fails.  The
+process pool runs the same stacked batches: a point's trials split into
+pool batches of ``_pool_batch`` trials, which divides the trial count,
+and a worker runs each batch once, on its first task, and answers the
+batch's other tasks from what it kept.
 
-Each sweep point is bound once by ``_bind`` into a ``_Point``: the
+Each sweep point is bound by ``_bind`` into a ``_Point``: the
 waveform config with the point's mu applied, the scatterers' nominal
 amplitudes and true (delay, Doppler, angle), the noise variance, and the
 cube binding.  The two cube waveforms differ only in how they multiplex
@@ -62,9 +66,9 @@ import numpy as np
 from .alloc import detection_probability
 from .channel import _synthesize, complex_awgn, scatterer_amplitude
 from .config import ConfigError, ScenarioConfig, config_hash
-from .estim import (_demodulate, _detect, _ofdma_derotate, _ofdma_dpsk,
-                    _ofdma_layout, _pmcw_correlate, _pmcw_dpsk, _pmcw_layout,
-                    _refined, _windows, golay_cef_waveform,
+from .estim import (_demodulate, _demodulated, _detect, _ofdma_derotate,
+                    _ofdma_dpsk, _ofdma_layout, _pmcw_correlate, _pmcw_dpsk,
+                    _pmcw_layout, _refined, _windows, golay_cef_waveform,
                     golay_range_estimate, profile_peaks)
 from .ofdma import OfdmaConfig, _ofdma_response, _symbol_grids, \
     build_symbol_grid, grid_capacity_bits, ofdma_pilot_mask, ofdma_transmit
@@ -204,7 +208,7 @@ class _Cube:
     symbols: Callable  # (CPIs, capacity) bits -> their slot symbols
     transmit: Callable  # one CPI's bits -> its per-antenna samples
     response: Callable  # unit response (delay, Doppler, angle, slots)
-    demod: Callable  # estim._detect / _windows demodulation
+    demod: Callable  # estim._detect / _demodulated demodulation
     layout: Callable  # estim map layout (known, est)
     dpsk: Callable  # estim._demodulate DPSK layout
     scales: tuple
@@ -318,14 +322,15 @@ def _cube_trials(config, point, trials) -> list:
     data = _synthesize(
         replace(config.scene, noise_variance=bound.noise_variance),
         bound.wave, symbols, cube.response, trials, rngs)
-    _, coarse = _detect(data, symbols, cube.radar, cube.demod, cube.layout,
-                        config.estimator)
+    _, coarse, radar_x = _detect(data, symbols, cube.radar, cube.demod,
+                                 cube.layout, config.estimator)
     bits_hat, _, full_symbols = _demodulate(
         data, symbols, cube.radar, cube.response, coarse,
         config.symbol_order, cube.dpsk)
+    x = _demodulated(data, full_symbols, cube.radar, radar_x, cube.demod)
+    del data, radar_x  # the refinement windows are the batch's peak memory
     fine = config.estimator.refined(config.refine_factor)
-    _, refined = _refined(_windows(data, full_symbols, cube.demod,
-                                   cube.layout, fine), fine)
+    _, refined = _refined(_windows(x, cube.layout, fine), fine)
 
     errors = np.count_nonzero(bits_hat != payload, axis=1).tolist()
     return [_outcome(point, trial, bound.truths, _parameters(found),

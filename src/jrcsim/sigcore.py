@@ -178,6 +178,13 @@ def _radar_count(mu_percent: float, n: int) -> int:
     return min(int(np.floor(mu_percent * n / 100.0 + 0.5)), n)
 
 
+def _column(value):
+    """A unit-response parameter as the response broadcasts it: a scalar
+    as it is, an array with a trailing axis, so that each entry gives one
+    response along the array's leading axes."""
+    return value if np.ndim(value) == 0 else np.asarray(value)[..., None]
+
+
 # ---------------------------------------------------------------------------
 # Differential PSK
 # ---------------------------------------------------------------------------

@@ -562,7 +562,9 @@ def test_ofdma_interpolation_tightens_off_grid_delay():
 #
 # The oracles are the two demodulators as they were written before both
 # waveforms shared one: each with its own guards, empty-payload return
-# and DPSK chain, around one projection helper.
+# and DPSK chain, around one projection helper.  That helper is the
+# per-CPI decoding loop, one scalar response call per target, which
+# ``_demodulate`` replaced by one broadcast response call per stack.
 
 
 def oracle_project(data, response, targets, known, known_symbols, slots,
@@ -912,12 +914,185 @@ def test_map_pipeline_matches_per_waveform_oracles(
                                                        config)
         detect = partial(oracle_ofdma_detect, data, symbols, radar, config)
         windows = partial(oracle_ofdma_windows, data, symbols, config)
-    assert exact_map(partial(estim._detect, data, symbols, radar, demod,
-                             layout, est), est) == \
+    assert exact_map(lambda: estim._detect(data, symbols, radar, demod,
+                                           layout, est)[:2], est) == \
         exact_map(partial(detect, est), est)
-    assert exact_map(partial(estim._windows, data, symbols, demod, layout,
+    assert exact_map(partial(estim._windows, demod(data, symbols), layout,
                              est), est) == \
         exact_map(partial(windows, est), est)
+
+
+@settings(max_examples=60, deadline=None)
+@given(waveform=st.sampled_from(["pmcw", "ofdma"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       mu=st.sampled_from([0, 25, 50, 75, 100]),
+       counts=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       snr_db=st.floats(-5.0, 30.0),
+       range_pad=st.integers(1, 3), doppler_pad=st.integers(1, 3),
+       fault=st.sampled_from([None, None, None, "silent"]))
+def test_refinement_reuses_the_detection_demodulation(
+        waveform, seed, mu, counts, snr_db, range_pad, doppler_pad, fault):
+    # Refinement takes the radar slots as detection demodulated them and
+    # demodulates only the comm slots, with the decoded symbols: the
+    # stack and its windows are those of demodulating every slot anew.
+    order = 2 if waveform == "pmcw" else 4
+    config, code_spec, radar, symbols, response, data, targets = \
+        random_stack(waveform, np.random.default_rng(seed), mu, order,
+                     counts, snr_db, fault)
+    if waveform == "pmcw":
+        demod = partial(estim._pmcw_correlate, code_spec=code_spec)
+        layout = partial(estim._pmcw_layout, config)
+        dpsk = estim._pmcw_dpsk
+    else:
+        demod, layout = estim._ofdma_derotate, partial(estim._ofdma_layout,
+                                                       config)
+        dpsk = estim._ofdma_dpsk
+    est = EstimatorConfig(range_pad=range_pad, doppler_pad=doppler_pad)
+    try:
+        _, _, full = estim._demodulate(data, symbols, radar, response,
+                                       targets, order, dpsk)
+    except DecodingError:  # no radar slot, or a silent stack
+        full = symbols
+    if radar.any():
+        radar_x = estim._detect(data, symbols, radar, demod, layout, est)[2]
+    else:
+        radar_x = demod(data[:, radar], symbols[:, radar])
+    x = estim._demodulated(data, full, radar, radar_x, demod)
+    anew = demod(data, full)
+    assert x.dtype == anew.dtype and np.array_equal(x, anew)
+    fine = est.refined(2)
+    assert exact_map(partial(estim._windows, x, layout, fine), fine) == \
+        exact_map(partial(estim._windows, anew, layout, fine), fine)
+
+
+# ---------------------------------------------------------------------------
+# Array-pass target extraction against the per-cell extraction
+# ---------------------------------------------------------------------------
+#
+# The oracle is the target extraction as it was before one array pass
+# read every picked cell of a stack: per cell, a beamspace FFT of its
+# snapshot, scalar parabolic offsets and one steering product.
+
+
+def _wrap_bin(idx: int, n: int) -> int:
+    return idx - n if idx >= (n + 1) // 2 else idx
+
+
+def _parabolic_offset(prev: float, mid: float, nxt: float) -> float:
+    denom = prev - 2.0 * mid + nxt
+    if denom >= 0 or not np.isfinite(denom):
+        return 0.0
+    return float(np.clip(0.5 * (prev - nxt) / denom, -0.5, 0.5))
+
+
+def _axis_offset(power, pos, axis):
+    lo = list(pos)
+    hi = list(pos)
+    lo[axis] -= 1
+    hi[axis] += 1
+    return _parabolic_offset(power[tuple(lo)], power[pos], power[tuple(hi)])
+
+
+def _angle_from_snapshot(snapshot, spacing_over_lambda, angle_pad,
+                         phase_sign, interpolate=False):
+    """Beamspace FFT over one array snapshot: (angle_rad, signed bin)."""
+    n_rx = snapshot.size
+    na = n_rx * angle_pad
+    if phase_sign < 0:
+        spectrum = np.fft.ifft(snapshot, n=na) * na
+    else:
+        spectrum = np.fft.fft(snapshot, n=na)
+    mags = np.abs(spectrum) ** 2
+    u = int(np.argmax(mags))
+    u_signed = _wrap_bin(u, na)
+    offset = 0.0
+    if interpolate and na >= 3:
+        offset = _parabolic_offset(mags[(u - 1) % na], mags[u],
+                                   mags[(u + 1) % na])
+    sin_psi = (u_signed + offset) / (na * spacing_over_lambda)
+    sin_psi = float(np.clip(sin_psi, -1.0, 1.0))
+    return float(np.arcsin(sin_psi)), u_signed
+
+
+def _cell_target(windows, block_cell, est, lay):
+    """Peak -> angle -> sub-bin offset -> amplitude at one block cell."""
+    bins, power, beams, _ = windows
+    w, r, c = block_cell
+    da, ka = lay.delay_axis, 1 - lay.delay_axis
+    nd = lay.shape[ka]
+    cell = (int(bins[0][w, r]), int(bins[1][w, c]))
+    snapshot = beams[w, r, c]
+    angle, abin = _angle_from_snapshot(snapshot, lay.spacing, est.angle_pad,
+                                       phase_sign=lay.phase_sign,
+                                       interpolate=est.interpolate)
+    kappa_signed = _wrap_bin(cell[ka], nd)
+    d_off = k_off = 0.0
+    if est.interpolate:
+        if lay.wrap[da] or 0 < cell[da] < lay.shape[da] - 1:
+            d_off = _axis_offset(power[w], (r, c), da)
+        k_off = _axis_offset(power[w], (r, c), ka)
+    steer = np.exp(lay.phase_sign * 2j * np.pi * lay.spacing
+                   * np.sin(angle) * np.arange(snapshot.size))
+    amplitude = snapshot @ np.conj(steer) / (snapshot.size * lay.n_known)
+    return estim.TargetEstimate(
+        delay_s=lay.delay_of(cell[da] + d_off),
+        doppler_hz=(kappa_signed + k_off) / (nd * lay.period),
+        angle_rad=angle, amplitude=complex(amplitude),
+        delay_bin=cell[da], doppler_bin=kappa_signed,
+        angle_bin=abin, power=float(power[w, r, c]))
+
+
+def oracle_window_targets(windows, n_maps, est, lay):
+    bins, power, _, owner = windows
+    return [tuple(_cell_target(windows, cell, est, lay) for cell in cells)
+            for cells in estim._peak_cells(bins, power, owner, n_maps,
+                                           est.max_targets, est.threshold_db)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_maps=st.integers(1, 4),
+       shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       n_rx=st.integers(1, 6), delay_axis=st.integers(0, 1),
+       phase_sign=st.sampled_from([-1.0, 1.0]),
+       wrap=st.tuples(st.booleans(), st.booleans()),
+       angle_pad=st.integers(1, 3), max_targets=st.integers(1, 3),
+       interpolate=st.booleans(),
+       threshold_db=st.sampled_from([-1.0, -13.0, -np.inf]),
+       silent=st.lists(st.booleans(), min_size=4, max_size=4),
+       pads=st.none() | st.tuples(st.integers(1, 3), st.integers(1, 3)))
+def test_window_targets_match_the_per_cell_oracle(
+        seed, n_maps, shape, n_rx, delay_axis, phase_sign, wrap, angle_pad,
+        max_targets, interpolate, threshold_db, silent, pads):
+    # Whole maps with their guard rings (``pads`` None), or windows of
+    # them around random seed cells as refinement stacks them; a silent
+    # map has no cell above its threshold.  Every field must be the
+    # oracle's to the last bit, Python scalar types included.
+    rng = np.random.default_rng(seed)
+    full = rng.standard_normal((n_maps,) + shape + (n_rx,)) \
+        + 1j * rng.standard_normal((n_maps,) + shape + (n_rx,))
+    full[np.array(silent[:n_maps])] = 0
+    power = np.sum(np.abs(full) ** 2, axis=3)
+    if pads is None:
+        bins, guarded, owner = estim._whole_map(power, wrap)
+    else:
+        owner = np.sort(rng.integers(0, n_maps, rng.integers(1, 7)))
+        bins = tuple(estim._bins(rng.integers(0, n, (owner.size, 1))
+                                 + np.arange(-p - 1, p + 2), n, w)
+                     for p, n, w in zip(pads, shape, wrap))
+        guarded = estim._guard(estim._gather(power, bins, owner), bins)
+    windows = (bins, guarded, estim._gather(full, bins, owner), owner)
+    chip = rng.uniform(1e-10, 1e-8)
+    lay = OracleLayout(shape=shape, delay_axis=delay_axis, wrap=wrap,
+                       phase_sign=phase_sign,
+                       n_known=int(rng.integers(1, 200)),
+                       delay_of=lambda b: b * chip,
+                       period=rng.uniform(1e-8, 1e-6),
+                       spacing=rng.uniform(0.2, 1.0))
+    est = EstimatorConfig(angle_pad=angle_pad, max_targets=max_targets,
+                          interpolate=interpolate, threshold_db=threshold_db)
+    got = estim._window_targets(windows, n_maps, est, lay)
+    assert repr(got) == repr(oracle_window_targets(windows, n_maps, est,
+                                                   lay))
 
 
 # ---------------------------------------------------------------------------
@@ -952,8 +1127,8 @@ def pmcw_windows(cube, code, symbols, est):
     """(pad-1 power, windows, layout) of one cube's PMCW refinement, run
     as a stack of one."""
     power, windows, lay = estim._windows(
-        cube.data[None], np.asarray(symbols)[None],
-        partial(estim._pmcw_correlate, code_spec=np.fft.fft(code.chips())),
+        estim._pmcw_correlate(cube.data[None], np.asarray(symbols)[None],
+                              np.fft.fft(code.chips())),
         partial(estim._pmcw_layout, cube.config), est)
     return power[0], windows, lay
 
@@ -962,7 +1137,7 @@ def ofdma_windows(cube, symbols, est):
     """(pad-1 power, windows, layout) of one cube's OFDMA refinement, run
     as a stack of one."""
     power, windows, lay = estim._windows(
-        cube.data[None], np.asarray(symbols)[None], estim._ofdma_derotate,
+        estim._ofdma_derotate(cube.data[None], np.asarray(symbols)[None]),
         partial(estim._ofdma_layout, cube.config), est)
     return power[0], windows, lay
 
@@ -1037,11 +1212,11 @@ def oracle_bins(beams, cells, est, lay):
     ka = 1 - lay.delay_axis
     out = []
     for cell in cells:
-        _, abin = estim._angle_from_snapshot(
+        _, abin = _angle_from_snapshot(
             beams[cell], lay.spacing, est.angle_pad, lay.phase_sign,
             est.interpolate)
         out.append((int(cell[lay.delay_axis]),
-                    estim._wrap_bin(int(cell[ka]), beams.shape[ka]), abin))
+                    _wrap_bin(int(cell[ka]), beams.shape[ka]), abin))
     return out
 
 

@@ -6,7 +6,9 @@ at an integer chip delay as an ``np.roll`` of the chips with one joint
 fast/slow-time phase.  The responses must equal the CRLB oracle bit for
 bit, which pins ``tradeoff.csv``; against the integer-delay oracle, and
 the synthesized cubes against the responses, they may differ in the last
-bits only.
+bits only.  The decoder evaluates every target of a stack in one call,
+the parameters as arrays; each of those responses must be the scalar
+call's bit for bit, which pins the decoded bits.
 """
 
 import numpy as np
@@ -134,6 +136,25 @@ def test_crlb_model_is_bitwise_its_oracle(waveform, n_rx, spacing):
     for _ in range(40):
         theta = random_theta(rng, config, wavecfg)
         assert np.array_equal(response(*theta, slots), oracle(theta))
+
+
+@pytest.mark.parametrize("waveform", ["pmcw", "ofdma"])
+@pytest.mark.parametrize("n_rx, spacing", [(1, 0.5), (4, 0.5), (3, 0.37)])
+def test_parameter_arrays_give_the_scalar_responses(waveform, n_rx,
+                                                    spacing):
+    config = scenario(waveform, n_rx, spacing)
+    wavecfg = config.waveform_config
+    response, slots = unit_response(config, wavecfg)
+    rng = np.random.default_rng([n_rx, 31])
+    for count in (1, 2, 7, 40):
+        thetas = [np.zeros(3)] + [random_theta(rng, config, wavecfg)
+                                  for _ in range(count - 1)]
+        rows = np.sort(rng.choice(slots, int(rng.integers(1, slots.size + 1)),
+                                  replace=False))
+        stacked = response(*np.array(thetas).T, rows)
+        assert stacked.shape == (count, rows.size) + wavecfg.cube_shape[1:]
+        for theta, one in zip(thetas, stacked):
+            assert one.tobytes() == response(*theta.tolist(), rows).tobytes()
 
 
 @pytest.mark.parametrize("waveform", ["pmcw", "ofdma"])

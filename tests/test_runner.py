@@ -552,6 +552,55 @@ def test_batch_matches_per_trial_pipeline(
     assert (batches_run > 1) == any(o.failed for o in batch)
 
 
+@pytest.mark.parametrize("mu", [25, 50, 75, 100])
+@pytest.mark.parametrize("make", [pmcw_scenario, ofdma_scenario],
+                         ids=["pmcw", "ofdma"])
+def test_a_batch_demodulates_every_slot_once(monkeypatch, make, mu):
+    # Detection demodulates the radar slots, refinement reuses them and
+    # demodulates the comm slots alone; at mu = 100 it demodulates none.
+    config = make(sweep={"mu_percent": [mu], "snr_db": [10]}, trials=3)
+    point = SweepPoint(index=0, mu_percent=float(mu), snr_db=10.0)
+    stage, calls, cubes = [None], [], []
+
+    def staged(name, fn):
+        def run(*args):
+            stage[0] = name
+            return fn(*args)
+        return run
+
+    def bind_recording(bind):
+        def bound(config, wave):
+            cube = bind(config, wave)
+
+            def demod(data, symbols):
+                calls.append((stage[0], data.copy()))
+                return cube.demod(data, symbols)
+            return replace(cube, demod=demod)
+        return bound
+
+    synthesize = runner._synthesize
+
+    def synthesized(*args):
+        cubes.append(synthesize(*args))
+        return cubes[-1]
+
+    monkeypatch.setattr(runner, "_synthesize", synthesized)
+    monkeypatch.setattr(runner, "_detect", staged("detect", runner._detect))
+    monkeypatch.setattr(runner, "_demodulated",
+                        staged("refine", runner._demodulated))
+    for name, bind in list(runner._CUBES.items()):
+        monkeypatch.setitem(runner._CUBES, name, bind_recording(bind))
+    runner._cube_trials(config, point, range(config.trials))
+    radar = runner._bind(config, point).cube.radar
+    (data,) = cubes
+    expected = [("detect", data[:, radar])]
+    if mu < 100:
+        expected.append(("refine", data[:, ~radar]))
+    assert [name for name, _ in calls] == [name for name, _ in expected]
+    for (_, got), (_, want) in zip(calls, expected):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("make", [pmcw_scenario, ofdma_scenario],
                          ids=["pmcw", "ofdma"])
