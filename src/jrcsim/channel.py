@@ -7,13 +7,14 @@ data cube of both cube waveforms.  A cube's layout is its config's
 ``cube_shape``: slots on the first axis (PMCW frames, OFDMA subcarriers),
 whose radar/comm split is a boolean mask over that axis, then the
 samples of each slot, then the receive elements.  ``_synthesize``
-builds the cubes of both: it evaluates a waveform's bound unit response
-on every slot and scales it by the slot symbols and scatterer amplitudes.
+builds every cube: it evaluates a waveform's bound unit response on
+every slot and scales it by the slot symbols and scatterer amplitudes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -204,34 +205,40 @@ class ReceiveCube:
         object.__setattr__(self, "data", d)
 
 
-def _synthesize(scene: Scene, config, symbols: np.ndarray, response,
-                cpi_indices, rngs) -> np.ndarray:
-    """Receive data of a stack of CPIs, shape (CPIs,) + ``config.cube_shape``.
+def _carrier_link(config, sc: Scatterer) -> tuple:
+    """(amplitude rule, (delay, Doppler, angle)) under a carrier config."""
+    return (partial(scatterer_amplitude, sc, config.carrier_hz,
+                    config.geometry.n_tx),
+            (float(sc.delay_s), float(sc.resolve_doppler(config.wavelength)),
+             float(sc.angle_rad)))
+
+
+def _synthesize(scene: Scene, shape: tuple, links, symbols: np.ndarray,
+                response, cpi_indices, rngs) -> np.ndarray:
+    """Receive data of a stack of CPIs, shape (CPIs,) + the cube ``shape``.
 
     ``symbols`` covers the leading cube axes, (CPIs, slots) or
-    (CPIs, slots, samples).  Each scatterer adds, in CPI k, its composite
-    amplitude with the fading of CPI ``cpi_indices[k]``, times the symbols
-    ``symbols[k]``, times its unit response ``response(delay_s, doppler_hz,
-    angle_rad, slots)``, the waveform's bound response evaluated on every
-    slot (the symbols broadcast against it).  Then noise of the scene's
-    variance is drawn for CPI k from ``rngs[k]``; none is drawn when it is
-    0, and a Generator is required for every CPI when it is not.
+    (CPIs, slots, samples).  Each scatterer, linked in ``links`` as
+    (amplitude rule, params), adds in CPI k its rule at the fading of CPI
+    ``cpi_indices[k]``, times the symbols ``symbols[k]``, times its unit
+    response ``response(*params, slots)``, the waveform's bound response
+    on every slot (the symbols broadcast against it).  Then noise of the
+    scene's variance is drawn for CPI k from ``rngs[k]``; none is drawn
+    when it is 0, and a Generator is required for every CPI when it is
+    not.
     """
     if scene.noise_variance > 0 and any(rng is None for rng in rngs):
         raise ValueError("a Generator is required when noise_variance > 0")
-    slots = np.arange(config.cube_shape[0])
+    slots = np.arange(shape[0])
     symbols = symbols.reshape(symbols.shape + (1,) * (
-        1 + len(config.cube_shape) - symbols.ndim))
-    amps = np.array([[scatterer_amplitude(sc, config.carrier_hz,
-                                          config.geometry.n_tx, fading)
-                      for sc, fading in zip(scene.scatterers,
-                                            scene.fading_gains(i))]
+        1 + len(shape) - symbols.ndim))
+    amps = np.array([[rule(fading) for (rule, _), fading
+                      in zip(links, scene.fading_gains(i))]
                      for i in cpi_indices], dtype=complex)
-    data = np.zeros((len(symbols),) + config.cube_shape, dtype=complex)
-    for sc, d_q in zip(scene.scatterers, amps.T):
+    data = np.zeros((len(symbols),) + shape, dtype=complex)
+    for (_, params), d_q in zip(links, amps.T):
         data += (d_q.reshape((-1,) + (1,) * (symbols.ndim - 1)) * symbols) \
-            * response(sc.delay_s, sc.resolve_doppler(config.wavelength),
-                       sc.angle_rad, slots)
+            * response(*params, slots)
     if scene.noise_variance > 0:
         for cpi, rng in zip(data, rngs):
             cpi += complex_awgn(rng, cpi.shape, scene.noise_variance)

@@ -56,6 +56,11 @@ class GolayRunConfig:
         if self.sample_time_s <= 0:
             raise ValueError("sample_time_s must be positive")
 
+    @property
+    def cube_shape(self) -> tuple:
+        """Receive cube layout: one frame of 2 (N + guard) samples."""
+        return (1, 2 * (2 ** self.log2_length + self.guard_samples), 1)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:

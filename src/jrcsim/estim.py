@@ -1,17 +1,17 @@
 """Receive-side parameter estimation, symbol decoding and refinement.
 
-Both waveforms follow the same recipe on their data cubes: remove the
+Every waveform follows the same recipe on its data cubes: remove the
 known modulation, take a 2-D DFT to a delay/Doppler map, pick the
 largest local maxima, then read the angle off a beamspace FFT across the
-array.  One map pipeline, ``_detect`` then ``_windows``, serves both,
-and a waveform supplies only a demodulation ``demod(data, symbols)``
-and a layout ``layout(known, est)``: the PMCW code correlation, whose
-lag axis is already in the map domain (DFT sign 0), and a slow-time
-IDFT (sign +1); or the OFDMA symbol de-rotation, a subcarrier IDFT
-(+1) and a symbol DFT (-1).  Detection maps slots 0 to the last known
-(radar) slot, the comm slots among them zeroed: for PMCW's leading
-radar block these are the radar frames alone, for an OFDMA pilot comb
-the zero-filled pilot grid.
+array.  One map pipeline, ``_detect`` then ``_windows``, serves all, and
+a waveform supplies only a demodulation ``demod(data, symbols)`` and a
+layout ``layout(known, est)``: the PMCW code correlation, whose lag axis
+is already in the map domain (DFT sign 0), and a slow-time IDFT (sign
++1), which a Golay sounding shares with its CEF as the code; or the
+OFDMA symbol de-rotation, a subcarrier IDFT (+1) and a symbol DFT (-1).
+Detection maps slots 0 to the last known (radar) slot, the comm slots
+among them zeroed: for PMCW's leading radar block these are the radar
+frames alone, for an OFDMA pilot comb the zero-filled pilot grid.
 
 The estimators run on stacks of CPIs with a leading axis (the trials of
 a sweep point); the public single-CPI functions are stacks of one.  Peak
@@ -91,11 +91,12 @@ class EstimatorConfig:
     """Grid and detection knobs shared by the estimators.
 
     Padding factors multiply the FFT lengths of the respective axes;
-    ``range_pad`` pads only the OFDMA delay axis, as PMCW's delay axis is
-    the unpadded code lag, coarse and refined alike.  ``threshold_db`` is
-    relative to the strongest map cell and must be negative (-inf keeps
-    every local maximum; NaN is rejected).  Pads and ``max_targets`` must
-    be integers; integral floats are stored as ints.
+    ``range_pad`` pads only the OFDMA delay axis, as PMCW's and Golay's
+    delay axes are the unpadded code lag, coarse and refined alike; an
+    axis over one input is not padded, as its map is flat along it.
+    ``threshold_db`` is relative to the strongest map cell and must be
+    negative (-inf keeps every local maximum; NaN is rejected).  Pads and
+    ``max_targets`` must be integers; integral floats are stored as ints.
     """
 
     range_pad: int = 1
@@ -263,16 +264,6 @@ def _peak_cells(bins, power: np.ndarray, owner: np.ndarray, n_maps: int,
         seen.add((own[k], row[k], col[k]))
         picked.append((w[k], r[k], c[k]))
     return cells
-
-
-def profile_peaks(profile, max_peaks: int = 1, threshold_db: float = -13.0):
-    """Largest local maxima of a 1-d profile's magnitude (no wrap)."""
-    p = np.asarray(np.abs(profile), dtype=float)
-    if p.ndim != 1:
-        raise ValueError(f"profile must be 1-d, got {p.ndim}-d")
-    bins, power, owner = _whole_map(p[None, None, :] ** 2, (False, False))
-    return [int(bins[1][0, c]) for _, _, c in
-            _peak_cells(bins, power, owner, 1, max_peaks, threshold_db)[0]]
 
 
 def _dft(n_in: int, n_out: int, sign: float) -> np.ndarray:
@@ -596,7 +587,8 @@ def _pmcw_layout(config, known, est: EstimatorConfig) -> _MapLayout:
     correlation's unpadded lag axis."""
     m_count = int(np.count_nonzero(known))
     l_count, t_c = config.code_length, config.chip_time
-    shape = (m_count * est.doppler_pad, l_count)
+    pad = est.doppler_pad if m_count > 1 else 1  # see EstimatorConfig
+    shape = (m_count * pad, l_count)
     return _MapLayout(shape=shape, signs=(1, 0), lengths=shape, delay_axis=1,
                       wrap=(True, True), phase_sign=-1.0,
                       n_known=l_count * m_count, delay_of=lambda b: b * t_c,
@@ -679,13 +671,13 @@ def _ofdma_layout(config, known, est: EstimatorConfig) -> _MapLayout:
     IDFT padded ``range_pad`` times, cut to the pilot comb's unambiguous
     window (the whole wrapping period at comb 1 and in refinement), then
     a symbol DFT padded ``doppler_pad`` times."""
-    df = config.subcarrier_spacing_hz
-    nr = config.n_subcarriers * est.range_pad
-    nd = config.n_symbols * est.doppler_pad
+    df, n_rows = config.subcarrier_spacing_hz, int(np.count_nonzero(known))
+    nr = config.n_subcarriers * (est.range_pad if n_rows > 1 else 1)
+    nd = config.n_symbols * (est.doppler_pad if config.n_symbols > 1 else 1)
     window = max(nr // pilot_comb_spacing(known), 1)
     return _MapLayout(shape=(window, nd), signs=(1, -1), lengths=(nr, nd),
                       delay_axis=0, wrap=(window == nr, True), phase_sign=+1.0,
-                      n_known=int(np.count_nonzero(known)) * config.n_symbols,
+                      n_known=n_rows * config.n_symbols,
                       delay_of=lambda b: b / (nr * df),
                       period=config.symbol_duration,
                       spacing=config.geometry.spacing_over_lambda)
@@ -792,3 +784,23 @@ def golay_range_estimate(received, pair: GolayPair, guard: int) -> np.ndarray:
     corr_a = np.correlate(seg_a, pair.ga.astype(seg_a.dtype), mode="valid")
     corr_b = np.correlate(seg_b, pair.gb.astype(seg_b.dtype), mode="valid")
     return corr_a + corr_b
+
+
+def _golay_layout(config, known, est: EstimatorConfig) -> _MapLayout:
+    """(Doppler, lag) layout of a sounding: one Doppler bin, unpadded, and
+    the non-wrapping lags 0 to ``guard_samples``; its NaN period and
+    spacing make its Doppler, angle and amplitude estimates NaN."""
+    shape, t_s = (1, config.guard_samples + 1), config.sample_time_s
+    return _MapLayout(shape=shape, signs=(1, 0), lengths=shape, delay_axis=1,
+                      wrap=(True, False), phase_sign=-1.0, period=np.nan,
+                      n_known=2 ** (config.log2_length + 1), spacing=np.nan,
+                      delay_of=lambda b: b * t_s)
+
+
+def _golay_response(cef: np.ndarray, sample_time: float, delay_s,
+                    doppler_hz, angle_rad, slots: np.ndarray) -> np.ndarray:
+    """Unit response (slots, samples, 1) of one scatterer to the sounding
+    ``cef``: it delayed by the whole sample nearest ``delay_s``, zeros
+    shifted in (a sounding models no Doppler or angle)."""
+    row = np.concatenate([np.zeros(round(delay_s / sample_time)), cef])
+    return np.broadcast_to(row[:cef.size, None], (len(slots), cef.size, 1))

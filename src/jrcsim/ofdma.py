@@ -29,7 +29,8 @@ from functools import partial
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, ReceiveCube, Scene, _synthesize
+from .channel import SPEED_OF_LIGHT, ReceiveCube, Scene, _carrier_link, \
+    _synthesize
 from .sigcore import ArrayGeometry, _column, _radar_count, dpsk_encode, \
     steering_vector
 
@@ -216,7 +217,9 @@ def ofdma_receive_cube(scene: Scene, config: OfdmaConfig, grid: SymbolGrid,
         raise ValueError("grid dimensions do not match the configuration")
 
     _warn_isi(config, scene.scatterers)
-    data = _synthesize(scene, config, grid.symbols[None],
+    data = _synthesize(scene, config.cube_shape,
+                       [_carrier_link(config, sc) for sc in scene.scatterers],
+                       grid.symbols[None],
                        partial(_ofdma_response, config), [cpi_index], [rng])
     return ReceiveCube(data=data[0], config=config)
 

@@ -27,7 +27,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, ReceiveCube, Scene, _synthesize
+from .channel import SPEED_OF_LIGHT, ReceiveCube, Scene, _carrier_link, \
+    _synthesize
 from .sigcore import ArrayGeometry, CodeSequence, _column, _radar_count, \
     dpsk_encode, steering_vector
 
@@ -155,8 +156,9 @@ def pmcw_receive_cube(scene: Scene, config: PmcwConfig, code: CodeSequence,
     if code.length != config.code_length:
         raise ValueError("code length does not match the configuration")
 
-    data = _synthesize(scene, config, symbols.reshape(1, -1),
-                       partial(_pmcw_response, config,
+    data = _synthesize(scene, config.cube_shape,
+                       [_carrier_link(config, sc) for sc in scene.scatterers],
+                       symbols.reshape(1, -1), partial(_pmcw_response, config,
                                np.fft.fft(code.chips())), [cpi_index], [rng])
     return ReceiveCube(data=data[0], config=config)
 

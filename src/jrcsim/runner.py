@@ -5,9 +5,9 @@ Each trial is fully self-contained and seeded counter-style from
 trials are spread over workers or batches.  Inline, the trials of a sweep
 point run as one stacked batch, or several when their receive cubes hold
 more than ``_BATCH_CELLS`` cells: the trial-invariant plan (code, radar-slot
-mask, amplitudes, noise variance, DFT tables) is built once per
-batch, and synthesis, the coarse map, decoding and refinement carry a
-leading trial axis.  Within the batch each trial's generator is consumed
+mask, amplitudes, noise variance) is bound once per point, and
+synthesis, the coarse map, decoding and refinement carry a leading trial
+axis.  Within the batch each trial's generator is consumed
 in the fixed per-trial order: its payload bits are drawn first, then its
 noise inside the receive synthesizer.  Target extraction at the picked
 map cells and the decoder's target responses are array passes over the
@@ -21,19 +21,18 @@ pool batches of ``_pool_batch`` trials, which divides the trial count,
 and a worker runs each batch once, on its first task, and answers the
 batch's other tasks from what it kept.
 
-Each sweep point is bound by ``_bind`` into a ``_Point``: the
-waveform config with the point's mu applied, the scatterers' nominal
-amplitudes and true (delay, Doppler, angle), the noise variance, and the
-cube binding.  The two cube waveforms differ only in how they multiplex
-radar and data, and ``_CUBES`` binds each to a ``_Cube``: its radar-slot
-mask, payload bits per CPI, symbol-stack and transmit builders, bound
-unit response, the estimator's demodulation, map layout and DPSK
-plug-ins, its matching scales and the trade-off's N (Golay has none).
-One trial body, ``_cube_trials``, runs both cube waveforms; each trial
-batch binds its point.  ``run_scenario`` binds every point before the
-first trial, so a scatterer whose amplitude cannot be derived is a
-ConfigError before any work, and the PSL, p_D and trade-off of a point
-read that binding.  Nothing else here tells PMCW from OFDMA.
+Each sweep point is bound by ``_bind`` into a ``_Point``: the waveform
+config with the point's mu applied, each scatterer's amplitude rule,
+nominal amplitude and true (delay, Doppler, angle), the noise variance,
+and the waveform binding.  ``_CUBES`` binds each waveform to a ``_Cube``:
+its radar-slot mask, payload bits per CPI, symbol-stack and transmit
+builders, bound unit response, the estimator's demodulation, map layout
+and DPSK plug-ins, scatterer link, matching scales, p_D gain and the
+trade-off's N.  One trial body, ``_cube_trials``, runs all three
+waveforms (a Golay sounding is one all-radar frame on one element) at
+the points ``run_scenario`` binds before the first trial, so a scatterer
+whose amplitude cannot be derived is a ConfigError before any work.
+Nothing else here tells one waveform from another.
 
 Every waveform's trial is recorded by ``_outcome``: it matches each
 true (delay, Doppler, angle) to its nearest coarse and refined estimate,
@@ -64,12 +63,12 @@ from typing import Callable
 import numpy as np
 
 from .alloc import detection_probability
-from .channel import _synthesize, complex_awgn, scatterer_amplitude
-from .config import ConfigError, ScenarioConfig, config_hash
-from .estim import (_demodulate, _demodulated, _detect, _ofdma_derotate,
-                    _ofdma_dpsk, _ofdma_layout, _pmcw_correlate, _pmcw_dpsk,
-                    _pmcw_layout, _refined, _windows, golay_cef_waveform,
-                    golay_range_estimate, profile_peaks)
+from .channel import _carrier_link, _synthesize
+from .config import ConfigError, GolayRunConfig, ScenarioConfig, config_hash
+from .estim import (_demodulate, _demodulated, _detect, _golay_layout,
+                    _golay_response, _ofdma_derotate, _ofdma_dpsk,
+                    _ofdma_layout, _pmcw_correlate, _pmcw_dpsk, _pmcw_layout,
+                    _refined, _windows, golay_cef_waveform)
 from .ofdma import OfdmaConfig, _ofdma_response, _symbol_grids, \
     build_symbol_grid, grid_capacity_bits, ofdma_pilot_mask, ofdma_transmit
 from .perf import TradeoffSpec, crlb_proxy, jrc_objective, mmse_from_rate, \
@@ -196,8 +195,8 @@ def _parameters(targets) -> list:
 
 @dataclass(frozen=True)
 class _Cube:
-    """A cube waveform bound to one config and sweep point: every fact of
-    the waveform that the trials, PSL, p_D and trade-off read.
+    """A waveform bound to one config and sweep point: every fact of the
+    waveform that the trials, PSL, p_D and trade-off read.
 
     ``scales`` is the (delay, Doppler, angle) resolution of one CPI, which
     scales the truth-matching distance and, over 64, the CRLB steps.
@@ -211,8 +210,10 @@ class _Cube:
     demod: Callable  # estim._detect / _demodulated demodulation
     layout: Callable  # estim map layout (known, est)
     dpsk: Callable  # estim._demodulate DPSK layout
+    link: Callable  # scatterer -> (amplitude rule, (delay, Doppler, angle))
     scales: tuple
-    n_len: int  # the trade-off's N: code length or subcarrier count
+    gain: float  # samples coherently integrated over the radar slots
+    n_len: int  # the trade-off's N: code, subcarrier or pair length
 
 
 def _pmcw_cube(config: ScenarioConfig, wavecfg: PmcwConfig) -> _Cube:
@@ -227,30 +228,53 @@ def _pmcw_cube(config: ScenarioConfig, wavecfg: PmcwConfig) -> _Cube:
         response=partial(_pmcw_response, wavecfg, code_spec),
         demod=partial(_pmcw_correlate, code_spec=code_spec),
         layout=partial(_pmcw_layout, wavecfg), dpsk=_pmcw_dpsk,
+        link=partial(_carrier_link, wavecfg),
         scales=(wavecfg.chip_time,
                 1.0 / (wavecfg.n_frames * wavecfg.block_time),
                 1.0 / wavecfg.geometry.n_rx),
+        gain=int(np.count_nonzero(sched)) * wavecfg.code_length,
         n_len=wavecfg.code_length)
 
 
 def _ofdma_cube(config: ScenarioConfig, wavecfg: OfdmaConfig) -> _Cube:
-    order = config.symbol_order
+    order, pilots = config.symbol_order, ofdma_pilot_mask(wavecfg)
     return _Cube(
-        radar=ofdma_pilot_mask(wavecfg),
-        capacity=grid_capacity_bits(wavecfg, order),
+        radar=pilots, capacity=grid_capacity_bits(wavecfg, order),
         symbols=partial(_symbol_grids, wavecfg, order=order),
         transmit=lambda bits: ofdma_transmit(
             wavecfg, build_symbol_grid(wavecfg, bits, order)),
         response=partial(_ofdma_response, wavecfg), demod=_ofdma_derotate,
         layout=partial(_ofdma_layout, wavecfg), dpsk=_ofdma_dpsk,
+        link=partial(_carrier_link, wavecfg),
         scales=(wavecfg.sample_time,
                 1.0 / (wavecfg.n_symbols * wavecfg.symbol_duration),
                 1.0 / wavecfg.geometry.n_rx),
+        gain=int(np.count_nonzero(pilots)) * wavecfg.n_symbols,
         n_len=wavecfg.n_subcarriers)
 
 
-# Each cube waveform's binding; every per-waveform fact is read from it.
-_CUBES = {"pmcw": _pmcw_cube, "ofdma": _ofdma_cube}
+def _golay_cube(config: ScenarioConfig, wavecfg: GolayRunConfig) -> _Cube:
+    """A sounding: one all-radar frame, the CEF as its code.  A null
+    amplitude means 1 (``np.multiply`` rounds as an array product does);
+    true Doppler and angle are NaN.  p_D integrates both pair members."""
+    pair = golay_pair(wavecfg.log2_length)
+    cef = golay_cef_waveform(pair, wavecfg.guard_samples)
+    return _Cube(
+        radar=np.ones(1, dtype=bool), capacity=0,
+        symbols=lambda bits: np.ones((len(bits), 1), dtype=complex),
+        transmit=lambda bits: cef[None].astype(complex),
+        response=partial(_golay_response, cef, wavecfg.sample_time_s),
+        demod=partial(_pmcw_correlate, code_spec=np.fft.fft(cef)),
+        layout=partial(_golay_layout, wavecfg), dpsk=_pmcw_dpsk,
+        link=lambda sc: (partial(np.multiply, complex(
+            1.0 if sc.amplitude is None else sc.amplitude)),
+            (float(sc.delay_s), math.nan, math.nan)),
+        scales=(wavecfg.sample_time_s, 1.0, 1.0), gain=2.0 * pair.length,
+        n_len=pair.length)
+
+
+# Each waveform's binding; every per-waveform fact is read from it.
+_CUBES = {"pmcw": _pmcw_cube, "ofdma": _ofdma_cube, "golay": _golay_cube}
 
 
 @dataclass(frozen=True)
@@ -259,11 +283,12 @@ class _Point:
     point that its trials, PSL, p_D and trade-off read."""
 
     wave: object  # the waveform config, the point's mu applied
+    links: list  # (amplitude rule, (delay, Doppler, angle)) per scatterer
     amplitudes: np.ndarray  # nominal composite amplitudes (unit fading)
     signal_power: float  # sum of their squared magnitudes
     sigma2: float  # the per-sample noise variance; NaN if nothing fixes it
     truths: list  # (delay, Doppler, angle) of each scatterer
-    cube: _Cube | None  # the cube-waveform binding; None for Golay
+    cube: _Cube  # the waveform binding
 
     @property
     def mu_percent(self) -> float:
@@ -279,49 +304,39 @@ class _Point:
 
 
 def _bind(config: ScenarioConfig, point: SweepPoint) -> _Point:
-    """The point's binding.  An explicit scatterer amplitude is used as-is;
-    otherwise a cube waveform derives it from the link budget, and Golay
-    takes 1.  A scatterer whose amplitude cannot be derived is a
-    ConfigError naming it.  Golay sounds delay alone, so its true Doppler
-    and angle are NaN."""
+    """The point's binding; a scatterer whose nominal amplitude (its rule
+    at unit fading) cannot be derived is a ConfigError naming it."""
     wave = config.waveform_config
     if point.mu_percent is not None:  # golay configs sweep no mu
         wave = replace(wave, mu_percent=point.mu_percent)
-    bind = _CUBES.get(config.waveform)
-    cube = bind(config, wave) if bind else None
-    amps, truths = [], []
-    for q, sc in enumerate(config.scene.scatterers):
-        if cube is None:
-            amps.append(1.0 if sc.amplitude is None else sc.amplitude)
-            truths.append((float(sc.delay_s), math.nan, math.nan))
-            continue
+    cube = _CUBES[config.waveform](config, wave)
+    links = [cube.link(sc) for sc in config.scene.scatterers]
+    amps = []
+    for q, (rule, _) in enumerate(links):
         try:
-            amps.append(scatterer_amplitude(sc, wave.carrier_hz,
-                                            wave.geometry.n_tx))
+            amps.append(rule(1.0))
         except ValueError as exc:
             raise ConfigError([f"$.scene.scatterers[{q}]: {exc}"]) from None
-        truths.append((float(sc.delay_s),
-                       float(sc.resolve_doppler(wave.wavelength)),
-                       float(sc.angle_rad)))
     amps = np.array(amps, dtype=complex)
     power = float(np.sum(np.abs(amps) ** 2))
     if point.snr_db is None:
         sigma2 = config.scene.noise_variance
     else:  # see the module docstring: undefined without signal power
         sigma2 = power / 10.0 ** (point.snr_db / 10.0) if power else math.nan
-    return _Point(wave, amps, power, sigma2, truths, cube)
+    return _Point(wave, links, amps, power, sigma2,
+                  [truth for _, truth in links], cube)
 
 
-def _cube_trials(config, point, trials) -> list:
-    """One outcome per trial of a cube waveform: every truth with its
-    nearest coarse and refined estimate, and its payload's bit errors."""
-    bound = _bind(config, point)
+def _cube_trials(config, point: SweepPoint, bound: _Point, trials) -> list:
+    """One outcome per trial at the point bound as ``bound``: every truth
+    with its nearest coarse and refined estimate, and its bit errors."""
     cube = bound.cube
     rngs, payload = _trial_payloads(config, point, trials, cube.capacity)
     symbols = cube.symbols(payload)
     data = _synthesize(
         replace(config.scene, noise_variance=bound.noise_variance),
-        bound.wave, symbols, cube.response, trials, rngs)
+        bound.wave.cube_shape, bound.links, symbols, cube.response, trials,
+        rngs)
     _, coarse, radar_x = _detect(data, symbols, cube.radar, cube.demod,
                                  cube.layout, config.estimator)
     bits_hat, _, full_symbols = _demodulate(
@@ -340,39 +355,6 @@ def _cube_trials(config, point, trials) -> list:
                                                      errors)]
 
 
-def _golay_trials(config, point, trials) -> list:
-    """Golay sounding has no CPI stack; a batch's trials (one, see
-    ``_batch_size``) share one pair and CEF waveform.  Each trial fades
-    its scatterers as a cube waveform's CPI of the same index does.  They
-    estimate delay alone, matched unscaled, and refine nothing."""
-    bound = _bind(config, point)
-    wave, sigma2 = bound.wave, bound.noise_variance
-    pair = golay_pair(wave.log2_length)
-    cef = golay_cef_waveform(pair, wave.guard_samples)
-    shifts = [int(round(sc.delay_s / wave.sample_time_s))
-              for sc in config.scene.scatterers]
-    rngs, _ = _trial_payloads(config, point, trials, capacity=0)
-    outcomes = []
-    for trial, rng in zip(trials, rngs):
-        rx = np.zeros(cef.size, dtype=complex)
-        for shift, amp in zip(shifts, bound.amplitudes
-                              * config.scene.fading_gains(trial)):
-            rx[shift:] += amp * cef[:cef.size - shift]
-        if sigma2 > 0:
-            rx += complex_awgn(rng, rx.shape, sigma2)
-        profile = golay_range_estimate(rx, pair, wave.guard_samples)
-        bins = profile_peaks(profile, config.estimator.max_targets,
-                             config.estimator.threshold_db)
-        if not bins:
-            raise ValueError("no delay profile peak above threshold")
-        found = [(b * wave.sample_time_s, math.nan, math.nan) for b in bins]
-        outcomes.append(_outcome(point, trial, bound.truths, found, found,
-                                 (1.0, 1.0, 1.0)))
-    return outcomes
-
-
-_POINT_FNS = {**dict.fromkeys(_CUBES, _cube_trials), "golay": _golay_trials}
-
 # Receive-cube cells one batch may stack (256 kB of samples).  A batch's
 # refinement windows take several times its cubes' memory, so more trials
 # run as several batches and peak memory does not grow with the count.
@@ -380,12 +362,11 @@ _BATCH_CELLS = 1 << 14
 
 
 def _batch_size(config: ScenarioConfig) -> int:
-    if config.waveform not in _CUBES:
-        return 1  # Golay stacks nothing; a failing batch would rerun all
     return max(1, _BATCH_CELLS // math.prod(config.waveform_config.cube_shape))
 
 
-def _run_batch(config: ScenarioConfig, point: SweepPoint, trials) -> list:
+def _run_batch(config: ScenarioConfig, point: SweepPoint, bound: _Point,
+               trials) -> list:
     """Outcomes of one stacked batch of trials at one sweep point.
 
     Only a ValueError (the domain errors, LinAlgError included) fails a
@@ -394,22 +375,22 @@ def _run_batch(config: ScenarioConfig, point: SweepPoint, trials) -> list:
     raise it fail, each with its own message.
     """
     try:
-        return _POINT_FNS[config.waveform](config, point, trials)
+        return _cube_trials(config, point, bound, trials)
     except ValueError as exc:
         if len(trials) > 1:
             return [outcome for trial in trials
-                    for outcome in _run_batch(config, point, [trial])]
+                    for outcome in _run_batch(config, point, bound, [trial])]
         return [TrialOutcome(point=point.index, trial=trials[0], failed=True,
                              message=f"{type(exc).__name__}: {exc}")]
 
 
 def _run_point_trials(config: ScenarioConfig, point: SweepPoint,
-                      trials) -> list:
-    """Outcomes of ``trials`` at one sweep point, in stacked batches."""
+                      bound: _Point, trials) -> list:
+    """Outcomes of ``trials`` at one bound sweep point, in stacked batches."""
     trials = list(trials)
     step = _batch_size(config)
     return [outcome for start in range(0, len(trials), step)
-            for outcome in _run_batch(config, point,
+            for outcome in _run_batch(config, point, bound,
                                       trials[start:start + step])]
 
 
@@ -430,11 +411,12 @@ def _run_single_trial(args) -> TrialOutcome:
     """Pool worker entry point: one (config, point, trial) task; must stay
     module-level for process pools.
 
-    The first task of a pool batch runs the whole batch through
-    ``_run_batch``; the batch's other tasks take their outcome from the
-    worker's slot.  A miss recomputes, so the task order only costs time.
-    One outcome per task, not a batch's list, because perfbench's
-    ``TracedPool`` reads ``.failed`` and ``.message`` from each result.
+    The first task of a pool batch binds the point and runs the whole
+    batch through ``_run_batch``; the batch's other tasks take their
+    outcome from the worker's slot.  A miss recomputes, so the task order
+    only costs time.  One outcome per task, not a batch's list, because
+    perfbench's ``TracedPool`` reads ``.failed`` and ``.message`` from
+    each result.
     """
     global _SLOT
     config, point, trial = args
@@ -443,7 +425,7 @@ def _run_single_trial(args) -> TrialOutcome:
         size = _pool_batch(config)
         start = trial - trial % size
         outcomes = {o.trial: o for o in _run_batch(
-            config, point, range(start, start + size))}
+            config, point, _bind(config, point), range(start, start + size))}
         _SLOT = (config, point, outcomes)
     return outcomes.pop(trial)
 
@@ -453,12 +435,9 @@ def _run_single_trial(args) -> TrialOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _point_waveform_samples(config: ScenarioConfig, wave, cube: _Cube | None,
+def _point_waveform_samples(config: ScenarioConfig, cube: _Cube,
                             point: SweepPoint) -> np.ndarray:
     """Trial-0 transmit samples of this sweep point (payload included)."""
-    if cube is None:
-        pair = golay_pair(wave.log2_length)
-        return golay_cef_waveform(pair, wave.guard_samples).astype(complex)
     _, payload = _trial_payloads(config, point, [0], cube.capacity)
     return cube.transmit(payload[0])[0].ravel()
 
@@ -467,32 +446,23 @@ def _point_psl_db(config: ScenarioConfig, bound: _Point,
                   point: SweepPoint) -> float:
     """PSL of the point's waveform autocorrelation (the AF's zero-Doppler
     cut up to its energy scale, which the ratio drops)."""
-    samples = _point_waveform_samples(config, bound.wave, bound.cube, point)
+    samples = _point_waveform_samples(config, bound.cube, point)
     try:
         return peak_sidelobe_ratio(np.abs(aperiodic_autocorr(samples)))
     except ValueError:
         return math.nan
 
 
-def _integration_gain(bound: _Point) -> float:
-    """Samples coherently integrated over the radar-only resources: the
-    cube binding's radar slots times the cube's samples per slot, or both
-    Golay pair members."""
-    if bound.cube is None:
-        return 2.0 * 2 ** bound.wave.log2_length
-    return int(np.count_nonzero(bound.cube.radar)) * bound.wave.cube_shape[1]
-
-
 def _point_p_detect(config: ScenarioConfig, bound: _Point) -> float:
     """Detection probability of the closed-form detector model.
 
-    Uses the coherent integration gain over the radar-only resources on
-    top of the per-sample SNR; noiseless points with signal saturate to 1.
-    Without a scatterer, without radar-only resources (mu = 0), without
-    signal power to fix a swept SNR by, or with neither signal nor noise,
-    it is NaN.
+    Uses the binding's coherent integration gain over the radar-only
+    resources on top of the per-sample SNR; noiseless points with signal
+    saturate to 1.  Without a scatterer, without radar-only resources
+    (mu = 0), without signal power to fix a swept SNR by, or with neither
+    signal nor noise, it is NaN.
     """
-    gain = _integration_gain(bound)
+    gain = bound.cube.gain
     if bound.amplitudes.size == 0 or gain == 0 or math.isnan(bound.sigma2):
         return math.nan
     if bound.sigma2 == 0:
@@ -508,12 +478,10 @@ def scenario_waveform_samples(config: ScenarioConfig):
     seed-derived trial-0 draw so reruns produce identical files.  Only the
     waveform side of the point is built: no scatterer amplitude is derived.
     """
-    wave, bind = config.waveform_config, _CUBES.get(config.waveform)
-    cube = bind(config, wave) if bind else None
+    cube = _CUBES[config.waveform](config, config.waveform_config)
     samples = _point_waveform_samples(
-        config, wave, cube, SweepPoint(index=0, mu_percent=None, snr_db=None))
-    return samples, 1.0 / (wave.sample_time_s if cube is None
-                           else cube.scales[0])
+        config, cube, SweepPoint(index=0, mu_percent=None, snr_db=None))
+    return samples, 1.0 / cube.scales[0]
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +658,8 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             flat = list(pool.map(_run_single_trial, tasks, chunksize=chunk))
     else:
-        flat = [outcome for point in points
-                for outcome in _run_point_trials(config, point,
+        flat = [outcome for point, bound in zip(points, bounds)
+                for outcome in _run_point_trials(config, point, bound,
                                                  range(config.trials))]
     outcomes_by_point = [flat[i * config.trials:(i + 1) * config.trials]
                          for i in range(len(points))]

@@ -432,8 +432,7 @@ def test_uncreatable_out_dir_is_an_error(tmp_path, capsys, monkeypatch,
         raise AssertionError("a trial ran before the output directory "
                              "was created")
 
-    monkeypatch.setattr(runner, "_POINT_FNS",
-                        dict.fromkeys(runner._POINT_FNS, no_trials))
+    monkeypatch.setattr(runner, "_cube_trials", no_trials)
     assert main([command, *argv, "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == (f"error: cannot create output directory {out}: "

@@ -19,7 +19,7 @@ from jrcsim.estim import (DecodingError, EstimatorConfig, NonIdentifiableError,
                           golay_cef_waveform, golay_range_estimate,
                           ofdma_decode, ofdma_estimate_amplitudes,
                           ofdma_range_doppler_angle, ofdma_refine, pmcw_decode,
-                          pmcw_range_doppler, pmcw_refine, profile_peaks)
+                          pmcw_range_doppler, pmcw_refine)
 from jrcsim.ofdma import (OfdmaConfig, _ofdma_response, _symbol_grids,
                           build_symbol_grid, grid_capacity_bits,
                           ofdma_pilot_mask, ofdma_receive_cube,
@@ -128,6 +128,20 @@ def test_estimator_config_rejects_non_integers(field, value):
 def test_estimator_config_refined_rejects_non_integer_factor(factor):
     with pytest.raises(ValueError, match="factor"):
         EstimatorConfig().refined(factor)
+
+
+def profile_peaks(profile, max_peaks: int = 1, threshold_db: float = -13.0):
+    """Largest local maxima of a 1-d profile's magnitude (no wrap): the
+    Golay delay-profile peak picking of the runner before a sounding ran
+    through the map pipeline, kept as the oracle of its Golay trials."""
+    p = np.asarray(np.abs(profile), dtype=float)
+    if p.ndim != 1:
+        raise ValueError(f"profile must be 1-d, got {p.ndim}-d")
+    bins, power, owner = estim._whole_map(p[None, None, :] ** 2,
+                                          (False, False))
+    return [int(bins[1][0, c]) for _, _, c in
+            estim._peak_cells(bins, power, owner, 1, max_peaks,
+                              threshold_db)[0]]
 
 
 def test_profile_peaks_orders_and_thresholds():
@@ -769,6 +783,11 @@ def oracle_refine_windows(seed_power, beams_at, pads, est, lay):
     return wbins, estim._guard(power.sum(axis=-1), wbins), beams, owner
 
 
+def oracle_pad(n_in, pad):
+    """An axis's padding factor: none on an axis with one input."""
+    return pad if n_in > 1 else 1
+
+
 def oracle_pmcw_layout(config, m_count, doppler_pad):
     l_count, t_c = config.code_length, config.chip_time
     return OracleLayout(shape=(m_count * doppler_pad, l_count), delay_axis=1,
@@ -782,13 +801,14 @@ def oracle_pmcw_detect(data, code_spec, config, radar_frames, est):
     if not radar_frames.any():
         raise NonIdentifiableError("no radar-only frames")
     idx = np.flatnonzero(radar_frames)
-    nd = idx.size * est.doppler_pad
+    pad = oracle_pad(idx.size, est.doppler_pad)
+    nd = idx.size * pad
     dopp = np.fft.ifft(estim._pmcw_correlate(
         data[:, idx], np.ones((len(data), idx.size), dtype=complex),
         code_spec), n=nd, axis=1)
     dopp *= nd
     return oracle_map_targets(dopp, est, oracle_pmcw_layout(
-        config, idx.size, est.doppler_pad))
+        config, idx.size, pad))
 
 
 def oracle_pmcw_windows(data, code_spec, config, symbols, est):
@@ -797,7 +817,8 @@ def oracle_pmcw_windows(data, code_spec, config, symbols, est):
     seed_power = np.abs(np.fft.ifft(corr, axis=1) * m_count)
     seed_power **= 2
     seed_power = seed_power.sum(axis=3)
-    lay = oracle_pmcw_layout(config, m_count, est.doppler_pad)
+    pad = oracle_pad(m_count, est.doppler_pad)
+    lay = oracle_pmcw_layout(config, m_count, pad)
 
     def beams_at(owner, dopplers, lags):
         picked = corr[owner[:, None, None], np.arange(m_count)[:, None],
@@ -808,7 +829,7 @@ def oracle_pmcw_windows(data, code_spec, config, symbols, est):
         return zoom.reshape(n, dopplers.shape[1], n_lags, n_rx)
 
     return seed_power, oracle_refine_windows(
-        seed_power, beams_at, (est.doppler_pad, 1), est, lay), lay
+        seed_power, beams_at, (pad, 1), est, lay), lay
 
 
 def oracle_ofdma_layout(config, n_rows, nr, shape):
@@ -831,9 +852,10 @@ def oracle_ofdma_detect(data, symbols, radar_rows, config, est):
     rows = np.flatnonzero(radar_rows)
     x = np.zeros_like(data)
     x[:, rows] = data[:, rows] * np.conj(symbols[:, rows])[..., None]
-    nr = config.n_subcarriers * est.range_pad
+    nr = config.n_subcarriers * oracle_pad(rows.size, est.range_pad)
+    nd = config.n_symbols * oracle_pad(config.n_symbols, est.doppler_pad)
     window = max(nr // pilot_comb_spacing(radar_rows), 1)
-    v = oracle_ofdma_map(x, nr, window, config.n_symbols * est.doppler_pad)
+    v = oracle_ofdma_map(x, nr, window, nd)
     return oracle_map_targets(v, est, oracle_ofdma_layout(
         config, rows.size, nr, v.shape[1:3]))
 
@@ -843,7 +865,8 @@ def oracle_ofdma_windows(data, symbols, config, est):
     x = data * np.conj(symbols)[..., None]
     seed_power = np.sum(np.abs(oracle_ofdma_map(x, n_c, n_c, n_s)) ** 2,
                         axis=3)
-    nr, nd = n_c * est.range_pad, n_s * est.doppler_pad
+    pads = (oracle_pad(n_c, est.range_pad), oracle_pad(n_s, est.doppler_pad))
+    nr, nd = n_c * pads[0], n_s * pads[1]
     lay = oracle_ofdma_layout(config, n_c, nr, (nr, nd))
 
     def beams_at(owner, delays, dopplers):
@@ -859,7 +882,7 @@ def oracle_ofdma_windows(data, symbols, config, est):
         return beams
 
     return seed_power, oracle_refine_windows(
-        seed_power, beams_at, (est.range_pad, est.doppler_pad), est, lay), lay
+        seed_power, beams_at, pads, est, lay), lay
 
 
 def exact_map(run, est):
@@ -886,7 +909,7 @@ def exact_map(run, est):
 @settings(max_examples=120, deadline=None)
 @given(waveform=st.sampled_from(["pmcw", "ofdma"]),
        seed=st.integers(0, 2 ** 32 - 1),
-       mu=st.sampled_from([0, 25, 50, 75, 100]),
+       mu=st.sampled_from([0, 12.5, 25, 50, 75, 100]),
        counts=st.lists(st.integers(1, 3), min_size=1, max_size=4),
        snr_db=st.floats(-5.0, 30.0),
        range_pad=st.integers(1, 3), doppler_pad=st.integers(1, 3),
@@ -963,6 +986,37 @@ def test_refinement_reuses_the_detection_demodulation(
     fine = est.refined(2)
     assert exact_map(partial(estim._windows, x, layout, fine), fine) == \
         exact_map(partial(estim._windows, anew, layout, fine), fine)
+
+
+def test_an_axis_with_one_input_is_not_padded():
+    # Zero-padding one input gives a map that is flat along that axis, so
+    # with max_targets 2 the same cell came out twice and the second
+    # target was missed.  Each map below must report distinct cells.
+    est = EstimatorConfig(doppler_pad=4, max_targets=2)
+    one_frame, code, _, _ = pmcw_cube_for(
+        [Scatterer(delay_s=5 * CHIP, amplitude=1.0),
+         Scatterer(delay_s=12 * CHIP, amplitude=0.8)], mu=12.5)
+    assert pmcw_schedule(one_frame.config).sum() == 1
+    found = pmcw_range_doppler(one_frame, code, est)
+    assert found.power.shape == (1, 32)
+    assert sorted(t.delay_bin for t in found.targets) == [5, 12]
+
+    one_symbol, grid, _ = ofdma_cube_for(
+        [Scatterer(delay_s=1e-9, amplitude=1.0),  # 0.5 ns samples
+         Scatterer(delay_s=2.5e-9, amplitude=0.8)],
+        config=ofdma_config(n_symbols=1, mu_percent=100))
+    found = ofdma_range_doppler_angle(one_symbol, grid, est)
+    assert found.power.shape == (32, 1)
+    assert sorted(t.delay_bin for t in found.targets) == [2, 5]
+
+    config = ofdma_config(n_subcarriers=16, mu_percent=6.25)
+    one_row, grid, _ = ofdma_cube_for(
+        [Scatterer(delay_s=3e-9, amplitude=1.0)], config=config)
+    assert grid.radar_rows.sum() == 1
+    found = ofdma_range_doppler_angle(one_row, grid, replace(
+        est, range_pad=4, doppler_pad=1))
+    assert found.power.shape == (1, 8)
+    assert [(t.delay_bin, t.doppler_bin) for t in found.targets] == [(0, 0)]
 
 
 # ---------------------------------------------------------------------------

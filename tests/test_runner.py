@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jrcsim import runner
-from jrcsim.channel import Scene
-from jrcsim.config import ConfigError, config_hash, parse_config
-from jrcsim.estim import (golay_cef_waveform, ofdma_decode,
+from jrcsim import estim, runner
+from jrcsim.channel import Scene, complex_awgn
+from jrcsim.config import _WAVEFORMS, ConfigError, config_hash, parse_config
+from jrcsim.estim import (DecodingError, golay_cef_waveform,
+                          golay_range_estimate, ofdma_decode,
                           ofdma_range_doppler_angle, ofdma_refine,
                           pmcw_decode, pmcw_range_doppler, pmcw_refine)
 from jrcsim.ofdma import IsiWarning, build_symbol_grid, grid_capacity_bits, \
@@ -27,6 +28,7 @@ from jrcsim.pmcw import payload_capacity_bits, pmcw_frame_symbols, \
 from jrcsim.runner import SweepPoint, TrialOutcome, run_scenario
 from jrcsim.sigcore import ArrayGeometry, golay_pair
 from jrcsim.tensorio import read_csv_rows
+from test_estim import profile_peaks
 
 CSV_NAMES = ("rmse_vs_snr.csv", "ber_vs_snr.csv", "estimates.csv")
 PMCW_CUBE_CELLS = 8 * 31 * 2  # pmcw_scenario's receive cube
@@ -58,6 +60,20 @@ def ofdma_scenario(**overrides):
         "scene": {"scatterers": [{"delay_s": 3e-9, "amplitude": [1.0, 0.0]}]},
         "trials": 3,
         "seed": 21,
+    }
+    data.update(overrides)
+    return parse_config(data)
+
+
+def golay_scenario(**overrides):
+    data = {
+        "version": 1,
+        "waveform": "golay",
+        "golay": {"log2_length": 4, "guard_samples": 16,
+                  "sample_time_s": 1e-9},
+        "scene": {"scatterers": [{"delay_s": 5e-9, "amplitude": [1.0, 0.0]}]},
+        "trials": 3,
+        "seed": 31,
     }
     data.update(overrides)
     return parse_config(data)
@@ -142,8 +158,9 @@ def test_same_seed_reruns_are_byte_identical(tmp_path):
     # Four cubes per batch: 9 trials run inline as batches of 4, 4 and 1,
     # and in the pool as three batches of 3.
     (pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=9), 4 * PMCW_CUBE_CELLS),
+    (golay_scenario(sweep={"snr_db": [5, 15]}, trials=4), None),
 ], ids=["pmcw", "ofdma", "pmcw-two-targets-interpolated",
-        "pmcw-several-pool-batches"])
+        "pmcw-several-pool-batches", "golay"])
 def test_worker_count_does_not_change_outputs(tmp_path, monkeypatch, config,
                                               cells):
     # Inline, a point's trials run as stacked batches of ``_batch_size``;
@@ -347,7 +364,7 @@ def golay_fading_scenario(fading, snr_db=-10):
                   "sample_time_s": 1e-9},
         "scene": {"scatterers": [
             {"delay_s": 5e-9, "amplitude": [1.0, 0.0], "fading": fading},
-            {"delay_s": 12e-9, "amplitude": [0.0, 0.7], "fading": fading}]},
+            {"delay_s": 12e-9, "amplitude": [0.4, 0.7], "fading": fading}]},
         "sweep": {"snr_db": [snr_db]},
         "estimator": {"max_targets": 2},
         "trials": 4,
@@ -357,23 +374,24 @@ def golay_fading_scenario(fading, snr_db=-10):
 
 def test_golay_trials_honour_fading(tmp_path, monkeypatch):
     # Each trial scales the scatterers' nominal amplitudes by the scene's
-    # fading gains of its index, as the cube waveforms do per CPI: without
-    # noise, trial k receives the CEF waveform delayed by 5 and 12 samples
-    # with those amplitudes.
+    # fading gains of its index, as the other waveforms do per CPI:
+    # without noise, trial k receives the CEF waveform delayed by 5 and 12
+    # samples with those amplitudes.
     seen = []
-    estimate = runner.golay_range_estimate
+    synthesize = runner._synthesize
 
-    def spy(rx, pair, guard_samples):
-        seen.append(rx.copy())
-        return estimate(rx, pair, guard_samples)
+    def spy(*args):
+        seen.append(synthesize(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(runner, "golay_range_estimate", spy)
+    monkeypatch.setattr(runner, "_synthesize", spy)
     faded = golay_fading_scenario("swerling12", snr_db=None)
     run_scenario(faded, out_dir=tmp_path / "noiseless")
     cef = golay_cef_waveform(golay_pair(4), 16)
-    assert len(seen) == 4
-    for trial, rx in enumerate(seen):
-        gains = np.array([1.0, 0.7j]) * faded.scene.fading_gains(trial)
+    (data,) = seen
+    assert data.shape == (4, 1, cef.size, 1)
+    for trial, rx in enumerate(data[:, 0, :, 0]):
+        gains = np.array([1.0, 0.4 + 0.7j]) * faded.scene.fading_gains(trial)
         expected = np.zeros(cef.size, dtype=complex)
         expected[5:] += gains[0] * cef[:-5]
         expected[12:] += gains[1] * cef[:-12]
@@ -401,6 +419,32 @@ def test_golay_delay_outside_guard_fails_trial():
         })
 
 
+def test_every_waveform_has_a_binding():
+    # One trial body runs every waveform the parser accepts.
+    assert set(runner._CUBES) == set(_WAVEFORMS)
+
+
+def test_golay_interpolated_noiseless_delays_are_exact(tmp_path):
+    # Without noise the sounding's delay profile is 2N times the channel,
+    # so a parabola through an on-sample peak and its two zero (or, at an
+    # edge, missing) neighbours has no offset; refinement, which has no
+    # axis to pad, repeats the coarse estimate.
+    config = golay_scenario(
+        scene={"scatterers": [{"delay_s": 0.0}, {"delay_s": 7e-9},
+                              {"delay_s": 15e-9, "amplitude": [0.0, 0.5]}]},
+        estimator={"interpolate": True, "max_targets": 3, "range_pad": 2,
+                   "doppler_pad": 2, "angle_pad": 2})
+    run_scenario(config, out_dir=tmp_path)
+    header, rows = read_csv_rows(tmp_path / "estimates.csv")
+    assert len(rows) == 9
+    for row in rows:
+        row = dict(zip(header, row))
+        on_sample = round(float(row["true_delay_s"]) / 1e-9) * 1e-9
+        assert float(row["est_delay_s"]) == on_sample
+        assert row["refined_delay_s"] == row["est_delay_s"]
+        assert row["est_doppler_hz"] == row["est_angle_rad"] == "nan"
+
+
 def test_pmcw_fractional_chip_delay_runs(tmp_path):
     # A delay of 9.4 chips is synthesized as such; the unpadded coarse map
     # puts it on its nearest chip.
@@ -422,7 +466,7 @@ def test_programming_error_in_trial_propagates(tmp_path, monkeypatch):
     def broken_trials(*args):
         raise TypeError("broken trial")
 
-    monkeypatch.setitem(runner._POINT_FNS, "pmcw", broken_trials)
+    monkeypatch.setattr(runner, "_cube_trials", broken_trials)
     with pytest.raises(TypeError, match="broken trial"):
         run_scenario(pmcw_scenario(trials=1), out_dir=tmp_path)
 
@@ -438,7 +482,7 @@ def test_programming_error_in_trial_propagates(tmp_path, monkeypatch):
 def test_point_psl_is_autocorrelation_psl(config):
     point = SweepPoint(index=0, mu_percent=None, snr_db=None)
     bound = runner._bind(config, point)
-    x = runner._point_waveform_samples(config, bound.wave, bound.cube, point)
+    x = runner._point_waveform_samples(config, bound.cube, point)
     lags = np.arange(-(x.size - 1), x.size, dtype=float)
     cut = ambiguity_function(x, lags, np.zeros(1)).magnitude[:, 0]
     psl = runner._point_psl_db(config, bound, point)
@@ -452,7 +496,8 @@ def test_point_psl_is_autocorrelation_psl(config):
 
 def reference_trial(config, point, trial):
     """One trial through the public single-CPI stages, in the order the
-    runner called them before trials were stacked into batches."""
+    runner called them before trials were stacked into batches; a Golay
+    trial as the runner ran it before it became a cube waveform."""
     rng = np.random.default_rng([config.seed, point.index, trial])
     try:
         bound = runner._bind(config, point)
@@ -460,6 +505,8 @@ def reference_trial(config, point, trial):
         scene = replace(config.scene, noise_variance=bound.noise_variance)
         order = config.symbol_order
         refined_est = config.estimator.refined(config.refine_factor)
+        if config.waveform == "golay":
+            return reference_golay_trial(config, point, trial, bound, rng)
         if config.waveform == "pmcw":
             sched = pmcw_schedule(wavecfg)
             code = runner.build_code(config, wavecfg)
@@ -497,13 +544,53 @@ def reference_trial(config, point, trial):
                             message=f"{type(exc).__name__}: {exc}")
 
 
+def reference_golay_trial(config, point, trial, bound, rng):
+    """A Golay trial: the CEF shifted by each scatterer's nearest whole
+    sample, the two correlator branches, and the peaks of the delay
+    profile; with ``interpolate`` each peak's parabolic offset, taken on
+    the profile's power with nothing beyond its ends.  Its coarse and
+    refined estimates are the same."""
+    wave, est = bound.wave, config.estimator
+    pair = golay_pair(wave.log2_length)
+    cef = golay_cef_waveform(pair, wave.guard_samples)
+    rng.integers(0, 2, 0)  # the empty payload draw
+    rx = np.zeros(cef.size, dtype=complex)
+    for (delay, _, _), amp in zip(bound.truths, bound.amplitudes
+                                  * config.scene.fading_gains(trial)):
+        shift = int(round(delay / wave.sample_time_s))
+        rx[shift:] += amp * cef[:cef.size - shift]
+    if bound.noise_variance > 0:
+        rx += complex_awgn(rng, rx.shape, bound.noise_variance)
+    profile = golay_range_estimate(rx, pair, wave.guard_samples)
+    bins = profile_peaks(profile, est.max_targets, est.threshold_db)
+    if not bins:
+        raise DecodingError("no detected targets to demodulate against")
+    power = np.concatenate([[-np.inf], np.abs(profile) ** 2, [-np.inf]])
+    found = []
+    for b in bins:
+        offset = estim._parabolic_offsets(*power[b:b + 3]) \
+            if est.interpolate else 0.0
+        found.append(((b + offset) * wave.sample_time_s, np.nan, np.nan))
+    return runner._outcome(point, trial, bound.truths, found, found,
+                           (1.0, 1.0, 1.0))
+
+
 def exact(outcome):
     """Every field of an outcome, floats by their exact repr."""
     return repr(vars(outcome))
 
 
-@settings(max_examples=60, deadline=None)
-@given(waveform=st.sampled_from(["pmcw", "ofdma"]),
+def delays_apart(outcome):
+    """An outcome's estimated delays (in samples of 1 ns), apart from
+    every other field by its exact repr."""
+    rows = [[v for c, v in enumerate(row) if c not in (1, 2)]
+            for row in outcome.rows]
+    delays = [row[c] / 1e-9 for row in outcome.rows for c in (1, 2)]
+    return repr(dict(vars(outcome), rows=rows)), delays
+
+
+@settings(max_examples=80, deadline=None)
+@given(waveform=st.sampled_from(["pmcw", "ofdma", "golay"]),
        seed=st.integers(0, 2 ** 32 - 1), n_scatterers=st.integers(1, 3),
        max_targets=st.integers(1, 3), interpolate=st.booleans(),
        range_pad=st.integers(1, 2), doppler_pad=st.integers(1, 2),
@@ -522,6 +609,9 @@ def test_batch_matches_per_trial_pipeline(
         if waveform == "pmcw":  # 31 chips of 1 ns, 8 frames
             delay = rng.uniform(0.0, 30.5) * 1e-9
             doppler = rng.uniform(-0.5, 0.5) / 31e-9
+        elif waveform == "golay":  # 16 guard samples of 1 ns
+            delay = rng.uniform(0.0, 15.5) * 1e-9
+            doppler = 0.0
         else:  # 16 subcarriers 62.5 MHz apart, 8-sample cyclic prefix
             delay = rng.uniform(0.0, 8.0) * 1e-9
             doppler = rng.uniform(-0.5, 0.5) * 62.5e6
@@ -529,24 +619,39 @@ def test_batch_matches_per_trial_pipeline(
             "delay_s": delay, "doppler_hz": doppler,
             "angle_rad": rng.uniform(-0.9, 0.9), "fading": fading,
             "amplitude": [0.8 ** q * np.cos(phase), 0.8 ** q * np.sin(phase)]})
-    make = pmcw_scenario if waveform == "pmcw" else ofdma_scenario
+    make = {"pmcw": pmcw_scenario, "ofdma": ofdma_scenario,
+            "golay": golay_scenario}[waveform]
+    sweep, mu = {"snr_db": [snr_db]}, (None if waveform == "golay"
+                                       else float(mu))
+    if mu is not None:
+        sweep["mu_percent"] = [mu]
     config = make(
         scene={"scatterers": scatterers,
                "seed": int(rng.integers(0, 2 ** 31))},
         estimator={"max_targets": max_targets, "interpolate": interpolate,
                    "range_pad": range_pad, "doppler_pad": doppler_pad,
                    "angle_pad": angle_pad},
-        sweep={"mu_percent": [mu], "snr_db": [snr_db]},
-        trials=5, seed=int(rng.integers(0, 2 ** 31)))
-    point = SweepPoint(index=1, mu_percent=float(mu), snr_db=snr_db)
-    batch_fn = runner._POINT_FNS[waveform]
-    with mock.patch.dict(runner._POINT_FNS,
-                         {waveform: mock.Mock(wraps=batch_fn)}) as fns:
-        batch = runner._run_point_trials(config, point, range(config.trials))
-        batches_run = fns[waveform].call_count
-    assert [exact(o) for o in batch] == [
-        exact(reference_trial(config, point, t))
-        for t in range(config.trials)]
+        sweep=sweep, trials=5, seed=int(rng.integers(0, 2 ** 31)))
+    point = SweepPoint(index=1, mu_percent=mu, snr_db=snr_db)
+    bound = runner._bind(config, point)
+    with mock.patch.object(runner, "_cube_trials",
+                           wraps=runner._cube_trials) as trials_fn:
+        batch = runner._run_point_trials(config, point, bound,
+                                         range(config.trials))
+        batches_run = trials_fn.call_count
+    reference = [reference_trial(config, point, t)
+                 for t in range(config.trials)]
+    if waveform == "golay" and interpolate:
+        # The batch correlates by FFT, the reference directly: their
+        # powers, and so the offsets, differ by rounding.
+        for got, want in zip(batch, reference):
+            (got_rest, got_delays), (want_rest, want_delays) = (
+                delays_apart(got), delays_apart(want))
+            assert got_rest == want_rest
+            assert got_delays == pytest.approx(want_delays, rel=0,
+                                               abs=1e-9)
+    else:
+        assert [exact(o) for o in batch] == [exact(o) for o in reference]
     # The batch falls back to one trial at a time only when a trial fails
     # on its own; a fallback that repairs a batch error would hide it.
     assert (batches_run > 1) == any(o.failed for o in batch)
@@ -590,8 +695,9 @@ def test_a_batch_demodulates_every_slot_once(monkeypatch, make, mu):
                         staged("refine", runner._demodulated))
     for name, bind in list(runner._CUBES.items()):
         monkeypatch.setitem(runner._CUBES, name, bind_recording(bind))
-    runner._cube_trials(config, point, range(config.trials))
-    radar = runner._bind(config, point).cube.radar
+    bound = runner._bind(config, point)
+    runner._cube_trials(config, point, bound, range(config.trials))
+    radar = bound.cube.radar
     (data,) = cubes
     expected = [("detect", data[:, radar])]
     if mu < 100:
@@ -631,19 +737,33 @@ def test_value_error_fails_only_its_trial(tmp_path, monkeypatch, make,
 def test_large_trial_counts_run_in_several_batches(monkeypatch):
     config = pmcw_scenario(sweep={"snr_db": [10]}, trials=5)
     point = SweepPoint(index=0, mu_percent=None, snr_db=10.0)
-    whole = runner._run_point_trials(config, point, range(5))
+    bound = runner._bind(config, point)
+    whole = runner._run_point_trials(config, point, bound, range(5))
     sizes = []
-    pmcw_trials = runner._POINT_FNS["pmcw"]
+    cube_trials = runner._cube_trials
 
-    def counted(config, point, trials):
+    def counted(config, point, bound, trials):
         sizes.append(len(trials))
-        return pmcw_trials(config, point, trials)
+        return cube_trials(config, point, bound, trials)
 
-    monkeypatch.setitem(runner._POINT_FNS, "pmcw", counted)
+    monkeypatch.setattr(runner, "_cube_trials", counted)
     monkeypatch.setattr(runner, "_BATCH_CELLS", 2 * PMCW_CUBE_CELLS)
-    split = runner._run_point_trials(config, point, range(5))
+    split = runner._run_point_trials(config, point, bound, range(5))
     assert sizes == [2, 2, 1]
     assert [exact(o) for o in split] == [exact(o) for o in whole]
+
+
+def test_inline_runs_bind_each_point_once(tmp_path, monkeypatch):
+    # Two points of three batches each: the trials run on the binding
+    # that run_scenario made before the first trial.
+    monkeypatch.setattr(runner, "_BATCH_CELLS", 2 * PMCW_CUBE_CELLS)
+    config = pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=5)
+    with mock.patch.object(runner, "_bind", wraps=runner._bind) as bind, \
+            mock.patch.object(runner, "_cube_trials",
+                              wraps=runner._cube_trials) as trials_fn:
+        run_scenario(config, out_dir=tmp_path)
+    assert bind.call_count == 2
+    assert trials_fn.call_count == 6
 
 
 def pool_tasks(config, points):
@@ -666,16 +786,19 @@ def test_pool_worker_runs_each_pool_batch_once(monkeypatch):
     tasks = pool_tasks(config, points)
     size = runner._pool_batch(config)
     assert size == 3
-    pmcw_trials = runner._POINT_FNS["pmcw"]
-    with mock.patch.dict(runner._POINT_FNS,
-                         {"pmcw": mock.Mock(wraps=pmcw_trials)}) as fns:
+    # The worker binds the point and runs the trials once per pool batch.
+    with mock.patch.object(runner, "_cube_trials",
+                           wraps=runner._cube_trials) as trials_fn, \
+            mock.patch.object(runner, "_bind", wraps=runner._bind) as bind:
         pooled = [runner._run_single_trial(task)
                   for start in range(0, len(tasks), 2 * size)
                   for task in round_trip(tasks[start:start + 2 * size])]
-        assert fns["pmcw"].call_count == len(tasks) // size
+        assert trials_fn.call_count == len(tasks) // size
+        assert bind.call_count == len(tasks) // size
     assert [exact(o) for o in pooled] == [
         exact(o) for point in points
-        for o in runner._run_point_trials(config, point, range(9))]
+        for o in runner._run_point_trials(
+            config, point, runner._bind(config, point), range(9))]
 
 
 def test_pool_worker_slot_survives_any_task_order(monkeypatch):
@@ -692,9 +815,10 @@ def test_pool_worker_slot_survives_any_task_order(monkeypatch):
     pooled = {(task[0].waveform, task[1].index, task[2]):
               runner._run_single_trial(task) for task in shuffled}
     expected = {("pmcw", point.index, o.trial): o for point in points
-                for o in runner._run_point_trials(config, point, range(9))}
+                for o in runner._run_point_trials(
+                    config, point, runner._bind(config, point), range(9))}
     expected["ofdma", 0, 4] = runner._run_point_trials(
-        other, points[0], [4])[0]
+        other, points[0], runner._bind(other, points[0]), [4])[0]
     assert {k: exact(o) for k, o in pooled.items()} == {
         k: exact(o) for k, o in expected.items()}
 
@@ -761,12 +885,14 @@ def test_tradeoff_skipped_without_weights_or_comm(tmp_path):
     (pmcw_scenario, 75, 186, 0.25), (pmcw_scenario, 100, 248, 0.0),
     # OFDMA: pilot rows times the 4 symbols of each row
     (ofdma_scenario, 0, 0, 1.0), (ofdma_scenario, 30, 20, 0.6875),
-    (ofdma_scenario, 50, 32, 0.5), (ofdma_scenario, 100, 64, 0.0)])
+    (ofdma_scenario, 50, 32, 0.5), (ofdma_scenario, 100, 64, 0.0),
+    # Golay: both members of the 16-chip pair
+    (golay_scenario, None, 32, 0.0)])
 def test_integration_gain_and_comm_fraction_count_radar_slots(make, mu, gain,
                                                               comm):
     bound = runner._bind(make(), SweepPoint(index=0, mu_percent=mu,
                                             snr_db=None))
-    assert runner._integration_gain(bound) == gain
+    assert bound.cube.gain == gain
     assert float(np.mean(~bound.cube.radar)) == comm
 
 
@@ -907,11 +1033,11 @@ def test_isi_warning_on_the_run_path(tmp_path):
 
 
 def test_batch_size_counts_receive_cube_cells():
-    # 16384 cells over 8 x 31 x 2 (PMCW) and 16 x 4 x 2 (OFDMA) per cube;
-    # Golay stacks no cube and runs its trials one per batch.
+    # 16384 cells over 8 x 31 x 2 (PMCW), 16 x 4 x 2 (OFDMA) and
+    # 1 x 2 (16 + 16) x 1 (Golay) per cube.
     assert runner._batch_size(pmcw_scenario()) == 33
     assert runner._batch_size(ofdma_scenario()) == 128
-    assert runner._batch_size(golay_fading_scenario("swerling0")) == 1
+    assert runner._batch_size(golay_fading_scenario("swerling0")) == 256
 
 
 def test_report_json_contents(tmp_path):
@@ -943,7 +1069,6 @@ def test_out_dir_is_created_before_any_trial(tmp_path, monkeypatch):
         raise AssertionError("a trial ran before the output directory "
                              "was created")
 
-    monkeypatch.setattr(runner, "_POINT_FNS",
-                        dict.fromkeys(runner._POINT_FNS, no_trials))
+    monkeypatch.setattr(runner, "_cube_trials", no_trials)
     with pytest.raises(NotADirectoryError):
         run_scenario(pmcw_scenario(), out_dir=blocker / "out")
