@@ -2,8 +2,8 @@
 
 Each trial is fully self-contained and seeded counter-style from
 (master seed, point index, trial index), so results do not depend on how
-trials are spread over workers or batches.  Inline, the trials of a sweep
-point run as one stacked batch, or several when their receive cubes hold
+trials are spread over workers or batches.  The trials of a sweep point
+run as one stacked batch, or several when their receive cubes hold
 more than ``_BATCH_CELLS`` cells: the trial-invariant plan (code, radar-slot
 mask, amplitudes, noise variance) is bound once per point, and
 synthesis, the coarse map, decoding and refinement carry a leading trial
@@ -15,11 +15,10 @@ whole batch, and refinement reuses the radar slots as detection
 demodulated them, demodulating only the comm slots.  What stays per
 trial is the choice of each map's peaks, the amplitude least-squares fit
 and the matching to the truth.  A batch in which some trial raises a
-ValueError is rerun one trial at a time, so only that trial fails.  The
-process pool runs the same stacked batches: a point's trials split into
-pool batches of ``_pool_batch`` trials, which divides the trial count,
-and a worker runs each batch once, on its first task, and answers the
-batch's other tasks from what it kept.
+ValueError is rerun one trial at a time, so only that trial fails.  Inline
+or on a process pool, every trial is one (bound point, sweep point, trial)
+task of ``_run_single_trial``, which runs the rest of its batch on a miss
+and answers the batch's later tasks from a slot: both cut the same batches.
 
 Each sweep point is bound by ``_bind`` into a ``_Point``: the waveform
 config with the point's mu applied, each scatterer's amplitude rule,
@@ -216,6 +215,29 @@ class _Cube:
     n_len: int  # the trade-off's N: code, subcarrier or pair length
 
 
+# Module-level builders, so that a bound point pickles into a pool task.
+def _pmcw_transmit(wavecfg, code, sched, order, bits) -> np.ndarray:
+    return pmcw_transmit(wavecfg, code, pmcw_frame_symbols(sched, bits, order))
+
+
+def _ofdma_transmit(wavecfg, order, bits) -> np.ndarray:
+    return ofdma_transmit(wavecfg, build_symbol_grid(wavecfg, bits, order))
+
+
+def _golay_symbols(bits) -> np.ndarray:
+    return np.ones((len(bits), 1), dtype=complex)
+
+
+def _golay_transmit(cef, bits) -> np.ndarray:
+    return cef[None].astype(complex)
+
+
+def _golay_link(sc) -> tuple:
+    return (partial(np.multiply, complex(
+        1.0 if sc.amplitude is None else sc.amplitude)),
+        (float(sc.delay_s), math.nan, math.nan))
+
+
 def _pmcw_cube(config: ScenarioConfig, wavecfg: PmcwConfig) -> _Cube:
     order, sched = config.symbol_order, pmcw_schedule(wavecfg)
     code = build_code(config, wavecfg)
@@ -223,8 +245,7 @@ def _pmcw_cube(config: ScenarioConfig, wavecfg: PmcwConfig) -> _Cube:
     return _Cube(
         radar=sched, capacity=payload_capacity_bits(sched, order),
         symbols=partial(_frame_symbols, sched, order=order),
-        transmit=lambda bits: pmcw_transmit(
-            wavecfg, code, pmcw_frame_symbols(sched, bits, order)),
+        transmit=partial(_pmcw_transmit, wavecfg, code, sched, order),
         response=partial(_pmcw_response, wavecfg, code_spec),
         demod=partial(_pmcw_correlate, code_spec=code_spec),
         layout=partial(_pmcw_layout, wavecfg), dpsk=_pmcw_dpsk,
@@ -241,8 +262,7 @@ def _ofdma_cube(config: ScenarioConfig, wavecfg: OfdmaConfig) -> _Cube:
     return _Cube(
         radar=pilots, capacity=grid_capacity_bits(wavecfg, order),
         symbols=partial(_symbol_grids, wavecfg, order=order),
-        transmit=lambda bits: ofdma_transmit(
-            wavecfg, build_symbol_grid(wavecfg, bits, order)),
+        transmit=partial(_ofdma_transmit, wavecfg, order),
         response=partial(_ofdma_response, wavecfg), demod=_ofdma_derotate,
         layout=partial(_ofdma_layout, wavecfg), dpsk=_ofdma_dpsk,
         link=partial(_carrier_link, wavecfg),
@@ -261,16 +281,12 @@ def _golay_cube(config: ScenarioConfig, wavecfg: GolayRunConfig) -> _Cube:
     cef = golay_cef_waveform(pair, wavecfg.guard_samples)
     return _Cube(
         radar=np.ones(1, dtype=bool), capacity=0,
-        symbols=lambda bits: np.ones((len(bits), 1), dtype=complex),
-        transmit=lambda bits: cef[None].astype(complex),
+        symbols=_golay_symbols, transmit=partial(_golay_transmit, cef),
         response=partial(_golay_response, cef, wavecfg.sample_time_s),
         demod=partial(_pmcw_correlate, code_spec=np.fft.fft(cef)),
         layout=partial(_golay_layout, wavecfg), dpsk=_pmcw_dpsk,
-        link=lambda sc: (partial(np.multiply, complex(
-            1.0 if sc.amplitude is None else sc.amplitude)),
-            (float(sc.delay_s), math.nan, math.nan)),
-        scales=(wavecfg.sample_time_s, 1.0, 1.0), gain=2.0 * pair.length,
-        n_len=pair.length)
+        link=_golay_link, scales=(wavecfg.sample_time_s, 1.0, 1.0),
+        gain=2.0 * pair.length, n_len=pair.length)
 
 
 # Each waveform's binding; every per-waveform fact is read from it.
@@ -282,6 +298,7 @@ class _Point:
     """A sweep point bound to its config by ``_bind``: every fact of the
     point that its trials, PSL, p_D and trade-off read."""
 
+    config: ScenarioConfig  # the config the point was bound from
     wave: object  # the waveform config, the point's mu applied
     links: list  # (amplitude rule, (delay, Doppler, angle)) per scatterer
     amplitudes: np.ndarray  # nominal composite amplitudes (unit fading)
@@ -292,7 +309,8 @@ class _Point:
 
     @property
     def mu_percent(self) -> float:
-        return float(getattr(self.wave, "mu_percent", 0.0))
+        """The waveform's mu; a sounding without multiplex is all radar."""
+        return float(getattr(self.wave, "mu_percent", 100.0))
 
     @property
     def noise_variance(self) -> float:
@@ -323,14 +341,14 @@ def _bind(config: ScenarioConfig, point: SweepPoint) -> _Point:
         sigma2 = config.scene.noise_variance
     else:  # see the module docstring: undefined without signal power
         sigma2 = power / 10.0 ** (point.snr_db / 10.0) if power else math.nan
-    return _Point(wave, links, amps, power, sigma2,
+    return _Point(config, wave, links, amps, power, sigma2,
                   [truth for _, truth in links], cube)
 
 
-def _cube_trials(config, point: SweepPoint, bound: _Point, trials) -> list:
+def _cube_trials(bound: _Point, point: SweepPoint, trials) -> list:
     """One outcome per trial at the point bound as ``bound``: every truth
     with its nearest coarse and refined estimate, and its bit errors."""
-    cube = bound.cube
+    config, cube = bound.config, bound.cube
     rngs, payload = _trial_payloads(config, point, trials, cube.capacity)
     symbols = cube.symbols(payload)
     data = _synthesize(
@@ -365,8 +383,7 @@ def _batch_size(config: ScenarioConfig) -> int:
     return max(1, _BATCH_CELLS // math.prod(config.waveform_config.cube_shape))
 
 
-def _run_batch(config: ScenarioConfig, point: SweepPoint, bound: _Point,
-               trials) -> list:
+def _run_batch(bound: _Point, point: SweepPoint, trials) -> list:
     """Outcomes of one stacked batch of trials at one sweep point.
 
     Only a ValueError (the domain errors, LinAlgError included) fails a
@@ -375,58 +392,40 @@ def _run_batch(config: ScenarioConfig, point: SweepPoint, bound: _Point,
     raise it fail, each with its own message.
     """
     try:
-        return _cube_trials(config, point, bound, trials)
+        return _cube_trials(bound, point, trials)
     except ValueError as exc:
         if len(trials) > 1:
             return [outcome for trial in trials
-                    for outcome in _run_batch(config, point, bound, [trial])]
+                    for outcome in _run_batch(bound, point, [trial])]
         return [TrialOutcome(point=point.index, trial=trials[0], failed=True,
                              message=f"{type(exc).__name__}: {exc}")]
 
 
-def _run_point_trials(config: ScenarioConfig, point: SweepPoint,
-                      bound: _Point, trials) -> list:
-    """Outcomes of ``trials`` at one bound sweep point, in stacked batches."""
-    trials = list(trials)
-    step = _batch_size(config)
-    return [outcome for start in range(0, len(trials), step)
-            for outcome in _run_batch(config, point, bound,
-                                      trials[start:start + step])]
-
-
-def _pool_batch(config: ScenarioConfig) -> int:
-    """Trials per pool batch: the largest divisor of ``config.trials`` that
-    is at most ``_batch_size``, so a point's trials split into whole
-    batches and a chunk of whole batches never cuts one."""
-    step = min(_batch_size(config), config.trials)
-    return max(d for d in range(1, step + 1) if config.trials % d == 0)
-
-
-# A pool worker's current batch: (config, point, {trial: outcome}).  The
-# config is held, so its identity cannot be reused while the slot is.
-_SLOT = (None, None, {})
+# The process's current batch: (bound point, {trial: outcome}).  The bound
+# point is held, so its identity cannot be reused while the slot is.
+_SLOT = (None, {})
 
 
 def _run_single_trial(args) -> TrialOutcome:
-    """Pool worker entry point: one (config, point, trial) task; must stay
-    module-level for process pools.
+    """One (bound point, sweep point, trial) task, inline or on a pool
+    worker; must stay module-level for process pools.
 
-    The first task of a pool batch binds the point and runs the whole
-    batch through ``_run_batch``; the batch's other tasks take their
-    outcome from the worker's slot.  A miss recomputes, so the task order
-    only costs time.  One outcome per task, not a batch's list, because
-    perfbench's ``TracedPool`` reads ``.failed`` and ``.message`` from
-    each result.
+    A miss runs the task's trial and the rest of its ``_batch_size`` batch
+    through ``_run_batch``; the batch's later tasks take their outcome from
+    the slot.  The slot is keyed on the bound point's identity, which one pool
+    chunk's tasks share: a chunk boundary inside a batch costs only the
+    batch's remainder, and any task order only costs time.  One outcome per
+    task, because perfbench's ``TracedPool`` reads ``.failed`` from each.
     """
     global _SLOT
-    config, point, trial = args
-    held, at, outcomes = _SLOT
-    if held is not config or at != point or trial not in outcomes:
-        size = _pool_batch(config)
-        start = trial - trial % size
-        outcomes = {o.trial: o for o in _run_batch(
-            config, point, _bind(config, point), range(start, start + size))}
-        _SLOT = (config, point, outcomes)
+    bound, point, trial = args
+    held, outcomes = _SLOT
+    if held is not bound or trial not in outcomes:
+        step = _batch_size(bound.config)
+        stop = min(trial - trial % step + step, bound.config.trials)
+        outcomes = {o.trial: o
+                    for o in _run_batch(bound, point, range(trial, stop))}
+        _SLOT = (bound, outcomes)
     return outcomes.pop(trial)
 
 
@@ -587,8 +586,8 @@ _POINT_TABLES = {
 }
 
 
-def _write_outputs(out_dir: Path, config: ScenarioConfig, results: list,
-                   outcomes_by_point: list, tradeoff_rows: list) -> list:
+def _write_outputs(out_dir: Path, results: list, outcomes_by_point: list,
+                   tradeoff_rows: list) -> list:
     outputs = []
     for name, columns in _POINT_TABLES.items():
         write_table_csv(out_dir / name, columns, [
@@ -632,10 +631,10 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
                  workers: int = 1) -> RunReport:
     """Execute the sweep, write the output tables, return the report.
 
-    Inline, each point's trials run as stacked batches; ``workers`` > 1
-    fans them out to a process pool, one task per trial, in chunks of
-    whole pool batches that a worker runs stacked too.  Outputs are
-    identical for any worker count because trials are seeded by index.
+    Every trial is one task on its bound point, run inline or, at
+    ``workers`` > 1, on a process pool in chunks of whole batches; either
+    way the tasks run as the same stacked batches.  Outputs are identical
+    for any worker count because trials are seeded by index.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -648,19 +647,16 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
     destination = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     destination.mkdir(parents=True, exist_ok=True)
 
+    # One map over every (point, trial): no barrier between points.
+    tasks = [(bound, point, t) for point, bound in zip(points, bounds)
+             for t in range(config.trials)]
     if workers > 1:
-        # One map over every (point, trial): no barrier between points.
-        tasks = [(config, point, t) for point in points
-                 for t in range(config.trials)]
-        # A chunk holds whole pool batches, which share its one config.
-        size = _pool_batch(config)
-        chunk = size * max(1, len(tasks) // (4 * workers * size))
+        step = _batch_size(config)
+        chunk = step * max(1, len(tasks) // (4 * workers * step))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             flat = list(pool.map(_run_single_trial, tasks, chunksize=chunk))
     else:
-        flat = [outcome for point, bound in zip(points, bounds)
-                for outcome in _run_point_trials(config, point, bound,
-                                                 range(config.trials))]
+        flat = list(map(_run_single_trial, tasks))
     outcomes_by_point = [flat[i * config.trials:(i + 1) * config.trials]
                          for i in range(len(points))]
 
@@ -669,8 +665,8 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
         results.append(_aggregate_point(config, point, outcomes, bound))
         tradeoff_rows.extend(_tradeoff_rows(config, bound, point))
 
-    outputs = _write_outputs(destination, config, results,
-                             outcomes_by_point, tradeoff_rows)
+    outputs = _write_outputs(destination, results, outcomes_by_point,
+                             tradeoff_rows)
 
     report = RunReport(
         config_hash=config_hash(config),

@@ -155,21 +155,22 @@ def test_same_seed_reruns_are_byte_identical(tmp_path):
              "amplitude": [0.0, 0.6]}]},
         estimator={"max_targets": 2, "interpolate": True},
         sweep={"snr_db": [0, 10]}, trials=4), None),
-    # Four cubes per batch: 9 trials run inline as batches of 4, 4 and 1,
-    # and in the pool as three batches of 3.
+    # Four cubes per batch: 9 trials run as batches of 4, 4 and 1.
     (pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=9), 4 * PMCW_CUBE_CELLS),
+    # A prime trial count: the second point's batches straddle the pool's
+    # chunks of whole batches.
+    (pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=13),
+     4 * PMCW_CUBE_CELLS),
     (golay_scenario(sweep={"snr_db": [5, 15]}, trials=4), None),
 ], ids=["pmcw", "ofdma", "pmcw-two-targets-interpolated",
-        "pmcw-several-pool-batches", "golay"])
+        "pmcw-several-pool-batches", "pmcw-prime-trial-count", "golay"])
 def test_worker_count_does_not_change_outputs(tmp_path, monkeypatch, config,
                                               cells):
-    # Inline, a point's trials run as stacked batches of ``_batch_size``;
-    # the pool runs them as batches of ``_pool_batch``, which divides the
-    # trial count.  Forked workers inherit a patched ``_BATCH_CELLS``.
+    # Inline and pooled, a point's trials run as stacked batches of
+    # ``_batch_size``.  Forked workers inherit a patched ``_BATCH_CELLS``.
     if cells is not None:
         monkeypatch.setattr(runner, "_BATCH_CELLS", cells)
         assert runner._batch_size(config) == 4
-        assert runner._pool_batch(config) == 3
     run_scenario(config, out_dir=tmp_path / "serial", workers=1)
     for workers in (2, 3):
         run_scenario(config, out_dir=tmp_path / f"pool{workers}",
@@ -182,7 +183,7 @@ def test_worker_count_does_not_change_outputs(tmp_path, monkeypatch, config,
 def test_one_point_sweep_reaches_every_worker(tmp_path, monkeypatch,
                                               workers):
     # A single point's trials still split into several chunks, each of
-    # whole pool batches.
+    # whole batches.
     chunks = []
 
     class Recording(runner.ProcessPoolExecutor):
@@ -196,7 +197,7 @@ def test_one_point_sweep_reaches_every_worker(tmp_path, monkeypatch,
     [(n_tasks, chunk)] = chunks
     assert n_tasks == 100
     assert -(-n_tasks // chunk) >= workers
-    assert chunk % runner._pool_batch(config) == 0
+    assert chunk % runner._batch_size(config) == 0
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -351,8 +352,12 @@ def test_golay_scenario_noiseless(tmp_path):
     # bin * sample_time can differ from the parsed decimal by one ulp
     assert float(row["rmse_delay_s"]) < 1e-18
     assert row["rmse_doppler_hz"] == "nan"
+    # A sounding is all radar: its rows sit at mu 100, as an all-radar
+    # PMCW or OFDMA point's do.
+    assert row["mu_percent"] == "100.0"
     _, est_rows = read_csv_rows(tmp_path / "estimates.csv")
     assert len(est_rows) == 4  # two scatterers, two trials
+    assert {r[0] for r in est_rows} == {"100.0"}
     assert report.points[0].n_failures == 0
 
 
@@ -580,6 +585,12 @@ def exact(outcome):
     return repr(vars(outcome))
 
 
+def inline_outcomes(bound, point, trials):
+    """The outcomes of ``trials`` at one bound point, as an inline run
+    takes them: one ``_run_single_trial`` task each."""
+    return [runner._run_single_trial((bound, point, t)) for t in trials]
+
+
 def delays_apart(outcome):
     """An outcome's estimated delays (in samples of 1 ns), apart from
     every other field by its exact repr."""
@@ -636,8 +647,7 @@ def test_batch_matches_per_trial_pipeline(
     bound = runner._bind(config, point)
     with mock.patch.object(runner, "_cube_trials",
                            wraps=runner._cube_trials) as trials_fn:
-        batch = runner._run_point_trials(config, point, bound,
-                                         range(config.trials))
+        batch = inline_outcomes(bound, point, range(config.trials))
         batches_run = trials_fn.call_count
     reference = [reference_trial(config, point, t)
                  for t in range(config.trials)]
@@ -696,7 +706,7 @@ def test_a_batch_demodulates_every_slot_once(monkeypatch, make, mu):
     for name, bind in list(runner._CUBES.items()):
         monkeypatch.setitem(runner._CUBES, name, bind_recording(bind))
     bound = runner._bind(config, point)
-    runner._cube_trials(config, point, bound, range(config.trials))
+    runner._cube_trials(bound, point, range(config.trials))
     radar = bound.cube.radar
     (data,) = cubes
     expected = [("detect", data[:, radar])]
@@ -738,17 +748,17 @@ def test_large_trial_counts_run_in_several_batches(monkeypatch):
     config = pmcw_scenario(sweep={"snr_db": [10]}, trials=5)
     point = SweepPoint(index=0, mu_percent=None, snr_db=10.0)
     bound = runner._bind(config, point)
-    whole = runner._run_point_trials(config, point, bound, range(5))
+    whole = inline_outcomes(bound, point, range(5))
     sizes = []
     cube_trials = runner._cube_trials
 
-    def counted(config, point, bound, trials):
+    def counted(bound, point, trials):
         sizes.append(len(trials))
-        return cube_trials(config, point, bound, trials)
+        return cube_trials(bound, point, trials)
 
     monkeypatch.setattr(runner, "_cube_trials", counted)
     monkeypatch.setattr(runner, "_BATCH_CELLS", 2 * PMCW_CUBE_CELLS)
-    split = runner._run_point_trials(config, point, bound, range(5))
+    split = inline_outcomes(runner._bind(config, point), point, range(5))
     assert sizes == [2, 2, 1]
     assert [exact(o) for o in split] == [exact(o) for o in whole]
 
@@ -767,14 +777,16 @@ def test_inline_runs_bind_each_point_once(tmp_path, monkeypatch):
 
 
 def pool_tasks(config, points):
-    """The pool's (config, point, trial) tasks of ``points``, in map order."""
-    return [(config, point, t) for point in points
+    """The pool's (bound point, point, trial) tasks of ``points``, in map
+    order, each point bound once."""
+    return [(bound, point, t) for point in points
+            for bound in [runner._bind(config, point)]
             for t in range(config.trials)]
 
 
 def round_trip(tasks):
     """``tasks`` as a worker receives one chunk: unpickled together, so
-    they share one config object."""
+    the tasks of one point share one bound point."""
     return pickle.loads(pickle.dumps(tasks))
 
 
@@ -784,52 +796,89 @@ def test_pool_worker_runs_each_pool_batch_once(monkeypatch):
     points = [SweepPoint(index=i, mu_percent=None, snr_db=snr)
               for i, snr in enumerate((5.0, 15.0))]
     tasks = pool_tasks(config, points)
-    size = runner._pool_batch(config)
-    assert size == 3
-    # The worker binds the point and runs the trials once per pool batch.
+    step = runner._batch_size(config)
+    assert step == 4
+    chunk = 2 * step
+    # The worker runs each batch, or the part of it that a chunk holds,
+    # once per chunk, on the bound point it received: it never binds.
+    pieces = {(start, point.index, t // step)
+              for start in range(0, len(tasks), chunk)
+              for _, point, t in tasks[start:start + chunk]}
     with mock.patch.object(runner, "_cube_trials",
                            wraps=runner._cube_trials) as trials_fn, \
             mock.patch.object(runner, "_bind", wraps=runner._bind) as bind:
         pooled = [runner._run_single_trial(task)
-                  for start in range(0, len(tasks), 2 * size)
-                  for task in round_trip(tasks[start:start + 2 * size])]
-        assert trials_fn.call_count == len(tasks) // size
-        assert bind.call_count == len(tasks) // size
+                  for start in range(0, len(tasks), chunk)
+                  for task in round_trip(tasks[start:start + chunk])]
+        assert trials_fn.call_count == len(pieces)
+        assert bind.call_count == 0
     assert [exact(o) for o in pooled] == [
         exact(o) for point in points
-        for o in runner._run_point_trials(
-            config, point, runner._bind(config, point), range(9))]
+        for o in inline_outcomes(runner._bind(config, point), point,
+                                 range(9))]
+
+
+def test_a_chunk_boundary_inside_a_batch_costs_its_remainder(monkeypatch):
+    # Two chunks split the batch of trials 4..7: the first runs it whole
+    # for trials 4 and 5, the second misses the slot (its bound point is
+    # another object) and runs only trials 6 and 7.  Each trial is
+    # computed once per chunk.
+    monkeypatch.setattr(runner, "_BATCH_CELLS", 4 * PMCW_CUBE_CELLS)
+    config = pmcw_scenario(sweep={"snr_db": [10]}, trials=9)
+    point = SweepPoint(index=0, mu_percent=None, snr_db=10.0)
+    tasks = pool_tasks(config, [point])
+    runs = []
+    cube_trials = runner._cube_trials
+
+    def recorded(bound, point, trials):
+        runs.append(list(trials))
+        return cube_trials(bound, point, trials)
+
+    monkeypatch.setattr(runner, "_cube_trials", recorded)
+    pooled = [runner._run_single_trial(task)
+              for chunk in (tasks[:6], tasks[6:])
+              for task in round_trip(chunk)]
+    assert runs == [[0, 1, 2, 3], [4, 5, 6, 7], [6, 7], [8]]
+    assert [exact(o) for o in pooled] == [
+        exact(o) for o in inline_outcomes(tasks[0][0], point, range(9))]
 
 
 def test_pool_worker_slot_survives_any_task_order(monkeypatch):
     # Out of order, or interleaved with another config's task, a task
-    # misses the slot and recomputes its batch: slower, never wrong.
+    # misses the slot and recomputes the rest of its batch: slower, never
+    # wrong.
     monkeypatch.setattr(runner, "_BATCH_CELLS", 4 * PMCW_CUBE_CELLS)
     config = pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=9)
     other = ofdma_scenario(sweep={"snr_db": [5]}, trials=9)
     points = [SweepPoint(index=i, mu_percent=None, snr_db=snr)
               for i, snr in enumerate((5.0, 15.0))]
-    tasks = pool_tasks(config, points) + [(other, points[0], 4)]
+    tasks = pool_tasks(config, points) + [
+        (runner._bind(other, points[0]), points[0], 4)]
     order = np.random.default_rng(3).permutation(len(tasks))
     shuffled = round_trip([tasks[i] for i in order])
-    pooled = {(task[0].waveform, task[1].index, task[2]):
+    pooled = {(task[0].config.waveform, task[1].index, task[2]):
               runner._run_single_trial(task) for task in shuffled}
     expected = {("pmcw", point.index, o.trial): o for point in points
-                for o in runner._run_point_trials(
-                    config, point, runner._bind(config, point), range(9))}
-    expected["ofdma", 0, 4] = runner._run_point_trials(
-        other, points[0], runner._bind(other, points[0]), [4])[0]
+                for o in inline_outcomes(runner._bind(config, point), point,
+                                         range(9))}
+    expected["ofdma", 0, 4] = runner._run_batch(
+        runner._bind(other, points[0]), points[0], [4])[0]
     assert {k: exact(o) for k, o in pooled.items()} == {
         k: exact(o) for k, o in expected.items()}
 
 
-@pytest.mark.parametrize("trials, step, size", [
-    (3, 8, 3), (8, 8, 8), (20, 8, 5), (13, 8, 1), (1, 1, 1)])
-def test_pool_batch_divides_the_trial_count(monkeypatch, trials, step, size):
-    monkeypatch.setattr(runner, "_BATCH_CELLS", step * PMCW_CUBE_CELLS)
-    config = pmcw_scenario(trials=trials)
-    assert runner._batch_size(config) == step
-    assert runner._pool_batch(config) == size
+@pytest.mark.parametrize("waveform", sorted(runner._CUBES))
+def test_bound_points_pickle(waveform):
+    # A pool task carries its bound point: every binding must pickle and
+    # run as the original does, so a lambda put back into one fails here.
+    make = {"pmcw": pmcw_scenario, "ofdma": ofdma_scenario,
+            "golay": golay_scenario}[waveform]
+    config = make(sweep={"snr_db": [10]}, trials=3)
+    point = SweepPoint(index=0, mu_percent=None, snr_db=10.0)
+    bound = runner._bind(config, point)
+    copy = pickle.loads(pickle.dumps(bound))
+    assert [exact(o) for o in runner._run_batch(copy, point, range(3))] == [
+        exact(o) for o in runner._run_batch(bound, point, range(3))]
 
 
 # ---------------------------------------------------------------------------

@@ -74,3 +74,34 @@ def test_tracer_records_pool_failures_and_point_spans(tmp_path):
     assert waits[0]["errors"] == {"NonIdentifiableError": trials}
     assert sorted(s["point"] for s in tracer.spans
                   if s["name"] == "runner.aggregate") == [0, 1]
+
+
+def test_tracer_records_inline_trials_and_their_failures(tmp_path):
+    # Inline runs call ``_run_single_trial`` once per trial too, so the
+    # tracer sees each trial and each failed trial's exception type.
+    tracing = load_tracing()
+    trials = 2
+    config = jrcsim.config.parse_config({
+        "version": 1,
+        "waveform": "pmcw",
+        "pmcw": {"code_length": 31, "n_frames": 8, "chip_time_s": 1e-9,
+                 "carrier_hz": 60e9, "geometry": {"n_rx": 2}},
+        "scene": {"scatterers": [{"delay_s": 5e-9,
+                                  "amplitude": [1.0, 0.0]}]},
+        "sweep": {"mu_percent": [0, 50], "snr_db": [10]},
+        "trials": trials,
+        "seed": 5,
+    })
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer, (jrcsim.runner, jrcsim.cli,
+                                         jrcsim.perf, jrcsim.config))
+    try:
+        report = jrcsim.runner.run_scenario(config, out_dir=tmp_path)
+    finally:
+        uninstall()
+    assert [r.n_failures for r in report.points] == [trials, 0]
+    spans = [(s["point"], s["trial"]) for s in tracer.spans
+             if s["name"] == "runner.trial"]
+    assert spans == [(p, t) for p in (0, 1) for t in range(trials)]
+    assert tracing.failures_by_type(tracer.spans) == {
+        "NonIdentifiableError": trials}
