@@ -23,7 +23,7 @@ from jrcsim.perf import ambiguity_function, peak_sidelobe_ratio, write_cut_csv
 from jrcsim.pmcw import (PmcwConfig, payload_capacity_bits,
                          pmcw_frame_symbols, pmcw_schedule, pmcw_transmit)
 from jrcsim.sigcore import ArrayGeometry, CodeSequence
-from jrcsim.tensorio import format_float, write_table_csv
+from jrcsim.tensorio import write_table_csv
 
 
 def main(argv=None) -> int:
@@ -71,18 +71,16 @@ def main(argv=None) -> int:
         _, cut_o = ambiguity_function(
             wave_o, lags, zero, sample_rate_hz=1 / chip).zero_doppler_cut()
 
-        rows.append([draw, peak_sidelobe_ratio(cut_p),
-                     peak_sidelobe_ratio(cut_o)])
+        rows.append([peak_sidelobe_ratio(cut_p), peak_sidelobe_ratio(cut_o)])
         if draw == 0:
             example = {"delays": delays, "code": cut_p, "multi": cut_o}
 
-    table = np.array([[r[1], r[2]] for r in rows])
+    table = np.array(rows)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_table_csv(out_dir / "psl_per_draw.csv",
                     ["draw", "psl_code_db", "psl_multicarrier_db"],
-                    [[r[0], format_float(r[1]), format_float(r[2])]
-                     for r in rows])
+                    [np.arange(args.draws), table])
     write_cut_csv(out_dir / "delay_cut_code.csv", example["delays"],
                   example["code"], "delay_s")
     write_cut_csv(out_dir / "delay_cut_multicarrier.csv", example["delays"],

@@ -179,12 +179,10 @@ def write_allocation_csv(path, problem: AllocationProblem,
     """Rows (k, g_k, h_k, n_k, t_k, P_k); P_k is 0 without a result."""
     powers = result.powers if result is not None \
         else np.zeros(problem.n_subcarriers)
-    rows = [
-        [k, problem.radar_gains[k], problem.comm_gains[k],
-         problem.noise_powers[k], problem.rate_floors[k], powers[k]]
-        for k in range(problem.n_subcarriers)
-    ]
-    write_table_csv(path, _ALLOC_HEADER, rows)
+    write_table_csv(path, _ALLOC_HEADER, [
+        np.arange(problem.n_subcarriers), problem.radar_gains,
+        problem.comm_gains, problem.noise_powers, problem.rate_floors,
+        powers])
 
 
 def read_allocation_csv(path, total_power: float,
@@ -193,7 +191,8 @@ def read_allocation_csv(path, total_power: float,
 
     Budget and false-alarm cap are not stored per row, so the caller
     supplies them; the power column comes back as-is (all zeros for a
-    problem-only file).
+    problem-only file).  Rows may come in any order, but the ``k`` column
+    must hold each of 0..n-1 once.
     """
     header, rows = read_csv_rows(path)
     if header != _ALLOC_HEADER:
@@ -206,6 +205,13 @@ def read_allocation_csv(path, total_power: float,
                              f"{len(row)} cells, expected "
                              f"{len(_ALLOC_HEADER)}")
     data = np.array([[float(v) for v in row] for row in rows])
+    seen = set()
+    for i, (row, k) in enumerate(zip(rows, data[:, 0]), start=1):
+        if not k.is_integer() or not 0 <= k < len(rows) or k in seen:
+            raise ValueError(f"allocation CSV row {i} ({','.join(row)}) has "
+                             f"k = {row[0]}, expected each of 0.."
+                             f"{len(rows) - 1} once")
+        seen.add(k)
     order = np.argsort(data[:, 0], kind="stable")
     data = data[order]
     problem = AllocationProblem(

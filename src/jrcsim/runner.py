@@ -18,7 +18,10 @@ and the matching to the truth.  A batch in which some trial raises a
 ValueError is rerun one trial at a time, so only that trial fails.  Inline
 or on a process pool, every trial is one (bound point, sweep point, trial)
 task of ``_run_single_trial``, which runs the rest of its batch on a miss
-and answers the batch's later tasks from a slot: both cut the same batches.
+and answers the batch's later tasks from a slot.  Batches are windows of
+``_batch_size`` tasks of the whole sweep's task stream, clipped to their
+point, and a pool chunk is whole windows: inline and pooled runs cut the
+same batches, and no trial runs twice.
 
 Each sweep point is bound by ``_bind`` into a ``_Point``: the waveform
 config with the point's mu applied, each scatterer's amplitude rule,
@@ -37,9 +40,9 @@ Every waveform's trial is recorded by ``_outcome``: it matches each
 true (delay, Doppler, angle) to its nearest coarse and refined estimate,
 and those matches are the trial's ``estimates.csv`` rows.  Golay sounds
 delay alone; its NaN Doppler and angle drop out of the match.
-Aggregation is single-threaded over the original trial order, and every
-float is written via its shortest round-trip form, which makes reruns
-byte-identical.
+Aggregation is single-threaded over the original trial order, and the
+tables go to ``write_table_csv`` as columns, every float in its shortest
+round-trip form, which makes reruns byte-identical.
 
 Per-sample SNR convention: the sweep's SNR point fixes the noise variance
 as sigma^2 = sum_q |d_q|^2 / snr_linear, where d_q are the scatterers'
@@ -410,19 +413,25 @@ def _run_single_trial(args) -> TrialOutcome:
     """One (bound point, sweep point, trial) task, inline or on a pool
     worker; must stay module-level for process pools.
 
-    A miss runs the task's trial and the rest of its ``_batch_size`` batch
-    through ``_run_batch``; the batch's later tasks take their outcome from
-    the slot.  The slot is keyed on the bound point's identity, which one pool
-    chunk's tasks share: a chunk boundary inside a batch costs only the
-    batch's remainder, and any task order only costs time.  One outcome per
-    task, because perfbench's ``TracedPool`` reads ``.failed`` from each.
+    Batches are cut on the sweep's task stream, where the task sits at
+    ``point.index * trials + trial``: a miss runs the task's trial and the
+    rest of the ``_batch_size``-aligned window of the stream that holds it,
+    clipped to the point, through ``_run_batch``; the batch's later tasks
+    take their outcome from the slot.  ``run_scenario``'s pool chunks are
+    whole windows, so no chunk boundary falls inside a batch and no trial
+    runs twice.  The slot is keyed on the bound point's identity, which one
+    pool chunk's tasks share: a chunk boundary that did split a batch would
+    cost only its remainder, and any task order only costs time.  One
+    outcome per task, because perfbench's ``TracedPool`` reads ``.failed``
+    from each.
     """
     global _SLOT
     bound, point, trial = args
     held, outcomes = _SLOT
     if held is not bound or trial not in outcomes:
-        step = _batch_size(bound.config)
-        stop = min(trial - trial % step + step, bound.config.trials)
+        step, trials = _batch_size(bound.config), bound.config.trials
+        base = point.index * trials
+        stop = min((base + trial) // step * step + step - base, trials)
         outcomes = {o.trial: o
                     for o in _run_batch(bound, point, range(trial, stop))}
         _SLOT = (bound, outcomes)
@@ -592,31 +601,31 @@ def _write_outputs(out_dir: Path, results: list, outcomes_by_point: list,
     for name, columns in _POINT_TABLES.items():
         write_table_csv(out_dir / name, columns, [
             [_snr_field(r.snr_db) if c == "snr_db" else getattr(r, c)
-             for c in columns] for r in results])
+             for r in results] for c in columns])
         outputs.append(name)
 
     est_path = out_dir / "estimates.csv"
-    rows = []
-    for result, outcomes in zip(results, outcomes_by_point):
-        for o in outcomes:
-            if o.failed:
-                continue
-            trial_ber = (o.bit_errors / o.n_bits) if o.n_bits else math.nan
-            rows.extend([result.mu_percent, _snr_field(result.snr_db),
-                         o.trial, q, *row, trial_ber]
-                        for q, row in enumerate(o.rows))
+    rows = [(r, o, q) for r, outcomes in zip(results, outcomes_by_point)
+            for o in outcomes if not o.failed for q in range(len(o.rows))]
     write_table_csv(est_path, [
         "mu_percent", "snr_db", "trial", "scatterer",
         "true_delay_s", "est_delay_s", "refined_delay_s",
         "true_doppler_hz", "est_doppler_hz", "refined_doppler_hz",
-        "true_angle_rad", "est_angle_rad", "refined_angle_rad", "ber"], rows)
+        "true_angle_rad", "est_angle_rad", "refined_angle_rad", "ber"], [
+        [r.mu_percent for r, _, _ in rows],
+        [_snr_field(r.snr_db) for r, _, _ in rows],
+        [o.trial for _, o, _ in rows],
+        [q for _, _, q in rows],
+        np.array([o.rows[q] for _, o, q in rows], dtype=float).reshape(-1, 9),
+        [(o.bit_errors / o.n_bits) if o.n_bits else math.nan
+         for _, o, _ in rows]])
     outputs.append(est_path.name)
 
     if tradeoff_rows:
         tr_path = out_dir / "tradeoff.csv"
         write_table_csv(tr_path, [
             "mu_percent", "snr_db", "weight", "comm_fraction",
-            "rate_bits", "objective"], tradeoff_rows)
+            "rate_bits", "objective"], [np.array(tradeoff_rows, dtype=float)])
         outputs.append(tr_path.name)
     return outputs
 

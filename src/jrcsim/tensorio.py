@@ -85,25 +85,27 @@ def format_float(x) -> str:
     return repr(float(x))
 
 
-def write_table_csv(path, header, rows) -> None:
-    """Write a table of numeric rows; floats use shortest round-trip form.
+def write_table_csv(path, header, columns) -> None:
+    """Write a table of real columns; floats use shortest round-trip form.
 
-    ``rows`` is a 2-d array of real numbers (bool, int or float) or rows of
-    str, int and float cells (numpy scalars included).  The csv module
-    writes a Python float as its ``repr``, so numpy values are turned into
-    Python ones first.  An array's cells are all numbers, which never need
-    quoting, so its rows are joined directly (see :func:`_array_lines`).
+    ``columns`` are real (bool, int or float) arrays placed side by side,
+    each one column (1-d) or a block of columns (2-d).  Every cell is its
+    Python ``repr``, as the csv module writes it; numbers never need
+    quoting, so only the header goes through the csv module and the rows
+    are joined directly (see :func:`_array_lines`).
     """
-    lines = _array_lines(rows) if isinstance(rows, np.ndarray) else None
+    blocks = [b[:, None] if b.ndim == 1 else b
+              for b in map(np.asarray, columns)]
+    if any(b.dtype.kind not in "biuf" for b in blocks):
+        raise TypeError("table columns must be arrays of real numbers")
+    if any(b.ndim != 2 for b in blocks) or len({len(b) for b in blocks}) > 1 \
+            or sum(b.shape[1] for b in blocks) != len(header):
+        raise ValueError(f"table columns must be 1-d or 2-d arrays of one "
+                         f"length with {len(header)} columns in all")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if lines is None:
-            writer.writerows([cell.item() if isinstance(cell, np.generic)
-                              else cell for cell in row] for row in rows)
-        else:
-            fh.flush()
-            fh.buffer.writelines(lines)
+        csv.writer(fh).writerow(header)
+        fh.flush()
+        fh.buffer.writelines(_array_lines(blocks))
 
 
 # Longest repr of a float, int64, uint64 or bool: -2.2250738585072014e-308.
@@ -112,25 +114,27 @@ _FORMAT_CHUNK = 4096
 _ROW_CHUNK = 256
 
 
-def _array_lines(table):
-    """CSV lines (bytes) of a 2-d real array, each cell its Python repr.
+def _array_lines(blocks):
+    """CSV lines (bytes) of 2-d real blocks side by side, each cell its repr.
 
-    Each distinct value, told apart by its bit pattern so that -0.0, NaN
-    and ints stay exact, is formatted once, a chunk at a time, into a
-    fixed-width byte table.  The returned generator joins the rows from
-    that table a block at a time, so no Python string per cell is kept
-    alive.
+    Each block's distinct values, told apart by their bit pattern so that
+    -0.0, NaN and ints stay exact, are formatted once, a chunk at a time,
+    into a fixed-width byte table.  The returned generator joins the rows
+    from those tables a block of rows at a time, so no Python string per
+    cell is kept alive.
     """
-    if table.ndim != 2 or table.dtype.kind not in "biuf":
-        raise TypeError("array rows must be a 2-d array of real numbers")
-    values, index = _distinct(table)
-    text = np.empty(values.size, dtype=f"S{_CELL_BYTES}")
-    for start in range(0, values.size, _FORMAT_CHUNK):
-        text[start:start + _FORMAT_CHUNK] = list(map(
-            repr, values[start:start + _FORMAT_CHUNK].tolist()))
-    return (b"\r\n".join(map(b",".join,
-                             text[index[start:start + _ROW_CHUNK]].tolist()))
-            + b"\r\n" for start in range(0, index.shape[0], _ROW_CHUNK))
+    tables = []
+    for block in blocks:
+        values, index = _distinct(block)
+        text = np.empty(values.size, dtype=f"S{_CELL_BYTES}")
+        for start in range(0, values.size, _FORMAT_CHUNK):
+            text[start:start + _FORMAT_CHUNK] = list(map(
+                repr, values[start:start + _FORMAT_CHUNK].tolist()))
+        tables.append((text, index))
+    return (b"\r\n".join(map(b",".join, np.concatenate(
+        [text[index[start:start + _ROW_CHUNK]] for text, index in tables],
+        axis=1).tolist())) + b"\r\n"
+        for start in range(0, len(blocks[0]) if blocks else 0, _ROW_CHUNK))
 
 
 def _distinct(table):

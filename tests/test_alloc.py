@@ -344,9 +344,9 @@ def test_allocation_csv_problem_only_zero_powers(tmp_path):
 def test_allocation_csv_rows_sorted_by_index(tmp_path):
     path = tmp_path / "shuffled.csv"
     write_table_csv(path, ["k", "g_k", "h_k", "n_k", "t_k", "P_k"],
-                    [[2, 3.0, 1.0, 1.0, 0.0, 0.25],
-                     [0, 1.0, 1.0, 1.0, 0.0, 0.5],
-                     [1, 2.0, 1.0, 1.0, 0.0, 0.75]])
+                    [[2, 0, 1], [[3.0, 1.0, 1.0, 0.0, 0.25],
+                                 [1.0, 1.0, 1.0, 0.0, 0.5],
+                                 [2.0, 1.0, 1.0, 0.0, 0.75]]])
     problem, powers = read_allocation_csv(path, total_power=1.5)
     assert np.array_equal(problem.radar_gains, [1.0, 2.0, 3.0])
     assert np.array_equal(powers, [0.5, 0.75, 0.25])
@@ -355,10 +355,26 @@ def test_allocation_csv_rows_sorted_by_index(tmp_path):
 def test_allocation_csv_header_and_empty_checks(tmp_path):
     bad = tmp_path / "bad.csv"
     write_table_csv(bad, ["k", "gain", "h_k", "n_k", "t_k", "P_k"],
-                    [[0, 1.0, 1.0, 1.0, 0.0, 0.0]])
+                    [[0], [[1.0, 1.0, 1.0, 0.0, 0.0]]])
     with pytest.raises(ValueError):
         read_allocation_csv(bad, total_power=1.0)
     empty = tmp_path / "empty.csv"
-    write_table_csv(empty, ["k", "g_k", "h_k", "n_k", "t_k", "P_k"], [])
+    write_table_csv(empty, ["k", "g_k", "h_k", "n_k", "t_k", "P_k"],
+                    [np.empty((0, 6))])
     with pytest.raises(ValueError):
         read_allocation_csv(empty, total_power=1.0)
+
+
+@pytest.mark.parametrize("ks, row", [
+    ([0, 0, 1], 2),  # a duplicate
+    ([0, 1, 3], 3),  # a gap
+    ([0, 1, 1.5], 3),  # not an integer
+    ([0, -1, 1], 2),  # below 0
+], ids=["duplicate", "gap", "non-integer", "negative"])
+def test_allocation_csv_index_must_number_each_row_once(tmp_path, ks, row):
+    path = tmp_path / "renumbered.csv"
+    write_table_csv(path, ["k", "g_k", "h_k", "n_k", "t_k", "P_k"],
+                    [ks, np.ones((3, 5))])
+    with pytest.raises(ValueError, match=f"allocation CSV row {row} .* has "
+                       f"k = {ks[row - 1]!r}, expected each of 0..2 once"):
+        read_allocation_csv(path, total_power=1.0)

@@ -401,6 +401,22 @@ def test_alloc_row_with_five_cells_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_alloc_index_not_numbering_each_row_once_exits_2(tmp_path, capsys):
+    # k = 0, 0, 7.5 once came back renumbered 0, 1, 2 in allocation.csv.
+    bad = tmp_path / "bad.csv"
+    bad.write_text("k,g_k,h_k,n_k,t_k,P_k\n0,1,1,1,0,0\n0,2,1,1,0,0\n"
+                   "7.5,3,1,1,0,0\n")
+    out = tmp_path / "out"
+    assert main(["alloc", str(bad), "--total-power", "1",
+                 "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: allocation CSV row 2 (0,2,1,1,0,0) has k = 0, expected each "
+        "of 0..2 once\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_alloc_infeasible_reports_deficit(tmp_path, capsys):
     problem_csv = write_problem(tmp_path / "problem.csv")
     assert main(["alloc", str(problem_csv), "--total-power", "2",

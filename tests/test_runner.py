@@ -799,11 +799,11 @@ def test_pool_worker_runs_each_pool_batch_once(monkeypatch):
     step = runner._batch_size(config)
     assert step == 4
     chunk = 2 * step
-    # The worker runs each batch, or the part of it that a chunk holds,
-    # once per chunk, on the bound point it received: it never binds.
-    pieces = {(start, point.index, t // step)
-              for start in range(0, len(tasks), chunk)
-              for _, point, t in tasks[start:start + chunk]}
+    # The worker runs each batch, a point's part of a step-aligned window
+    # of the task stream, once, on the bound point it received: it never
+    # binds.
+    pieces = {(point.index, (point.index * config.trials + t) // step)
+              for _, point, t in tasks}
     with mock.patch.object(runner, "_cube_trials",
                            wraps=runner._cube_trials) as trials_fn, \
             mock.patch.object(runner, "_bind", wraps=runner._bind) as bind:
@@ -841,6 +841,35 @@ def test_a_chunk_boundary_inside_a_batch_costs_its_remainder(monkeypatch):
     assert runs == [[0, 1, 2, 3], [4, 5, 6, 7], [6, 7], [8]]
     assert [exact(o) for o in pooled] == [
         exact(o) for o in inline_outcomes(tasks[0][0], point, range(9))]
+
+
+def test_whole_window_chunks_run_each_trial_once(monkeypatch):
+    # Chunks of whole batches of the task stream, over three points of 9
+    # trials at a batch size of 4: no chunk boundary falls inside a batch,
+    # so every (point, trial) reaches the trial body exactly once.
+    monkeypatch.setattr(runner, "_BATCH_CELLS", 4 * PMCW_CUBE_CELLS)
+    config = pmcw_scenario(sweep={"snr_db": [0, 5, 15]}, trials=9)
+    points = [SweepPoint(index=i, mu_percent=None, snr_db=snr)
+              for i, snr in enumerate((0.0, 5.0, 15.0))]
+    tasks = pool_tasks(config, points)
+    step = runner._batch_size(config)
+    assert step == 4
+    runs = []
+    cube_trials = runner._cube_trials
+
+    def recorded(bound, point, trials):
+        runs.extend((point.index, t) for t in trials)
+        return cube_trials(bound, point, trials)
+
+    monkeypatch.setattr(runner, "_cube_trials", recorded)
+    for chunk in (step, 2 * step):
+        runs.clear()
+        pooled = [runner._run_single_trial(task)
+                  for start in range(0, len(tasks), chunk)
+                  for task in round_trip(tasks[start:start + chunk])]
+        assert sorted(runs) == [(p.index, t) for p in points
+                                for t in range(9)]
+        assert [(o.point, o.trial) for o in pooled] == sorted(runs)
 
 
 def test_pool_worker_slot_survives_any_task_order(monkeypatch):

@@ -137,35 +137,31 @@ def test_format_float_round_trips():
     assert format_float(np.float64(0.5)) == "0.5"
 
 
-def test_write_table_csv_mixed_types(tmp_path):
-    path = tmp_path / "table.csv"
-    write_table_csv(path, ["name", "count", "value"],
-                    [["alpha", 3, 0.1], ["beta", np.int64(7), np.float64(0.25)]])
-    header, rows = read_csv_rows(path)
-    assert header == ["name", "count", "value"]
-    assert rows == [["alpha", "3", "0.1"], ["beta", "7", "0.25"]]
-
-
 def test_write_table_csv_array_matches_per_cell_repr(tmp_path):
     rng = np.random.default_rng(4)
     table = rng.normal(size=(50, 6)) * 10.0 ** rng.integers(-30, 30, (50, 6))
     table[0, :3] = [np.nan, np.inf, -0.0]
     path = tmp_path / "array.csv"
-    write_table_csv(path, ["a", "b", "c", "d", "e", "f"], table)
+    write_table_csv(path, ["a", "b", "c", "d", "e", "f"], [table])
     expected = "a,b,c,d,e,f\r\n" + "".join(
         ",".join(format_float(x) for x in row) + "\r\n" for row in table)
     assert path.read_bytes().decode() == expected
-    rows_path = tmp_path / "rows.csv"
-    write_table_csv(rows_path, ["a", "b", "c", "d", "e", "f"], list(table))
-    assert rows_path.read_bytes() == path.read_bytes()
+    columns_path = tmp_path / "columns.csv"
+    write_table_csv(columns_path, ["a", "b", "c", "d", "e", "f"],
+                    [table[:, :2], table[:, 2], table[:, 3:]])
+    assert columns_path.read_bytes() == path.read_bytes()
 
 
-def csv_writer_bytes(path, header, table) -> bytes:
-    """What the csv module writes for the header and the array's rows."""
+def csv_writer_bytes(path, header, blocks) -> bytes:
+    """What the csv module writes for the header and the rows of the blocks
+    placed side by side, each cell as a Python scalar."""
+    n_rows = len(blocks[0]) if blocks else 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(table.tolist())
+        writer.writerows([cell for block in blocks
+                          for cell in np.atleast_1d(block[r]).tolist()]
+                         for r in range(n_rows))
     return path.read_bytes()
 
 
@@ -178,9 +174,9 @@ def csv_writer_bytes(path, header, table) -> bytes:
 def test_write_table_csv_array_matches_csv_writer(tmp_path, table):
     header = [f"c{j}" for j in range(table.shape[1])]
     path = tmp_path / "array.csv"
-    write_table_csv(path, header, table)
+    write_table_csv(path, header, [table])
     assert path.read_bytes() == csv_writer_bytes(tmp_path / "csv.csv",
-                                                 header, table)
+                                                 header, [table])
 
 
 FLOAT_POOL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
@@ -188,45 +184,78 @@ FLOAT_POOL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
               -2.2250738585072014e-308, 1.7976931348623157e308, 1.0, 2.0 / 3]
 INT_POOL = [0, 1, -1, 7, 10 ** 16, np.iinfo(np.int64).min,
             np.iinfo(np.int64).max]
+POOLS = {"f": (FLOAT_POOL, float), "i": (INT_POOL, np.int64),
+         "b": ([False, True], bool)}
 
 
 @st.composite
-def duplicate_heavy_tables(draw):
-    """A small table whose cells repeat a few values from an edge-case pool,
-    float or int; zero rows and zero columns included."""
-    pool = FLOAT_POOL if draw(st.booleans()) else INT_POOL
-    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+def column_blocks(draw):
+    """Up to four column blocks of one length, each 1-d or 2-d and bool,
+    int or float, whose cells repeat a few values from an edge-case pool;
+    zero rows, zero-width blocks and no block at all included."""
     n_rows = draw(st.integers(0, 12))
-    n_cols = draw(st.integers(0, 5))
-    cells = draw(st.lists(st.sampled_from(values), min_size=n_rows * n_cols,
-                          max_size=n_rows * n_cols))
-    dtype = float if pool is FLOAT_POOL else np.int64
-    return np.array(cells, dtype=dtype).reshape(n_rows, n_cols)
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        pool, dtype = POOLS[draw(st.sampled_from(sorted(POOLS)))]
+        values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+        shape = draw(st.sampled_from([(n_rows,), (n_rows, 0), (n_rows, 1),
+                                      (n_rows, 3)]))
+        size = int(np.prod(shape))
+        cells = draw(st.lists(st.sampled_from(values), min_size=size,
+                              max_size=size))
+        blocks.append(np.array(cells, dtype=dtype).reshape(shape))
+    return blocks
 
 
-@settings(max_examples=80, deadline=None)
-@given(duplicate_heavy_tables())
+@settings(max_examples=120, deadline=None)
+@given(column_blocks())
 def test_write_table_csv_formats_repeated_values_exactly(tmp_path_factory,
-                                                         table):
-    tmp_path = tmp_path_factory.mktemp("dedup")
-    header = [f"c{j}" for j in range(table.shape[1])]
-    path = tmp_path / "array.csv"
-    write_table_csv(path, header, table)
-    written = path.read_bytes()
-    assert written == csv_writer_bytes(tmp_path / "csv.csv", header, table)
-    if table.dtype.kind == "f":
-        expected = ",".join(header) + "\r\n" + "".join(
-            ",".join(format_float(x) for x in row) + "\r\n" for row in table)
-        assert written.decode() == expected
+                                                         blocks):
+    tmp_path = tmp_path_factory.mktemp("blocks")
+    width = sum(1 if b.ndim == 1 else b.shape[1] for b in blocks)
+    header = [f"c{j}" for j in range(width)]
+    path = tmp_path / "table.csv"
+    write_table_csv(path, header, blocks)
+    assert path.read_bytes() == csv_writer_bytes(tmp_path / "csv.csv",
+                                                 header, blocks)
 
 
-def unique_array_lines(table) -> bytes:
-    """The np.unique form of _array_lines: the reference for its rank pass."""
-    distinct, index = np.unique(table.view(f"u{table.itemsize}").ravel(),
-                                return_inverse=True)
-    text = [repr(v).encode() for v in distinct.view(table.dtype).tolist()]
-    return b"".join(b",".join(text[i] for i in row) + b"\r\n"
-                    for row in index.reshape(table.shape).tolist())
+def test_write_table_csv_without_rows_writes_its_header(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_table_csv(path, ["a", "b", "c"],
+                    [np.zeros(0, dtype=np.int64), np.zeros((0, 2))])
+    assert path.read_bytes() == b"a,b,c\r\n"
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b"], [np.zeros(3)]),
+    (["a"], [np.zeros(3), np.zeros((3, 1))]),
+    (["a", "b"], [np.zeros(3), np.zeros(4)]),
+    (["a", "b", "c"], [np.zeros((3, 2)), np.zeros(2)]),
+    (["a"], [np.float64(1.0)]),
+    (["a"], [np.zeros((3, 1, 1))]),
+], ids=["too-few-columns", "too-many-columns", "unequal-columns",
+        "unequal-blocks", "scalar", "3-d"])
+def test_write_table_csv_rejects_a_misshapen_table(tmp_path, header,
+                                                    columns):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="table"):
+        write_table_csv(path, header, columns)
+    assert not path.exists()
+
+
+def unique_array_lines(blocks) -> bytes:
+    """The np.unique form of _array_lines, block by block: the reference
+    for its rank pass."""
+    cells = []
+    for block in blocks:
+        distinct, index = np.unique(block.view(f"u{block.itemsize}").ravel(),
+                                    return_inverse=True)
+        text = [repr(v).encode() for v in distinct.view(block.dtype).tolist()]
+        cells.append([[text[i] for i in row]
+                      for row in index.reshape(block.shape).tolist()])
+    return b"".join(b",".join(cell for rows in cells for cell in rows[r])
+                    + b"\r\n" for r in range(len(blocks[0]) if blocks else 0))
 
 
 NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF8000000000001,
@@ -265,7 +294,10 @@ def test_array_lines_matches_unique_oracle(kind, shape):
                   random_table(rng, kind, (2 * shape[0] + 1,
                                            3 * shape[1]))[1::2, ::3]):
         assert table.shape == shape
-        assert b"".join(_array_lines(table)) == unique_array_lines(table)
+        for blocks in ([table], [random_table(rng, "i", (shape[0], 2)),
+                                 table, random_table(rng, "f", shape)]):
+            assert b"".join(_array_lines(blocks)) == \
+                unique_array_lines(blocks)
         values, index = _distinct(table)
         distinct, inverse = np.unique(
             table.view(f"u{table.itemsize}").ravel(), return_inverse=True)
@@ -277,7 +309,17 @@ def test_array_lines_matches_unique_oracle(kind, shape):
 def test_write_table_csv_rejects_complex_array(tmp_path):
     path = tmp_path / "complex.csv"
     with pytest.raises(TypeError, match="real numbers"):
-        write_table_csv(path, ["a"], np.ones((2, 1), dtype=complex))
+        write_table_csv(path, ["a", "b"],
+                        [np.zeros(2), np.ones(2, dtype=complex)])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("column", [np.array(["a", "b"]), [1.0, "b"]],
+                         ids=["str", "mixed"])
+def test_write_table_csv_rejects_str_cells(tmp_path, column):
+    path = tmp_path / "str.csv"
+    with pytest.raises(TypeError, match="real numbers"):
+        write_table_csv(path, ["a", "b"], [np.zeros(2), column])
     assert not path.exists()
 
 
