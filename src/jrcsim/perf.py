@@ -314,11 +314,16 @@ def crlb_proxy(model_fn, theta, noise_variance: float,
     in this package's callers).  A parameter whose Jacobian column is zero
     (the model does not depend on it) has no Fisher information: it is
     left out of the inversion, and its row and column of the returned
-    matrix are an infinite variance and zero covariances.
+    matrix are an infinite variance and zero covariances.  sigma^2 enters
+    only ``_inverse_fisher``, so one ``_fisher_gram`` serves every sigma^2.
     """
+    return _inverse_fisher(*_fisher_gram(model_fn, theta, steps),
+                           noise_variance)
+
+
+def _fisher_gram(model_fn, theta, steps=None) -> tuple:
+    """(Re{J^H J} over the parameters the model depends on, their mask)."""
     theta = np.asarray(theta, dtype=float)
-    if noise_variance <= 0:
-        raise ValueError("noise_variance must be positive")
     if steps is None:
         steps = np.where(theta != 0, 1e-6 * np.abs(theta), 1e-9)
     else:
@@ -339,9 +344,15 @@ def crlb_proxy(model_fn, theta, noise_variance: float,
     if not np.any(known):
         raise ValueError("the model depends on no parameter")
     jac = jac[:, known]
+    return np.real(jac.conj().T @ jac), known
+
+
+def _inverse_fisher(gram, known, noise_variance: float) -> np.ndarray:
+    """``crlb_proxy``'s matrix from a ``_fisher_gram`` at ``noise_variance``."""
+    if noise_variance <= 0:
+        raise ValueError("noise_variance must be positive")
     bound = np.diag(np.where(known, 0.0, np.inf))
-    bound[np.ix_(known, known)] = np.linalg.inv(
-        2.0 / noise_variance * np.real(jac.conj().T @ jac))
+    bound[np.ix_(known, known)] = np.linalg.inv(2.0 / noise_variance * gram)
     return bound
 
 

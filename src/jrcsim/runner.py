@@ -40,9 +40,11 @@ Every waveform's trial is recorded by ``_outcome``: it matches each
 true (delay, Doppler, angle) to its nearest coarse and refined estimate,
 and those matches are the trial's ``estimates.csv`` rows.  Golay sounds
 delay alone; its NaN Doppler and angle drop out of the match.
-Aggregation is single-threaded over the original trial order, and the
-tables go to ``write_table_csv`` as columns, every float in its shortest
-round-trip form, which makes reruns byte-identical.
+``run_scenario`` queues every trial, then computes each point's PSL, p_D
+and trade-off rows (one cube and one Fisher Gram per waveform config)
+while the pool runs them, and aggregates in the original trial order.
+The tables go to ``write_table_csv`` as columns, every float in its
+shortest round-trip form, which makes reruns byte-identical.
 
 Per-sample SNR convention: the sweep's SNR point fixes the noise variance
 as sigma^2 = sum_q |d_q|^2 / snr_linear, where d_q are the scatterers'
@@ -57,6 +59,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -73,8 +76,8 @@ from .estim import (_demodulate, _demodulated, _detect, _golay_layout,
                     _refined, _windows, golay_cef_waveform)
 from .ofdma import OfdmaConfig, _ofdma_response, _symbol_grids, \
     build_symbol_grid, grid_capacity_bits, ofdma_pilot_mask, ofdma_transmit
-from .perf import TradeoffSpec, crlb_proxy, jrc_objective, mmse_from_rate, \
-    peak_sidelobe_ratio
+from .perf import TradeoffSpec, _fisher_gram, _inverse_fisher, \
+    jrc_objective, mmse_from_rate, peak_sidelobe_ratio
 from .pmcw import PmcwConfig, _frame_symbols, _pmcw_response, \
     payload_capacity_bits, pmcw_frame_symbols, pmcw_schedule, pmcw_transmit
 from .sigcore import CodeSequence, aperiodic_autocorr, golay_pair
@@ -83,7 +86,7 @@ from .sigcore import CodeSequence, aperiodic_autocorr, golay_pair
 from .estim import ofdma_decode, ofdma_range_doppler_angle, ofdma_refine, \
     pmcw_decode, pmcw_range_doppler, pmcw_refine  # noqa: F401
 from .ofdma import ofdma_receive_cube  # noqa: F401
-from .perf import ambiguity_function  # noqa: F401
+from .perf import ambiguity_function, crlb_proxy  # noqa: F401
 from .pmcw import pmcw_receive_cube  # noqa: F401
 from .tensorio import write_table_csv
 
@@ -195,10 +198,11 @@ def _parameters(targets) -> list:
             for t in targets]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Cube:
     """A waveform bound to one config and sweep point: every fact of the
-    waveform that the trials, PSL, p_D and trade-off read.
+    waveform that the trials, PSL, p_D and trade-off read.  It hashes by
+    identity: ``_bind`` gives the points of one waveform config one cube.
 
     ``scales`` is the (delay, Doppler, angle) resolution of one CPI, which
     scales the truth-matching distance and, over 64, the CRLB steps.
@@ -324,13 +328,17 @@ class _Point:
         return self.sigma2
 
 
-def _bind(config: ScenarioConfig, point: SweepPoint) -> _Point:
+def _bind(config: ScenarioConfig, point: SweepPoint, cubes=None) -> _Point:
     """The point's binding; a scatterer whose nominal amplitude (its rule
-    at unit fading) cannot be derived is a ConfigError naming it."""
+    at unit fading) cannot be derived is a ConfigError naming it.  Points
+    bound with one ``cubes`` dict share their waveform config's cube."""
     wave = config.waveform_config
     if point.mu_percent is not None:  # golay configs sweep no mu
         wave = replace(wave, mu_percent=point.mu_percent)
-    cube = _CUBES[config.waveform](config, wave)
+    cubes = {} if cubes is None else cubes
+    if wave not in cubes:
+        cubes[wave] = _CUBES[config.waveform](config, wave)
+    cube = cubes[wave]
     links = [cube.link(sc) for sc in config.scene.scatterers]
     amps = []
     for q, (rule, _) in enumerate(links):
@@ -498,9 +506,10 @@ def scenario_waveform_samples(config: ScenarioConfig):
 
 
 def _tradeoff_rows(config: ScenarioConfig, bound: _Point,
-                   point: SweepPoint) -> list:
+                   point: SweepPoint, grams: dict) -> list:
     """One (objective) row per sweep weight, where the terms are defined
-    (golay configs have no weights, so never get past the first test)."""
+    (golay configs have no weights, so never get past the first test).
+    ``grams`` holds the run's Fisher Grams by (cube, |d_0|, first truth)."""
     if not config.weights:
         return []
     cube = bound.cube
@@ -514,17 +523,20 @@ def _tradeoff_rows(config: ScenarioConfig, bound: _Point,
     rate = math.log2(config.symbol_order)
     mmse = mmse_from_rate(rate, cube.n_len)
 
-    theta = np.array(bound.truths[0])
-    d_scale, f_scale, _ = cube.scales
-    steps = np.array([d_scale / 64, f_scale / 64, 1e-3])
     amp0 = abs(bound.amplitudes[0])
-    # The Fisher proxy differentiates the receive model on every slot.  A
-    # parameter the cube cannot resolve (the angle on one element, the
-    # Doppler on one OFDMA symbol) has an unbounded variance; the sensing
-    # term sums over the others.
-    slots = np.arange(bound.wave.cube_shape[0])
-    crlb = crlb_proxy(lambda th: amp0 * cube.response(*th, slots), theta,
-                      bound.sigma2, steps)
+    key = (cube, amp0, bound.truths[0])
+    if key not in grams:
+        d_scale, f_scale, _ = cube.scales
+        steps = np.array([d_scale / 64, f_scale / 64, 1e-3])
+        # The Fisher proxy differentiates the receive model on every slot.
+        # A parameter the cube cannot resolve (the angle on one element,
+        # the Doppler on one OFDMA symbol) has an unbounded variance; the
+        # sensing term sums over the others.
+        slots = np.arange(bound.wave.cube_shape[0])
+        grams[key] = _fisher_gram(
+            lambda th: amp0 * cube.response(*th, slots),
+            np.array(bound.truths[0]), steps)
+    crlb = _inverse_fisher(*grams[key], bound.sigma2)
     resolved = np.isfinite(np.diag(crlb))
     crlb = crlb[np.ix_(resolved, resolved)]
 
@@ -547,8 +559,8 @@ def _snr_field(snr_db) -> float:
     return math.nan if snr_db is None else float(snr_db)
 
 
-def _aggregate_point(config: ScenarioConfig, point: SweepPoint,
-                     outcomes: list, bound: _Point) -> PointResult:
+def _aggregate_point(bound: _Point, point: SweepPoint, outcomes: list,
+                     psl_db: float, p_detect: float) -> PointResult:
     ok = [o for o in outcomes if not o.failed]
     failures = [o for o in outcomes if o.failed]
     table = np.array([row for o in ok for row in o.rows],
@@ -578,8 +590,8 @@ def _aggregate_point(config: ScenarioConfig, point: SweepPoint,
         n_bits=n_bits,
         n_bit_errors=n_errors,
         ber=(n_errors / n_bits) if n_bits else math.nan,
-        psl_db=_point_psl_db(config, bound, point),
-        p_detect=_point_p_detect(config, bound),
+        psl_db=psl_db,
+        p_detect=p_detect,
     )
 
 
@@ -652,27 +664,33 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
     points = [SweepPoint(index=i, mu_percent=mu, snr_db=snr)
               for i, (mu, snr) in enumerate(
                   (m, s) for m in mus for s in config.snr_db)]
-    bounds = [_bind(config, point) for point in points]
+    cubes = {}
+    bounds = [_bind(config, point, cubes) for point in points]
     destination = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     destination.mkdir(parents=True, exist_ok=True)
 
     # One map over every (point, trial): no barrier between points.
     tasks = [(bound, point, t) for point, bound in zip(points, bounds)
              for t in range(config.trials)]
-    if workers > 1:
-        step = _batch_size(config)
-        chunk = step * max(1, len(tasks) // (4 * workers * step))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_run_single_trial, tasks, chunksize=chunk))
-    else:
-        flat = list(map(_run_single_trial, tasks))
+    step = _batch_size(config)
+    chunk = step * max(1, len(tasks) // (4 * workers * step))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        # pool.map queues every chunk at once; the builtin map is lazy.
+        flat = (pool.map(_run_single_trial, tasks, chunksize=chunk) if pool
+                else map(_run_single_trial, tasks))
+        grams = {}
+        extras = [(_point_psl_db(config, bound, point),
+                   _point_p_detect(config, bound),
+                   _tradeoff_rows(config, bound, point, grams))
+                  for point, bound in zip(points, bounds)]
+        flat = list(flat)
     outcomes_by_point = [flat[i * config.trials:(i + 1) * config.trials]
                          for i in range(len(points))]
-
-    results, tradeoff_rows = [], []
-    for point, bound, outcomes in zip(points, bounds, outcomes_by_point):
-        results.append(_aggregate_point(config, point, outcomes, bound))
-        tradeoff_rows.extend(_tradeoff_rows(config, bound, point))
+    results = [_aggregate_point(bound, point, outcomes, psl, p_detect)
+               for point, bound, outcomes, (psl, p_detect, _) in zip(
+                   points, bounds, outcomes_by_point, extras)]
+    tradeoff_rows = [row for *_, rows in extras for row in rows]
 
     outputs = _write_outputs(destination, results, outcomes_by_point,
                              tradeoff_rows)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jrcsim.perf import (AfSurface, TradeoffSpec, ambiguity_function, ber,
+from jrcsim.perf import (AfSurface, TradeoffSpec, _fisher_gram,
+                         _inverse_fisher, ambiguity_function, ber,
                          crlb_proxy, default_af_grids, dmse_eff, jrc_objective,
                          mmse_from_rate, peak_sidelobe_ratio, trace_log2,
                          write_af_csv, write_af_tensor, write_cut_csv)
@@ -515,6 +516,47 @@ def test_crlb_proxy_skips_a_parameter_the_model_ignores():
     assert np.array_equal(bound[np.ix_([0, 2], [0, 2])], without)
     assert bound[1, 1] == np.inf
     assert not np.any(bound[1, [0, 2]]) and not np.any(bound[[0, 2], 1])
+
+
+def crlb_one_step(model_fn, theta, noise_variance, steps):
+    """The proxy in one pass, sigma^2 applied with the Gram it inverts."""
+    theta = np.asarray(theta, dtype=float)
+    cols = []
+    for i, step in enumerate(steps):
+        hi, lo = theta.copy(), theta.copy()
+        hi[i] += step
+        lo[i] -= step
+        cols.append((np.asarray(model_fn(hi), dtype=complex)
+                     - np.asarray(model_fn(lo), dtype=complex)).ravel()
+                    / (2.0 * step))
+    jac = np.stack(cols, axis=1)
+    known = np.any(jac, axis=0)
+    jac = jac[:, known]
+    bound = np.diag(np.where(known, 0.0, np.inf))
+    bound[np.ix_(known, known)] = np.linalg.inv(
+        2.0 / noise_variance * np.real(jac.conj().T @ jac))
+    return bound
+
+
+@pytest.mark.parametrize("ignored", [False, True],
+                         ids=["all-parameters", "one-ignored"])
+def test_crlb_proxy_is_one_gram_inverted_per_noise_variance(ignored):
+    # One Gram serves every sigma^2: the two-step path and crlb_proxy are
+    # bitwise the one-pass proxy, an ignored parameter's variance infinite.
+    t = np.arange(24)
+
+    def model(theta):
+        delay = 0.0 if ignored else theta[1]
+        return theta[0] * np.exp(2j * np.pi * (theta[2] * t - delay * t ** 2))
+
+    theta, steps = [0.8, 3e-3, 0.07], [1e-6, 1e-6, 1e-8]
+    gram = _fisher_gram(model, theta, steps)
+    for sigma2 in (1e-4, 0.25, 3.0, 7e5):
+        want = crlb_one_step(model, theta, sigma2, steps)
+        assert _inverse_fisher(*gram, sigma2).tobytes() == want.tobytes()
+        assert crlb_proxy(model, theta, sigma2, steps).tobytes() == \
+            want.tobytes()
+        assert bool(want[1, 1] == np.inf) is ignored
 
 
 def test_crlb_proxy_validation():

@@ -1,6 +1,7 @@
 """Sweep orchestration: determinism, worker independence, output tables."""
 
 import json
+import multiprocessing
 import pickle
 import tempfile
 import warnings
@@ -162,8 +163,13 @@ def test_same_seed_reruns_are_byte_identical(tmp_path):
     (pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=13),
      4 * PMCW_CUBE_CELLS),
     (golay_scenario(sweep={"snr_db": [5, 15]}, trials=4), None),
+    # Trade-off rows, computed while the pool runs, from one Fisher Gram
+    # per mu (none at mu = 0, which leaves no radar frame).
+    (pmcw_scenario(sweep={"mu_percent": [0, 50, 75], "snr_db": [5, 15],
+                          "weights": [0, 0.5, 1]}, trials=4), None),
 ], ids=["pmcw", "ofdma", "pmcw-two-targets-interpolated",
-        "pmcw-several-pool-batches", "pmcw-prime-trial-count", "golay"])
+        "pmcw-several-pool-batches", "pmcw-prime-trial-count", "golay",
+        "pmcw-tradeoff-over-mu"])
 def test_worker_count_does_not_change_outputs(tmp_path, monkeypatch, config,
                                               cells):
     # Inline and pooled, a point's trials run as stacked batches of
@@ -171,12 +177,21 @@ def test_worker_count_does_not_change_outputs(tmp_path, monkeypatch, config,
     if cells is not None:
         monkeypatch.setattr(runner, "_BATCH_CELLS", cells)
         assert runner._batch_size(config) == 4
+    names = CSV_NAMES + (("tradeoff.csv",) if config.weights else ())
+
+    def outputs(out_dir):
+        report = json.loads((out_dir / "report.json").read_text())
+        return read_bytes(out_dir, names), report["points"], report["tradeoff"]
+
     run_scenario(config, out_dir=tmp_path / "serial", workers=1)
     for workers in (2, 3):
         run_scenario(config, out_dir=tmp_path / f"pool{workers}",
                      workers=workers)
-        assert read_bytes(tmp_path / "serial") == read_bytes(
+        assert outputs(tmp_path / "serial") == outputs(
             tmp_path / f"pool{workers}")
+    if config.weights:
+        _, rows = read_csv_rows(tmp_path / "serial" / "tradeoff.csv")
+        assert sorted({row[0] for row in rows}) == ["50.0", "75.0"]
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -476,6 +491,70 @@ def test_programming_error_in_trial_propagates(tmp_path, monkeypatch):
         run_scenario(pmcw_scenario(trials=1), out_dir=tmp_path)
 
 
+def test_a_bug_in_point_work_propagates_while_the_pool_runs(tmp_path,
+                                                           monkeypatch):
+    # The parent computes PSL while the workers run trials, one of which
+    # fails with a ValueError.  The parent's RuntimeError is a bug: it
+    # stops the run, is not tallied as a failed trial, and leaves no
+    # worker process behind.
+    config = pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=4)
+    fading_gains = Scene.fading_gains
+
+    def flaky(scene, cpi_index=0):
+        if cpi_index == 2:
+            raise ValueError("fading draw failed")
+        return fading_gains(scene, cpi_index)
+
+    def broken_psl(config, bound, point):
+        raise RuntimeError("broken PSL")
+
+    monkeypatch.setattr(Scene, "fading_gains", flaky)
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "_point_psl_db", broken_psl)
+        with pytest.raises(RuntimeError, match="broken PSL"):
+            run_scenario(config, out_dir=tmp_path / "broken", workers=2)
+    assert multiprocessing.active_children() == []
+    report = run_scenario(config, out_dir=tmp_path / "flaky", workers=2)
+    assert [r.n_failures for r in report.points] == [1, 1]
+    assert multiprocessing.active_children() == []
+
+
+def test_point_work_runs_before_the_first_outcome_is_read(tmp_path,
+                                                         monkeypatch):
+    # pool.map queues every chunk first; the parent's PSL and trade-off
+    # rows overlap the trials, and only then are the outcomes read.
+    events = []
+
+    class Recording(runner.ProcessPoolExecutor):
+        def map(self, *args, **kwargs):
+            outcomes = super().map(*args, **kwargs)
+
+            def read():
+                for outcome in outcomes:
+                    events.append("outcome")
+                    yield outcome
+            return read()
+
+    def recorded(name, fn):
+        def call(*args):
+            events.append(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Recording)
+    for name in ("_point_psl_db", "_tradeoff_rows"):
+        monkeypatch.setattr(runner, name,
+                            recorded(name, getattr(runner, name)))
+    config = pmcw_scenario(sweep={"mu_percent": [50, 75], "snr_db": [5, 15],
+                                  "weights": [0.5]}, trials=4)
+    report = run_scenario(config, out_dir=tmp_path, workers=2)
+    assert len(report.tradeoff) == 4
+    first = events.index("outcome")
+    assert sorted(events[:first]) == ["_point_psl_db"] * 4 \
+        + ["_tradeoff_rows"] * 4
+    assert events[first:] == ["outcome"] * 16
+
+
 @pytest.mark.parametrize("config", [
     pmcw_scenario(),
     ofdma_scenario(),
@@ -492,6 +571,57 @@ def test_point_psl_is_autocorrelation_psl(config):
     cut = ambiguity_function(x, lags, np.zeros(1)).magnitude[:, 0]
     psl = runner._point_psl_db(config, bound, point)
     assert psl == pytest.approx(peak_sidelobe_ratio(cut), abs=1e-9)
+
+
+def synthesize_per_scatterer(scene, shape, links, symbols, response,
+                             cpi_indices, rngs):
+    """``channel._synthesize`` with one response call per scatterer, as it
+    was before it stacked the scatterers' parameters."""
+    slots = np.arange(shape[0])
+    symbols = symbols.reshape(symbols.shape + (1,) * (
+        1 + len(shape) - symbols.ndim))
+    amps = np.array([[rule(fading) for (rule, _), fading
+                      in zip(links, scene.fading_gains(i))]
+                     for i in cpi_indices], dtype=complex)
+    data = np.zeros((len(symbols),) + shape, dtype=complex)
+    for (_, params), d_q in zip(links, amps.T):
+        data += (d_q.reshape((-1,) + (1,) * (symbols.ndim - 1)) * symbols) \
+            * response(*params, slots)
+    for cpi, rng in zip(data, rngs):
+        cpi += complex_awgn(rng, cpi.shape, scene.noise_variance)
+    return data
+
+
+THREE_SCATTERERS = [
+    {"delay_s": 2e-9, "doppler_hz": 2e6, "angle_rad": 0.2,
+     "amplitude": [1.0, 0.0]},
+    {"delay_s": 4.6e-9, "doppler_hz": -9e6, "angle_rad": -0.4,
+     "amplitude": [0.3, 0.6], "fading": "swerling12"},
+    {"delay_s": 7e-9, "velocity_mps": 20.0, "angle_rad": 0.7}]
+
+
+@pytest.mark.parametrize("config", [
+    pmcw_scenario(scene={"scatterers": THREE_SCATTERERS}),
+    ofdma_scenario(scene={"scatterers": THREE_SCATTERERS}),
+    golay_scenario(scene={"scatterers": [
+        {k: v for k, v in sc.items() if k in ("delay_s", "fading")}
+        | {"amplitude": [0.5, -0.5]} for sc in THREE_SCATTERERS]}),
+], ids=["pmcw", "ofdma", "golay"])
+def test_synthesis_matches_the_per_scatterer_loop(config):
+    # One response call for all scatterers, then the same additions in
+    # the same order: every sample is bitwise the per-scatterer loop's.
+    point = SweepPoint(index=1, mu_percent=None, snr_db=10.0)
+    bound = runner._bind(config, point)
+    cube, trials = bound.cube, range(4)
+    scene = replace(config.scene, noise_variance=bound.noise_variance)
+    got, want = (
+        synthesize(scene, bound.wave.cube_shape, bound.links,
+                   cube.symbols(payload), cube.response, trials, rngs)
+        for synthesize in (runner._synthesize, synthesize_per_scatterer)
+        for rngs, payload in [runner._trial_payloads(
+            config, point, trials, cube.capacity)])
+    assert got.shape == (4,) + bound.wave.cube_shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -908,6 +1038,42 @@ def test_bound_points_pickle(waveform):
     copy = pickle.loads(pickle.dumps(bound))
     assert [exact(o) for o in runner._run_batch(copy, point, range(3))] == [
         exact(o) for o in runner._run_batch(bound, point, range(3))]
+
+
+def test_a_run_binds_one_cube_per_mu(tmp_path, monkeypatch):
+    # Points of one waveform config share one cube, so a pool chunk
+    # pickles it once, and the trade-off computes one Fisher Gram per mu.
+    config = pmcw_scenario(sweep={"mu_percent": [0, 50, 75],
+                                  "snr_db": [5, 15, 25],
+                                  "weights": [0.5]}, trials=2)
+    bounds, grams = [], []
+    bind, fisher_gram = runner._bind, runner._fisher_gram
+
+    def recorded_bind(*args):
+        bounds.append(bind(*args))
+        return bounds[-1]
+
+    def recorded_gram(*args):
+        grams.append(args)
+        return fisher_gram(*args)
+
+    monkeypatch.setattr(runner, "_bind", recorded_bind)
+    monkeypatch.setattr(runner, "_fisher_gram", recorded_gram)
+    run_scenario(config, out_dir=tmp_path)
+    cubes = [bound.cube for bound in bounds]
+    assert [len({id(c) for c in cubes[i:i + 3]}) for i in (0, 3, 6)] == [
+        1, 1, 1]
+    assert len({id(c) for c in cubes}) == 3
+    assert len(grams) == 2  # mu = 0 has no trade-off rows
+    chunk = round_trip([(bound, SweepPoint(index=i, mu_percent=50,
+                                           snr_db=snr), 0)
+                        for i, (bound, snr) in enumerate(
+                            zip(bounds[3:5], (5.0, 15.0)))])
+    assert chunk[0][0] is not chunk[1][0]
+    assert chunk[0][0].cube is chunk[1][0].cube
+    # Without a shared dict, each binding builds its own cube.
+    point = SweepPoint(index=0, mu_percent=50, snr_db=5.0)
+    assert bind(config, point).cube is not bind(config, point).cube
 
 
 # ---------------------------------------------------------------------------
