@@ -222,9 +222,7 @@ def _synthesize(scene: Scene, shape: tuple, links, symbols: np.ndarray,
     (amplitude rule, params), adds in CPI k its rule at the fading of CPI
     ``cpi_indices[k]``, times the symbols ``symbols[k]``, times its unit
     response ``response(*params, slots)``, the waveform's bound response
-    on every slot (the symbols broadcast against it).  Every scatterer's
-    response comes from one call, the params stacked along a leading
-    axis; the scatterers still add one by one, in order.  Then noise of the
+    on every slot (the symbols broadcast against it).  Then noise of the
     scene's variance is drawn for CPI k from ``rngs[k]``; none is drawn
     when it is 0, and a Generator is required for every CPI when it is
     not.
@@ -238,11 +236,9 @@ def _synthesize(scene: Scene, shape: tuple, links, symbols: np.ndarray,
                       in zip(links, scene.fading_gains(i))]
                      for i in cpi_indices], dtype=complex)
     data = np.zeros((len(symbols),) + shape, dtype=complex)
-    if links:
-        units = response(*np.array([params for _, params in links]).T, slots)
-        for unit, d_q in zip(units, amps.T):
-            data += (d_q.reshape((-1,) + (1,) * (symbols.ndim - 1))
-                     * symbols) * unit
+    for (_, params), d_q in zip(links, amps.T):
+        data += (d_q.reshape((-1,) + (1,) * (symbols.ndim - 1)) * symbols) \
+            * response(*params, slots)
     if scene.noise_variance > 0:
         for cpi, rng in zip(data, rngs):
             cpi += complex_awgn(rng, cpi.shape, scene.noise_variance)

@@ -64,7 +64,7 @@ import numpy as np
 from .channel import ReceiveCube
 from .ofdma import SymbolGrid, _ofdma_response, pilot_comb_spacing
 from .pmcw import _pmcw_response, pmcw_schedule
-from .sigcore import CodeSequence, GolayPair, _column, dpsk_decode, dpsk_encode
+from .sigcore import CodeSequence, GolayPair, dpsk_decode, dpsk_encode
 
 
 class NonIdentifiableError(ValueError):
@@ -801,9 +801,6 @@ def _golay_response(cef: np.ndarray, sample_time: float, delay_s,
                     doppler_hz, angle_rad, slots: np.ndarray) -> np.ndarray:
     """Unit response (slots, samples, 1) of one scatterer to the sounding
     ``cef``: it delayed by the whole sample nearest ``delay_s``, zeros
-    shifted in (a sounding models no Doppler or angle).  A delay array
-    gives one response per entry, along its leading axes."""
-    lag = np.arange(cef.size) - np.rint(_column(delay_s) / sample_time)
-    row = np.where(lag >= 0, cef[np.maximum(lag, 0).astype(int)], 0.0)
-    return np.broadcast_to(row[..., None, :, None],
-                           row.shape[:-1] + (len(slots), cef.size, 1))
+    shifted in (a sounding models no Doppler or angle)."""
+    row = np.concatenate([np.zeros(round(delay_s / sample_time)), cef])
+    return np.broadcast_to(row[:cef.size, None], (len(slots), cef.size, 1))

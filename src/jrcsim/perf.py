@@ -303,7 +303,7 @@ def jrc_objective(spec: TradeoffSpec) -> float:
 
 
 def crlb_proxy(model_fn, theta, noise_variance: float,
-               steps=None) -> np.ndarray:
+               steps=None, cache=None) -> np.ndarray:
     """Numeric inverse-Fisher-information proxy for a Gaussian model.
 
     ``model_fn(theta)`` returns the noiseless complex response (any shape);
@@ -315,44 +315,39 @@ def crlb_proxy(model_fn, theta, noise_variance: float,
     (the model does not depend on it) has no Fisher information: it is
     left out of the inversion, and its row and column of the returned
     matrix are an infinite variance and zero covariances.  sigma^2 enters
-    only ``_inverse_fisher``, so one ``_fisher_gram`` serves every sigma^2.
+    only the inversion: calls sharing one ``cache`` dict, equal but for
+    ``noise_variance``, compute Re{J^H J} once and agree bitwise.
     """
-    return _inverse_fisher(*_fisher_gram(model_fn, theta, steps),
-                           noise_variance)
-
-
-def _fisher_gram(model_fn, theta, steps=None) -> tuple:
-    """(Re{J^H J} over the parameters the model depends on, their mask)."""
-    theta = np.asarray(theta, dtype=float)
-    if steps is None:
-        steps = np.where(theta != 0, 1e-6 * np.abs(theta), 1e-9)
-    else:
-        steps = np.asarray(steps, dtype=float)
-        if steps.shape != theta.shape or np.any(steps <= 0):
-            raise ValueError("steps must be positive, one per parameter")
-    cols = []
-    for i in range(theta.size):
-        hi = theta.copy()
-        lo = theta.copy()
-        hi[i] += steps[i]
-        lo[i] -= steps[i]
-        diff = (np.asarray(model_fn(hi), dtype=complex)
-                - np.asarray(model_fn(lo), dtype=complex))
-        cols.append(diff.ravel() / (2.0 * steps[i]))
-    jac = np.stack(cols, axis=1)
-    known = np.any(jac, axis=0)
-    if not np.any(known):
-        raise ValueError("the model depends on no parameter")
-    jac = jac[:, known]
-    return np.real(jac.conj().T @ jac), known
-
-
-def _inverse_fisher(gram, known, noise_variance: float) -> np.ndarray:
-    """``crlb_proxy``'s matrix from a ``_fisher_gram`` at ``noise_variance``."""
     if noise_variance <= 0:
         raise ValueError("noise_variance must be positive")
+    cache = {} if cache is None else cache
+    if not cache:
+        theta = np.asarray(theta, dtype=float)
+        if steps is None:
+            steps = np.where(theta != 0, 1e-6 * np.abs(theta), 1e-9)
+        else:
+            steps = np.asarray(steps, dtype=float)
+            if steps.shape != theta.shape or np.any(steps <= 0):
+                raise ValueError("steps must be positive, one per parameter")
+        cols = []
+        for i in range(theta.size):
+            hi = theta.copy()
+            lo = theta.copy()
+            hi[i] += steps[i]
+            lo[i] -= steps[i]
+            diff = (np.asarray(model_fn(hi), dtype=complex)
+                    - np.asarray(model_fn(lo), dtype=complex))
+            cols.append(diff.ravel() / (2.0 * steps[i]))
+        jac = np.stack(cols, axis=1)
+        known = np.any(jac, axis=0)
+        if not np.any(known):
+            raise ValueError("the model depends on no parameter")
+        jac = jac[:, known]
+        cache["gram"], cache["known"] = np.real(jac.conj().T @ jac), known
+    known = cache["known"]
     bound = np.diag(np.where(known, 0.0, np.inf))
-    bound[np.ix_(known, known)] = np.linalg.inv(2.0 / noise_variance * gram)
+    bound[np.ix_(known, known)] = np.linalg.inv(
+        2.0 / noise_variance * cache["gram"])
     return bound
 
 

@@ -76,8 +76,8 @@ from .estim import (_demodulate, _demodulated, _detect, _golay_layout,
                     _refined, _windows, golay_cef_waveform)
 from .ofdma import OfdmaConfig, _ofdma_response, _symbol_grids, \
     build_symbol_grid, grid_capacity_bits, ofdma_pilot_mask, ofdma_transmit
-from .perf import TradeoffSpec, _fisher_gram, _inverse_fisher, \
-    jrc_objective, mmse_from_rate, peak_sidelobe_ratio
+from .perf import TradeoffSpec, crlb_proxy, jrc_objective, mmse_from_rate, \
+    peak_sidelobe_ratio
 from .pmcw import PmcwConfig, _frame_symbols, _pmcw_response, \
     payload_capacity_bits, pmcw_frame_symbols, pmcw_schedule, pmcw_transmit
 from .sigcore import CodeSequence, aperiodic_autocorr, golay_pair
@@ -86,7 +86,7 @@ from .sigcore import CodeSequence, aperiodic_autocorr, golay_pair
 from .estim import ofdma_decode, ofdma_range_doppler_angle, ofdma_refine, \
     pmcw_decode, pmcw_range_doppler, pmcw_refine  # noqa: F401
 from .ofdma import ofdma_receive_cube  # noqa: F401
-from .perf import ambiguity_function, crlb_proxy  # noqa: F401
+from .perf import ambiguity_function  # noqa: F401
 from .pmcw import pmcw_receive_cube  # noqa: F401
 from .tensorio import write_table_csv
 
@@ -509,7 +509,8 @@ def _tradeoff_rows(config: ScenarioConfig, bound: _Point,
                    point: SweepPoint, grams: dict) -> list:
     """One (objective) row per sweep weight, where the terms are defined
     (golay configs have no weights, so never get past the first test).
-    ``grams`` holds the run's Fisher Grams by (cube, |d_0|, first truth)."""
+    ``grams`` holds the run's ``crlb_proxy`` caches, one per (cube, |d_0|,
+    first truth): each computes its Fisher Gram once."""
     if not config.weights:
         return []
     cube = bound.cube
@@ -523,20 +524,18 @@ def _tradeoff_rows(config: ScenarioConfig, bound: _Point,
     rate = math.log2(config.symbol_order)
     mmse = mmse_from_rate(rate, cube.n_len)
 
+    theta = np.array(bound.truths[0])
+    d_scale, f_scale, _ = cube.scales
+    steps = np.array([d_scale / 64, f_scale / 64, 1e-3])
     amp0 = abs(bound.amplitudes[0])
-    key = (cube, amp0, bound.truths[0])
-    if key not in grams:
-        d_scale, f_scale, _ = cube.scales
-        steps = np.array([d_scale / 64, f_scale / 64, 1e-3])
-        # The Fisher proxy differentiates the receive model on every slot.
-        # A parameter the cube cannot resolve (the angle on one element,
-        # the Doppler on one OFDMA symbol) has an unbounded variance; the
-        # sensing term sums over the others.
-        slots = np.arange(bound.wave.cube_shape[0])
-        grams[key] = _fisher_gram(
-            lambda th: amp0 * cube.response(*th, slots),
-            np.array(bound.truths[0]), steps)
-    crlb = _inverse_fisher(*grams[key], bound.sigma2)
+    # The Fisher proxy differentiates the receive model on every slot.  A
+    # parameter the cube cannot resolve (the angle on one element, the
+    # Doppler on one OFDMA symbol) has an unbounded variance; the sensing
+    # term sums over the others.
+    slots = np.arange(bound.wave.cube_shape[0])
+    crlb = crlb_proxy(lambda th: amp0 * cube.response(*th, slots), theta,
+                      bound.sigma2, steps,
+                      grams.setdefault((cube, amp0, bound.truths[0]), {}))
     resolved = np.isfinite(np.diag(crlb))
     crlb = crlb[np.ix_(resolved, resolved)]
 
@@ -680,10 +679,15 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
         flat = (pool.map(_run_single_trial, tasks, chunksize=chunk) if pool
                 else map(_run_single_trial, tasks))
         grams = {}
-        extras = [(_point_psl_db(config, bound, point),
-                   _point_p_detect(config, bound),
-                   _tradeoff_rows(config, bound, point, grams))
-                  for point, bound in zip(points, bounds)]
+        try:
+            extras = [(_point_psl_db(config, bound, point),
+                       _point_p_detect(config, bound),
+                       _tradeoff_rows(config, bound, point, grams))
+                      for point, bound in zip(points, bounds)]
+        except BaseException:
+            if pool:  # drop the queued chunks before the pool waits
+                pool.shutdown(cancel_futures=True)
+            raise
         flat = list(flat)
     outcomes_by_point = [flat[i * config.trials:(i + 1) * config.trials]
                          for i in range(len(points))]

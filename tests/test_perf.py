@@ -12,8 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jrcsim.perf import (AfSurface, TradeoffSpec, _fisher_gram,
-                         _inverse_fisher, ambiguity_function, ber,
+from jrcsim.perf import (AfSurface, TradeoffSpec, ambiguity_function, ber,
                          crlb_proxy, default_af_grids, dmse_eff, jrc_objective,
                          mmse_from_rate, peak_sidelobe_ratio, trace_log2,
                          write_af_csv, write_af_tensor, write_cut_csv)
@@ -541,21 +540,26 @@ def crlb_one_step(model_fn, theta, noise_variance, steps):
 @pytest.mark.parametrize("ignored", [False, True],
                          ids=["all-parameters", "one-ignored"])
 def test_crlb_proxy_is_one_gram_inverted_per_noise_variance(ignored):
-    # One Gram serves every sigma^2: the two-step path and crlb_proxy are
-    # bitwise the one-pass proxy, an ignored parameter's variance infinite.
+    # One Gram serves every sigma^2: calls sharing a cache evaluate the
+    # model for the first sigma^2 only and are bitwise the one-pass proxy,
+    # an ignored parameter's variance infinite.
     t = np.arange(24)
+    calls = []
 
     def model(theta):
+        calls.append(theta)
         delay = 0.0 if ignored else theta[1]
         return theta[0] * np.exp(2j * np.pi * (theta[2] * t - delay * t ** 2))
 
-    theta, steps = [0.8, 3e-3, 0.07], [1e-6, 1e-6, 1e-8]
-    gram = _fisher_gram(model, theta, steps)
+    theta, steps, cache = [0.8, 3e-3, 0.07], [1e-6, 1e-6, 1e-8], {}
     for sigma2 in (1e-4, 0.25, 3.0, 7e5):
         want = crlb_one_step(model, theta, sigma2, steps)
-        assert _inverse_fisher(*gram, sigma2).tobytes() == want.tobytes()
         assert crlb_proxy(model, theta, sigma2, steps).tobytes() == \
             want.tobytes()
+        del calls[:]
+        assert crlb_proxy(model, theta, sigma2, steps, cache).tobytes() == \
+            want.tobytes()
+        assert len(calls) == (6 if sigma2 == 1e-4 else 0)
         assert bool(want[1, 1] == np.inf) is ignored
 
 

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import pickle
 import tempfile
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -495,12 +496,18 @@ def test_a_bug_in_point_work_propagates_while_the_pool_runs(tmp_path,
                                                            monkeypatch):
     # The parent computes PSL while the workers run trials, one of which
     # fails with a ValueError.  The parent's RuntimeError is a bug: it
-    # stops the run, is not tallied as a failed trial, and leaves no
-    # worker process behind.
-    config = pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=4)
+    # stops the run, drops the chunks still queued instead of waiting for
+    # them, is not tallied as a failed trial, and leaves no worker behind.
+    config = pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=60)
+    monkeypatch.setattr(runner, "_BATCH_CELLS", 8 * PMCW_CUBE_CELLS)
+    assert runner._batch_size(config) == 8  # 15 chunks of 8 trials
     fading_gains = Scene.fading_gains
+    calls = tmp_path / "trials"
 
-    def flaky(scene, cpi_index=0):
+    def slow_and_flaky(scene, cpi_index=0):
+        with open(calls, "a") as fh:  # one call per trial, in any process
+            fh.write(".")
+        time.sleep(0.02)
         if cpi_index == 2:
             raise ValueError("fading draw failed")
         return fading_gains(scene, cpi_index)
@@ -508,15 +515,27 @@ def test_a_bug_in_point_work_propagates_while_the_pool_runs(tmp_path,
     def broken_psl(config, bound, point):
         raise RuntimeError("broken PSL")
 
-    monkeypatch.setattr(Scene, "fading_gains", flaky)
+    monkeypatch.setattr(Scene, "fading_gains", slow_and_flaky)
     with monkeypatch.context() as patch:
         patch.setattr(runner, "_point_psl_db", broken_psl)
+        started = time.perf_counter()
         with pytest.raises(RuntimeError, match="broken PSL"):
             run_scenario(config, out_dir=tmp_path / "broken", workers=2)
+        broken_s = time.perf_counter() - started
     assert multiprocessing.active_children() == []
+    broken_calls = calls.stat().st_size if calls.exists() else 0
+    calls.unlink(missing_ok=True)
+    started = time.perf_counter()
     report = run_scenario(config, out_dir=tmp_path / "flaky", workers=2)
+    whole_s = time.perf_counter() - started
     assert [r.n_failures for r in report.points] == [1, 1]
     assert multiprocessing.active_children() == []
+    # 120 trials; each point's failing batch stops at its third trial and
+    # reruns its 8 one by one.  The bug leaves only the chunks the pool had
+    # handed on to run: at most two running and three queued of the 15.
+    assert calls.stat().st_size == 120 + 2 * (3 - 8 + 8)
+    assert broken_calls <= 5 * 8 + 3
+    assert broken_s < 0.75 * whole_s  # about 0.3 when unloaded
 
 
 def test_point_work_runs_before_the_first_outcome_is_read(tmp_path,
@@ -571,57 +590,6 @@ def test_point_psl_is_autocorrelation_psl(config):
     cut = ambiguity_function(x, lags, np.zeros(1)).magnitude[:, 0]
     psl = runner._point_psl_db(config, bound, point)
     assert psl == pytest.approx(peak_sidelobe_ratio(cut), abs=1e-9)
-
-
-def synthesize_per_scatterer(scene, shape, links, symbols, response,
-                             cpi_indices, rngs):
-    """``channel._synthesize`` with one response call per scatterer, as it
-    was before it stacked the scatterers' parameters."""
-    slots = np.arange(shape[0])
-    symbols = symbols.reshape(symbols.shape + (1,) * (
-        1 + len(shape) - symbols.ndim))
-    amps = np.array([[rule(fading) for (rule, _), fading
-                      in zip(links, scene.fading_gains(i))]
-                     for i in cpi_indices], dtype=complex)
-    data = np.zeros((len(symbols),) + shape, dtype=complex)
-    for (_, params), d_q in zip(links, amps.T):
-        data += (d_q.reshape((-1,) + (1,) * (symbols.ndim - 1)) * symbols) \
-            * response(*params, slots)
-    for cpi, rng in zip(data, rngs):
-        cpi += complex_awgn(rng, cpi.shape, scene.noise_variance)
-    return data
-
-
-THREE_SCATTERERS = [
-    {"delay_s": 2e-9, "doppler_hz": 2e6, "angle_rad": 0.2,
-     "amplitude": [1.0, 0.0]},
-    {"delay_s": 4.6e-9, "doppler_hz": -9e6, "angle_rad": -0.4,
-     "amplitude": [0.3, 0.6], "fading": "swerling12"},
-    {"delay_s": 7e-9, "velocity_mps": 20.0, "angle_rad": 0.7}]
-
-
-@pytest.mark.parametrize("config", [
-    pmcw_scenario(scene={"scatterers": THREE_SCATTERERS}),
-    ofdma_scenario(scene={"scatterers": THREE_SCATTERERS}),
-    golay_scenario(scene={"scatterers": [
-        {k: v for k, v in sc.items() if k in ("delay_s", "fading")}
-        | {"amplitude": [0.5, -0.5]} for sc in THREE_SCATTERERS]}),
-], ids=["pmcw", "ofdma", "golay"])
-def test_synthesis_matches_the_per_scatterer_loop(config):
-    # One response call for all scatterers, then the same additions in
-    # the same order: every sample is bitwise the per-scatterer loop's.
-    point = SweepPoint(index=1, mu_percent=None, snr_db=10.0)
-    bound = runner._bind(config, point)
-    cube, trials = bound.cube, range(4)
-    scene = replace(config.scene, noise_variance=bound.noise_variance)
-    got, want = (
-        synthesize(scene, bound.wave.cube_shape, bound.links,
-                   cube.symbols(payload), cube.response, trials, rngs)
-        for synthesize in (runner._synthesize, synthesize_per_scatterer)
-        for rngs, payload in [runner._trial_payloads(
-            config, point, trials, cube.capacity)])
-    assert got.shape == (4,) + bound.wave.cube_shape
-    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1047,24 +1015,25 @@ def test_a_run_binds_one_cube_per_mu(tmp_path, monkeypatch):
                                   "snr_db": [5, 15, 25],
                                   "weights": [0.5]}, trials=2)
     bounds, grams = [], []
-    bind, fisher_gram = runner._bind, runner._fisher_gram
+    bind, crlb_proxy = runner._bind, runner.crlb_proxy
 
     def recorded_bind(*args):
         bounds.append(bind(*args))
         return bounds[-1]
 
-    def recorded_gram(*args):
-        grams.append(args)
-        return fisher_gram(*args)
+    def recorded_crlb(*args):
+        grams.append(not args[-1])  # an empty cache computes the Gram
+        return crlb_proxy(*args)
 
     monkeypatch.setattr(runner, "_bind", recorded_bind)
-    monkeypatch.setattr(runner, "_fisher_gram", recorded_gram)
+    monkeypatch.setattr(runner, "crlb_proxy", recorded_crlb)
     run_scenario(config, out_dir=tmp_path)
     cubes = [bound.cube for bound in bounds]
     assert [len({id(c) for c in cubes[i:i + 3]}) for i in (0, 3, 6)] == [
         1, 1, 1]
     assert len({id(c) for c in cubes}) == 3
-    assert len(grams) == 2  # mu = 0 has no trade-off rows
+    # mu = 0 has no trade-off rows; 50 and 75 invert three sigma^2 each.
+    assert grams == [True, False, False] * 2
     chunk = round_trip([(bound, SweepPoint(index=i, mu_percent=50,
                                            snr_db=snr), 0)
                         for i, (bound, snr) in enumerate(
