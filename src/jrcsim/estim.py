@@ -3,7 +3,7 @@
 Every waveform follows the same recipe on its data cubes: remove the
 known modulation, take a 2-D DFT to a delay/Doppler map, pick the
 largest local maxima, then read the angle off a beamspace FFT across the
-array.  One map pipeline, ``_detect`` then ``_windows``, serves all, and
+array.  One map pipeline, ``_detect`` then ``_refined``, serves all, and
 a waveform supplies only a demodulation ``demod(data, symbols)`` and a
 layout ``layout(known, est)``: the PMCW code correlation, whose lag axis
 is already in the map domain (DFT sign 0), and a slow-time IDFT (sign
@@ -46,6 +46,24 @@ map plus O(peaks * window cells * slots), instead of an FFT over, and a
 peak scan of, the whole padded plane; a fine-grid peak outside every
 window is not found.
 
+Where the second axis has sign 0 (PMCW, Golay), most seeds of a random
+code sit on its sidelobe lags, and their windows are skipped by an exact
+bound.  Every ``_dft`` entry has modulus 1, so no cell of lag l exceeds
+A[l] = sum_r (sum_m |x[m, l, r]|)^2.  Each map zooms its ``max_targets``
+(K) strongest seeds first; P is the K-th strongest distinct local
+maximum their windows hold.  A window whose largest A[l] over its five
+lag columns (guard ring included) is below P, less a rounding margin,
+is skipped: none of its cells can set the map's threshold reference or
+be picked, as K stronger local maxima outrank it.  The windows kept
+stay in seed order, so a cell that several share resolves to the same
+block.  The windows are then zoomed in slices of whole maps, each of at
+most ``_SLICE_CELLS`` window samples; a map's threshold and picks read
+only its own windows, so slicing is exact, and it holds refinement's
+memory to one slice whatever the stack's length.  Where refinement
+would only repeat detection (every slot radar, every transformed axis
+one bin long, the angle search unchanged: a Golay sounding), the runner
+skips it (``_repeats_detection``).
+
 True super-resolution recovery is out of scope.  The stand-in is the
 zero-padded periodogram with optional three-point parabolic peak
 interpolation (``EstimatorConfig.interpolate``); estimates are grid values
@@ -54,9 +72,10 @@ or the interpolated offsets thereof, nothing sharper.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from functools import partial
-from itertools import starmap
+from functools import cache, partial
+from itertools import islice, starmap
 from typing import Callable
 
 import numpy as np
@@ -233,14 +252,16 @@ def _threshold(peak: np.ndarray, threshold_db: float) -> np.ndarray:
 
 
 def _peak_cells(bins, power: np.ndarray, owner: np.ndarray, n_maps: int,
-                max_peaks: int, threshold_db: float) -> list:
+                max_peaks: int, threshold_db: float) -> tuple:
     """The strongest local maxima of stacked guarded power blocks, per map.
 
     A cell inside a guard ring qualifies when it is >= all 8 neighbours
     and reaches the threshold relative to the strongest cell of any block
-    of its map.  A cell that several blocks of a map share counts once;
-    ties break toward the lowest true bin.  Returns, for each of the
-    ``n_maps`` maps, a list of (block, row, col) block positions.
+    of its map.  A cell that several blocks of a map share counts once,
+    from the first of them in sort order; ties break toward the lowest
+    true bin.  Returns the (block, row, col) block positions of the
+    picks, map by map and each map's strongest first, and the number of
+    picks of each of the ``n_maps`` maps.
     """
     peak = np.zeros(n_maps)
     np.maximum.at(peak, owner, power.max(axis=(1, 2), initial=0.0))
@@ -253,30 +274,36 @@ def _peak_cells(bins, power: np.ndarray, owner: np.ndarray, n_maps: int,
         inner >= _threshold(peak, threshold_db)[owner, None, None]))
     r, c = r + 1, c + 1
     row, col, own = bins[0][w, r], bins[1][w, c], owner[w]
-    order = np.lexsort((col, row, -power[w, r, c], own)).tolist()
-    w, r, c, row, col, own = (a.tolist() for a in (w, r, c, row, col, own))
-    cells = [[] for _ in range(n_maps)]
-    seen = set()
-    for k in order:
-        picked = cells[own[k]]
-        if len(picked) == max_peaks or (own[k], row[k], col[k]) in seen:
-            continue
-        seen.add((own[k], row[k], col[k]))
-        picked.append((w[k], r[k], c[k]))
-    return cells
+    order = np.lexsort((col, row, -power[w, r, c], own))
+    # One key per (map, row, col) cell; np.unique gives each one's first
+    # place in sort order.  Qualifying cells have true bins, none -1.
+    key = (own * (row.max(initial=0) + 1) + row) * (col.max(initial=0) + 1) \
+        + col
+    order = order[np.sort(np.unique(key[order], return_index=True)[1])]
+    own = own[order]
+    order = order[np.arange(order.size) - np.searchsorted(own, own)
+                  < max_peaks]
+    return (w[order], r[order], c[order]), \
+        np.bincount(owner[w[order]], minlength=n_maps)
 
 
+@cache
 def _dft(n_in: int, n_out: int, sign: float) -> np.ndarray:
     """The (n_out, n_in) n_out-point DFT matrix over n_in inputs; a stack
-    of refinement windows takes its rows by fine bin."""
+    of refinement windows takes its rows by fine bin.  Built once per
+    (n_in, n_out, sign); read-only, as every caller shares it."""
     roots = np.exp(sign * 2j * np.pi * np.arange(n_out) / n_out)
-    return roots[np.arange(n_out)[:, None] * np.arange(n_in) % n_out]
+    table = roots[np.arange(n_out)[:, None] * np.arange(n_in) % n_out]
+    table.flags.writeable = False
+    return table
 
 
 def _window_targets(windows, n_maps: int, est: EstimatorConfig,
                     lay: _MapLayout) -> list:
     """Per map, the targets at the strongest peaks of its blocks;
-    ``windows`` is (bins, power, beams, owner).
+    ``windows`` is (bins, power, beams, owner).  ``beams`` holds each
+    block's values, or, for whole maps, is the unguarded map stack
+    itself, read at each pick's map and true bins.
 
     Every picked cell of the stack is read in one pass.  Its snapshot
     across the array goes through one beamspace FFT, ``angle_pad`` times
@@ -289,13 +316,14 @@ def _window_targets(windows, n_maps: int, est: EstimatorConfig,
     sample.  The targets hold Python scalars.
     """
     bins, power, beams, owner = windows
-    cells = _peak_cells(bins, power, owner, n_maps, est.max_targets,
-                        est.threshold_db)
-    w, r, c = np.array([cell for picked in cells for cell in picked],
-                       dtype=np.intp).reshape(-1, 3).T
+    (w, r, c), counts = _peak_cells(bins, power, owner, n_maps,
+                                    est.max_targets, est.threshold_db)
     if w.size == 0:
-        return [() for _ in cells]
-    snapshots = beams[w, r, c]
+        return [() for _ in range(n_maps)]
+    if beams.shape[1] == power.shape[1]:
+        snapshots = beams[w, r, c]
+    else:  # whole maps, two rows and columns short of their blocks
+        snapshots = beams[owner[w], bins[0][w, r], bins[1][w, c]]
     n_rx = snapshots.shape[1]
     na = n_rx * est.angle_pad
     if lay.phase_sign < 0:
@@ -333,7 +361,7 @@ def _window_targets(windows, n_maps: int, est: EstimatorConfig,
         ((doppler + doppler_off) / (nd * lay.period)).tolist(),
         angle.tolist(), amplitude.tolist(), delay.tolist(),
         doppler.tolist(), beam.tolist(), power[w, r, c].tolist()))
-    return [tuple(next(targets) for _ in picked) for picked in cells]
+    return [tuple(islice(targets, n)) for n in counts.tolist()]
 
 
 def _seed_cells(seed_power: np.ndarray, pads, wrap,
@@ -421,9 +449,8 @@ def _detect(data: np.ndarray, symbols: np.ndarray, known, demod, layout,
     beams = _map(padded, lay)
     power = _power(beams)
     bins, guarded, owner = _whole_map(power, lay.wrap)
-    return power, _window_targets(
-        (bins, guarded, _gather(beams, bins, owner), owner), len(power),
-        est, lay), x
+    return power, _window_targets((bins, guarded, beams, owner), len(power),
+                                  est, lay), x
 
 
 def _demodulated(data: np.ndarray, symbols: np.ndarray, known,
@@ -471,35 +498,134 @@ def _zoom(x: np.ndarray, owner: np.ndarray, bins,
 # A layout reads only the pads of an EstimatorConfig; the default has all 1.
 _UNIT_PADS = EstimatorConfig()
 
+# A window is skipped only when its bound times 1 + this margin is below
+# the pick it must miss, which covers the rounding of the bound and of the
+# zoom (a few ulps per frame summed).
+_BOUND_MARGIN = 1e-9
 
-def _windows(x: np.ndarray, layout, est: EstimatorConfig) -> tuple:
-    """(pad-1 power maps, fine-grid windows, layout) of the refinements of
+# Window samples (cells times array elements) that one slice of a
+# refinement zooms, 1 MiB of beams: 45 windows of 19 x 19 cells on 4
+# elements, the 8-fold OFDMA default, or 172 of PMCW's 19 x 5.
+_SLICE_CELLS = 1 << 16
+
+
+def _window_bins(seeds: np.ndarray, pads, lay: _MapLayout) -> tuple:
+    """True (rows, cols) bins of the window of each (map, row, col) seed:
+    seed bin s maps to fine bin s * pad, and the window spans +-pad fine
+    bins (+-1 seed bin) plus the guard ring."""
+    return tuple(_bins(seeds[:, [a + 1]] * p + np.arange(-p - 1, p + 2), n, w)
+                 for a, (p, n, w) in enumerate(zip(pads, lay.shape,
+                                                   lay.wrap)))
+
+
+def _windows(x: np.ndarray, seeds: np.ndarray, pads,
+             lay: _MapLayout) -> tuple:
+    """Fine-grid windows (bins, power, beams, owner) of a stack of CPIs
+    around its seeds, evaluated by ``_zoom``."""
+    bins, owner = _window_bins(seeds, pads, lay), seeds[:, 0]
+    beams = _zoom(x, owner, bins, lay)
+    return bins, _guard(_power(beams), bins), beams, owner
+
+
+def _lag_bounds(x: np.ndarray) -> np.ndarray:
+    """A[l] = sum_r (sum_m |x[m, l, r]|)^2 per CPI and lag of a stack: no
+    cell of the lag's slow-time zoom exceeds it, as every ``_dft`` entry
+    has modulus 1."""
+    bound = np.abs(x).sum(axis=1)
+    bound **= 2
+    return bound.sum(axis=-1)
+
+
+def _pickable(x: np.ndarray, seed_power: np.ndarray, seeds: np.ndarray,
+              pads, lay: _MapLayout, est: EstimatorConfig) -> np.ndarray:
+    """Mask of the seeds whose windows may hold a pick, on a layout whose
+    second axis has DFT sign 0.
+
+    Each map's ``max_targets`` (K) strongest seeds are kept and zoomed;
+    P is the K-th strongest distinct local maximum their windows hold (0
+    if they hold fewer).  Another seed is dropped when the largest
+    ``_lag_bounds`` over its window's lag columns (a -1 bin reads some
+    lag, which only loosens it) is below P by more than the rounding
+    margin.  No cell of its window can then be picked, as K stronger
+    local maxima outrank it, or set the map's threshold reference.
+    """
+    owner, k = seeds[:, 0], est.max_targets
+    order = np.lexsort((-seed_power[tuple(seeds.T)], owner))
+    strongest = np.zeros(owner.size, dtype=bool)
+    strongest[order[np.arange(order.size)
+                    - np.searchsorted(owner[order], owner[order]) < k]] = True
+    bins, power, _, head = _windows(x, seeds[strongest], pads, lay)
+    (w, r, c), counts = _peak_cells(bins, power, head, len(x), k, -np.inf)
+    kth = np.zeros(len(x))
+    kth[counts == k] = power[w, r, c][np.cumsum(counts)[counts == k] - 1]
+    bound = _lag_bounds(x)[owner[:, None],
+                           _window_bins(seeds, pads, lay)[1]].max(axis=1)
+    return strongest | ~(bound * (1 + _BOUND_MARGIN) < kth[owner])
+
+
+def _seeds(x: np.ndarray, layout, est: EstimatorConfig) -> tuple:
+    """(pad-1 power maps, seed cells, pads, layout) of the refinements of
     a stack of CPIs demodulated on every slot, all of them known.
 
-    The seed maps are ``layout`` at unit pads; a fine axis's pad is its
-    length over theirs.  Seeds are ``_seed_cells``: seed bin s maps to
-    fine bin s * pad, and its window, +-pad fine bins (+-1 seed bin) plus
-    the guard ring, is evaluated by ``_zoom``.  The windows are (bins,
-    power, beams, owner).
+    The seed maps are ``layout`` at unit pads, the returned layout is
+    ``layout`` at ``est``'s pads, and a fine axis's pad is its length over
+    the seed map's.
+    The seeds are the ``_seed_cells`` whose windows may hold a pick
+    (``_pickable``, on a sign-0 second axis), map by map, each in
+    row-major order.
     """
     known = np.ones(x.shape[1], dtype=bool)
     unit, lay = layout(known, _UNIT_PADS), layout(known, est)
     seed_power = _power(_map(x, unit))
     pads = [f // u for f, u in zip(lay.shape, unit.shape)]
     seeds = _seed_cells(seed_power, pads, lay.wrap, est.threshold_db)
-    owner = seeds[:, 0]
-    bins = tuple(_bins(seeds[:, [a + 1]] * p + np.arange(-p - 1, p + 2), n, w)
-                 for a, (p, n, w) in enumerate(zip(pads, lay.shape,
-                                                   lay.wrap)))
-    beams = _zoom(x, owner, bins, lay)
-    return seed_power, (bins, _guard(_power(beams), bins), beams, owner), lay
+    if not lay.signs[1]:
+        seeds = seeds[_pickable(x, seed_power, seeds, pads, lay, est)]
+    return seed_power, seeds, pads, lay
 
 
-def _refined(refinement, est: EstimatorConfig) -> tuple:
-    """(pad-1 power maps, targets per CPI) of a stack's refinements, from
-    its (pad-1 power maps, fine-grid windows, layout)."""
-    power, windows, lay = refinement
-    return power, _window_targets(windows, len(power), est, lay)
+def _refined(x: np.ndarray, layout, est: EstimatorConfig) -> tuple:
+    """(pad-1 power maps, targets per CPI) of the refinements of a stack
+    of CPIs demodulated on every slot, all of them known.
+
+    The windows of ``_seeds`` are evaluated in slices of whole maps with
+    at most ``_SLICE_CELLS`` window samples (cells times array
+    elements); a map with more runs alone.  Each map's threshold and
+    picks read only its own windows, so slicing changes no target, and
+    the windows never hold more memory than one slice.
+    """
+    seed_power, seeds, pads, lay = _seeds(x, layout, est)
+    limit = max(1, _SLICE_CELLS // (math.prod(2 * p + 3 for p in pads)
+                                    * x.shape[-1]))
+    starts = np.searchsorted(seeds[:, 0], np.arange(len(x) + 1))
+    targets, lo = [], 0
+    while lo < len(x):
+        hi = lo + max(1, int(np.searchsorted(starts[lo + 1:] - starts[lo],
+                                             limit, side="right")))
+        part = seeds[starts[lo]:starts[hi]] - [lo, 0, 0]
+        targets += _window_targets(_windows(x[lo:hi], part, pads, lay),
+                                   hi - lo, est, lay)
+        lo = hi
+    return seed_power, targets
+
+
+def _repeats_detection(known, layout, est: EstimatorConfig,
+                       fine: EstimatorConfig) -> bool:
+    """Whether refining at ``fine`` only repeats detection at ``est``: the
+    same targets, every field equal.
+
+    So it is when every slot is ``known`` (refinement maps detection's own
+    demodulated stack), every signed axis of the refined layout is one
+    bin long (nothing is padded, and a one-point DFT is exact), and the
+    angle search is unchanged: the same angle pad, or a NaN element
+    spacing, which makes every angle NaN.  The seeds are then the local
+    maxima above the threshold, and their windows give detection's picks.
+    """
+    if not known.all():
+        return False
+    lay = layout(known, fine)
+    return all(n == 1 for sign, n in zip(lay.signs, lay.lengths) if sign) \
+        and (fine.angle_pad == est.angle_pad or math.isnan(lay.spacing))
 
 
 def _fit(data: np.ndarray, bases, slots: np.ndarray,
@@ -626,7 +752,7 @@ def pmcw_refine(cube: ReceiveCube, code: CodeSequence, symbols,
     layout = partial(_pmcw_layout, cube.config)
     x = _pmcw_correlate(cube.data[None], symbols.reshape(1, -1),
                         np.fft.fft(code.chips()))
-    return _result(_refined(_windows(x, layout, est), est),
+    return _result(_refined(x, layout, est),
                    layout(np.ones(symbols.size, dtype=bool), _UNIT_PADS))
 
 
@@ -712,7 +838,7 @@ def ofdma_refine(cube: ReceiveCube, symbols: np.ndarray,
         raise ValueError("need the full N_c x N_s symbol matrix")
     layout = partial(_ofdma_layout, cube.config)
     x = _ofdma_derotate(cube.data[None], symbols[None])
-    return _result(_refined(_windows(x, layout, est), est),
+    return _result(_refined(x, layout, est),
                    layout(np.ones(len(symbols), dtype=bool), _UNIT_PADS))
 
 

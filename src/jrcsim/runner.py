@@ -3,25 +3,32 @@
 Each trial is fully self-contained and seeded counter-style from
 (master seed, point index, trial index), so results do not depend on how
 trials are spread over workers or batches.  The trials of a sweep point
-run as one stacked batch, or several when their receive cubes hold
-more than ``_BATCH_CELLS`` cells: the trial-invariant plan (code, radar-slot
+run as one stacked batch, or several when their receive cubes hold more
+than ``_BATCH_CELLS`` cells: the trial-invariant plan (code, radar-slot
 mask, amplitudes, noise variance) is bound once per point, and
 synthesis, the coarse map, decoding and refinement carry a leading trial
-axis.  Within the batch each trial's generator is consumed
-in the fixed per-trial order: its payload bits are drawn first, then its
-noise inside the receive synthesizer.  Target extraction at the picked
-map cells and the decoder's target responses are array passes over the
-whole batch, and refinement reuses the radar slots as detection
-demodulated them, demodulating only the comm slots.  What stays per
-trial is the choice of each map's peaks, the amplitude least-squares fit
-and the matching to the truth.  A batch in which some trial raises a
-ValueError is rerun one trial at a time, so only that trial fails.  Inline
-or on a process pool, every trial is one (bound point, sweep point, trial)
-task of ``_run_single_trial``, which runs the rest of its batch on a miss
-and answers the batch's later tasks from a slot.  Batches are windows of
-``_batch_size`` tasks of the whole sweep's task stream, clipped to their
-point, and a pool chunk is whole windows: inline and pooled runs cut the
-same batches, and no trial runs twice.
+axis.  Refinement zooms its windows a slice of trials at a time, so a
+batch's peak memory is its cubes and maps.  Within the batch each
+trial's generator is consumed in the fixed per-trial order: its payload
+bits are drawn first, then its noise inside the receive synthesizer.
+Peak picking, target extraction at the picked map cells and the
+decoder's target responses are array passes over the whole batch, and
+refinement reuses the radar slots as detection demodulated them,
+demodulating only the comm slots.  What stays per trial is the amplitude
+least-squares fit and the matching to the truth.  Where the layouts and
+the radar mask make refinement repeat detection (a Golay sounding), the
+refined estimates are the coarse ones.  A batch in which some trial
+raises a ValueError is rerun one trial at a time, so only that trial
+fails.  Inline or on a process pool, every trial is one (bound point,
+sweep point, trial) task of ``_run_single_trial``, which runs the rest
+of its batch on a miss and answers the batch's later tasks from a slot.
+Batches are windows of ``_batch_size`` tasks of the whole sweep's task
+stream, clipped to their point, and a pool chunk is whole windows:
+inline and pooled runs cut the same batches, and no trial runs twice.
+A batch is up to ``_BATCH_CELLS`` receive-cube cells, and at most a
+quarter of the sweep's tasks while that leaves it
+``_BATCH_FLOOR_CELLS``; a chunk is about a quarter of a worker's share
+of the tasks, and at least one batch.
 
 Each sweep point is bound by ``_bind`` into a ``_Point``: the waveform
 config with the point's mu applied, each scatterer's amplitude rule,
@@ -73,7 +80,7 @@ from .config import ConfigError, GolayRunConfig, ScenarioConfig, config_hash
 from .estim import (_demodulate, _demodulated, _detect, _golay_layout,
                     _golay_response, _ofdma_derotate, _ofdma_dpsk,
                     _ofdma_layout, _pmcw_correlate, _pmcw_dpsk, _pmcw_layout,
-                    _refined, _windows, golay_cef_waveform)
+                    _refined, _repeats_detection, golay_cef_waveform)
 from .ofdma import OfdmaConfig, _ofdma_response, _symbol_grids, \
     build_symbol_grid, grid_capacity_bits, ofdma_pilot_mask, ofdma_transmit
 from .perf import TradeoffSpec, crlb_proxy, jrc_objective, mmse_from_rate, \
@@ -371,10 +378,13 @@ def _cube_trials(bound: _Point, point: SweepPoint, trials) -> list:
     bits_hat, _, full_symbols = _demodulate(
         data, symbols, cube.radar, cube.response, coarse,
         config.symbol_order, cube.dpsk)
-    x = _demodulated(data, full_symbols, cube.radar, radar_x, cube.demod)
-    del data, radar_x  # the refinement windows are the batch's peak memory
     fine = config.estimator.refined(config.refine_factor)
-    _, refined = _refined(_windows(x, cube.layout, fine), fine)
+    if _repeats_detection(cube.radar, cube.layout, config.estimator, fine):
+        refined = coarse
+    else:
+        x = _demodulated(data, full_symbols, cube.radar, radar_x, cube.demod)
+        del data, radar_x  # refinement holds x and one slice of windows
+        _, refined = _refined(x, cube.layout, fine)
 
     errors = np.count_nonzero(bits_hat != payload, axis=1).tolist()
     return [_outcome(point, trial, bound.truths, _parameters(found),
@@ -384,14 +394,21 @@ def _cube_trials(bound: _Point, point: SweepPoint, trials) -> list:
                                                      errors)]
 
 
-# Receive-cube cells one batch may stack (256 kB of samples).  A batch's
-# refinement windows take several times its cubes' memory, so more trials
-# run as several batches and peak memory does not grow with the count.
-_BATCH_CELLS = 1 << 14
+# Receive-cube cells one batch may stack (512 kB of samples; 16 trials on
+# both benchmark sweeps).  Refinement zooms its windows a slice of maps at
+# a time, so they do not grow with the batch.  A sweep of fewer tasks cuts
+# batches of a quarter of them, so that a pool still gets four chunks of
+# whole batches, down to batches of the floor's cells.
+_BATCH_CELLS = 1 << 15
+_BATCH_FLOOR_CELLS = 1 << 14
 
 
 def _batch_size(config: ScenarioConfig) -> int:
-    return max(1, _BATCH_CELLS // math.prod(config.waveform_config.cube_shape))
+    cells = math.prod(config.waveform_config.cube_shape)
+    tasks = len(config.mu_sweep or (None,)) * len(config.snr_db) \
+        * config.trials
+    return max(1, min(_BATCH_CELLS // cells,
+                      max(_BATCH_FLOOR_CELLS // cells, -(-tasks // 4))))
 
 
 def _run_batch(bound: _Point, point: SweepPoint, trials) -> list:
@@ -671,6 +688,8 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
     # One map over every (point, trial): no barrier between points.
     tasks = [(bound, point, t) for point, bound in zip(points, bounds)
              for t in range(config.trials)]
+    # Chunks of whole batches, about four per worker where the batches
+    # allow; _batch_size leaves a short sweep four batches.
     step = _batch_size(config)
     chunk = step * max(1, len(tasks) // (4 * workers * step))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1

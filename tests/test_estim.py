@@ -7,6 +7,7 @@ against hand-built convolution channels with integer arithmetic.
 
 from dataclasses import dataclass, replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,9 +140,9 @@ def profile_peaks(profile, max_peaks: int = 1, threshold_db: float = -13.0):
         raise ValueError(f"profile must be 1-d, got {p.ndim}-d")
     bins, power, owner = estim._whole_map(p[None, None, :] ** 2,
                                           (False, False))
-    return [int(bins[1][0, c]) for _, _, c in
-            estim._peak_cells(bins, power, owner, 1, max_peaks,
-                              threshold_db)[0]]
+    (_, _, cols), _ = estim._peak_cells(bins, power, owner, 1, max_peaks,
+                                        threshold_db)
+    return [int(bins[1][0, c]) for c in cols]
 
 
 def test_profile_peaks_orders_and_thresholds():
@@ -176,6 +177,72 @@ def test_profile_peaks_uses_complex_magnitude():
 def test_profile_peaks_rejects_non_1d(profile):
     with pytest.raises(ValueError, match="1-d"):
         profile_peaks(profile)
+
+
+def oracle_peak_cells(bins, power, owner, n_maps, max_peaks, threshold_db):
+    """Per map, the (block, row, col) picks of stacked guarded blocks, by
+    the loop that picked them before one array pass did: every qualifying
+    cell in (map, -power, row, col) order, skipping a full map and a
+    (map, row, col) cell already taken from another block."""
+    peak = np.zeros(n_maps)
+    np.maximum.at(peak, owner, power.max(axis=(1, 2), initial=0.0))
+    inner = power[:, 1:-1, 1:-1]
+    around = np.maximum(np.maximum(power[:, :-2], power[:, 1:-1]),
+                        power[:, 2:])
+    around = np.maximum(np.maximum(around[:, :, :-2], around[:, :, 1:-1]),
+                        around[:, :, 2:])
+    w, r, c = np.nonzero((inner >= around) & (
+        inner >= estim._threshold(peak, threshold_db)[owner, None, None]))
+    r, c = r + 1, c + 1
+    row, col, own = bins[0][w, r], bins[1][w, c], owner[w]
+    order = np.lexsort((col, row, -power[w, r, c], own)).tolist()
+    w, r, c, row, col, own = (a.tolist() for a in (w, r, c, row, col, own))
+    cells = [[] for _ in range(n_maps)]
+    seen = set()
+    for k in order:
+        picked = cells[own[k]]
+        if len(picked) == max_peaks or (own[k], row[k], col[k]) in seen:
+            continue
+        seen.add((own[k], row[k], col[k]))
+        picked.append((w[k], r[k], c[k]))
+    return cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_maps=st.integers(1, 4),
+       shape=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+       wrap=st.tuples(st.booleans(), st.booleans()),
+       pads=st.none() | st.tuples(st.integers(1, 2), st.integers(1, 2)),
+       levels=st.integers(1, 4), max_peaks=st.integers(1, 4),
+       threshold_db=st.sampled_from([-1.0, -6.0, -13.0, -np.inf]),
+       silent=st.lists(st.booleans(), min_size=4, max_size=4),
+       rounding=st.booleans())
+def test_peak_cells_match_the_loop_oracle(seed, n_maps, shape, wrap, pads,
+                                          levels, max_peaks, threshold_db,
+                                          silent, rounding):
+    # Few power levels make ties and plateaus common; overlapping windows
+    # share cells, which must count once, from the block the loop took,
+    # also where the blocks' zooms round a shared cell differently.
+    rng = np.random.default_rng(seed)
+    power = rng.integers(0, levels + 1, (n_maps,) + shape).astype(float)
+    power[np.array(silent[:n_maps])] = 0
+    if pads is None:
+        bins, guarded, owner = estim._whole_map(power, wrap)
+    else:
+        owner = np.sort(rng.integers(0, n_maps, rng.integers(0, 9)))
+        bins = tuple(estim._bins(rng.integers(0, n, (owner.size, 1))
+                                 + np.arange(-p - 1, p + 2), n, w)
+                     for p, n, w in zip(pads, shape, wrap))
+        guarded = estim._guard(estim._gather(power, bins, owner), bins)
+        if rounding:
+            guarded *= 1 + 1e-15 * rng.integers(-2, 3, guarded.shape)
+    (w, r, c), counts = estim._peak_cells(bins, guarded, owner, n_maps,
+                                          max_peaks, threshold_db)
+    want = oracle_peak_cells(bins, guarded, owner, n_maps, max_peaks,
+                             threshold_db)
+    assert counts.tolist() == [len(cells) for cells in want]
+    assert list(zip(w.tolist(), r.tolist(), c.tolist())) == \
+        [cell for cells in want for cell in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +836,18 @@ def oracle_map_targets(beams, est, lay):
         len(power), est, lay)
 
 
+def refine_windows(x, layout, est):
+    """(pad-1 power maps, windows, layout) of a stack's refinement, every
+    window in one stack."""
+    seed_power, seeds, pads, lay = estim._seeds(x, layout, est)
+    return seed_power, estim._windows(x, seeds, pads, lay), lay
+
+
+def unpruned():
+    """A context in which refinement skips no window."""
+    return mock.patch.object(estim, "_BOUND_MARGIN", np.inf)
+
+
 def oracle_refine_windows(seed_power, beams_at, pads, est, lay):
     """Fine-grid windows around every seed cell of a stack of maps."""
     seeds = estim._seed_cells(seed_power, pads, lay.wrap, est.threshold_db)
@@ -940,9 +1019,15 @@ def test_map_pipeline_matches_per_waveform_oracles(
     assert exact_map(lambda: estim._detect(data, symbols, radar, demod,
                                            layout, est)[:2], est) == \
         exact_map(partial(detect, est), est)
-    assert exact_map(partial(estim._windows, demod(data, symbols), layout,
-                             est), est) == \
-        exact_map(partial(windows, est), est)
+    # Unpruned, the windows are the oracle's, one per seed; pruned, the
+    # refinement finds the same targets.
+    x = demod(data, symbols)
+    with unpruned():
+        assert exact_map(partial(refine_windows, x, layout, est), est) == \
+            exact_map(partial(windows, est), est)
+    _, want, lay = windows(est)
+    assert repr(estim._refined(x, layout, est)[1]) == \
+        repr(estim._window_targets(want, len(x), est, lay))
 
 
 @settings(max_examples=60, deadline=None)
@@ -984,8 +1069,8 @@ def test_refinement_reuses_the_detection_demodulation(
     anew = demod(data, full)
     assert x.dtype == anew.dtype and np.array_equal(x, anew)
     fine = est.refined(2)
-    assert exact_map(partial(estim._windows, x, layout, fine), fine) == \
-        exact_map(partial(estim._windows, anew, layout, fine), fine)
+    assert exact_map(partial(refine_windows, x, layout, fine), fine) == \
+        exact_map(partial(refine_windows, anew, layout, fine), fine)
 
 
 def test_an_axis_with_one_input_is_not_padded():
@@ -1099,7 +1184,7 @@ def _cell_target(windows, block_cell, est, lay):
 def oracle_window_targets(windows, n_maps, est, lay):
     bins, power, _, owner = windows
     return [tuple(_cell_target(windows, cell, est, lay) for cell in cells)
-            for cells in estim._peak_cells(bins, power, owner, n_maps,
+            for cells in oracle_peak_cells(bins, power, owner, n_maps,
                                            est.max_targets, est.threshold_db)]
 
 
@@ -1180,7 +1265,7 @@ def oracle_ofdma_beams(cube, symbols, range_pad, doppler_pad):
 def pmcw_windows(cube, code, symbols, est):
     """(pad-1 power, windows, layout) of one cube's PMCW refinement, run
     as a stack of one."""
-    power, windows, lay = estim._windows(
+    power, windows, lay = refine_windows(
         estim._pmcw_correlate(cube.data[None], np.asarray(symbols)[None],
                               np.fft.fft(code.chips())),
         partial(estim._pmcw_layout, cube.config), est)
@@ -1190,7 +1275,7 @@ def pmcw_windows(cube, code, symbols, est):
 def ofdma_windows(cube, symbols, est):
     """(pad-1 power, windows, layout) of one cube's OFDMA refinement, run
     as a stack of one."""
-    power, windows, lay = estim._windows(
+    power, windows, lay = refine_windows(
         estim._ofdma_derotate(cube.data[None], np.asarray(symbols)[None]),
         partial(estim._ofdma_layout, cube.config), est)
     return power[0], windows, lay
@@ -1289,19 +1374,24 @@ def refine_bins(targets):
 def check_against_oracle(beams, windows, lay, est, pads, strict):
     """Compare one windowed refinement with the full-grid oracle.
 
-    Checks the window geometry and every window cell, then the refined
-    bins against the oracle restricted to the windows and, when
-    ``strict``, against the unrestricted oracle on its first ``strict``
-    targets.
+    Every window kept sits on a seed of its own, in seed order, with the
+    seed's geometry and every cell the oracle's.  Every seed skipped has
+    a full-grid window, guard ring included, strictly below the map's
+    K-th pick (below its threshold when it has fewer picks).  Then the
+    refined bins must be the oracle's restricted to the windows of every
+    seed and, when ``strict``, the unrestricted oracle's first
+    ``strict`` targets.
     """
     power = np.sum(np.abs(beams) ** 2, axis=2)
     seed_map = power[::pads[0], ::pads[1]]
     seeds = oracle_seeds(seed_map, pads, est.threshold_db, lay.wrap)
     stacked_bins, stacked_power, stacked_beams, owner = windows
-    assert len(stacked_power) == len(seeds)
     assert np.all(owner == 0)
+    kept = [tuple(int(b[i][p + 1]) // p for b, p in zip(stacked_bins, pads))
+            for i in range(len(owner))]
+    assert kept == [seed for seed in seeds if seed in kept]
     scale = power.max()
-    for i, seed in enumerate(seeds):
+    for i, seed in enumerate(kept):
         bins = (stacked_bins[0][i], stacked_bins[1][i])
         for axis in (0, 1):
             p, n = pads[axis], power.shape[axis]
@@ -1322,11 +1412,20 @@ def check_against_oracle(beams, windows, lay, est, pads, strict):
     if seeds:
         in_windows = oracle_window_mask(seeds, pads, power.shape, lay.wrap, 0)
         guarded = oracle_window_mask(seeds, pads, power.shape, lay.wrap, 1)
+        reference = float(power[guarded].max())
         restricted = oracle_peaks(power, est.max_targets, est.threshold_db,
                                   lay.wrap, allowed=in_windows,
-                                  reference=float(power[guarded].max()))
+                                  reference=reference)
     else:
         restricted = []
+    if len(targets) == est.max_targets:
+        below = targets[-1].power
+    elif seeds:
+        below = reference * 10.0 ** (est.threshold_db / 10.0)
+    for seed in seeds:
+        if seed not in kept:
+            assert power[oracle_window_mask([seed], pads, power.shape,
+                                            lay.wrap, 1)].max() < below
     assert refine_bins(targets) == oracle_bins(beams, restricted, est, lay)
     if strict:
         assert refine_bins(targets)[:strict] == \
@@ -1443,6 +1542,107 @@ def test_ofdma_windowed_refine_matches_full_grid(
 
 
 REFINE8 = EstimatorConfig().refined(8)
+
+
+# ---------------------------------------------------------------------------
+# Skipped windows and sliced refinement against the whole refinement
+# ---------------------------------------------------------------------------
+
+
+def scene_stack(waveform, rng, n_cpi, n_scatterers, snr_db):
+    """(stack demodulated on every slot, layout) of ``n_cpi`` cubes of
+    the full-grid tests' scenes, each with its own scatterers."""
+    stack = []
+    for _ in range(n_cpi):
+        if waveform == "pmcw":
+            t_b = 32 * CHIP
+            scatterers, noise = oracle_scene(
+                rng, n_scatterers, snr_db,
+                delay=lambda r: int(r.integers(0, 32)) * CHIP,
+                doppler=lambda r: r.uniform(-0.5, 0.5) / t_b)
+            cube, code, symbols, _ = pmcw_cube_for(
+                scatterers, mu=50, noise=noise, rng=rng, seed=5,
+                bits=rng.integers(0, 2, size=4))
+            stack.append(estim._pmcw_correlate(
+                cube.data[None], symbols[None], np.fft.fft(code.chips())))
+            layout = partial(estim._pmcw_layout, cube.config)
+        else:
+            config = ofdma_config()
+            scatterers, noise = oracle_scene(
+                rng, n_scatterers, snr_db,
+                delay=lambda r: r.uniform(0.0, 8.0) * config.sample_time,
+                doppler=lambda r: r.uniform(-0.5, 0.5)
+                / config.symbol_duration)
+            cube, grid, _ = ofdma_cube_for(
+                scatterers, config=config, noise=noise, rng=rng,
+                bits=rng.integers(0, 2, size=grid_capacity_bits(config)))
+            stack.append(estim._ofdma_derotate(cube.data[None],
+                                               grid.symbols[None]))
+            layout = partial(estim._ofdma_layout, config)
+    return np.concatenate(stack), layout
+
+
+@settings(max_examples=80, deadline=None)
+@given(waveform=st.sampled_from(["pmcw", "pmcw", "ofdma"]),
+       seed=st.integers(0, 2 ** 32 - 1), n_cpi=st.integers(1, 3),
+       n_scatterers=st.integers(1, 3), snr_db=st.floats(-5.0, 30.0),
+       range_pad=st.integers(1, 8), doppler_pad=st.integers(1, 8),
+       angle_pad=st.integers(1, 3), interpolate=st.booleans(),
+       max_targets=st.integers(1, 3),
+       threshold_db=st.sampled_from([-13.0, -3.0, -np.inf]))
+def test_pruned_and_sliced_refinement_finds_the_same_targets(
+        waveform, seed, n_cpi, n_scatterers, snr_db, range_pad, doppler_pad,
+        angle_pad, interpolate, max_targets, threshold_db):
+    # Skipping windows (PMCW) and zooming a slice of maps at a time must
+    # change no field of any target of any CPI.
+    x, layout = scene_stack(waveform, np.random.default_rng(seed), n_cpi,
+                            n_scatterers, snr_db)
+    est = EstimatorConfig(range_pad=range_pad, doppler_pad=doppler_pad,
+                          angle_pad=angle_pad, interpolate=interpolate,
+                          max_targets=max_targets, threshold_db=threshold_db)
+    with unpruned(), mock.patch.object(estim, "_SLICE_CELLS", 1 << 40):
+        whole = repr(estim._refined(x, layout, est)[1])
+    assert repr(estim._refined(x, layout, est)[1]) == whole
+    with mock.patch.object(estim, "_SLICE_CELLS", 1):  # map by map
+        assert repr(estim._refined(x, layout, est)[1]) == whole
+
+
+def test_pruning_skips_the_code_sidelobe_windows():
+    # One scatterer at 10 dB on a 32-chip random code: most seeds sit on
+    # the code's sidelobe lags, and their windows are not zoomed.
+    cube, code, symbols, _ = pmcw_cube_for(
+        [Scatterer(delay_s=9 * CHIP, doppler_hz=2e6, angle_rad=0.3,
+                   amplitude=1.0)], mu=50, noise=0.1,
+        rng=np.random.default_rng(7), bits=np.array([1, 0, 0, 1]))
+    x = estim._pmcw_correlate(cube.data[None], symbols[None],
+                              np.fft.fft(code.chips()))
+    layout = partial(estim._pmcw_layout, cube.config)
+    seeds = estim._seeds(x, layout, REFINE8)[1]
+    with unpruned():
+        every = estim._seeds(x, layout, REFINE8)[1]
+        want = estim._refined(x, layout, REFINE8)[1]
+    assert len(seeds) < len(every) // 2
+    assert repr(estim._refined(x, layout, REFINE8)[1]) == repr(want)
+    assert [(t.delay_bin, t.doppler_bin) for t in want[0]] == [(9, 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       counts=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       snr_db=st.floats(-5.0, 30.0), doppler_pad=st.integers(1, 16),
+       mu=st.sampled_from([12.5, 50, 100]))
+def test_lag_bounds_cover_every_full_grid_cell(seed, counts, snr_db,
+                                               doppler_pad, mu):
+    # A[l] bounds every cell of lag l of the full zero-padded map, the
+    # oracle's whole Doppler grid, within the margin a skip allows for.
+    config, code_spec, _, symbols, _, data, _ = random_stack(
+        "pmcw", np.random.default_rng(seed), mu, 2, counts, snr_db, None)
+    x = estim._pmcw_correlate(data, symbols, code_spec)
+    nd = x.shape[1] * doppler_pad
+    power = np.sum(np.abs(np.fft.ifft(x, n=nd, axis=1) * nd) ** 2, axis=3)
+    bound = estim._lag_bounds(x)
+    assert bound.shape == (len(counts), x.shape[2])
+    assert np.all(power <= bound[:, None, :] * (1 + estim._BOUND_MARGIN))
 
 
 def pmcw_refined_vs_full_grid(scatterers, est=REFINE8):

@@ -5,6 +5,7 @@ import multiprocessing
 import pickle
 import tempfile
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -1246,11 +1247,111 @@ def test_isi_warning_on_the_run_path(tmp_path):
 
 
 def test_batch_size_counts_receive_cube_cells():
-    # 16384 cells over 8 x 31 x 2 (PMCW), 16 x 4 x 2 (OFDMA) and
-    # 1 x 2 (16 + 16) x 1 (Golay) per cube.
+    # 32768 cells over 8 x 31 x 2 (PMCW), 16 x 4 x 2 (OFDMA) and
+    # 1 x 2 (16 + 16) x 1 (Golay) per cube, once a sweep has four batches'
+    # worth of tasks; a smaller sweep cuts a quarter of its tasks, but no
+    # fewer than 16384 cells.
+    assert runner._batch_size(pmcw_scenario(trials=264)) == 66
+    assert runner._batch_size(ofdma_scenario(trials=1024)) == 256
+    assert runner._batch_size(golay_scenario(trials=2048)) == 512
+    assert runner._batch_size(pmcw_scenario(
+        sweep={"snr_db": [0, 10]}, trials=80)) == 40
     assert runner._batch_size(pmcw_scenario()) == 33
     assert runner._batch_size(ofdma_scenario()) == 128
     assert runner._batch_size(golay_fading_scenario("swerling0")) == 256
+    # Both benchmark sweeps: 16 trials of a 32 x 16 x 4 cube per batch.
+    sweep = {"mu_percent": [50, 100], "snr_db": [0, 5, 10, 15, 20]}
+    assert runner._batch_size(pmcw_scenario(
+        pmcw={"code_length": 32, "n_frames": 16, "chip_time_s": 1e-9,
+              "carrier_hz": 60e9, "geometry": {"n_rx": 4}},
+        code_kind="random", sweep=sweep, trials=40)) == 16
+    assert runner._batch_size(ofdma_scenario(
+        ofdma={"n_subcarriers": 32, "n_symbols": 16,
+               "subcarrier_spacing_hz": 62.5e6, "carrier_hz": 60e9,
+               "cp_samples": 16, "geometry": {"n_rx": 4}},
+        sweep=sweep, trials=20)) == 16
+
+
+# The traced peak (tracemalloc, numpy 2.4) of refining 8 trials of the
+# stack below in one stack of windows, as every batch refined before
+# refinement was sliced and its windows skipped: 16 trials must not need
+# more.
+EIGHT_TRIAL_REFINE_PEAK = 2_347_424
+
+
+def test_a_16_trial_refinement_holds_the_8_trial_peak_memory():
+    # ofdma_sweep's scene at its mu = 50 %, 0 dB point, refined as
+    # _cube_trials refines one batch of 16 trials.
+    config = ofdma_scenario(
+        ofdma={"n_subcarriers": 32, "n_symbols": 16,
+               "subcarrier_spacing_hz": 62.5e6, "carrier_hz": 60e9,
+               "cp_samples": 16, "geometry": {"n_rx": 4}},
+        scene={"scatterers": [{"delay_s": 2.85e-9, "doppler_hz": 0.0,
+                               "angle_rad": -0.2, "amplitude": [1.0, 0.0]}]},
+        sweep={"mu_percent": [50], "snr_db": [0]}, trials=16, seed=7)
+    point = SweepPoint(index=0, mu_percent=50.0, snr_db=0.0)
+    bound = runner._bind(config, point)
+    cube, trials = bound.cube, range(16)
+    rngs, payload = runner._trial_payloads(config, point, trials,
+                                           cube.capacity)
+    symbols = cube.symbols(payload)
+    data = runner._synthesize(
+        replace(config.scene, noise_variance=bound.noise_variance),
+        bound.wave.cube_shape, bound.links, symbols, cube.response, trials,
+        rngs)
+    _, coarse, radar_x = estim._detect(data, symbols, cube.radar, cube.demod,
+                                       cube.layout, config.estimator)
+    _, _, full = estim._demodulate(data, symbols, cube.radar, cube.response,
+                                   coarse, config.symbol_order, cube.dpsk)
+    x = estim._demodulated(data, full, cube.radar, radar_x, cube.demod)
+    fine = config.estimator.refined(config.refine_factor)
+    estim._refined(x, cube.layout, fine)  # builds the cached DFT tables
+    tracemalloc.start()
+    try:
+        estim._refined(x, cube.layout, fine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= EIGHT_TRIAL_REFINE_PEAK
+
+
+@pytest.mark.parametrize("config, skips", [
+    (golay_fading_scenario("swerling0", snr_db=10), True),
+    (golay_scenario(sweep={"snr_db": [0, 20]}, trials=6,
+                    estimator={"max_targets": 2, "interpolate": True,
+                               "angle_pad": 2, "threshold_db": -30}), True),
+    # One all-radar frame: nothing to pad or zoom; the angle pad decides.
+    (pmcw_scenario(pmcw={"code_length": 31, "n_frames": 1,
+                         "chip_time_s": 1e-9, "carrier_hz": 60e9,
+                         "mu_percent": 100, "geometry": {"n_rx": 2}},
+                   sweep={"snr_db": [5, 15]}, refine_factor=1, trials=4),
+     True),
+    (pmcw_scenario(pmcw={"code_length": 31, "n_frames": 1,
+                         "chip_time_s": 1e-9, "carrier_hz": 60e9,
+                         "mu_percent": 100, "geometry": {"n_rx": 2}},
+                   sweep={"snr_db": [5, 15]}, trials=4), False),
+    (pmcw_scenario(pmcw={"code_length": 31, "n_frames": 8,
+                         "chip_time_s": 1e-9, "carrier_hz": 60e9,
+                         "mu_percent": 100, "geometry": {"n_rx": 2}},
+                   sweep={"snr_db": [5, 15]}, refine_factor=1, trials=4),
+     False),
+    (ofdma_scenario(sweep={"snr_db": [5, 15]}, refine_factor=1, trials=4),
+     False),
+], ids=["golay", "golay-interpolated", "pmcw-one-frame-unpadded",
+        "pmcw-one-frame-angle-padded", "pmcw-all-radar", "ofdma"])
+def test_refinement_is_skipped_only_where_it_repeats_detection(
+        tmp_path, config, skips):
+    # Where the layouts and the radar mask make refinement repeat
+    # detection, the trials skip it, and the outputs are those of running
+    # it.
+    with mock.patch.object(runner, "_refined",
+                           wraps=runner._refined) as refined:
+        run_scenario(config, out_dir=tmp_path / "skipped")
+    assert (refined.call_count == 0) == skips
+    with mock.patch.object(runner, "_repeats_detection", return_value=False):
+        run_scenario(config, out_dir=tmp_path / "refined")
+    assert read_bytes(tmp_path / "skipped") == read_bytes(
+        tmp_path / "refined")
 
 
 def test_report_json_contents(tmp_path):
