@@ -105,21 +105,23 @@ class Scatterer:
     doppler_hz: float | None = None
     velocity_mps: float = 0.0
     angle_rad: float = 0.0
-    departure_rad: float = 0.0
     rcs_m2: float = 1.0
     amplitude: complex | None = None
     fading: str = "swerling0"
     rician_k: float = 10.0
 
     def __post_init__(self):
+        for name in ("delay_s", "doppler_hz", "velocity_mps", "angle_rad",
+                     "rcs_m2", "amplitude"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.delay_s < 0:
             raise ValueError("delay_s must be >= 0")
         if self.rcs_m2 < 0:
             raise ValueError("rcs_m2 must be >= 0")
         if abs(self.angle_rad) > np.pi / 2 + 1e-12:
             raise ValueError("angle_rad must lie in [-pi/2, pi/2]")
-        if abs(self.departure_rad) > np.pi / 2 + 1e-12:
-            raise ValueError("departure_rad must lie in [-pi/2, pi/2]")
         if self.fading not in _FADING_MODELS:
             raise ValueError(f"unknown fading model {self.fading!r}")
         if self.rician_k < 0:
@@ -168,7 +170,7 @@ class Scene:
         ])
 
 
-def scatterer_amplitude(sc: Scatterer, carrier_hz: float, n_tx: int,
+def scatterer_amplitude(sc: Scatterer, carrier_hz: float,
                         fading: complex = 1.0) -> complex:
     """Effective complex gain of a scatterer inside one CPI.
 
@@ -187,7 +189,7 @@ def scatterer_amplitude(sc: Scatterer, carrier_hz: float, n_tx: int,
     rho = SPEED_OF_LIGHT * sc.delay_s / 2
     g = radar_large_scale_gain(lam, sc.rcs_m2, rho)
     eta = -2 * np.pi * carrier_hz * sc.delay_s
-    return n_tx * np.sqrt(g) * fading * np.exp(1j * eta)
+    return np.sqrt(g) * fading * np.exp(1j * eta)
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,7 @@ class ReceiveCube:
 
 def _carrier_link(config, sc: Scatterer) -> tuple:
     """(amplitude rule, (delay, Doppler, angle)) under a carrier config."""
-    return (partial(scatterer_amplitude, sc, config.carrier_hz,
-                    config.geometry.n_tx),
+    return (partial(scatterer_amplitude, sc, config.carrier_hz),
             (float(sc.delay_s), float(sc.resolve_doppler(config.wavelength)),
              float(sc.angle_rad)))
 

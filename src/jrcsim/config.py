@@ -195,7 +195,6 @@ _SCATTERER = _Section(Scatterer, (
     ("amplitude", "amplitude", complex | None, None),
     ("delay_s", "delay_s", float, _REQUIRED),
     ("angle_rad", "angle_rad", float, 0.0),
-    ("departure_rad", "departure_rad", float, 0.0),
     ("rcs_m2", "rcs_m2", float, 1.0),
     ("fading", "fading", str, "swerling0"),
     ("rician_k", "rician_k", float, 10.0),

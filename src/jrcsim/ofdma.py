@@ -31,8 +31,7 @@ import numpy as np
 
 from .channel import SPEED_OF_LIGHT, ReceiveCube, Scene, _carrier_link, \
     _synthesize
-from .sigcore import ArrayGeometry, _column, _radar_count, dpsk_encode, \
-    steering_vector
+from .sigcore import ArrayGeometry, _column, _radar_count, dpsk_encode
 
 
 class IsiWarning(UserWarning):
@@ -190,9 +189,9 @@ def build_symbol_grid(config: OfdmaConfig, payload_bits, order: int = 4) -> Symb
                       radar_rows=ofdma_pilot_mask(config), order=order)
 
 
-def ofdma_transmit(config: OfdmaConfig, grid: SymbolGrid,
-                   beam_angle_rad: float = 0.0) -> np.ndarray:
-    """Per-antenna time-domain transmit samples, shape (N_t, N_s, N_c + CP).
+def ofdma_transmit(config: OfdmaConfig, grid: SymbolGrid) -> np.ndarray:
+    """Time-domain transmit samples of the one transmit element, shape
+    (1, N_s, N_c + CP).
 
     Each symbol is the unnormalized inverse DFT of its subcarrier column,
     x_m[l] = sum_n a_{n,m} exp(j 2 pi n l / N_c), with the cyclic prefix
@@ -204,9 +203,7 @@ def ofdma_transmit(config: OfdmaConfig, grid: SymbolGrid,
     core = n_c * np.fft.ifft(grid.symbols, axis=0).T  # (N_s, N_c)
     if config.cp_samples:
         core = np.concatenate([core[:, n_c - config.cp_samples:], core], axis=1)
-    steer = steering_vector(config.geometry, beam_angle_rad,
-                            config.geometry.n_tx, "tx")
-    return steer[:, None, None] * core[None, :, :]
+    return core[None]
 
 
 def ofdma_receive_cube(scene: Scene, config: OfdmaConfig, grid: SymbolGrid,
@@ -241,10 +238,10 @@ def _ofdma_response(config: OfdmaConfig, delay_s, doppler_hz, angle_rad,
                     rows: np.ndarray) -> np.ndarray:
     """Unit response of one scatterer on the subcarrier ``rows``, shape
     (rows, N_s, N_r).  Its steering exponent is positive, opposite to the
-    PMCW receive phasor; unlike ``steering_vector`` it takes any angle, as
-    the CRLB proxy's angle step may cross +-pi/2.  Equal shaped parameter
-    arrays give one response per entry, along their leading axes, each
-    equal to the scalar call's."""
+    PMCW receive phasor; it takes any angle, as the CRLB proxy's angle
+    step may cross +-pi/2.  Equal shaped parameter arrays give one
+    response per entry, along their leading axes, each equal to the
+    scalar call's."""
     delay_s, doppler_hz, angle_rad = (_column(v) for v in (
         delay_s, doppler_hz, angle_rad))
     phase_n = np.exp(-2j * np.pi * rows * config.subcarrier_spacing_hz

@@ -67,6 +67,9 @@ def default_af_grids(n_samples: int, sample_rate_hz: float,
                      max_lag: int | None = None, n_doppler: int = 65):
     """Convenience grids: all sample lags and a centered Doppler comb.
 
+    ``max_lag`` (default n_samples - 1) must lie in [0, n_samples): every
+    lag beyond reads 0 by definition.
+
     The Doppler comb spans the unambiguous +-sample_rate/(2 n_samples)
     band of a waveform of this length, so mainlobe structure is resolved.
     ``n_doppler`` must be odd, so that one comb point sits at zero Doppler
@@ -77,8 +80,9 @@ def default_af_grids(n_samples: int, sample_rate_hz: float,
     """
     if max_lag is None:
         max_lag = n_samples - 1
-    if max_lag < 0:
-        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
+    if not 0 <= max_lag < n_samples:
+        raise ValueError(f"max_lag must lie in [0, {n_samples}) for a "
+                         f"{n_samples}-sample waveform, got {max_lag}")
     if n_doppler < 1 or n_doppler % 2 == 0:
         raise ValueError(f"n_doppler must be odd and >= 1, got {n_doppler}")
     delays = np.arange(-max_lag, max_lag + 1) / sample_rate_hz

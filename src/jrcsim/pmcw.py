@@ -30,7 +30,7 @@ import numpy as np
 from .channel import SPEED_OF_LIGHT, ReceiveCube, Scene, _carrier_link, \
     _synthesize
 from .sigcore import ArrayGeometry, CodeSequence, _column, _radar_count, \
-    dpsk_encode, steering_vector
+    dpsk_encode
 
 
 @dataclass(frozen=True)
@@ -121,21 +121,17 @@ def pmcw_frame_symbols(schedule: np.ndarray, payload_bits,
     return _frame_symbols(schedule, bits.reshape(1, -1), order)[0]
 
 
-def pmcw_transmit(config: PmcwConfig, code: CodeSequence, symbols,
-                  beam_angle_rad: float = 0.0) -> np.ndarray:
-    """Per-antenna baseband transmit samples, shape (N_t, M, L).
-
-    Sample (i, m, l) = a_m * exp(j zeta_l) * exp(+j k d sin(beta) i).
+def pmcw_transmit(config: PmcwConfig, code: CodeSequence,
+                  symbols) -> np.ndarray:
+    """Baseband transmit samples of the one transmit element, shape
+    (1, M, L): sample (0, m, l) = a_m * exp(j zeta_l).
     """
     symbols = np.asarray(symbols, dtype=complex)
     if code.length != config.code_length:
         raise ValueError("code length does not match the configuration")
     if symbols.size != config.n_frames:
         raise ValueError("need one slow-time symbol per frame")
-    chips = code.chips()
-    steer = steering_vector(config.geometry, beam_angle_rad,
-                            config.geometry.n_tx, "tx")
-    return steer[:, None, None] * symbols[None, :, None] * chips[None, None, :]
+    return (symbols[:, None] * code.chips()[None, :])[None]
 
 
 def pmcw_receive_cube(scene: Scene, config: PmcwConfig, code: CodeSequence,
@@ -178,10 +174,10 @@ def _pmcw_response(config: PmcwConfig, code_spec: np.ndarray,
     """Unit response [(b ⊙ P_k s)^T ⊗ e] c of one scatterer on the integer
     ``frames``, shape (frames, L, N_r), from the code's DFT ``code_spec``.
     P_k delays the code cyclically by k = delay_s / t_c chips, any real k,
-    as a phase ramp on its spectrum.  Unlike ``steering_vector`` it takes
-    any angle, as the CRLB proxy's angle step may cross +-pi/2.  Equal
-    shaped parameter arrays give one response per entry, along their
-    leading axes, each equal to the scalar call's."""
+    as a phase ramp on its spectrum.  It takes any angle, as the CRLB
+    proxy's angle step may cross +-pi/2.  Equal shaped parameter arrays
+    give one response per entry, along their leading axes, each equal to
+    the scalar call's."""
     l_count = config.code_length
     delay_s, doppler_hz, angle_rad = (_column(v) for v in (
         delay_s, doppler_hz, angle_rad))

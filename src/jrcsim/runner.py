@@ -218,7 +218,7 @@ class _Cube:
     radar: np.ndarray  # radar-slot mask over the cube's first axis
     capacity: int  # payload bits per CPI
     symbols: Callable  # (CPIs, capacity) bits -> their slot symbols
-    transmit: Callable  # one CPI's bits -> its per-antenna samples
+    transmit: Callable  # one CPI's bits -> (1, ...) samples of its one element
     response: Callable  # unit response (delay, Doppler, angle, slots)
     demod: Callable  # estim._detect / _demodulated demodulation
     layout: Callable  # estim map layout (known, est)

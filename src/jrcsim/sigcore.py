@@ -1,8 +1,8 @@
 """Complex-baseband building blocks shared by both waveform families.
 
 Phase-coded chip sequences, complementary (Golay) pair construction,
-differential PSK symbol streams, aperiodic autocorrelation and
-uniform-linear-array steering vectors.
+differential PSK symbol streams, aperiodic autocorrelation and the
+receive array's geometry.
 """
 
 from __future__ import annotations
@@ -253,17 +253,18 @@ def dpsk_decode(symbols, order: int = 2) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Array steering
+# Array geometry
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform linear arrays at both ends of the link.
+    """A uniform linear receive array and one transmit element.
 
-    ``spacing_over_lambda`` is the element pitch in carrier wavelengths;
-    the default half-wavelength pitch keeps the beamspace free of grating
-    lobes.
+    ``spacing_over_lambda`` is the receive element pitch in carrier
+    wavelengths; the default half-wavelength pitch keeps the beamspace free
+    of grating lobes.  ``n_tx`` must be 1: the transmit array is not
+    modelled.
     """
 
     n_tx: int = 1
@@ -271,28 +272,10 @@ class ArrayGeometry:
     spacing_over_lambda: float = 0.5
 
     def __post_init__(self):
-        if self.n_tx < 1 or self.n_rx < 1:
-            raise ValueError("n_tx and n_rx must be >= 1")
+        if self.n_tx != 1:
+            raise ValueError(f"n_tx must be 1, got {self.n_tx}: the transmit "
+                             "array is not modelled")
+        if self.n_rx < 1:
+            raise ValueError("n_rx must be >= 1")
         if self.spacing_over_lambda <= 0:
             raise ValueError("spacing_over_lambda must be positive")
-
-
-def steering_vector(geometry: ArrayGeometry, angle_rad: float, n_elements: int,
-                    convention: str = "tx") -> np.ndarray:
-    """ULA steering vector for a plane wave at the given angle.
-
-    The transmit side uses exp(+j*k*d*sin(angle)*(p-1)) per element, the
-    receive side the conjugate sign.  |angle| may not exceed pi/2.
-    """
-    if n_elements < 1:
-        raise ValueError("n_elements must be >= 1")
-    if abs(angle_rad) > np.pi / 2 + 1e-12:
-        raise ValueError("angle must lie in [-pi/2, pi/2]")
-    if convention == "tx":
-        sign = 1.0
-    elif convention == "rx":
-        sign = -1.0
-    else:
-        raise ValueError("convention must be 'tx' or 'rx'")
-    phase = sign * 2 * np.pi * geometry.spacing_over_lambda * np.sin(angle_rad)
-    return np.exp(1j * phase * np.arange(n_elements))

@@ -149,6 +149,19 @@ def test_scatterer_range_and_validation():
         Scatterer(delay_s=0.0, fading="swerling5")
 
 
+@pytest.mark.parametrize("field, value", [
+    *((field, value) for field in ("delay_s", "doppler_hz", "velocity_mps",
+                                   "angle_rad", "rcs_m2", "amplitude")
+      for value in (np.nan, np.inf, -np.inf)),
+    ("amplitude", complex(1.0, np.nan)),
+])
+def test_scatterer_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Scatterer(**{"delay_s": 1e-9, field: value})
+    # rician_k = inf is pure line of sight, so it stays allowed.
+    assert Scatterer(delay_s=1e-9, fading="rician", rician_k=np.inf)
+
+
 def test_scene_fading_reproducible_and_blockwise():
     scene = Scene(scatterers=(Scatterer(delay_s=1e-9, fading="swerling12"),
                               Scatterer(delay_s=2e-9, fading="rician")),
@@ -199,13 +212,13 @@ def test_scene_validation():
 
 def test_scatterer_amplitude_explicit_and_derived():
     sc = Scatterer(delay_s=1e-7, amplitude=0.3 + 0.4j)
-    assert scatterer_amplitude(sc, 60e9, n_tx=2, fading=2.0) == pytest.approx(0.6 + 0.8j)
+    assert scatterer_amplitude(sc, 60e9, fading=2.0) == pytest.approx(0.6 + 0.8j)
 
     derived = Scatterer(delay_s=1e-7, rcs_m2=1.0)
     lam = SPEED_OF_LIGHT / 60e9
     rho = SPEED_OF_LIGHT * 1e-7 / 2
-    mag = 2 * np.sqrt(radar_large_scale_gain(lam, 1.0, rho))
-    got = scatterer_amplitude(derived, 60e9, n_tx=2)
+    mag = np.sqrt(radar_large_scale_gain(lam, 1.0, rho))
+    got = scatterer_amplitude(derived, 60e9)
     assert abs(got) == pytest.approx(mag)
     assert np.angle(got) == pytest.approx(
         np.angle(np.exp(-2j * np.pi * 60e9 * 1e-7)))
@@ -213,4 +226,4 @@ def test_scatterer_amplitude_explicit_and_derived():
 
 def test_scatterer_amplitude_zero_delay_needs_explicit():
     with pytest.raises(ValueError):
-        scatterer_amplitude(Scatterer(delay_s=0.0), 60e9, n_tx=1)
+        scatterer_amplitude(Scatterer(delay_s=0.0), 60e9)

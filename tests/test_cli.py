@@ -81,6 +81,21 @@ def test_validate_rejects_delay_beyond_the_code(tmp_path, capsys):
         "31-chip code" in capsys.readouterr().err.splitlines()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"pmcw": {"code_length": 31, "n_frames": 8, "chip_time_s": 1e-9,
+               "carrier_hz": 60e9, "geometry": {"n_tx": 2}}},
+     "  $.pmcw.geometry: n_tx must be 1"),
+    ({"scene": {"scatterers": [{"delay_s": 5e-9, "departure_rad": 0.2}]}},
+     "  $.scene.scatterers[0].departure_rad: unknown field"),
+])
+def test_validate_rejects_transmit_array_settings(tmp_path, capsys,
+                                                  overrides, message):
+    cfg = write_scenario(tmp_path / "mimo.json", **overrides)
+    assert main(["validate", str(cfg)]) == 2
+    assert any(line.startswith(message)
+               for line in capsys.readouterr().err.splitlines())
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
     assert "no such config file" in capsys.readouterr().err
@@ -291,6 +306,8 @@ def test_af_csv_reads_back_as_the_centrosymmetric_tensor(tmp_path, capsys):
     (["--max-lag", "-1"], "max_lag"),
     (["--n-doppler", "0"], "n_doppler"),
     (["--n-doppler", "4"], "n_doppler"),
+    # 31 chips x 8 frames: lag 248 is past the waveform's last sample.
+    (["--max-lag", "248"], "max_lag must lie in [0, 248)"),
 ])
 def test_af_rejects_bad_grid_before_writing(tmp_path, capsys, flags,
                                             message):

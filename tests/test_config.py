@@ -175,7 +175,8 @@ def test_unknown_fields_reported_at_every_level():
     data = base_pmcw()
     data["pmcw"]["cp_fraction"] = 0.25
     data["pmcw"]["geometry"] = {"n_rx": 2, "n_elements": 4}
-    data["scene"] = {"scatterers": [{"delay_s": 1e-9, "range_m": 3.0}],
+    data["scene"] = {"scatterers": [{"delay_s": 1e-9, "range_m": 3.0,
+                                     "departure_rad": 0.1}],
                      "noise": 0.1}
     data["estimator"] = {"pad": 2}
     data["sweep"] = {"snrs": [0]}
@@ -183,6 +184,8 @@ def test_unknown_fields_reported_at_every_level():
     assert "$.pmcw.cp_fraction: unknown field" in errs
     assert "$.pmcw.geometry.n_elements: unknown field" in errs
     assert "$.scene.scatterers[0].range_m: unknown field" in errs
+    # One transmit element: a scatterer has no departure angle.
+    assert "$.scene.scatterers[0].departure_rad: unknown field" in errs
     assert "$.scene.noise: unknown field" in errs
     assert "$.estimator.pad: unknown field" in errs
     assert "$.sweep.snrs: unknown field" in errs
@@ -247,6 +250,16 @@ def test_geometry_must_be_an_object(base, geometry):
     section = data["waveform"]
     data[section]["geometry"] = geometry
     assert errors_of(data) == (f"$.{section}.geometry: expected an object",)
+
+
+@pytest.mark.parametrize("base", [base_pmcw, base_ofdma])
+def test_geometry_rejects_a_transmit_array(base):
+    data = base()
+    section = data["waveform"]
+    data[section]["geometry"] = {"n_tx": 2, "n_rx": 4}
+    assert errors_of(data) == (
+        f"$.{section}.geometry: n_tx must be 1, got 2: the transmit array "
+        "is not modelled",)
 
 
 def test_wrong_section_type_for_waveform():
@@ -480,7 +493,12 @@ def test_scenario_config_direct_construction_guard():
 
 def test_config_hash_pinned():
     """Every scenario the tests, fig4_trends.py and perfbench/workloads.json
-    use keeps the config_hash it had before the table-driven parser."""
+    use keeps its pinned config_hash.  A schema change that is meant to move
+    hashes edits the stored scenarios as needed, re-pins with
+
+        PYTHONPATH=src python tests/test_config.py
+
+    and says which hashes moved, and why."""
     pinned = json.loads(PINNED.read_text())
     moved = [(entry["source"], entry["config_hash"],
               config_hash(parse_config(entry["scenario"])))
@@ -517,7 +535,6 @@ _scatterer = st.fixed_dictionaries(
     optional={"doppler_hz": st.none() | _finite,
               "velocity_mps": _finite,
               "angle_rad": st.floats(-1.5, 1.5),
-              "departure_rad": st.floats(-1.5, 1.5),
               "rcs_m2": st.floats(0, 1e3),
               "amplitude": st.none() | _finite
               | st.tuples(_finite, _finite).map(list),
@@ -525,7 +542,7 @@ _scatterer = st.fixed_dictionaries(
                                          "swerling34", "rician"]),
               "rician_k": st.floats(0, 100) | st.integers(0, 100)})
 _geometry = st.fixed_dictionaries({}, optional={
-    "n_tx": st.integers(1, 8), "n_rx": st.integers(1, 8),
+    "n_tx": st.just(1), "n_rx": st.integers(1, 8),
     "spacing_over_lambda": st.floats(0.1, 2)})
 _valid_scenario = st.fixed_dictionaries({
     "version": st.just(1),
@@ -580,3 +597,10 @@ def test_parse_of_canonical_is_idempotent(data):
     again = parse_config(json.loads(text))
     assert again == config
     assert canonical_json(again) == text
+
+
+if __name__ == "__main__":
+    entries = json.loads(PINNED.read_text())
+    for entry in entries:
+        entry["config_hash"] = config_hash(parse_config(entry["scenario"]))
+    PINNED.write_text("[\n" + ",\n".join(map(json.dumps, entries)) + "\n]\n")

@@ -223,16 +223,6 @@ def test_transmit_explicit_sum_single_symbol():
         assert tx[0, 0, ell] == pytest.approx(expected, abs=1e-12)
 
 
-def test_transmit_steering():
-    config = small_config(geometry=ArrayGeometry(n_tx=3, n_rx=1))
-    bits = np.zeros(grid_capacity_bits(config), dtype=int)
-    grid = build_symbol_grid(config, bits)
-    tx = ofdma_transmit(config, grid, beam_angle_rad=0.3)
-    step = np.exp(1j * 2 * np.pi * 0.5 * np.sin(0.3))
-    assert np.allclose(tx[1] / tx[0], step, atol=1e-12)
-    assert np.allclose(tx[2] / tx[0], step**2, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Receive cube vs oracles
 # ---------------------------------------------------------------------------

@@ -266,8 +266,10 @@ def test_default_af_grids():
     assert short.size == 11
     _, single = default_af_grids(32, 4e9, n_doppler=1)
     assert single.tolist() == [0.0]
-    with pytest.raises(ValueError, match="max_lag"):
-        default_af_grids(32, 4e9, max_lag=-1)
+    assert default_af_grids(32, 4e9, max_lag=31)[0].size == 63
+    for max_lag in (-1, 32):
+        with pytest.raises(ValueError, match="max_lag"):
+            default_af_grids(32, 4e9, max_lag=max_lag)
     for n_doppler in (0, 2, 64):
         with pytest.raises(ValueError, match="n_doppler"):
             default_af_grids(32, 4e9, n_doppler=n_doppler)

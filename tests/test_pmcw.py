@@ -145,10 +145,10 @@ def test_frame_symbols_all_radar():
 
 def test_transmit_single_unit_chip():
     config = PmcwConfig(code_length=1, n_frames=1, chip_time=1e-9,
-                        carrier_hz=60e9, geometry=ArrayGeometry(n_tx=3))
+                        carrier_hz=60e9, geometry=ArrayGeometry(n_tx=1))
     code = CodeSequence(np.array([0.0]))
-    tx = pmcw_transmit(config, code, [1.0], beam_angle_rad=0.0)
-    assert tx.shape == (3, 1, 1)
+    tx = pmcw_transmit(config, code, [1.0])
+    assert tx.shape == (1, 1, 1)
     assert np.allclose(tx, 1.0, atol=1e-12)
 
 
@@ -158,23 +158,6 @@ def test_transmit_binary_code_amplitudes():
     code = CodeSequence(np.array([0.0, np.pi]))
     tx = pmcw_transmit(config, code, [1.0])
     assert np.allclose(tx[0, 0], [1.0, -1.0], atol=1e-12)
-
-
-def test_transmit_broadside_streams_identical():
-    config = small_config(geometry=ArrayGeometry(n_tx=4, n_rx=1))
-    code = CodeSequence.random_binary(16, seed=0)
-    tx = pmcw_transmit(config, code, np.ones(4), beam_angle_rad=0.0)
-    for i in range(1, 4):
-        assert np.array_equal(tx[i], tx[0])
-
-
-def test_transmit_steered_phases():
-    config = small_config(geometry=ArrayGeometry(n_tx=2, n_rx=1))
-    code = CodeSequence.random_binary(16, seed=0)
-    beta = 0.5
-    tx = pmcw_transmit(config, code, np.ones(4), beam_angle_rad=beta)
-    expected = np.exp(1j * 2 * np.pi * 0.5 * np.sin(beta))
-    assert np.allclose(tx[1] / tx[0], expected, atol=1e-12)
 
 
 def test_transmit_length_checks():

@@ -16,7 +16,7 @@ from jrcsim.ofdma import OfdmaConfig, ofdma_pilot_mask
 from jrcsim.pmcw import PmcwConfig, _pmcw_response, pmcw_schedule
 from jrcsim.sigcore import (ArrayGeometry, CodeSequence,
                             aperiodic_autocorr, dpsk_decode, dpsk_encode,
-                            golay_pair, steering_vector)
+                            golay_pair)
 
 
 def brute_autocorr(x):
@@ -407,59 +407,19 @@ def test_cyclic_shift_identity_at_max_length(length):
 
 
 # ---------------------------------------------------------------------------
-# Array geometry and steering
+# Array geometry
 # ---------------------------------------------------------------------------
 
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
         ArrayGeometry(n_tx=0)
+    with pytest.raises(ValueError, match="transmit array is not modelled"):
+        ArrayGeometry(n_tx=2)
+    with pytest.raises(ValueError):
+        ArrayGeometry(n_rx=0)
     with pytest.raises(ValueError):
         ArrayGeometry(spacing_over_lambda=0.0)
-
-
-def test_steering_broadside_is_all_ones():
-    geom = ArrayGeometry(n_rx=8)
-    v = steering_vector(geom, 0.0, 8, convention="rx")
-    assert np.allclose(v, 1.0, atol=1e-15)
-
-
-def test_steering_endfire_two_elements_receive():
-    geom = ArrayGeometry(spacing_over_lambda=0.5)
-    v = steering_vector(geom, np.pi / 2, 2, convention="rx")
-    assert np.allclose(v, [1.0, -1.0], atol=1e-12)
-
-
-def test_steering_sign_conventions_conjugate():
-    geom = ArrayGeometry(spacing_over_lambda=0.5)
-    tx = steering_vector(geom, 0.4, 6, convention="tx")
-    rx = steering_vector(geom, 0.4, 6, convention="rx")
-    assert np.allclose(tx, np.conj(rx), atol=1e-12)
-
-
-def test_steering_odd_symmetry_in_angle():
-    geom = ArrayGeometry(spacing_over_lambda=0.5)
-    v_pos = steering_vector(geom, 0.7, 5, convention="tx")
-    v_neg = steering_vector(geom, -0.7, 5, convention="tx")
-    assert np.allclose(v_neg, np.conj(v_pos), atol=1e-12)
-
-
-@given(st.floats(-np.pi / 2, np.pi / 2, allow_nan=False),
-       st.integers(1, 16))
-def test_steering_unit_modulus(angle, n):
-    geom = ArrayGeometry(spacing_over_lambda=0.5)
-    v = steering_vector(geom, angle, n, convention="rx")
-    assert np.all(np.abs(np.abs(v) - 1.0) < 1e-12)
-
-
-def test_steering_rejects_bad_inputs():
-    geom = ArrayGeometry()
-    with pytest.raises(ValueError):
-        steering_vector(geom, 2.0, 4)
-    with pytest.raises(ValueError):
-        steering_vector(geom, 0.0, 0)
-    with pytest.raises(ValueError):
-        steering_vector(geom, 0.0, 4, convention="fwd")
 
 
 def test_dpsk_encode_returns_complex_array():
