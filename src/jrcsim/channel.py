@@ -146,10 +146,12 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be >= 0")
+        if not 0 <= self.noise_variance < np.inf:
+            raise ValueError("noise_variance must be >= 0 and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.seed % 1:  # int() would truncate it
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     @property
     def n_scatterers(self) -> int:

@@ -38,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials", type=int, default=None,
                      help="override the per-point trial count")
     run.add_argument("--workers", type=int, default=1,
-                     help="process-pool size (1 runs inline)")
+                     help="process-pool size (1 runs inline); the pool "
+                          "starts at most one worker per chunk of trials")
     run.add_argument("--out-dir", default=None,
                      help="override the output directory")
 

@@ -53,8 +53,8 @@ class GolayRunConfig:
             raise ValueError("log2_length must lie in 1..16")
         if self.guard_samples < 1:
             raise ValueError("guard_samples must be >= 1")
-        if self.sample_time_s <= 0:
-            raise ValueError("sample_time_s must be positive")
+        if not 0 < self.sample_time_s < math.inf:
+            raise ValueError("sample_time_s must be positive and finite")
 
     @property
     def cube_shape(self) -> tuple:

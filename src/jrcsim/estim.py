@@ -59,10 +59,7 @@ stay in seed order, so a cell that several share resolves to the same
 block.  The windows are then zoomed in slices of whole maps, each of at
 most ``_SLICE_CELLS`` window samples; a map's threshold and picks read
 only its own windows, so slicing is exact, and it holds refinement's
-memory to one slice whatever the stack's length.  Where refinement
-would only repeat detection (every slot radar, every transformed axis
-one bin long, the angle search unchanged: a Golay sounding), the runner
-skips it (``_repeats_detection``).
+memory to one slice whatever the stack's length.
 
 True super-resolution recovery is out of scope.  The stand-in is the
 zero-padded periodogram with optional three-point parabolic peak
@@ -607,25 +604,6 @@ def _refined(x: np.ndarray, layout, est: EstimatorConfig) -> tuple:
                                    hi - lo, est, lay)
         lo = hi
     return seed_power, targets
-
-
-def _repeats_detection(known, layout, est: EstimatorConfig,
-                       fine: EstimatorConfig) -> bool:
-    """Whether refining at ``fine`` only repeats detection at ``est``: the
-    same targets, every field equal.
-
-    So it is when every slot is ``known`` (refinement maps detection's own
-    demodulated stack), every signed axis of the refined layout is one
-    bin long (nothing is padded, and a one-point DFT is exact), and the
-    angle search is unchanged: the same angle pad, or a NaN element
-    spacing, which makes every angle NaN.  The seeds are then the local
-    maxima above the threshold, and their windows give detection's picks.
-    """
-    if not known.all():
-        return False
-    lay = layout(known, fine)
-    return all(n == 1 for sign, n in zip(lay.signs, lay.lengths) if sign) \
-        and (fine.angle_pad == est.angle_pad or math.isnan(lay.spacing))
 
 
 def _fit(data: np.ndarray, bases, slots: np.ndarray,

@@ -56,16 +56,18 @@ class OfdmaConfig:
             raise ValueError("n_subcarriers must be >= 1")
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be >= 1")
-        if self.subcarrier_spacing_hz <= 0:
-            raise ValueError("subcarrier_spacing_hz must be positive")
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier_hz must be positive")
+        for name in ("subcarrier_spacing_hz", "carrier_hz"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0 <= self.cp_samples <= self.n_subcarriers:
             raise ValueError("cp_samples must lie in [0, n_subcarriers]")
         if not 0 <= self.mu_percent <= 100:
             raise ValueError("mu_percent must lie in [0, 100]")
         if self.pilot_seed < 0:
             raise ValueError("pilot_seed must be >= 0")
+        if self.pilot_seed % 1:  # int() would truncate it
+            raise ValueError(
+                f"pilot_seed must be an integer, got {self.pilot_seed!r}")
 
     @property
     def symbol_duration(self) -> float:

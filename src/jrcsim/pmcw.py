@@ -49,10 +49,9 @@ class PmcwConfig:
             raise ValueError("code_length must be >= 1")
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
-        if self.chip_time <= 0:
-            raise ValueError("chip_time must be positive")
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier_hz must be positive")
+        for name in ("chip_time", "carrier_hz"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0 <= self.mu_percent <= 100:
             raise ValueError("mu_percent must lie in [0, 100]")
 

@@ -15,11 +15,9 @@ Peak picking, target extraction at the picked map cells and the
 decoder's target responses are array passes over the whole batch, and
 refinement reuses the radar slots as detection demodulated them,
 demodulating only the comm slots.  What stays per trial is the amplitude
-least-squares fit and the matching to the truth.  Where the layouts and
-the radar mask make refinement repeat detection (a Golay sounding), the
-refined estimates are the coarse ones.  A batch in which some trial
-raises a ValueError is rerun one trial at a time, so only that trial
-fails.  Inline or on a process pool, every trial is one (bound point,
+least-squares fit and the matching to the truth.  A batch in which some
+trial raises a ValueError is rerun one trial at a time, so only that
+trial fails.  Inline or on a process pool, every trial is one (bound point,
 sweep point, trial) task of ``_run_single_trial``, which runs the rest
 of its batch on a miss and answers the batch's later tasks from a slot.
 Batches are windows of ``_batch_size`` tasks of the whole sweep's task
@@ -80,7 +78,7 @@ from .config import ConfigError, GolayRunConfig, ScenarioConfig, config_hash
 from .estim import (_demodulate, _demodulated, _detect, _golay_layout,
                     _golay_response, _ofdma_derotate, _ofdma_dpsk,
                     _ofdma_layout, _pmcw_correlate, _pmcw_dpsk, _pmcw_layout,
-                    _refined, _repeats_detection, golay_cef_waveform)
+                    _refined, golay_cef_waveform)
 from .ofdma import OfdmaConfig, _ofdma_response, _symbol_grids, \
     build_symbol_grid, grid_capacity_bits, ofdma_pilot_mask, ofdma_transmit
 from .perf import TradeoffSpec, crlb_proxy, jrc_objective, mmse_from_rate, \
@@ -378,13 +376,10 @@ def _cube_trials(bound: _Point, point: SweepPoint, trials) -> list:
     bits_hat, _, full_symbols = _demodulate(
         data, symbols, cube.radar, cube.response, coarse,
         config.symbol_order, cube.dpsk)
-    fine = config.estimator.refined(config.refine_factor)
-    if _repeats_detection(cube.radar, cube.layout, config.estimator, fine):
-        refined = coarse
-    else:
-        x = _demodulated(data, full_symbols, cube.radar, radar_x, cube.demod)
-        del data, radar_x  # refinement holds x and one slice of windows
-        _, refined = _refined(x, cube.layout, fine)
+    x = _demodulated(data, full_symbols, cube.radar, radar_x, cube.demod)
+    del data, radar_x  # refinement holds x and one slice of windows
+    _, refined = _refined(x, cube.layout,
+                          config.estimator.refined(config.refine_factor))
 
     errors = np.count_nonzero(bits_hat != payload, axis=1).tolist()
     return [_outcome(point, trial, bound.truths, _parameters(found),
@@ -669,9 +664,10 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
     """Execute the sweep, write the output tables, return the report.
 
     Every trial is one task on its bound point, run inline or, at
-    ``workers`` > 1, on a process pool in chunks of whole batches; either
-    way the tasks run as the same stacked batches.  Outputs are identical
-    for any worker count because trials are seeded by index.
+    ``workers`` > 1, on a process pool of at most one worker per chunk,
+    in chunks of whole batches; either way the tasks run as the same
+    stacked batches.  Outputs are identical for any worker count because
+    trials are seeded by index.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -692,7 +688,10 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
     # allow; _batch_size leaves a short sweep four batches.
     step = _batch_size(config)
     chunk = step * max(1, len(tasks) // (4 * workers * step))
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+    # At most one worker per chunk: a forked pool starts every worker at
+    # its first submit, and a worker without a chunk would only idle.
+    pool_size = max(1, min(workers, -(-len(tasks) // chunk)))
+    with (ProcessPoolExecutor(max_workers=pool_size) if workers > 1
           else nullcontext()) as pool:
         # pool.map queues every chunk at once; the builtin map is lazy.
         flat = (pool.map(_run_single_trial, tasks, chunksize=chunk) if pool

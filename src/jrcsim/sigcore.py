@@ -277,5 +277,5 @@ class ArrayGeometry:
                              "array is not modelled")
         if self.n_rx < 1:
             raise ValueError("n_rx must be >= 1")
-        if self.spacing_over_lambda <= 0:
-            raise ValueError("spacing_over_lambda must be positive")
+        if not 0 < self.spacing_over_lambda < np.inf:
+            raise ValueError("spacing_over_lambda must be positive and finite")

@@ -1,6 +1,8 @@
 """Scenario file parsing, validation, and canonical serialization."""
 
 import json
+import math
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,10 @@ from jrcsim import config as config_module
 from jrcsim.config import (ConfigError, GolayRunConfig, ScenarioConfig,
                            canonical_dict, canonical_json, config_hash,
                            load_config, parse_config, save_config)
-from jrcsim.ofdma import IsiWarning
+from jrcsim.channel import Scene
+from jrcsim.ofdma import IsiWarning, OfdmaConfig
+from jrcsim.pmcw import PmcwConfig
+from jrcsim.sigcore import ArrayGeometry
 
 PINNED = Path(__file__).with_name("pinned_scenarios.json")
 
@@ -346,6 +351,45 @@ def test_non_finite_numbers_rejected(base, path, value):
     where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
                     for k in path)
     assert f"${where}: expected a finite number" in errors_of(data)
+
+
+def pmcw_config(**overrides):
+    return PmcwConfig(**{"code_length": 31, "n_frames": 8, "chip_time": 1e-9,
+                         "carrier_hz": 60e9, **overrides})
+
+
+def ofdma_config(**overrides):
+    return OfdmaConfig(**{"n_subcarriers": 16, "n_symbols": 4,
+                          "subcarrier_spacing_hz": 62.5e6,
+                          "carrier_hz": 60e9, **overrides})
+
+
+@pytest.mark.parametrize("build, field", [
+    (Scene, "noise_variance"),
+    (ArrayGeometry, "spacing_over_lambda"),
+    (pmcw_config, "chip_time"),
+    (pmcw_config, "carrier_hz"),
+    (ofdma_config, "subcarrier_spacing_hz"),
+    (ofdma_config, "carrier_hz"),
+    (partial(GolayRunConfig, log2_length=4, guard_samples=16),
+     "sample_time_s"),
+], ids=["scene", "geometry", "pmcw", "pmcw-carrier", "ofdma",
+        "ofdma-carrier", "golay"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_library_configs_reject_non_finite_numbers(build, field, value):
+    # The parser rejects these values first; a library caller reaches the
+    # dataclass itself, which would otherwise give a NaN or noiseless cube.
+    with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+        build(**{field: value})
+
+
+def test_library_configs_reject_seeds_they_would_truncate():
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        Scene(seed=1.5)
+    with pytest.raises(ValueError, match="pilot_seed must be an integer"):
+        ofdma_config(pilot_seed=2.7)
+    assert Scene(seed=2 ** 40).seed == 2 ** 40
+    assert ofdma_config(pilot_seed=3).pilot_seed == 3
 
 
 def test_sweep_entries_beyond_float_range_rejected():

@@ -217,6 +217,28 @@ def test_one_point_sweep_reaches_every_worker(tmp_path, monkeypatch,
     assert chunk % runner._batch_size(config) == 0
 
 
+@pytest.mark.parametrize("trials, workers, pool_size", [(4, 4, 1),
+                                                      (100, 2, 2)])
+def test_pool_starts_at_most_one_worker_per_chunk(tmp_path, monkeypatch,
+                                                  trials, workers,
+                                                  pool_size):
+    # A forked pool starts all its workers at the first submit, so a
+    # one-chunk sweep asks for one; the pool itself stays.
+    sizes = []
+
+    class Recording(runner.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Recording)
+    config = pmcw_scenario(sweep={"snr_db": [10]}, trials=trials)
+    run_scenario(config, out_dir=tmp_path / "pool", workers=workers)
+    assert sizes == [pool_size]
+    run_scenario(config, out_dir=tmp_path / "inline")
+    assert read_bytes(tmp_path / "pool") == read_bytes(tmp_path / "inline")
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_run_scenario_rejects_workers_below_one(tmp_path, workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
@@ -1315,7 +1337,7 @@ def test_a_16_trial_refinement_holds_the_8_trial_peak_memory():
     assert peak <= EIGHT_TRIAL_REFINE_PEAK
 
 
-@pytest.mark.parametrize("config, skips", [
+@pytest.mark.parametrize("config, repeats", [
     (golay_fading_scenario("swerling0", snr_db=10), True),
     (golay_scenario(sweep={"snr_db": [0, 20]}, trials=6,
                     estimator={"max_targets": 2, "interpolate": True,
@@ -1339,19 +1361,24 @@ def test_a_16_trial_refinement_holds_the_8_trial_peak_memory():
      False),
 ], ids=["golay", "golay-interpolated", "pmcw-one-frame-unpadded",
         "pmcw-one-frame-angle-padded", "pmcw-all-radar", "ofdma"])
-def test_refinement_is_skipped_only_where_it_repeats_detection(
-        tmp_path, config, skips):
-    # Where the layouts and the radar mask make refinement repeat
-    # detection, the trials skip it, and the outputs are those of running
-    # it.
-    with mock.patch.object(runner, "_refined",
-                           wraps=runner._refined) as refined:
-        run_scenario(config, out_dir=tmp_path / "skipped")
-    assert (refined.call_count == 0) == skips
-    with mock.patch.object(runner, "_repeats_detection", return_value=False):
-        run_scenario(config, out_dir=tmp_path / "refined")
-    assert read_bytes(tmp_path / "skipped") == read_bytes(
-        tmp_path / "refined")
+def test_every_batch_is_refined(tmp_path, config, repeats):
+    # Every waveform refines every batch.  Where every slot is radar, no
+    # map axis is padded and the angle search is unchanged, refinement
+    # repeats detection, so the refined columns are the coarse ones.
+    with mock.patch.object(runner, "_cube_trials",
+                           wraps=runner._cube_trials) as batches, \
+            mock.patch.object(runner, "_refined",
+                              wraps=runner._refined) as refined:
+        run_scenario(config, out_dir=tmp_path)
+    assert batches.call_count > 0
+    assert refined.call_count == batches.call_count
+    if repeats:
+        header, rows = read_csv_rows(tmp_path / "estimates.csv")
+        assert rows
+        for axis in ("delay_s", "doppler_hz", "angle_rad"):
+            coarse = header.index(f"est_{axis}")
+            fine = header.index(f"refined_{axis}")
+            assert [r[fine] for r in rows] == [r[coarse] for r in rows]
 
 
 def test_report_json_contents(tmp_path):
