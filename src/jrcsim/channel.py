@@ -217,20 +217,21 @@ def _carrier_link(config, sc: Scatterer) -> tuple:
 
 
 def _synthesize(scene: Scene, shape: tuple, links, symbols: np.ndarray,
-                response, cpi_indices, rngs) -> np.ndarray:
+                response, cpi_indices, rngs, variances) -> np.ndarray:
     """Receive data of a stack of CPIs, shape (CPIs,) + the cube ``shape``.
 
     ``symbols`` covers the leading cube axes, (CPIs, slots) or
     (CPIs, slots, samples).  Each scatterer, linked in ``links`` as
-    (amplitude rule, params), adds in CPI k its rule at the fading of CPI
-    ``cpi_indices[k]``, times the symbols ``symbols[k]``, times its unit
-    response ``response(*params, slots)``, the waveform's bound response
-    on every slot (the symbols broadcast against it).  Then noise of the
-    scene's variance is drawn for CPI k from ``rngs[k]``; none is drawn
-    when it is 0, and a Generator is required for every CPI when it is
-    not.
+    (amplitude rule, params), adds in CPI k its rule at the scene's fading
+    of CPI ``cpi_indices[k]``, times the symbols ``symbols[k]``, times its
+    unit response ``response(*params, slots)``, the waveform's bound
+    response on every slot (the symbols broadcast against it).  Then noise
+    of variance ``variances[k]`` is drawn for CPI k from ``rngs[k]`` and
+    added to its real and imaginary parts in place, as ``complex_awgn``
+    would draw it; none is drawn where the variance is 0, and a Generator
+    is required for every CPI where it is not.
     """
-    if scene.noise_variance > 0 and any(rng is None for rng in rngs):
+    if any(v > 0 and rng is None for v, rng in zip(variances, rngs)):
         raise ValueError("a Generator is required when noise_variance > 0")
     slots = np.arange(shape[0])
     symbols = symbols.reshape(symbols.shape + (1,) * (
@@ -242,7 +243,10 @@ def _synthesize(scene: Scene, shape: tuple, links, symbols: np.ndarray,
     for (_, params), d_q in zip(links, amps.T):
         data += (d_q.reshape((-1,) + (1,) * (symbols.ndim - 1)) * symbols) \
             * response(*params, slots)
-    if scene.noise_variance > 0:
-        for cpi, rng in zip(data, rngs):
-            cpi += complex_awgn(rng, cpi.shape, scene.noise_variance)
+    for cpi, rng, variance in zip(data, rngs, variances):
+        if variance > 0:
+            draws = rng.standard_normal((2,) + cpi.shape)
+            draws *= np.sqrt(variance / 2)
+            cpi.real += draws[0]
+            cpi.imag += draws[1]
     return data

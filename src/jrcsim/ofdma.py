@@ -219,7 +219,8 @@ def ofdma_receive_cube(scene: Scene, config: OfdmaConfig, grid: SymbolGrid,
     data = _synthesize(scene, config.cube_shape,
                        [_carrier_link(config, sc) for sc in scene.scatterers],
                        grid.symbols[None],
-                       partial(_ofdma_response, config), [cpi_index], [rng])
+                       partial(_ofdma_response, config), [cpi_index], [rng],
+                       [scene.noise_variance])
     return ReceiveCube(data=data[0], config=config)
 
 

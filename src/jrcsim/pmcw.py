@@ -154,7 +154,8 @@ def pmcw_receive_cube(scene: Scene, config: PmcwConfig, code: CodeSequence,
     data = _synthesize(scene, config.cube_shape,
                        [_carrier_link(config, sc) for sc in scene.scatterers],
                        symbols.reshape(1, -1), partial(_pmcw_response, config,
-                               np.fft.fft(code.chips())), [cpi_index], [rng])
+                               np.fft.fft(code.chips())), [cpi_index], [rng],
+                       [scene.noise_variance])
     return ReceiveCube(data=data[0], config=config)
 
 

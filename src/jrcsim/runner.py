@@ -2,31 +2,32 @@
 
 Each trial is fully self-contained and seeded counter-style from
 (master seed, point index, trial index), so results do not depend on how
-trials are spread over workers or batches.  The trials of a sweep point
-run as one stacked batch, or several when their receive cubes hold more
-than ``_BATCH_CELLS`` cells: the trial-invariant plan (code, radar-slot
-mask, amplitudes, noise variance) is bound once per point, and
-synthesis, the coarse map, decoding and refinement carry a leading trial
-axis.  Refinement zooms its windows a slice of trials at a time, so a
-batch's peak memory is its cubes and maps.  Within the batch each
-trial's generator is consumed in the fixed per-trial order: its payload
-bits are drawn first, then its noise inside the receive synthesizer.
-Peak picking, target extraction at the picked map cells and the
-decoder's target responses are array passes over the whole batch, and
+trials are spread over workers or batches.  Trials run as stacked
+batches, which may span the sweep points of one mu: those points share
+one cube, one set of links and one set of truths, bound once, and differ
+only in their noise variance and in the point index that seeds each
+trial.  Synthesis, the coarse map, decoding and refinement carry a
+leading trial axis, and synthesis draws each trial's noise at its own
+point's variance.  Refinement zooms its windows a slice of trials at a
+time, so a batch's peak memory is its cubes and maps.  Within the batch
+each trial's generator is consumed in the fixed per-trial order: its
+payload bits are drawn first, then its noise inside the receive
+synthesizer.  Peak picking, target extraction at the picked map cells and
+the decoder's target responses are array passes over the whole batch, and
 refinement reuses the radar slots as detection demodulated them,
 demodulating only the comm slots.  What stays per trial is the amplitude
 least-squares fit and the matching to the truth.  A batch in which some
 trial raises a ValueError is rerun one trial at a time, so only that
-trial fails.  Inline or on a process pool, every trial is one (bound point,
+trial fails.  Inline or on a process pool, every trial is one (batch,
 sweep point, trial) task of ``_run_single_trial``, which runs the rest
 of its batch on a miss and answers the batch's later tasks from a slot.
 Batches are windows of ``_batch_size`` tasks of the whole sweep's task
-stream, clipped to their point, and a pool chunk is whole windows:
-inline and pooled runs cut the same batches, and no trial runs twice.
-A batch is up to ``_BATCH_CELLS`` receive-cube cells, and at most a
-quarter of the sweep's tasks while that leaves it
+stream, split where the cube changes (at a mu boundary), and a pool
+chunk is whole windows: inline and pooled runs cut the same batches, and
+no trial runs twice.  A batch is up to ``_BATCH_CELLS`` receive-cube
+cells, and at most a quarter of the sweep's tasks while that leaves it
 ``_BATCH_FLOOR_CELLS``; a chunk is about a quarter of a worker's share
-of the tasks, and at least one batch.
+of the tasks, and at least one window.
 
 Each sweep point is bound by ``_bind`` into a ``_Point``: the waveform
 config with the point's mu applied, each scatterer's amplitude rule,
@@ -67,6 +68,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import groupby
 from pathlib import Path
 from typing import Callable
 
@@ -186,12 +188,11 @@ def _outcome(point: SweepPoint, trial: int, truths, coarse, refined,
     return TrialOutcome(point=point.index, trial=trial, rows=rows, **counts)
 
 
-def _trial_payloads(config: ScenarioConfig, point: SweepPoint, trials,
-                    capacity: int):
-    """(generators, payload rows) of the trials; each generator has drawn
-    its trial's payload bits and draws its noise next."""
-    rngs = [np.random.default_rng([config.seed, point.index, trial])
-            for trial in trials]
+def _trial_payloads(config: ScenarioConfig, keys, capacity: int):
+    """(generators, payload rows) of the trials keyed (point index, trial);
+    each generator has drawn its trial's payload bits and draws its noise
+    next."""
+    rngs = [np.random.default_rng([config.seed, *key]) for key in keys]
     payload = np.array([rng.integers(0, 2, capacity) for rng in rngs],
                        dtype=np.int64).reshape(len(rngs), capacity)
     return rngs, payload
@@ -335,7 +336,8 @@ class _Point:
 
 def _bind(config: ScenarioConfig, point: SweepPoint, cubes=None) -> _Point:
     """The point's binding; a scatterer whose nominal amplitude (its rule
-    at unit fading) cannot be derived is a ConfigError naming it.  Points
+    at unit fading) cannot be derived is a ConfigError naming it, and so is
+    a swept SNR that leaves no finite, positive noise variance.  Points
     bound with one ``cubes`` dict share their waveform config's cube."""
     wave = config.waveform_config
     if point.mu_percent is not None:  # golay configs sweep no mu
@@ -355,22 +357,38 @@ def _bind(config: ScenarioConfig, point: SweepPoint, cubes=None) -> _Point:
     power = float(np.sum(np.abs(amps) ** 2))
     if point.snr_db is None:
         sigma2 = config.scene.noise_variance
-    else:  # see the module docstring: undefined without signal power
-        sigma2 = power / 10.0 ** (point.snr_db / 10.0) if power else math.nan
+    elif not power:  # undefined without signal power (module docstring)
+        sigma2 = math.nan
+    else:
+        try:
+            sigma2 = power / 10.0 ** (point.snr_db / 10.0)
+        except (OverflowError, ZeroDivisionError):
+            sigma2 = math.nan
+        if not 0 < sigma2 < math.inf:
+            raise ConfigError([
+                f"$.sweep.snr_db[{point.index % len(config.snr_db)}]: "
+                f"{point.snr_db!r} dB at signal power {power!r} leaves no "
+                "finite, positive noise variance"])
     return _Point(config, wave, links, amps, power, sigma2,
                   [truth for _, truth in links], cube)
 
 
-def _cube_trials(bound: _Point, point: SweepPoint, trials) -> list:
-    """One outcome per trial at the point bound as ``bound``: every truth
-    with its nearest coarse and refined estimate, and its bit errors."""
+def _cube_trials(batch) -> list:
+    """One outcome per (bound point, sweep point, trial) triple of
+    ``batch``: every truth with its nearest coarse and refined estimate,
+    and its bit errors.  The points share one cube, and so one set of
+    links and truths; each trial has its own point's noise variance and
+    its own generator."""
+    bound = batch[0][0]
     config, cube = bound.config, bound.cube
-    rngs, payload = _trial_payloads(config, point, trials, cube.capacity)
+    rngs, payload = _trial_payloads(
+        config, [(point.index, trial) for _, point, trial in batch],
+        cube.capacity)
     symbols = cube.symbols(payload)
-    data = _synthesize(
-        replace(config.scene, noise_variance=bound.noise_variance),
-        bound.wave.cube_shape, bound.links, symbols, cube.response, trials,
-        rngs)
+    data = _synthesize(config.scene, bound.wave.cube_shape, bound.links,
+                       symbols, cube.response,
+                       [trial for _, _, trial in batch], rngs,
+                       [triple[0].noise_variance for triple in batch])
     _, coarse, radar_x = _detect(data, symbols, cube.radar, cube.demod,
                                  cube.layout, config.estimator)
     bits_hat, _, full_symbols = _demodulate(
@@ -385,8 +403,8 @@ def _cube_trials(bound: _Point, point: SweepPoint, trials) -> list:
     return [_outcome(point, trial, bound.truths, _parameters(found),
                      _parameters(kept), cube.scales, n_bits=payload.shape[1],
                      bit_errors=n_errors)
-            for trial, found, kept, n_errors in zip(trials, coarse, refined,
-                                                     errors)]
+            for (_, point, trial), found, kept, n_errors in zip(
+                batch, coarse, refined, errors)]
 
 
 # Receive-cube cells one batch may stack (512 kB of samples; 16 trials on
@@ -406,8 +424,9 @@ def _batch_size(config: ScenarioConfig) -> int:
                       max(_BATCH_FLOOR_CELLS // cells, -(-tasks // 4))))
 
 
-def _run_batch(bound: _Point, point: SweepPoint, trials) -> list:
-    """Outcomes of one stacked batch of trials at one sweep point.
+def _run_batch(batch) -> list:
+    """Outcomes of one stacked batch of (bound point, sweep point, trial)
+    triples whose points share one cube.
 
     Only a ValueError (the domain errors, LinAlgError included) fails a
     trial; any other exception is a bug and propagates.  A batch that
@@ -415,47 +434,60 @@ def _run_batch(bound: _Point, point: SweepPoint, trials) -> list:
     raise it fail, each with its own message.
     """
     try:
-        return _cube_trials(bound, point, trials)
+        return _cube_trials(batch)
     except ValueError as exc:
-        if len(trials) > 1:
-            return [outcome for trial in trials
-                    for outcome in _run_batch(bound, point, [trial])]
-        return [TrialOutcome(point=point.index, trial=trials[0], failed=True,
+        if len(batch) > 1:
+            return [outcome for triple in batch
+                    for outcome in _run_batch([triple])]
+        _, point, trial = batch[0]
+        return [TrialOutcome(point=point.index, trial=trial, failed=True,
                              message=f"{type(exc).__name__}: {exc}")]
 
 
-# The process's current batch: (bound point, {trial: outcome}).  The bound
-# point is held, so its identity cannot be reused while the slot is.
+def _trial_tasks(config: ScenarioConfig, points: list, bounds: list) -> list:
+    """The sweep's (batch, sweep point, trial) tasks, in stream order.
+
+    The stream is every point's (bound point, sweep point, trial) triples,
+    point after point; a batch is a tuple of them: a ``_batch_size``-aligned
+    window of the stream, split where the cube changes (at a mu boundary).
+    """
+    step = _batch_size(config)
+    stream = [(bound, point, t) for point, bound in zip(points, bounds)
+              for t in range(config.trials)]
+    batches = [tuple(group) for start in range(0, len(stream), step)
+               for _, group in groupby(stream[start:start + step],
+                                       key=lambda task: task[0].cube)]
+    return [(batch, point, trial) for batch in batches
+            for _, point, trial in batch]
+
+
+# The process's current batch: (batch, {(point index, trial): outcome}).
+# The batch is held, so its identity cannot be reused while the slot is.
 _SLOT = (None, {})
 
 
 def _run_single_trial(args) -> TrialOutcome:
-    """One (bound point, sweep point, trial) task, inline or on a pool
-    worker; must stay module-level for process pools.
+    """One (batch, sweep point, trial) task of ``_trial_tasks``, inline or
+    on a pool worker; must stay module-level for process pools.
 
-    Batches are cut on the sweep's task stream, where the task sits at
-    ``point.index * trials + trial``: a miss runs the task's trial and the
-    rest of the ``_batch_size``-aligned window of the stream that holds it,
-    clipped to the point, through ``_run_batch``; the batch's later tasks
-    take their outcome from the slot.  ``run_scenario``'s pool chunks are
-    whole windows, so no chunk boundary falls inside a batch and no trial
-    runs twice.  The slot is keyed on the bound point's identity, which one
-    pool chunk's tasks share: a chunk boundary that did split a batch would
-    cost only its remainder, and any task order only costs time.  One
-    outcome per task, because perfbench's ``TracedPool`` reads ``.failed``
-    from each.
+    A miss runs the task's trial and the rest of its batch through
+    ``_run_batch``; the batch's later tasks take their outcome from the
+    slot.  ``run_scenario``'s pool chunks are whole windows of the stream,
+    so no chunk boundary falls inside a batch and no trial runs twice.  The
+    slot is keyed on the batch's identity, which one pool chunk's tasks
+    share: a chunk boundary that did split a batch would cost only its
+    remainder, and any task order only costs time.  One outcome per task,
+    because perfbench's ``TracedPool`` reads ``.failed`` from each.
     """
     global _SLOT
-    bound, point, trial = args
+    batch, point, trial = args
+    key = (point.index, trial)
     held, outcomes = _SLOT
-    if held is not bound or trial not in outcomes:
-        step, trials = _batch_size(bound.config), bound.config.trials
-        base = point.index * trials
-        stop = min((base + trial) // step * step + step - base, trials)
-        outcomes = {o.trial: o
-                    for o in _run_batch(bound, point, range(trial, stop))}
-        _SLOT = (bound, outcomes)
-    return outcomes.pop(trial)
+    if held is not batch or key not in outcomes:
+        start = [(p.index, t) for _, p, t in batch].index(key)
+        outcomes = {(o.point, o.trial): o for o in _run_batch(batch[start:])}
+        _SLOT = (batch, outcomes)
+    return outcomes.pop(key)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +498,7 @@ def _run_single_trial(args) -> TrialOutcome:
 def _point_waveform_samples(config: ScenarioConfig, cube: _Cube,
                             point: SweepPoint) -> np.ndarray:
     """Trial-0 transmit samples of this sweep point (payload included)."""
-    _, payload = _trial_payloads(config, point, [0], cube.capacity)
+    _, payload = _trial_payloads(config, [(point.index, 0)], cube.capacity)
     return cube.transmit(payload[0])[0].ravel()
 
 
@@ -682,10 +714,9 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
     destination.mkdir(parents=True, exist_ok=True)
 
     # One map over every (point, trial): no barrier between points.
-    tasks = [(bound, point, t) for point, bound in zip(points, bounds)
-             for t in range(config.trials)]
-    # Chunks of whole batches, about four per worker where the batches
-    # allow; _batch_size leaves a short sweep four batches.
+    tasks = _trial_tasks(config, points, bounds)
+    # Chunks of whole windows, about four per worker where the batches
+    # allow; _batch_size leaves a short sweep four windows.
     step = _batch_size(config)
     chunk = step * max(1, len(tasks) // (4 * workers * step))
     # At most one worker per chunk: a forked pool starts every worker at

@@ -7,9 +7,10 @@ checks run enough draws to pin moments within a few standard errors.
 import numpy as np
 import pytest
 
-from jrcsim.channel import (SPEED_OF_LIGHT, Scatterer, Scene, complex_awgn,
-                            doppler_from_velocity, draw_small_scale,
-                            radar_large_scale_gain, scatterer_amplitude)
+from jrcsim.channel import (SPEED_OF_LIGHT, Scatterer, Scene, _synthesize,
+                            complex_awgn, doppler_from_velocity,
+                            draw_small_scale, radar_large_scale_gain,
+                            scatterer_amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +127,33 @@ def test_complex_awgn_zero_variance():
     assert np.count_nonzero(complex_awgn(rng, 16, 0.0)) == 0
     with pytest.raises(ValueError):
         complex_awgn(rng, 4, -1.0)
+
+
+def test_synthesized_noise_is_complex_awgn_of_each_cpi():
+    # Each CPI's noise is added in place, drawn as complex_awgn draws it at
+    # that CPI's variance from that CPI's generator: the same bits as
+    # adding complex_awgn's array, and no draw at variance 0.
+    scene = Scene(scatterers=(Scatterer(delay_s=0.0, amplitude=0.5 - 1j),))
+    links = [(lambda fading: 0.5 - 1j, (0.0, 0.0, 0.0))]
+    symbols = np.exp(0.3j * np.arange(12)).reshape(3, 4)
+
+    def response(delay, doppler, angle, slots):
+        return np.exp(0.1j * np.arange(len(slots) * 5 * 2)).reshape(4, 5, 2)
+
+    variances = [2.5, 0.0, 1e-3]
+    data = _synthesize(scene, (4, 5, 2), links, symbols, response, [0, 1, 2],
+                       [np.random.default_rng(k) for k in range(3)],
+                       variances)
+    clean = _synthesize(scene, (4, 5, 2), links, symbols, response,
+                        [0, 1, 2], [None] * 3, [0.0] * 3)
+    for k, variance in enumerate(variances):
+        rng = np.random.default_rng(k)
+        expected = clean[k] + complex_awgn(rng, clean[k].shape, variance) \
+            if variance else clean[k]
+        assert data[k].tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="Generator is required"):
+        _synthesize(scene, (4, 5, 2), links, symbols, response, [0, 1, 2],
+                    [None] * 3, variances)
 
 
 # ---------------------------------------------------------------------------

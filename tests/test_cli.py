@@ -197,6 +197,25 @@ def test_run_underivable_amplitude_exits_2_before_any_table(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("snr_db", [3100, -3200, -3300])
+def test_run_snr_without_a_finite_noise_variance_exits_2(tmp_path, capsys,
+                                                         snr_db):
+    # sigma^2 = 1 / 10^(snr / 10): 10^310 overflows, 10^-330 is 0, and at
+    # -3200 dB the quotient is inf.  Each names its sweep entry, and the
+    # run stops before its first trial.
+    cfg = write_scenario(tmp_path / "s.json",
+                         sweep={"snr_db": [10, snr_db]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: invalid config {cfg}:\n"
+        f"  $.sweep.snr_db[1]: {float(snr_db)!r} dB at signal power 1.0 "
+        "leaves no finite, positive noise variance\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--seed", "-1"], "seed must be >= 0"),
     (["--trials", "0"], "trials must be >= 1"),

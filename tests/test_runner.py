@@ -174,7 +174,7 @@ def test_same_seed_reruns_are_byte_identical(tmp_path):
         "pmcw-tradeoff-over-mu"])
 def test_worker_count_does_not_change_outputs(tmp_path, monkeypatch, config,
                                               cells):
-    # Inline and pooled, a point's trials run as stacked batches of
+    # Inline and pooled, the trials run as stacked batches of
     # ``_batch_size``.  Forked workers inherit a patched ``_BATCH_CELLS``.
     if cells is not None:
         monkeypatch.setattr(runner, "_BATCH_CELLS", cells)
@@ -553,10 +553,12 @@ def test_a_bug_in_point_work_propagates_while_the_pool_runs(tmp_path,
     whole_s = time.perf_counter() - started
     assert [r.n_failures for r in report.points] == [1, 1]
     assert multiprocessing.active_children() == []
-    # 120 trials; each point's failing batch stops at its third trial and
-    # reruns its 8 one by one.  The bug leaves only the chunks the pool had
-    # handed on to run: at most two running and three queued of the 15.
-    assert calls.stat().st_size == 120 + 2 * (3 - 8 + 8)
+    # 120 trials in windows of 8.  Trial 2 of point 0 stops the window
+    # [0, 8) at its third trial, and trial 2 of point 1 stops the window
+    # [56, 64), which spans both points, at its seventh; each reruns its 8
+    # one by one.  The bug leaves only the chunks the pool had handed on
+    # to run: at most two running and three queued of the 15.
+    assert calls.stat().st_size == 120 + 3 + 7
     assert broken_calls <= 5 * 8 + 3
     assert broken_s < 0.75 * whole_s  # about 0.3 when unloaded
 
@@ -706,10 +708,19 @@ def exact(outcome):
     return repr(vars(outcome))
 
 
-def inline_outcomes(bound, point, trials):
-    """The outcomes of ``trials`` at one bound point, as an inline run
-    takes them: one ``_run_single_trial`` task each."""
-    return [runner._run_single_trial((bound, point, t)) for t in trials]
+def sweep_tasks(config, points):
+    """The (batch, point, trial) tasks of ``points``' trials in map order,
+    the points bound as ``run_scenario`` binds them: one cube per mu."""
+    cubes = {}
+    return runner._trial_tasks(config, points, [
+        runner._bind(config, point, cubes) for point in points])
+
+
+def inline_outcomes(config, points):
+    """The outcomes of ``points``' trials as an inline run takes them: one
+    ``_run_single_trial`` task each."""
+    return [runner._run_single_trial(task)
+            for task in sweep_tasks(config, points)]
 
 
 def delays_apart(outcome):
@@ -765,10 +776,9 @@ def test_batch_matches_per_trial_pipeline(
                    "angle_pad": angle_pad},
         sweep=sweep, trials=5, seed=int(rng.integers(0, 2 ** 31)))
     point = SweepPoint(index=1, mu_percent=mu, snr_db=snr_db)
-    bound = runner._bind(config, point)
     with mock.patch.object(runner, "_cube_trials",
                            wraps=runner._cube_trials) as trials_fn:
-        batch = inline_outcomes(bound, point, range(config.trials))
+        batch = inline_outcomes(config, [point])
         batches_run = trials_fn.call_count
     reference = [reference_trial(config, point, t)
                  for t in range(config.trials)]
@@ -827,7 +837,7 @@ def test_a_batch_demodulates_every_slot_once(monkeypatch, make, mu):
     for name, bind in list(runner._CUBES.items()):
         monkeypatch.setitem(runner._CUBES, name, bind_recording(bind))
     bound = runner._bind(config, point)
-    runner._cube_trials(bound, point, range(config.trials))
+    runner._cube_trials([(bound, point, t) for t in range(config.trials)])
     radar = bound.cube.radar
     (data,) = cubes
     expected = [("detect", data[:, radar])]
@@ -865,28 +875,135 @@ def test_value_error_fails_only_its_trial(tmp_path, monkeypatch, make,
     assert flaky_rows == [row for row in clean if row[2] != "2"]
 
 
+@pytest.mark.parametrize("make", [pmcw_scenario, ofdma_scenario,
+                                  golay_scenario],
+                         ids=["pmcw", "ofdma", "golay"])
+def test_a_batch_spanning_points_matches_each_trial_alone(make):
+    # Three SNR points of one cube (a Golay sweep has no mu at all) run as
+    # one batch: each trial keeps its own noise variance and generator,
+    # so its outcome is the per-trial oracle's, bit for bit.  The delay is
+    # off the grid and interpolated, so every estimate reads the noise.
+    config = make(scene={"scatterers": [{"delay_s": 5.3e-9,
+                                         "amplitude": [1.0, 0.0]}]},
+                  estimator={"interpolate": True},
+                  sweep={"snr_db": [-5, 5, 20]}, trials=3)
+    points = [SweepPoint(index=i, mu_percent=None, snr_db=snr)
+              for i, snr in enumerate(config.snr_db)]
+    with mock.patch.object(runner, "_cube_trials",
+                           wraps=runner._cube_trials) as trials_fn:
+        batch = inline_outcomes(config, points)
+    assert trials_fn.call_count == 1
+    assert not any(o.failed for o in batch)
+    reference = [reference_trial(config, point, t) for point in points
+                 for t in range(config.trials)]
+    if config.waveform == "golay":
+        # As in test_batch_matches_per_trial_pipeline: the batch
+        # correlates by FFT, the reference directly.
+        for got, want in zip(batch, reference):
+            (got_rest, got_delays), (want_rest, want_delays) = (
+                delays_apart(got), delays_apart(want))
+            assert got_rest == want_rest
+            assert got_delays == pytest.approx(want_delays, rel=0,
+                                               abs=1e-9)
+    else:
+        assert [exact(o) for o in batch] == [exact(o) for o in reference]
+
+
+@pytest.mark.parametrize("make", [pmcw_scenario, ofdma_scenario],
+                         ids=["pmcw", "ofdma"])
+def test_a_value_error_in_a_batch_spanning_points_fails_only_its_trials(
+        monkeypatch, make):
+    # Point 1's trials raise in a batch that spans three points: the batch
+    # reruns one trial at a time, each of point 1's trials fails with its
+    # own message, and every other trial is that of an undisturbed run.
+    config = make(sweep={"snr_db": [0, 10, 20]}, trials=3)
+    points = [SweepPoint(index=i, mu_percent=None, snr_db=snr)
+              for i, snr in enumerate(config.snr_db)]
+    clean = inline_outcomes(config, points)
+    trial_payloads = runner._trial_payloads
+
+    def flaky(config, keys, capacity):
+        for key in keys:
+            if key[0] == 1:
+                raise ValueError(f"payload draw failed at {key}")
+        return trial_payloads(config, keys, capacity)
+
+    monkeypatch.setattr(runner, "_trial_payloads", flaky)
+    outcomes = inline_outcomes(config, points)
+    assert [(o.point, o.trial, o.message) for o in outcomes if o.failed] == [
+        (1, t, f"ValueError: payload draw failed at {(1, t)}")
+        for t in range(3)]
+    assert [exact(o) for o in outcomes if o.point != 1] == [
+        exact(o) for o in clean if o.point != 1]
+
+
+def pool_grid_scenario(trials):
+    """pool_grid's shape: a 32 x 16 x 4 PMCW cube per mu of two, 26 SNR
+    points each."""
+    return pmcw_scenario(
+        pmcw={"code_length": 32, "n_frames": 16, "chip_time_s": 1e-9,
+              "carrier_hz": 60e9, "geometry": {"n_rx": 4}},
+        code_kind="random",
+        scene={"scatterers": [{"delay_s": 9e-9, "doppler_hz": 5273437.5,
+                               "angle_rad": 0.3, "amplitude": [1.0, 0.0]}]},
+        sweep={"mu_percent": [50, 100], "snr_db": list(range(-5, 21))},
+        trials=trials, seed=7)
+
+
+@pytest.mark.parametrize("trials, sizes", [
+    # Windows of 16 tasks; [96, 112) is split at mu's boundary, task 104.
+    (4, [16] * 6 + [8, 8] + [16] * 6),
+    # One trial a point: four windows of 13, two per mu.
+    (1, [13] * 4),
+], ids=["four-trials", "one-trial"])
+def test_batches_span_the_points_of_one_mu(tmp_path, monkeypatch, trials,
+                                           sizes):
+    # A batch is a step-aligned window of the pool's task stream, split
+    # only where the cube changes: it never mixes two cubes, and no chunk
+    # boundary falls inside it.
+    maps = []
+
+    class Recording(runner.ProcessPoolExecutor):
+        def map(self, fn, tasks, chunksize=1):
+            maps.append((tasks, chunksize))
+            return super().map(fn, tasks, chunksize=chunksize)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Recording)
+    run_scenario(pool_grid_scenario(trials), out_dir=tmp_path, workers=2)
+    [(tasks, chunk)] = maps
+    positions = {}
+    for position, (batch, point, trial) in enumerate(tasks):
+        positions.setdefault(id(batch), (batch, []))[1].append(position)
+    assert [len(batch) for batch, _ in positions.values()] == sizes
+    for batch, held in positions.values():
+        assert len({id(bound.cube) for bound, _, _ in batch}) == 1
+        assert len({p // chunk for p in held}) == 1
+        assert [(point, trial) for _, point, trial in batch] == [
+            tasks[p][1:] for p in held]
+
+
 def test_large_trial_counts_run_in_several_batches(monkeypatch):
     config = pmcw_scenario(sweep={"snr_db": [10]}, trials=5)
     point = SweepPoint(index=0, mu_percent=None, snr_db=10.0)
-    bound = runner._bind(config, point)
-    whole = inline_outcomes(bound, point, range(5))
+    whole = inline_outcomes(config, [point])
     sizes = []
     cube_trials = runner._cube_trials
 
-    def counted(bound, point, trials):
-        sizes.append(len(trials))
-        return cube_trials(bound, point, trials)
+    def counted(batch):
+        sizes.append(len(batch))
+        return cube_trials(batch)
 
     monkeypatch.setattr(runner, "_cube_trials", counted)
     monkeypatch.setattr(runner, "_BATCH_CELLS", 2 * PMCW_CUBE_CELLS)
-    split = inline_outcomes(runner._bind(config, point), point, range(5))
+    split = inline_outcomes(config, [point])
     assert sizes == [2, 2, 1]
     assert [exact(o) for o in split] == [exact(o) for o in whole]
 
 
 def test_inline_runs_bind_each_point_once(tmp_path, monkeypatch):
-    # Two points of three batches each: the trials run on the binding
-    # that run_scenario made before the first trial.
+    # Two points of five trials in windows of two: [4, 6) spans both
+    # points, so five batches run, on the bindings that run_scenario made
+    # before the first trial.
     monkeypatch.setattr(runner, "_BATCH_CELLS", 2 * PMCW_CUBE_CELLS)
     config = pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=5)
     with mock.patch.object(runner, "_bind", wraps=runner._bind) as bind, \
@@ -894,20 +1011,12 @@ def test_inline_runs_bind_each_point_once(tmp_path, monkeypatch):
                               wraps=runner._cube_trials) as trials_fn:
         run_scenario(config, out_dir=tmp_path)
     assert bind.call_count == 2
-    assert trials_fn.call_count == 6
-
-
-def pool_tasks(config, points):
-    """The pool's (bound point, point, trial) tasks of ``points``, in map
-    order, each point bound once."""
-    return [(bound, point, t) for point in points
-            for bound in [runner._bind(config, point)]
-            for t in range(config.trials)]
+    assert trials_fn.call_count == 5
 
 
 def round_trip(tasks):
     """``tasks`` as a worker receives one chunk: unpickled together, so
-    the tasks of one point share one bound point."""
+    the tasks of one batch share one batch."""
     return pickle.loads(pickle.dumps(tasks))
 
 
@@ -916,44 +1025,43 @@ def test_pool_worker_runs_each_pool_batch_once(monkeypatch):
     config = pmcw_scenario(sweep={"snr_db": [5, 15]}, trials=9)
     points = [SweepPoint(index=i, mu_percent=None, snr_db=snr)
               for i, snr in enumerate((5.0, 15.0))]
-    tasks = pool_tasks(config, points)
+    tasks = sweep_tasks(config, points)
     step = runner._batch_size(config)
     assert step == 4
     chunk = 2 * step
-    # The worker runs each batch, a point's part of a step-aligned window
-    # of the task stream, once, on the bound point it received: it never
-    # binds.
-    pieces = {(point.index, (point.index * config.trials + t) // step)
-              for _, point, t in tasks}
+    # The worker runs each batch, a step-aligned window of the task stream
+    # (both points share one cube, so the window [8, 12) spans them), once,
+    # on the bound points it received: it never binds.
+    windows = {(point.index * config.trials + t) // step
+               for _, point, t in tasks}
+    assert {point.index for _, point, _ in tasks[8][0]} == {0, 1}
     with mock.patch.object(runner, "_cube_trials",
                            wraps=runner._cube_trials) as trials_fn, \
             mock.patch.object(runner, "_bind", wraps=runner._bind) as bind:
         pooled = [runner._run_single_trial(task)
                   for start in range(0, len(tasks), chunk)
                   for task in round_trip(tasks[start:start + chunk])]
-        assert trials_fn.call_count == len(pieces)
+        assert trials_fn.call_count == len(windows) == 5
         assert bind.call_count == 0
     assert [exact(o) for o in pooled] == [
-        exact(o) for point in points
-        for o in inline_outcomes(runner._bind(config, point), point,
-                                 range(9))]
+        exact(o) for o in inline_outcomes(config, points)]
 
 
 def test_a_chunk_boundary_inside_a_batch_costs_its_remainder(monkeypatch):
     # Two chunks split the batch of trials 4..7: the first runs it whole
-    # for trials 4 and 5, the second misses the slot (its bound point is
-    # another object) and runs only trials 6 and 7.  Each trial is
-    # computed once per chunk.
+    # for trials 4 and 5, the second misses the slot (its batch is another
+    # object) and runs only trials 6 and 7.  Each trial is computed once
+    # per chunk.
     monkeypatch.setattr(runner, "_BATCH_CELLS", 4 * PMCW_CUBE_CELLS)
     config = pmcw_scenario(sweep={"snr_db": [10]}, trials=9)
     point = SweepPoint(index=0, mu_percent=None, snr_db=10.0)
-    tasks = pool_tasks(config, [point])
+    tasks = sweep_tasks(config, [point])
     runs = []
     cube_trials = runner._cube_trials
 
-    def recorded(bound, point, trials):
-        runs.append(list(trials))
-        return cube_trials(bound, point, trials)
+    def recorded(batch):
+        runs.append([trial for _, _, trial in batch])
+        return cube_trials(batch)
 
     monkeypatch.setattr(runner, "_cube_trials", recorded)
     pooled = [runner._run_single_trial(task)
@@ -961,26 +1069,26 @@ def test_a_chunk_boundary_inside_a_batch_costs_its_remainder(monkeypatch):
               for task in round_trip(chunk)]
     assert runs == [[0, 1, 2, 3], [4, 5, 6, 7], [6, 7], [8]]
     assert [exact(o) for o in pooled] == [
-        exact(o) for o in inline_outcomes(tasks[0][0], point, range(9))]
+        exact(o) for o in inline_outcomes(config, [point])]
 
 
 def test_whole_window_chunks_run_each_trial_once(monkeypatch):
-    # Chunks of whole batches of the task stream, over three points of 9
+    # Chunks of whole windows of the task stream, over three points of 9
     # trials at a batch size of 4: no chunk boundary falls inside a batch,
     # so every (point, trial) reaches the trial body exactly once.
     monkeypatch.setattr(runner, "_BATCH_CELLS", 4 * PMCW_CUBE_CELLS)
     config = pmcw_scenario(sweep={"snr_db": [0, 5, 15]}, trials=9)
     points = [SweepPoint(index=i, mu_percent=None, snr_db=snr)
               for i, snr in enumerate((0.0, 5.0, 15.0))]
-    tasks = pool_tasks(config, points)
+    tasks = sweep_tasks(config, points)
     step = runner._batch_size(config)
     assert step == 4
     runs = []
     cube_trials = runner._cube_trials
 
-    def recorded(bound, point, trials):
-        runs.extend((point.index, t) for t in trials)
-        return cube_trials(bound, point, trials)
+    def recorded(batch):
+        runs.extend((point.index, t) for _, point, t in batch)
+        return cube_trials(batch)
 
     monkeypatch.setattr(runner, "_cube_trials", recorded)
     for chunk in (step, 2 * step):
@@ -1002,33 +1110,33 @@ def test_pool_worker_slot_survives_any_task_order(monkeypatch):
     other = ofdma_scenario(sweep={"snr_db": [5]}, trials=9)
     points = [SweepPoint(index=i, mu_percent=None, snr_db=snr)
               for i, snr in enumerate((5.0, 15.0))]
-    tasks = pool_tasks(config, points) + [
-        (runner._bind(other, points[0]), points[0], 4)]
+    tasks = sweep_tasks(config, points) + [sweep_tasks(other, points[:1])[4]]
     order = np.random.default_rng(3).permutation(len(tasks))
     shuffled = round_trip([tasks[i] for i in order])
-    pooled = {(task[0].config.waveform, task[1].index, task[2]):
-              runner._run_single_trial(task) for task in shuffled}
-    expected = {("pmcw", point.index, o.trial): o for point in points
-                for o in inline_outcomes(runner._bind(config, point), point,
-                                         range(9))}
+    pooled = {(batch[0][0].config.waveform, point.index, trial):
+              runner._run_single_trial((batch, point, trial))
+              for batch, point, trial in shuffled}
+    expected = {("pmcw", o.point, o.trial): o
+                for o in inline_outcomes(config, points)}
     expected["ofdma", 0, 4] = runner._run_batch(
-        runner._bind(other, points[0]), points[0], [4])[0]
+        [(runner._bind(other, points[0]), points[0], 4)])[0]
     assert {k: exact(o) for k, o in pooled.items()} == {
         k: exact(o) for k, o in expected.items()}
 
 
 @pytest.mark.parametrize("waveform", sorted(runner._CUBES))
 def test_bound_points_pickle(waveform):
-    # A pool task carries its bound point: every binding must pickle and
-    # run as the original does, so a lambda put back into one fails here.
+    # A pool task carries its batch, and the batch its bound points: every
+    # binding must pickle and run as the original does, so a lambda put
+    # back into one fails here.
     make = {"pmcw": pmcw_scenario, "ofdma": ofdma_scenario,
             "golay": golay_scenario}[waveform]
     config = make(sweep={"snr_db": [10]}, trials=3)
     point = SweepPoint(index=0, mu_percent=None, snr_db=10.0)
-    bound = runner._bind(config, point)
-    copy = pickle.loads(pickle.dumps(bound))
-    assert [exact(o) for o in runner._run_batch(copy, point, range(3))] == [
-        exact(o) for o in runner._run_batch(bound, point, range(3))]
+    batch = [(runner._bind(config, point), point, t) for t in range(3)]
+    copy = pickle.loads(pickle.dumps(batch))
+    assert [exact(o) for o in runner._run_batch(copy)] == [
+        exact(o) for o in runner._run_batch(batch)]
 
 
 def test_a_run_binds_one_cube_per_mu(tmp_path, monkeypatch):
@@ -1314,13 +1422,12 @@ def test_a_16_trial_refinement_holds_the_8_trial_peak_memory():
     point = SweepPoint(index=0, mu_percent=50.0, snr_db=0.0)
     bound = runner._bind(config, point)
     cube, trials = bound.cube, range(16)
-    rngs, payload = runner._trial_payloads(config, point, trials,
-                                           cube.capacity)
+    rngs, payload = runner._trial_payloads(
+        config, [(point.index, t) for t in trials], cube.capacity)
     symbols = cube.symbols(payload)
     data = runner._synthesize(
-        replace(config.scene, noise_variance=bound.noise_variance),
-        bound.wave.cube_shape, bound.links, symbols, cube.response, trials,
-        rngs)
+        config.scene, bound.wave.cube_shape, bound.links, symbols,
+        cube.response, trials, rngs, [bound.noise_variance] * 16)
     _, coarse, radar_x = estim._detect(data, symbols, cube.radar, cube.demod,
                                        cube.layout, config.estimator)
     _, _, full = estim._demodulate(data, symbols, cube.radar, cube.response,
