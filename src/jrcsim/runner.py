@@ -722,22 +722,26 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
     # At most one worker per chunk: a forked pool starts every worker at
     # its first submit, and a worker without a chunk would only idle.
     pool_size = max(1, min(workers, -(-len(tasks) // chunk)))
-    with (ProcessPoolExecutor(max_workers=pool_size) if workers > 1
-          else nullcontext()) as pool:
-        # pool.map queues every chunk at once; the builtin map is lazy.
-        flat = (pool.map(_run_single_trial, tasks, chunksize=chunk) if pool
-                else map(_run_single_trial, tasks))
-        grams = {}
-        try:
-            extras = [(_point_psl_db(config, bound, point),
-                       _point_p_detect(config, bound),
-                       _tradeoff_rows(config, bound, point, grams))
-                      for point, bound in zip(points, bounds)]
-        except BaseException:
-            if pool:  # drop the queued chunks before the pool waits
-                pool.shutdown(cancel_futures=True)
-            raise
-        flat = list(flat)
+    global _SLOT
+    try:
+        with (ProcessPoolExecutor(max_workers=pool_size) if workers > 1
+              else nullcontext()) as pool:
+            # pool.map queues every chunk at once; the builtin map is lazy.
+            flat = (pool.map(_run_single_trial, tasks, chunksize=chunk)
+                    if pool else map(_run_single_trial, tasks))
+            grams = {}
+            try:
+                extras = [(_point_psl_db(config, bound, point),
+                           _point_p_detect(config, bound),
+                           _tradeoff_rows(config, bound, point, grams))
+                          for point, bound in zip(points, bounds)]
+            except BaseException:
+                if pool:  # drop the queued chunks before the pool waits
+                    pool.shutdown(cancel_futures=True)
+                raise
+            flat = list(flat)
+    finally:  # an inline run's last batch: its points, cubes and config
+        _SLOT = (None, {})
     outcomes_by_point = [flat[i * config.trials:(i + 1) * config.trials]
                          for i in range(len(points))]
     results = [_aggregate_point(bound, point, outcomes, psl, p_detect)

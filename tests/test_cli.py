@@ -8,6 +8,8 @@ import pytest
 from jrcsim import runner
 from jrcsim.alloc import AllocationProblem, write_allocation_csv
 from jrcsim.cli import main
+from jrcsim.config import load_config
+from jrcsim.perf import ambiguity_function, default_af_grids
 from jrcsim.tensorio import read_csv_rows, read_tensor
 
 
@@ -319,6 +321,37 @@ def test_af_csv_reads_back_as_the_centrosymmetric_tensor(tmp_path, capsys):
     assert off.sum() == 8
     assert np.array_equal(surface.real[:, off],
                           surface.real[::-1, ::-1][:, off])
+
+
+def repr_csv(header, columns) -> bytes:
+    """A CSV table as a per-cell ``repr`` join of its float columns."""
+    return "".join(",".join(row) + "\r\n" for row in [header, *zip(
+        *[[repr(v) for v in np.asarray(c, float).tolist()]
+          for c in columns])]).encode()
+
+
+def test_af_full_window_writes_each_cell_as_its_repr(tmp_path, capsys):
+    cfg = tmp_path / "ofdma.json"
+    cfg.write_text(json.dumps({
+        "version": 1, "waveform": "ofdma", "seed": 5,
+        "ofdma": {"n_subcarriers": 16, "n_symbols": 16,
+                  "subcarrier_spacing_hz": 62.5e6, "carrier_hz": 60e9,
+                  "cp_samples": 0, "geometry": {"n_rx": 1}},
+        "scene": {"scatterers": [{"delay_s": 0.0, "doppler_hz": 0.0}]}}))
+    out = tmp_path / "af"
+    assert main(["af", str(cfg), "--out-dir", str(out)]) == 0
+    samples, rate = runner.scenario_waveform_samples(load_config(cfg))
+    surface = ambiguity_function(samples, *default_af_grids(
+        samples.size, rate, max_lag=None, n_doppler=65), rate)
+    assert surface.magnitude.shape == (511, 65)
+    dopplers = surface.dopplers_hz.tolist()
+    assert (out / "af_surface.csv").read_bytes() == repr_csv(
+        ["delay_s"] + [f"doppler_{f!r}" for f in dopplers],
+        [surface.delays_s, *surface.magnitude.T])
+    assert (out / "af_delay_cut.csv").read_bytes() == repr_csv(
+        ["delay_s", "magnitude"], surface.zero_doppler_cut())
+    assert (out / "af_doppler_cut.csv").read_bytes() == repr_csv(
+        ["doppler_hz", "magnitude"], surface.zero_delay_cut())
 
 
 @pytest.mark.parametrize("flags, message", [

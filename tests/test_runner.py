@@ -515,6 +515,32 @@ def test_programming_error_in_trial_propagates(tmp_path, monkeypatch):
         run_scenario(pmcw_scenario(trials=1), out_dir=tmp_path)
 
 
+def test_no_batch_is_held_after_an_inline_run(tmp_path):
+    config = pmcw_scenario(trials=3)
+    run_scenario(config, out_dir=tmp_path)
+    assert runner._SLOT == (None, {})
+
+
+def test_no_batch_is_held_after_a_trial_raises(tmp_path, monkeypatch):
+    # Batches of two: the second batch's bug propagates while the slot
+    # still holds the first, with its points, cubes and config.
+    monkeypatch.setattr(runner, "_BATCH_CELLS", 2 * PMCW_CUBE_CELLS)
+    cube_trials = runner._cube_trials
+    held = []
+
+    def second_batch_raises(batch):
+        held.append(runner._SLOT[0])
+        if len(held) == 2:
+            raise TypeError("broken trial")
+        return cube_trials(batch)
+
+    monkeypatch.setattr(runner, "_cube_trials", second_batch_raises)
+    with pytest.raises(TypeError, match="broken trial"):
+        run_scenario(pmcw_scenario(trials=5), out_dir=tmp_path)
+    assert len(held[1]) == 2
+    assert runner._SLOT == (None, {})
+
+
 def test_a_bug_in_point_work_propagates_while_the_pool_runs(tmp_path,
                                                            monkeypatch):
     # The parent computes PSL while the workers run trials, one of which

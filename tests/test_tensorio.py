@@ -1,7 +1,10 @@
 """Binary tensor container and CSV helpers."""
 
 import csv
+import json
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -116,6 +119,15 @@ def test_tensor_truncated(tmp_path):
         read_tensor(cut)
 
 
+def test_tensor_with_bytes_after_its_data_is_rejected(tmp_path):
+    good = tmp_path / "good.jrct"
+    write_tensor(good, np.arange(4.0))
+    long = tmp_path / "long.jrct"
+    long.write_bytes(good.read_bytes() + bytes(9))
+    with pytest.raises(ValueError, match="bytes after its data"):
+        read_tensor(long)
+
+
 @pytest.mark.parametrize("blob", [
     MAGIC,  # nothing after the magic
     MAGIC + b"\x01\x00",  # cut inside the version
@@ -182,10 +194,15 @@ def test_write_table_csv_array_matches_csv_writer(tmp_path, table):
 FLOAT_POOL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
               2.2250738585072014e-308 / 3, 1e16, -1e16, 1e-5, 1e-4, 0.1,
               -2.2250738585072014e-308, 1.7976931348623157e308, 1.0, 2.0 / 3]
+FLOAT32_POOL = [np.float32(v) for v in (0.1, -1e-5, 1e16, 3.4028235e38,
+                                        1.4e-45, -1.17549435e-38, 2 / 3)]
+FLOAT16_POOL = [np.float16(v) for v in (0.1, -1e-4, 65504.0, 6e-8, 1 / 3)]
 INT_POOL = [0, 1, -1, 7, 10 ** 16, np.iinfo(np.int64).min,
             np.iinfo(np.int64).max]
-POOLS = {"f": (FLOAT_POOL, float), "i": (INT_POOL, np.int64),
-         "b": ([False, True], bool)}
+POOLS = {"f": (FLOAT_POOL, float),
+         "f4": (FLOAT_POOL[:8] + FLOAT32_POOL, np.float32),
+         "f2": (FLOAT_POOL[:8] + FLOAT16_POOL, np.float16),
+         "i": (INT_POOL, np.int64), "b": ([False, True], bool)}
 
 
 @st.composite
@@ -208,14 +225,18 @@ def column_blocks(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(column_blocks())
+@given(column_blocks(), st.booleans())
 def test_write_table_csv_formats_repeated_values_exactly(tmp_path_factory,
-                                                         blocks):
+                                                         blocks, fast):
+    # ``fast`` sends every float block, however few its values, through
+    # the fast path (and its repr fallback).
     tmp_path = tmp_path_factory.mktemp("blocks")
     width = sum(1 if b.ndim == 1 else b.shape[1] for b in blocks)
     header = [f"c{j}" for j in range(width)]
     path = tmp_path / "table.csv"
-    write_table_csv(path, header, blocks)
+    with mock.patch.object(tensorio, "_FAST_MIN",
+                           0 if fast else tensorio._FAST_MIN):
+        write_table_csv(path, header, blocks)
     assert path.read_bytes() == csv_writer_bytes(tmp_path / "csv.csv",
                                                  header, blocks)
 
@@ -328,3 +349,68 @@ def test_read_csv_rows_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError):
         read_csv_rows(path)
+
+
+def repr_lines(values) -> bytes:
+    return "".join(repr(v) + "\r\n" for v in values.tolist()).encode()
+
+
+def edge_floats(rng):
+    """Edge cases of repr: signed zeros, subnormals, infinities, NaN
+    payloads of both signs, every 2**k (M = 2**52 when normal) and 10**k
+    with their neighbours up to 8 ulps away, the layout boundaries, and
+    ties: odd quarters in [2**50, 2**51), whose 17th digit is a 2.5 step
+    from either neighbour."""
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             10.0 ** np.arange(-323, 309),
+                             [1e16, 1e15, 1e-4, 1e-5, 9.5, 0.5]])
+    down = up = powers
+    near = [powers]
+    for _ in range(8):
+        down, up = np.nextafter(down, 0), np.nextafter(up, np.inf)
+        near += [down, up]
+    subnormal = rng.integers(1, 2 ** 52, 4000, dtype=np.uint64)
+    special = np.array([0, 0x7FF0000000000000, 0x7FF8000000000000,
+                        0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF],
+                       dtype=np.uint64)
+    bits = np.concatenate([subnormal, special]).view(np.float64)
+    ties = np.ldexp(2.0 * rng.integers(2 ** 51, 2 ** 52, 4000) + 1, -2)
+    positive = np.concatenate(near + [bits, ties])
+    return np.concatenate([positive, -positive])
+
+
+def test_fast_path_equals_repr_on_a_million_floats():
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2 ** 64, 700_000, dtype=np.uint64)
+    decades = rng.random(200_000) * 10.0 ** rng.integers(-300, 301, 200_000)
+    values = np.concatenate([bits.view(np.float64), decades,
+                             rng.random(100_000), edge_floats(rng)])
+    assert values.size >= 10 ** 6
+    assert b"".join(_array_lines([values[:, None]])) == repr_lines(values)
+
+
+@pytest.mark.parametrize("dtype, n_bits", [(np.float16, 16),
+                                           (np.float32, 32)])
+def test_fast_path_formats_cast_floats_as_repr(dtype, n_bits):
+    # Every float16; float32 bit patterns drawn over every exponent.
+    rng = np.random.default_rng(n_bits)
+    bits = (np.arange(2 ** 16) if n_bits == 16
+            else rng.integers(0, 2 ** 32, 200_000))
+    values = bits.astype(f"u{n_bits // 8}").view(dtype)
+    assert b"".join(_array_lines([values[:, None]])) == repr_lines(values)
+
+
+def test_fast_path_certifies_the_af_export_surface():
+    # The 4096-sample full-window surface of perfbench's af_export: the
+    # gain would quietly fall back to repr if most values went uncertified.
+    from jrcsim import config, perf, runner
+    root = Path(__file__).resolve().parents[1]
+    case = json.loads((root / "perfbench" / "workloads.json").read_text())[
+        "af_export"]["cases"][0]
+    samples, rate = runner.scenario_waveform_samples(
+        config.parse_config(dict(case["scenario"], seed=7)))
+    surface = perf.ambiguity_function(samples, *perf.default_af_grids(
+        samples.size, rate, max_lag=None, n_doppler=65), rate)
+    distinct, _ = _distinct(surface.magnitude)
+    _, certified = tensorio._shortest_repr(distinct)
+    assert certified.mean() >= 0.99
