@@ -18,6 +18,8 @@ from functools import partial
 
 import numpy as np
 
+from .sigcore import _integer
+
 SPEED_OF_LIGHT = 3.0e8  # m/s, the value used throughout the link budgets
 
 _FADING_MODELS = ("swerling0", "swerling12", "swerling34", "rician")
@@ -148,10 +150,7 @@ class Scene:
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
         if not 0 <= self.noise_variance < np.inf:
             raise ValueError("noise_variance must be >= 0 and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.seed % 1:  # int() would truncate it
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
     @property
     def n_scatterers(self) -> int:

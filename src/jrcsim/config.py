@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -24,7 +25,7 @@ from .channel import Scatterer, Scene
 from .estim import EstimatorConfig
 from .ofdma import OfdmaConfig, _warn_isi
 from .pmcw import PmcwConfig
-from .sigcore import ArrayGeometry
+from .sigcore import AngleAliasWarning, ArrayGeometry, _integer
 
 CONFIG_VERSION = 1
 
@@ -42,17 +43,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GolayRunConfig:
-    """Complementary-pair sounding shape for golay scenario runs."""
+    """Complementary-pair sounding shape for golay scenario runs; integral
+    floats given as dimensions are stored as ints."""
 
     log2_length: int
     guard_samples: int
     sample_time_s: float
 
     def __post_init__(self):
-        if not 1 <= self.log2_length <= 16:
+        for name in ("log2_length", "guard_samples"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.log2_length > 16:
             raise ValueError("log2_length must lie in 1..16")
-        if self.guard_samples < 1:
-            raise ValueError("guard_samples must be >= 1")
         if not 0 < self.sample_time_s < math.inf:
             raise ValueError("sample_time_s must be positive and finite")
 
@@ -64,7 +66,8 @@ class GolayRunConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully validated experiment description."""
+    """Fully validated experiment description; integral floats given as
+    counts, seeds or orders are stored as ints."""
 
     waveform: str
     pmcw: PmcwConfig | None
@@ -90,14 +93,10 @@ class ScenarioConfig:
         if getattr(self, self.waveform) is None:
             raise ValueError(f"waveform '{self.waveform}' selected but the "
                              f"'{self.waveform}' section is missing")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.code_seed < 0:
-            raise ValueError("code_seed must be >= 0")
-        if self.refine_factor < 1:
-            raise ValueError("refine_factor must be >= 1")
+        for name, least in (("trials", 1), ("seed", 0), ("code_seed", 0),
+                            ("refine_factor", 1), ("symbol_order", 2)):
+            object.__setattr__(self, name,
+                               _integer(name, getattr(self, name), least))
         if self.symbol_order not in (2, 4):
             raise ValueError("symbol_order must be 2 or 4")
         if self.code_kind not in _CODE_KINDS:
@@ -123,6 +122,15 @@ class ScenarioConfig:
                     raise ValueError(
                         f"scatterer {q} delay {sc.delay_s} s falls on {unit} "
                         f"{nearest}, outside the {limit}-{unit} {window}")
+        if self.waveform != "golay":  # a sounding has no angle
+            manifold = self.waveform_config.manifold
+            for q, sc in enumerate(self.scene.scatterers):
+                if manifold.aliases(sc.angle_rad):
+                    warnings.warn(
+                        f"scatterer {q} angle {sc.angle_rad!r} rad aliases on "
+                        f"the beam grid: {manifold.spacing!r} * sin(angle) "
+                        "lies outside [-1/2, 1/2)", AngleAliasWarning,
+                        stacklevel=3)
         if not 0 < self.false_alarm < 1:
             raise ValueError("false_alarm must lie in (0, 1)")
         if not all(0 <= w <= 1 for w in self.weights):

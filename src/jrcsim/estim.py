@@ -2,8 +2,8 @@
 
 Every waveform follows the same recipe on its data cubes: remove the
 known modulation, take a 2-D DFT to a delay/Doppler map, pick the
-largest local maxima, then read the angle off a beamspace FFT across the
-array.  One map pipeline, ``_detect`` then ``_refined``, serves all, and
+largest local maxima, then scan the array manifold's beams for the
+angle.  One map pipeline, ``_detect`` then ``_refined``, serves all, and
 a waveform supplies only a demodulation ``demod(data, symbols)`` and a
 layout ``layout(known, est)``: the PMCW code correlation, whose lag axis
 is already in the map domain (DFT sign 0), and a slow-time IDFT (sign
@@ -80,7 +80,8 @@ import numpy as np
 from .channel import ReceiveCube
 from .ofdma import SymbolGrid, _ofdma_response, pilot_comb_spacing
 from .pmcw import _pmcw_response, pmcw_schedule
-from .sigcore import CodeSequence, GolayPair, dpsk_decode, dpsk_encode
+from .sigcore import CodeSequence, GolayPair, _integer, _Manifold, \
+    _parabolic_offsets, _wrap_bin, dpsk_decode, dpsk_encode
 
 
 class NonIdentifiableError(ValueError):
@@ -89,17 +90,6 @@ class NonIdentifiableError(ValueError):
 
 class DecodingError(ValueError):
     """Symbol decoding has nothing to demodulate against."""
-
-
-def _integer(name: str, value, minimum: int = 1) -> int:
-    """``value`` as an int >= minimum; integral floats are accepted."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError, OverflowError):
-        as_int = None
-    if as_int is None or as_int != value or as_int < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}")
-    return as_int
 
 
 @dataclass(frozen=True)
@@ -176,7 +166,9 @@ class _MapLayout:
     length, -1 a forward DFT, 0 an axis already in the map domain),
     ``lengths[a]`` the padded DFT length, and ``shape`` the part kept.
     ``delay_of`` maps a fractional delay bin to seconds, ``period`` is
-    the slow-time sample spacing, ``n_known`` the count of known samples.
+    the slow-time sample spacing, ``n_known`` the count of known samples,
+    and ``manifold`` the waveform's receive array, whose scan gives the
+    angle (``sigcore._Manifold``).
     """
 
     shape: tuple
@@ -184,28 +176,10 @@ class _MapLayout:
     lengths: tuple
     delay_axis: int
     wrap: tuple
-    phase_sign: float
+    manifold: _Manifold
     n_known: int
     delay_of: Callable[[float], float]
     period: float
-    spacing: float
-
-
-def _wrap_bin(idx: np.ndarray, n: int) -> np.ndarray:
-    """Signed aliases of FFT bin indices (fftfreq convention)."""
-    return idx - n * (idx >= (n + 1) // 2)
-
-
-def _parabolic_offsets(prev, mid, nxt) -> np.ndarray:
-    """Sub-bin offsets of parabola fits through three power samples each.
-
-    An offset is 0 where its fit degenerates (flat or non-concave), and
-    is clamped to half a bin either side.
-    """
-    denom = prev - 2.0 * mid + nxt
-    with np.errstate(divide="ignore", invalid="ignore"):
-        offset = np.clip(0.5 * (prev - nxt) / denom, -0.5, 0.5)
-    return np.where((denom < 0) & np.isfinite(denom), offset, 0.0)
 
 
 # Windows are stacked guarded blocks: whole maps, or windows of them, each
@@ -302,15 +276,12 @@ def _window_targets(windows, n_maps: int, est: EstimatorConfig,
     block's values, or, for whole maps, is the unguarded map stack
     itself, read at each pick's map and true bins.
 
-    Every picked cell of the stack is read in one pass.  Its snapshot
-    across the array goes through one beamspace FFT, ``angle_pad`` times
-    zero-padded, whose kernel matches the sign of the layout's steering
-    exponent (+1 multicarrier, -1 continuous wave); the strongest beam
-    gives the angle.  With ``interpolate`` a parabolic offset refines the
-    beam and both map bins; at the edge of a non-wrapping axis the guard
-    ring's -inf leaves the bin as it is.  The amplitude is the snapshot
-    matched to the steering at the angle, per array element and known
-    sample.  The targets hold Python scalars.
+    Every picked cell of the stack is read in one pass, its snapshot
+    across the array by the layout's manifold scan.  With ``interpolate``
+    a parabolic offset refines both map bins; at the edge of a
+    non-wrapping axis the guard ring's -inf leaves the bin as it is.  The
+    amplitude is the snapshot matched to the steering at the angle, per
+    array element and known sample.  The targets hold Python scalars.
     """
     bins, power, beams, owner = windows
     (w, r, c), counts = _peak_cells(bins, power, owner, n_maps,
@@ -321,33 +292,17 @@ def _window_targets(windows, n_maps: int, est: EstimatorConfig,
         snapshots = beams[w, r, c]
     else:  # whole maps, two rows and columns short of their blocks
         snapshots = beams[owner[w], bins[0][w, r], bins[1][w, c]]
-    n_rx = snapshots.shape[1]
-    na = n_rx * est.angle_pad
-    if lay.phase_sign < 0:
-        spectrum = np.fft.ifft(snapshots, n=na, axis=1) * na
-    else:
-        spectrum = np.fft.fft(snapshots, n=na, axis=1)
-    mags = np.abs(spectrum) ** 2
-    beam = mags.argmax(axis=1)
-    beam_off = row_off = col_off = 0.0
+    beam, angle, steer = lay.manifold.scan(snapshots, est.angle_pad,
+                                           est.interpolate)
+    row_off = col_off = 0.0
     if est.interpolate:
-        if na >= 3:
-            k = np.arange(w.size)
-            beam_off = _parabolic_offsets(mags[k, (beam - 1) % na],
-                                          mags[k, beam],
-                                          mags[k, (beam + 1) % na])
         row_off = _parabolic_offsets(power[w, r - 1, c], power[w, r, c],
                                      power[w, r + 1, c])
         col_off = _parabolic_offsets(power[w, r, c - 1], power[w, r, c],
                                      power[w, r, c + 1])
-    beam = _wrap_bin(beam, na)
-    angle = np.arcsin(np.clip((beam + beam_off) / (na * lay.spacing),
-                              -1.0, 1.0))
-    steer = np.exp(lay.phase_sign * 2j * np.pi * lay.spacing
-                   * np.sin(angle)[:, None] * np.arange(n_rx))
     amplitude = np.matmul(snapshots[:, None, :],
                           np.conj(steer)[:, :, None])[:, 0, 0] \
-        / (n_rx * lay.n_known)
+        / (snapshots.shape[1] * lay.n_known)
     axes = ((bins[0][w, r], row_off), (bins[1][w, c], col_off))
     da, ka = lay.delay_axis, 1 - lay.delay_axis
     (delay, delay_off), (doppler, doppler_off) = axes[da], axes[ka]
@@ -694,10 +649,9 @@ def _pmcw_layout(config, known, est: EstimatorConfig) -> _MapLayout:
     pad = est.doppler_pad if m_count > 1 else 1  # see EstimatorConfig
     shape = (m_count * pad, l_count)
     return _MapLayout(shape=shape, signs=(1, 0), lengths=shape, delay_axis=1,
-                      wrap=(True, True), phase_sign=-1.0,
+                      wrap=(True, True), manifold=config.manifold,
                       n_known=l_count * m_count, delay_of=lambda b: b * t_c,
-                      period=config.block_time,
-                      spacing=config.geometry.spacing_over_lambda)
+                      period=config.block_time)
 
 
 def pmcw_range_doppler(cube: ReceiveCube, code: CodeSequence,
@@ -780,11 +734,10 @@ def _ofdma_layout(config, known, est: EstimatorConfig) -> _MapLayout:
     nd = config.n_symbols * (est.doppler_pad if config.n_symbols > 1 else 1)
     window = max(nr // pilot_comb_spacing(known), 1)
     return _MapLayout(shape=(window, nd), signs=(1, -1), lengths=(nr, nd),
-                      delay_axis=0, wrap=(window == nr, True), phase_sign=+1.0,
+                      delay_axis=0, wrap=(window == nr, True),
                       n_known=n_rows * config.n_symbols,
                       delay_of=lambda b: b / (nr * df),
-                      period=config.symbol_duration,
-                      spacing=config.geometry.spacing_over_lambda)
+                      period=config.symbol_duration, manifold=config.manifold)
 
 
 def ofdma_range_doppler_angle(cube: ReceiveCube, grid: SymbolGrid,
@@ -893,11 +846,11 @@ def golay_range_estimate(received, pair: GolayPair, guard: int) -> np.ndarray:
 def _golay_layout(config, known, est: EstimatorConfig) -> _MapLayout:
     """(Doppler, lag) layout of a sounding: one Doppler bin, unpadded, and
     the non-wrapping lags 0 to ``guard_samples``; its NaN period and
-    spacing make its Doppler, angle and amplitude estimates NaN."""
+    manifold spacing make its Doppler, angle and amplitude estimates NaN."""
     shape, t_s = (1, config.guard_samples + 1), config.sample_time_s
     return _MapLayout(shape=shape, signs=(1, 0), lengths=shape, delay_axis=1,
-                      wrap=(True, False), phase_sign=-1.0, period=np.nan,
-                      n_known=2 ** (config.log2_length + 1), spacing=np.nan,
+                      wrap=(True, False), manifold=_Manifold(1, np.nan, -1.0),
+                      n_known=2 ** (config.log2_length + 1), period=np.nan,
                       delay_of=lambda b: b * t_s)
 
 

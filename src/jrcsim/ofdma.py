@@ -8,14 +8,14 @@ boolean mask over the subcarriers.  The receive data cube, a
 lives in the subcarrier domain: entry (n, m, p) of a scatterer's
 contribution is
 
-    d_q * a_{n,m} * exp(-j 2 pi n df tau_q) * exp(+j 2 pi m T f_D)
-        * exp(+j 2 pi (d/lambda) sin(psi) p)
+    d_q * a_{n,m} * exp(-j 2 pi n df tau_q) * exp(+j 2 pi m T f_D) * c_p
 
-sampled at t_s = 1/(N_c df) so the IFFT length equals the fast-time sample
-count.  The cyclic prefix is stripped before cube formation; target delays
-beyond the CP only draw a warning (:func:`_warn_isi`, which a scenario
-config calls too) because the sampled-sum model stays well defined.  The
-unit response (all but d_q * a_{n,m}) is written once, in
+with c_p element p's receive steering phasor of ``OfdmaConfig.manifold``,
+sampled at t_s = 1/(N_c df) so the IFFT length equals the fast-time
+sample count.  The cyclic prefix is stripped before cube formation;
+target delays beyond the CP only draw a warning (:func:`_warn_isi`, which
+a scenario config calls too) because the sampled-sum model stays well
+defined.  The unit response (all but d_q * a_{n,m}) is written once, in
 :func:`_ofdma_response`; bound to a config, it is what
 ``channel._synthesize`` evaluates on every subcarrier, and what the
 decoder's amplitude fit and the runner's CRLB proxy evaluate.
@@ -31,7 +31,8 @@ import numpy as np
 
 from .channel import SPEED_OF_LIGHT, ReceiveCube, Scene, _carrier_link, \
     _synthesize
-from .sigcore import ArrayGeometry, _column, _radar_count, dpsk_encode
+from .sigcore import ArrayGeometry, _column, _integer, _radar_count, \
+    dpsk_encode
 
 
 class IsiWarning(UserWarning):
@@ -40,7 +41,8 @@ class IsiWarning(UserWarning):
 
 @dataclass(frozen=True)
 class OfdmaConfig:
-    """Dimensions and numerology of one OFDMA CPI."""
+    """Dimensions and numerology of one OFDMA CPI; integral floats given as
+    dimensions or seed are stored as ints."""
 
     n_subcarriers: int
     n_symbols: int
@@ -52,22 +54,17 @@ class OfdmaConfig:
     geometry: ArrayGeometry = field(default_factory=ArrayGeometry)
 
     def __post_init__(self):
-        if self.n_subcarriers < 1:
-            raise ValueError("n_subcarriers must be >= 1")
-        if self.n_symbols < 1:
-            raise ValueError("n_symbols must be >= 1")
+        for name, least in (("n_subcarriers", 1), ("n_symbols", 1),
+                            ("cp_samples", 0), ("pilot_seed", 0)):
+            object.__setattr__(self, name,
+                               _integer(name, getattr(self, name), least))
         for name in ("subcarrier_spacing_hz", "carrier_hz"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if not 0 <= self.cp_samples <= self.n_subcarriers:
+        if self.cp_samples > self.n_subcarriers:
             raise ValueError("cp_samples must lie in [0, n_subcarriers]")
         if not 0 <= self.mu_percent <= 100:
             raise ValueError("mu_percent must lie in [0, 100]")
-        if self.pilot_seed < 0:
-            raise ValueError("pilot_seed must be >= 0")
-        if self.pilot_seed % 1:  # int() would truncate it
-            raise ValueError(
-                f"pilot_seed must be an integer, got {self.pilot_seed!r}")
 
     @property
     def symbol_duration(self) -> float:
@@ -88,6 +85,10 @@ class OfdmaConfig:
         """Receive cube layout: (N_c subcarriers, N_s symbols, N_r
         elements)."""
         return (self.n_subcarriers, self.n_symbols, self.geometry.n_rx)
+
+    @property
+    def manifold(self):
+        return self.geometry.manifold(+1.0)
 
 
 def ofdma_pilot_mask(config: OfdmaConfig) -> np.ndarray:
@@ -240,18 +241,12 @@ def _warn_isi(config: OfdmaConfig, scatterers, stacklevel: int = 3) -> None:
 def _ofdma_response(config: OfdmaConfig, delay_s, doppler_hz, angle_rad,
                     rows: np.ndarray) -> np.ndarray:
     """Unit response of one scatterer on the subcarrier ``rows``, shape
-    (rows, N_s, N_r).  Its steering exponent is positive, opposite to the
-    PMCW receive phasor; it takes any angle, as the CRLB proxy's angle
-    step may cross +-pi/2.  Equal shaped parameter arrays give one
-    response per entry, along their leading axes, each equal to the
-    scalar call's."""
-    delay_s, doppler_hz, angle_rad = (_column(v) for v in (
-        delay_s, doppler_hz, angle_rad))
+    (rows, N_s, N_r).  Equal shaped parameter arrays give one response per
+    entry, along their leading axes, each equal to the scalar call's."""
+    delay_s, doppler_hz = _column(delay_s), _column(doppler_hz)
     phase_n = np.exp(-2j * np.pi * rows * config.subcarrier_spacing_hz
                      * delay_s)
     phase_m = np.exp(2j * np.pi * np.arange(config.n_symbols)
                      * config.symbol_duration * doppler_hz)
-    steer = np.exp(2j * np.pi * config.geometry.spacing_over_lambda
-                   * np.sin(angle_rad) * np.arange(config.geometry.n_rx))
     return (phase_n[..., :, None] * phase_m[..., None, :])[..., None] \
-        * steer[..., None, None, :]
+        * config.manifold.steering(angle_rad)[..., None, None, :]

@@ -14,10 +14,11 @@ with e_q, b_q the slow/fast-time Doppler phasors (negative-exponent
 baseband convention), P_k the cyclic delay of the code by k = tau_q / t_c
 chips, applied as the spectral phase ramp exp(-2 pi j f k / L) on the
 code's DFT (k need not be an integer), and c_q the receive steering
-phasor.  The unit response (all but d_q * Diag(a)) is written once, in
-:func:`_pmcw_response`; bound to a config and code spectrum, it is what
-``channel._synthesize`` evaluates on every frame, and what the decoder's
-amplitude fit and the runner's CRLB proxy evaluate.
+phasor of ``PmcwConfig.manifold``.  The unit response (all but d_q *
+Diag(a)) is written once, in :func:`_pmcw_response`; bound to a config
+and code spectrum, it is what ``channel._synthesize`` evaluates on every
+frame, and what the decoder's amplitude fit and the runner's CRLB proxy
+evaluate.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ import numpy as np
 
 from .channel import SPEED_OF_LIGHT, ReceiveCube, Scene, _carrier_link, \
     _synthesize
-from .sigcore import ArrayGeometry, CodeSequence, _column, _radar_count, \
-    dpsk_encode
+from .sigcore import ArrayGeometry, CodeSequence, _column, _integer, \
+    _radar_count, dpsk_encode
 
 
 @dataclass(frozen=True)
 class PmcwConfig:
-    """Dimensions and timing of one PMCW CPI."""
+    """Dimensions and timing of one PMCW CPI; integral floats given as
+    dimensions are stored as ints."""
 
     code_length: int
     n_frames: int
@@ -45,10 +47,8 @@ class PmcwConfig:
     geometry: ArrayGeometry = field(default_factory=ArrayGeometry)
 
     def __post_init__(self):
-        if self.code_length < 1:
-            raise ValueError("code_length must be >= 1")
-        if self.n_frames < 1:
-            raise ValueError("n_frames must be >= 1")
+        for name in ("code_length", "n_frames"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("chip_time", "carrier_hz"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -68,6 +68,10 @@ class PmcwConfig:
     def cube_shape(self) -> tuple:
         """Receive cube layout: (M frames, L chips, N_r elements)."""
         return (self.n_frames, self.code_length, self.geometry.n_rx)
+
+    @property
+    def manifold(self):
+        return self.geometry.manifold(-1.0)
 
 
 def pmcw_schedule(config: PmcwConfig) -> np.ndarray:
@@ -174,20 +178,17 @@ def _pmcw_response(config: PmcwConfig, code_spec: np.ndarray,
     """Unit response [(b ⊙ P_k s)^T ⊗ e] c of one scatterer on the integer
     ``frames``, shape (frames, L, N_r), from the code's DFT ``code_spec``.
     P_k delays the code cyclically by k = delay_s / t_c chips, any real k,
-    as a phase ramp on its spectrum.  It takes any angle, as the CRLB
-    proxy's angle step may cross +-pi/2.  Equal shaped parameter arrays
-    give one response per entry, along their leading axes, each equal to
-    the scalar call's."""
+    as a phase ramp on its spectrum.  Equal shaped parameter arrays give
+    one response per entry, along their leading axes, each equal to the
+    scalar call's."""
     l_count = config.code_length
-    delay_s, doppler_hz, angle_rad = (_column(v) for v in (
-        delay_s, doppler_hz, angle_rad))
+    delay_s, doppler_hz = _column(delay_s), _column(doppler_hz)
     code_row = np.fft.ifft(code_spec * np.exp(
         -2j * np.pi * _dft_bins(l_count) * (delay_s / config.chip_time)
         / l_count))
     slow = np.exp(-2j * np.pi * doppler_hz * frames * config.block_time)
     fast = np.exp(-2j * np.pi * doppler_hz * np.arange(l_count)
                   * config.chip_time)
-    steer = np.exp(-2j * np.pi * config.geometry.spacing_over_lambda
-                   * np.sin(angle_rad) * np.arange(config.geometry.n_rx))
     block = slow[..., :, None] * (fast * code_row)[..., None, :]
-    return block[..., None] * steer[..., None, None, :]
+    return block[..., None] \
+        * config.manifold.steering(angle_rad)[..., None, None, :]

@@ -1,12 +1,13 @@
 """Complex-baseband building blocks shared by both waveform families.
 
 Phase-coded chip sequences, complementary (Golay) pair construction,
-differential PSK symbol streams, aperiodic autocorrelation and the
-receive array's geometry.
+differential PSK symbol streams, aperiodic autocorrelation, and the
+receive array's geometry and manifold (its steering and beam scan).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +174,19 @@ def aperiodic_autocorr(seq) -> np.ndarray:
     return full
 
 
+def _integer(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int >= minimum; integral floats are accepted."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if as_int < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return as_int
+
+
 def _radar_count(mu_percent: float, n: int) -> int:
     """Radar share of n slots: round(mu*n/100), half-way points up."""
     return min(int(np.floor(mu_percent * n / 100.0 + 0.5)), n)
@@ -257,6 +271,71 @@ def dpsk_decode(symbols, order: int = 2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class AngleAliasWarning(UserWarning):
+    """A scatterer's angle lies outside the beam grid's unambiguous range."""
+
+
+def _wrap_bin(idx: np.ndarray, n: int) -> np.ndarray:
+    """Signed aliases of FFT bin indices (fftfreq convention)."""
+    return idx - n * (idx >= (n + 1) // 2)
+
+
+def _parabolic_offsets(prev, mid, nxt) -> np.ndarray:
+    """Sub-bin offsets of parabola fits through three power samples each.
+
+    An offset is 0 where its fit degenerates (flat or non-concave), and
+    is clamped to half a bin either side.
+    """
+    denom = prev - 2.0 * mid + nxt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = np.clip(0.5 * (prev - nxt) / denom, -0.5, 0.5)
+    return np.where((denom < 0) & np.isfinite(denom), offset, 0.0)
+
+
+@dataclass(frozen=True)
+class _Manifold:
+    """The receive ULA's steering: from any angle theta, element p's phasor
+    exp(sign * 2 pi j * spacing * sin(theta) * p), each waveform binding
+    its sign.  A sounding's NaN spacing gives NaN angles."""
+
+    n_rx: int
+    spacing: float
+    sign: float
+
+    def steering(self, angle_rad) -> np.ndarray:
+        """Steering vectors (..., n_rx), broadcast like ``_column``."""
+        return np.exp(self.sign * 2j * np.pi * self.spacing
+                      * np.sin(_column(angle_rad)) * np.arange(self.n_rx))
+
+    def aliases(self, angle_rad: float) -> bool:
+        """Whether the beam grid reads the angle as another one: on two or
+        more elements, spacing * sin(angle) outside [-1/2, 1/2)."""
+        return self.n_rx > 1 and not \
+            -0.5 <= self.spacing * math.sin(angle_rad) < 0.5
+
+    def scan(self, snapshots, angle_pad: int, interpolate: bool) -> tuple:
+        """(signed beam, angle, steering at the angle) of each snapshot row:
+        the strongest beam of an ``angle_pad``-fold zero-padded beamspace
+        FFT matching the sign, with ``interpolate`` a parabolic offset."""
+        na = self.n_rx * angle_pad
+        if self.sign < 0:
+            spectrum = np.fft.ifft(snapshots, n=na, axis=1) * na
+        else:
+            spectrum = np.fft.fft(snapshots, n=na, axis=1)
+        mags = np.abs(spectrum) ** 2
+        beam = mags.argmax(axis=1)
+        offset = 0.0
+        if interpolate and na >= 3:
+            k = np.arange(beam.size)
+            offset = _parabolic_offsets(mags[k, (beam - 1) % na],
+                                        mags[k, beam],
+                                        mags[k, (beam + 1) % na])
+        beam = _wrap_bin(beam, na)
+        angle = np.arcsin(np.clip((beam + offset) / (na * self.spacing),
+                                  -1.0, 1.0))
+        return beam, angle, self.steering(angle)
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """A uniform linear receive array and one transmit element.
@@ -264,7 +343,8 @@ class ArrayGeometry:
     ``spacing_over_lambda`` is the receive element pitch in carrier
     wavelengths; the default half-wavelength pitch keeps the beamspace free
     of grating lobes.  ``n_tx`` must be 1: the transmit array is not
-    modelled.
+    modelled.  Element counts must be integers; integral floats are stored
+    as ints.
     """
 
     n_tx: int = 1
@@ -272,10 +352,14 @@ class ArrayGeometry:
     spacing_over_lambda: float = 0.5
 
     def __post_init__(self):
+        for name in ("n_tx", "n_rx"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n_tx != 1:
             raise ValueError(f"n_tx must be 1, got {self.n_tx}: the transmit "
                              "array is not modelled")
-        if self.n_rx < 1:
-            raise ValueError("n_rx must be >= 1")
         if not 0 < self.spacing_over_lambda < np.inf:
             raise ValueError("spacing_over_lambda must be positive and finite")
+
+    def manifold(self, sign: float) -> _Manifold:
+        """The receive manifold with steering exponent sign ``sign``."""
+        return _Manifold(self.n_rx, self.spacing_over_lambda, sign)

@@ -37,6 +37,11 @@ from jrcsim.sigcore import (ArrayGeometry, CodeSequence, aperiodic_autocorr,
                             golay_pair)
 from jrcsim.tensorio import read_csv_rows
 
+# No acceptance scenario may place a scatterer where the beam grid reads
+# its angle as another one.
+pytestmark = pytest.mark.filterwarnings(
+    "error::jrcsim.sigcore.AngleAliasWarning")
+
 
 # ---------------------------------------------------------------------------
 # Shared oracles and helpers

@@ -2,6 +2,8 @@
 
 import json
 import math
+import warnings
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -16,7 +18,9 @@ from jrcsim.config import (ConfigError, GolayRunConfig, ScenarioConfig,
 from jrcsim.channel import Scene
 from jrcsim.ofdma import IsiWarning, OfdmaConfig
 from jrcsim.pmcw import PmcwConfig
-from jrcsim.sigcore import ArrayGeometry
+from jrcsim.runner import run_scenario
+from jrcsim.sigcore import AngleAliasWarning, ArrayGeometry
+from jrcsim.tensorio import read_csv_rows
 
 PINNED = Path(__file__).with_name("pinned_scenarios.json")
 
@@ -390,6 +394,107 @@ def test_library_configs_reject_seeds_they_would_truncate():
         ofdma_config(pilot_seed=2.7)
     assert Scene(seed=2 ** 40).seed == 2 ** 40
     assert ofdma_config(pilot_seed=3).pilot_seed == 3
+
+
+# (section path, field, a valid whole value) of every integer field of a
+# config dataclass; () is the scenario itself.
+INTEGER_FIELDS = [
+    (("pmcw", "geometry"), "n_tx", 1), (("pmcw", "geometry"), "n_rx", 4),
+    (("pmcw",), "code_length", 4), (("pmcw",), "n_frames", 4),
+    (("ofdma",), "n_subcarriers", 4), (("ofdma",), "n_symbols", 4),
+    (("ofdma",), "cp_samples", 4), (("ofdma",), "pilot_seed", 4),
+    (("golay",), "log2_length", 4), (("golay",), "guard_samples", 4),
+    (("scene",), "seed", 4), ((), "trials", 4), ((), "seed", 4),
+    ((), "code_seed", 4), ((), "refine_factor", 4), ((), "symbol_order", 4),
+]
+
+
+def with_field(path, field, value):
+    """A valid scenario of the path's waveform (PMCW for the scenario's own
+    fields and the scene's) with ``field`` set to ``value``, every
+    dataclass on the path rebuilt."""
+    waveform = path[0] if path and path[0] != "scene" else "pmcw"
+    data = {"pmcw": dict(base_pmcw(), code_kind="random"),
+            "ofdma": base_ofdma(), "golay": base_golay()}[waveform]
+
+    def rebuilt(obj, rest):
+        if not rest:
+            return replace(obj, **{field: value})
+        return replace(obj, **{rest[0]: rebuilt(getattr(obj, rest[0]),
+                                                rest[1:])})
+    return rebuilt(parse_config(data), path)
+
+
+@pytest.mark.parametrize("path, field, whole", INTEGER_FIELDS, ids=[
+    ".".join(path + (field,)) for path, field, _ in INTEGER_FIELDS])
+def test_integer_fields_reject_fractions_and_store_integral_floats(
+        path, field, whole):
+    # A library caller reaches the dataclasses directly: a fraction is
+    # rejected by name when the config is built, not by the first trial,
+    # and an integral float is the int itself, down to the config hash.
+    with pytest.raises(ValueError, match=f"{field} must be an integer, "
+                                         "got 2.5"):
+        with_field(path, field, 2.5)
+    as_float, as_int = (with_field(path, field, v) for v in (float(whole),
+                                                             whole))
+    stored = as_float
+    for name in path + (field,):
+        stored = getattr(stored, name)
+    assert type(stored) is int and stored == whole
+    assert canonical_json(as_float) == canonical_json(as_int)
+    assert config_hash(as_float) == config_hash(as_int)
+
+
+def aliasing_scene(waveform, spacing, angle):
+    data = {"pmcw": base_pmcw, "ofdma": base_ofdma}[waveform]()
+    data[waveform]["geometry"] = {"n_rx": 8, "spacing_over_lambda": spacing}
+    data["estimator"] = {"angle_pad": 4}
+    data["scene"] = {"scatterers": [{"delay_s": 2e-9, "angle_rad": angle,
+                                     "amplitude": [1.0, 0.0]}]}
+    return data
+
+
+@pytest.mark.parametrize("waveform", ["pmcw", "ofdma"])
+@pytest.mark.parametrize("spacing, angle, coarse, refined", [
+    (1.0, 0.6, -0.4528165947449256, -0.4484771118100457),
+    (0.5, math.pi / 2, -math.pi / 2, -math.pi / 2),
+])
+def test_an_aliasing_angle_warns_at_parse_time(waveform, spacing, angle,
+                                               coarse, refined, tmp_path):
+    # spacing * sin(angle) outside [-1/2, 1/2) reads as another angle on
+    # the beam grid: the warning names it, and a noiseless run shows it.
+    with pytest.warns(AngleAliasWarning, match=r"scatterer 0 angle .* "
+                                               r"outside \[-1/2, 1/2\)"):
+        config = parse_config(aliasing_scene(waveform, spacing, angle))
+    run_scenario(config, out_dir=tmp_path)
+    header, rows = read_csv_rows(tmp_path / "estimates.csv")
+    assert [float(rows[0][header.index(name)]) for name in (
+        "est_angle_rad", "refined_angle_rad")] == [coarse, refined]
+
+
+@pytest.mark.parametrize("waveform", ["pmcw", "ofdma"])
+@pytest.mark.parametrize("spacing, angle, n_rx", [
+    (0.5, -math.pi / 2, 8), (0.5, 1.5, 8), (1.0, 0.6, 1), (0.25, 1.5, 8)])
+def test_an_unambiguous_angle_does_not_warn(waveform, spacing, angle, n_rx):
+    data = aliasing_scene(waveform, spacing, angle)
+    data[waveform]["geometry"]["n_rx"] = n_rx
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AngleAliasWarning)
+        parse_config(data)
+
+
+def test_no_benchmark_scene_aliases():
+    workloads = json.loads((Path(__file__).parents[1] / "perfbench"
+                            / "workloads.json").read_text())
+    scenarios = [spec["scenario"] for spec in workloads.values()
+                 if "scenario" in spec] \
+        + [case["scenario"] for spec in workloads.values()
+           for case in spec.get("cases", ())]
+    assert len(scenarios) == 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AngleAliasWarning)
+        for scenario in scenarios:
+            parse_config(scenario)
 
 
 def test_sweep_entries_beyond_float_range_rejected():

@@ -28,8 +28,8 @@ from jrcsim.ofdma import (OfdmaConfig, _ofdma_response, _symbol_grids,
 from jrcsim.pmcw import (PmcwConfig, _frame_symbols, _pmcw_response,
                          payload_capacity_bits, pmcw_frame_symbols,
                          pmcw_receive_cube, pmcw_schedule)
-from jrcsim.sigcore import (ArrayGeometry, CodeSequence, dpsk_decode,
-                            dpsk_encode, golay_pair)
+from jrcsim.sigcore import (ArrayGeometry, CodeSequence, _Manifold,
+                            dpsk_decode, dpsk_encode, golay_pair)
 
 CHIP = 1e-9
 
@@ -453,6 +453,59 @@ def test_pmcw_interpolation_tightens_off_grid_doppler():
 
 
 # ---------------------------------------------------------------------------
+# Array spacings other than half a wavelength
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("waveform", ["pmcw", "ofdma"])
+@pytest.mark.parametrize("spacing", [0.25, 0.37])
+@pytest.mark.parametrize("beam", [-3, 2])
+def test_on_grid_angle_is_exact_at_any_spacing(waveform, spacing, beam):
+    # Noiseless, one target on the delay, Doppler and beam grid of a
+    # 5-element array at angle_pad 4: the coarse pick sits on its beam and
+    # the 8-fold refinement on 8 times it, each reading the true angle;
+    # the payload decodes without error in between.
+    geometry = ArrayGeometry(n_rx=5, spacing_over_lambda=spacing)
+    angle = float(np.arcsin(beam / (20 * spacing)))
+    est = EstimatorConfig(angle_pad=4)
+    rng = np.random.default_rng(5)
+    if waveform == "pmcw":
+        config = pmcw_config(mu_percent=50, geometry=geometry)
+        code = CodeSequence.random_binary(32, seed=3, chip_duration=CHIP)
+        sched = pmcw_schedule(config)
+        bits = rng.integers(0, 2, payload_capacity_bits(sched, 2))
+        truth = (7, 1, 7 * CHIP, 1 / (4 * config.block_time))
+        cube = pmcw_receive_cube(
+            Scene(scatterers=(Scatterer(
+                delay_s=truth[2], doppler_hz=truth[3], angle_rad=angle,
+                amplitude=0.8 - 0.3j),)),
+            config, code, pmcw_frame_symbols(sched, bits, 2))
+        coarse = pmcw_range_doppler(cube, code, est).targets
+        decoded, _, full = pmcw_decode(cube, code, coarse)
+        refined = pmcw_refine(cube, code, full, est.refined(8)).targets
+    else:
+        config = ofdma_config(geometry=geometry)
+        bits = rng.integers(0, 2, grid_capacity_bits(config))
+        grid = build_symbol_grid(config, bits)
+        truth = (6, 2, 6 * config.sample_time,
+                 2 / (8 * config.symbol_duration))
+        cube = ofdma_receive_cube(
+            Scene(scatterers=(Scatterer(
+                delay_s=truth[2], doppler_hz=truth[3],
+                angle_rad=angle, amplitude=0.9 + 0.2j),)), config, grid)
+        coarse = ofdma_range_doppler_angle(cube, grid, est).targets
+        decoded, _, full = ofdma_decode(cube, grid, coarse)
+        refined = ofdma_refine(cube, full, est.refined(8)).targets
+    assert np.array_equal(decoded, bits)
+    assert (coarse[0].delay_bin, coarse[0].doppler_bin) == truth[:2]
+    for (t,), fine in ((coarse, 1), (refined, 8)):
+        assert t.angle_bin == fine * beam
+        assert t.delay_s == pytest.approx(truth[2], rel=1e-9)
+        assert t.doppler_hz == pytest.approx(truth[3], rel=1e-12)
+        assert t.angle_rad == pytest.approx(angle, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # Multicarrier (subcarrier-domain) estimation
 # ---------------------------------------------------------------------------
 
@@ -820,11 +873,10 @@ class OracleLayout:
     shape: tuple
     delay_axis: int
     wrap: tuple
-    phase_sign: float
+    manifold: _Manifold
     n_known: int
     delay_of: object
     period: float
-    spacing: float
 
 
 def oracle_map_targets(beams, est, lay):
@@ -870,10 +922,11 @@ def oracle_pad(n_in, pad):
 def oracle_pmcw_layout(config, m_count, doppler_pad):
     l_count, t_c = config.code_length, config.chip_time
     return OracleLayout(shape=(m_count * doppler_pad, l_count), delay_axis=1,
-                        wrap=(True, True), phase_sign=-1.0,
+                        wrap=(True, True), manifold=_Manifold(
+                            config.geometry.n_rx,
+                            config.geometry.spacing_over_lambda, -1.0),
                         n_known=l_count * m_count, delay_of=lambda b: b * t_c,
-                        period=config.block_time,
-                        spacing=config.geometry.spacing_over_lambda)
+                        period=config.block_time)
 
 
 def oracle_pmcw_detect(data, code_spec, config, radar_frames, est):
@@ -914,10 +967,12 @@ def oracle_pmcw_windows(data, code_spec, config, symbols, est):
 def oracle_ofdma_layout(config, n_rows, nr, shape):
     df = config.subcarrier_spacing_hz
     return OracleLayout(shape=shape, delay_axis=0, wrap=(shape[0] == nr, True),
-                        phase_sign=+1.0, n_known=n_rows * config.n_symbols,
+                        manifold=_Manifold(
+                            config.geometry.n_rx,
+                            config.geometry.spacing_over_lambda, +1.0),
+                        n_known=n_rows * config.n_symbols,
                         delay_of=lambda b: b / (nr * df),
-                        period=config.symbol_duration,
-                        spacing=config.geometry.spacing_over_lambda)
+                        period=config.symbol_duration)
 
 
 def oracle_ofdma_map(x, nr, window, nd):
@@ -978,8 +1033,8 @@ def exact_map(run, est):
         seed_power, windows, lay = out
         arrays = [seed_power, *windows[0], *windows[1:]]
         tail = (estim._window_targets(windows, len(seed_power), est, lay),
-                lay.shape, lay.delay_axis, lay.wrap, lay.phase_sign,
-                lay.n_known, lay.period, lay.spacing,
+                lay.shape, lay.delay_axis, lay.wrap, lay.manifold,
+                lay.n_known, lay.period,
                 [lay.delay_of(b) for b in (0, 1, 2.5)])
     return repr([(a.dtype.str, a.shape, a.tolist()) for a in arrays]
                 + [tail])
@@ -1161,8 +1216,9 @@ def _cell_target(windows, block_cell, est, lay):
     nd = lay.shape[ka]
     cell = (int(bins[0][w, r]), int(bins[1][w, c]))
     snapshot = beams[w, r, c]
-    angle, abin = _angle_from_snapshot(snapshot, lay.spacing, est.angle_pad,
-                                       phase_sign=lay.phase_sign,
+    angle, abin = _angle_from_snapshot(snapshot, lay.manifold.spacing,
+                                       est.angle_pad,
+                                       phase_sign=lay.manifold.sign,
                                        interpolate=est.interpolate)
     kappa_signed = _wrap_bin(cell[ka], nd)
     d_off = k_off = 0.0
@@ -1170,7 +1226,7 @@ def _cell_target(windows, block_cell, est, lay):
         if lay.wrap[da] or 0 < cell[da] < lay.shape[da] - 1:
             d_off = _axis_offset(power[w], (r, c), da)
         k_off = _axis_offset(power[w], (r, c), ka)
-    steer = np.exp(lay.phase_sign * 2j * np.pi * lay.spacing
+    steer = np.exp(lay.manifold.sign * 2j * np.pi * lay.manifold.spacing
                    * np.sin(angle) * np.arange(snapshot.size))
     amplitude = snapshot @ np.conj(steer) / (snapshot.size * lay.n_known)
     return estim.TargetEstimate(
@@ -1221,12 +1277,12 @@ def test_window_targets_match_the_per_cell_oracle(
         guarded = estim._guard(estim._gather(power, bins, owner), bins)
     windows = (bins, guarded, estim._gather(full, bins, owner), owner)
     chip = rng.uniform(1e-10, 1e-8)
+    n_known, period = int(rng.integers(1, 200)), rng.uniform(1e-8, 1e-6)
     lay = OracleLayout(shape=shape, delay_axis=delay_axis, wrap=wrap,
-                       phase_sign=phase_sign,
-                       n_known=int(rng.integers(1, 200)),
-                       delay_of=lambda b: b * chip,
-                       period=rng.uniform(1e-8, 1e-6),
-                       spacing=rng.uniform(0.2, 1.0))
+                       manifold=_Manifold(n_rx, rng.uniform(0.2, 1.0),
+                                          phase_sign),
+                       n_known=n_known, delay_of=lambda b: b * chip,
+                       period=period)
     est = EstimatorConfig(angle_pad=angle_pad, max_targets=max_targets,
                           interpolate=interpolate, threshold_db=threshold_db)
     got = estim._window_targets(windows, n_maps, est, lay)
@@ -1352,7 +1408,8 @@ def oracle_bins(beams, cells, est, lay):
     out = []
     for cell in cells:
         _, abin = _angle_from_snapshot(
-            beams[cell], lay.spacing, est.angle_pad, lay.phase_sign,
+            beams[cell], lay.manifold.spacing, est.angle_pad,
+            lay.manifold.sign,
             est.interpolate)
         out.append((int(cell[lay.delay_axis]),
                     _wrap_bin(int(cell[ka]), beams.shape[ka]), abin))

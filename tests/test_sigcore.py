@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from jrcsim.ofdma import OfdmaConfig, ofdma_pilot_mask
 from jrcsim.pmcw import PmcwConfig, _pmcw_response, pmcw_schedule
-from jrcsim.sigcore import (ArrayGeometry, CodeSequence,
+from jrcsim.sigcore import (ArrayGeometry, CodeSequence, _Manifold,
                             aperiodic_autocorr, dpsk_decode, dpsk_encode,
                             golay_pair)
 
@@ -420,6 +420,82 @@ def test_geometry_validation():
         ArrayGeometry(n_rx=0)
     with pytest.raises(ValueError):
         ArrayGeometry(spacing_over_lambda=0.0)
+
+
+def oracle_parabola(prev, mid, nxt):
+    """Vertex offset of the parabola through three samples, 0 unless it is
+    concave, clamped to half a bin."""
+    denom = prev - 2.0 * mid + nxt
+    if not denom < 0:
+        return 0.0
+    return float(np.clip(0.5 * (prev - nxt) / denom, -0.5, 0.5))
+
+
+def matrix_scan(snapshots, n_rx, spacing, sign, angle_pad, interpolate):
+    """The scan over an explicit steering matrix: one column
+    exp(sign * 2 pi j * u * p) per signed spatial frequency u = b / na of
+    the padded beam grid, each snapshot matched to every column.  Returns
+    the signed beam, its matched power and the angle, per snapshot."""
+    na = n_rx * angle_pad
+    signed = [b - na if b >= (na + 1) // 2 else b for b in range(na)]
+    columns = np.array([[np.exp(sign * 2j * np.pi * b / na * p)
+                         for b in signed] for p in range(n_rx)])
+    out = []
+    for snapshot in snapshots:
+        powers = np.abs(snapshot @ columns.conj()) ** 2
+        k = int(np.argmax(powers))
+        offset = oracle_parabola(powers[k - 1], powers[k],
+                                 powers[(k + 1) % na]) \
+            if interpolate and na >= 3 else 0.0
+        sin_theta = (signed[k] + offset) / (na * spacing)
+        out.append((signed[k], powers[k],
+                    math.asin(min(max(sin_theta, -1.0), 1.0))))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_rx=st.integers(1, 6),
+       angle_pad=st.integers(1, 3), sign=st.sampled_from([-1.0, 1.0]),
+       spacing=st.floats(0.2, 1.0), interpolate=st.booleans())
+def test_manifold_scan_matches_the_steering_matrix_scan(
+        seed, n_rx, angle_pad, sign, spacing, interpolate):
+    # The FFT scan is the ULA's fast path of the matrix scan: the same
+    # beam, and the angle to 1e-12 (exactly without interpolation; an
+    # interpolated offset divides power differences, so 1e-9).  The
+    # returned steering is the manifold's at that angle, and on a beam
+    # inside the visible region it matches the snapshot with the beam's
+    # power.
+    rng = np.random.default_rng(seed)
+    snapshots = rng.standard_normal((4, n_rx)) \
+        + 1j * rng.standard_normal((4, n_rx))
+    manifold = _Manifold(n_rx, spacing, sign)
+    beam, angle, steer = manifold.scan(snapshots, angle_pad, interpolate)
+    want = matrix_scan(snapshots, n_rx, spacing, sign, angle_pad,
+                       interpolate)
+    assert beam.tolist() == [b for b, _, _ in want]
+    np.testing.assert_allclose(angle, [a for _, _, a in want],
+                               rtol=1e-9 if interpolate else 1e-12, atol=0)
+    own = np.exp(sign * 2j * np.pi * spacing * np.outer(np.sin(angle),
+                                                         np.arange(n_rx)))
+    np.testing.assert_allclose(steer, own, rtol=1e-12, atol=1e-12)
+    power = np.abs(np.sum(snapshots * steer.conj(), axis=1)) ** 2
+    for (b, beam_power, _), matched in zip(want, power):
+        if not interpolate and abs(b) <= n_rx * angle_pad * spacing:
+            assert matched == pytest.approx(beam_power, rel=1e-12)
+
+
+@pytest.mark.parametrize("spacing, angle, aliases", [
+    (0.5, math.pi / 2, True),  # d sin = 1/2 reads as -1/2
+    (0.5, -math.pi / 2, False),
+    (0.5, 1.0, False),
+    (1.0, 0.6, True),
+    (1.0, -0.5, False),  # d sin = -0.479
+    (0.25, math.pi / 2, False),
+])
+def test_manifold_aliases_outside_half_a_cycle(spacing, angle, aliases):
+    assert _Manifold(4, spacing, -1.0).aliases(angle) is aliases
+    assert _Manifold(4, spacing, +1.0).aliases(angle) is aliases
+    assert _Manifold(1, spacing, -1.0).aliases(angle) is False
 
 
 def test_dpsk_encode_returns_complex_array():
