@@ -152,10 +152,6 @@ class Scene:
             raise ValueError("noise_variance must be >= 0 and finite")
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
-    @property
-    def n_scatterers(self) -> int:
-        return len(self.scatterers)
-
     def fading_gains(self, cpi_index: int = 0) -> np.ndarray:
         """Per-scatterer small-scale amplitudes for one CPI (deterministic);
         its generator is seeded only if some scatterer draws from it."""

@@ -18,12 +18,13 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from .channel import Scatterer, Scene
-from .estim import EstimatorConfig
-from .ofdma import OfdmaConfig, _warn_isi
+from .estim import EstimatorConfig, _ofdma_layout
+from .ofdma import DelayAliasWarning, OfdmaConfig, _warn_isi, \
+    ofdma_pilot_mask
 from .pmcw import PmcwConfig
 from .sigcore import AngleAliasWarning, ArrayGeometry, _integer
 
@@ -142,6 +143,24 @@ class ScenarioConfig:
                              "mu_percent and weights must be empty")
         if not all(s is None or math.isfinite(s) for s in self.snr_db):
             raise ValueError("snr_db entries must be finite or null")
+        if self.waveform == "ofdma":  # the pilot comb's coarse delay window
+            windows = {}
+            for mu in self.mu_sweep or (self.ofdma.mu_percent,):
+                wave = replace(self.ofdma, mu_percent=mu)
+                pilots = ofdma_pilot_mask(wave)
+                if pilots.any():
+                    lay = _ofdma_layout(wave, pilots, self.estimator)
+                    windows[mu] = lay.delay_of(lay.shape[0])
+            for q, sc in enumerate(self.scene.scatterers):
+                beyond = [f"{mu!r} ({window:.3e} s)"
+                          for mu, window in windows.items()
+                          if sc.delay_s >= window]
+                if beyond:
+                    warnings.warn(
+                        f"scatterer {q} delay {sc.delay_s:.3e} s lies at or "
+                        "beyond the pilot comb's coarse delay window at "
+                        f"mu_percent {', '.join(beyond)}; coarse detection "
+                        "reads it aliased", DelayAliasWarning, stacklevel=3)
 
     @property
     def waveform_config(self):

@@ -16,8 +16,12 @@ frames alone, for an OFDMA pilot comb the zero-filled pilot grid.
 The estimators run on stacks of CPIs with a leading axis (the trials of
 a sweep point); the public single-CPI functions are stacks of one.  Peak
 picking stays per CPI: each map's threshold is relative to its own
-strongest cell.  The targets at the picked cells of a whole stack are
-then read in one array pass (``_window_targets``).
+strongest cell.  One rule, ``_local_maxima``, says which cells qualify,
+for detection picks, refinement picks and refinement seeds alike: a cell
+that reaches its map's threshold and is >= its neighbours, on both sides
+of each axis or, on a flank axis, on one side.  The targets at the
+picked cells of a whole stack are then read in one array pass
+(``_window_targets``).
 
 Symbol decoding is one demodulator for both waveforms, ``_demodulate``:
 it projects each data-bearing slot onto the reconstructed multi-target
@@ -30,21 +34,23 @@ PMCW runs one chain across the comm frames, referenced to the last radar
 frame's symbol 1 (``_pmcw_dpsk``); OFDMA runs one chain per comm row
 along its symbols (``_ofdma_dpsk``).
 
-Refinement re-runs detection over every slot with the decoded symbols
-treated as known.  It reuses detection's demodulation of the radar
-slots, which ``_detect`` returns, and demodulates only the comm slots,
-with the decoded symbols (``_demodulated``), so each slot of a stack is
-demodulated once.  It forms the unpadded (pad-1) map of all slots, the
-layout at unit pads, and evaluates the finer zero-padded grid only in a
-window around each seed cell of that map above the threshold (a local
-peak, or on a padded axis a rising flank, beside which a fine peak
-between two unpadded bins may lie): +-1 unpadded bin plus a one-cell
-guard ring, so (2 * pad + 3) cells per padded axis.  A signed axis is
-zoomed with small explicit DFT matrices (a chirp-z style zoom); a
-sign-0 axis is read at the window's bins.  A refinement costs the pad-1
-map plus O(peaks * window cells * slots), instead of an FFT over, and a
-peak scan of, the whole padded plane; a fine-grid peak outside every
-window is not found.
+Refinement, one function ``_refined``, re-runs detection over every
+slot with the decoded symbols treated as known.  It reuses detection's
+demodulation of the radar slots, which ``_detect`` returns, and
+demodulates only the comm slots, with the decoded symbols
+(``_demodulated``), so each slot of a stack is demodulated once.  It
+forms the unpadded (pad-1) map of all slots, the layout at unit pads,
+and evaluates the finer zero-padded grid only in a window around each
+seed cell of that map: a local maximum with every padded axis a flank
+axis, as a fine peak between two unpadded bins may show there as a
+rising flank toward a stronger neighbour.  A window spans +-1 unpadded
+bin plus a one-cell guard ring, so (2 * pad + 3) cells per padded axis,
+and its bins are computed once per stack.  A signed axis is zoomed with
+small explicit DFT matrices (a chirp-z style zoom); a sign-0 axis is
+read at the window's bins.  A refinement costs the pad-1 map plus
+O(peaks * window cells * slots), instead of an FFT over, and a peak scan
+of, the whole padded plane; a fine-grid peak outside every window is not
+found.
 
 Where the second axis has sign 0 (PMCW, Golay), most seeds of a random
 code sit on its sidelobe lags, and their windows are skipped by an exact
@@ -71,7 +77,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import islice, starmap
 from typing import Callable
 
@@ -222,27 +228,51 @@ def _threshold(peak: np.ndarray, threshold_db: float) -> np.ndarray:
     return np.where(peak > 0, peak * 10.0 ** (threshold_db / 10.0), np.nan)
 
 
-def _peak_cells(bins, power: np.ndarray, owner: np.ndarray, n_maps: int,
-                max_peaks: int, threshold_db: float) -> tuple:
-    """The strongest local maxima of stacked guarded power blocks, per map.
+def _side_maxima(x: np.ndarray, axis: int, flank: bool) -> tuple:
+    """Maxima along ``axis`` of each inner cell of x with its neighbours:
+    on both sides, or, on a flank axis, on the lower and on the upper side
+    apart."""
+    lower, mid, upper = (x[(slice(None),) * axis
+                           + (slice(s, x.shape[axis] - 2 + s),)]
+                         for s in range(3))
+    down = np.maximum(lower, mid)
+    return (down, np.maximum(mid, upper)) if flank \
+        else (np.maximum(down, upper),)
 
-    A cell inside a guard ring qualifies when it is >= all 8 neighbours
-    and reaches the threshold relative to the strongest cell of any block
-    of its map.  A cell that several blocks of a map share counts once,
-    from the first of them in sort order; ties break toward the lowest
-    true bin.  Returns the (block, row, col) block positions of the
-    picks, map by map and each map's strongest first, and the number of
-    picks of each of the ``n_maps`` maps.
+
+def _local_maxima(power: np.ndarray, owner: np.ndarray, n_maps: int,
+                  threshold_db: float, flank=(False, False)) -> np.ndarray:
+    """Mask of the qualifying inner cells of stacked guarded power blocks.
+
+    A cell qualifies when it reaches the threshold relative to the
+    strongest cell of any block of its map and is >= the max of its
+    neighbours: on both sides of each axis, or, on a ``flank`` axis, on
+    the lower side or on the upper side, diagonals on the compared sides
+    included.  Detection and refinement picks take no flank axis, so a
+    pick is >= all 8 neighbours; refinement seeds flank each padded axis.
     """
     peak = np.zeros(n_maps)
     np.maximum.at(peak, owner, power.max(axis=(1, 2), initial=0.0))
     inner = power[:, 1:-1, 1:-1]
-    around = np.maximum(np.maximum(power[:, :-2], power[:, 1:-1]),
-                        power[:, 2:])
-    around = np.maximum(np.maximum(around[:, :, :-2], around[:, :, 1:-1]),
-                        around[:, :, 2:])
-    w, r, c = np.nonzero((inner >= around) & (
-        inner >= _threshold(peak, threshold_db)[owner, None, None]))
+    ok = reduce(np.logical_or, (inner >= around
+                                for rows in _side_maxima(power, 1, flank[0])
+                                for around in _side_maxima(rows, 2,
+                                                           flank[1])))
+    return ok & (inner >= _threshold(peak, threshold_db)[owner, None, None])
+
+
+def _peak_cells(bins, power: np.ndarray, owner: np.ndarray, n_maps: int,
+                max_peaks: int, threshold_db: float) -> tuple:
+    """The strongest local maxima of stacked guarded power blocks, per map.
+
+    A cell qualifies by ``_local_maxima``, with no flank axis.  A cell
+    that several blocks of a map share counts once, from the first of
+    them in sort order; ties break toward the lowest true bin.  Returns
+    the (block, row, col) block positions of the picks, map by map and
+    each map's strongest first, and the number of picks of each of the
+    ``n_maps`` maps.
+    """
+    w, r, c = np.nonzero(_local_maxima(power, owner, n_maps, threshold_db))
     r, c = r + 1, c + 1
     row, col, own = bins[0][w, r], bins[1][w, c], owner[w]
     order = np.lexsort((col, row, -power[w, r, c], own))
@@ -314,39 +344,6 @@ def _window_targets(windows, n_maps: int, est: EstimatorConfig,
         angle.tolist(), amplitude.tolist(), delay.tolist(),
         doppler.tolist(), beam.tolist(), power[w, r, c].tolist()))
     return [tuple(islice(targets, n)) for n in counts.tolist()]
-
-
-def _seed_cells(seed_power: np.ndarray, pads, wrap,
-                threshold_db: float) -> np.ndarray:
-    """(map, row, col) of every pad-1 cell a fine-grid peak may lie next to.
-
-    ``seed_power`` is a stack of maps.  A cell qualifies when it reaches
-    the threshold (relative to its map's strongest cell) and, on each
-    axis, is >= its neighbours on both sides of an unpadded axis but on
-    one side only of a padded one, diagonals on the compared sides
-    included.  A fine peak halfway between two pad-1 bins shows there as
-    a rising flank toward a stronger neighbour (another target's
-    sidelobe, say) rather than a local maximum, and the higher of its two
-    bins still qualifies.  With every pad 1 the seeds are the map's local
-    maxima.  Cells come map by map, each in row-major order.
-    """
-    peak = seed_power.max(axis=(1, 2), initial=0.0)
-    _, g, _ = _whole_map(seed_power, wrap)
-    n0, n1 = seed_power.shape[1:]
-    inner = g[:, 1:-1, 1:-1]
-    above = inner >= _threshold(peak, threshold_db)[:, None, None]
-    sides = [[(-1, 0, 1)] if p == 1 else [(-1, 0), (0, 1)] for p in pads]
-    ok = np.zeros(inner.shape, dtype=bool)
-    for rows in sides[0]:
-        for cols in sides[1]:
-            good = above.copy()
-            for dr in rows:
-                for dc in cols:
-                    if dr or dc:
-                        good &= inner >= g[:, 1 + dr:n0 + 1 + dr,
-                                           1 + dc:n1 + 1 + dc]
-            ok |= good
-    return np.argwhere(ok)
 
 
 def _map(x: np.ndarray, lay: _MapLayout) -> np.ndarray:
@@ -470,11 +467,10 @@ def _window_bins(seeds: np.ndarray, pads, lay: _MapLayout) -> tuple:
                                                    lay.wrap)))
 
 
-def _windows(x: np.ndarray, seeds: np.ndarray, pads,
+def _windows(x: np.ndarray, bins, owner: np.ndarray,
              lay: _MapLayout) -> tuple:
-    """Fine-grid windows (bins, power, beams, owner) of a stack of CPIs
-    around its seeds, evaluated by ``_zoom``."""
-    bins, owner = _window_bins(seeds, pads, lay), seeds[:, 0]
+    """Fine-grid windows (bins, power, beams, owner) of a stack of CPIs at
+    the window ``bins`` of CPIs ``owner``, evaluated by ``_zoom``."""
     beams = _zoom(x, owner, bins, lay)
     return bins, _guard(_power(beams), bins), beams, owner
 
@@ -489,9 +485,9 @@ def _lag_bounds(x: np.ndarray) -> np.ndarray:
 
 
 def _pickable(x: np.ndarray, seed_power: np.ndarray, seeds: np.ndarray,
-              pads, lay: _MapLayout, est: EstimatorConfig) -> np.ndarray:
-    """Mask of the seeds whose windows may hold a pick, on a layout whose
-    second axis has DFT sign 0.
+              bins, lay: _MapLayout, est: EstimatorConfig) -> np.ndarray:
+    """Mask of the seeds whose windows (``bins``) may hold a pick, on a
+    layout whose second axis has DFT sign 0.
 
     Each map's ``max_targets`` (K) strongest seeds are kept and zoomed;
     P is the K-th strongest distinct local maximum their windows hold (0
@@ -506,47 +502,40 @@ def _pickable(x: np.ndarray, seed_power: np.ndarray, seeds: np.ndarray,
     strongest = np.zeros(owner.size, dtype=bool)
     strongest[order[np.arange(order.size)
                     - np.searchsorted(owner[order], owner[order]) < k]] = True
-    bins, power, _, head = _windows(x, seeds[strongest], pads, lay)
-    (w, r, c), counts = _peak_cells(bins, power, head, len(x), k, -np.inf)
+    head = tuple(b[strongest] for b in bins)
+    _, power, _, own = _windows(x, head, owner[strongest], lay)
+    (w, r, c), counts = _peak_cells(head, power, own, len(x), k, -np.inf)
     kth = np.zeros(len(x))
     kth[counts == k] = power[w, r, c][np.cumsum(counts)[counts == k] - 1]
-    bound = _lag_bounds(x)[owner[:, None],
-                           _window_bins(seeds, pads, lay)[1]].max(axis=1)
+    bound = _lag_bounds(x)[owner[:, None], bins[1]].max(axis=1)
     return strongest | ~(bound * (1 + _BOUND_MARGIN) < kth[owner])
-
-
-def _seeds(x: np.ndarray, layout, est: EstimatorConfig) -> tuple:
-    """(pad-1 power maps, seed cells, pads, layout) of the refinements of
-    a stack of CPIs demodulated on every slot, all of them known.
-
-    The seed maps are ``layout`` at unit pads, the returned layout is
-    ``layout`` at ``est``'s pads, and a fine axis's pad is its length over
-    the seed map's.
-    The seeds are the ``_seed_cells`` whose windows may hold a pick
-    (``_pickable``, on a sign-0 second axis), map by map, each in
-    row-major order.
-    """
-    known = np.ones(x.shape[1], dtype=bool)
-    unit, lay = layout(known, _UNIT_PADS), layout(known, est)
-    seed_power = _power(_map(x, unit))
-    pads = [f // u for f, u in zip(lay.shape, unit.shape)]
-    seeds = _seed_cells(seed_power, pads, lay.wrap, est.threshold_db)
-    if not lay.signs[1]:
-        seeds = seeds[_pickable(x, seed_power, seeds, pads, lay, est)]
-    return seed_power, seeds, pads, lay
 
 
 def _refined(x: np.ndarray, layout, est: EstimatorConfig) -> tuple:
     """(pad-1 power maps, targets per CPI) of the refinements of a stack
     of CPIs demodulated on every slot, all of them known.
 
-    The windows of ``_seeds`` are evaluated in slices of whole maps with
-    at most ``_SLICE_CELLS`` window samples (cells times array
-    elements); a map with more runs alone.  Each map's threshold and
-    picks read only its own windows, so slicing changes no target, and
-    the windows never hold more memory than one slice.
+    The seed maps are ``layout`` at unit pads, the fine one ``layout`` at
+    ``est``'s pads, and a fine axis's pad is its length over the seed
+    map's.  The seeds are the ``_local_maxima`` of the seed maps, each
+    padded axis a flank axis, map by map in row-major order; on a sign-0
+    second axis only those ``_pickable`` stay.  Their windows are zoomed
+    in slices of whole maps with at most ``_SLICE_CELLS`` window samples
+    (cells times array elements); a map with more runs alone.  Each map's
+    threshold and picks read only its own windows, so slicing changes no
+    target, and the windows never hold more memory than one slice.
     """
-    seed_power, seeds, pads, lay = _seeds(x, layout, est)
+    known = np.ones(x.shape[1], dtype=bool)
+    unit, lay = layout(known, _UNIT_PADS), layout(known, est)
+    seed_power = _power(_map(x, unit))
+    pads = [f // u for f, u in zip(lay.shape, unit.shape)]
+    seeds = np.argwhere(_local_maxima(*_whole_map(seed_power, lay.wrap)[1:],
+                                      len(x), est.threshold_db,
+                                      [p > 1 for p in pads]))
+    bins = _window_bins(seeds, pads, lay)
+    if not lay.signs[1]:
+        keep = _pickable(x, seed_power, seeds, bins, lay, est)
+        seeds, bins = seeds[keep], tuple(b[keep] for b in bins)
     limit = max(1, _SLICE_CELLS // (math.prod(2 * p + 3 for p in pads)
                                     * x.shape[-1]))
     starts = np.searchsorted(seeds[:, 0], np.arange(len(x) + 1))
@@ -554,9 +543,10 @@ def _refined(x: np.ndarray, layout, est: EstimatorConfig) -> tuple:
     while lo < len(x):
         hi = lo + max(1, int(np.searchsorted(starts[lo + 1:] - starts[lo],
                                              limit, side="right")))
-        part = seeds[starts[lo]:starts[hi]] - [lo, 0, 0]
-        targets += _window_targets(_windows(x[lo:hi], part, pads, lay),
-                                   hi - lo, est, lay)
+        part = slice(starts[lo], starts[hi])
+        targets += _window_targets(
+            _windows(x[lo:hi], tuple(b[part] for b in bins),
+                     seeds[part, 0] - lo, lay), hi - lo, est, lay)
         lo = hi
     return seed_power, targets
 

@@ -39,6 +39,10 @@ class IsiWarning(UserWarning):
     """A target delay exceeds the cyclic prefix."""
 
 
+class DelayAliasWarning(UserWarning):
+    """A target delay lies beyond the pilot comb's coarse delay window."""
+
+
 @dataclass(frozen=True)
 class OfdmaConfig:
     """Dimensions and numerology of one OFDMA CPI; integral floats given as
@@ -144,10 +148,6 @@ class SymbolGrid:
     @property
     def n_symbols(self) -> int:
         return int(self.symbols.shape[1])
-
-    @property
-    def n_radar(self) -> int:
-        return int(np.count_nonzero(self.radar_rows))
 
 
 def pilot_symbols(config: OfdmaConfig, n_rows: int) -> np.ndarray:

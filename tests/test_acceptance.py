@@ -39,8 +39,9 @@ from jrcsim.tensorio import read_csv_rows
 
 # No acceptance scenario may place a scatterer where the beam grid reads
 # its angle as another one.
-pytestmark = pytest.mark.filterwarnings(
-    "error::jrcsim.sigcore.AngleAliasWarning")
+pytestmark = [
+    pytest.mark.filterwarnings("error::jrcsim.sigcore.AngleAliasWarning"),
+    pytest.mark.filterwarnings("error::jrcsim.ofdma.DelayAliasWarning")]
 
 
 # ---------------------------------------------------------------------------

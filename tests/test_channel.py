@@ -235,7 +235,7 @@ def test_scene_validation():
         Scene(noise_variance=-1.0)
     with pytest.raises(ValueError):
         Scene(seed=-1)
-    assert Scene().n_scatterers == 0
+    assert Scene().scatterers == ()
 
 
 def test_scatterer_amplitude_explicit_and_derived():

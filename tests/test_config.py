@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -16,7 +17,7 @@ from jrcsim.config import (ConfigError, GolayRunConfig, ScenarioConfig,
                            canonical_dict, canonical_json, config_hash,
                            load_config, parse_config, save_config)
 from jrcsim.channel import Scene
-from jrcsim.ofdma import IsiWarning, OfdmaConfig
+from jrcsim.ofdma import DelayAliasWarning, IsiWarning, OfdmaConfig
 from jrcsim.pmcw import PmcwConfig
 from jrcsim.runner import run_scenario
 from jrcsim.sigcore import AngleAliasWarning, ArrayGeometry
@@ -483,6 +484,49 @@ def test_an_unambiguous_angle_does_not_warn(waveform, spacing, angle, n_rx):
         parse_config(data)
 
 
+def delay_alias_scene(delay_s, mus):
+    data = base_ofdma()
+    data["ofdma"].update(n_subcarriers=32, n_symbols=16, cp_samples=16,
+                         geometry={"n_rx": 4})
+    data["scene"] = {"scatterers": [{"delay_s": delay_s,
+                                     "amplitude": [1.0, 0.0]}]}
+    if mus is None:
+        data["ofdma"]["mu_percent"] = 10
+    data["sweep"] = {"mu_percent": mus or [], "snr_db": [None]}
+    return data
+
+
+@pytest.mark.parametrize("delay_s, mus, window, coarse", [
+    (9e-9, [50], "50.0 (8.000e-09 s)", 1e-9),
+    (8e-9, [100, 50], "50.0 (8.000e-09 s)", 0.0),
+    (3e-9, [10], "10.0 (1.000e-09 s)", 0.0),
+    (3e-9, None, "10.0 (1.000e-09 s)", 0.0),
+])
+def test_a_delay_beyond_the_pilot_window_warns_at_parse_time(
+        delay_s, mus, window, coarse, tmp_path):
+    # The pilot comb's coarse delay window at each swept mu (or the
+    # section's, unswept) is N_c over the comb spacing bins: detection reads
+    # a delay at or beyond it aliased, and refinement over every row, whose
+    # window is the whole period, reads it as it is.
+    with pytest.warns(DelayAliasWarning,
+                      match=rf"scatterer 0 delay .* mu_percent "
+                            rf"{re.escape(window)}; "):
+        config = parse_config(delay_alias_scene(delay_s, mus))
+    run_scenario(config, out_dir=tmp_path)
+    header, rows = read_csv_rows(tmp_path / "estimates.csv")
+    assert [float(rows[-1][header.index(name)]) for name in (
+        "est_delay_s", "refined_delay_s")] == [coarse, delay_s]
+
+
+@pytest.mark.parametrize("delay_s, mus", [
+    (7.5e-9, [50, 100]), (9e-9, [0, 100]), (2.85e-9, [0, 25, 50, 100])])
+def test_a_delay_inside_every_pilot_window_does_not_warn(delay_s, mus):
+    # mu = 0 has no pilots, so no window to alias in.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DelayAliasWarning)
+        parse_config(delay_alias_scene(delay_s, mus))
+
+
 def test_no_benchmark_scene_aliases():
     workloads = json.loads((Path(__file__).parents[1] / "perfbench"
                             / "workloads.json").read_text())
@@ -493,6 +537,7 @@ def test_no_benchmark_scene_aliases():
     assert len(scenarios) == 5
     with warnings.catch_warnings():
         warnings.simplefilter("error", AngleAliasWarning)
+        warnings.simplefilter("error", DelayAliasWarning)
         for scenario in scenarios:
             parse_config(scenario)
 

@@ -890,9 +890,13 @@ def oracle_map_targets(beams, est, lay):
 
 def refine_windows(x, layout, est):
     """(pad-1 power maps, windows, layout) of a stack's refinement, every
-    window in one stack."""
-    seed_power, seeds, pads, lay = estim._seeds(x, layout, est)
-    return seed_power, estim._windows(x, seeds, pads, lay), lay
+    window in one slice: the windows ``_refined`` reads its targets from."""
+    with mock.patch.object(estim, "_SLICE_CELLS", 1 << 40), \
+            mock.patch.object(estim, "_window_targets",
+                              wraps=estim._window_targets) as targets:
+        seed_power, _ = estim._refined(x, layout, est)
+    (windows, *_), _ = targets.call_args
+    return seed_power, windows, layout(np.ones(x.shape[1], dtype=bool), est)
 
 
 def unpruned():
@@ -900,14 +904,22 @@ def unpruned():
     return mock.patch.object(estim, "_BOUND_MARGIN", np.inf)
 
 
+def oracle_window_bins(seeds, pads, shape, wrap):
+    """True (rows, cols) bins of the window of each (map, row, col) seed
+    on a fine map of ``shape``: +-pad fine bins plus the guard ring."""
+    return tuple(estim._bins(seeds[:, [a + 1]] * p
+                             + np.arange(-p - 1, p + 2), n, w)
+                 for a, (p, n, w) in enumerate(zip(pads, shape, wrap)))
+
+
 def oracle_refine_windows(seed_power, beams_at, pads, est, lay):
     """Fine-grid windows around every seed cell of a stack of maps."""
-    seeds = estim._seed_cells(seed_power, pads, lay.wrap, est.threshold_db)
+    seeds = np.array([(k, *cell) for k, power in enumerate(seed_power)
+                      for cell in oracle_seeds(power, pads, est.threshold_db,
+                                               lay.wrap)],
+                     dtype=int).reshape(-1, 3)
     owner = seeds[:, 0]
-    wbins = tuple(estim._bins(seeds[:, [a + 1]] * p
-                              + np.arange(-p - 1, p + 2), n, w)
-                  for a, (p, n, w) in enumerate(zip(pads, lay.shape,
-                                                    lay.wrap)))
+    wbins = oracle_window_bins(seeds, pads, lay.shape, lay.wrap)
     beams = beams_at(owner, *wbins)
     power = np.abs(beams)
     power **= 2
@@ -1380,14 +1392,58 @@ def oracle_peaks(power, max_peaks, threshold_db, wrap, allowed=None,
 
 def oracle_seeds(power, pads, threshold_db, wrap):
     """Cells above the threshold that are >= their neighbours on both
-    sides of each unpadded axis, and on one side of each padded axis."""
+    sides of each unpadded axis, and on one side of each padded axis;
+    none where the map's strongest cell is not positive."""
     sides = [[(-1, 0, 1)] if p == 1 else [(-1, 0), (0, 1)] for p in pads]
     ok = np.zeros(power.shape, dtype=bool)
     for rows in sides[0]:
         for cols in sides[1]:
             ok |= oracle_local_max(power, wrap, rows, cols)
-    ok &= power >= power.max() * 10.0 ** (threshold_db / 10.0)
+    peak = power.max()
+    ok &= (peak > 0) & (power >= peak * 10.0 ** (threshold_db / 10.0))
     return [tuple(c) for c in np.argwhere(ok)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_maps=st.integers(1, 4),
+       shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       wrap=st.tuples(st.booleans(), st.booleans()),
+       pads=st.tuples(st.sampled_from([1, 8]), st.sampled_from([1, 8])),
+       levels=st.integers(1, 4), max_peaks=st.integers(1, 4),
+       threshold_db=st.sampled_from([-1.0, -6.0, -13.0, -np.inf]),
+       silent=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_one_local_maximum_rule_gives_seeds_and_picks(
+        seed, n_maps, shape, wrap, pads, levels, max_peaks, threshold_db,
+        silent):
+    # Few integer power levels make ties and plateaus common; a
+    # non-wrapping axis has a -inf guard ring, and a one-bin axis compares
+    # a cell with itself or with the guard.  The seeds of the pad-1 maps
+    # (each padded axis a flank axis) must be the side-loop oracle's, and
+    # the picks of the whole fine maps and of the windows around the
+    # seeds the pick loop's.
+    rng = np.random.default_rng(seed)
+    fine = rng.integers(0, levels + 1, (n_maps, shape[0] * pads[0],
+                                        shape[1] * pads[1])).astype(float)
+    fine[np.array(silent[:n_maps])] = 0
+    power = fine[:, ::pads[0], ::pads[1]]
+    _, guarded, owner = estim._whole_map(power, wrap)
+    seeds = np.argwhere(estim._local_maxima(guarded, owner, n_maps,
+                                            threshold_db,
+                                            [p > 1 for p in pads]))
+    assert seeds.tolist() == [[k, *cell] for k, m in enumerate(power)
+                              for cell in oracle_seeds(m, pads, threshold_db,
+                                                       wrap)]
+    windows = oracle_window_bins(seeds, pads, fine.shape[1:], wrap)
+    for bins, owner in (estim._whole_map(fine, wrap)[::2],
+                        (windows, seeds[:, 0])):
+        blocks = estim._guard(estim._gather(fine, bins, owner), bins)
+        (w, r, c), counts = estim._peak_cells(bins, blocks, owner, n_maps,
+                                              max_peaks, threshold_db)
+        want = oracle_peak_cells(bins, blocks, owner, n_maps, max_peaks,
+                                 threshold_db)
+        assert counts.tolist() == [len(cells) for cells in want]
+        assert list(zip(w.tolist(), r.tolist(), c.tolist())) == \
+            [cell for cells in want for cell in cells]
 
 
 def oracle_window_mask(seeds, pads, shape, wrap, guard):
@@ -1674,11 +1730,11 @@ def test_pruning_skips_the_code_sidelobe_windows():
     x = estim._pmcw_correlate(cube.data[None], symbols[None],
                               np.fft.fft(code.chips()))
     layout = partial(estim._pmcw_layout, cube.config)
-    seeds = estim._seeds(x, layout, REFINE8)[1]
+    kept = refine_windows(x, layout, REFINE8)[1][3]
     with unpruned():
-        every = estim._seeds(x, layout, REFINE8)[1]
+        every = refine_windows(x, layout, REFINE8)[1][3]
         want = estim._refined(x, layout, REFINE8)[1]
-    assert len(seeds) < len(every) // 2
+    assert len(kept) < len(every) // 2
     assert repr(estim._refined(x, layout, REFINE8)[1]) == repr(want)
     assert [(t.delay_bin, t.doppler_bin) for t in want[0]] == [(9, 4)]
 

@@ -145,7 +145,8 @@ def test_build_grid_shapes_and_pilots():
     grid = build_symbol_grid(config, bits)
     assert grid.symbols.shape == (16, 4)
     assert np.allclose(np.abs(grid.symbols), 1.0, atol=1e-9)
-    expected_pilots = pilot_symbols(config, grid.n_radar)
+    expected_pilots = pilot_symbols(config,
+                                    np.count_nonzero(grid.radar_rows))
     assert np.allclose(grid.symbols[grid.radar_rows], expected_pilots)
 
 
