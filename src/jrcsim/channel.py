@@ -235,9 +235,13 @@ def _synthesize(scene: Scene, shape: tuple, links, symbols: np.ndarray,
                       in zip(links, scene.fading_gains(i))]
                      for i in cpi_indices], dtype=complex)
     data = np.zeros((len(symbols),) + shape, dtype=complex)
-    for (_, params), d_q in zip(links, amps.T):
-        data += (d_q.reshape((-1,) + (1,) * (symbols.ndim - 1)) * symbols) \
-            * response(*params, slots)
+    for q, ((_, params), d_q) in enumerate(zip(links, amps.T)):
+        scaled = d_q.reshape((-1,) + (1,) * (symbols.ndim - 1)) * symbols
+        if q:
+            data += scaled * response(*params, slots)
+        else:  # written in place; += 0.0 turns -0.0 into 0.0 as 0.0 + x
+            np.multiply(scaled, response(*params, slots), out=data)
+            data += 0.0
     for cpi, rng, variance in zip(data, rngs, variances):
         if variance > 0:
             draws = rng.standard_normal((2,) + cpi.shape)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .alloc import np_allocate, read_allocation_csv, waterfill, \
@@ -95,9 +94,9 @@ def _complain_invalid(path, exc: ConfigError) -> None:
         print(f"  {item}", file=sys.stderr)
 
 
-def _load_or_complain(path):
+def _load_or_complain(path, **overrides):
     try:
-        return load_config(path)
+        return load_config(path, **overrides)
     except FileNotFoundError:
         print(f"error: no such config file: {path}", file=sys.stderr)
         return None
@@ -111,18 +110,17 @@ def _load_or_complain(path):
 
 
 def _cmd_run(args) -> int:
-    config = _load_or_complain(args.config)
-    if config is None:
-        return 2
+    overrides = {name: value for name, value in (("seed", args.seed),
+                                                 ("trials", args.trials))
+                 if value is not None}
     try:
         if args.workers < 1:
             raise ValueError("workers must be >= 1")
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        if args.trials is not None:
-            config = replace(config, trials=args.trials)
-    except ValueError as exc:
+        config = _load_or_complain(args.config, **overrides)
+    except ValueError as exc:  # a bad flag
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if config is None:
         return 2
     out_dir = _resolve_out_dir(args.out_dir, config.out_dir)
     created = not out_dir.exists()

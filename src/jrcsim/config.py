@@ -65,6 +65,11 @@ class GolayRunConfig:
         return (1, 2 * (2 ** self.log2_length + self.guard_samples), 1)
 
 
+# The least value of each integer field of ScenarioConfig, in check order.
+_LEAST = {"trials": 1, "seed": 0, "code_seed": 0, "refine_factor": 1,
+          "symbol_order": 2}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully validated experiment description; integral floats given as
@@ -94,8 +99,7 @@ class ScenarioConfig:
         if getattr(self, self.waveform) is None:
             raise ValueError(f"waveform '{self.waveform}' selected but the "
                              f"'{self.waveform}' section is missing")
-        for name, least in (("trials", 1), ("seed", 0), ("code_seed", 0),
-                            ("refine_factor", 1), ("symbol_order", 2)):
+        for name, least in _LEAST.items():
             object.__setattr__(self, name,
                                _integer(name, getattr(self, name), least))
         if self.symbol_order not in (2, 4):
@@ -364,12 +368,17 @@ def _scenario(waveform, sweep, symbol_order, **kwargs):
                           **sweep, **kwargs)
 
 
-def parse_config(data: dict) -> ScenarioConfig:
+def parse_config(data: dict, **overrides) -> ScenarioConfig:
     """Validate a parsed JSON object into a ScenarioConfig.
 
     Collects every violation it can find before raising, so a bad file is
-    diagnosed in one pass.
+    diagnosed in one pass.  ``overrides`` replace integer fields (the
+    CLI's ``--seed`` and ``--trials``) before the config is built, so it
+    is validated, and warns, once; a bad override is a ValueError, as it
+    is no fault of the data.
     """
+    overrides = {name: _integer(name, value, _LEAST[name])
+                 for name, value in overrides.items()}
     errors: list[str] = []
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected a JSON object"])
@@ -381,6 +390,7 @@ def parse_config(data: dict) -> ScenarioConfig:
     if waveform not in (None, *_WAVEFORMS):
         errors.append(f"$.waveform: must be one of {_WAVEFORMS}")
     kwargs = {row[1]: _field(data, row, errors, "$") for row in _BODY}
+    kwargs.update(overrides)
     _reject_unknown(data, _TOP, errors, "$")
     if not errors:
         try:
@@ -390,8 +400,9 @@ def parse_config(data: dict) -> ScenarioConfig:
     raise ConfigError(errors)
 
 
-def load_config(path) -> ScenarioConfig:
-    """Parse and validate a scenario file."""
+def load_config(path, **overrides) -> ScenarioConfig:
+    """Parse and validate a scenario file, with ``parse_config``'s
+    ``overrides``."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -401,7 +412,7 @@ def load_config(path) -> ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError([f"{path}: line {exc.lineno} column "
                                f"{exc.colno}: {exc.msg}"]) from None
-    return parse_config(data)
+    return parse_config(data, **overrides)
 
 
 # ---------------------------------------------------------------------------

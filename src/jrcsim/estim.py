@@ -346,16 +346,22 @@ def _window_targets(windows, n_maps: int, est: EstimatorConfig,
     return [tuple(islice(targets, n)) for n in counts.tolist()]
 
 
-def _map(x: np.ndarray, lay: _MapLayout) -> np.ndarray:
+def _map(x: np.ndarray, lay: _MapLayout, scratch: bool = False
+         ) -> np.ndarray:
     """Per-element maps of a demodulated (CPIs, slots, samples, N_r) stack:
-    each signed axis transformed at its length, then cut to the shape."""
+    each signed axis transformed at its length, then cut to the shape.
+    The first transform writes a new array unless ``scratch`` lets it
+    overwrite x; a transform that keeps its axis' length then runs in
+    place."""
     for axis, (sign, n, keep) in enumerate(zip(lay.signs, lay.lengths,
                                                lay.shape), start=1):
-        if sign > 0:
-            x = np.fft.ifft(x, n=n, axis=axis)
-            x *= n
-        elif sign < 0:
-            x = np.fft.fft(x, n=n, axis=axis)
+        if sign:
+            out = x if scratch and n == x.shape[axis] else None
+            x = (np.fft.ifft if sign > 0 else np.fft.fft)(
+                x, n=n, axis=axis, out=out)
+            if sign > 0:
+                x *= n
+            scratch = True
         x = x[:, :keep] if axis == 1 else x[:, :, :keep]
     return x
 
@@ -379,23 +385,28 @@ def _result(stack, lay: _MapLayout) -> DetectionResult:
 
 
 def _detect(data: np.ndarray, symbols: np.ndarray, known, demod, layout,
-            est: EstimatorConfig) -> tuple:
+            est: EstimatorConfig, scratch: bool = False) -> tuple:
     """(power maps, targets per CPI, demodulated known slots) of a stack
     of CPIs from its ``known`` slots, demodulated by ``demod`` and mapped
     at their slot indices: the unknown slots before the last known one
-    are zeros, like the padding."""
+    are zeros, like the padding.  With ``scratch`` the data is the
+    caller's to overwrite, and where every slot is known it is
+    demodulated in place."""
     if not known.any():
         raise NonIdentifiableError(
             "no radar slots: delay and Doppler cannot be separated from "
             "unknown data symbols at mu = 0")
     rows, lay = np.flatnonzero(known), layout(known, est)
-    x = demod(data[:, rows], symbols[:, rows])
-    padded = x
+    # The data itself, or a copy of its known slots, demodulated in place.
+    x = data if scratch and known.all() else data[:, rows]
+    x = demod(x, symbols[:, rows], out=x)
     if rows.size < lay.lengths[0]:
         padded = np.zeros((len(x), lay.lengths[0]) + x.shape[2:],
                           dtype=complex)
         padded[:, rows] = x
-    beams = _map(padded, lay)
+        beams = _map(padded, lay, scratch=True)
+    else:
+        beams = _map(x, lay)
     power = _power(beams)
     bins, guarded, owner = _whole_map(power, lay.wrap)
     return power, _window_targets((bins, guarded, beams, owner), len(power),
@@ -406,14 +417,15 @@ def _demodulated(data: np.ndarray, symbols: np.ndarray, known,
                  known_x: np.ndarray, demod) -> np.ndarray:
     """A stack of CPIs demodulated on every slot: on the ``known`` slots
     ``known_x``, as ``_detect`` demodulated them, and on the others
-    ``demod`` of the data with its ``symbols``."""
+    ``demod`` of the data with its ``symbols``.  Unless every slot is
+    known, it is written into ``data``, which it returns."""
     if known.all():
         return known_x
     comm = ~known
-    x = np.empty(data.shape, dtype=complex)
-    x[:, known] = known_x
-    x[:, comm] = demod(data[:, comm], symbols[:, comm])
-    return x
+    x = data[:, comm]  # a copy, demodulated in place
+    data[:, comm] = demod(x, symbols[:, comm], out=x)
+    data[:, known] = known_x
+    return data
 
 
 def _zoom(x: np.ndarray, owner: np.ndarray, bins,
@@ -586,28 +598,38 @@ def _demodulate(data: np.ndarray, symbols: np.ndarray, radar, response,
     if not radar.any():
         raise DecodingError("no radar slots to anchor the target amplitudes")
     known, comm = np.flatnonzero(radar), np.flatnonzero(~radar)
-    full = symbols.copy()
     if comm.size == 0:
+        full = symbols.copy()
         return np.zeros((len(data), 0), dtype=np.int64), full[:, comm], full
 
     axes = tuple(range(symbols.ndim, data.ndim))
+    params = np.array([(t.delay_s, t.doppler_hz, t.angle_rad)
+                       for cpi in targets for t in cpi]).T
+    ends = np.cumsum([len(cpi) for cpi in targets]).tolist()
+    # The radar and the data slots' responses are evaluated apart, so that
+    # only one of them is held at a time.
+    bases = response(*params, known)
     known_symbols = np.expand_dims(symbols[:, known], axes)
-    received = data[:, comm]
-    rebuilt = np.zeros_like(received)
-    bases = response(*np.array([(t.delay_s, t.doppler_hz, t.angle_rad)
-                                for cpi in targets for t in cpi]).T,
-                     np.concatenate([known, comm]))
-    start = 0
-    for k, cpi in enumerate(targets):
-        own = bases[start:start + len(cpi)]
-        start += len(cpi)
-        d_hat = _fit(data[k], own[:, :known.size], known, known_symbols[k])
-        for d_q, basis in zip(d_hat, own[:, known.size:]):
-            rebuilt[k] += d_q * basis
-    energy = np.sum(np.abs(rebuilt) ** 2, axis=axes)
+    d_hats = [_fit(data[k], bases[end - len(cpi):end], known,
+                   known_symbols[k])
+              for k, (cpi, end) in enumerate(zip(targets, ends))]
+    del bases, known_symbols
+    bases = response(*params, comm)
+    rebuilt = np.zeros((len(data), comm.size) + data.shape[2:], dtype=complex)
+    for k, (d_hat, end) in enumerate(zip(d_hats, ends)):
+        for q, d_q in enumerate(d_hat, start=end - len(d_hat)):
+            rebuilt[k] += d_q * bases[q]
+    del bases
+    energy = np.abs(rebuilt)
+    energy **= 2
+    energy = energy.sum(axis=axes)
     if np.any(energy == 0):
         raise DecodingError("reconstructed response has zero energy")
-    proj = np.sum(received * np.conj(rebuilt), axis=axes) / energy
+    # The projection's products are written over the rebuilt response.
+    np.multiply(data[:, comm], np.conj(rebuilt, out=rebuilt), out=rebuilt)
+    proj = rebuilt.sum(axis=axes) / energy
+    del rebuilt
+    full = symbols.copy()
     bits, full[:, comm] = dpsk(proj, order)
     return bits, proj, full
 
@@ -618,13 +640,14 @@ def _demodulate(data: np.ndarray, symbols: np.ndarray, radar, response,
 
 
 def _pmcw_correlate(frames: np.ndarray, symbols: np.ndarray,
-                    code_spec: np.ndarray) -> np.ndarray:
+                    code_spec: np.ndarray, out=None) -> np.ndarray:
     """Fast-time code correlation of each frame with its symbol removed.
 
     ``frames`` is a (CPIs, frames, L, N_r) stack, ``symbols`` the
-    (CPIs, frames) symbols on them and ``code_spec`` the code's DFT.
+    (CPIs, frames) symbols on them and ``code_spec`` the code's DFT; the
+    result goes to ``out`` (which may be ``frames``) or a new array.
     """
-    y = frames * np.conj(symbols)[:, :, None, None]
+    y = np.multiply(frames, np.conj(symbols)[:, :, None, None], out=out)
     np.fft.fft(y, axis=2, out=y)
     y *= np.conj(code_spec)[:, None]
     return np.fft.ifft(y, axis=2, out=y)
@@ -708,10 +731,11 @@ def pmcw_decode(cube: ReceiveCube, code: CodeSequence, targets,
 # ---------------------------------------------------------------------------
 
 
-def _ofdma_derotate(data: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+def _ofdma_derotate(data: np.ndarray, symbols: np.ndarray,
+                    out=None) -> np.ndarray:
     """A (CPIs, rows, N_s, N_r) stack with its unit-modulus symbols
-    divided out."""
-    return data * np.conj(symbols)[..., None]
+    divided out, into ``out`` (which may be ``data``) or a new array."""
+    return np.multiply(data, np.conj(symbols)[..., None], out=out)
 
 
 def _ofdma_layout(config, known, est: EstimatorConfig) -> _MapLayout:

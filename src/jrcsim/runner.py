@@ -9,7 +9,9 @@ only in their noise variance and in the point index that seeds each
 trial.  Synthesis, the coarse map, decoding and refinement carry a
 leading trial axis, and synthesis draws each trial's noise at its own
 point's variance.  Refinement zooms its windows a slice of trials at a
-time, so a batch's peak memory is its cubes and maps.  Within the batch
+time, so a batch's peak memory is its cubes and maps, and the stages
+write their demodulations and transforms in place where the input is
+theirs or the batch's to spend (``_cube_trials``).  Within the batch
 each trial's generator is consumed in the fixed per-trial order: its
 payload bits are drawn first, then its noise inside the receive
 synthesizer.  Peak picking, target extraction at the picked map cells and
@@ -378,7 +380,15 @@ def _cube_trials(batch) -> list:
     ``batch``: every truth with its nearest coarse and refined estimate,
     and its bit errors.  The points share one cube, and so one set of
     links and truths; each trial has its own point's noise variance and
-    its own generator."""
+    its own generator.
+
+    The synthesized data is written over once it is not needed as
+    received: ``_detect`` demodulates it in place when every slot is
+    radar, as decoding then reads none of it; otherwise ``_demodulated``
+    writes every slot's demodulation into it after ``_demodulate`` has
+    decoded.  Refinement holds only that stack, the data's memory, and
+    one slice of windows.
+    """
     bound = batch[0][0]
     config, cube = bound.config, bound.cube
     rngs, payload = _trial_payloads(
@@ -390,29 +400,30 @@ def _cube_trials(batch) -> list:
                        [trial for _, _, trial in batch], rngs,
                        [triple[0].noise_variance for triple in batch])
     _, coarse, radar_x = _detect(data, symbols, cube.radar, cube.demod,
-                                 cube.layout, config.estimator)
-    bits_hat, _, full_symbols = _demodulate(
+                                 cube.layout, config.estimator, scratch=True)
+    # The decoded symbols replace the sent ones, which nothing reads again.
+    bits_hat, _, symbols = _demodulate(
         data, symbols, cube.radar, cube.response, coarse,
         config.symbol_order, cube.dpsk)
-    x = _demodulated(data, full_symbols, cube.radar, radar_x, cube.demod)
-    del data, radar_x  # refinement holds x and one slice of windows
+    errors = np.count_nonzero(bits_hat != payload, axis=1).tolist()
+    n_bits = payload.shape[1]
+    x = _demodulated(data, symbols, cube.radar, radar_x, cube.demod)
+    del rngs, payload, symbols, data, radar_x, bits_hat, _
     _, refined = _refined(x, cube.layout,
                           config.estimator.refined(config.refine_factor))
-
-    errors = np.count_nonzero(bits_hat != payload, axis=1).tolist()
     return [_outcome(point, trial, bound.truths, _parameters(found),
-                     _parameters(kept), cube.scales, n_bits=payload.shape[1],
+                     _parameters(kept), cube.scales, n_bits=n_bits,
                      bit_errors=n_errors)
             for (_, point, trial), found, kept, n_errors in zip(
                 batch, coarse, refined, errors)]
 
 
-# Receive-cube cells one batch may stack (512 kB of samples; 16 trials on
+# Receive-cube cells one batch may stack (1 MiB of samples; 32 trials on
 # both benchmark sweeps).  Refinement zooms its windows a slice of maps at
 # a time, so they do not grow with the batch.  A sweep of fewer tasks cuts
 # batches of a quarter of them, so that a pool still gets four chunks of
 # whole batches, down to batches of the floor's cells.
-_BATCH_CELLS = 1 << 15
+_BATCH_CELLS = 1 << 16
 _BATCH_FLOOR_CELLS = 1 << 14
 
 

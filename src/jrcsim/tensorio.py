@@ -136,8 +136,10 @@ def _array_lines(blocks):
     Each block's distinct values, told apart by their bit pattern so that
     -0.0, NaN and ints stay exact, are formatted once, a chunk at a time,
     into a fixed-width byte table (see :func:`_format_cells`).  The
-    returned generator joins the rows from those tables a block of rows at
-    a time, so no Python string per cell is kept alive.
+    returned generator builds the bytes of a block of rows at a time in
+    arrays: each cell's NUL-padded table entry, then its separator (","
+    or, after the last column, the line end), with the NULs dropped.  No
+    Python object per cell is made.
     """
     tables = []
     for block in blocks:
@@ -147,10 +149,27 @@ def _array_lines(blocks):
             text[start:start + _FORMAT_CHUNK] = _format_cells(
                 values[start:start + _FORMAT_CHUNK], values.size)
         tables.append((text, index))
-    return (b"\r\n".join(map(b",".join, np.concatenate(
-        [text[index[start:start + _ROW_CHUNK]] for text, index in tables],
-        axis=1).tolist())) + b"\r\n"
-        for start in range(0, len(blocks[0]) if blocks else 0, _ROW_CHUNK))
+    return _joined_rows(tables, len(blocks[0]) if blocks else 0)
+
+
+def _joined_rows(tables, n_rows: int):
+    """The CSV bytes of ``_array_lines``' (text, index) tables, a chunk of
+    rows at a time.  A table without columns still ends each row: its
+    line end sits after one all-NUL cell."""
+    n_cols = max(1, sum(index.shape[1] for _, index in tables))
+    for start in range(0, n_rows, _ROW_CHUNK):
+        rows = min(_ROW_CHUNK, n_rows - start)
+        line = np.zeros((rows, n_cols, _CELL_BYTES + 2), dtype=np.uint8)
+        line[:, :-1, _CELL_BYTES] = ord(",")
+        line[:, -1, _CELL_BYTES:] = np.frombuffer(b"\r\n", np.uint8)
+        col = 0
+        for text, index in tables:
+            width = index.shape[1]
+            line[:, col:col + width, :_CELL_BYTES] = text[
+                index[start:start + rows]].view(np.uint8).reshape(
+                    rows, width, _CELL_BYTES)
+            col += width
+        yield line[line != 0].tobytes()
 
 
 def _format_cells(values, n_distinct):

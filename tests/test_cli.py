@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, output-dir resolution."""
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from jrcsim import runner
 from jrcsim.alloc import AllocationProblem, write_allocation_csv
 from jrcsim.cli import main
 from jrcsim.config import load_config
+from jrcsim.ofdma import DelayAliasWarning, IsiWarning
 from jrcsim.perf import ambiguity_function, default_af_grids
 from jrcsim.tensorio import read_csv_rows, read_tensor
 
@@ -244,6 +247,26 @@ def test_run_workers_flag_matches_serial(tmp_path):
                  "--workers", "2"]) == 0
     assert (tmp_path / "serial" / "estimates.csv").read_bytes() == \
         (tmp_path / "pool" / "estimates.csv").read_bytes()
+
+
+def test_run_overrides_warn_once(tmp_path):
+    # A 9 ns scatterer reaches past the 8 ns cyclic prefix and the 8 ns
+    # pilot delay window at mu = 50: --seed and --trials must not
+    # validate the config, and so warn, a second time.
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({
+        "version": 1, "waveform": "ofdma",
+        "ofdma": {"n_subcarriers": 32, "n_symbols": 16,
+                  "subcarrier_spacing_hz": 62.5e6, "carrier_hz": 60e9,
+                  "cp_samples": 16, "mu_percent": 50},
+        "scene": {"scatterers": [{"delay_s": 9e-9,
+                                  "amplitude": [1.0, 0.0]}]}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out"),
+                     "--seed", "3", "--trials", "2"]) == 0
+    assert [w.category for w in caught] == [IsiWarning, DelayAliasWarning]
+    assert not any(w.filename == dataclasses.__file__ for w in caught)
 
 
 # ---------------------------------------------------------------------------

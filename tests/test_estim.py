@@ -1132,8 +1132,10 @@ def test_refinement_reuses_the_detection_demodulation(
         radar_x = estim._detect(data, symbols, radar, demod, layout, est)[2]
     else:
         radar_x = demod(data[:, radar], symbols[:, radar])
-    x = estim._demodulated(data, full, radar, radar_x, demod)
     anew = demod(data, full)
+    # Unless every slot is radar, the stack is written into the data.
+    x = estim._demodulated(data, full, radar, radar_x, demod)
+    assert np.shares_memory(x, data) == (not radar.all())
     assert x.dtype == anew.dtype and np.array_equal(x, anew)
     fine = est.refined(2)
     assert exact_map(partial(refine_windows, x, layout, fine), fine) == \

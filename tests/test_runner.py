@@ -424,9 +424,10 @@ def test_golay_trials_honour_fading(tmp_path, monkeypatch):
     seen = []
     synthesize = runner._synthesize
 
-    def spy(*args):
-        seen.append(synthesize(*args))
-        return seen[-1]
+    def spy(*args):  # a copy, as the batch demodulates in its data
+        data = synthesize(*args)
+        seen.append(data.copy())
+        return data
 
     monkeypatch.setattr(runner, "_synthesize", spy)
     faded = golay_fading_scenario("swerling12", snr_db=None)
@@ -835,26 +836,27 @@ def test_a_batch_demodulates_every_slot_once(monkeypatch, make, mu):
     stage, calls, cubes = [None], [], []
 
     def staged(name, fn):
-        def run(*args):
+        def run(*args, **kwargs):
             stage[0] = name
-            return fn(*args)
+            return fn(*args, **kwargs)
         return run
 
     def bind_recording(bind):
         def bound(config, wave):
             cube = bind(config, wave)
 
-            def demod(data, symbols):
+            def demod(data, symbols, out=None):
                 calls.append((stage[0], data.copy()))
-                return cube.demod(data, symbols)
+                return cube.demod(data, symbols, out=out)
             return replace(cube, demod=demod)
         return bound
 
     synthesize = runner._synthesize
 
-    def synthesized(*args):
-        cubes.append(synthesize(*args))
-        return cubes[-1]
+    def synthesized(*args):  # a copy, as the batch demodulates in its data
+        data = synthesize(*args)
+        cubes.append(data.copy())
+        return data
 
     monkeypatch.setattr(runner, "_synthesize", synthesized)
     monkeypatch.setattr(runner, "_detect", staged("detect", runner._detect))
@@ -977,8 +979,8 @@ def pool_grid_scenario(trials):
 
 
 @pytest.mark.parametrize("trials, sizes", [
-    # Windows of 16 tasks; [96, 112) is split at mu's boundary, task 104.
-    (4, [16] * 6 + [8, 8] + [16] * 6),
+    # Windows of 32 tasks; [96, 128) is split at mu's boundary, task 104.
+    (4, [32] * 3 + [8, 24] + [32] * 2 + [16]),
     # One trial a point: four windows of 13, two per mu.
     (1, [13] * 4),
 ], ids=["four-trials", "one-trial"])
@@ -1403,29 +1405,29 @@ def test_isi_warning_on_the_run_path(tmp_path):
 
 
 def test_batch_size_counts_receive_cube_cells():
-    # 32768 cells over 8 x 31 x 2 (PMCW), 16 x 4 x 2 (OFDMA) and
-    # 1 x 2 (16 + 16) x 1 (Golay) per cube, once a sweep has four batches'
-    # worth of tasks; a smaller sweep cuts a quarter of its tasks, but no
-    # fewer than 16384 cells.
-    assert runner._batch_size(pmcw_scenario(trials=264)) == 66
-    assert runner._batch_size(ofdma_scenario(trials=1024)) == 256
-    assert runner._batch_size(golay_scenario(trials=2048)) == 512
+    # 65536 cells over 8 x 31 x 2 (PMCW), 16 x 4 x 2 (OFDMA) and
+    # 1 x 2 (16 + 16) x 1 (Golay) per cube, once a sweep has more than four
+    # batches' worth of tasks; a smaller sweep cuts a quarter of its tasks,
+    # but no fewer than 16384 cells.
+    assert runner._batch_size(pmcw_scenario(trials=1000)) == 132
+    assert runner._batch_size(ofdma_scenario(trials=4000)) == 512
+    assert runner._batch_size(golay_scenario(trials=8000)) == 1024
     assert runner._batch_size(pmcw_scenario(
         sweep={"snr_db": [0, 10]}, trials=80)) == 40
     assert runner._batch_size(pmcw_scenario()) == 33
     assert runner._batch_size(ofdma_scenario()) == 128
     assert runner._batch_size(golay_fading_scenario("swerling0")) == 256
-    # Both benchmark sweeps: 16 trials of a 32 x 16 x 4 cube per batch.
+    # Both benchmark sweeps: 32 trials of a 32 x 16 x 4 cube per batch.
     sweep = {"mu_percent": [50, 100], "snr_db": [0, 5, 10, 15, 20]}
     assert runner._batch_size(pmcw_scenario(
         pmcw={"code_length": 32, "n_frames": 16, "chip_time_s": 1e-9,
               "carrier_hz": 60e9, "geometry": {"n_rx": 4}},
-        code_kind="random", sweep=sweep, trials=40)) == 16
+        code_kind="random", sweep=sweep, trials=40)) == 32
     assert runner._batch_size(ofdma_scenario(
         ofdma={"n_subcarriers": 32, "n_symbols": 16,
                "subcarrier_spacing_hz": 62.5e6, "carrier_hz": 60e9,
                "cp_samples": 16, "geometry": {"n_rx": 4}},
-        sweep=sweep, trials=20)) == 16
+        sweep=sweep, trials=20)) == 32
 
 
 # The traced peak (tracemalloc, numpy 2.4) of refining 8 trials of the
@@ -1468,6 +1470,48 @@ def test_a_16_trial_refinement_holds_the_8_trial_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= EIGHT_TRIAL_REFINE_PEAK
+
+
+A5_SWEEP = {"mu_percent": [50, 100], "snr_db": [0, 5, 10, 15, 20]}
+A5_SCENES = {
+    "pmcw": lambda: pmcw_scenario(
+        pmcw={"code_length": 32, "n_frames": 16, "chip_time_s": 1e-9,
+              "carrier_hz": 60e9, "geometry": {"n_rx": 4}},
+        code_kind="random",
+        scene={"scatterers": [{"delay_s": 9e-9, "doppler_hz": 5273437.5,
+                               "angle_rad": 0.3, "amplitude": [1.0, 0.0]}]},
+        sweep=A5_SWEEP, trials=32, seed=7),
+    "ofdma": lambda: ofdma_scenario(
+        ofdma={"n_subcarriers": 32, "n_symbols": 16,
+               "subcarrier_spacing_hz": 62.5e6, "carrier_hz": 60e9,
+               "cp_samples": 16, "geometry": {"n_rx": 4}},
+        scene={"scatterers": [{"delay_s": 2.85e-9, "doppler_hz": 0.0,
+                               "angle_rad": -0.2, "amplitude": [1.0, 0.0]}]},
+        sweep=A5_SWEEP, trials=32, seed=7),
+}
+
+
+@pytest.mark.parametrize("mu", [50.0, 100.0])
+@pytest.mark.parametrize("waveform", sorted(A5_SCENES))
+def test_a_batch_peaks_under_three_and_a_half_cubes(waveform, mu):
+    # The benchmark sweeps' scenes at 0 dB: the first batch the runner
+    # cuts, 32 trials, holds at its traced peak (tracemalloc, numpy 2.4)
+    # at most 3.5 times its receive cubes' bytes, as its stages write in
+    # place where they can.
+    config = A5_SCENES[waveform]()
+    point = SweepPoint(index=0, mu_percent=mu, snr_db=0.0)
+    bound = runner._bind(config, point)
+    batch = runner._trial_tasks(config, [point], [bound])[0][0]
+    assert len(batch) == 32
+    cube_bytes = len(batch) * np.prod(bound.wave.cube_shape) * 16
+    runner._cube_trials(batch)  # builds the cached DFT tables
+    tracemalloc.start()
+    try:
+        runner._cube_trials(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * cube_bytes
 
 
 @pytest.mark.parametrize("config, repeats", [

@@ -241,6 +241,24 @@ def test_write_table_csv_formats_repeated_values_exactly(tmp_path_factory,
                                                  header, blocks)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_write_table_csv_matches_csv_writer_over_row_chunks(tmp_path, seed):
+    # Random floats with NaN and -0.0 among them, ints and bools, over
+    # three row chunks, the last one short.
+    rng = np.random.default_rng(seed)
+    n_rows = 2 * tensorio._ROW_CHUNK + int(rng.integers(1, 200))
+    floats = rng.normal(size=(n_rows, 4)) \
+        * 10.0 ** rng.integers(-20, 20, (n_rows, 4))
+    floats[rng.random(floats.shape) < 0.05] = np.nan
+    floats[rng.random(floats.shape) < 0.05] = -0.0
+    blocks = [rng.integers(-10 ** 6, 10 ** 6, n_rows), floats,
+              rng.random(n_rows) < 0.5, floats[:, 0].astype(np.float32)]
+    header = [f"c{j}" for j in range(7)]
+    write_table_csv(tmp_path / "table.csv", header, blocks)
+    assert (tmp_path / "table.csv").read_bytes() == csv_writer_bytes(
+        tmp_path / "csv.csv", header, blocks)
+
+
 def test_write_table_csv_without_rows_writes_its_header(tmp_path):
     path = tmp_path / "empty.csv"
     write_table_csv(path, ["a", "b", "c"],
