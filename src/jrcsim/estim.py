@@ -367,10 +367,20 @@ def _map(x: np.ndarray, lay: _MapLayout, scratch: bool = False
 
 
 def _power(beams: np.ndarray) -> np.ndarray:
-    """Power summed noncoherently over the array elements (the last axis)."""
+    """Power summed noncoherently over the array elements (the last axis).
+
+    Below 8 elements numpy's sum adds them in order, and so do the slice
+    additions here, without the reduction's per-element overhead; from 8
+    on numpy sums pairwise, and the reduction is kept.
+    """
     power = np.abs(beams)
     power **= 2
-    return power.sum(axis=-1)
+    if power.shape[-1] >= 8:
+        return power.sum(axis=-1)
+    total = power[..., 0].copy()
+    for k in range(1, power.shape[-1]):
+        total += power[..., k]
+    return total
 
 
 def _result(stack, lay: _MapLayout) -> DetectionResult:

@@ -19,6 +19,8 @@ directly; the objective only needs the matrix.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +95,16 @@ def default_af_grids(n_samples: int, sample_rate_hz: float,
     return delays, span / 2 * (np.arange(-half, half + 1) / half)
 
 
+def _af_workers(n_rows: int) -> int:
+    """Threads for the AF's Doppler rows: the CPUs this process may run
+    on, at most one per row."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_rows))
+
+
 def ambiguity_function(waveform, delays_s, dopplers_hz,
                        sample_rate_hz: float = 1.0) -> AfSurface:
     """Narrowband ambiguity magnitude on the given delay/Doppler grid.
@@ -114,13 +126,22 @@ def ambiguity_function(waveform, delays_s, dopplers_hz,
     O(N_|nu| * n * (M / B) * log M), N_|nu| the number of distinct |nu| on
     the Doppler grid, and the result agrees with the direct sum to float
     rounding.  Both grids must be strictly increasing, which is checked
-    before any FFT.
+    before any FFT, and a waveform holding NaN or inf is rejected.
+
+    The rows still to compute run on a thread pool that is created and
+    joined inside the call: one worker per CPU this process may run on,
+    at most one per row, each taking an interleaved share of the rows.
+    The calling thread allocates one set of row buffers per worker, and
+    a worker writes only into its own buffers and its own columns, so
+    the surface is bit-identical to computing the rows one by one.
+    With one worker the rows run in the calling thread.
     """
     x = np.asarray(waveform, dtype=complex).ravel()
     n = x.size
     energy = float(np.sum(np.abs(x) ** 2))
-    if n == 0 or energy == 0:
-        raise ValueError("waveform must be non-empty with positive energy")
+    if n == 0 or energy == 0 or not np.isfinite(energy):
+        raise ValueError("waveform must be non-empty and finite with "
+                         "positive energy")
     delays_s = np.asarray(delays_s, dtype=float)
     dopplers_hz = np.asarray(dopplers_hz, dtype=float)
     lags_f = delays_s * sample_rate_hz
@@ -159,17 +180,49 @@ def ambiguity_function(waveform, delays_s, dopplers_hz,
         paired = (dopplers_hz > 0) & (dopplers_hz[mirror] == -dopplers_hz)
         filled = np.zeros(dopplers_hz.size, dtype=bool)
         filled[mirror[paired]] = True
-        for j in np.flatnonzero(~filled):
-            nu = dopplers_hz[j]
-            phase = np.multiply.outer(np.exp(1j * nu * starts),
-                                      np.exp(1j * nu * offsets))
-            z_spectra = np.fft.fft(x_blocks * phase, fft_len, axis=1)
-            cross = np.einsum("bm,bm->m", seg_spectra, z_spectra)
-            # ifft(conj(sum_b conj(X_b) Z_b)) = ifft(sum_b X_b conj(Z_b)).
-            row = np.fft.ifft(np.conj(cross))
-            mags[inside, j] = np.abs(row[picks])
-            if paired[j]:
-                mags[inside, mirror[j]] = np.abs(row[2 * span - picks])
+        mirrored = 2 * span - picks
+
+        def fill(share, bufs):
+            # Only writes into bufs and into the columns of share (and
+            # their mirrors), so workers with disjoint shares never race.
+            e_starts, e_offsets, prod, z_spectra, cross, row, picked, col = bufs
+            for j in share:
+                nu = dopplers_hz[j]
+                np.multiply(1j * nu, starts, out=e_starts)
+                np.multiply(1j * nu, offsets, out=e_offsets)
+                np.multiply.outer(np.exp(e_starts, out=e_starts),
+                                  np.exp(e_offsets, out=e_offsets), out=prod)
+                np.multiply(x_blocks, prod, out=prod)
+                np.fft.fft(prod, fft_len, axis=1, out=z_spectra)
+                np.einsum("bm,bm->m", seg_spectra, z_spectra, out=cross)
+                # ifft(conj(sum_b conj(X_b) Z_b))
+                #     = ifft(sum_b X_b conj(Z_b)).
+                np.fft.ifft(np.conj(cross, out=cross), out=row)
+                mags[inside, j] = np.abs(np.take(row, picks, out=picked),
+                                         out=col)
+                if paired[j]:
+                    mags[inside, mirror[j]] = np.abs(
+                        np.take(row, mirrored, out=picked), out=col)
+
+        rows = np.flatnonzero(~filled)
+        workers = _af_workers(rows.size)
+        # Allocated here, not in the workers: what a worker thread frees
+        # stays resident in its own malloc arena.
+        buffers = [(np.empty(n_blocks, dtype=complex),
+                    np.empty(block, dtype=complex),
+                    np.empty((n_blocks, block), dtype=complex),
+                    np.empty((n_blocks, fft_len), dtype=complex),
+                    np.empty(fft_len, dtype=complex),
+                    np.empty(fft_len, dtype=complex),
+                    np.empty(picks.size, dtype=complex),
+                    np.empty(picks.size)) for _ in range(workers)]
+        if workers == 1:
+            fill(rows, buffers[0])
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                for done in [pool.submit(fill, rows[k::workers], bufs)
+                             for k, bufs in enumerate(buffers)]:
+                    done.result()
     mags /= energy
     return AfSurface(delays_s=delays_s, dopplers_hz=dopplers_hz,
                      magnitude=mags)

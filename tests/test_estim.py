@@ -245,6 +245,18 @@ def test_peak_cells_match_the_loop_oracle(seed, n_maps, shape, wrap, pads,
         [cell for cells in want for cell in cells]
 
 
+@pytest.mark.parametrize("n_rx", range(1, 17))
+@pytest.mark.parametrize("lead", [(32, 16, 32), (5,), ()],
+                         ids=["batch", "row", "scalar"])
+def test_power_matches_the_element_sum(lead, n_rx):
+    rng = np.random.default_rng(n_rx)
+    scales = rng.choice([1e-3, 1.0, 1e5], size=lead + (n_rx,))
+    beams = scales * (rng.normal(size=lead + (n_rx,))
+                      + 1j * rng.normal(size=lead + (n_rx,)))
+    expected = (np.abs(beams) ** 2).sum(axis=-1)
+    assert np.array_equal(estim._power(beams), expected)
+
+
 # ---------------------------------------------------------------------------
 # Continuous-wave (code-domain) estimation
 # ---------------------------------------------------------------------------
