@@ -14,7 +14,8 @@ from .alloc import np_allocate, waterfill
 from .channel import Scatterer, Scene
 from .config import ConfigError, config_hash, load_config, save_config
 from .estim import (EstimatorConfig, ofdma_decode, ofdma_range_doppler_angle,
-                    ofdma_refine, pmcw_decode, pmcw_range_doppler)
+                    ofdma_refine, pmcw_decode, pmcw_range_doppler,
+                    pmcw_refine)
 from .ofdma import build_symbol_grid, ofdma_receive_cube
 from .perf import ambiguity_function
 from .pmcw import (PmcwConfig, payload_capacity_bits, pmcw_frame_symbols,
@@ -29,7 +30,7 @@ __all__ = [
     "ArrayGeometry", "CodeSequence", "Scatterer", "Scene", "PmcwConfig",
     "EstimatorConfig", "ConfigError",
     "pmcw_schedule", "pmcw_frame_symbols", "payload_capacity_bits",
-    "pmcw_receive_cube", "pmcw_range_doppler", "pmcw_decode",
+    "pmcw_receive_cube", "pmcw_range_doppler", "pmcw_decode", "pmcw_refine",
     "build_symbol_grid", "ofdma_receive_cube", "ofdma_range_doppler_angle",
     "ofdma_decode", "ofdma_refine",
     "ambiguity_function", "waterfill", "np_allocate",

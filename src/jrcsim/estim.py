@@ -664,13 +664,14 @@ def _pmcw_correlate(frames: np.ndarray, symbols: np.ndarray,
 
 
 def _pmcw_layout(config, known, est: EstimatorConfig) -> _MapLayout:
-    """(Doppler, lag) map layout over the ``known`` frames, a leading block:
-    an inverse slow-time DFT padded ``doppler_pad`` times, and the code
-    correlation's unpadded lag axis."""
+    """(Doppler, lag) map layout over frames 0 to the last ``known`` one:
+    an inverse slow-time DFT padded ``doppler_pad`` times where two or
+    more frames are known, and the code correlation's unpadded lag axis."""
     m_count = int(np.count_nonzero(known))
+    span = int(np.flatnonzero(known).max(initial=-1)) + 1
     l_count, t_c = config.code_length, config.chip_time
     pad = est.doppler_pad if m_count > 1 else 1  # see EstimatorConfig
-    shape = (m_count * pad, l_count)
+    shape = (span * pad, l_count)
     return _MapLayout(shape=shape, signs=(1, 0), lengths=shape, delay_axis=1,
                       wrap=(True, True), manifold=config.manifold,
                       n_known=l_count * m_count, delay_of=lambda b: b * t_c,

@@ -421,7 +421,7 @@ def write_af_csv(path, surface: AfSurface) -> None:
 
 
 def write_af_tensor(path, surface: AfSurface) -> None:
-    """Magnitude grid in the binary tensor container (zero imaginary parts)."""
+    """Magnitude grid as a ``.npy`` tensor file of float64, not copied."""
     write_tensor(path, surface.magnitude)
 
 

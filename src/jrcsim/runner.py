@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import json
 import math
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -772,12 +773,16 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None,
         outputs=outputs,
         wall_clock_s=time.perf_counter() - started)
 
+    from . import __version__  # the package, initialised by now
     report_path = Path(destination) / "report.json"
     payload = dict(
         vars(report),
         points=[{k: _json_safe(v) for k, v in vars(r).items()}
                 for r in report.points],
-        tradeoff=[[_json_safe(v) for v in row] for row in report.tradeoff])
+        tradeoff=[[_json_safe(v) for v in row] for row in report.tradeoff],
+        workers=workers,
+        versions={"jrcsim": __version__, "numpy": np.__version__,
+                  "python": platform.python_version()})
     with open(report_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -42,8 +42,9 @@ class CodeSequence:
     """A phase-coded fast-time chip sequence.
 
     ``phases`` holds one phase per chip in radians; binary codes use
-    {0, pi}.  The chip itself is a unit rectangle of ``chip_duration``
-    seconds, so the complex chip value is simply exp(j*phase).
+    {0, pi}.  The chip itself is a unit rectangle, so the complex chip
+    value is simply exp(j*phase).  PMCW timing comes from
+    ``PmcwConfig.chip_time``: ``chip_duration`` is stored but never read.
     """
 
     phases: np.ndarray

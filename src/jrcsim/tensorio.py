@@ -1,16 +1,9 @@
-"""Binary tensor file format and CSV tables.
+"""Tensor files and CSV tables.
 
-Layout of a ``.jrct`` file, all little-endian:
-
-    bytes 0..3    magic b"JRCT"
-    bytes 4..7    format version, uint32 (currently 1)
-    bytes 8..11   number of dimensions, uint32
-    next 8*ndim   dimension sizes, uint64 each
-    rest          complex128 samples in C order, each stored as
-                  interleaved real/imag float64
-
-A real (bool, int or float) array is stored with zero imaginary parts and
-reads back as complex128.
+A tensor file is a NumPy ``.npy`` file (format 1.0 or 2.0) holding the
+array in its own numeric dtype; ``np.load`` reads it, and
+:func:`read_tensor` returns it as complex128.  The ``.jrct`` container
+of earlier versions is no longer readable.
 
 Tables go to CSV with every float in its shortest round-trip form: the
 bytes of ``repr(float(x))``.  A block of at least ``_FAST_MIN`` distinct
@@ -31,66 +24,50 @@ import os
 
 import numpy as np
 
-MAGIC = b"JRCT"
-FORMAT_VERSION = 1
-# Cells converted to complex128 per write in write_tensor (1 MiB).
-_TENSOR_BLOCK = 1 << 16
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
 
 
 def write_tensor(path, array) -> None:
-    """Write a numeric tensor to the documented binary layout.
-
-    Real (bool, int or float) input is stored as complex128 with zero
-    imaginary parts, converted a fixed-size block at a time, so no complex
-    copy of the whole array is made.
-    """
+    """Write a numeric tensor of at least one dimension as a ``.npy`` file
+    in its own dtype and C order; a C-contiguous array is not copied."""
     arr = np.asarray(array)
     if arr.dtype.kind not in "biufc":
         raise TypeError(f"tensor must hold numbers, not {arr.dtype}")
     if arr.ndim < 1:
         raise ValueError("tensor must have at least one dimension")
-    flat = arr.reshape(-1)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.array(FORMAT_VERSION, dtype="<u4").tobytes())
-        fh.write(np.array(arr.ndim, dtype="<u4").tobytes())
-        fh.write(np.asarray(arr.shape, dtype="<u8").tobytes())
-        for start in range(0, flat.size, _TENSOR_BLOCK):
-            fh.write(flat[start:start + _TENSOR_BLOCK].astype("<c16"))
+        np.lib.format.write_array(fh, np.ascontiguousarray(arr),
+                                  allow_pickle=False)
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a tensor previously written by :func:`write_tensor`.
+    """Read a ``.npy`` tensor file as complex128.
 
-    Each fixed header read is checked to be whole, and the header's
-    element count against the file size, before the one complex128 array
-    is allocated and read into.  A file holding more bytes than that
-    count is rejected too.
+    The magic, the header version, a numeric dtype, a shape of at least
+    one dimension, and the data's size against the bytes left in the
+    file are all checked before the array is allocated, so a short, long
+    or malformed file raises ``ValueError``.
     """
     with open(path, "rb") as fh:
-        head = fh.read(12)  # magic, version, ndim
-        if head[:4] != MAGIC:
-            raise ValueError(f"not a tensor file (bad magic {head[:4]!r})")
-        if len(head) < 12:
-            raise ValueError("tensor file truncated")
-        version, ndim = map(int, np.frombuffer(head, dtype="<u4", offset=4))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported tensor format version {version}")
-        if not 1 <= ndim <= 32:
-            raise ValueError(f"implausible dimension count {ndim}")
-        sizes = fh.read(8 * ndim)
-        if len(sizes) < 8 * ndim:
-            raise ValueError("tensor file truncated")
-        shape = tuple(map(int, np.frombuffer(sizes, dtype="<u8")))
-        size = 16 * math.prod(shape)
+        version = np.lib.format.read_magic(fh)
+        if version not in _NPY_HEADERS:
+            raise ValueError(f"unsupported .npy format version {version}")
+        shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
+        if dtype.kind not in "biufc":
+            raise ValueError(f"tensor must hold numbers, not {dtype}")
+        if not shape or min(shape) < 0:
+            raise ValueError(f"implausible tensor shape {shape}")
+        size = math.prod(shape) * dtype.itemsize
         stored = os.fstat(fh.fileno()).st_size - fh.tell()
         if size > stored:
             raise ValueError("tensor file truncated")
         if size < stored:
             raise ValueError("tensor file has bytes after its data")
-        data = np.empty(shape, dtype="<c16")
+        data = np.empty(shape[::-1] if fortran_order else shape, dtype=dtype)
         fh.readinto(data)
-        return data.astype(np.complex128, copy=False)
+        return (data.T if fortran_order else data).astype(np.complex128,
+                                                          copy=False)
 
 
 def format_float(x) -> str:

@@ -346,6 +346,18 @@ def test_af_csv_reads_back_as_the_centrosymmetric_tensor(tmp_path, capsys):
                           surface.real[::-1, ::-1][:, off])
 
 
+def test_af_tensor_is_an_npy_file_of_the_csv_surface(tmp_path, capsys):
+    cfg = write_scenario(tmp_path / "s.json")
+    out = tmp_path / "af"
+    assert main(["af", str(cfg), "--out-dir", str(out),
+                 "--max-lag", "12", "--n-doppler", "7"]) == 0
+    stored = np.load(out / "af_surface.jrct")
+    _, rows = read_csv_rows(out / "af_surface.csv")
+    assert stored.dtype == np.float64
+    assert np.array_equal(stored, np.array(rows, dtype=float)[:, 1:])
+    assert np.array_equal(stored, read_tensor(out / "af_surface.jrct").real)
+
+
 def repr_csv(header, columns) -> bytes:
     """A CSV table as a per-cell ``repr`` join of its float columns."""
     return "".join(",".join(row) + "\r\n" for row in [header, *zip(

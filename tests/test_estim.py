@@ -372,6 +372,29 @@ def test_pmcw_detection_uses_only_radar_frames():
     assert t.delay_bin == 9 and t.doppler_bin == 0
 
 
+@pytest.mark.parametrize("pad", [1, 2])
+def test_pmcw_detection_maps_non_leading_frames_at_their_times(pad):
+    # Frames 0, 1, 3 and 6 of 8 known: the map spans frames 0-6, the
+    # others zero-filled, so a Doppler on that 7-frame grid is bin-exact.
+    config = pmcw_config()
+    f_true = 2 / (7 * config.block_time)
+    cube, code, symbols, _ = pmcw_cube_for(
+        [Scatterer(delay_s=5 * CHIP, doppler_hz=f_true, amplitude=1.0)])
+    known = np.isin(np.arange(8), [0, 1, 3, 6])
+    layout = partial(estim._pmcw_layout, cube.config)
+    est = EstimatorConfig(doppler_pad=pad, max_targets=1)
+    power, (targets,), _ = estim._detect(
+        cube.data[None], symbols[None], known,
+        partial(estim._pmcw_correlate, code_spec=np.fft.fft(code.chips())),
+        layout, est)
+    assert power.shape == (1, 7 * pad, 32)
+    assert layout(known, est).n_known == 4 * 32
+    (t,) = targets
+    assert t.delay_bin == 5 and t.doppler_bin == 2 * pad
+    assert t.delay_s == pytest.approx(5 * CHIP)
+    assert t.doppler_hz == pytest.approx(f_true)
+
+
 def test_pmcw_amplitude_recovery_least_squares():
     config = pmcw_config()
     f_true = 2 / (8 * config.block_time)

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import pickle
+import platform
 import tempfile
 import time
 import tracemalloc
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jrcsim
 from jrcsim import estim, runner
 from jrcsim.channel import Scene, complex_awgn
 from jrcsim.config import _WAVEFORMS, ConfigError, config_hash, parse_config
@@ -1570,6 +1572,21 @@ def test_report_json_contents(tmp_path):
     assert len(on_disk["points"]) == 1
     assert on_disk["points"][0]["snr_db"] is None
     assert report.outputs[-1] == "report.json"
+
+
+def test_report_json_names_its_workers_and_versions(tmp_path):
+    config = pmcw_scenario(trials=2)
+    saved = {}
+    for workers in (1, 2):
+        run_scenario(config, out_dir=tmp_path / str(workers), workers=workers)
+        saved[workers] = json.loads(
+            (tmp_path / str(workers) / "report.json").read_text())
+    assert saved[1].keys() == saved[2].keys()
+    assert [saved[w]["workers"] for w in (1, 2)] == [1, 2]
+    assert saved[1]["versions"] == {
+        "jrcsim": jrcsim.__version__, "numpy": np.__version__,
+        "python": platform.python_version()}
+    assert saved[1]["points"] == saved[2]["points"]
 
 
 def test_out_dir_defaults_to_config_value(tmp_path, monkeypatch):

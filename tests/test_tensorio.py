@@ -1,6 +1,7 @@
-"""Binary tensor container and CSV helpers."""
+"""Tensor files (.npy) and CSV helpers."""
 
 import csv
+import io
 import json
 import tracemalloc
 from pathlib import Path
@@ -12,9 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jrcsim import tensorio
-from jrcsim.tensorio import (MAGIC, _array_lines, _distinct, format_float,
+from jrcsim.tensorio import (_array_lines, _distinct, format_float,
                              read_csv_rows, read_tensor, write_table_csv,
                              write_tensor)
+
+
+def npy_header(descr, shape, fortran_order=False) -> bytes:
+    """The magic and version 1.0 header of a .npy file, without data."""
+    fh = io.BytesIO()
+    np.lib.format.write_array_header_1_0(fh, {
+        "descr": descr, "fortran_order": fortran_order, "shape": shape})
+    return fh.getvalue()
 
 
 def test_tensor_round_trip(tmp_path):
@@ -26,15 +35,17 @@ def test_tensor_round_trip(tmp_path):
     assert back.shape == (3, 4, 2)
     assert back.dtype == np.complex128
     assert np.array_equal(back, arr)
+    assert np.array_equal(np.load(path), arr)
 
 
 def test_tensor_non_contiguous_input_is_written_in_c_order(tmp_path):
     arr = np.arange(12.0).reshape(3, 4) * (1 - 2j)
-    write_tensor(tmp_path / "view.jrct", arr.T[::2])
-    write_tensor(tmp_path / "copy.jrct", arr.T[::2].copy())
-    assert (tmp_path / "view.jrct").read_bytes() \
-        == (tmp_path / "copy.jrct").read_bytes()
-    assert np.array_equal(read_tensor(tmp_path / "view.jrct"), arr.T[::2])
+    for view in (arr.T, arr.T[::2]):
+        write_tensor(tmp_path / "view.jrct", view)
+        write_tensor(tmp_path / "copy.jrct", view.copy())
+        assert (tmp_path / "view.jrct").read_bytes() \
+            == (tmp_path / "copy.jrct").read_bytes()
+        assert np.array_equal(read_tensor(tmp_path / "view.jrct"), view)
 
 
 def test_tensor_one_dimensional(tmp_path):
@@ -49,15 +60,33 @@ def test_tensor_one_dimensional(tmp_path):
     lambda rng: rng.integers(0, 2 ** 64, size=(3, 5), dtype=np.uint64),
     lambda rng: rng.random((6, 4)) < 0.5,
     lambda rng: rng.normal(size=(9, 8))[::2, 1::3],
-    lambda rng: rng.normal(size=(3, tensorio._TENSOR_BLOCK // 2 + 1)),
-], ids=["float", "int", "uint64", "bool", "view", "blocks"])
-def test_tensor_real_input_writes_its_complex_cast(tmp_path, make):
+], ids=["float", "int", "uint64", "bool", "view"])
+def test_tensor_real_input_round_trips_in_its_own_dtype(tmp_path, make):
     arr = make(np.random.default_rng(5))
-    write_tensor(tmp_path / "real.jrct", arr)
-    write_tensor(tmp_path / "cast.jrct", arr.astype(np.complex128))
-    assert (tmp_path / "real.jrct").read_bytes() \
-        == (tmp_path / "cast.jrct").read_bytes()
-    assert np.array_equal(read_tensor(tmp_path / "real.jrct"), arr)
+    path = tmp_path / "real.jrct"
+    write_tensor(path, arr)
+    assert path.stat().st_size == len(npy_header(
+        np.lib.format.dtype_to_descr(arr.dtype), arr.shape)) + arr.nbytes
+    stored = np.load(path)
+    assert stored.dtype == arr.dtype and np.array_equal(stored, arr)
+    back = read_tensor(path)
+    assert back.dtype == np.complex128 and np.array_equal(back, arr)
+
+
+def test_tensor_reads_a_fortran_order_file(tmp_path):
+    arr = np.arange(24.0).reshape(2, 3, 4) * (1 + 1j)
+    path = tmp_path / "fortran.npy"
+    np.save(path, np.asfortranarray(arr))
+    assert np.array_equal(read_tensor(path), arr)
+
+
+@pytest.mark.parametrize("version", [(1, 0), (2, 0)])
+def test_tensor_reads_both_header_versions(tmp_path, version):
+    arr = np.arange(6.0).reshape(2, 3)
+    path = tmp_path / "v.npy"
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, arr, version=version)
+    assert np.array_equal(read_tensor(path), arr)
 
 
 @pytest.mark.parametrize("array", [np.array([["a", "b"]]),
@@ -71,11 +100,28 @@ def test_tensor_rejects_non_numeric_before_creating_the_file(tmp_path,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("array", [
+    np.array([["a", "b"]]), np.array([1.0, "x"], dtype=object),
+    np.zeros(2, dtype=[("re", "<f8"), ("n", "<i4")]),
+], ids=["str", "object", "structured"])
+def test_tensor_file_of_non_numbers_is_rejected(tmp_path, array):
+    path = tmp_path / "bad.npy"
+    np.save(path, array, allow_pickle=True)
+    with pytest.raises(ValueError, match="numbers"):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize("shape", [(), (-2, -2)], ids=["scalar", "negative"])
+def test_tensor_file_of_implausible_shape_is_rejected(tmp_path, shape):
+    path = tmp_path / "bad.npy"
+    path.write_bytes(npy_header("<f8", shape) + bytes(32))
+    with pytest.raises(ValueError, match="shape"):
+        read_tensor(path)
+
+
 def test_tensor_huge_header_is_truncated_without_allocating(tmp_path):
     path = tmp_path / "huge.jrct"
-    path.write_bytes(MAGIC + np.array([1, 1], dtype="<u4").tobytes()
-                     + np.array([2 ** 40], dtype="<u8").tobytes()
-                     + bytes(64))
+    path.write_bytes(npy_header("<c16", (2 ** 40,)) + bytes(64))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="tensor file truncated"):
@@ -92,8 +138,11 @@ def test_tensor_rejects_scalar(tmp_path):
 
 
 def test_tensor_bad_magic(tmp_path):
+    # A .jrct container of earlier versions: magic, version 1, one
+    # dimension of two, then complex128.
     path = tmp_path / "bad.jrct"
-    path.write_bytes(b"NOPE" + bytes(32))
+    path.write_bytes(b"JRCT" + np.array([1, 1], dtype="<u4").tobytes()
+                     + np.array([2], dtype="<u8").tobytes() + bytes(32))
     with pytest.raises(ValueError, match="magic"):
         read_tensor(path)
 
@@ -103,7 +152,7 @@ def test_tensor_bad_version(tmp_path):
     good = tmp_path / "good.jrct"
     write_tensor(good, np.ones(2, dtype=complex))
     blob = bytearray(good.read_bytes())
-    blob[4:8] = np.array(9, dtype="<u4").tobytes()
+    blob[6] = 9
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="version"):
         read_tensor(path)
@@ -128,17 +177,19 @@ def test_tensor_with_bytes_after_its_data_is_rejected(tmp_path):
         read_tensor(long)
 
 
+HEADER = npy_header("<f8", (4, 2))
+
+
 @pytest.mark.parametrize("blob", [
-    MAGIC,  # nothing after the magic
-    MAGIC + b"\x01\x00",  # cut inside the version
-    MAGIC + np.array(1, dtype="<u4").tobytes(),  # cut after the version
-    MAGIC + np.array([1, 2], dtype="<u4").tobytes()
-    + np.array(4, dtype="<u8").tobytes() + b"\x02\x00",  # inside the sizes
+    HEADER[:6],  # nothing after the magic
+    HEADER[:7],  # cut inside the version
+    HEADER[:8],  # cut after the version
+    HEADER[:HEADER.index(b"(4") + 2],  # inside the sizes
 ], ids=["magic", "in-version", "version", "in-sizes"])
 def test_tensor_short_header_is_truncated(tmp_path, blob):
     path = tmp_path / "short.jrct"
     path.write_bytes(blob)
-    with pytest.raises(ValueError, match="tensor file truncated"):
+    with pytest.raises(ValueError, match="EOF"):
         read_tensor(path)
 
 
