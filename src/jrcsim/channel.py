@@ -220,11 +220,12 @@ def _synthesize(scene: Scene, shape: tuple, links, symbols: np.ndarray,
     (amplitude rule, params), adds in CPI k its rule at the scene's fading
     of CPI ``cpi_indices[k]``, times the symbols ``symbols[k]``, times its
     unit response ``response(*params, slots)``, the waveform's bound
-    response on every slot (the symbols broadcast against it).  Then noise
-    of variance ``variances[k]`` is drawn for CPI k from ``rngs[k]`` and
-    added to its real and imaginary parts in place, as ``complex_awgn``
-    would draw it; none is drawn where the variance is 0, and a Generator
-    is required for every CPI where it is not.
+    response on every slot (the symbols broadcast against it), added into
+    the zeroed stack one CPI at a time, so the peak does not grow with the
+    scatterers.  Then noise of variance ``variances[k]`` is drawn for CPI k
+    from ``rngs[k]`` and added to its real and imaginary parts in place, as
+    ``complex_awgn`` would draw it; none is drawn where the variance is 0,
+    and a Generator is required for every CPI where it is not.
     """
     if any(v > 0 and rng is None for v, rng in zip(variances, rngs)):
         raise ValueError("a Generator is required when noise_variance > 0")
@@ -235,13 +236,10 @@ def _synthesize(scene: Scene, shape: tuple, links, symbols: np.ndarray,
                       in zip(links, scene.fading_gains(i))]
                      for i in cpi_indices], dtype=complex)
     data = np.zeros((len(symbols),) + shape, dtype=complex)
-    for q, ((_, params), d_q) in enumerate(zip(links, amps.T)):
-        scaled = d_q.reshape((-1,) + (1,) * (symbols.ndim - 1)) * symbols
-        if q:
-            data += scaled * response(*params, slots)
-        else:  # written in place; += 0.0 turns -0.0 into 0.0 as 0.0 + x
-            np.multiply(scaled, response(*params, slots), out=data)
-            data += 0.0
+    for (_, params), d_q in zip(links, amps.T):
+        unit = response(*params, slots)
+        for cpi, cpi_symbols, d in zip(data, symbols, d_q):
+            cpi += d * cpi_symbols * unit
     for cpi, rng, variance in zip(data, rngs, variances):
         if variance > 0:
             draws = rng.standard_normal((2,) + cpi.shape)

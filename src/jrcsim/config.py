@@ -368,6 +368,19 @@ def _scenario(waveform, sweep, symbol_order, **kwargs):
                           **sweep, **kwargs)
 
 
+def _at_caller(build, *args, **kwargs):
+    """``build(*args, **kwargs)``; each warning it raises, even if it then
+    fails, is re-issued at the line that called this helper's caller."""
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            return build(*args, **kwargs)
+    finally:
+        for caught_warning in caught:
+            warnings.warn(caught_warning.message, stacklevel=3)
+
+
 def parse_config(data: dict, **overrides) -> ScenarioConfig:
     """Validate a parsed JSON object into a ScenarioConfig.
 
@@ -375,7 +388,7 @@ def parse_config(data: dict, **overrides) -> ScenarioConfig:
     diagnosed in one pass.  ``overrides`` replace integer fields (the
     CLI's ``--seed`` and ``--trials``) before the config is built, so it
     is validated, and warns, once; a bad override is a ValueError, as it
-    is no fault of the data.
+    is no fault of the data.  Warnings name the caller's line.
     """
     overrides = {name: _integer(name, value, _LEAST[name])
                  for name, value in overrides.items()}
@@ -394,7 +407,7 @@ def parse_config(data: dict, **overrides) -> ScenarioConfig:
     _reject_unknown(data, _TOP, errors, "$")
     if not errors:
         try:
-            return _scenario(waveform=waveform, **kwargs)
+            return _at_caller(_scenario, waveform=waveform, **kwargs)
         except ValueError as exc:
             errors.append(f"$: {exc}")
     raise ConfigError(errors)
@@ -402,7 +415,7 @@ def parse_config(data: dict, **overrides) -> ScenarioConfig:
 
 def load_config(path, **overrides) -> ScenarioConfig:
     """Parse and validate a scenario file, with ``parse_config``'s
-    ``overrides``."""
+    ``overrides``; warnings name the caller's line."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -412,7 +425,7 @@ def load_config(path, **overrides) -> ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError([f"{path}: line {exc.lineno} column "
                                f"{exc.colno}: {exc.msg}"]) from None
-    return parse_config(data, **overrides)
+    return _at_caller(parse_config, data, **overrides)
 
 
 # ---------------------------------------------------------------------------

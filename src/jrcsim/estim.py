@@ -125,7 +125,7 @@ class EstimatorConfig:
         if not self.threshold_db < 0:
             raise ValueError("threshold_db must be negative (relative to peak)")
 
-    def refined(self, factor: int = 8) -> "EstimatorConfig":
+    def refined(self, factor: int) -> "EstimatorConfig":
         """A copy with every padding factor scaled up for refinement."""
         factor = _integer("factor", factor)
         return replace(self, range_pad=self.range_pad * factor,
@@ -798,13 +798,12 @@ def ofdma_refine(cube: ReceiveCube, symbols: np.ndarray,
                    layout(np.ones(len(symbols), dtype=bool), _UNIT_PADS))
 
 
-def ofdma_estimate_amplitudes(cube: ReceiveCube, grid: SymbolGrid, targets,
-                              rows=None) -> np.ndarray:
-    """Least-squares target amplitudes from rows with known symbols."""
+def ofdma_estimate_amplitudes(cube: ReceiveCube, grid: SymbolGrid,
+                              targets) -> np.ndarray:
+    """Least-squares target amplitudes from the pilot (radar) rows."""
     if not targets:
         raise ValueError("no targets to fit")
-    rows = np.flatnonzero(grid.radar_rows) if rows is None \
-        else np.asarray(rows, dtype=int)
+    rows = np.flatnonzero(grid.radar_rows)
     return _fit(cube.data, [_ofdma_response(cube.config, t.delay_s,
                                             t.doppler_hz, t.angle_rad, rows)
                             for t in targets],

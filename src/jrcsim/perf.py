@@ -134,7 +134,6 @@ def ambiguity_function(waveform, delays_s, dopplers_hz,
     The calling thread allocates one set of row buffers per worker, and
     a worker writes only into its own buffers and its own columns, so
     the surface is bit-identical to computing the rows one by one.
-    With one worker the rows run in the calling thread.
     """
     x = np.asarray(waveform, dtype=complex).ravel()
     n = x.size
@@ -216,13 +215,10 @@ def ambiguity_function(waveform, delays_s, dopplers_hz,
                     np.empty(fft_len, dtype=complex),
                     np.empty(picks.size, dtype=complex),
                     np.empty(picks.size)) for _ in range(workers)]
-        if workers == 1:
-            fill(rows, buffers[0])
-        else:
-            with ThreadPoolExecutor(workers) as pool:
-                for done in [pool.submit(fill, rows[k::workers], bufs)
-                             for k, bufs in enumerate(buffers)]:
-                    done.result()
+        with ThreadPoolExecutor(workers) as pool:
+            for done in [pool.submit(fill, rows[k::workers], bufs)
+                         for k, bufs in enumerate(buffers)]:
+                done.result()
     mags /= energy
     return AfSurface(delays_s=delays_s, dopplers_hz=dopplers_hz,
                      magnitude=mags)
@@ -360,32 +356,30 @@ def jrc_objective(spec: TradeoffSpec) -> float:
 
 
 def crlb_proxy(model_fn, theta, noise_variance: float,
-               steps=None, cache=None) -> np.ndarray:
+               steps, cache=None) -> np.ndarray:
     """Numeric inverse-Fisher-information proxy for a Gaussian model.
 
     ``model_fn(theta)`` returns the noiseless complex response (any shape);
-    the FIM of y = mu(theta) + CN(0, sigma^2 I) is
-    (2/sigma^2) Re{J^H J} with J the Jacobian, here built from central
-    differences.  This is a stand-in labeled as such, not a derived bound;
-    parameter ordering is whatever ``theta`` uses (delay, Doppler, angle
-    in this package's callers).  A parameter whose Jacobian column is zero
-    (the model does not depend on it) has no Fisher information: it is
-    left out of the inversion, and its row and column of the returned
-    matrix are an infinite variance and zero covariances.  sigma^2 enters
-    only the inversion: calls sharing one ``cache`` dict, equal but for
-    ``noise_variance``, compute Re{J^H J} once and agree bitwise.
+    the FIM of y = mu(theta) + CN(0, sigma^2 I) is (2/sigma^2) Re{J^H J}
+    with J the Jacobian, here built from central differences of ``steps``,
+    one positive step per parameter.  This is a stand-in labeled as such,
+    not a derived bound; parameter ordering is whatever ``theta`` uses
+    (delay, Doppler, angle in this package's callers).  A parameter whose
+    Jacobian column is zero (the model does not depend on it) has no Fisher
+    information: it is left out of the inversion, and its row and column of
+    the returned matrix are an infinite variance and zero covariances.
+    sigma^2 enters only the inversion: calls sharing one ``cache`` dict,
+    equal but for ``noise_variance``, compute Re{J^H J} once and agree
+    bitwise.
     """
     if noise_variance <= 0:
         raise ValueError("noise_variance must be positive")
     cache = {} if cache is None else cache
     if not cache:
         theta = np.asarray(theta, dtype=float)
-        if steps is None:
-            steps = np.where(theta != 0, 1e-6 * np.abs(theta), 1e-9)
-        else:
-            steps = np.asarray(steps, dtype=float)
-            if steps.shape != theta.shape or np.any(steps <= 0):
-                raise ValueError("steps must be positive, one per parameter")
+        steps = np.asarray(steps, dtype=float)
+        if steps.shape != theta.shape or np.any(steps <= 0):
+            raise ValueError("steps must be positive, one per parameter")
         cols = []
         for i in range(theta.size):
             hi = theta.copy()
@@ -425,11 +419,10 @@ def write_af_tensor(path, surface: AfSurface) -> None:
     write_tensor(path, surface.magnitude)
 
 
-def write_cut_csv(path, axis_values, values, axis_name: str,
-                  value_name: str = "magnitude") -> None:
-    """Two-column CSV for a 1-d cut."""
+def write_cut_csv(path, axis_values, values, axis_name: str) -> None:
+    """Two-column CSV for a 1-d cut: ``axis_name`` and ``magnitude``."""
     axis_values = np.asarray(axis_values, dtype=float).ravel()
     values = np.asarray(values, dtype=float).ravel()
     if axis_values.size != values.size:
         raise ValueError("axis and values must be equal length")
-    write_table_csv(path, [axis_name, value_name], [axis_values, values])
+    write_table_csv(path, [axis_name, "magnitude"], [axis_values, values])

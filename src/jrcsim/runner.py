@@ -240,10 +240,6 @@ def _ofdma_transmit(wavecfg, order, bits) -> np.ndarray:
     return ofdma_transmit(wavecfg, build_symbol_grid(wavecfg, bits, order))
 
 
-def _golay_symbols(bits) -> np.ndarray:
-    return np.ones((len(bits), 1), dtype=complex)
-
-
 def _golay_transmit(cef, bits) -> np.ndarray:
     return cef[None].astype(complex)
 
@@ -293,11 +289,12 @@ def _golay_cube(config: ScenarioConfig, wavecfg: GolayRunConfig) -> _Cube:
     """A sounding: one all-radar frame, the CEF as its code.  A null
     amplitude means 1 (``np.multiply`` rounds as an array product does);
     true Doppler and angle are NaN.  p_D integrates both pair members."""
-    pair = golay_pair(wavecfg.log2_length)
+    pair, radar = golay_pair(wavecfg.log2_length), np.ones(1, dtype=bool)
     cef = golay_cef_waveform(pair, wavecfg.guard_samples)
     return _Cube(
-        radar=np.ones(1, dtype=bool), capacity=0,
-        symbols=_golay_symbols, transmit=partial(_golay_transmit, cef),
+        radar=radar, capacity=0,
+        symbols=partial(_frame_symbols, radar, order=config.symbol_order),
+        transmit=partial(_golay_transmit, cef),
         response=partial(_golay_response, cef, wavecfg.sample_time_s),
         demod=partial(_pmcw_correlate, code_spec=np.fft.fft(cef)),
         layout=partial(_golay_layout, wavecfg), dpsk=_pmcw_dpsk,

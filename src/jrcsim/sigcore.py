@@ -43,12 +43,11 @@ class CodeSequence:
 
     ``phases`` holds one phase per chip in radians; binary codes use
     {0, pi}.  The chip itself is a unit rectangle, so the complex chip
-    value is simply exp(j*phase).  PMCW timing comes from
-    ``PmcwConfig.chip_time``: ``chip_duration`` is stored but never read.
+    value is simply exp(j*phase).  A code carries no timing: PMCW's
+    chip period is ``PmcwConfig.chip_time``.
     """
 
     phases: np.ndarray
-    chip_duration: float = 1.0
 
     def __post_init__(self):
         phases = np.atleast_1d(np.asarray(self.phases, dtype=float))
@@ -56,8 +55,6 @@ class CodeSequence:
             raise ValueError("a code needs at least one chip")
         if not np.all(np.isfinite(phases)):
             raise ValueError("code phases must be finite")
-        if self.chip_duration <= 0:
-            raise ValueError("chip_duration must be positive")
         object.__setattr__(self, "phases", phases)
 
     @property
@@ -69,7 +66,7 @@ class CodeSequence:
         return np.exp(1j * self.phases)
 
     @classmethod
-    def from_signs(cls, signs, chip_duration: float = 1.0) -> "CodeSequence":
+    def from_signs(cls, signs) -> "CodeSequence":
         """Build a binary code from +/-1 chip signs."""
         signs = np.asarray(signs)
         if signs.size == 0:
@@ -77,19 +74,19 @@ class CodeSequence:
         if not np.all(np.abs(signs) == 1):
             raise ValueError("signs must be +1 or -1")
         phases = np.where(signs > 0, 0.0, np.pi)
-        return cls(phases, chip_duration)
+        return cls(phases)
 
     @classmethod
-    def random_binary(cls, length: int, seed, chip_duration: float = 1.0) -> "CodeSequence":
+    def random_binary(cls, length: int, seed) -> "CodeSequence":
         """Seeded pseudorandom +/-1 code of arbitrary length."""
         if length < 1:
             raise ValueError("length must be >= 1")
         rng = np.random.default_rng(seed)
         signs = 1 - 2 * rng.integers(0, 2, size=length)
-        return cls.from_signs(signs, chip_duration)
+        return cls.from_signs(signs)
 
     @classmethod
-    def mseq(cls, order: int, chip_duration: float = 1.0) -> "CodeSequence":
+    def mseq(cls, order: int) -> "CodeSequence":
         """Maximal-length LFSR code of length 2**order - 1."""
         if order not in _MSEQ_TAPS:
             raise ValueError(
@@ -109,7 +106,7 @@ class CodeSequence:
             for t in taps:
                 fb ^= state[order - 1 - t]
             state = [fb] + state[:-1]
-        return cls.from_signs(1 - 2 * bits, chip_duration)
+        return cls.from_signs(1 - 2 * bits)
 
 
 @dataclass(frozen=True)

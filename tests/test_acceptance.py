@@ -240,8 +240,7 @@ def test_a3_model_equivalence_on_random_scenes():
                          carrier_hz=60e9, mu_percent=50,
                          geometry=ArrayGeometry(n_tx=1, n_rx=n_rx))
         code = CodeSequence.random_binary(length,
-                                          seed=int(rng.integers(2 ** 31)),
-                                          chip_duration=1e-9)
+                                          seed=int(rng.integers(2 ** 31)))
         symbols = np.exp(2j * np.pi * rng.random(frames))
         scene = Scene(scatterers=tuple(
             Scatterer(delay_s=int(rng.integers(0, length)) * 1e-9,

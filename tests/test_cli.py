@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -152,6 +153,35 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert "mu=50.0 snr_db=scene trials=2 failures=0" in stdout
     assert "rmse_delay_s=0.0" in stdout
     assert "ber=0.0" in stdout
+
+
+def test_run_and_af_on_a_golay_sounding(tmp_path, capsys):
+    # The third waveform end to end: a 64-sample pair behind 16 guard
+    # samples finds its one 2 ns scatterer exactly in every trial, and a
+    # sounding has no Doppler or angle to estimate.
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps({
+        "version": 1, "waveform": "golay",
+        "golay": {"log2_length": 6, "guard_samples": 16,
+                  "sample_time_s": 1e-9},
+        "scene": {"scatterers": [{"delay_s": 2e-9,
+                                  "amplitude": [1.0, 0.0]}]},
+        "sweep": {"snr_db": [0, 10]}, "trials": 3}))
+    run, af = tmp_path / "run", tmp_path / "af"
+    assert main(["run", str(cfg), "--out-dir", str(run)]) == 0
+    assert main(["af", str(cfg), "--out-dir", str(af)]) == 0
+    for name in ("af_surface.csv", "af_surface.jrct", "af_delay_cut.csv",
+                 "af_doppler_cut.csv"):
+        assert (af / name).exists()
+    header, rows = read_csv_rows(run / "estimates.csv")
+    assert len(rows) == 6
+    column = {name: [float(r[header.index(name)]) for r in rows]
+              for name in header}
+    for name in ("est_delay_s", "refined_delay_s"):
+        assert column[name] == column["true_delay_s"] == [2e-9] * 6
+    for axis in ("doppler_hz", "angle_rad"):
+        for kind in ("true", "est", "refined"):
+            assert all(map(math.isnan, column[f"{kind}_{axis}"]))
 
 
 def test_run_seed_and_trials_overrides(tmp_path):

@@ -1,5 +1,6 @@
 """Scenario file parsing, validation, and canonical serialization."""
 
+import dataclasses
 import json
 import math
 import re
@@ -540,6 +541,58 @@ def test_no_benchmark_scene_aliases():
         warnings.simplefilter("error", DelayAliasWarning)
         for scenario in scenarios:
             parse_config(scenario)
+
+
+@pytest.mark.parametrize("category, data", [
+    (AngleAliasWarning, aliasing_scene("pmcw", 1.0, 0.6)),
+    (IsiWarning, delay_alias_scene(9e-9, [50])),
+    (DelayAliasWarning, delay_alias_scene(9e-9, [50])),
+])
+def test_parse_time_warnings_name_the_callers_line(category, data, tmp_path):
+    # A warning raised while the config is built is re-issued at the line
+    # that called parse_config or load_config, not inside the parser.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse_config(data)
+        load_config(path)
+    found = [w for w in caught if w.category is category]
+    assert len(found) == 2
+    assert [w.filename for w in found] == [__file__] * 2
+
+
+def test_parse_time_warnings_survive_a_config_error():
+    # The ISI warning comes before the false-alarm check fails; it is
+    # still issued, at the caller's line, ahead of the ConfigError.
+    data = delay_alias_scene(9e-9, [50])
+    data["false_alarm"] = 2.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigError, match="false_alarm"):
+            parse_config(data)
+    assert [(w.category, w.filename) for w in caught] == [
+        (IsiWarning, __file__)]
+
+
+@pytest.mark.parametrize("name", ["_GEOMETRY", "_PMCW", "_OFDMA", "_GOLAY",
+                                  "_SCATTERER", "_SCENE", "_ESTIMATOR"])
+def test_schema_defaults_equal_the_library_defaults(name):
+    # Each schema row repeats its dataclass field's default: _REQUIRED
+    # where the field has none, {} where a factory builds it.
+    section = getattr(config_module, name)
+    fields = {f.name: f for f in dataclasses.fields(section.build)}
+    assert sorted(row[1] for row in section.rows) == sorted(fields)
+    for key, attr, kind, default in section.rows:
+        field = fields[attr]
+        if default is config_module._REQUIRED:
+            assert field.default is field.default_factory is dataclasses.MISSING
+        elif default == {}:
+            assert field.default_factory() == config_module._object(
+                {}, kind, [], key)
+        else:
+            assert type(default) is type(field.default)
+            assert default == field.default
 
 
 def test_sweep_entries_beyond_float_range_rejected():

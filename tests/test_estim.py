@@ -45,7 +45,7 @@ def pmcw_config(**kwargs):
 def pmcw_cube_for(scatterers, *, mu=100, m=8, noise=0.0, rng=None, seed=0,
                   bits=None, order=2, code=None):
     if code is None:
-        code = CodeSequence.random_binary(32, seed=seed, chip_duration=CHIP)
+        code = CodeSequence.random_binary(32, seed=seed)
     config = pmcw_config(mu_percent=mu, n_frames=m,
                          code_length=code.length)
     sched = pmcw_schedule(config)
@@ -324,7 +324,7 @@ def test_pmcw_two_targets_sorted_by_power():
 def test_pmcw_threshold_suppresses_weak_target():
     # An m-sequence keeps the periodic sidelobes at exactly -1/L, so the
     # weak echo at -20 dB sits between the two thresholds.
-    code = CodeSequence.mseq(5, chip_duration=CHIP)
+    code = CodeSequence.mseq(5)
     targets = [Scatterer(delay_s=4 * CHIP, amplitude=1.0),
                Scatterer(delay_s=20 * CHIP, amplitude=0.1)]
     cube, _, _, _ = pmcw_cube_for(targets, code=code)
@@ -506,7 +506,7 @@ def test_on_grid_angle_is_exact_at_any_spacing(waveform, spacing, beam):
     rng = np.random.default_rng(5)
     if waveform == "pmcw":
         config = pmcw_config(mu_percent=50, geometry=geometry)
-        code = CodeSequence.random_binary(32, seed=3, chip_duration=CHIP)
+        code = CodeSequence.random_binary(32, seed=3)
         sched = pmcw_schedule(config)
         bits = rng.integers(0, 2, payload_capacity_bits(sched, 2))
         truth = (7, 1, 7 * CHIP, 1 / (4 * config.block_time))

@@ -682,13 +682,14 @@ def test_crlb_proxy_validation():
         return np.exp(2j * np.pi * theta[0] * np.arange(8))
 
     with pytest.raises(ValueError):
-        crlb_proxy(model, [0.1], 0.0)
+        crlb_proxy(model, [0.1], 0.0, steps=[1e-6])
     with pytest.raises(ValueError):
         crlb_proxy(model, [0.1], 1.0, steps=[1e-6, 1e-6])
     with pytest.raises(ValueError):
         crlb_proxy(model, [0.1], 1.0, steps=[-1e-6])
     with pytest.raises(ValueError, match="depends on no parameter"):
-        crlb_proxy(lambda theta: np.ones(8, dtype=complex), [0.1], 1.0)
+        crlb_proxy(lambda theta: np.ones(8, dtype=complex), [0.1], 1.0,
+                   steps=[1e-6])
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,6 @@ def test_code_rejects_empty_and_bad_signs():
         CodeSequence(np.zeros(0))
     with pytest.raises(ValueError):
         CodeSequence.from_signs([1, 0, -1])
-    with pytest.raises(ValueError):
-        CodeSequence(np.array([0.0]), chip_duration=0.0)
 
 
 def test_random_binary_is_seeded():
