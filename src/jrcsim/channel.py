@@ -68,8 +68,8 @@ def draw_small_scale(model: str, mean_power: float, rng: np.random.Generator,
         phase = rng.uniform(0, 2 * np.pi)
         return np.sqrt(power) * np.exp(1j * phase)
     if model == "rician":
-        if rician_k < 0:
-            raise ValueError("rician_k must be >= 0")
+        if not rician_k >= 0:  # NaN too; inf is pure line of sight
+            raise ValueError(f"rician_k must be >= 0, got {rician_k!r}")
         if np.isinf(rician_k):
             return complex(np.sqrt(mean_power))
         los = np.sqrt(mean_power * rician_k / (rician_k + 1))
@@ -126,8 +126,8 @@ class Scatterer:
             raise ValueError("angle_rad must lie in [-pi/2, pi/2]")
         if self.fading not in _FADING_MODELS:
             raise ValueError(f"unknown fading model {self.fading!r}")
-        if self.rician_k < 0:
-            raise ValueError("rician_k must be >= 0")
+        if not self.rician_k >= 0:  # NaN too; inf is pure line of sight
+            raise ValueError(f"rician_k must be >= 0, got {self.rician_k!r}")
 
     def resolve_doppler(self, wavelength: float) -> float:
         if self.doppler_hz is not None:

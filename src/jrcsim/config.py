@@ -7,9 +7,12 @@ power) so that load -> save is exact, with no unit conversion drift.  The
 canonical form is ``json.dumps(..., sort_keys=True, indent=2)`` plus a
 trailing newline; the config hash is the SHA-256 of those bytes.
 
-The schema (version 1) is one table of rows per section (``_TOP`` down):
-a generic reader parses and checks every field from them, and a generic
-writer builds the canonical form.  README.md documents it for users.
+The schema (version 1) is one table of rows per section (``_TOP`` down),
+read off the config dataclasses themselves: each field is a JSON key of
+its own name, kind and default, so a field is declared once, and field
+order is error order.  A generic reader parses and checks every field
+from the rows, and a generic writer builds the canonical form.
+README.md documents the schema for users.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from dataclasses import MISSING, dataclass, field, fields, replace
+from types import NoneType, UnionType
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 from .channel import Scatterer, Scene
 from .estim import EstimatorConfig, _ofdma_layout
@@ -72,26 +76,28 @@ _LEAST = {"trials": 1, "seed": 0, "code_seed": 0, "refine_factor": 1,
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully validated experiment description; integral floats given as
-    counts, seeds or orders are stored as ints."""
+    """Fully validated experiment description, with a scenario file's
+    defaults; integral floats given as counts, seeds or orders are stored
+    as ints.  ``symbol_order`` None is the waveform's own: 4 for OFDMA, 2
+    otherwise."""
 
     waveform: str
-    pmcw: PmcwConfig | None
-    ofdma: OfdmaConfig | None
-    golay: GolayRunConfig | None
-    scene: Scene
-    estimator: EstimatorConfig
-    snr_db: tuple
-    mu_sweep: tuple
-    weights: tuple
-    symbol_order: int
-    code_kind: str
-    code_seed: int
-    refine_factor: int
-    false_alarm: float
-    trials: int
-    seed: int
-    out_dir: str
+    pmcw: PmcwConfig | None = None
+    ofdma: OfdmaConfig | None = None
+    golay: GolayRunConfig | None = None
+    scene: Scene = field(default_factory=Scene)
+    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
+    snr_db: tuple[float | None, ...] = (None,)
+    mu_sweep: tuple[float, ...] = ()
+    weights: tuple[float, ...] = ()
+    symbol_order: int | None = None
+    code_kind: str = "mseq"
+    code_seed: int = 0
+    refine_factor: int = 8
+    false_alarm: float = 0.01
+    trials: int = 1
+    seed: int = 0
+    out_dir: str = "results"
 
     def __post_init__(self):
         if self.waveform not in _WAVEFORMS:
@@ -99,6 +105,9 @@ class ScenarioConfig:
         if getattr(self, self.waveform) is None:
             raise ValueError(f"waveform '{self.waveform}' selected but the "
                              f"'{self.waveform}' section is missing")
+        if self.symbol_order is None:
+            object.__setattr__(self, "symbol_order",
+                               4 if self.waveform == "ofdma" else 2)
         for name, least in _LEAST.items():
             object.__setattr__(self, name,
                                _integer(name, getattr(self, name), least))
@@ -174,12 +183,13 @@ class ScenarioConfig:
 class _Section(NamedTuple):
     """A JSON object of the schema, read into ``build(**attributes)``.
 
-    A row is (JSON key, attribute, kind, default or _REQUIRED), and row
-    order is error order.  A kind is int, float, bool or str; float | None,
-    or complex | None for a number or [real, imag] pair, where null gives
-    None; list[float], or list[float | None] where [] means [null]; a
-    _Section, whose default is None if optional or {} to build it from its
-    own defaults; or [_Section] for a list of objects.
+    A row is (JSON key, attribute, kind, default or _REQUIRED), read off a
+    dataclass field by ``_rows``, and field order is error order.  A kind
+    is int, float, bool or str; float | None, or complex | None for a
+    number or [real, imag] pair, where null gives None; tuple[float, ...],
+    or tuple[float | None, ...] where [] means [null]; a _Section, whose
+    default is None if optional or {} to build it from its own defaults;
+    or [_Section] for a list of objects.
     """
 
     build: Callable
@@ -188,87 +198,57 @@ class _Section(NamedTuple):
 
 _REQUIRED = object()
 _BAD = object()  # a value that did not fit its kind; the reason is logged
-_NUMBER_LISTS = (list[float], list[float | None])
+_NULLABLE = (float | None, complex | None)
+_NUMBER_LISTS = (tuple[float, ...], tuple[float | None, ...])
 _EXPECTED = {int: "an integer", bool: "a boolean", str: "str"}
+_SECTIONS = {}  # each config dataclass's section, filled as the module loads
 
-_GEOMETRY = _Section(ArrayGeometry, (
-    ("n_tx", "n_tx", int, 1),
-    ("n_rx", "n_rx", int, 1),
-    ("spacing_over_lambda", "spacing_over_lambda", float, 0.5),
-))
-_ARRAY = ("geometry", "geometry", _GEOMETRY, {})
-_CARRIER = ("carrier_hz", "carrier_hz", float, _REQUIRED)
-_MU = ("mu_percent", "mu_percent", float, 50.0)
-_PMCW = _Section(PmcwConfig, (
-    _ARRAY,
-    ("code_length", "code_length", int, _REQUIRED),
-    ("n_frames", "n_frames", int, _REQUIRED),
-    ("chip_time_s", "chip_time", float, _REQUIRED),
-    _CARRIER,
-    _MU,
-))
-_OFDMA = _Section(OfdmaConfig, (
-    _ARRAY,
-    ("n_subcarriers", "n_subcarriers", int, _REQUIRED),
-    ("n_symbols", "n_symbols", int, _REQUIRED),
-    ("subcarrier_spacing_hz", "subcarrier_spacing_hz", float, _REQUIRED),
-    _CARRIER,
-    ("cp_samples", "cp_samples", int, 0),
-    _MU,
-    ("pilot_seed", "pilot_seed", int, 0),
-))
-_GOLAY = _Section(GolayRunConfig, (
-    ("log2_length", "log2_length", int, _REQUIRED),
-    ("guard_samples", "guard_samples", int, _REQUIRED),
-    ("sample_time_s", "sample_time_s", float, _REQUIRED),
-))
-_SCATTERER = _Section(Scatterer, (
-    ("amplitude", "amplitude", complex | None, None),
-    ("delay_s", "delay_s", float, _REQUIRED),
-    ("angle_rad", "angle_rad", float, 0.0),
-    ("rcs_m2", "rcs_m2", float, 1.0),
-    ("fading", "fading", str, "swerling0"),
-    ("rician_k", "rician_k", float, 10.0),
-    ("doppler_hz", "doppler_hz", float | None, None),  # None: from velocity
-    ("velocity_mps", "velocity_mps", float, 0.0),
-))
-_SCENE = _Section(Scene, (
-    ("scatterers", "scatterers", [_SCATTERER], ()),
-    ("noise_variance", "noise_variance", float, 0.0),
-    ("seed", "seed", int, 0),
-))
-_ESTIMATOR = _Section(EstimatorConfig, (
-    ("range_pad", "range_pad", int, 1),
-    ("doppler_pad", "doppler_pad", int, 1),
-    ("angle_pad", "angle_pad", int, 1),
-    ("threshold_db", "threshold_db", float, -13.0),
-    ("max_targets", "max_targets", int, 1),
-    ("interpolate", "interpolate", bool, False),
-))
-_SWEEP = _Section(dict, (  # attributes of ScenarioConfig itself
-    ("snr_db", "snr_db", list[float | None], (None,)),
-    ("mu_percent", "mu_sweep", list[float], ()),
-    ("weights", "weights", list[float], ()),
-))
+
+def _rows(cls, **overrides):
+    """One row per field of ``cls``: key and attribute are the field name,
+    kind its annotation, default its default ({} from a factory).
+
+    A dataclass annotation, optional or not, is that class's section.
+    JSON null is legal only for the _NULLABLE kinds: an optional section
+    is absent when left out, and any other optional field takes its
+    non-None kind, None being only its unset default.  An override maps
+    a field to its key (a str) or to its kind."""
+    hints = get_type_hints(cls)
+    rows = []
+    for spec in fields(cls):
+        key, kind = spec.name, hints[spec.name]
+        if isinstance(kind, UnionType) and kind not in _NULLABLE:
+            (kind,) = set(get_args(kind)) - {NoneType}
+        kind = _SECTIONS.get(kind, kind)
+        if isinstance(overrides.get(key), str):
+            key = overrides[key]
+        elif key in overrides:
+            kind = overrides[key]
+        default = ({} if spec.default_factory is not MISSING else
+                   _REQUIRED if spec.default is MISSING else spec.default)
+        rows.append((key, spec.name, kind, default))
+    return tuple(rows)
+
+
+def _section(cls, **overrides):
+    _SECTIONS[cls] = section = _Section(cls, _rows(cls, **overrides))
+    return section
+
+
+_GEOMETRY = _section(ArrayGeometry)
+_PMCW = _section(PmcwConfig, chip_time="chip_time_s")
+_OFDMA = _section(OfdmaConfig)
+_GOLAY = _section(GolayRunConfig)
+_SCATTERER = _section(Scatterer)
+_SCENE = _section(Scene, scatterers=[_SCATTERER])
+_ESTIMATOR = _section(EstimatorConfig)
+_SCENARIO = _rows(ScenarioConfig, mu_sweep="mu_percent")
+_SWEPT = ("snr_db", "mu_sweep", "weights")  # nested under "sweep"
+_SWEEP = _Section(dict, tuple(row for row in _SCENARIO if row[1] in _SWEPT))
 _VERSION = ("version", "version", int, _REQUIRED)
-_WAVEFORM = ("waveform", "waveform", str, _REQUIRED)
-_BODY = (
-    ("pmcw", "pmcw", _PMCW, None),
-    ("ofdma", "ofdma", _OFDMA, None),
-    ("golay", "golay", _GOLAY, None),
-    ("scene", "scene", _SCENE, {}),
-    ("estimator", "estimator", _ESTIMATOR, {}),
-    ("sweep", "sweep", _SWEEP, {}),
-    ("symbol_order", "symbol_order", int, None),
-    ("code_kind", "code_kind", str, "mseq"),
-    ("code_seed", "code_seed", int, 0),
-    ("refine_factor", "refine_factor", int, 8),
-    ("false_alarm", "false_alarm", float, 0.01),
-    ("trials", "trials", int, 1),
-    ("seed", "seed", int, 0),
-    ("out_dir", "out_dir", str, "results"),
-)
-_TOP = (_VERSION, _WAVEFORM, *_BODY)
+_BODY = (*(row for row in _SCENARIO if row[1] not in _SWEPT),
+         ("sweep", "sweep", _SWEEP, {}))
+_TOP = (_VERSION, *_BODY)
 
 
 def _number(val):
@@ -283,7 +263,7 @@ def _number(val):
 
 def _value(val, kind, errors, path):
     """``val`` typed by ``kind``, or _BAD with the reason logged."""
-    if val is None and kind in (float | None, complex | None):
+    if val is None and kind in _NULLABLE:
         return None
     if isinstance(kind, _Section):
         return _object(val, kind, errors, path)
@@ -295,7 +275,7 @@ def _value(val, kind, errors, path):
             items = [_object(item, kind[0], errors, f"{path}[{i}]", _BAD)
                      for i, item in enumerate(val)]
             return tuple(item for item in items if item is not _BAD)
-        nullable = kind == list[float | None]
+        nullable = kind == tuple[float | None, ...]
         for i, item in enumerate(val):
             if _number(item) is None and not (item is None and nullable):
                 errors.append(f"{path}[{i}]: expected a number"
@@ -361,13 +341,6 @@ def _object(val, section, errors, path, fill=0):
         return _BAD
 
 
-def _scenario(waveform, sweep, symbol_order, **kwargs):
-    if symbol_order is None:  # the waveform's own default
-        symbol_order = 4 if waveform == "ofdma" else 2
-    return ScenarioConfig(waveform=waveform, symbol_order=symbol_order,
-                          **sweep, **kwargs)
-
-
 def _at_caller(build, *args, **kwargs):
     """``build(*args, **kwargs)``; each warning it raises, even if it then
     fails, is re-issued at the line that called this helper's caller."""
@@ -399,15 +372,15 @@ def parse_config(data: dict, **overrides) -> ScenarioConfig:
     version = _field(data, _VERSION, errors, "$")
     if version not in (None, CONFIG_VERSION):
         errors.append(f"$.version: expected {CONFIG_VERSION}, got {version}")
-    waveform = _field(data, _WAVEFORM, errors, "$")
-    if waveform not in (None, *_WAVEFORMS):
-        errors.append(f"$.waveform: must be one of {_WAVEFORMS}")
     kwargs = {row[1]: _field(data, row, errors, "$") for row in _BODY}
+    if kwargs["waveform"] not in (None, *_WAVEFORMS):
+        errors.append(f"$.waveform: must be one of {_WAVEFORMS}")
+    sweep = kwargs.pop("sweep")
     kwargs.update(overrides)
     _reject_unknown(data, _TOP, errors, "$")
     if not errors:
         try:
-            return _at_caller(_scenario, waveform=waveform, **kwargs)
+            return _at_caller(ScenarioConfig, **kwargs, **sweep)
         except ValueError as exc:
             errors.append(f"$: {exc}")
     raise ConfigError(errors)

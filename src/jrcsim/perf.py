@@ -29,10 +29,17 @@ from .tensorio import format_float, write_table_csv, write_tensor
 
 
 def _check_grids(delays_s, dopplers_hz) -> None:
-    if delays_s.size > 1 and not np.all(np.diff(delays_s) > 0):
-        raise ValueError("delay grid must be strictly increasing")
-    if dopplers_hz.size > 1 and not np.all(np.diff(dopplers_hz) > 0):
-        raise ValueError("Doppler grid must be strictly increasing")
+    for grid, name in ((delays_s, "delay"), (dopplers_hz, "Doppler")):
+        if grid.size > 1 and not np.all(np.diff(grid) > 0):
+            raise ValueError(f"{name} grid must be strictly increasing")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError(f"{name} grid entries must be finite")
+
+
+def _check_rate(sample_rate_hz) -> None:
+    if not 0 < sample_rate_hz < np.inf:
+        raise ValueError("sample_rate_hz must be positive and finite, got "
+                         f"{sample_rate_hz!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,8 @@ def default_af_grids(n_samples: int, sample_rate_hz: float,
     """Convenience grids: all sample lags and a centered Doppler comb.
 
     ``max_lag`` (default n_samples - 1) must lie in [0, n_samples): every
-    lag beyond reads 0 by definition.
+    lag beyond reads 0 by definition.  ``sample_rate_hz`` must be positive
+    and finite.
 
     The Doppler comb spans the unambiguous +-sample_rate/(2 n_samples)
     band of a waveform of this length, so mainlobe structure is resolved.
@@ -87,6 +95,7 @@ def default_af_grids(n_samples: int, sample_rate_hz: float,
                          f"{n_samples}-sample waveform, got {max_lag}")
     if n_doppler < 1 or n_doppler % 2 == 0:
         raise ValueError(f"n_doppler must be odd and >= 1, got {n_doppler}")
+    _check_rate(sample_rate_hz)
     delays = np.arange(-max_lag, max_lag + 1) / sample_rate_hz
     span = sample_rate_hz / n_samples
     if n_doppler == 1:
@@ -125,8 +134,9 @@ def ambiguity_function(waveform, delays_s, dopplers_hz,
     on the grid is the +nu row read at mirrored lags.  The cost is
     O(N_|nu| * n * (M / B) * log M), N_|nu| the number of distinct |nu| on
     the Doppler grid, and the result agrees with the direct sum to float
-    rounding.  Both grids must be strictly increasing, which is checked
-    before any FFT, and a waveform holding NaN or inf is rejected.
+    rounding.  Both grids must be finite and strictly increasing, and
+    ``sample_rate_hz`` positive and finite, which is checked before any
+    FFT, and a waveform holding NaN or inf is rejected.
 
     The rows still to compute run on a thread pool that is created and
     joined inside the call: one worker per CPU this process may run on,
@@ -143,11 +153,12 @@ def ambiguity_function(waveform, delays_s, dopplers_hz,
                          "positive energy")
     delays_s = np.asarray(delays_s, dtype=float)
     dopplers_hz = np.asarray(dopplers_hz, dtype=float)
+    _check_rate(sample_rate_hz)
+    _check_grids(delays_s, dopplers_hz)
     lags_f = delays_s * sample_rate_hz
     lags = np.rint(lags_f).astype(int)
     if np.max(np.abs(lags_f - lags), initial=0.0) > 1e-6:
         raise ValueError("delay grid must align with integer sample lags")
-    _check_grids(delays_s, dopplers_hz)
 
     mags = np.zeros((lags.size, dopplers_hz.size))
     inside = np.flatnonzero(np.abs(lags) < n)

@@ -110,6 +110,8 @@ def test_fading_input_validation():
         draw_small_scale("swerling12", 0.0, rng)
     with pytest.raises(ValueError):
         draw_small_scale("rician", 1.0, rng, rician_k=-1.0)
+    with pytest.raises(ValueError, match="rician_k must be >= 0, got nan"):
+        draw_small_scale("rician", 1.0, rng, rician_k=np.nan)
     with pytest.raises(ValueError):
         draw_small_scale("nakagami", 1.0, rng)
 
@@ -175,6 +177,9 @@ def test_scatterer_range_and_validation():
         Scatterer(delay_s=0.0, angle_rad=2.0)
     with pytest.raises(ValueError):
         Scatterer(delay_s=0.0, fading="swerling5")
+    # NaN would fade every trial to nan+nanj; inf is pure line of sight.
+    with pytest.raises(ValueError, match="rician_k must be >= 0, got nan"):
+        Scatterer(delay_s=1e-9, fading="rician", rician_k=np.nan)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -727,6 +727,26 @@ def test_load_config_reports_json_position(tmp_path):
     assert "column" in info.value.errors[0]
 
 
+@pytest.mark.parametrize("base, section", [
+    (base_pmcw, PmcwConfig(code_length=31, n_frames=8, chip_time=1e-9,
+                           carrier_hz=60e9)),
+    (base_ofdma, OfdmaConfig(n_subcarriers=16, n_symbols=4,
+                             subcarrier_spacing_hz=62.5e6, carrier_hz=60e9)),
+    (base_golay, GolayRunConfig(log2_length=9, guard_samples=128,
+                                sample_time_s=2.5e-10)),
+], ids=["pmcw", "ofdma", "golay"])
+def test_scenario_config_built_directly_takes_the_file_defaults(base,
+                                                                section):
+    # A library caller who gives only the waveform section gets exactly
+    # what the minimal file with that section parses to.
+    waveform = base()["waveform"]
+    direct = ScenarioConfig(waveform=waveform, **{waveform: section})
+    parsed = parse_config(base())
+    assert direct == parsed
+    assert config_hash(direct) == config_hash(parsed)
+    assert direct.symbol_order == (4 if waveform == "ofdma" else 2)
+
+
 def test_scenario_config_direct_construction_guard():
     cfg = parse_config(base_pmcw())
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -139,24 +140,40 @@ def test_af_rejects_non_finite_samples(bad):
         ambiguity_function(x, [0.0, 1.0], [-0.1, 0.0, 0.1], 1.0)
 
 
-@pytest.mark.parametrize("delays, dopplers, message", [
-    ([1.0, 0.0], [0.0], "delay grid"),
-    ([0.0, 0.0], [0.0], "delay grid"),
-    ([0.0], [0.5, -0.5], "Doppler grid"),
-    ([0.0], [-0.5, 0.5, 0.5], "Doppler grid"),
-    ([0.0], [0.0, np.nan], "Doppler grid"),
+_INCREASING = "grid must be strictly increasing"
+_FINITE = "grid entries must be finite"
+_RATE = "sample_rate_hz must be positive and finite"
+
+
+@pytest.mark.parametrize("delays, dopplers, rate, message", [
+    ([1.0, 0.0], [0.0], 1.0, f"delay {_INCREASING}"),
+    ([0.0, 0.0], [0.0], 1.0, f"delay {_INCREASING}"),
+    ([0.0], [0.5, -0.5], 1.0, f"Doppler {_INCREASING}"),
+    ([0.0], [-0.5, 0.5, 0.5], 1.0, f"Doppler {_INCREASING}"),
+    ([0.0], [0.0, np.nan], 1.0, f"Doppler {_INCREASING}"),
+    ([np.nan], [0.0], 1.0, f"delay {_FINITE}"),
+    ([0.0, np.inf], [0.0], 1.0, f"delay {_FINITE}"),
+    ([0.0], [np.nan], 1.0, f"Doppler {_FINITE}"),
+    ([-np.inf, 0.0], [0.0], 1.0, f"delay {_FINITE}"),
+    ([0.0], [0.0], 0.0, _RATE),
+    ([0.0], [0.0], -1.0, _RATE),
+    ([0.0], [0.0], np.nan, _RATE),
+    ([0.0], [0.0], np.inf, _RATE),
 ], ids=["delay-decreasing", "delay-repeated", "doppler-decreasing",
-        "doppler-repeated", "doppler-nan"])
+        "doppler-repeated", "doppler-nan", "delay-one-nan", "delay-inf",
+        "doppler-one-nan", "delay-minus-inf", "rate-zero", "rate-negative",
+        "rate-nan", "rate-inf"])
 def test_af_rejects_bad_grid_before_any_fft(monkeypatch, delays, dopplers,
-                                            message):
+                                            rate, message):
     def no_fft(*args, **kwargs):
         raise AssertionError("FFT work started before the grid check")
 
     monkeypatch.setattr(np.fft, "fft", no_fft)
     monkeypatch.setattr(np.fft, "ifft", no_fft)
-    with pytest.raises(ValueError, match=f"{message} must be strictly "
-                                         "increasing"):
-        ambiguity_function(np.ones(8), delays, dopplers, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast warning on the way
+        with pytest.raises(ValueError, match=message):
+            ambiguity_function(np.ones(8), delays, dopplers, rate)
 
 
 def test_af_surface_validation():
@@ -385,6 +402,10 @@ def test_default_af_grids():
     for n_doppler in (0, 2, 64):
         with pytest.raises(ValueError, match="n_doppler"):
             default_af_grids(32, 4e9, n_doppler=n_doppler)
+    for rate in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sample_rate_hz must be "
+                                             "positive and finite"):
+            default_af_grids(16, rate)
 
 
 @pytest.mark.parametrize("n, rate, n_doppler", [
